@@ -1,26 +1,25 @@
-//! Linear scan vs the compiled tuple-space engine (`stellar-classify`).
+//! The size sweep that fixes `stellar_classify::LINEAR_MAX`.
 //!
-//! Four variants at 10 / 100 / 1k / 10k installed rules, all classifying
-//! the same 1 000-key batch:
+//! At 8 / 16 / 32 / 64 / 128 / 256 / 10^3 / 10^4 installed rules, on a
+//! standard and a range-heavy rule mix, the same 1 000-key batch is
+//! classified two ways over the same `(priority, id)`-sorted table:
 //!
-//! * `linear`   — first-match scan over the priority-sorted rule list
-//!   (the seed dataplane's hot path),
-//! * `compiled` — per-key [`ClassifyEngine::classify`],
-//! * `batch`    — one [`ClassifyEngine::classify_batch`] call,
-//! * `sharded`  — the batch split into 8 port-group shards fanned out
-//!   over scoped worker threads.
+//! * `scan`  — first-match scan of the sorted rules (the reference
+//!   semantics, and [`FlowClassifier`]'s path up to `LINEAR_MAX`),
+//! * `index` — [`IntervalIndex::first_match`] (its path above), plus
+//!   what the index costs to `build`.
 //!
-//! A final `report` target reads the collected summaries and dumps a
-//! machine-readable comparison (ns/key and speedup over linear) to
-//! `results/bench_classify.json`.
+//! Verdict equality between the two — and with a compiled
+//! [`FlowClassifier`] — is asserted before anything is timed. A final
+//! `report` target reads the collected summaries and writes the rows
+//! (ns/key, build ns, scan/index ratio) to `results/bench_classify.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use stellar_bench::output;
-use stellar_classify::interval::IntervalEngine;
-use stellar_classify::sharded::{classify_shards, ShardRequest};
+use stellar_classify::interval::IntervalIndex;
 use stellar_classify::spec::{BitsMatch, RangeMatch};
-use stellar_classify::{ClassifyEngine, MatchSpec, PortMatch, RuleEntry};
+use stellar_classify::{FlowClassifier, MatchSpec, PortMatch, RuleEntry, LINEAR_MAX};
 use stellar_net::addr::{IpAddress, Ipv4Address};
 use stellar_net::flow::{frag, FlowKey};
 use stellar_net::mac::MacAddr;
@@ -28,11 +27,11 @@ use stellar_net::prefix::{Ipv4Prefix, Prefix};
 use stellar_net::proto::IpProtocol;
 use stellar_net::tcp::TcpFlags;
 
-const RULE_COUNTS: [usize; 4] = [10, 100, 1_000, 10_000];
-/// Rule counts for the hash-vs-tree backend A/B (the ISSUE's 1k/10k).
-const AB_RULE_COUNTS: [usize; 2] = [1_000, 10_000];
+/// Table sizes swept: dense around the per-port regime (the production
+/// edge router caps a port at 256 rules), then the large-table tail.
+const RULE_COUNTS: [usize; 8] = [8, 16, 32, 64, 128, 256, 1_000, 10_000];
+const MIXES: [&str; 2] = ["std", "range"];
 const KEY_COUNT: usize = 1_000;
-const SHARDS: usize = 8;
 
 /// Amplification source ports a Stellar member would drop (NTP, DNS,
 /// chargen, memcached).
@@ -54,8 +53,7 @@ fn host_prefix(addr: Ipv4Address) -> Prefix {
 /// A Stellar-realistic rule mix: mostly fine-grained advanced-blackholing
 /// rules (victim /32 + UDP + amplification source port), plus plain
 /// destination blackholes, dst-port-range scrubs and src-prefix scoped
-/// drops. The mix exercises exact, prefix and range dimensions while
-/// keeping the tuple count small, as real rule sets do.
+/// drops. The mix exercises exact, prefix and range dimensions.
 fn rules(n: usize) -> Vec<RuleEntry> {
     (0..n)
         .map(|i| {
@@ -113,16 +111,9 @@ fn keys(n_rules: usize) -> Vec<FlowKey> {
         .collect()
 }
 
-/// The seed hot path: first match over rules sorted by `(priority, id)`.
-fn linear_classify(sorted: &[RuleEntry], key: &FlowKey) -> Option<u64> {
-    sorted.iter().find(|e| e.spec.matches(key)).map(|e| e.id)
-}
-
 /// A range-heavy mix: the FlowSpec-era rules advanced blackholing lowers
 /// to — SYN-only cubes, packet-length bands, wide port ranges, DSCP
-/// bands and fragment bits. Ranges defeat the hash engine's exact-value
-/// tuples (every range rule lands in a residual-confirmed group), which
-/// is exactly the case the interval tree exists for.
+/// bands and fragment bits — few exact values, many intervals and cubes.
 fn range_rules(n: usize) -> Vec<RuleEntry> {
     (0..n)
         .map(|i| {
@@ -212,204 +203,109 @@ fn range_keys(n_rules: usize) -> Vec<FlowKey> {
         .collect()
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("classify");
-    group.throughput(Throughput::Elements(KEY_COUNT as u64));
-    for n in RULE_COUNTS {
-        let entries = rules(n);
-        let mut sorted = entries.clone();
-        sorted.sort_by_key(|e| (e.priority, e.id));
-        let engine = ClassifyEngine::compile(entries.iter().cloned());
-        let batch = keys(n);
-
-        group.bench_function(format!("linear/{n}"), |b| {
-            b.iter(|| {
-                let mut hits = 0usize;
-                for key in &batch {
-                    if linear_classify(black_box(&sorted), key).is_some() {
-                        hits += 1;
-                    }
-                }
-                hits
-            })
-        });
-
-        group.bench_function(format!("compiled/{n}"), |b| {
-            b.iter(|| {
-                let mut hits = 0usize;
-                for key in &batch {
-                    if black_box(&engine).classify(key).is_some() {
-                        hits += 1;
-                    }
-                }
-                hits
-            })
-        });
-
-        group.bench_function(format!("batch/{n}"), |b| {
-            b.iter(|| black_box(&engine).classify_batch(black_box(&batch)))
-        });
-
-        let shard_len = KEY_COUNT.div_ceil(SHARDS);
-        group.bench_function(format!("sharded/{n}"), |b| {
-            b.iter(|| {
-                let requests: Vec<ShardRequest<'_>> = batch
-                    .chunks(shard_len)
-                    .map(|chunk| ShardRequest {
-                        engine: &engine,
-                        keys: chunk,
-                    })
-                    .collect();
-                classify_shards(requests, SHARDS)
-            })
-        });
-    }
-    group.finish();
+/// The reference semantics: first match over the rank-sorted rules.
+fn scan(sorted: &[RuleEntry], key: &FlowKey) -> Option<usize> {
+    sorted.iter().position(|e| e.spec.matches(key))
 }
 
-/// Hash vs interval-tree A/B over the standard and range-heavy rule
-/// mixes. Before timing anything, both backends' verdict vectors are
-/// asserted byte-identical on every workload — the A/B is only
-/// meaningful (and only honest) if the answers agree.
-fn bench_backends(c: &mut Criterion) {
-    let mut group = c.benchmark_group("classify_ab");
+/// One sweep cell's table and key batch.
+fn workload(mix: &str, n: usize) -> (Vec<RuleEntry>, Vec<FlowKey>) {
+    match mix {
+        "std" => (rules(n), keys(n)),
+        _ => (range_rules(n), range_keys(n)),
+    }
+}
+
+fn size_sweep(c: &mut Criterion) {
+    let mut group = c.benchmark_group("size_sweep");
     group.throughput(Throughput::Elements(KEY_COUNT as u64));
-    for n in AB_RULE_COUNTS {
-        let workloads = [
-            ("std", rules(n), keys(n)),
-            ("range", range_rules(n), range_keys(n)),
-        ];
-        for (mix, entries, batch) in workloads {
-            let hash = ClassifyEngine::compile(entries.iter().cloned());
-            let tree = IntervalEngine::compile(entries.iter().cloned());
-            assert_eq!(
-                hash.classify_batch(&batch),
-                tree.classify_batch(&batch),
-                "backend verdicts diverge on mix {mix} at {n} rules"
-            );
-            group.bench_function(format!("hash_{mix}/{n}"), |b| {
-                b.iter(|| black_box(&hash).classify_batch(black_box(&batch)))
+    for n in RULE_COUNTS {
+        for mix in MIXES {
+            let (entries, batch) = workload(mix, n);
+            let classifier = FlowClassifier::compile(entries);
+            // The classifier's own store is the rank-sorted table.
+            let sorted = classifier.rules();
+            let index = IntervalIndex::build(sorted);
+            for key in &batch {
+                let want = scan(sorted, key);
+                assert_eq!(
+                    index.first_match(sorted, key),
+                    want,
+                    "index diverges from the scan on mix {mix} at {n} rules"
+                );
+                assert_eq!(
+                    classifier.first_match(key),
+                    want,
+                    "classifier diverges from the scan on mix {mix} at {n} rules"
+                );
+            }
+            group.bench_function(format!("scan_{mix}/{n}"), |b| {
+                b.iter(|| {
+                    let sorted = black_box(sorted);
+                    batch.iter().filter(|k| scan(sorted, k).is_some()).count()
+                })
             });
-            group.bench_function(format!("tree_{mix}/{n}"), |b| {
-                b.iter(|| black_box(&tree).classify_batch(black_box(&batch)))
+            group.bench_function(format!("index_{mix}/{n}"), |b| {
+                b.iter(|| {
+                    let (index, sorted) = (black_box(&index), black_box(sorted));
+                    batch
+                        .iter()
+                        .filter(|k| index.first_match(sorted, k).is_some())
+                        .count()
+                })
+            });
+            group.bench_function(format!("build_{mix}/{n}"), |b| {
+                b.iter(|| IntervalIndex::build(black_box(sorted)))
             });
         }
     }
     group.finish();
 }
 
-/// Rule-set build cost: whole-set `compile` (one deferred rank rebuild)
-/// vs the same set fed through per-entry `insert` (a rebuild per rule —
-/// the path `compile` used before the rebuild was batched), plus the
-/// tree's whole-set compile for scale.
-fn bench_compile(c: &mut Criterion) {
-    let mut group = c.benchmark_group("classify_compile");
-    for n in AB_RULE_COUNTS {
-        let entries = rules(n);
-        group.bench_function(format!("hash_compile/{n}"), |b| {
-            b.iter(|| ClassifyEngine::compile(black_box(&entries).iter().cloned()))
-        });
-        group.bench_function(format!("hash_insert_each/{n}"), |b| {
-            b.iter(|| {
-                let mut engine = ClassifyEngine::new();
-                for e in black_box(&entries) {
-                    engine.insert(e.clone());
-                }
-                engine
-            })
-        });
-        group.bench_function(format!("tree_compile/{n}"), |b| {
-            b.iter(|| IntervalEngine::compile(black_box(&entries).iter().cloned()))
-        });
-    }
-    group.finish();
-}
-
-/// Reads the summaries recorded by `bench` and writes a machine-readable
-/// comparison to `results/bench_classify.json`.
+/// Reads the summaries recorded by `size_sweep` and writes a
+/// machine-readable comparison to `results/bench_classify.json`.
 fn report(c: &mut Criterion) {
-    let per_key = |mode: &str, n: usize| {
+    let ns_per_iter = |name: &str, mix: &str, n: usize| {
         c.summaries()
             .iter()
-            .find(|s| s.name == format!("classify/{mode}/{n}"))
-            .map(|s| s.ns_per_iter / KEY_COUNT as f64)
+            .find(|s| s.name == format!("size_sweep/{name}_{mix}/{n}"))
+            .map(|s| s.ns_per_iter)
     };
     let mut rows = Vec::new();
     for n in RULE_COUNTS {
-        let linear = per_key("linear", n);
-        let compiled = per_key("compiled", n);
-        let batch = per_key("batch", n);
-        let sharded = per_key("sharded", n);
-        let speedup = |v: Option<f64>| match (linear, v) {
-            (Some(l), Some(x)) if x > 0.0 => serde_json::json!(l / x),
-            _ => serde_json::json!(null),
-        };
-        rows.push(serde_json::json!({
-            "rules": n,
-            "keys_per_iter": KEY_COUNT,
-            "linear_ns_per_key": serde_json::json!(linear),
-            "compiled_ns_per_key": serde_json::json!(compiled),
-            "batch_ns_per_key": serde_json::json!(batch),
-            "sharded_ns_per_key": serde_json::json!(sharded),
-            "speedup_compiled_vs_linear": speedup(compiled),
-            "speedup_batch_vs_linear": speedup(batch),
-            "speedup_sharded_vs_linear": speedup(sharded),
-        }));
-    }
-    // Backend A/B: hash vs interval tree on both mixes, per key.
-    let ab = |name: &str, n: usize| {
-        c.summaries()
-            .iter()
-            .find(|s| s.name == format!("classify_ab/{name}/{n}"))
-            .map(|s| s.ns_per_iter / KEY_COUNT as f64)
-    };
-    let compile_ns = |name: &str, n: usize| {
-        c.summaries()
-            .iter()
-            .find(|s| s.name == format!("classify_compile/{name}/{n}"))
-            .map(|s| s.ns_per_iter)
-    };
-    let mut ab_rows = Vec::new();
-    for n in AB_RULE_COUNTS {
-        let ratio = |h: Option<f64>, t: Option<f64>| match (h, t) {
-            (Some(h), Some(t)) if t > 0.0 => serde_json::json!(h / t),
-            _ => serde_json::json!(null),
-        };
-        let (hs, ts) = (ab("hash_std", n), ab("tree_std", n));
-        let (hr, tr) = (ab("hash_range", n), ab("tree_range", n));
-        ab_rows.push(serde_json::json!({
-            "rules": n,
-            "verdicts_identical": true, // asserted before timing
-            "std_hash_ns_per_key": serde_json::json!(hs),
-            "std_tree_ns_per_key": serde_json::json!(ts),
-            "std_tree_speedup_vs_hash": ratio(hs, ts),
-            "range_hash_ns_per_key": serde_json::json!(hr),
-            "range_tree_ns_per_key": serde_json::json!(tr),
-            "range_tree_speedup_vs_hash": ratio(hr, tr),
-            "hash_compile_ns": serde_json::json!(compile_ns("hash_compile", n)),
-            "hash_insert_each_ns": serde_json::json!(compile_ns("hash_insert_each", n)),
-            "hash_compile_speedup_vs_insert_each": ratio(
-                compile_ns("hash_insert_each", n),
-                compile_ns("hash_compile", n),
-            ),
-            "tree_compile_ns": serde_json::json!(compile_ns("tree_compile", n)),
-        }));
+        for mix in MIXES {
+            let scan = ns_per_iter("scan", mix, n).map(|ns| ns / KEY_COUNT as f64);
+            let index = ns_per_iter("index", mix, n).map(|ns| ns / KEY_COUNT as f64);
+            let ratio = match (scan, index) {
+                (Some(s), Some(i)) if i > 0.0 => serde_json::json!(s / i),
+                _ => serde_json::json!(null),
+            };
+            rows.push(serde_json::json!({
+                "rules": n,
+                "mix": mix,
+                "verdicts_identical": true, // asserted before timing
+                "scan_ns_per_key": serde_json::json!(scan),
+                "index_ns_per_key": serde_json::json!(index),
+                "scan_over_index": ratio,
+                "index_build_ns": serde_json::json!(ns_per_iter("build", mix, n)),
+                "classifier_path": if n > LINEAR_MAX { "index" } else { "scan" },
+            }));
+        }
     }
     output::banner(
         "bench_classify",
-        "compiled tuple-space classification vs linear scan",
+        "first-match scan vs interval index across table sizes",
     );
     output::write_json(
         "bench_classify",
         &serde_json::json!({
             "bench": "classify",
-            "workload": "1000-key batch, 50% hits, Stellar-style rule mix",
-            "shards": SHARDS,
-            "results": serde_json::json!(rows),
-            "backend_ab": serde_json::json!(ab_rows),
+            "workload": "1000-key batch, 50% hits, Stellar-style rule mixes",
+            "linear_max": LINEAR_MAX,
+            "size_sweep": serde_json::json!(rows),
         }),
     );
 }
 
-criterion_group!(benches, bench, bench_backends, bench_compile, report);
+criterion_group!(benches, size_sweep, report);
 criterion_main!(benches);

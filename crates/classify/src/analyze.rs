@@ -31,7 +31,7 @@
 //!   table would consume, for pre-admission capacity accounting against
 //!   the hardware pools (the paper's Fig. 9 F1/F2 modes) before install.
 
-use crate::engine::{RuleEntry, RuleId};
+use crate::classifier::{RuleEntry, RuleId};
 use crate::spec::{is_icmp, BitsMatch, MatchSpec, PortMatch, RangeMatch};
 use stellar_net::addr::{IpAddress, Ipv4Address, Ipv6Address};
 use stellar_net::flow::FlowKey;
@@ -1373,7 +1373,7 @@ mod tests {
         ];
         let t = analyze(&rules);
         assert!(t.findings.iter().all(|f| !f.flag.is_dead()));
-        let engine = crate::ClassifyEngine::compile(rules.iter().map(|r| r.entry.clone()));
+        let engine = crate::FlowClassifier::compile(rules.iter().map(|r| r.entry.clone()));
         for (id, key) in &t.witnesses {
             assert_eq!(engine.classify(key), Some(*id), "witness for rule {id}");
         }
@@ -1585,7 +1585,7 @@ mod tests {
         let w = t.witness(2).unwrap();
         assert_eq!(w.protocol, IpProtocol::TCP);
         assert!(!(w.tcp_flags & TcpFlags::SYN != 0 && w.tcp_flags & TcpFlags::ACK == 0));
-        let engine = crate::ClassifyEngine::compile(rules.iter().map(|r| r.entry.clone()));
+        let engine = crate::FlowClassifier::compile(rules.iter().map(|r| r.entry.clone()));
         for (id, key) in &t.witnesses {
             assert_eq!(engine.classify(key), Some(*id), "witness for rule {id}");
         }

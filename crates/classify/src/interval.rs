@@ -1,15 +1,9 @@
-//! The interval-capable classifier backend: a compiled decision tree in
-//! the HyperCuts / DPDK-ACL lineage.
+//! The index behind large tables: a compiled decision tree in the
+//! HyperCuts / DPDK-ACL lineage over a rank-sorted rule slice.
 //!
-//! The tuple-space engine ([`crate::engine::ClassifyEngine`]) hashes
-//! exact-match fields and treats everything else as a residual scan
-//! inside the matching bucket — fine when rules are exact-match-shaped,
-//! quadratic-feeling when the table is dominated by ranges and masks
-//! (FlowSpec port ranges, TCP-flag cubes, packet-length windows), which
-//! all collapse into a handful of signatures.
-//!
-//! [`IntervalEngine`] compiles the rule set into a fixed three-level
-//! decision tree instead:
+//! [`IntervalIndex`] is derived from the `(priority, id)`-sorted rule
+//! `Vec` of a [`FlowClassifier`](crate::classifier::FlowClassifier) and
+//! holds nothing but positions into it, in a fixed three-level tree:
 //!
 //! 1. **Destination prefix bits** — a binary trie per address family,
 //!    walked along the key's destination address. Every trie node a
@@ -22,33 +16,33 @@
 //!    rules carrying a source-port constraint are partitioned over the
 //!    *elementary intervals* of their source-port ranges (the classic
 //!    interval-stabbing table: sorted distinct boundaries + one
-//!    rank-sorted rule list per gap, found by binary search). Rules
+//!    ascending position list per gap, found by binary search). Rules
 //!    without a source-port constraint partition over destination-port
-//!    intervals, then packet-length intervals, and finally an unsorted
-//!    `rest` list for rules constrained by none of the cut dimensions.
+//!    intervals, then packet-length intervals, and finally a `rest` list
+//!    for rules constrained by none of the cut dimensions.
 //!
-//! Leaf lists hold `(priority, id)` ranks in ascending order. Every
-//! candidate the tree surfaces is confirmed against the **full**
-//! [`MatchSpec::matches`] predicate, exactly like the hash engine's
-//! residual confirmation — the tree can only produce false *positives*
-//! that confirmation rejects, never false negatives, because each level
-//! only separates rules along a dimension they actually constrain
-//! (wildcards ride along in the `wild`/`rest` buckets every lookup
-//! visits). First-match semantics follow from scanning each candidate
-//! list in rank order and keeping the global minimum.
-//!
-//! Rebuilds are whole-table (`insert`/`remove` recompile, control-plane
-//! rate); lookups are read-only and shareable across the worker pool.
+//! The slice is rank-sorted, so a smaller position is a better rank and
+//! every leaf list is ascending by construction. Every candidate the
+//! tree surfaces is confirmed against the **full**
+//! [`MatchSpec::matches`] predicate — the tree can only produce false
+//! *positives* that confirmation rejects, never false negatives, because
+//! each level only separates rules along a dimension they actually
+//! constrain (wildcards ride along in the `wild`/`rest` buckets every
+//! lookup visits). First-match semantics follow from scanning each
+//! candidate list in order and keeping the global minimum position.
 
 use std::collections::BTreeMap;
 
-use crate::engine::{ClassifyScratch, RuleEntry, RuleId};
+use crate::classifier::RuleEntry;
 use crate::spec::{MatchSpec, PortMatch};
 use stellar_net::addr::IpAddress;
 use stellar_net::flow::FlowKey;
 
-/// First-match rank: rules match in ascending `(priority, id)`.
-type Rank = (u16, RuleId);
+/// A rule's position in the rank-sorted slice the index was built over.
+type Pos = u32;
+
+/// "No match yet": larger than any real position.
+const NO_MATCH: Pos = Pos::MAX;
 
 /// Address bits left-aligned in a u128 plus the family tag, so v4 and v6
 /// prefixes walk the same trie code.
@@ -66,18 +60,20 @@ fn bit_at(bits: u128, i: u8) -> usize {
 
 /// An elementary-interval table over one u16 dimension: `bounds` holds
 /// the sorted distinct interval start points (always beginning at 0), and
-/// `lists[i]` the rank-sorted rules covering `bounds[i]..bounds[i+1]-1`
+/// `lists[i]` the ascending rules covering `bounds[i]..bounds[i+1]-1`
 /// (the last interval extends to `u16::MAX`). A rule spanning several
 /// elementary intervals is replicated into each — lookup is then a
 /// single binary search.
 #[derive(Debug, Default, Clone)]
 struct IntervalCut {
     bounds: Vec<u16>,
-    lists: Vec<Vec<Rank>>,
+    lists: Vec<Vec<Pos>>,
 }
 
 impl IntervalCut {
-    fn build(ranges: &[(u16, u16, Rank)]) -> Self {
+    /// `ranges` must be ascending by position, which makes every list
+    /// ascending without a sort.
+    fn build(ranges: &[(u16, u16, Pos)]) -> Self {
         if ranges.is_empty() {
             return Self::default();
         }
@@ -91,33 +87,26 @@ impl IntervalCut {
         }
         bounds.sort_unstable();
         bounds.dedup();
-        let mut lists: Vec<Vec<Rank>> = vec![Vec::new(); bounds.len()];
-        for &(lo, hi, rank) in ranges {
+        let mut lists: Vec<Vec<Pos>> = vec![Vec::new(); bounds.len()];
+        for &(lo, hi, pos) in ranges {
             let start = bounds.partition_point(|b| *b < lo);
             for (i, &b) in bounds.iter().enumerate().skip(start) {
                 if b > hi {
                     break;
                 }
-                lists[i].push(rank);
+                lists[i].push(pos);
             }
-        }
-        for list in &mut lists {
-            list.sort_unstable();
         }
         IntervalCut { bounds, lists }
     }
 
-    fn probe(&self, x: u16) -> &[Rank] {
+    fn probe(&self, x: u16) -> &[Pos] {
         if self.bounds.is_empty() {
             return &[];
         }
         // bounds[0] == 0, so the partition point is always >= 1.
         let idx = self.bounds.partition_point(|b| *b <= x) - 1;
         &self.lists[idx]
-    }
-
-    fn interval_count(&self) -> usize {
-        self.bounds.len()
     }
 }
 
@@ -133,28 +122,29 @@ struct Leaf {
     /// Rules with a packet-length criterion (and no port criteria), over
     /// length intervals.
     len_cut: IntervalCut,
-    /// Rules constrained by none of the cut dimensions, rank-sorted.
-    rest: Vec<Rank>,
+    /// Rules constrained by none of the cut dimensions, ascending.
+    rest: Vec<Pos>,
 }
 
 impl Leaf {
-    fn add(&mut self, spec: &MatchSpec, rank: Rank, pending: &mut LeafRanges) {
+    /// Files one rule; callers add in ascending position.
+    fn add(&mut self, spec: &MatchSpec, pos: Pos, pending: &mut LeafRanges) {
         if let Some(pm) = spec.src_port {
             if let Some((lo, hi)) = port_range(pm) {
-                pending.src.push((lo, hi, rank));
+                pending.src.push((lo, hi, pos));
             }
             // An inverted (empty) range matches nothing; the rule can be
             // omitted without changing any verdict.
         } else if let Some(pm) = spec.dst_port {
             if let Some((lo, hi)) = port_range(pm) {
-                pending.dst.push((lo, hi, rank));
+                pending.dst.push((lo, hi, pos));
             }
         } else if let Some(r) = spec.packet_len {
             if !r.is_empty() {
-                pending.len.push((r.lo, r.hi, rank));
+                pending.len.push((r.lo, r.hi, pos));
             }
         } else {
-            self.rest.push(rank);
+            self.rest.push(pos);
         }
     }
 
@@ -162,7 +152,6 @@ impl Leaf {
         self.src_cut = IntervalCut::build(&pending.src);
         self.dst_cut = IntervalCut::build(&pending.dst);
         self.len_cut = IntervalCut::build(&pending.len);
-        self.rest.sort_unstable();
     }
 }
 
@@ -170,9 +159,9 @@ impl Leaf {
 /// [`IntervalCut`]s by [`Leaf::finish`].
 #[derive(Debug, Default, Clone)]
 struct LeafRanges {
-    src: Vec<(u16, u16, Rank)>,
-    dst: Vec<(u16, u16, Rank)>,
-    len: Vec<(u16, u16, Rank)>,
+    src: Vec<(u16, u16, Pos)>,
+    dst: Vec<(u16, u16, Pos)>,
+    len: Vec<(u16, u16, Pos)>,
 }
 
 fn port_range(pm: PortMatch) -> Option<(u16, u16)> {
@@ -263,226 +252,118 @@ impl Trie {
     }
 }
 
-/// The compiled decision-tree backend. Same observable semantics as
-/// [`ClassifyEngine`](crate::engine::ClassifyEngine): first match over
-/// rules ordered by `(priority, id)`, `None` when nothing matches.
+/// The compiled decision tree over one rank-sorted rule slice. Same
+/// observable semantics as scanning that slice: the first (lowest)
+/// position whose spec matches, `None` when nothing matches.
 #[derive(Debug)]
-pub struct IntervalEngine {
-    /// Rule store, ordered for deterministic rebuilds.
-    rules: BTreeMap<RuleId, RuleEntry>,
+pub struct IntervalIndex {
     v4: Trie,
     v6: Trie,
     /// Rules with no destination-prefix constraint (visited for every
     /// key, both families).
     any: ProtoTable,
-    /// Elementary intervals across all cuts — compile-shape telemetry.
-    interval_count: usize,
 }
 
-impl Default for IntervalEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl IntervalEngine {
-    /// An empty engine.
-    pub fn new() -> Self {
-        IntervalEngine {
-            rules: BTreeMap::new(),
+impl IntervalIndex {
+    /// Builds the index over `rules`, which must be in evaluation order
+    /// (ascending `(priority, id)`). The index stores positions only, so
+    /// it answers for exactly this slice: any change to the slice needs a
+    /// new index.
+    pub fn build(rules: &[RuleEntry]) -> Self {
+        let mut index = IntervalIndex {
             v4: Trie::new(),
             v6: Trie::new(),
             any: ProtoTable::default(),
-            interval_count: 0,
-        }
-    }
-
-    /// Compiles a rule set in one go. Later entries replace earlier ones
-    /// with the same id, matching incremental `insert` semantics.
-    pub fn compile(entries: impl IntoIterator<Item = RuleEntry>) -> Self {
-        let mut engine = Self::new();
-        for e in entries {
-            engine.rules.insert(e.id, e);
-        }
-        engine.rebuild();
-        engine
-    }
-
-    /// Number of installed rules.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// True if no rules are installed.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
-    /// Total elementary intervals across all leaf cuts — how finely the
-    /// tree partitioned the port/length dimensions.
-    pub fn interval_count(&self) -> usize {
-        self.interval_count
-    }
-
-    /// Installs a rule, replacing any rule with the same id. Whole-tree
-    /// recompile: updates are control-plane-rate, lookups are the hot
-    /// path.
-    pub fn insert(&mut self, entry: RuleEntry) {
-        self.rules.insert(entry.id, entry);
-        self.rebuild();
-    }
-
-    /// Removes a rule by id. Returns true if it existed.
-    pub fn remove(&mut self, id: RuleId) -> bool {
-        let existed = self.rules.remove(&id).is_some();
-        if existed {
-            self.rebuild();
-        }
-        existed
-    }
-
-    /// Removes every rule, returning the removed ids in evaluation order.
-    pub fn clear(&mut self) -> Vec<RuleId> {
-        let mut ranks: Vec<Rank> = self.rules.values().map(|e| (e.priority, e.id)).collect();
-        ranks.sort_unstable();
-        self.rules.clear();
-        self.rebuild();
-        ranks.into_iter().map(|(_, id)| id).collect()
-    }
-
-    /// The installed entry for an id.
-    pub fn rule(&self, id: RuleId) -> Option<&RuleEntry> {
-        self.rules.get(&id)
-    }
-
-    fn rebuild(&mut self) {
-        self.v4 = Trie::new();
-        self.v6 = Trie::new();
-        self.any = ProtoTable::default();
+        };
         // Group rules by (family, trie node, protocol bucket) first; the
         // leaves' interval tables need all their ranges at once.
         type LeafKey = (u8, usize, Option<u8>);
-        let mut groups: BTreeMap<LeafKey, Vec<RuleId>> = BTreeMap::new();
-        for e in self.rules.values() {
+        let mut groups: BTreeMap<LeafKey, Vec<Pos>> = BTreeMap::new();
+        for (pos, e) in rules.iter().enumerate() {
             let (family, node) = match &e.spec.dst_ip {
                 None => (0u8, 0usize),
                 Some(p) => {
                     let (is_v4, bits) = addr_bits(p.network());
-                    let trie = if is_v4 { &mut self.v4 } else { &mut self.v6 };
+                    let trie = if is_v4 { &mut index.v4 } else { &mut index.v6 };
                     (if is_v4 { 1 } else { 2 }, trie.node_for(bits, p.len()))
                 }
             };
             let proto = e.spec.protocol.map(|p| p.0);
-            groups.entry((family, node, proto)).or_default().push(e.id);
+            groups
+                .entry((family, node, proto))
+                .or_default()
+                .push(pos as Pos);
         }
-        self.interval_count = 0;
-        for ((family, node, proto), ids) in &groups {
+        for ((family, node, proto), positions) in &groups {
             let mut leaf = Leaf::default();
             let mut pending = LeafRanges::default();
-            for id in ids {
-                let e = &self.rules[id];
-                leaf.add(&e.spec, (e.priority, e.id), &mut pending);
+            for &pos in positions {
+                leaf.add(&rules[pos as usize].spec, pos, &mut pending);
             }
             leaf.finish(&pending);
-            self.interval_count += leaf.src_cut.interval_count()
-                + leaf.dst_cut.interval_count()
-                + leaf.len_cut.interval_count();
             let table = match family {
-                0 => &mut self.any,
-                1 => {
-                    let t = self.v4.nodes[*node]
-                        .table
-                        .get_or_insert_with(|| Box::new(ProtoTable::default()));
-                    &mut **t
-                }
-                _ => {
-                    let t = self.v6.nodes[*node]
-                        .table
-                        .get_or_insert_with(|| Box::new(ProtoTable::default()));
-                    &mut **t
-                }
+                0 => &mut index.any,
+                1 => &mut **index.v4.nodes[*node].table.get_or_insert_with(Box::default),
+                _ => &mut **index.v6.nodes[*node].table.get_or_insert_with(Box::default),
             };
+            // BTreeMap group order yields ascending protocol values per
+            // (family, node) — the order `scan_table` binary-searches.
             match proto {
                 None => table.wild = leaf,
                 Some(p) => table.by_proto.push((*p, leaf)),
             }
         }
-        // BTreeMap group order already yields ascending protocol values
-        // per (family, node); keep the invariant explicit for the binary
-        // search below.
-        debug_assert!(self.any.by_proto.windows(2).all(|w| w[0].0 < w[1].0));
+        index
     }
 
-    /// Scans one candidate list, improving `best`. Lists are rank-sorted,
-    /// so the scan stops at the first confirmed match or as soon as the
-    /// current best outranks the remainder.
-    fn scan_list(&self, list: &[Rank], key: &FlowKey, best: &mut Option<Rank>) {
-        for rank in list {
-            if best.is_some_and(|b| b <= *rank) {
-                break;
-            }
-            // Confirm with the full predicate: the tree is a prefilter
-            // (src-ip, MACs, flags, every residual dimension checked
-            // here).
-            if self.rules[&rank.1].spec.matches(key) {
-                *best = Some(*rank);
-                break;
-            }
-        }
-    }
-
-    fn scan_leaf(&self, leaf: &Leaf, key: &FlowKey, best: &mut Option<Rank>) {
-        self.scan_list(leaf.src_cut.probe(key.src_port), key, best);
-        self.scan_list(leaf.dst_cut.probe(key.dst_port), key, best);
-        self.scan_list(leaf.len_cut.probe(key.packet_len), key, best);
-        self.scan_list(&leaf.rest, key, best);
-    }
-
-    fn scan_table(&self, table: &ProtoTable, key: &FlowKey, best: &mut Option<Rank>) {
-        self.scan_leaf(&table.wild, key, best);
-        let p = key.protocol.0;
-        if let Ok(i) = table.by_proto.binary_search_by_key(&p, |(v, _)| *v) {
-            self.scan_leaf(&table.by_proto[i].1, key, best);
-        }
-    }
-
-    /// The first matching rule id for a key (minimal `(priority, id)`
-    /// among matching rules), if any.
-    pub fn classify(&self, key: &FlowKey) -> Option<RuleId> {
-        let mut best: Option<Rank> = None;
-        self.scan_table(&self.any, key, &mut best);
+    /// The position in `rules` of the first rule matching `key`. `rules`
+    /// must be the slice the index was [built](Self::build) over.
+    pub fn first_match(&self, rules: &[RuleEntry], key: &FlowKey) -> Option<usize> {
+        let mut best = NO_MATCH;
+        scan_table(&self.any, rules, key, &mut best);
         let (is_v4, bits) = addr_bits(key.dst_ip);
         let trie = if is_v4 { &self.v4 } else { &self.v6 };
-        trie.walk(bits, |table| self.scan_table(table, key, &mut best));
-        best.map(|(_, id)| id)
+        trie.walk(bits, |table| scan_table(table, rules, key, &mut best));
+        (best != NO_MATCH).then_some(best as usize)
     }
+}
 
-    /// Classifies a batch of keys; equivalent to mapping
-    /// [`classify`](Self::classify).
-    pub fn classify_batch(&self, keys: &[FlowKey]) -> Vec<Option<RuleId>> {
-        keys.iter().map(|k| self.classify(k)).collect()
+/// Scans one candidate list, improving `best`. Lists are ascending, so
+/// the scan stops at the first confirmed match or as soon as the current
+/// best outranks the remainder.
+fn scan_list(list: &[Pos], rules: &[RuleEntry], key: &FlowKey, best: &mut Pos) {
+    for &pos in list {
+        if pos >= *best {
+            break;
+        }
+        // Confirm with the full predicate: the tree is a prefilter
+        // (src-ip, MACs, flags, every residual dimension checked here).
+        if rules[pos as usize].spec.matches(key) {
+            *best = pos;
+            break;
+        }
     }
+}
 
-    /// Batch classification into caller-owned buffers, signature-matched
-    /// with the hash engine so the two backends are interchangeable at
-    /// the tick-pipeline call sites. The tree lookup is already a few
-    /// array probes per key, so there is no tuple-major sweep to
-    /// amortize; `_scratch` is accepted (and untouched) for interface
-    /// parity.
-    pub fn classify_batch_into(
-        &self,
-        keys: &[FlowKey],
-        _scratch: &mut ClassifyScratch,
-        out: &mut Vec<Option<RuleId>>,
-    ) {
-        out.clear();
-        out.extend(keys.iter().map(|k| self.classify(k)));
+fn scan_leaf(leaf: &Leaf, rules: &[RuleEntry], key: &FlowKey, best: &mut Pos) {
+    scan_list(leaf.src_cut.probe(key.src_port), rules, key, best);
+    scan_list(leaf.dst_cut.probe(key.dst_port), rules, key, best);
+    scan_list(leaf.len_cut.probe(key.packet_len), rules, key, best);
+    scan_list(&leaf.rest, rules, key, best);
+}
+
+fn scan_table(table: &ProtoTable, rules: &[RuleEntry], key: &FlowKey, best: &mut Pos) {
+    scan_leaf(&table.wild, rules, key, best);
+    let p = key.protocol.0;
+    if let Ok(i) = table.by_proto.binary_search_by_key(&p, |(v, _)| *v) {
+        scan_leaf(&table.by_proto[i].1, rules, key, best);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classifier::RuleId;
     use crate::spec::{BitsMatch, RangeMatch};
     use stellar_net::addr::{IpAddress, Ipv4Address};
     use stellar_net::mac::MacAddr;
@@ -505,21 +386,38 @@ mod tests {
         RuleEntry::new(id, priority, spec)
     }
 
+    /// A rank-sorted table with its index: lookups by id, and every
+    /// lookup checked against the scan of the same slice.
+    struct Indexed {
+        rules: Vec<RuleEntry>,
+        index: IntervalIndex,
+    }
+
+    impl Indexed {
+        fn new(mut rules: Vec<RuleEntry>) -> Self {
+            rules.sort_by_key(|e| (e.priority, e.id));
+            let index = IntervalIndex::build(&rules);
+            Indexed { rules, index }
+        }
+
+        fn classify(&self, key: &FlowKey) -> Option<RuleId> {
+            let got = self.index.first_match(&self.rules, key);
+            assert_eq!(got, self.rules.iter().position(|e| e.spec.matches(key)));
+            got.map(|pos| self.rules[pos].id)
+        }
+    }
+
     #[test]
-    fn empty_engine_matches_nothing() {
-        let engine = IntervalEngine::new();
-        assert!(engine.is_empty());
-        assert_eq!(
-            engine.classify(&key([1, 2, 3, 4], IpProtocol::UDP, 1, 2)),
-            None
-        );
+    fn empty_index_matches_nothing() {
+        let t = Indexed::new(Vec::new());
+        assert_eq!(t.classify(&key([1, 2, 3, 4], IpProtocol::UDP, 1, 2)), None);
     }
 
     #[test]
     fn prefix_protocol_and_port_cuts_compose() {
         let victim: stellar_net::prefix::Prefix = "100.10.10.10/32".parse().unwrap();
         let net: stellar_net::prefix::Prefix = "100.10.0.0/16".parse().unwrap();
-        let engine = IntervalEngine::compile([
+        let t = Indexed::new(vec![
             rule(
                 1,
                 10,
@@ -538,35 +436,34 @@ mod tests {
         ]);
         // NTP reflection at the victim: rule 1 outranks the /16 blanket.
         assert_eq!(
-            engine.classify(&key([100, 10, 10, 10], IpProtocol::UDP, 123, 9)),
+            t.classify(&key([100, 10, 10, 10], IpProtocol::UDP, 123, 9)),
             Some(1)
         );
         // Other UDP to the /16: only the blanket matches.
         assert_eq!(
-            engine.classify(&key([100, 10, 99, 1], IpProtocol::UDP, 53, 9)),
+            t.classify(&key([100, 10, 99, 1], IpProtocol::UDP, 53, 9)),
             Some(2)
         );
         // TCP to a low port anywhere: the range rule.
         assert_eq!(
-            engine.classify(&key([9, 9, 9, 9], IpProtocol::TCP, 5555, 80)),
+            t.classify(&key([9, 9, 9, 9], IpProtocol::TCP, 5555, 80)),
             Some(3)
         );
         // TCP to a low port at the victim network: rank 5 beats rank 20.
         assert_eq!(
-            engine.classify(&key([100, 10, 10, 10], IpProtocol::TCP, 5555, 80)),
+            t.classify(&key([100, 10, 10, 10], IpProtocol::TCP, 5555, 80)),
             Some(3)
         );
         // High TCP port off-net: nothing.
         assert_eq!(
-            engine.classify(&key([9, 9, 9, 9], IpProtocol::TCP, 5555, 8080)),
+            t.classify(&key([9, 9, 9, 9], IpProtocol::TCP, 5555, 8080)),
             None
         );
-        assert!(engine.interval_count() > 0);
     }
 
     #[test]
     fn elementary_intervals_cover_boundaries() {
-        let engine = IntervalEngine::compile([
+        let t = Indexed::new(vec![
             rule(
                 1,
                 0,
@@ -585,17 +482,17 @@ mod tests {
             ),
         ]);
         let k = |sp| key([1, 1, 1, 1], IpProtocol::UDP, sp, 1);
-        assert_eq!(engine.classify(&k(99)), None);
-        assert_eq!(engine.classify(&k(100)), Some(1));
-        assert_eq!(engine.classify(&k(150)), Some(1)); // overlap: rank wins
-        assert_eq!(engine.classify(&k(200)), Some(1));
-        assert_eq!(engine.classify(&k(201)), Some(2));
-        assert_eq!(engine.classify(&k(65535)), Some(2));
+        assert_eq!(t.classify(&k(99)), None);
+        assert_eq!(t.classify(&k(100)), Some(1));
+        assert_eq!(t.classify(&k(150)), Some(1)); // overlap: rank wins
+        assert_eq!(t.classify(&k(200)), Some(1));
+        assert_eq!(t.classify(&k(201)), Some(2));
+        assert_eq!(t.classify(&k(65535)), Some(2));
     }
 
     #[test]
     fn new_field_criteria_are_confirmed() {
-        let engine = IntervalEngine::compile([
+        let t = Indexed::new(vec![
             rule(
                 1,
                 0,
@@ -615,31 +512,16 @@ mod tests {
         ]);
         let mut k = key([1, 1, 1, 1], IpProtocol::TCP, 1, 2);
         k.tcp_flags = 0x12; // SYN|ACK
-        assert_eq!(engine.classify(&k), Some(1));
+        assert_eq!(t.classify(&k), Some(1));
         k.tcp_flags = 0x10; // ACK only
-        assert_eq!(engine.classify(&k), None);
+        assert_eq!(t.classify(&k), None);
         k.packet_len = 1200;
-        assert_eq!(engine.classify(&k), Some(2));
-    }
-
-    #[test]
-    fn incremental_updates_recompile() {
-        let mut engine = IntervalEngine::new();
-        engine.insert(rule(7, 3, MatchSpec::default()));
-        let k = key([1, 1, 1, 1], IpProtocol::UDP, 1, 2);
-        assert_eq!(engine.classify(&k), Some(7));
-        engine.insert(rule(3, 1, MatchSpec::default()));
-        assert_eq!(engine.classify(&k), Some(3));
-        assert!(engine.remove(3));
-        assert!(!engine.remove(3));
-        assert_eq!(engine.classify(&k), Some(7));
-        assert_eq!(engine.clear(), vec![7]);
-        assert_eq!(engine.classify(&k), None);
+        assert_eq!(t.classify(&k), Some(2));
     }
 
     #[test]
     fn inverted_port_range_matches_nothing() {
-        let engine = IntervalEngine::compile([rule(
+        let t = Indexed::new(vec![rule(
             1,
             0,
             MatchSpec {
@@ -647,9 +529,8 @@ mod tests {
                 ..Default::default()
             },
         )]);
-        assert_eq!(engine.len(), 1);
         assert_eq!(
-            engine.classify(&key([1, 1, 1, 1], IpProtocol::UDP, 150, 1)),
+            t.classify(&key([1, 1, 1, 1], IpProtocol::UDP, 150, 1)),
             None
         );
     }

@@ -1,39 +1,31 @@
 //! # stellar-classify
 //!
-//! The flow-classification engine for the dataplane hot path.
-//!
-//! The naive way to apply Stellar's blackholing rules is a linear scan of
-//! every installed rule per flow — `O(rules)` per lookup, which is what
-//! real switch silicon avoids with TCAMs. This crate provides the
-//! software analogue: rules are **compiled** into a tuple-space search
-//! structure (Srinivasan et al., SIGCOMM '99) that groups rules by their
-//! wildcard-mask signature and hashes the exact-match fields, so a lookup
-//! costs `O(distinct signatures)` hash probes instead of `O(rules)`
-//! comparisons.
-//!
-//! Three layers:
+//! Flow classification for the dataplane hot path, and exact reasoning
+//! about the rule tables it runs.
 //!
 //! - [`spec`] — the match language itself ([`spec::MatchSpec`],
 //!   [`spec::PortMatch`]): the "blackholing rules" of §3.2 of the paper,
 //!   matched against [`FlowKey`](stellar_net::flow::FlowKey)s. Lives here
-//!   (rather than in the dataplane crate) so the engine and the hardware
-//!   emulation share one definition; `stellar-dataplane` re-exports it.
-//! - [`engine`] — the compiled [`engine::ClassifyEngine`]: first-match
-//!   (priority, id) semantics identical to a linear scan over rules sorted
-//!   by `(priority, id)`, incremental insert/remove, single-key and batch
-//!   lookups.
-//! - [`sharded`] — a front-end that fans independent shards (one per
-//!   port group) out across the reusable worker [`pool`].
-//!
-//! Two interchangeable backends implement the lookup structure: the
-//! tuple-space hash engine ([`engine::ClassifyEngine`]) and a compiled
-//! interval decision tree ([`interval::IntervalEngine`]) for
-//! range/mask-heavy FlowSpec tables — see [`backend`] for the common
-//! trait and the `STELLAR_CLASSIFY_BACKEND` selection knob.
+//!   (rather than in the dataplane crate) so the classifier and the
+//!   hardware emulation share one definition; `stellar-dataplane`
+//!   re-exports it.
+//! - [`classifier`] — the one [`FlowClassifier`]: rules held once, in a
+//!   `(priority, id)`-sorted `Vec` whose first-match scan is both the
+//!   reference semantics and the lookup path for tables of at most
+//!   [`LINEAR_MAX`] rules (the paper's regime: a handful of rules on
+//!   each of very many ports).
+//! - [`interval`] — the [`IntervalIndex`](interval::IntervalIndex) larger
+//!   tables are classified through: a prefix-trie → protocol →
+//!   elementary-interval decision tree over positions in that `Vec`,
+//!   derived state that mutations drop and the tick entry rebuilds.
+//! - [`sharded`] / [`pool`] — the order-preserving fan-out of
+//!   independent shards (one per port group) over a reusable worker
+//!   pool.
+//! - [`analyze`] / [`verify`] — static rule-table analysis and the exact
+//!   rule-set algebra behind the control plane's audit and proofs.
 
 pub mod analyze;
-pub mod backend;
-pub mod engine;
+pub mod classifier;
 pub mod interval;
 pub mod pool;
 pub mod sharded;
@@ -41,9 +33,7 @@ pub mod spec;
 pub mod verify;
 
 pub use analyze::{ActionClass, AuditRule, Finding, RuleFlag, TableAnalysis, TcamUsage};
-pub use backend::{Backend, BackendKind, FlowClassifier};
-pub use engine::{ClassifyEngine, ClassifyScratch, RuleEntry, RuleId};
-pub use interval::IntervalEngine;
+pub use classifier::{FlowClassifier, RuleEntry, RuleId, LINEAR_MAX};
 pub use spec::{BitsMatch, MatchSpec, PortMatch, RangeMatch};
 pub use verify::{
     check_ladder_step, diff_tables, drop_not_contained, eval_table, tables_equivalent, DiffRegion,

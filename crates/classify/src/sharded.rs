@@ -1,24 +1,19 @@
-//! Sharded parallel front-end for classification.
+//! Sharded parallel front-end for the tick pipeline.
 //!
 //! The dataplane's natural unit of parallelism is the port group: every
-//! member port owns an independent engine (its egress policy), so ticks
-//! for different ports never contend. [`parallel_shards`] fans a vector
-//! of such independent shards out over the process-wide
+//! member port owns an independent classifier (its egress policy), so
+//! ticks for different ports never contend. [`parallel_shards`] fans a
+//! vector of such independent shards out over the process-wide
 //! [`WorkerPool`](crate::pool::WorkerPool), preserving input order in
-//! the output; [`classify_shards`] specializes it to "one batch of keys
-//! per engine".
+//! the output.
 //!
-//! The pool keeps scoped-thread ergonomics — shards borrow the engines
-//! (and, in the switch, hold `&mut` to each port) without `'static` or
-//! `Arc` ceremony, and every shard completes (with panics propagated)
-//! before the call returns — while reusing long-lived workers instead of
-//! paying a thread spawn + join per call, which used to dominate the
-//! per-tick cost.
+//! The pool keeps scoped-thread ergonomics — shards hold `&mut` to each
+//! port without `'static` or `Arc` ceremony, and every shard completes
+//! (with panics propagated) before the call returns — while reusing
+//! long-lived workers instead of paying a thread spawn + join per call,
+//! which used to dominate the per-tick cost.
 
-use crate::backend::Backend;
-use crate::engine::{ClassifyEngine, RuleId};
 use crate::pool::{on_pool_worker, WorkerPool};
-use stellar_net::flow::FlowKey;
 
 /// Default worker count: the machine's available parallelism.
 pub fn default_workers() -> usize {
@@ -88,58 +83,9 @@ where
         .collect()
 }
 
-/// One port group's classification work: its engine and the flow keys
-/// offered to it this tick. Generic over the [`Backend`] so hash-engine
-/// and interval-tree shards go through the same pool plumbing (defaults
-/// to the hash engine for existing call sites).
-#[derive(Debug)]
-pub struct ShardRequest<'a, E: Backend + ?Sized = ClassifyEngine> {
-    /// The port group's compiled engine.
-    pub engine: &'a E,
-    /// Keys to classify against it.
-    pub keys: &'a [FlowKey],
-}
-
-impl<E: Backend + ?Sized> Clone for ShardRequest<'_, E> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<E: Backend + ?Sized> Copy for ShardRequest<'_, E> {}
-
-/// Classifies every shard's batch in parallel; result `i` is the verdict
-/// vector for `requests[i]`.
-pub fn classify_shards<E: Backend + Sync + ?Sized>(
-    requests: Vec<ShardRequest<'_, E>>,
-    max_workers: usize,
-) -> Vec<Vec<Option<RuleId>>> {
-    parallel_shards(requests, max_workers, |req| {
-        req.engine.classify_batch(req.keys)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::RuleEntry;
-    use crate::spec::MatchSpec;
-    use stellar_net::addr::{IpAddress, Ipv4Address};
-    use stellar_net::mac::MacAddr;
-    use stellar_net::proto::IpProtocol;
-
-    fn key(dst: [u8; 4]) -> FlowKey {
-        FlowKey {
-            src_mac: MacAddr::for_member(64500, 1),
-            dst_mac: MacAddr::for_member(64501, 1),
-            src_ip: IpAddress::V4(Ipv4Address::new(203, 0, 113, 7)),
-            dst_ip: IpAddress::V4(Ipv4Address(dst)),
-            protocol: IpProtocol::UDP,
-            src_port: 123,
-            dst_port: 44444,
-            ..FlowKey::default()
-        }
-    }
 
     #[test]
     fn effective_workers_applies_cutoff() {
@@ -165,54 +111,5 @@ mod tests {
             Vec::<u8>::new()
         );
         assert_eq!(parallel_shards(vec![5u8], 4, |x| x + 1), vec![6]);
-    }
-
-    #[test]
-    fn sharded_lookup_agrees_with_direct() {
-        // Three "port groups" with different rule sets.
-        let group_entries = |g: u64| -> Vec<RuleEntry> {
-            (0..10)
-                .map(|i| {
-                    RuleEntry::new(
-                        g * 100 + i,
-                        10,
-                        MatchSpec::to_destination(format!("100.{g}.{i}.0/24").parse().unwrap()),
-                    )
-                })
-                .collect()
-        };
-        let engines: Vec<ClassifyEngine> = (0..3u64)
-            .map(|g| ClassifyEngine::compile(group_entries(g)))
-            .collect();
-        let batches: Vec<Vec<FlowKey>> = (0..3u8)
-            .map(|g| (0..20u8).map(|i| key([100, g, i % 12, 7])).collect())
-            .collect();
-        let requests: Vec<ShardRequest<'_>> = engines
-            .iter()
-            .zip(&batches)
-            .map(|(engine, keys)| ShardRequest { engine, keys })
-            .collect();
-        let sharded = classify_shards(requests, 4);
-        for ((engine, keys), got) in engines.iter().zip(&batches).zip(&sharded) {
-            assert_eq!(got, &engine.classify_batch(keys));
-        }
-        // The interval-tree backend goes through the same front-end and
-        // produces identical verdicts.
-        let trees: Vec<crate::interval::IntervalEngine> = (0..3u64)
-            .map(|g| crate::interval::IntervalEngine::compile(group_entries(g)))
-            .collect();
-        let tree_requests: Vec<ShardRequest<'_, crate::interval::IntervalEngine>> = trees
-            .iter()
-            .zip(&batches)
-            .map(|(engine, keys)| ShardRequest { engine, keys })
-            .collect();
-        assert_eq!(classify_shards(tree_requests, 4), sharded);
-        // Group 0 key for dst 100.0.5.7 hits rule id 5; group 1's
-        // equivalent hits its own group's rule.
-        assert_eq!(sharded[0][5], Some(5));
-        assert_eq!(sharded[1][5], Some(105));
-        // Keys whose third octet exceeds the rule range (rules cover
-        // .0 to .9, keys reach .11) miss.
-        assert_eq!(sharded[1][10], None);
     }
 }

@@ -1,8 +1,8 @@
 //! L2–L4 match specifications: the "blackholing rules" of §3.2, matched
 //! in hardware against packet headers.
 //!
-//! This is the match *language*; the compiled lookup structure over many
-//! specs lives in [`crate::engine`].
+//! This is the match *language*; the lookup over many specs lives in
+//! [`crate::classifier`].
 
 use core::fmt;
 use stellar_net::addr::IpAddress;

@@ -51,7 +51,7 @@ use crate::analyze::{
     allowed_protos, num_ip, port_interval, prefix_interval, spec_is_empty, ActionClass, AuditRule,
     ProtoSet,
 };
-use crate::engine::RuleEntry;
+use crate::classifier::RuleEntry;
 use crate::spec::{is_icmp, BitsMatch, MatchSpec};
 use core::fmt;
 use std::collections::BTreeMap;

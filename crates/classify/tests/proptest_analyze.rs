@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use stellar_classify::analyze::{analyze, spec_covers, spec_intersects, RuleFlag};
 use stellar_classify::spec::{BitsMatch, RangeMatch};
-use stellar_classify::{ActionClass, AuditRule, ClassifyEngine, MatchSpec, PortMatch, RuleEntry};
+use stellar_classify::{ActionClass, AuditRule, FlowClassifier, MatchSpec, PortMatch, RuleEntry};
 use stellar_net::addr::{IpAddress, Ipv4Address, Ipv6Address};
 use stellar_net::flow::FlowKey;
 use stellar_net::mac::MacAddr;
@@ -222,7 +222,7 @@ proptest! {
         keys in proptest::collection::vec(arb_key(), 1..24),
     ) {
         let report = analyze(&table);
-        let engine = ClassifyEngine::compile(table.iter().map(|r| r.entry.clone()));
+        let engine = FlowClassifier::compile(table.iter().map(|r| r.entry.clone()));
         for rule in &table {
             let id = rule.entry.id;
             if report.dead_flag(id).is_some() {

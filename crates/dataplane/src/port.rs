@@ -57,9 +57,9 @@ impl MemberPort {
         self.counters.absorb(&result.counters);
     }
 
-    /// Pre-arena tick path (see [`QosPolicy::apply_tick_legacy`]): the
-    /// `scale_sweep` "sequential old" baseline and differential-test
-    /// oracle. Not for new callers.
+    /// The tick-arithmetic reference (see
+    /// [`QosPolicy::apply_tick_legacy`]) the arena path is differentially
+    /// tested against. Not for new callers.
     pub fn process_tick_legacy(
         &mut self,
         offers: &[Offer],

@@ -7,7 +7,7 @@ use crate::filter::{Action, FilterRule};
 use crate::queue;
 use crate::shaper::TokenBucket;
 use std::collections::HashMap;
-use stellar_classify::{Backend, ClassifyScratch, FlowClassifier};
+use stellar_classify::FlowClassifier;
 use stellar_net::flow::FlowKey;
 
 /// One offered traffic aggregate within a tick.
@@ -45,12 +45,6 @@ impl TickResult {
 /// (`QosPolicy::apply_tick_into`) makes no heap allocations.
 #[derive(Debug, Default)]
 struct TickWork {
-    /// Flow keys of the tick's offers, batch-classification input.
-    keys: Vec<FlowKey>,
-    /// Verdict per offer, index-aligned with `keys`.
-    verdicts: Vec<Option<u64>>,
-    /// Worklists for the tuple-major batch classifier.
-    classify: ClassifyScratch,
     /// `(shape rule id, offer index)` tags; sorted to form the shaping
     /// groups deterministically without a per-tick hash map.
     shape_tags: Vec<(u64, u32)>,
@@ -66,17 +60,15 @@ struct TickWork {
 
 /// The QoS policy of one member port.
 ///
-/// Rules are kept both as a priority-sorted list (the canonical,
-/// inspectable form) and compiled into a [`FlowClassifier`] (the lookup
-/// form used on the hot path). The engine is maintained incrementally on
-/// [`install`](Self::install) / [`remove`](Self::remove) and is
-/// behavior-identical to a first-match scan of the sorted list.
+/// `rules` holds the installed rules (with their actions) in the
+/// [`FlowClassifier`]'s evaluation order, so the position a lookup
+/// returns indexes it directly; [`install`](Self::install) and
+/// [`remove`](Self::remove) keep the two aligned. Lookups are
+/// behavior-identical to a first-match scan of `rules`.
 #[derive(Debug, Default)]
 pub struct QosPolicy {
     rules: Vec<FilterRule>,
-    /// Rule id → index into `rules` (rebuilt whenever `rules` changes).
-    by_id: HashMap<u64, usize>,
-    engine: FlowClassifier,
+    classifier: FlowClassifier,
     shapers: HashMap<u64, TokenBucket>,
     rule_counters: HashMap<u64, RuleCounters>,
     /// Tick-scoped scratch, reused across ticks.
@@ -104,33 +96,27 @@ impl QosPolicy {
                 .insert(rule.id, TokenBucket::new(rate_bps, shaper_burst(rate_bps)));
         }
         self.rule_counters.entry(rule.id).or_default();
-        self.engine.insert(rule.entry());
-        self.rules.push(rule);
-        // Stable order: priority, then id, so classification is
-        // deterministic.
-        self.rules.sort_by_key(|r| (r.priority, r.id));
-        self.reindex();
+        let pos = self.classifier.insert(rule.entry());
+        self.rules.insert(pos, rule);
     }
 
     /// Removes a rule by id. Returns true if it existed.
     pub fn remove(&mut self, rule_id: u64) -> bool {
-        let before = self.rules.len();
-        self.rules.retain(|r| r.id != rule_id);
         self.shapers.remove(&rule_id);
-        self.engine.remove(rule_id);
-        let removed = before != self.rules.len();
-        if removed {
-            self.reindex();
+        match self.classifier.remove(rule_id) {
+            Some(pos) => {
+                self.rules.remove(pos);
+                true
+            }
+            None => false,
         }
-        removed
     }
 
     /// Removes every rule, returning the removed ids in evaluation order
     /// (fallback-to-forwarding resilience, §4.1.2).
     pub fn clear(&mut self) -> Vec<u64> {
-        let ids = self.engine.clear();
+        let ids = self.classifier.clear();
         self.rules.clear();
-        self.by_id.clear();
         self.shapers.clear();
         ids
     }
@@ -142,17 +128,6 @@ impl QosPolicy {
         let n = self.clear().len();
         self.rule_counters.clear();
         n
-    }
-
-    fn reindex(&mut self) {
-        self.by_id.clear();
-        for (i, r) in self.rules.iter().enumerate() {
-            self.by_id.insert(r.id, i);
-        }
-    }
-
-    fn rule_by_id(&self, id: u64) -> Option<&FilterRule> {
-        self.by_id.get(&id).map(|&i| &self.rules[i])
     }
 
     /// Number of installed rules.
@@ -167,13 +142,13 @@ impl QosPolicy {
 
     /// Whether a rule with this id is installed.
     pub fn contains(&self, rule_id: u64) -> bool {
-        self.by_id.contains_key(&rule_id)
+        self.rule(rule_id).is_some()
     }
 
     /// The installed rule with this id, if any (reconciliation reads
     /// this to compare actual hardware state against desired state).
     pub fn rule(&self, rule_id: u64) -> Option<&FilterRule> {
-        self.rule_by_id(rule_id)
+        self.rules.iter().find(|r| r.id == rule_id)
     }
 
     /// The installed rules in evaluation order.
@@ -186,10 +161,10 @@ impl QosPolicy {
         self.rule_counters.get(&rule_id)
     }
 
-    /// First matching rule for a key, if any. Served by the compiled
-    /// engine; identical to `rules.iter().find(|r| r.spec.matches(key))`.
+    /// First matching rule for a key, if any. Served by the classifier;
+    /// identical to `rules.iter().find(|r| r.spec.matches(key))`.
     pub fn classify(&self, key: &FlowKey) -> Option<&FilterRule> {
-        self.engine.classify(key).and_then(|id| self.rule_by_id(id))
+        self.classifier.first_match(key).map(|pos| &self.rules[pos])
     }
 
     /// Pushes one tick of offered aggregates through the policy.
@@ -216,8 +191,9 @@ impl QosPolicy {
     /// and the outcome lands in the caller-recycled `result` (cleared
     /// first). Steady state makes zero heap allocations per tick.
     ///
-    /// Phase 1 classifies the whole tick in one batched engine pass and
-    /// dispatches verdicts into drop / shape / forward. Offers matching
+    /// This is the `&mut` tick entry that (re)builds the classifier's
+    /// index after a mutation dropped it. Phase 1 classifies every offer
+    /// and dispatches it into drop / shape / forward. Offers matching
     /// the same shaping rule are grouped so the shaped rate is shared
     /// proportionally across flows within the tick — a real shaping
     /// queue lets every contending flow keep a share, which is why "the
@@ -237,29 +213,23 @@ impl QosPolicy {
         result.clear();
         let QosPolicy {
             rules,
-            by_id,
-            engine,
+            classifier,
             shapers,
             rule_counters,
             work,
         } = self;
         let TickWork {
-            keys,
-            verdicts,
-            classify,
             shape_tags,
             to_forward,
             byte_offers,
             drained,
             order,
         } = work;
-        keys.clear();
-        keys.extend(offers.iter().map(|o| o.key));
-        engine.classify_batch_into(keys, classify, verdicts);
+        classifier.prepare();
         to_forward.clear();
         shape_tags.clear();
-        for (i, (offer, verdict)) in offers.iter().zip(verdicts.iter()).enumerate() {
-            let rule = verdict.and_then(|id| by_id.get(&id).map(|&ix| &rules[ix]));
+        for (i, offer) in offers.iter().enumerate() {
+            let rule = classifier.first_match(&offer.key).map(|pos| &rules[pos]);
             match rule.map(|r| (r.id, r.action)) {
                 Some((id, Action::Drop)) => {
                     result.counters.dropped_bytes += offer.bytes;
@@ -331,12 +301,11 @@ impl QosPolicy {
         }
     }
 
-    /// The pre-arena tick path, retained verbatim as (a) the honest
-    /// "sequential old" baseline for `scale_sweep`'s speedup claims and
-    /// (b) a differential-testing oracle for
-    /// [`apply_tick_into`](Self::apply_tick_into). Classifies per key
-    /// and allocates every intermediate per call, exactly as the hot
-    /// path did before the scratch arena landed. Not for new callers.
+    /// The tick-arithmetic reference that `arena_tick_matches_legacy`
+    /// compares [`apply_tick_into`](Self::apply_tick_into) against. It
+    /// shares no lookup code with that path — verdicts come from a
+    /// first-match `MatchSpec::matches` scan of the rule list — and
+    /// allocates every intermediate per call. Not for new callers.
     pub fn apply_tick_legacy(
         &mut self,
         offers: &[Offer],
@@ -347,10 +316,8 @@ impl QosPolicy {
         let mut result = TickResult::default();
         let mut to_forward: Vec<(FlowKey, u64, u64)> = Vec::new();
         let mut shape_groups: HashMap<u64, Vec<(FlowKey, u64, u64)>> = HashMap::new();
-        let keys: Vec<FlowKey> = offers.iter().map(|o| o.key).collect();
-        let verdicts: Vec<Option<u64>> = keys.iter().map(|k| self.engine.classify(k)).collect();
-        for (offer, verdict) in offers.iter().zip(verdicts) {
-            let rule = verdict.and_then(|id| self.rule_by_id(id));
+        for offer in offers {
+            let rule = self.rules.iter().find(|r| r.spec.matches(&offer.key));
             match rule.map(|r| (r.id, r.action)) {
                 Some((id, Action::Drop)) => {
                     result.counters.dropped_bytes += offer.bytes;

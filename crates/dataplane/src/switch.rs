@@ -340,8 +340,8 @@ impl EdgeRouter {
         let Some(port) = self.ports.get_mut(&port_id) else {
             return 0;
         };
-        // The policy clears its compiled engine and reports what was
-        // installed, so nothing re-walks the rule list here.
+        // The policy reports what was installed, so nothing re-walks
+        // the rule list here.
         let ids = port.policy.clear();
         for id in &ids {
             if let Some(h) = self.handles.remove(&(port_id, *id)) {
@@ -385,10 +385,10 @@ impl EdgeRouter {
     /// routed to their destination-MAC port and pushed through that port's
     /// egress policy. Returns per-port results.
     ///
-    /// Compatibility wrapper over [`process_tick_in_place`]
-    /// (`Self::process_tick_in_place`): runs the arena pipeline, then
-    /// moves the touched results out into an owned map. Hot loops that
-    /// tick every iteration should use the in-place variant, which
+    /// Compatibility wrapper: [`process_tick_in_place`]
+    /// (`Self::process_tick_in_place`) followed by one
+    /// [`take_tick_results`](Self::take_tick_results) drain. Hot loops
+    /// that tick every iteration should use the in-place variant, which
     /// leaves the results in the arena for recycling.
     pub fn process_tick(
         &mut self,
@@ -396,15 +396,21 @@ impl EdgeRouter {
         tick_end_us: u64,
         tick_us: u64,
     ) -> BTreeMap<PortId, TickResult> {
-        self.run_tick(offers, tick_end_us, tick_us);
-        let mut out = BTreeMap::new();
-        for &i in &self.scratch.touched {
-            out.insert(
-                self.dense[i as usize],
-                std::mem::take(&mut self.scratch.results[i as usize]),
-            );
-        }
-        out
+        self.process_tick_in_place(offers, tick_end_us, tick_us);
+        self.take_tick_results().collect()
+    }
+
+    /// Moves the most recent tick's per-port results out of the arena, in
+    /// ascending `PortId` order. The arena slots are left empty, so their
+    /// buffers are reallocated by the next tick.
+    pub fn take_tick_results(&mut self) -> impl Iterator<Item = (PortId, TickResult)> + '_ {
+        let TickScratch {
+            touched, results, ..
+        } = &mut self.scratch;
+        let dense = &self.dense;
+        touched
+            .iter()
+            .map(move |&i| (dense[i as usize], std::mem::take(&mut results[i as usize])))
     }
 
     /// The zero-allocation tick path: routes `offers` into the arena's
@@ -512,11 +518,11 @@ impl EdgeRouter {
         });
     }
 
-    /// The pre-arena tick path, retained as the `scale_sweep`
-    /// "sequential old" baseline and a differential-test oracle: fresh
-    /// `BTreeMap` grouping, per-call `Vec`s, per-key classification, and
-    /// a strictly sequential port walk — exactly what `process_tick` did
-    /// before the scratch arena landed. Not for new callers.
+    /// The tick-arithmetic reference the arena path is differentially
+    /// tested against (`arena_tick_matches_legacy`): fresh `BTreeMap`
+    /// grouping, per-call `Vec`s, verdicts from a first-match scan of
+    /// each port's rule list, and a strictly sequential port walk. Not
+    /// for new callers.
     pub fn process_tick_legacy(
         &mut self,
         offers: &[OfferedAggregate],

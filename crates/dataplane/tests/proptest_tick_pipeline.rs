@@ -1,5 +1,6 @@
 //! Property tests for the tick pipeline's three execution paths: the
-//! legacy allocating path, the single-threaded arena path, and the
+//! legacy reference (allocating, verdicts from a plain scan of each
+//! port's rule list), the single-threaded arena path, and the
 //! worker-pool parallel path must be observationally identical —
 //! per-tick verdicts (delivered aggregates), cumulative port/ledger
 //! counters, and the exported metrics snapshot bytes.
@@ -45,7 +46,9 @@ type OfferGen = Vec<(usize, u16, u64, bool)>;
 
 fn arb_topology() -> impl Strategy<Value = (Vec<RuleGen>, Vec<OfferGen>)> {
     let rules = proptest::collection::vec(
-        proptest::collection::vec((arb_spec(), arb_action(), any::<u16>()), 0..5),
+        // Up to 20 rules a port, so tables land on both sides of the
+        // classifier's scan/index crossover.
+        proptest::collection::vec((arb_spec(), arb_action(), any::<u16>()), 0..20),
         1..5,
     );
     let ticks = proptest::collection::vec(
@@ -70,7 +73,7 @@ fn build_router(port_rules: &[RuleGen]) -> EdgeRouter {
         let port = er.port_mut(pid).expect("port just added");
         for (i, (spec, action, prio)) in rules.iter().enumerate() {
             port.policy.install(FilterRule::new(
-                (p * 8 + i) as u64 + 1,
+                (p * 32 + i) as u64 + 1,
                 spec.clone(),
                 *action,
                 *prio,

@@ -25,8 +25,9 @@ use crate::rules::{Finding, Rule};
 /// Hard ceiling on the total `no-unwrap` budget the allowlist may
 /// grant, enforced by the CLI. A ratchet, not a target: lower it as
 /// the debt burns down, never raise it. History: 150 at introduction
-/// (58 live sites), 80 after the verify PR's ratchet (50 live sites).
-pub const MAX_NO_UNWRAP_BUDGET: usize = 80;
+/// (58 live sites), 80 after the verify PR's ratchet (50 live sites),
+/// 40 — the budget itself — once the hash classifier engine went.
+pub const MAX_NO_UNWRAP_BUDGET: usize = 40;
 
 /// One `[[allow]]` entry.
 #[derive(Debug, Clone, PartialEq, Eq)]

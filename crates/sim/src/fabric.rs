@@ -406,37 +406,22 @@ impl Fabric {
         });
     }
 
-    /// Compatibility tick: runs the exchange + per-PoP pipelines, then
-    /// merges every PoP's owned results into one map in ascending PoP
-    /// (and therefore ascending, fabric-unique `PortId`) order — the
-    /// exact shape the single-router `process_tick` returns.
+    /// Compatibility tick: [`process_tick_in_place`]
+    /// (`Self::process_tick_in_place`), then every PoP's results drained
+    /// out of its arena into one map in ascending PoP (and therefore
+    /// ascending, fabric-unique `PortId`) order — the exact shape the
+    /// single-router `process_tick` returns.
     pub fn process_tick(
         &mut self,
         offers: &[OfferedAggregate],
         tick_end_us: u64,
         tick_us: u64,
     ) -> BTreeMap<PortId, TickResult> {
-        let routed = self.route(offers);
-        let workers = self.plan_tick(routed);
-        let mut out = BTreeMap::new();
-        if !self.last_parallel {
-            for (pop, bucket) in self.pops.iter_mut().zip(self.buckets.iter()) {
-                out.extend(pop.process_tick(bucket, tick_end_us, tick_us));
-            }
-            return out;
-        }
-        let shards: Vec<(&mut EdgeRouter, &[OfferedAggregate])> = self
-            .pops
+        self.process_tick_in_place(offers, tick_end_us, tick_us);
+        self.pops
             .iter_mut()
-            .zip(self.buckets.iter().map(|b| b.as_slice()))
-            .collect();
-        let maps = sharded::parallel_shards(shards, workers, |(pop, offers)| {
-            pop.process_tick(offers, tick_end_us, tick_us)
-        });
-        for m in maps {
-            out.extend(m);
-        }
-        out
+            .flat_map(EdgeRouter::take_tick_results)
+            .collect()
     }
 
     /// Publishes the fabric gauges. A 1-PoP fabric delegates to its

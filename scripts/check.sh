@@ -18,9 +18,6 @@ cleanup() {
   if [ -f results/chaos_soak.run1.json ]; then
     mv -f results/chaos_soak.run1.json results/chaos_soak.json
   fi
-  if [ -f results/metrics_quickstart.hash.json ]; then
-    mv -f results/metrics_quickstart.hash.json results/metrics_quickstart.json
-  fi
   if [ -f results/metrics_quickstart.pop4.json ]; then
     rm -f results/metrics_quickstart.pop4.json
   fi
@@ -67,12 +64,6 @@ STELLAR_TICK_WORKERS=1 cargo run --release -q --example quickstart >/dev/null
 mv results/metrics_quickstart.json results/metrics_quickstart.seq.json
 STELLAR_TICK_WORKERS=8 cargo run --release -q --example quickstart >/dev/null
 diff results/metrics_quickstart.seq.json results/metrics_quickstart.json
-
-echo "==> determinism gate: interval-tree classifier backend matches hash (quickstart snapshot)"
-STELLAR_CLASSIFY_BACKEND=hash cargo run --release -q --example quickstart >/dev/null
-mv results/metrics_quickstart.json results/metrics_quickstart.hash.json
-STELLAR_CLASSIFY_BACKEND=tree cargo run --release -q --example quickstart >/dev/null
-diff results/metrics_quickstart.hash.json results/metrics_quickstart.json
 
 echo "==> determinism gate: 4-PoP fabric run-twice and across worker counts (quickstart snapshot)"
 STELLAR_POPS=4 STELLAR_TICK_WORKERS=1 cargo run --release -q --example quickstart >/dev/null
