@@ -30,6 +30,13 @@
 //! - **TCAM usage** — the criteria-pool footprint ([`table_usage`]) the
 //!   table would consume, for pre-admission capacity accounting against
 //!   the hardware pools (the paper's Fig. 9 F1/F2 modes) before install.
+//!
+//! A rule's verdict depends only on that rule and the better-ranked
+//! rules of its table, so the analysis comes in two scopes over one
+//! implementation: [`analyze`] judges every rule (`n` witness searches
+//! and `n²/2` pair tests for `n` rules), [`analyze_candidates`] only the
+//! named ones (`k` searches, at most `k·n` pair tests) — what a control
+//! plane admitting `k` new rules into a standing table needs.
 
 use crate::classifier::{RuleEntry, RuleId};
 use crate::spec::{is_icmp, BitsMatch, MatchSpec, PortMatch, RangeMatch};
@@ -226,7 +233,44 @@ pub fn analyze(rules: &[AuditRule]) -> TableAnalysis {
 /// Analyzes a rule table. See the module docs for the semantics of each
 /// flag. Deterministic: rules are processed in evaluation-rank order and
 /// all output is rank-sorted.
+///
+/// Cost for a table of `n` rules: `n` coverage scans, up to `n` witness
+/// searches and `n²/2` conflict tests. A caller that only needs the
+/// verdict on a few rules should ask [`analyze_candidates`] instead.
 pub fn analyze_with_budget(rules: &[AuditRule], budget: usize) -> TableAnalysis {
+    analyze_where(rules, budget, |_| true)
+}
+
+/// [`analyze`] restricted to the rules whose id is in `ids`: exactly the
+/// findings and witnesses `analyze(rules)` reports for those rules, in
+/// the same order, and the same whole-table `usage`. Each candidate is
+/// still judged against *every* better-ranked rule of the table —
+/// candidates included — so a rule's verdict does not depend on which
+/// other rules were asked about; ids absent from the table ask nothing.
+///
+/// Cost for `k` candidates in a table of `n` rules: `k` coverage scans,
+/// up to `k` witness searches and at most `k·n` conflict tests — the
+/// admission audit's per-announcement bill (see `stellar_core::audit`).
+pub fn analyze_candidates(rules: &[AuditRule], ids: &[RuleId]) -> TableAnalysis {
+    analyze_candidates_with_budget(rules, ids, DEFAULT_WITNESS_BUDGET)
+}
+
+/// [`analyze_candidates`] with an explicit witness budget.
+pub fn analyze_candidates_with_budget(
+    rules: &[AuditRule],
+    ids: &[RuleId],
+    budget: usize,
+) -> TableAnalysis {
+    analyze_where(rules, budget, |id| ids.contains(&id))
+}
+
+/// The one analysis loop: ranks the table, then judges every position
+/// whose rule id passes `visit`.
+fn analyze_where(
+    rules: &[AuditRule],
+    budget: usize,
+    visit: impl Fn(RuleId) -> bool,
+) -> TableAnalysis {
     let mut order: Vec<usize> = (0..rules.len()).collect();
     order.sort_by_key(|&i| rules[i].rank());
     let mut out = TableAnalysis {
@@ -234,64 +278,79 @@ pub fn analyze_with_budget(rules: &[AuditRule], budget: usize) -> TableAnalysis 
         ..Default::default()
     };
     for (pos, &ri) in order.iter().enumerate() {
-        let rule = &rules[ri];
-        let earlier = &order[..pos];
-        // Pairwise coverage: the first (best-ranked) earlier rule whose
-        // match set contains this rule's decides the flag.
-        let coverer = earlier
-            .iter()
-            .map(|&ei| &rules[ei])
-            .find(|e| spec_covers(&e.entry.spec, &rule.entry.spec));
-        let dead = if let Some(e) = coverer {
-            let by = e.entry.id;
-            Some(if e.action != rule.action {
-                RuleFlag::Shadowed { by }
-            } else if spec_covers(&rule.entry.spec, &e.entry.spec) {
-                // Mutual cover = identical match set; identical action
-                // too, so this is a literal duplicate of `e`.
-                RuleFlag::Duplicate { of: by }
-            } else {
-                RuleFlag::Redundant { by }
-            })
-        } else {
-            // No single cover: search for a first-match witness against
-            // the union of earlier rules.
-            let earlier_specs: Vec<&MatchSpec> =
-                earlier.iter().map(|&ei| &rules[ei].entry.spec).collect();
-            let mut fuel = budget;
-            match find_witness(&earlier_specs, &rule.entry.spec, &mut fuel) {
-                WitnessOutcome::Found(key) => {
-                    out.witnesses.push((rule.entry.id, key));
-                    None
-                }
-                WitnessOutcome::Unreachable => Some(RuleFlag::Unreachable),
-                WitnessOutcome::Budget => Some(RuleFlag::Unverified),
-            }
-        };
-        if let Some(flag) = dead {
-            out.findings.push(Finding {
-                rule: rule.entry.id,
-                flag,
-            });
-        }
-        // Crossing-overlap action conflicts, regardless of reachability:
-        // even a reachable rule loses part of its traffic to the earlier
-        // side of the cross.
-        for &ei in earlier {
-            let e = &rules[ei];
-            if rule.action.conflicts_with(&e.action)
-                && spec_intersects(&e.entry.spec, &rule.entry.spec)
-                && !spec_covers(&e.entry.spec, &rule.entry.spec)
-                && !spec_covers(&rule.entry.spec, &e.entry.spec)
-            {
-                out.findings.push(Finding {
-                    rule: rule.entry.id,
-                    flag: RuleFlag::Conflict { with: e.entry.id },
-                });
-            }
+        if visit(rules[ri].entry.id) {
+            judge(rules, &order[..pos], &rules[ri], budget, &mut out);
         }
     }
     out
+}
+
+/// Judges one rule against the better-ranked rules `earlier` (indices
+/// into `rules`, in rank order) and appends what it finds to `out`. The
+/// verdict depends on nothing but `rule` and `earlier` — no state is
+/// carried from one rule to the next, which is what makes the
+/// candidate-scoped entry exact.
+fn judge(
+    rules: &[AuditRule],
+    earlier: &[usize],
+    rule: &AuditRule,
+    budget: usize,
+    out: &mut TableAnalysis,
+) {
+    // Pairwise coverage: the first (best-ranked) earlier rule whose
+    // match set contains this rule's decides the flag.
+    let coverer = earlier
+        .iter()
+        .map(|&ei| &rules[ei])
+        .find(|e| spec_covers(&e.entry.spec, &rule.entry.spec));
+    let dead = if let Some(e) = coverer {
+        let by = e.entry.id;
+        Some(if e.action != rule.action {
+            RuleFlag::Shadowed { by }
+        } else if spec_covers(&rule.entry.spec, &e.entry.spec) {
+            // Mutual cover = identical match set; identical action
+            // too, so this is a literal duplicate of `e`.
+            RuleFlag::Duplicate { of: by }
+        } else {
+            RuleFlag::Redundant { by }
+        })
+    } else {
+        // No single cover: search for a first-match witness against
+        // the union of earlier rules.
+        let earlier_specs: Vec<&MatchSpec> =
+            earlier.iter().map(|&ei| &rules[ei].entry.spec).collect();
+        let mut fuel = budget;
+        match find_witness(&earlier_specs, &rule.entry.spec, &mut fuel) {
+            WitnessOutcome::Found(key) => {
+                out.witnesses.push((rule.entry.id, key));
+                None
+            }
+            WitnessOutcome::Unreachable => Some(RuleFlag::Unreachable),
+            WitnessOutcome::Budget => Some(RuleFlag::Unverified),
+        }
+    };
+    if let Some(flag) = dead {
+        out.findings.push(Finding {
+            rule: rule.entry.id,
+            flag,
+        });
+    }
+    // Crossing-overlap action conflicts, regardless of reachability:
+    // even a reachable rule loses part of its traffic to the earlier
+    // side of the cross.
+    for &ei in earlier {
+        let e = &rules[ei];
+        if rule.action.conflicts_with(&e.action)
+            && spec_intersects(&e.entry.spec, &rule.entry.spec)
+            && !spec_covers(&e.entry.spec, &rule.entry.spec)
+            && !spec_covers(&rule.entry.spec, &e.entry.spec)
+        {
+            out.findings.push(Finding {
+                rule: rule.entry.id,
+                flag: RuleFlag::Conflict { with: e.entry.id },
+            });
+        }
+    }
 }
 
 /// TCAM criteria the whole table consumes (criteria pool + MAC pool), for
@@ -1268,6 +1327,72 @@ mod tests {
         assert_eq!(t.dead_flag(3), Some(RuleFlag::Shadowed { by: 1 }));
         assert!(t.dead_flag(1).is_none());
         assert!(t.witness(1).is_some());
+    }
+
+    #[test]
+    fn candidate_scope_reports_the_whole_table_verdicts_for_the_named_rules() {
+        let udp_src = |port| MatchSpec {
+            protocol: Some(IpProtocol::UDP),
+            src_port: Some(PortMatch::Exact(port)),
+            ..Default::default()
+        };
+        let udp_dst_80 = MatchSpec {
+            protocol: Some(IpProtocol::UDP),
+            dst_port: Some(PortMatch::Exact(80)),
+            ..Default::default()
+        };
+        let shape = ActionClass::Shape { rate_bps: 1 };
+        let table = [
+            rule(1, 10, udp_src(123), ActionClass::Drop),
+            // Candidates, ranked in the middle of the table: 2 is live,
+            // 3 duplicates candidate 2, 4 crosses standing rule 1.
+            rule(2, 10, udp_src(53), ActionClass::Drop),
+            rule(3, 10, udp_src(53), ActionClass::Drop),
+            rule(4, 10, udp_dst_80.clone(), shape),
+            // Standing and worse-ranked: shadowed by candidate 4, but
+            // nobody asked.
+            rule(5, 20, udp_dst_80, ActionClass::Drop),
+        ];
+        let whole = analyze(&table);
+        assert_eq!(whole.dead_flag(5), Some(RuleFlag::Shadowed { by: 4 }));
+        let scoped = analyze_candidates(&table, &[4, 2, 3, 99]);
+        assert_eq!(
+            scoped.findings,
+            vec![
+                Finding {
+                    rule: 3,
+                    flag: RuleFlag::Duplicate { of: 2 }
+                },
+                Finding {
+                    rule: 4,
+                    flag: RuleFlag::Conflict { with: 1 }
+                },
+                Finding {
+                    rule: 4,
+                    flag: RuleFlag::Conflict { with: 2 }
+                },
+                Finding {
+                    rule: 4,
+                    flag: RuleFlag::Conflict { with: 3 }
+                },
+            ]
+        );
+        let ids: Vec<RuleId> = scoped.witnesses.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, vec![2, 4]);
+        assert_eq!(scoped.witness(4), whole.witness(4));
+        assert_eq!(scoped.usage, whole.usage);
+        // A budget blow-out is reported for the candidate it hit, the
+        // same way the whole-table entry reports it.
+        let dry = analyze_candidates_with_budget(&table, &[4], 0);
+        assert_eq!(dry.findings[0].flag, RuleFlag::Unverified);
+        assert_eq!(
+            dry.findings,
+            analyze_with_budget(&table, 0)
+                .findings
+                .into_iter()
+                .filter(|f| f.rule == 4)
+                .collect::<Vec<_>>()
+        );
     }
 
     #[test]

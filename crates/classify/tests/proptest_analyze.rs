@@ -8,13 +8,18 @@
 //!   really does reach the rule as first-match through the engine.
 //! - A conflict flag implies a genuine crossing overlap: the two rules'
 //!   intersection is non-empty and neither covers the other.
+//! - The candidate-scoped entry reports exactly what the whole-table
+//!   analysis reports for the same rules.
 //!
 //! The value pools are deliberately tiny (as in `proptest_engine.rs`) so
 //! shadowing, union coverage and crossing overlaps actually occur instead
 //! of every random table being anomaly-free.
 
 use proptest::prelude::*;
-use stellar_classify::analyze::{analyze, spec_covers, spec_intersects, RuleFlag};
+use stellar_classify::analyze::{
+    analyze, analyze_candidates_with_budget, analyze_with_budget, spec_covers, spec_intersects,
+    RuleFlag,
+};
 use stellar_classify::spec::{BitsMatch, RangeMatch};
 use stellar_classify::{ActionClass, AuditRule, FlowClassifier, MatchSpec, PortMatch, RuleEntry};
 use stellar_net::addr::{IpAddress, Ipv4Address, Ipv6Address};
@@ -210,8 +215,135 @@ fn arb_table() -> impl Strategy<Value = Vec<AuditRule>> {
     })
 }
 
+/// How a derived rule relates to the table rule it is built from.
+#[derive(Debug, Clone, Copy)]
+enum Derived {
+    /// Same match set, same action.
+    Duplicate,
+    /// A superset of the base's match set (both prefixes and both port
+    /// criteria lifted).
+    Cover,
+    /// Lifts the base's port criteria and pins a field the base leaves
+    /// free, with the opposing action: each side matches keys the other
+    /// misses whenever the base had a port criterion.
+    Cross,
+}
+
+fn arb_derived() -> impl Strategy<Value = Derived> {
+    prop_oneof![
+        Just(Derived::Duplicate),
+        Just(Derived::Cover),
+        Just(Derived::Cross),
+    ]
+}
+
+fn derive(base: &AuditRule, how: Derived, id: u64, priority: u16) -> AuditRule {
+    let mut spec = base.entry.spec.clone();
+    let mut action = base.action;
+    match how {
+        Derived::Duplicate => {}
+        Derived::Cover => {
+            spec.src_ip = None;
+            spec.dst_ip = None;
+            spec.src_port = None;
+            spec.dst_port = None;
+        }
+        Derived::Cross => {
+            spec.src_port = None;
+            spec.dst_port = None;
+            if spec.dscp.is_none() {
+                spec.dscp = Some(RangeMatch::new(0, 1));
+            }
+            action = match action {
+                ActionClass::Drop => ActionClass::Shape { rate_bps: 1_000 },
+                _ => ActionClass::Drop,
+            };
+        }
+    }
+    AuditRule::new(RuleEntry::new(id, priority, spec), action)
+}
+
+/// A table of up to 40 rules plus the candidate ids of one batch: rules
+/// derived from picked table rules (so candidates cover, duplicate and
+/// cross each other and standing rules), the rules they were derived
+/// from, a few arbitrary picks, and ids the table does not contain.
+/// Priorities are drawn independently, so candidates sit anywhere in the
+/// evaluation order, not at its end.
+fn arb_batch() -> impl Strategy<Value = (Vec<AuditRule>, Vec<u64>)> {
+    (
+        proptest::collection::vec((arb_spec(), 0u16..3, arb_action()), 0..34),
+        proptest::collection::vec((0usize..64, arb_derived(), 0u16..3), 0..6),
+        proptest::collection::vec(0u64..48, 0..4),
+    )
+        .prop_map(|(specs, derived, picks)| {
+            let mut table: Vec<AuditRule> = specs
+                .into_iter()
+                .enumerate()
+                .map(|(i, (spec, prio, action))| {
+                    AuditRule::new(RuleEntry::new(i as u64, prio, spec), action)
+                })
+                .collect();
+            // Picks range past the table's ids on purpose: absent ids.
+            let mut ids = picks;
+            let standing = table.len();
+            for (pick, how, prio) in derived {
+                if standing == 0 {
+                    break;
+                }
+                let base = pick % standing;
+                let id = table.len() as u64;
+                let rule = derive(&table[base], how, id, prio);
+                table.push(rule);
+                ids.push(id);
+                if pick % 2 == 0 {
+                    ids.push(base as u64);
+                }
+            }
+            (table, ids)
+        })
+}
+
+/// Witness budgets: one that every search over these tiny value pools
+/// fits, and one leaf — so some searches run dry and the blow-out has to
+/// come out the same through both entries too.
+fn arb_budget() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(400usize), Just(1usize)]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `analyze_candidates(t, ids)` is `analyze(t)` restricted to `ids`:
+    /// the same findings in the same order, the same witnesses, the same
+    /// whole-table usage.
+    #[test]
+    fn candidate_scoped_analysis_is_the_whole_table_analysis_restricted(
+        batch in arb_batch(),
+        budget in arb_budget(),
+    ) {
+        let (table, ids) = batch;
+        let whole = analyze_with_budget(&table, budget);
+        let scoped = analyze_candidates_with_budget(&table, &ids, budget);
+        let findings: Vec<_> = whole
+            .findings
+            .iter()
+            .filter(|f| ids.contains(&f.rule))
+            .copied()
+            .collect();
+        let witnesses: Vec<_> = whole
+            .witnesses
+            .iter()
+            .filter(|(id, _)| ids.contains(id))
+            .cloned()
+            .collect();
+        prop_assert_eq!(&scoped.findings, &findings);
+        prop_assert_eq!(&scoped.witnesses, &witnesses);
+        prop_assert_eq!(scoped.usage, whole.usage);
+        // Asking about nothing (or only about absent ids) finds nothing.
+        let none = analyze_candidates_with_budget(&table, &[1_000, 1_001], budget);
+        prop_assert!(none.findings.is_empty() && none.witnesses.is_empty());
+        prop_assert_eq!(none.usage, whole.usage);
+    }
 
     /// Dead-flagged rules never win first-match for any sampled packet;
     /// live rules' witnesses demonstrably reach them through the real

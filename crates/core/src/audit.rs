@@ -13,11 +13,27 @@
 //! they are enqueued, and the surviving batch's TCAM criteria footprint
 //! is accounted against the hardware's free pools so capacity pressure is
 //! visible *before* the install fails (the paper's Fig. 9 F1/F2 modes).
+//!
+//! The audit is candidate-scoped. A rule's verdict depends only on the
+//! rule itself and the better-ranked rules of its owner's table, and
+//! only candidates can be refused, so [`audit_batch`] builds tables for
+//! the candidates' owners alone and asks
+//! [`stellar_classify::analyze::analyze_candidates`] about the
+//! candidates alone: for `k` candidates joining an owner's `n` standing
+//! rules that is `k` coverage scans, `k` witness searches and at most
+//! `k·n` conflict tests per announcement — not the `n` searches and
+//! `n²/2` tests of a whole-table analysis whose other `n − k` verdicts
+//! nobody reads. Rules of other owners in `desired` cost one id
+//! comparison each; the caller on the announcement path
+//! (`StellarSystem::audit_changes`) does not pass them at all.
 
 use crate::rule::{BlackholingRule, RuleAction};
 use std::collections::BTreeMap;
 use stellar_bgp::types::Asn;
-use stellar_classify::analyze::{analyze, spec_is_empty, ActionClass, AuditRule, RuleFlag};
+use stellar_classify::analyze::{
+    analyze_candidates_with_budget, spec_is_empty, ActionClass, AuditRule, Finding, RuleFlag,
+    DEFAULT_WITNESS_BUDGET,
+};
 use stellar_classify::RuleEntry;
 use stellar_dataplane::switch::PortId;
 use stellar_sim::fabric::Fabric;
@@ -93,7 +109,7 @@ pub struct PopPreadmit {
 }
 
 /// The audit verdict for one proposed batch.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchAudit {
     /// Refused candidate rules with the reason, in rule-id order.
     pub rejected: Vec<(u64, AuditRejection)>,
@@ -103,6 +119,12 @@ pub struct BatchAudit {
     /// The same accounting split per PoP, ascending PoP order, one row
     /// per PoP in the fabric.
     pub per_pop: Vec<PopPreadmit>,
+    /// Candidates admitted without a reachability verdict, in rule-id
+    /// order: no single rule covers them, and the witness search ran
+    /// out of budget before it either reached them or proved them
+    /// union-covered. A blow-out proves nothing, so they are admitted —
+    /// but the caller gets to say so.
+    pub unverified: Vec<u64>,
 }
 
 impl BatchAudit {
@@ -132,13 +154,15 @@ pub(crate) fn to_audit_rule(r: &BlackholingRule) -> AuditRule {
     )
 }
 
-/// Audits one proposed batch: `desired` is the controller's full desired
-/// state (candidates already included), `candidate_ids` the rules this
-/// batch would add. Tables are formed per owner (one egress port per
-/// member, so rules only compete within an owner) and iterated in owner
-/// order — fully deterministic. Only candidates are ever refused;
-/// pre-existing anomalies among installed rules are the reconciler's
-/// problem, not this batch's.
+/// Audits one proposed batch: `desired` is the desired state the
+/// candidates compete in (candidates already included) — every rule of
+/// the candidates' owners; rules of other owners may be present and are
+/// ignored. `candidate_ids` names the rules this batch would add. Tables
+/// are formed per candidate owner (one egress port per member, so rules
+/// only compete within an owner) and iterated in owner order — fully
+/// deterministic. Only candidates are judged and only candidates are
+/// ever refused; pre-existing anomalies among installed rules are the
+/// reconciler's problem, not this batch's.
 ///
 /// `owner_port` resolves a rule owner to its egress port (the manager's
 /// registration); survivors are charged against the owning PoP's TCAM
@@ -151,48 +175,80 @@ pub fn audit_batch(
     desired: &[BlackholingRule],
     candidate_ids: &[u64],
 ) -> BatchAudit {
+    audit_batch_with_budget(
+        fabric,
+        owner_port,
+        desired,
+        candidate_ids,
+        DEFAULT_WITNESS_BUDGET,
+    )
+}
+
+/// [`audit_batch`] at an explicit witness-search budget (the tests drive
+/// the blow-out path through this).
+pub(crate) fn audit_batch_with_budget(
+    fabric: &Fabric,
+    owner_port: impl Fn(Asn) -> Option<PortId>,
+    desired: &[BlackholingRule],
+    candidate_ids: &[u64],
+    witness_budget: usize,
+) -> BatchAudit {
     let mut audit = BatchAudit::default();
     let mut pop_needs: BTreeMap<u16, (usize, usize)> = BTreeMap::new();
-    let mut by_owner: BTreeMap<u32, Vec<&BlackholingRule>> = BTreeMap::new();
+    // Tables for the candidates' owners only; each rule's match spec is
+    // built once, here, and read from the table from then on.
+    let mut tables: BTreeMap<u32, Vec<AuditRule>> = desired
+        .iter()
+        .filter(|r| candidate_ids.contains(&r.id))
+        .map(|r| (r.owner.0, Vec::new()))
+        .collect();
     for r in desired {
-        by_owner.entry(r.owner.0).or_default().push(r);
-    }
-    for rules in by_owner.values() {
-        if !rules.iter().any(|r| candidate_ids.contains(&r.id)) {
-            continue;
+        if let Some(table) = tables.get_mut(&r.owner.0) {
+            table.push(to_audit_rule(r));
         }
-        let table: Vec<AuditRule> = rules.iter().map(|r| to_audit_rule(r)).collect();
-        let report = analyze(&table);
-        for r in rules {
-            if !candidate_ids.contains(&r.id) {
+    }
+    for (owner, table) in &tables {
+        let report = analyze_candidates_with_budget(table, candidate_ids, witness_budget);
+        for rule in table {
+            let (id, spec) = (rule.entry.id, &rule.entry.spec);
+            if !candidate_ids.contains(&id) {
                 continue;
             }
             // A self-contradictory spec is refused with its own reason:
             // "shadowed" would blame earlier rules for a candidate that
             // could never match anything on an empty port either.
-            if spec_is_empty(&r.match_spec()) {
-                audit.rejected.push((r.id, AuditRejection::EmptyMatch));
+            if spec_is_empty(spec) {
+                audit.rejected.push((id, AuditRejection::EmptyMatch));
                 continue;
             }
-            let rejection = match report.dead_flag(r.id) {
+            let rejection = match report.dead_flag(id) {
                 Some(RuleFlag::Shadowed { by }) | Some(RuleFlag::Redundant { by }) => {
                     Some(AuditRejection::Shadowed { by: Some(by) })
                 }
                 Some(RuleFlag::Duplicate { of }) => Some(AuditRejection::Duplicate { of }),
                 Some(RuleFlag::Unreachable) => Some(AuditRejection::Shadowed { by: None }),
-                // A budget blowout proves nothing: admit.
-                Some(_) | None => report
-                    .conflicts_of(r.id)
-                    .first()
-                    .map(|with| AuditRejection::Conflict { with: *with }),
+                Some(_) | None => report.findings.iter().find_map(|f| match f.flag {
+                    RuleFlag::Conflict { with } if f.rule == id => {
+                        Some(AuditRejection::Conflict { with })
+                    }
+                    _ => None,
+                }),
             };
             match rejection {
-                Some(rej) => audit.rejected.push((r.id, rej)),
+                Some(rej) => audit.rejected.push((id, rej)),
                 None => {
-                    let (mac, l34) = r.criteria();
+                    // A budget blowout proves nothing: admit, visibly.
+                    let unverified = Finding {
+                        rule: id,
+                        flag: RuleFlag::Unverified,
+                    };
+                    if report.findings.contains(&unverified) {
+                        audit.unverified.push(id);
+                    }
+                    let (mac, l34) = (spec.mac_criteria(), spec.l34_criteria());
                     audit.preadmit.mac_needed += mac;
                     audit.preadmit.l34_needed += l34;
-                    if let Some(pop) = owner_port(r.owner).and_then(|p| fabric.pop_of_port(p)) {
+                    if let Some(pop) = owner_port(Asn(*owner)).and_then(|p| fabric.pop_of_port(p)) {
                         let e = pop_needs.entry(pop.0).or_default();
                         e.0 += mac;
                         e.1 += l34;
@@ -202,6 +258,7 @@ pub fn audit_batch(
         }
     }
     audit.rejected.sort_by_key(|(id, _)| *id);
+    audit.unverified.sort_unstable();
     audit.preadmit.mac_free = fabric.mac_free_total();
     audit.preadmit.l34_free = fabric.l34_free_total();
     audit.per_pop = fabric
@@ -343,6 +400,58 @@ mod tests {
         let audit = audit_batch(&fab(), owner, &desired, &[7]);
         assert_eq!(audit.rejected, vec![(7, AuditRejection::EmptyMatch)]);
         assert_eq!(audit.preadmit.l34_needed, 0);
+    }
+
+    #[test]
+    fn candidates_of_one_batch_are_judged_against_each_other() {
+        // Both rules arrive in the same batch: the port-scoped drop is
+        // shadowed by the drop-all it was announced with, which itself
+        // passes and is the only one charged.
+        let desired = [
+            rule(1, 64500, StellarSignal::drop_all()),
+            rule(2, 64500, StellarSignal::drop_udp_src(123)),
+        ];
+        let audit = audit_batch(&fab(), owner, &desired, &[2, 1]);
+        assert_eq!(
+            audit.rejected,
+            vec![(2, AuditRejection::Shadowed { by: Some(1) })]
+        );
+        assert_eq!(audit.preadmit.l34_needed, 1);
+        assert!(audit.unverified.is_empty());
+    }
+
+    #[test]
+    fn budget_blowout_admits_the_candidate_and_names_it() {
+        use stellar_classify::spec::RangeMatch;
+        use stellar_dataplane::filter::MatchSpec;
+        let band = |id, lo, hi| {
+            let spec = MatchSpec {
+                dst_ip: Some(victim()),
+                packet_len: Some(RangeMatch::new(lo, hi)),
+                ..Default::default()
+            };
+            BlackholingRule::from_flowspec(id, Asn(64500), victim(), spec, RuleAction::Drop)
+        };
+        // Two length bands cover every packet to the victim; no single
+        // rule covers candidate 3, so its fate is the witness search's.
+        let desired = [
+            band(1, 0, 999),
+            band(2, 1000, u16::MAX),
+            rule(3, 64500, StellarSignal::drop_all()),
+        ];
+        // With the default budget the search proves it union-covered.
+        let audit = audit_batch(&fab(), owner, &desired, &[3]);
+        assert_eq!(
+            audit.rejected,
+            vec![(3, AuditRejection::Shadowed { by: None })]
+        );
+        assert!(audit.unverified.is_empty());
+        // With one leaf of fuel it proves nothing: admitted and charged,
+        // but no longer silently.
+        let audit = audit_batch_with_budget(&fab(), owner, &desired, &[3], 1);
+        assert!(audit.rejected.is_empty());
+        assert_eq!(audit.unverified, vec![3]);
+        assert_eq!(audit.preadmit.l34_needed, 1);
     }
 
     #[test]

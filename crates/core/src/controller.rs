@@ -60,6 +60,22 @@ struct PathRules {
     rules: HashMap<StellarSignal, u64>,
 }
 
+impl PathRules {
+    /// Who the path's rules answer to; a path without an origin AS
+    /// answers to `Asn(0)`.
+    fn owner(&self) -> Asn {
+        self.owner.unwrap_or(Asn(0))
+    }
+
+    /// The path's rules as the managers want them, for `prefix`.
+    fn desired(&self, prefix: Prefix) -> impl Iterator<Item = BlackholingRule> + '_ {
+        let owner = self.owner();
+        self.rules
+            .iter()
+            .map(move |(signal, id)| BlackholingRule::from_signal(*id, owner, prefix, *signal))
+    }
+}
+
 /// The blackholing controller.
 pub struct BlackholingController {
     ixp_asn: Asn,
@@ -189,15 +205,35 @@ impl BlackholingController {
     /// sorted by rule id. This is the desired-state side of the
     /// reconciliation diff.
     pub fn desired_rules(&self) -> Vec<BlackholingRule> {
-        let mut out = Vec::new();
-        for ((prefix, _), path) in &self.paths {
-            let owner = path.owner.unwrap_or(Asn(0));
-            for (signal, id) in &path.rules {
-                out.push(BlackholingRule::from_signal(*id, owner, *prefix, *signal));
-            }
-        }
+        let mut out: Vec<BlackholingRule> = self
+            .paths
+            .iter()
+            .flat_map(|((prefix, _), path)| path.desired(*prefix))
+            .collect();
         out.sort_by_key(|r| r.id);
         out
+    }
+
+    /// The rules `owner` currently wants installed, in no particular
+    /// order: [`Self::desired_rules`] restricted to one owner without
+    /// building anyone else's rules — a filter over the announced paths,
+    /// no by-owner index to keep in step. Paths without an origin AS
+    /// answer to `Asn(0)`, as they do in the full snapshot.
+    pub(crate) fn desired_rules_of(
+        &self,
+        owner: Asn,
+    ) -> impl Iterator<Item = BlackholingRule> + '_ {
+        self.paths
+            .iter()
+            .filter(move |(_, path)| path.owner() == owner)
+            .flat_map(|((prefix, _), path)| path.desired(*prefix))
+    }
+
+    /// The ids of every rule the controller wants installed, in no
+    /// particular order — for callers that compare ids and would throw
+    /// the rules of [`Self::desired_rules`] away.
+    pub(crate) fn desired_ids(&self) -> impl Iterator<Item = u64> + '_ {
+        self.paths.values().flat_map(|p| p.rules.values().copied())
     }
 
     /// Admission control permanently refused `rule_id`: drop it from
@@ -436,6 +472,51 @@ mod tests {
         assert!(c.desired_rules().iter().all(|r| r.id != refused));
         // Unknown ids are reported as such.
         assert!(!c.rule_refused(refused));
+    }
+
+    #[test]
+    fn owner_view_is_the_full_snapshot_filtered() {
+        let mut c = BlackholingController::new(IXP);
+        // Adjacent ASNs, the largest ASN, two paths for one owner, and a
+        // path with no origin AS (answers to Asn(0)).
+        for (path_id, owner, ports) in [
+            (1u32, Some(OWNER), &[123u16, 53][..]),
+            (2, Some(Asn(OWNER.0 + 1)), &[123][..]),
+            (3, Some(Asn(u32::MAX)), &[19, 389][..]),
+            (4, Some(OWNER), &[11211][..]),
+            (5, None, &[161][..]),
+        ] {
+            let mut path = PathRules {
+                owner,
+                ..Default::default()
+            };
+            for port in ports {
+                path.rules
+                    .insert(StellarSignal::drop_udp_src(*port), c.next_rule_id);
+                c.next_rule_id += 1;
+            }
+            c.paths.insert((victim(), Some(path_id)), path);
+        }
+        let all = c.desired_rules();
+        assert_eq!(all.len(), 7);
+        for (owner, rules) in [
+            (OWNER, 3),
+            (Asn(OWNER.0 + 1), 1),
+            (Asn(u32::MAX), 2),
+            (Asn(0), 1),
+            (Asn(OWNER.0 - 1), 0),
+            (Asn(OWNER.0 + 2), 0),
+        ] {
+            let mut view: Vec<_> = c.desired_rules_of(owner).collect();
+            view.sort_by_key(|r| r.id);
+            let filtered: Vec<_> = all.iter().filter(|r| r.owner == owner).cloned().collect();
+            assert_eq!(view, filtered, "{owner:?}");
+            assert_eq!(view.len(), rules, "{owner:?}");
+        }
+        let mut ids: Vec<u64> = c.desired_ids().collect();
+        ids.sort_unstable();
+        assert_eq!(ids, all.iter().map(|r| r.id).collect::<Vec<_>>());
+        assert_eq!(ids.len(), c.rule_count());
     }
 
     #[test]

@@ -675,6 +675,22 @@ impl FlowSpecPlane {
         out
     }
 
+    /// The rules `owner` wants installed, in NLRI order:
+    /// [`Self::desired_rules`] restricted to one owner, read as one
+    /// contiguous range of the `(owner, NLRI)`-keyed map.
+    pub(crate) fn desired_rules_of(&self, owner: Asn) -> impl Iterator<Item = &BlackholingRule> {
+        self.entries
+            .range((owner, Vec::new())..)
+            .take_while(move |((o, _), _)| *o == owner)
+            .flat_map(|(_, rules)| rules)
+    }
+
+    /// The ids of every lowered rule currently desired, in no particular
+    /// order.
+    pub(crate) fn desired_ids(&self) -> impl Iterator<Item = u64> + '_ {
+        self.entries.values().flatten().map(|r| r.id)
+    }
+
     /// Admission permanently refused `rule_id`: drop it from desired
     /// state. Returns whether the id was known.
     pub fn rule_refused(&mut self, rule_id: u64) -> bool {
@@ -1346,6 +1362,51 @@ mod tests {
         plane.install(&accepted(drop_flow(), 0.0)).unwrap();
         assert_eq!(plane.flush().len(), 1);
         assert_eq!(plane.rule_count(), 0);
+    }
+
+    #[test]
+    fn owner_view_is_the_full_snapshot_filtered() {
+        let mut plane = FlowSpecPlane::new();
+        let two_ports = flow(vec![
+            Component::DstPrefix(victim()),
+            Component::IpProtocol(vec![NumericOp::equals(17)]),
+            Component::SrcPort(vec![NumericOp::equals(53), NumericOp::equals(389)]),
+        ]);
+        // Adjacent ASNs, the largest ASN, and two NLRIs (one lowering to
+        // two rules) for the owner in the middle, installed interleaved.
+        for (owner, f) in [
+            (Asn(OWNER.0 + 1), drop_flow()),
+            (OWNER, two_ports.clone()),
+            (Asn(u32::MAX), drop_flow()),
+            (OWNER, drop_flow()),
+            (Asn(OWNER.0 - 1), two_ports),
+        ] {
+            plane
+                .install(&AcceptedFlowSpec {
+                    owner,
+                    ..accepted(f, 0.0)
+                })
+                .unwrap();
+        }
+        let all = plane.desired_rules();
+        assert_eq!(all.len(), 7);
+        for (owner, rules) in [
+            (OWNER, 3),
+            (Asn(OWNER.0 + 1), 1),
+            (Asn(OWNER.0 - 1), 2),
+            (Asn(u32::MAX), 1),
+            (Asn(0), 0),
+            (Asn(OWNER.0 + 2), 0),
+        ] {
+            let mut view: Vec<_> = plane.desired_rules_of(owner).cloned().collect();
+            view.sort_by_key(|r| r.id);
+            let filtered: Vec<_> = all.iter().filter(|r| r.owner == owner).cloned().collect();
+            assert_eq!(view, filtered, "{owner:?}");
+            assert_eq!(view.len(), rules, "{owner:?}");
+        }
+        let mut ids: Vec<u64> = plane.desired_ids().collect();
+        ids.sort_unstable();
+        assert_eq!(ids, all.iter().map(|r| r.id).collect::<Vec<_>>());
     }
 
     #[test]

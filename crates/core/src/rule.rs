@@ -129,12 +129,6 @@ impl BlackholingRule {
             100,
         )
     }
-
-    /// TCAM criteria this rule will consume: `(mac, l34)`.
-    pub fn criteria(&self) -> (usize, usize) {
-        let spec = self.match_spec();
-        (spec.mac_criteria(), spec.l34_criteria())
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +150,7 @@ mod tests {
         assert_eq!(f.action, Action::Drop);
         assert_eq!(f.priority, 100);
         assert_eq!(f.spec.dst_ip, Some("100.10.10.10/32".parse().unwrap()));
-        assert_eq!(rule.criteria(), (0, 3));
+        assert_eq!((f.spec.mac_criteria(), f.spec.l34_criteria()), (0, 3));
         assert_eq!(rule.signal(), Some(StellarSignal::drop_udp_src(123)));
     }
 
@@ -195,7 +189,7 @@ mod tests {
         assert_eq!(rule.match_spec(), spec);
         assert_eq!(rule.signal(), None);
         assert_eq!(rule.action(), RuleAction::Drop);
-        assert_eq!(rule.criteria(), (0, 3));
+        assert_eq!((spec.mac_criteria(), spec.l34_criteria()), (0, 3));
         assert_eq!(rule.to_filter_rule().action, Action::Drop);
     }
 }

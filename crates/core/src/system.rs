@@ -20,7 +20,7 @@
 //!   desired rule set against the hardware and queues repairs, so a
 //!   restart converges back instead of diverging forever.
 
-use crate::audit::{audit_batch, AuditRejection};
+use crate::audit::{audit_batch, AuditRejection, BatchAudit};
 use crate::config_queue::{ConfigChangeQueue, QueuedChange};
 use crate::controller::{AbstractChange, BlackholingController, DegradeOutcome};
 use crate::faults::{
@@ -30,6 +30,7 @@ use crate::flowspec::{FlowSpecPlane, LowerError};
 use crate::manager::{AdmissionError, DeadLetterLog, NetworkManager};
 use crate::proof::{self, DEFAULT_VERIFY_BUDGET};
 use crate::qos_manager::QosNetworkManager;
+use crate::rule::BlackholingRule;
 use crate::signal::StellarSignal;
 use crate::telemetry::{rule_telemetry, RuleTelemetry};
 use crate::watchdog::{Invariant, Watchdog};
@@ -454,39 +455,65 @@ impl StellarSystem {
         }
     }
 
-    /// Static batch audit (see [`crate::audit`]): analyzes the proposed
-    /// adds against the owner's full desired rule table, refuses the ones
-    /// that come back shadowed or crossing-conflicted (they leave desired
-    /// state and never reach the queue), and accounts the survivors'
-    /// TCAM footprint against the free pools. Degrade and reconcile
-    /// repairs skip this gate: they re-install rules the audit already
-    /// admitted.
+    /// Static batch audit (see [`crate::audit`]): judges the proposed
+    /// adds — and only them — against their owner's full desired rule
+    /// table, refuses the ones that come back shadowed or
+    /// crossing-conflicted (they leave desired state and never reach the
+    /// queue), and accounts the survivors' TCAM footprint against the
+    /// free pools. The cost follows the candidates and their owner's
+    /// table, not the number of standing rules at the IXP. Degrade and
+    /// reconcile repairs skip this gate: they re-install rules the audit
+    /// already admitted.
     fn audit_changes(
         &mut self,
         changes: &mut Vec<AbstractChange>,
         rejections: &mut Vec<(u64, AuditRejection)>,
         now_us: u64,
     ) {
-        let candidate_ids: Vec<u64> = changes
+        if let Some(audit) = self.audit_adds(changes) {
+            // Unit-test builds of this crate check every verdict against
+            // the whole-table reference before acting on it.
+            #[cfg(test)]
+            self.assert_matches_whole_table_audit(&audit, changes);
+            self.apply_audit(&audit, changes, rejections, now_us);
+        }
+    }
+
+    /// The audit verdict on the adds of one change group, `None` when it
+    /// adds nothing. Rules only compete within an owner's egress port, so
+    /// [`audit_batch`] is handed the candidates' owners' tables and
+    /// nobody else's.
+    fn audit_adds(&self, changes: &[AbstractChange]) -> Option<BatchAudit> {
+        let (candidate_ids, mut owners): (Vec<u64>, Vec<Asn>) = changes
             .iter()
             .filter_map(|c| match c {
-                AbstractChange::AddRule(r) => Some(r.id),
+                AbstractChange::AddRule(r) => Some((r.id, r.owner)),
                 AbstractChange::RemoveRule { .. } => None,
             })
-            .collect();
+            .unzip();
         if candidate_ids.is_empty() {
-            return;
+            return None;
         }
-        // Signal-derived and FlowSpec-derived rules share each owner's
-        // egress port, so the audit sees the union of both planes.
-        let mut desired = self.controller.desired_rules();
-        desired.extend(self.flowspec.desired_rules());
-        let audit = audit_batch(
+        owners.sort_unstable();
+        owners.dedup();
+        let desired = self.desired_of(&owners);
+        Some(audit_batch(
             &self.ixp.fabric,
             |a| self.manager.owner_port(a),
             &desired,
             &candidate_ids,
-        );
+        ))
+    }
+
+    /// Acts on an audit verdict: refused candidates leave desired state
+    /// and `changes`, every fate is counted and logged.
+    fn apply_audit(
+        &mut self,
+        audit: &BatchAudit,
+        changes: &mut Vec<AbstractChange>,
+        rejections: &mut Vec<(u64, AuditRejection)>,
+        now_us: u64,
+    ) {
         for (rule_id, rejection) in &audit.rejected {
             if !self.controller.rule_refused(*rule_id) {
                 self.flowspec.rule_refused(*rule_id);
@@ -521,6 +548,16 @@ impl StellarSystem {
             );
         }
         rejections.extend(audit.rejected.iter().copied());
+        // Admitted without a reachability verdict (witness budget ran
+        // out): the obligation is counted as undischarged, by rule id.
+        for rule_id in &audit.unverified {
+            self.obs.registry.counter_inc("analyze.unverified");
+            self.obs.event(
+                now_us,
+                "analyze.unverified",
+                vec![("rule_id".to_string(), rule_id.to_string())],
+            );
+        }
         let reg = &mut self.obs.registry;
         reg.counter_inc("analyze.preadmit.batches");
         reg.counter_add(
@@ -942,12 +979,43 @@ impl StellarSystem {
         }
     }
 
+    /// Every desired rule across both signaling planes, in rule-id order
+    /// (FlowSpec ids sit above every signal id) — for the passes that
+    /// really need the whole table: reconciliation and the placement
+    /// proof.
+    fn desired_table(&self) -> Vec<BlackholingRule> {
+        let mut desired = self.controller.desired_rules();
+        desired.extend(self.flowspec.desired_rules());
+        desired
+    }
+
+    /// The `owners`' slice of [`Self::desired_table`], in the same
+    /// rule-id order, built without touching anyone else's rules.
+    /// Signal-derived and FlowSpec-derived rules share an owner's egress
+    /// port, so it spans both planes.
+    fn desired_of(&self, owners: &[Asn]) -> Vec<BlackholingRule> {
+        let mut desired: Vec<BlackholingRule> = owners
+            .iter()
+            .flat_map(|&o| {
+                let lowered = self.flowspec.desired_rules_of(o).cloned();
+                self.controller.desired_rules_of(o).chain(lowered)
+            })
+            .collect();
+        desired.sort_by_key(|r| r.id);
+        desired
+    }
+
+    /// The ids of every desired rule across both planes, unordered.
+    fn desired_ids(&self) -> impl Iterator<Item = u64> + '_ {
+        self.controller
+            .desired_ids()
+            .chain(self.flowspec.desired_ids())
+    }
+
     /// One owner's desired table across both signaling planes, in the
     /// audit shape the exact verifier consumes.
     fn owner_audit_table(&self, owner: Asn) -> Vec<stellar_classify::AuditRule> {
-        let mut desired = self.controller.desired_rules();
-        desired.extend(self.flowspec.desired_rules());
-        proof::owner_table(&desired, owner)
+        proof::owner_table(&self.desired_of(&[owner]), owner)
     }
 
     /// Obligation (b): proves one degradation-ladder step monotone —
@@ -1070,8 +1138,10 @@ impl StellarSystem {
 
         if quiet {
             // Convergence: past the grace bound, desired must equal
-            // installed with nothing in flight.
-            if !self.is_converged() {
+            // installed with nothing in flight. (Nothing below mutates
+            // state, so one evaluation serves the placement proof too.)
+            let converged = self.is_converged();
+            if !converged {
                 found.push((
                     Invariant::Convergence,
                     format!(
@@ -1084,13 +1154,7 @@ impl StellarSystem {
             }
             // Orphan rules: nothing in hardware without a desired-state
             // owner or an in-flight removal.
-            let mut wanted: HashSet<u64> = self
-                .controller
-                .desired_rules()
-                .iter()
-                .map(|r| r.id)
-                .collect();
-            wanted.extend(self.flowspec.desired_rules().iter().map(|r| r.id));
+            let mut wanted: HashSet<u64> = self.desired_ids().collect();
             for change in self.queue.pending() {
                 wanted.insert(match change {
                     AbstractChange::AddRule(r) => r.id,
@@ -1120,9 +1184,8 @@ impl StellarSystem {
             // proven exactly, per port, with witness-backed differences.
             // (While changes are in flight the tables legitimately
             // diverge; convergence is the precondition of the equation.)
-            if self.is_converged() {
-                let mut desired = self.controller.desired_rules();
-                desired.extend(self.flowspec.desired_rules());
+            if converged {
+                let desired = self.desired_table();
                 let placement = proof::check_placement(
                     &self.ixp.fabric,
                     &desired,
@@ -1225,8 +1288,7 @@ impl StellarSystem {
                 AbstractChange::RemoveRule { rule_id, .. } => *rule_id,
             });
         }
-        let mut desired = self.controller.desired_rules();
-        desired.extend(self.flowspec.desired_rules());
+        let desired = self.desired_table();
         let desired_ids: HashSet<u64> = desired.iter().map(|r| r.id).collect();
         // Desired but missing from hardware: re-queue the install.
         for rule in desired {
@@ -1294,9 +1356,8 @@ impl StellarSystem {
                 installed.insert(rule.id);
             }
         }
-        let mut desired = self.controller.desired_rules();
-        desired.extend(self.flowspec.desired_rules());
-        desired.len() == installed.len() && desired.iter().all(|r| installed.contains(&r.id))
+        self.controller.rule_count() + self.flowspec.rule_count() == installed.len()
+            && self.desired_ids().all(|id| installed.contains(&id))
     }
 
     /// Pushes one tick of traffic through the fabric.
@@ -1352,6 +1413,9 @@ impl StellarSystem {
         self.obs.export(path, now_us)
     }
 }
+
+#[cfg(test)]
+mod audit_tests;
 
 #[cfg(test)]
 mod tests {

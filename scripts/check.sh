@@ -114,4 +114,24 @@ mv results/chaos_soak.json results/chaos_soak.run1.json
 STELLAR_CHAOS_SMOKE=1 cargo run --release -q -p stellar-bench --bin chaos_soak >/dev/null
 diff results/chaos_soak.run1.json results/chaos_soak.json
 
+echo "==> benchmark smoke: control workloads, direct (--trace 0) and staged (--trace 1), oracle-checked"
+# The benchmark's expected-outcome oracle (installs, hijack and
+# corrupt-wire refusals, ledger) is the gate. The traced run is also a
+# differential: its staged driver audits the whole desired table through
+# the public API and must end in the same per-port rule ids, ledger and
+# FlowSpec RIB as the owner-scoped direct path of the same seed.
+for workload in flowspec_victims signal_storm; do
+  for trace in 0 1; do
+    result=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+      --workload "$workload" --seed 1 --seconds 1 --trace "$trace" 2>/dev/null | tail -n 1)
+    case "$result" in
+      *'"correct": true'*'"failed": 0,'*) ;;
+      *)
+        echo "benchmark smoke failed: $workload --trace $trace: $result" >&2
+        exit 1
+        ;;
+    esac
+  done
+done
+
 echo "All checks passed."
