@@ -260,9 +260,10 @@ fn fingerprint<'a>(ports: impl Iterator<Item = (PortId, &'a MemberPort)>) -> Vec
         .collect()
 }
 
-/// FNV-1a over the serialized obs snapshot: cells at 10^6 ports export
-/// multi-hundred-MB snapshots, so modes are compared by (hash, length)
-/// instead of holding three full strings alive at once.
+/// FNV-1a over the serialized obs snapshot: modes are compared by
+/// (hash, length) instead of holding three full strings alive at once.
+/// The sparse per-port table rides in `to_content`, so the digest covers
+/// every active port's counters.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {
@@ -528,6 +529,7 @@ fn main() {
             }).collect::<Vec<_>>(),
             "counters_identical": true,
             "snapshots_identical": true,
+            "obs_snapshot_bytes": seq.obs.1,
             "seq_window_allocs": seq_allocs,
         }));
     }

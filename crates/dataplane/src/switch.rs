@@ -579,11 +579,9 @@ impl EdgeRouter {
         (self.installs, self.removals)
     }
 
-    /// Publishes the data-plane gauges: TCAM occupancy plus, per member
-    /// port, rule/shaper population and the cumulative queue counters
-    /// (forwarded, drop-rule drops, shaper passes/drops, congestion
-    /// drops). Ports iterate in `BTreeMap` order, so the gauge set is
-    /// stable across runs.
+    /// Publishes the data-plane gauges — TCAM occupancy, the rule ledger —
+    /// and replaces the registry's per-port table with this router's
+    /// ports.
     pub fn observe(&self, reg: &mut stellar_obs::MetricsRegistry) {
         self.tcam.observe(reg);
         reg.gauge_set("dataplane.total_rules", self.total_rules() as i64);
@@ -592,33 +590,28 @@ impl EdgeRouter {
         // so `rule_installs - rule_removals == total_rules` always.
         reg.counter_set("dataplane.rule_installs", self.installs);
         reg.counter_set("dataplane.rule_removals", self.removals);
-        self.observe_ports(reg);
+        reg.replace_ports(self.port_rows());
     }
 
-    /// Publishes only the per-port gauges — the multi-PoP fabric calls
-    /// this per router (port ids are fabric-unique, so the gauge names
-    /// cannot collide) while aggregating the router-global gauges itself.
-    pub fn observe_ports(&self, reg: &mut stellar_obs::MetricsRegistry) {
-        for (pid, port) in &self.ports {
-            let p = format!("dataplane.port.{}", pid.0);
-            reg.gauge_set(&format!("{p}.rules"), port.policy.rule_count() as i64);
-            reg.gauge_set(
-                &format!("{p}.shape_queues"),
-                port.policy.shaper_count() as i64,
-            );
+    /// One scrape row per member port, ascending by port id: rule/shaper
+    /// population and the cumulative queue counters (forwarded, drop-rule
+    /// drops, shaper passes/drops, congestion drops). The multi-PoP
+    /// fabric chains these across routers (port ids are fabric-unique)
+    /// while aggregating the router-global gauges itself.
+    pub fn port_rows(&self) -> impl Iterator<Item = stellar_obs::PortRow> + '_ {
+        self.ports.iter().map(|(pid, port)| {
             let c = &port.counters;
-            reg.gauge_set(&format!("{p}.forwarded_bytes"), c.forwarded_bytes as i64);
-            reg.gauge_set(&format!("{p}.dropped_bytes"), c.dropped_bytes as i64);
-            reg.gauge_set(&format!("{p}.shaped_bytes"), c.shaped_bytes as i64);
-            reg.gauge_set(
-                &format!("{p}.shape_dropped_bytes"),
-                c.shape_dropped_bytes as i64,
-            );
-            reg.gauge_set(
-                &format!("{p}.congestion_dropped_bytes"),
-                c.congestion_dropped_bytes as i64,
-            );
-        }
+            stellar_obs::PortRow {
+                port: pid.0,
+                rules: port.policy.rule_count() as u64,
+                shape_queues: port.policy.shaper_count() as u64,
+                forwarded_bytes: c.forwarded_bytes,
+                dropped_bytes: c.dropped_bytes,
+                shaped_bytes: c.shaped_bytes,
+                shape_dropped_bytes: c.shape_dropped_bytes,
+                congestion_dropped_bytes: c.congestion_dropped_bytes,
+            }
+        })
     }
 }
 
@@ -887,6 +880,28 @@ mod tests {
         let json = serde_json::to_string(&reg.to_content()).unwrap();
         assert!(json.contains("\"dataplane.rule_installs\":6"));
         assert!(json.contains("\"dataplane.rule_removals\":6"));
+    }
+
+    #[test]
+    fn port_counter_above_i64_max_survives_the_snapshot() {
+        let mut er = router_with_two_ports();
+        let big = i64::MAX as u64 + 12_345;
+        er.port_mut(PortId(2)).unwrap().counters.shape_dropped_bytes = big;
+        let mut obs = stellar_obs::Obs::new();
+        er.observe(&mut obs.registry);
+        assert_eq!(obs.registry.port(2).shape_dropped_bytes, big);
+        // Port 1 never saw a byte: offered, not reported, reads as zero.
+        assert_eq!(obs.registry.ports_total(), 2);
+        assert_eq!(
+            obs.registry.port(1),
+            stellar_obs::PortRow {
+                port: 1,
+                ..Default::default()
+            }
+        );
+        let json = obs.snapshot_json(0);
+        assert!(json.contains(&format!("[2, 0, 0, 0, 0, 0, {big}, 0]")));
+        assert!(!json.contains("dataplane.port."));
     }
 
     #[test]

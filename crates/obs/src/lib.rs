@@ -6,7 +6,8 @@
 //! observable timing, so the repro instruments itself with
 //!
 //! - a [`MetricsRegistry`] of counters, gauges and log-linear
-//!   [`LogLinearHistogram`]s with p50/p95/p99 summaries,
+//!   [`LogLinearHistogram`]s with p50/p95/p99 summaries, plus one typed,
+//!   sparse per-port table ([`PortRow`]: only active ports are kept),
 //! - a [`SpanTracker`] bracketing control-plane episodes (BGP signal →
 //!   rule installed, retry/backoff, reconcile divergence windows),
 //! - a bounded [`FlightRecorder`] ring buffer of structured events for
@@ -30,7 +31,7 @@ pub mod span;
 
 pub use hist::LogLinearHistogram;
 pub use recorder::{FlightEvent, FlightRecorder};
-pub use registry::MetricsRegistry;
+pub use registry::{MetricsRegistry, PortRow};
 pub use span::SpanTracker;
 
 use serde::Content;
@@ -38,7 +39,7 @@ use std::io;
 use std::path::Path;
 
 /// Schema tag stamped into every snapshot.
-pub const SNAPSHOT_SCHEMA: &str = "stellar-obs/v1";
+pub const SNAPSHOT_SCHEMA: &str = "stellar-obs/v2";
 
 /// The observability bundle a subsystem owns: registry + spans + flight
 /// recorder, with span durations flowing into `span.<name>_us`
@@ -76,8 +77,8 @@ impl Obs {
     /// recorded into the histogram `span.<name>_us` and returned;
     /// unmatched ends record nothing.
     pub fn span_end(&mut self, name: &str, key: u64, now_us: u64) -> Option<u64> {
-        let d = self.spans.end(name, key, now_us)?;
-        self.registry.observe(&format!("span.{name}_us"), d);
+        let (histogram, d) = self.spans.end(name, key, now_us)?;
+        self.registry.observe(histogram, d);
         Some(d)
     }
 
@@ -86,42 +87,52 @@ impl Obs {
         self.recorder.record(at_us, kind, fields);
     }
 
+    /// The snapshot sections around `metrics`: meta, span counts and the
+    /// flight recorder, each in stable order.
+    fn sections(&self, now_us: u64) -> [Content; 3] {
+        fn counts<'a>(per_name: impl Iterator<Item = (&'a str, u64)>) -> Content {
+            Content::Map(per_name.map(|(k, n)| (k.into(), Content::U64(n))).collect())
+        }
+        let meta = serde_json::json!({ "schema": SNAPSHOT_SCHEMA, "now_us": now_us });
+        let spans = serde_json::json!({
+            "completed": counts(self.spans.completed()),
+            "open": counts(self.spans.open_counts()),
+        });
+        [meta, spans, self.recorder.to_content()]
+    }
+
     /// Assembles the full snapshot: schema + registry + span counts +
     /// flight recorder, every section in stable order.
     pub fn snapshot(&self, now_us: u64) -> Content {
-        let completed = Content::Map(
-            self.spans
-                .completed()
-                .map(|(name, n)| (name.to_string(), Content::U64(n)))
-                .collect(),
-        );
-        let open = Content::Map(
-            self.spans
-                .open_counts()
-                .into_iter()
-                .map(|(name, n)| (name, Content::U64(n)))
-                .collect(),
-        );
-        let spans = Content::Map(vec![("completed".into(), completed), ("open".into(), open)]);
-        let meta = Content::Map(vec![
-            ("schema".into(), Content::Str(SNAPSHOT_SCHEMA.into())),
-            ("now_us".into(), Content::U64(now_us)),
-        ]);
+        let [meta, spans, flight_recorder] = self.sections(now_us);
         Content::Map(vec![
             ("meta".into(), meta),
             ("metrics".into(), self.registry.to_content()),
             ("spans".into(), spans),
-            ("flight_recorder".into(), self.recorder.to_content()),
+            ("flight_recorder".into(), flight_recorder),
         ])
     }
 
-    /// The snapshot as pretty JSON text. Byte-identical across runs that
-    /// made the same observations.
+    /// The snapshot as pretty JSON text — the document [`Obs::snapshot`]
+    /// describes, with the per-port rows written one per line straight
+    /// into the output. Byte-identical across runs that made the same
+    /// observations.
     pub fn snapshot_json(&self, now_us: u64) -> String {
-        let mut s = serde_json::to_string_pretty(&self.snapshot(now_us))
-            .expect("obs snapshot is always serializable");
-        s.push('\n');
-        s
+        let [meta, spans, flight_recorder] = self.sections(now_us);
+        let mut out = String::from("{\n");
+        push_member(&mut out, "  ", "meta", &meta);
+        out.push_str(",\n  \"metrics\": {\n");
+        for (name, series) in self.registry.series_content() {
+            push_member(&mut out, "    ", &name, &series);
+            out.push_str(",\n");
+        }
+        self.registry.write_ports_json(&mut out);
+        out.push_str("\n  },\n");
+        push_member(&mut out, "  ", "spans", &spans);
+        out.push_str(",\n");
+        push_member(&mut out, "  ", "flight_recorder", &flight_recorder);
+        out.push_str("\n}\n");
+        out
     }
 
     /// Writes the snapshot to `path`, creating parent directories.
@@ -131,6 +142,25 @@ impl Obs {
             std::fs::create_dir_all(parent)?;
         }
         std::fs::write(path, self.snapshot_json(now_us))
+    }
+}
+
+/// Appends `"key": value` as pretty JSON on a line indented by `pad`:
+/// `serde_json` renders from column zero, so every continuation line is
+/// shifted right by `pad`. String contents never hold a raw newline
+/// (JSON escapes them), so splitting on one only ever splits structure.
+fn push_member(out: &mut String, pad: &str, key: &str, value: &Content) {
+    let text = serde_json::to_string_pretty(value).expect("obs snapshot is always serializable");
+    out.push_str(pad);
+    out.push('"');
+    out.push_str(key);
+    out.push_str("\": ");
+    for (i, line) in text.split('\n').enumerate() {
+        if i > 0 {
+            out.push('\n');
+            out.push_str(pad);
+        }
+        out.push_str(line);
     }
 }
 
@@ -188,5 +218,39 @@ mod tests {
         let read = std::fs::read_to_string(&path).unwrap();
         assert_eq!(read, o.snapshot_json(5));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `snapshot_json` writes the ports rows itself; everything else goes
+    /// through `serde_json`. Both must describe one document.
+    #[test]
+    fn snapshot_json_is_the_snapshot_document() {
+        let squeeze = |s: &str| s.split_whitespace().collect::<String>();
+        let mut o = Obs::new();
+        o.registry.counter_inc("core.installs");
+        o.registry.gauge_set("g", -4);
+        o.registry.observe("h", 9);
+        o.span_start("retry", 5, 0);
+        o.event(10, "fault.brownout", vec![("k".into(), "v".into())]);
+        let compact = |o: &Obs| serde_json::to_string(&o.snapshot(7)).unwrap();
+        let json = o.snapshot_json(7);
+        assert_eq!(squeeze(&json), compact(&o));
+        assert!(json.contains("\"reported\": 0,"));
+        assert!(json.contains("\n      \"rows\": []\n    }\n  },"));
+
+        // A counter above `i64::MAX` survives: rows are `u64` end to end.
+        let big = u64::MAX - 1;
+        let row = |port, dropped_bytes| PortRow {
+            port,
+            dropped_bytes,
+            ..PortRow::default()
+        };
+        o.registry
+            .replace_ports([row(8, big), row(3, 1), row(5, 0)]);
+        let json = o.snapshot_json(7);
+        assert_eq!(squeeze(&json), compact(&o));
+        assert!(json.contains("\"total\": 3,\n      \"reported\": 2,"));
+        assert!(json.contains(&format!(
+            "\n        [3, 0, 0, 0, 1, 0, 0, 0],\n        [8, 0, 0, 0, {big}, 0, 0, 0]\n      ]\n    }}\n  }},"
+        )));
     }
 }

@@ -6,15 +6,27 @@
 //! by `(name, key)` so many episodes of the same kind can be in flight
 //! at once (one per rule id, say). Durations land in the owning
 //! [`crate::Obs`]'s histogram `span.<name>_us`; this tracker only keeps
-//! the pairing state.
+//! the pairing state (and that histogram's name, so closing a span
+//! formats nothing).
 
 use std::collections::BTreeMap;
+
+/// Everything kept per span name. Keying the tracker on the name alone
+/// lets every call look it up by `&str`; only the first span of a name
+/// allocates (the name and its histogram's).
+#[derive(Debug, Clone)]
+struct Episodes {
+    /// `span.<name>_us`, built once.
+    histogram: String,
+    /// Start time of every open span, by key.
+    open: BTreeMap<u64, u64>,
+    completed: u64,
+}
 
 /// Open/closed span bookkeeping.
 #[derive(Debug, Clone, Default)]
 pub struct SpanTracker {
-    open: BTreeMap<(String, u64), u64>,
-    completed: BTreeMap<String, u64>,
+    spans: BTreeMap<String, Episodes>,
 }
 
 impl SpanTracker {
@@ -27,51 +39,71 @@ impl SpanTracker {
     /// open keeps its original start (the first signal wins — reopening
     /// must not shrink the measured episode).
     pub fn start(&mut self, name: &str, key: u64, now_us: u64) {
-        self.open.entry((name.to_string(), key)).or_insert(now_us);
+        match self.spans.get_mut(name) {
+            Some(episodes) => {
+                episodes.open.entry(key).or_insert(now_us);
+            }
+            None => {
+                let episodes = Episodes {
+                    histogram: format!("span.{name}_us"),
+                    open: BTreeMap::from([(key, now_us)]),
+                    completed: 0,
+                };
+                self.spans.insert(name.to_string(), episodes);
+            }
+        }
     }
 
     /// Whether the span `(name, key)` is currently open.
     pub fn is_open(&self, name: &str, key: u64) -> bool {
-        self.open.contains_key(&(name.to_string(), key))
+        self.spans
+            .get(name)
+            .is_some_and(|e| e.open.contains_key(&key))
     }
 
-    /// Closes the span `(name, key)` at `now_us`, returning its duration.
-    /// Closing a span that was never opened returns `None` (and records
-    /// nothing — unmatched ends are a caller bug, not a panic).
-    pub fn end(&mut self, name: &str, key: u64, now_us: u64) -> Option<u64> {
-        let start = self.open.remove(&(name.to_string(), key))?;
-        *self.completed.entry(name.to_string()).or_insert(0) += 1;
-        Some(now_us.saturating_sub(start))
+    /// Closes the span `(name, key)` at `now_us`, returning the name of
+    /// the histogram its duration belongs in (`span.<name>_us`) and the
+    /// duration. Closing a span that was never opened returns `None` (and
+    /// records nothing — unmatched ends are a caller bug, not a panic).
+    pub fn end(&mut self, name: &str, key: u64, now_us: u64) -> Option<(&str, u64)> {
+        let episodes = self.spans.get_mut(name)?;
+        let start = episodes.open.remove(&key)?;
+        episodes.completed += 1;
+        Some((&episodes.histogram, now_us.saturating_sub(start)))
     }
 
     /// Discards an open span without completing it (e.g. the rule was
     /// withdrawn mid-retry). Returns true if it was open.
     pub fn abandon(&mut self, name: &str, key: u64) -> bool {
-        self.open.remove(&(name.to_string(), key)).is_some()
+        self.spans
+            .get_mut(name)
+            .is_some_and(|e| e.open.remove(&key).is_some())
     }
 
-    /// Completed-span counts per name, in name order.
+    /// Completed-span counts per name that completed any, in name order.
     pub fn completed(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.completed.iter().map(|(k, v)| (k.as_str(), *v))
+        self.spans
+            .iter()
+            .filter(|(_, e)| e.completed > 0)
+            .map(|(name, e)| (name.as_str(), e.completed))
     }
 
     /// Number of completed spans for `name`.
     pub fn completed_count(&self, name: &str) -> u64 {
-        self.completed.get(name).copied().unwrap_or(0)
+        self.spans.get(name).map_or(0, |e| e.completed)
     }
 
-    /// Open-span counts per name, in name order.
-    pub fn open_counts(&self) -> BTreeMap<String, u64> {
-        let mut out = BTreeMap::new();
-        for (name, _) in self.open.keys() {
-            *out.entry(name.clone()).or_insert(0) += 1;
-        }
-        out
+    /// Open-span counts per name that has any open, in name order.
+    pub fn open_counts(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.spans
+            .iter()
+            .filter(|(_, e)| !e.open.is_empty())
+            .map(|(name, e)| (name.as_str(), e.open.len() as u64))
     }
 
     /// Total spans currently open.
     pub fn open_total(&self) -> usize {
-        self.open.len()
+        self.spans.values().map(|e| e.open.len()).sum()
     }
 }
 
@@ -84,7 +116,7 @@ mod tests {
         let mut t = SpanTracker::new();
         t.start("install", 7, 1_000);
         assert!(t.is_open("install", 7));
-        assert_eq!(t.end("install", 7, 4_500), Some(3_500));
+        assert_eq!(t.end("install", 7, 4_500), Some(("span.install_us", 3_500)));
         assert!(!t.is_open("install", 7));
         assert_eq!(t.completed_count("install"), 1);
         assert_eq!(t.end("install", 7, 9_000), None);
@@ -95,7 +127,7 @@ mod tests {
         let mut t = SpanTracker::new();
         t.start("retry", 1, 100);
         t.start("retry", 1, 900); // later re-open: ignored
-        assert_eq!(t.end("retry", 1, 1_000), Some(900));
+        assert_eq!(t.end("retry", 1, 1_000), Some(("span.retry_us", 900)));
     }
 
     #[test]
@@ -114,8 +146,11 @@ mod tests {
         t.start("a", 1, 0);
         t.start("a", 2, 0);
         t.start("b", 1, 0);
-        let open = t.open_counts();
-        assert_eq!(open["a"], 2);
-        assert_eq!(open["b"], 1);
+        assert!(t.open_counts().eq([("a", 2), ("b", 1)]));
+        // Neither listing carries zeros: `b` has nothing open any more,
+        // `a` has completed nothing yet.
+        t.end("b", 1, 5);
+        assert!(t.open_counts().eq([("a", 2)]));
+        assert!(t.completed().eq([("b", 1)]));
     }
 }

@@ -428,9 +428,9 @@ impl Fabric {
     /// single router — byte-identical to the legacy single-router
     /// snapshot. A multi-PoP fabric publishes the same router-global
     /// gauges as PoP-wide sums (dashboards keep working), adds per-PoP
-    /// occupancy and the inter-PoP delivery counters, and emits the
-    /// per-port gauges of every PoP (port ids are fabric-unique, so the
-    /// names cannot collide).
+    /// occupancy and the inter-PoP delivery counters, and replaces the
+    /// registry's per-port table with the ports of every PoP (port ids
+    /// are fabric-unique; the registry sorts them).
     pub fn observe(&self, reg: &mut stellar_obs::MetricsRegistry) {
         if self.pops.len() == 1 {
             self.pops[0].observe(reg);
@@ -461,8 +461,8 @@ impl Fabric {
             reg.gauge_set(&format!("{p}.tcam_mac_used"), r.tcam().mac_used() as i64);
             reg.counter_set(&format!("{p}.ingress_bytes"), self.pop_ingress_bytes[i]);
             reg.counter_set(&format!("{p}.egress_bytes"), self.pop_egress_bytes[i]);
-            r.observe_ports(reg);
         }
+        reg.replace_ports(self.pops.iter().flat_map(EdgeRouter::port_rows));
     }
 }
 
@@ -625,6 +625,8 @@ mod tests {
         assert!(json.contains("\"fabric.pops\""));
         assert!(json.contains("\"fabric.cross_pop_bytes\":1000"));
         assert!(json.contains("\"fabric.pop.1.egress_bytes\":1000"));
-        assert!(json.contains("\"dataplane.port.2.forwarded_bytes\":1000"));
+        assert_eq!(reg4.port(2).forwarded_bytes, 1000);
+        assert_eq!(reg4.ports_total(), 4);
+        assert!(json.contains("\"rows\":[[2,0,0,1000,0,0,0,0]]"));
     }
 }

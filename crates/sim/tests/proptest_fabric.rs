@@ -7,7 +7,10 @@
 //!   into PoPs (the `STELLAR_POPS` axis), because filtering is
 //!   egress-side;
 //! - a 1-PoP fabric must be byte-indistinguishable from the bare
-//!   single [`EdgeRouter`] it wraps.
+//!   single [`EdgeRouter`] it wraps;
+//! - the sparse per-port table must be lossless (rows plus implicit
+//!   zeros equal every port read directly), strictly ascending, blind
+//!   to port-insertion order, and rebuilt — never merged — per scrape.
 
 use proptest::prelude::*;
 use stellar_dataplane::filter::{Action, FilterRule, MatchSpec, PortMatch};
@@ -81,8 +84,16 @@ fn port_rules_to_filter(p: usize, rules: &RuleGen) -> Vec<FilterRule> {
 }
 
 fn build_fabric(port_rules: &[RuleGen], pops: usize) -> Fabric {
+    let ascending: Vec<usize> = (0..port_rules.len()).collect();
+    build_fabric_in_order(port_rules, pops, &ascending)
+}
+
+/// Port `p` lands on PoP `p % pops` whatever `order` the ports are
+/// attached in.
+fn build_fabric_in_order(port_rules: &[RuleGen], pops: usize, order: &[usize]) -> Fabric {
     let mut fabric = Fabric::new(HardwareInfoBase::lab_switch(), pops);
-    for (p, rules) in port_rules.iter().enumerate() {
+    for &p in order {
+        let rules = &port_rules[p];
         let asn = 64500 + p as u32;
         let pid = PortId(p as u32 + 1);
         fabric.add_port(
@@ -149,16 +160,17 @@ fn offers_for_tick(n_ports: usize, tick: &OfferGen) -> Vec<OfferedAggregate> {
         .collect()
 }
 
+/// The exported snapshot text of a scrape into a fresh registry.
 fn obs_bytes_fabric(fabric: &Fabric) -> String {
-    let mut reg = stellar_obs::MetricsRegistry::default();
-    fabric.observe(&mut reg);
-    serde_json::to_string(&reg.to_content()).expect("serialize registry")
+    let mut obs = stellar_obs::Obs::new();
+    fabric.observe(&mut obs.registry);
+    obs.snapshot_json(0)
 }
 
 fn obs_bytes_router(er: &EdgeRouter) -> String {
-    let mut reg = stellar_obs::MetricsRegistry::default();
-    er.observe(&mut reg);
-    serde_json::to_string(&reg.to_content()).expect("serialize registry")
+    let mut obs = stellar_obs::Obs::new();
+    er.observe(&mut obs.registry);
+    obs.snapshot_json(0)
 }
 
 /// Per-port cumulative counters, sorted by port id — the
@@ -270,4 +282,109 @@ proptest! {
         prop_assert_eq!(fab.rule_ledger(), er.rule_ledger());
         prop_assert_eq!(obs_bytes_fabric(&fab), obs_bytes_router(&er));
     }
+
+    /// The per-port table: ports attached in shuffled order, ticks
+    /// interleaved with rule installs and removals through the fabric.
+    /// The dense table rebuilt from the sparse rows plus implicit zeros
+    /// equals every port read directly, and the snapshot text does not
+    /// depend on attach order or worker count.
+    #[test]
+    fn port_table_is_lossless_sorted_and_order_independent(
+        topo in arb_topology(),
+        pops in 1usize..9,
+        shuffle in proptest::collection::vec(any::<u32>(), 18),
+        churn in proptest::collection::vec((0usize..18, 0usize..4, any::<bool>()), 0..16),
+    ) {
+        let (port_rules, ticks) = topo;
+        let n_ports = port_rules.len();
+        let mut shuffled: Vec<usize> = (0..n_ports).collect();
+        shuffled.sort_by_key(|&p| shuffle[p]);
+        let mut base = build_fabric(&port_rules, pops);
+        base.set_tick_workers(1);
+        let mut other = build_fabric_in_order(&port_rules, pops, &shuffled);
+        other.set_tick_workers(4);
+        other.set_parallel_min_work(0);
+        for (t, tick) in ticks.iter().enumerate() {
+            let offers = offers_for_tick(n_ports, tick);
+            let end_us = (t as u64 + 1) * TICK_US;
+            for f in [&mut base, &mut other] {
+                f.process_tick(&offers, end_us, TICK_US);
+                // This tick's share of the churn: remove one of the
+                // port's generated rules, or install a fresh drop rule.
+                for (k, &(p, i, install)) in churn.iter().enumerate() {
+                    if k % ticks.len() != t {
+                        continue;
+                    }
+                    let pid = PortId((p % n_ports) as u32 + 1);
+                    if install {
+                        let rule =
+                            FilterRule::new(1_000 + k as u64, MatchSpec::default(), Action::Drop, 7);
+                        let _ = f.install_rule(pid, rule, end_us);
+                    } else {
+                        f.remove_rule(pid, ((p % n_ports) * 8 + i) as u64 + 1, end_us);
+                    }
+                }
+            }
+        }
+
+        let mut obs = stellar_obs::Obs::new();
+        base.observe(&mut obs.registry);
+        let reg = &obs.registry;
+        prop_assert_eq!(reg.ports_total(), n_ports as u64);
+        let rows = reg.port_rows();
+        prop_assert!(rows.windows(2).all(|w| w[0].port < w[1].port));
+        prop_assert!(rows.iter().all(stellar_obs::PortRow::is_active));
+        for (pid, port) in base.ports() {
+            let c = &port.counters;
+            let direct = stellar_obs::PortRow {
+                port: pid.0,
+                rules: port.policy.rule_count() as u64,
+                shape_queues: port.policy.shaper_count() as u64,
+                forwarded_bytes: c.forwarded_bytes,
+                dropped_bytes: c.dropped_bytes,
+                shaped_bytes: c.shaped_bytes,
+                shape_dropped_bytes: c.shape_dropped_bytes,
+                congestion_dropped_bytes: c.congestion_dropped_bytes,
+            };
+            prop_assert_eq!(reg.port(pid.0), direct);
+        }
+        prop_assert!(rows.iter().all(|r| base.port(PortId(r.port)).is_some()));
+
+        let json = obs.snapshot_json(0);
+        prop_assert!(!json.contains("dataplane.port."));
+        let header = format!("\"total\": {n_ports},\n      \"reported\": {},", rows.len());
+        prop_assert!(json.contains(&header));
+        prop_assert_eq!(obs_bytes_fabric(&other), json.clone());
+        // Scraping the unchanged fabric into the used registry again
+        // rebuilds the same table: same bytes, no duplicated rows.
+        base.observe(&mut obs.registry);
+        prop_assert_eq!(obs.snapshot_json(0), json);
+    }
+}
+
+/// A port whose last rule is withdrawn while its counters are still zero
+/// leaves the table at the next scrape of the *same* registry.
+#[test]
+fn withdrawn_idle_port_does_not_linger_as_a_stale_row() {
+    let mut fabric = build_fabric(&vec![RuleGen::new(); 6], 3);
+    let rule = FilterRule::new(77, MatchSpec::default(), Action::Drop, 10);
+    fabric.install_rule(PortId(4), rule, 0).expect("install");
+    let mut obs = stellar_obs::Obs::new();
+    fabric.observe(&mut obs.registry);
+    assert_eq!(obs.registry.port_rows().len(), 1);
+    assert_eq!(obs.registry.port(4).rules, 1);
+    assert!(obs.snapshot_json(0).contains("[4, 1, 0, 0, 0, 0, 0, 0]"));
+
+    assert!(fabric.remove_rule(PortId(4), 77, 1));
+    fabric.observe(&mut obs.registry);
+    assert_eq!(obs.registry.port_rows(), []);
+    assert_eq!(obs.registry.ports_total(), 6);
+    assert_eq!(
+        obs.registry.port(4),
+        stellar_obs::PortRow {
+            port: 4,
+            ..Default::default()
+        }
+    );
+    assert!(obs.snapshot_json(0).contains("\"reported\": 0,"));
 }

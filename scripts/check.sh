@@ -114,13 +114,14 @@ mv results/chaos_soak.json results/chaos_soak.run1.json
 STELLAR_CHAOS_SMOKE=1 cargo run --release -q -p stellar-bench --bin chaos_soak >/dev/null
 diff results/chaos_soak.run1.json results/chaos_soak.json
 
-echo "==> benchmark smoke: control workloads, direct (--trace 0) and staged (--trace 1), oracle-checked"
+echo "==> benchmark smoke: control workloads + sparse fabric, direct (--trace 0) and staged (--trace 1), oracle-checked"
 # The benchmark's expected-outcome oracle (installs, hijack and
-# corrupt-wire refusals, ledger) is the gate. The traced run is also a
-# differential: its staged driver audits the whole desired table through
-# the public API and must end in the same per-port rule ids, ledger and
-# FlowSpec RIB as the owner-scoped direct path of the same seed.
-for workload in flowspec_victims signal_storm; do
+# corrupt-wire refusals, ledger, per-tick verdicts) is the gate. The
+# traced run is also a differential: its staged driver audits the whole
+# desired table through the public API and must end in the same per-port
+# rule ids, ledger and FlowSpec RIB as the owner-scoped direct path of
+# the same seed, and its export mirrors `StellarSystem::observe`.
+for workload in flowspec_victims signal_storm tick_sparse_fabric; do
   for trace in 0 1; do
     result=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
       --workload "$workload" --seed 1 --seconds 1 --trace "$trace" 2>/dev/null | tail -n 1)
@@ -131,6 +132,16 @@ for workload in flowspec_victims signal_storm; do
         exit 1
         ;;
     esac
+    # Ratchet against per-port series creeping back into the snapshot:
+    # 10^5 ports with 20 attacked export well under 1 MiB, and the size
+    # repeats exactly within a seed.
+    if [ "$workload" = tick_sparse_fabric ] && [ "$trace" = 0 ]; then
+      kib=$(printf '%s' "$result" | sed -n 's/.*"snapshot_kib": {"value": \([0-9]*\).*/\1/p')
+      if [ -z "$kib" ] || [ "$kib" -gt 1024 ]; then
+        echo "benchmark smoke failed: tick_sparse_fabric snapshot_kib=${kib:-missing} exceeds 1024" >&2
+        exit 1
+      fi
+    fi
   done
 done
 

@@ -175,9 +175,7 @@ fn counters_partition_announcements_and_dataplane_drops_attack() {
     // The lowered rule really filtered: the victim port dropped attack
     // bytes while the drop rule was installed (2 s → 6 s).
     let port = sys.ixp.member(VICTIM).unwrap().port.0;
-    let dropped = reg
-        .gauge(&format!("dataplane.port.{port}.dropped_bytes"))
-        .unwrap();
+    let dropped = reg.port(port).dropped_bytes;
     assert!(dropped > 0, "attack traffic was never dropped");
 
     // After the withdraw only the signal-plane drop-all remains and the

@@ -127,9 +127,7 @@ fn snapshot_contains_required_telemetry() {
     // Per-queue drop counters on the victim port: the NTP attack was
     // discarded by the drop queue.
     let port = sys.ixp.member(VICTIM).unwrap().port.0;
-    let dropped = reg
-        .gauge(&format!("dataplane.port.{port}.dropped_bytes"))
-        .unwrap();
+    let dropped = reg.port(port).dropped_bytes;
     assert!(dropped > 0, "attack traffic was never dropped");
 
     // Signal→install latency histogram with quantile summary.
