@@ -14,7 +14,7 @@
 use crate::portal::CustomerPortal;
 use crate::rule::BlackholingRule;
 use crate::signal::StellarSignal;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use stellar_bgp::attr::PathAttribute;
 use stellar_bgp::types::Asn;
 use stellar_bgp::update::UpdateMessage;
@@ -32,6 +32,54 @@ pub enum AbstractChange {
         /// The owner whose egress port holds it.
         owner: Asn,
     },
+}
+
+impl AbstractChange {
+    /// The id of the rule this change installs or removes.
+    pub fn rule_id(&self) -> u64 {
+        match self {
+            AbstractChange::AddRule(r) => r.id,
+            AbstractChange::RemoveRule { rule_id, .. } => *rule_id,
+        }
+    }
+
+    /// The member whose egress port the change lands on.
+    pub fn owner(&self) -> Asn {
+        match self {
+            AbstractChange::AddRule(r) => r.owner,
+            AbstractChange::RemoveRule { owner, .. } => *owner,
+        }
+    }
+}
+
+/// Change stamps of one desired-state plane. The plane calls
+/// [`touch`](Self::touch) from every mutator that changed an owner's
+/// desired rules — inside the plane's own type, so no caller can edit
+/// desired state around them. The watchdog's proof ledger compares
+/// stamps instead of tables: an equal `version` means the whole plane
+/// is what it was, an equal `revision(owner)` means that owner's rules
+/// are.
+#[derive(Debug, Default)]
+pub(crate) struct OwnerStamps {
+    version: u64,
+    /// Owner → plane version at that owner's last change. Point
+    /// lookups only — never iterated.
+    revisions: HashMap<Asn, u64>,
+}
+
+impl OwnerStamps {
+    pub(crate) fn touch(&mut self, owner: Asn) {
+        self.version += 1;
+        self.revisions.insert(owner, self.version);
+    }
+
+    pub(crate) fn version(&self) -> u64 {
+        self.version
+    }
+
+    pub(crate) fn revision(&self, owner: Asn) -> u64 {
+        self.revisions.get(&owner).copied().unwrap_or(0)
+    }
 }
 
 /// What [`BlackholingController::degrade_rule`] did with a rule that
@@ -82,6 +130,7 @@ pub struct BlackholingController {
     portal: CustomerPortal,
     paths: HashMap<(Prefix, Option<u32>), PathRules>,
     next_rule_id: u64,
+    stamps: OwnerStamps,
 }
 
 impl BlackholingController {
@@ -92,6 +141,7 @@ impl BlackholingController {
             portal: CustomerPortal::with_standard_catalog(ixp_asn),
             paths: HashMap::new(),
             next_rule_id: 1,
+            stamps: OwnerStamps::default(),
         }
     }
 
@@ -108,6 +158,19 @@ impl BlackholingController {
     /// Total rules the controller believes are installed.
     pub fn rule_count(&self) -> usize {
         self.paths.values().map(|p| p.rules.len()).sum()
+    }
+
+    /// The desired-state version: bumped by every `process_update`,
+    /// `rule_refused`, `degrade_rule` and `session_down` that changed a
+    /// desired rule. Unchanged version, unchanged desired state.
+    pub fn version(&self) -> u64 {
+        self.stamps.version()
+    }
+
+    /// The [`version`](Self::version) at which `owner`'s desired rules
+    /// last changed (0: never).
+    pub fn owner_revision(&self, owner: Asn) -> u64 {
+        self.stamps.revision(owner)
     }
 
     /// Processes one update from the route server's southbound feed and
@@ -167,7 +230,14 @@ impl BlackholingController {
             };
             let desired = StellarSignal::extract(ecs, self.ixp_asn, &self.portal, owner);
             let path = self.paths.entry(key).or_default();
-            path.owner = Some(owner);
+            if let Some(previous) = path.owner.replace(owner) {
+                if previous != owner {
+                    // The path's surviving rules change hands without a
+                    // change being emitted for them.
+                    self.stamps.touch(previous);
+                    self.stamps.touch(owner);
+                }
+            }
             // Removals: installed but no longer desired, in rule-id
             // order (deterministic across runs).
             let mut stale: Vec<(u64, StellarSignal)> = path
@@ -198,6 +268,9 @@ impl BlackholingController {
                 self.paths.remove(&key);
             }
         }
+        for change in &changes {
+            self.stamps.touch(change.owner());
+        }
         changes
     }
 
@@ -214,19 +287,26 @@ impl BlackholingController {
         out
     }
 
-    /// The rules `owner` currently wants installed, in no particular
-    /// order: [`Self::desired_rules`] restricted to one owner without
-    /// building anyone else's rules — a filter over the announced paths,
-    /// no by-owner index to keep in step. Paths without an origin AS
-    /// answer to `Asn(0)`, as they do in the full snapshot.
-    pub(crate) fn desired_rules_of(
-        &self,
-        owner: Asn,
-    ) -> impl Iterator<Item = BlackholingRule> + '_ {
+    /// The rules the `owners` (sorted ascending) currently want
+    /// installed, in no particular order: [`Self::desired_rules`]
+    /// restricted to those owners without building anyone else's rules —
+    /// one filtering pass over the announced paths however many owners
+    /// are asked for, no by-owner index to keep in step. Paths without
+    /// an origin AS answer to `Asn(0)`, as they do in the full snapshot.
+    pub(crate) fn desired_rules_of<'a>(
+        &'a self,
+        owners: &'a [Asn],
+    ) -> impl Iterator<Item = BlackholingRule> + 'a {
         self.paths
             .iter()
-            .filter(move |(_, path)| path.owner() == owner)
+            .filter(move |(_, path)| owners.binary_search(&path.owner()).is_ok())
             .flat_map(|((prefix, _), path)| path.desired(*prefix))
+    }
+
+    /// The owners with at least one desired rule.
+    pub(crate) fn desired_owners(&self) -> BTreeSet<Asn> {
+        let owners = self.paths.values().map(PathRules::owner);
+        owners.collect::<BTreeSet<Asn>>()
     }
 
     /// The ids of every rule the controller wants installed, in no
@@ -243,9 +323,13 @@ impl BlackholingController {
     pub fn rule_refused(&mut self, rule_id: u64) -> bool {
         let mut found = false;
         self.paths.retain(|_, path| {
+            let owner = path.owner();
             path.rules.retain(|_, id| {
                 let hit = *id == rule_id;
-                found |= hit;
+                if hit {
+                    found = true;
+                    self.stamps.touch(owner);
+                }
                 !hit
             });
             !path.rules.is_empty()
@@ -278,6 +362,7 @@ impl BlackholingController {
         };
         let owner = path.owner.unwrap_or(Asn(0));
         path.rules.remove(&signal);
+        self.stamps.touch(owner);
         let outcome = match signal.degrade() {
             None => DegradeOutcome::Exhausted,
             Some(next) if path.rules.contains_key(&next) => DegradeOutcome::Merged,
@@ -302,10 +387,12 @@ impl BlackholingController {
                 changes.push(AbstractChange::RemoveRule { rule_id, owner });
             }
         }
-        changes.sort_by_key(|c| match c {
-            AbstractChange::RemoveRule { rule_id, .. } => *rule_id,
-            AbstractChange::AddRule(r) => r.id,
-        });
+        changes.sort_by_key(AbstractChange::rule_id);
+        // Every tracked path holds a rule, so this reaches every owner —
+        // in rule-id order, not the drain's.
+        for change in &changes {
+            self.stamps.touch(change.owner());
+        }
         changes
     }
 }
@@ -507,7 +594,7 @@ mod tests {
             (Asn(OWNER.0 - 1), 0),
             (Asn(OWNER.0 + 2), 0),
         ] {
-            let mut view: Vec<_> = c.desired_rules_of(owner).collect();
+            let mut view: Vec<_> = c.desired_rules_of(&[owner]).collect();
             view.sort_by_key(|r| r.id);
             let filtered: Vec<_> = all.iter().filter(|r| r.owner == owner).cloned().collect();
             assert_eq!(view, filtered, "{owner:?}");
@@ -569,6 +656,60 @@ mod tests {
             .unwrap();
         assert_eq!(c.degrade_rule(fine.id), DegradeOutcome::Merged);
         assert_eq!(c.rule_count(), 1);
+    }
+
+    #[test]
+    fn every_mutator_stamps_the_owners_it_changed_and_nothing_else() {
+        let mut c = BlackholingController::new(IXP);
+        let other = Asn(OWNER.0 + 1);
+        let ntp = [StellarSignal::drop_udp_src(123)];
+        assert_eq!((c.version(), c.owner_revision(OWNER)), (0, 0));
+        let mut version = 0;
+        // Did the last call move the plane, and was it OWNER's change?
+        let mut moved = |c: &BlackholingController| {
+            let moved = c.version() > version;
+            version = c.version();
+            assert_eq!(c.owner_revision(other), 0, "nobody touched {other:?}");
+            moved && c.owner_revision(OWNER) == version
+        };
+        c.process_update(&update_with_signals(&ntp, 1));
+        assert!(moved(&c));
+        // Re-announcing the same state changes nothing.
+        c.process_update(&update_with_signals(&ntp, 1));
+        assert!(!moved(&c));
+        let id = c.desired_rules()[0].id;
+        assert!(!c.rule_refused(id + 1));
+        assert_eq!(c.degrade_rule(id + 1), DegradeOutcome::Unknown);
+        assert!(!moved(&c));
+        assert!(matches!(c.degrade_rule(id), DegradeOutcome::Degraded(_)));
+        assert!(moved(&c));
+        assert!(c.rule_refused(id));
+        assert!(moved(&c));
+        assert!(c.session_down().is_empty());
+        assert!(!moved(&c));
+        c.process_update(&update_with_signals(&ntp, 1));
+        assert!(moved(&c));
+        assert_eq!(c.session_down().len(), 1);
+        assert!(moved(&c));
+    }
+
+    #[test]
+    fn a_path_changing_hands_stamps_both_owners() {
+        let mut c = BlackholingController::new(IXP);
+        let other = Asn(OWNER.0 + 1);
+        let ntp = [StellarSignal::drop_udp_src(123)];
+        c.process_update(&update_with_signals(&ntp, 1));
+        let before = c.version();
+        // Same path, same signals, another origin AS: no change is
+        // emitted, but the rule now answers to someone else.
+        let mut u = update_with_signals(&ntp, 1);
+        u.attrs.retain(|a| !matches!(a, PathAttribute::AsPath(_)));
+        u.attrs
+            .push(PathAttribute::AsPath(AsPath::sequence([other.0])));
+        assert!(c.process_update(&u).is_empty());
+        assert_eq!(c.desired_rules()[0].owner, other);
+        assert!(c.owner_revision(OWNER) > before);
+        assert!(c.owner_revision(other) > before);
     }
 
     #[test]

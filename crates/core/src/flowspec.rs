@@ -9,7 +9,8 @@
 //! widened — installing a filter that matches traffic the member never
 //! asked to touch would break the isolation argument of §4.5.
 
-use crate::controller::AbstractChange;
+use crate::controller::{AbstractChange, OwnerStamps};
+use crate::proof::LoweringProof;
 use crate::rule::{BlackholingRule, RuleAction, RuleMatcher};
 use std::collections::BTreeMap;
 use stellar_bgp::extcommunity::ExtendedCommunity;
@@ -555,6 +556,23 @@ pub fn lower_flowspec(flow: &FlowSpec) -> Result<Vec<MatchSpec>, LowerError> {
 pub struct FlowSpecPlane {
     entries: BTreeMap<(Asn, Vec<u8>), Vec<BlackholingRule>>,
     next_rule_id: u64,
+    stamps: OwnerStamps,
+    /// Set by the last [`install`](Self::install) if it admitted a
+    /// lowering it could not prove exact.
+    unverified: Option<UnverifiedLowering>,
+}
+
+/// A lowering that reached desired state although obligation (a) could
+/// not be discharged for it (oracle too large or node budget spent) —
+/// admitted, since refusal demands a *proven* violation, but never
+/// silently: [`FlowSpecPlane::take_unverified`] hands it to the system,
+/// which counts it under `verify.lowering.unverified`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnverifiedLowering {
+    /// Stable token naming why the proof did not complete.
+    pub reason: &'static str,
+    /// The rules the NLRI lowered to.
+    pub rule_ids: Vec<u64>,
 }
 
 impl FlowSpecPlane {
@@ -562,9 +580,28 @@ impl FlowSpecPlane {
     /// [`FLOWSPEC_RULE_ID_BASE`].
     pub fn new() -> Self {
         FlowSpecPlane {
-            entries: BTreeMap::new(),
             next_rule_id: FLOWSPEC_RULE_ID_BASE,
+            ..Default::default()
         }
+    }
+
+    /// The desired-state version: bumped by every `install`, `withdraw`,
+    /// `flush` and `rule_refused` that changed a desired rule. Unchanged
+    /// version, unchanged desired state.
+    pub fn version(&self) -> u64 {
+        self.stamps.version()
+    }
+
+    /// The [`version`](Self::version) at which `owner`'s desired rules
+    /// last changed (0: never).
+    pub fn owner_revision(&self, owner: Asn) -> u64 {
+        self.stamps.revision(owner)
+    }
+
+    /// The unproven lowering the last [`install`](Self::install)
+    /// admitted, if any; reading it clears it.
+    pub fn take_unverified(&mut self) -> Option<UnverifiedLowering> {
+        self.unverified.take()
     }
 
     /// Lowers an accepted FlowSpec rule and diffs it into desired state.
@@ -577,8 +614,11 @@ impl FlowSpecPlane {
         // Obligation (a): before anything reaches desired state, prove
         // the lowering exact against the independently built oracle.
         // `Unverified` (oracle/budget overflow) installs anyway —
-        // refusal demands a *proven* violation, never a shrug.
-        if let Some(kind) = crate::proof::check_lowering(&acc.flow, &specs).violation_kind() {
+        // refusal demands a *proven* violation, never a shrug — and is
+        // left for the caller in `take_unverified`.
+        self.unverified = None;
+        let proof = crate::proof::check_lowering(&acc.flow, &specs);
+        if let Some(kind) = proof.violation_kind() {
             return Err(LowerError::Inexact(kind));
         }
         let Some(victim) = acc.flow.dst_prefix() else {
@@ -625,6 +665,15 @@ impl FlowSpecPlane {
             rules.push(rule.clone());
             changes.push(AbstractChange::AddRule(rule));
         }
+        if let LoweringProof::Unverified { reason } = proof {
+            self.unverified = Some(UnverifiedLowering {
+                reason,
+                rule_ids: rules.iter().map(|r| r.id).collect(),
+            });
+        }
+        if !changes.is_empty() {
+            self.stamps.touch(owner);
+        }
         self.entries.insert(key, rules);
         Ok(changes)
     }
@@ -638,6 +687,7 @@ impl FlowSpecPlane {
         let Some(rules) = self.entries.remove(&(owner, wire)) else {
             return Vec::new();
         };
+        self.stamps.touch(owner);
         rules
             .into_iter()
             .map(|r| AbstractChange::RemoveRule {
@@ -653,6 +703,7 @@ impl FlowSpecPlane {
     pub fn flush(&mut self) -> Vec<AbstractChange> {
         let mut out = Vec::new();
         for ((owner, _), rules) in std::mem::take(&mut self.entries) {
+            self.stamps.touch(owner);
             for r in rules {
                 out.push(AbstractChange::RemoveRule {
                     rule_id: r.id,
@@ -660,10 +711,7 @@ impl FlowSpecPlane {
                 });
             }
         }
-        out.sort_by_key(|c| match c {
-            AbstractChange::RemoveRule { rule_id, .. } => *rule_id,
-            AbstractChange::AddRule(r) => r.id,
-        });
+        out.sort_by_key(AbstractChange::rule_id);
         out
     }
 
@@ -691,14 +739,23 @@ impl FlowSpecPlane {
         self.entries.values().flatten().map(|r| r.id)
     }
 
+    /// The owner of every NLRI with desired rules, ascending — one item
+    /// per NLRI, so an owner with several repeats.
+    pub(crate) fn desired_owners(&self) -> impl Iterator<Item = Asn> + '_ {
+        self.entries.keys().map(|(owner, _)| *owner)
+    }
+
     /// Admission permanently refused `rule_id`: drop it from desired
     /// state. Returns whether the id was known.
     pub fn rule_refused(&mut self, rule_id: u64) -> bool {
         let mut found = false;
-        self.entries.retain(|_, rules| {
+        self.entries.retain(|(owner, _), rules| {
             rules.retain(|r| {
                 let hit = r.id == rule_id;
-                found |= hit;
+                if hit {
+                    found = true;
+                    self.stamps.touch(*owner);
+                }
                 !hit
             });
             !rules.is_empty()
@@ -1407,6 +1464,47 @@ mod tests {
         let mut ids: Vec<u64> = plane.desired_ids().collect();
         ids.sort_unstable();
         assert_eq!(ids, all.iter().map(|r| r.id).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn every_mutator_stamps_the_owners_it_changed_and_nothing_else() {
+        let mut plane = FlowSpecPlane::new();
+        let other = Asn(OWNER.0 + 1);
+        assert_eq!((plane.version(), plane.owner_revision(OWNER)), (0, 0));
+        let mut version = 0;
+        // Did the last call move the plane, and was it OWNER's change?
+        let mut moved = |plane: &FlowSpecPlane| {
+            let moved = plane.version() > version;
+            version = plane.version();
+            assert_eq!(plane.owner_revision(other), 0, "nobody touched {other:?}");
+            moved && plane.owner_revision(OWNER) == version
+        };
+        let changes = plane.install(&accepted(drop_flow(), 0.0)).unwrap();
+        assert!(moved(&plane));
+        // An identical re-announcement changes nothing; a new action does.
+        assert!(plane
+            .install(&accepted(drop_flow(), 0.0))
+            .unwrap()
+            .is_empty());
+        assert!(!moved(&plane));
+        assert_eq!(plane.install(&accepted(drop_flow(), 1e6)).unwrap().len(), 2);
+        assert!(moved(&plane));
+        assert!(!plane.rule_refused(changes[0].rule_id()));
+        assert!(plane.withdraw(other, &drop_flow()).is_empty());
+        assert!(!moved(&plane));
+        assert!(plane.rule_refused(plane.desired_rules()[0].id));
+        assert!(moved(&plane));
+        assert!(plane.flush().is_empty());
+        assert!(!moved(&plane));
+        plane.install(&accepted(drop_flow(), 0.0)).unwrap();
+        assert!(moved(&plane));
+        assert_eq!(plane.withdraw(OWNER, &drop_flow()).len(), 1);
+        assert!(moved(&plane));
+        plane.install(&accepted(drop_flow(), 0.0)).unwrap();
+        assert!(moved(&plane));
+        assert_eq!(plane.flush().len(), 1);
+        assert!(moved(&plane));
+        assert_eq!(plane.take_unverified(), None);
     }
 
     #[test]

@@ -36,6 +36,7 @@ use stellar_classify::verify::{diff_tables, DiffRegion, Domain, VerifyError};
 pub use stellar_classify::{check_ladder_step, DEFAULT_VERIFY_BUDGET};
 use stellar_classify::{ActionClass, AuditRule, RuleEntry};
 use stellar_dataplane::filter::{Action, BitsMatch, MatchSpec, PortMatch, RangeMatch};
+use stellar_dataplane::port::MemberPort;
 use stellar_dataplane::switch::PortId;
 use stellar_net::flow::frag;
 use stellar_net::proto::IpProtocol;
@@ -378,18 +379,73 @@ impl PlacementCheck {
     pub fn is_sound(&self) -> bool {
         self.mismatches.is_empty() && self.unplaced == 0
     }
+
+    /// Books one port's verdict; true iff the port was proven equal.
+    pub fn book(&mut self, proof: PortProof) -> bool {
+        self.ports_checked += 1;
+        match proof {
+            PortProof::Equal => {}
+            PortProof::Mismatch(m) => self.mismatches.push(m),
+            PortProof::Unverified => self.unverified += 1,
+        }
+        matches!(proof, PortProof::Equal)
+    }
+}
+
+/// The verdict of the placement obligation on one port.
+#[derive(Debug, Clone, Copy)]
+pub enum PortProof {
+    /// Installed and desired tables agree on every key the port sees.
+    Equal,
+    /// Proven disagreement, witness-backed.
+    Mismatch(PortMismatch),
+    /// The diff exhausted the node budget: no verdict (never a failure,
+    /// never a pass).
+    Unverified,
+}
+
+/// Obligation (c) for one port: diffs the installed table against
+/// `want`, the desired rules of the owners placed on it, over
+/// `Domain::canonical().with_dst_mac(port.mac)` — exactly the keys the
+/// egress port sees (§4.5 isolation: a member's rules only ever filter
+/// traffic addressed to that member). Pure: both [`check_placement`] and
+/// the watchdog's incremental pass are loops around this.
+pub fn prove_port(id: PortId, port: &MemberPort, want: &[AuditRule], budget: usize) -> PortProof {
+    let installed: Vec<AuditRule> = port
+        .policy
+        .rules()
+        .iter()
+        .map(|r| {
+            AuditRule::new(
+                RuleEntry::new(r.id, r.priority, r.spec.clone()),
+                match r.action {
+                    Action::Drop => ActionClass::Drop,
+                    Action::Shape { rate_bps } => ActionClass::Shape { rate_bps },
+                    Action::Forward => ActionClass::Forward,
+                },
+            )
+        })
+        .collect();
+    let dom = Domain::canonical().with_dst_mac(port.mac);
+    match diff_tables(&installed, want, &dom, budget) {
+        Ok(diff) if diff.is_equivalent() => PortProof::Equal,
+        Ok(diff) => PortProof::Mismatch(PortMismatch {
+            port: id,
+            differing_keys: diff.differing_keys,
+            region: diff.regions[0],
+        }),
+        Err(_) => PortProof::Unverified,
+    }
 }
 
 /// Proves per-port that the installed filter tables realize the global
-/// desired state over routed traffic.
+/// desired state over routed traffic — the uncached reference: every
+/// call proves every port from scratch.
 ///
-/// For every fabric port, the installed table and the owner's desired
-/// table are diffed over `Domain::canonical().with_dst_mac(port.mac)` —
-/// exactly the keys the egress port sees (§4.5 isolation: a member's
-/// rules only ever filter traffic addressed to that member). Ports with
-/// neither installed rules nor intent are skipped, which keeps the
-/// check linear in *occupied* ports, not fabric size. Because egress
-/// MACs partition routed traffic, per-port equality composes into the
+/// Each port holding rules or addressed by intent gets [`prove_port`]'s
+/// verdict; ports with neither are never visited, which keeps the check
+/// linear in *occupied* ports, not fabric size. Because egress MACs
+/// partition routed traffic, per-port equality composes into the
 /// fabric-wide union property of obligation (c).
 pub fn check_placement(
     fabric: &Fabric,
@@ -397,49 +453,32 @@ pub fn check_placement(
     owner_port: impl Fn(Asn) -> Option<PortId>,
     budget: usize,
 ) -> PlacementCheck {
-    let mut intent: BTreeMap<PortId, Vec<AuditRule>> = BTreeMap::new();
     let mut check = PlacementCheck::default();
+    // Each port to prove, with what its owners want there.
+    let mut ports: BTreeMap<PortId, (Option<&MemberPort>, Vec<AuditRule>)> = fabric
+        .occupied_ports()
+        .map(|(id, port)| (id, (Some(port), Vec::new())))
+        .collect();
     for r in desired {
-        match owner_port(r.owner) {
-            Some(port) => intent.entry(port).or_default().push(to_audit_rule(r)),
-            None => check.unplaced += 1,
-        }
-    }
-    for (id, port) in fabric.ports() {
-        let installed: Vec<AuditRule> = port
-            .policy
-            .rules()
-            .iter()
-            .map(|r| {
-                AuditRule::new(
-                    RuleEntry::new(r.id, r.priority, r.spec.clone()),
-                    match r.action {
-                        Action::Drop => ActionClass::Drop,
-                        Action::Shape { rate_bps } => ActionClass::Shape { rate_bps },
-                        Action::Forward => ActionClass::Forward,
-                    },
-                )
-            })
-            .collect();
-        let want = intent.remove(&id).unwrap_or_default();
-        if installed.is_empty() && want.is_empty() {
+        let Some(id) = owner_port(r.owner) else {
+            check.unplaced += 1;
             continue;
-        }
-        check.ports_checked += 1;
-        let dom = Domain::canonical().with_dst_mac(port.mac);
-        match diff_tables(&installed, &want, &dom, budget) {
-            Ok(diff) if diff.is_equivalent() => {}
-            Ok(diff) => check.mismatches.push(PortMismatch {
-                port: id,
-                differing_keys: diff.differing_keys,
-                region: diff.regions[0],
-            }),
-            Err(_) => check.unverified += 1,
+        };
+        let (_, want) = ports
+            .entry(id)
+            .or_insert_with(|| (fabric.port(id), Vec::new()));
+        want.push(to_audit_rule(r));
+    }
+    for (id, (port, want)) in &ports {
+        match port {
+            Some(port) => {
+                check.book(prove_port(*id, port, want, budget));
+            }
+            // Intent addressed to ports the fabric doesn't have is as
+            // unsound as a missing rule on a live port.
+            None => check.unplaced += want.len(),
         }
     }
-    // Intent addressed to ports the fabric doesn't have is as unsound
-    // as a missing rule on a live port.
-    check.unplaced += intent.values().map(Vec::len).sum::<usize>();
     check
 }
 
@@ -535,6 +574,66 @@ mod tests {
         ]);
         let lowered = lower_flowspec(&f).expect("lowers");
         assert_eq!(check_lowering(&f, &lowered), LoweringProof::Exact);
+    }
+
+    #[test]
+    fn placement_visits_occupied_and_intent_ports_and_books_every_verdict() {
+        use crate::signal::StellarSignal;
+        use stellar_dataplane::filter::FilterRule;
+        use stellar_dataplane::hardware::HardwareInfoBase;
+        use stellar_net::mac::MacAddr;
+        use stellar_sim::fabric::PopId;
+
+        let mut fabric = Fabric::new(HardwareInfoBase::lab_switch(), 2);
+        for p in 1..=40u32 {
+            let port = MemberPort::new(64500 + p, MacAddr::for_member(64500 + p, 1), 1_000_000_000);
+            fabric.add_port(PopId((p % 2) as u16), PortId(p), port);
+        }
+        let rule = |id: u64, owner: u32| {
+            let victim = v4(100, 10, 10, 10, 32);
+            BlackholingRule::from_signal(id, Asn(owner), victim, StellarSignal::drop_udp_src(123))
+        };
+        // Port 3 holds what its owner wants; port 7 holds a rule nobody
+        // wants; owner 64511 wants a rule port 11 does not hold; 64599
+        // is placed on a port the fabric lacks and 64600 nowhere.
+        let desired = vec![
+            rule(1, 64503),
+            rule(2, 64511),
+            rule(3, 64599),
+            rule(4, 64600),
+        ];
+        fabric
+            .install_rule(PortId(3), desired[0].to_filter_rule(), 0)
+            .unwrap();
+        let hidden = FilterRule::new(9, MatchSpec::default(), Action::Drop, 1);
+        fabric.install_rule(PortId(7), hidden, 0).unwrap();
+        let owner_port = |a: Asn| match a.0 {
+            64599 => Some(PortId(99)),
+            64600 => None,
+            asn => Some(PortId(asn - 64500)),
+        };
+        let check = check_placement(&fabric, &desired, owner_port, DEFAULT_VERIFY_BUDGET);
+        // Three of forty ports are looked at, in port order.
+        assert_eq!(check.ports_checked, 3);
+        let mismatched: Vec<u32> = check.mismatches.iter().map(|m| m.port.0).collect();
+        assert_eq!(mismatched, [7, 11]);
+        assert_eq!((check.unplaced, check.unverified), (2, 0));
+        assert!(!check.is_sound());
+        // A blown budget is no verdict: counted, neither equal nor a
+        // mismatch.
+        let starved = check_placement(&fabric, &desired, owner_port, 0);
+        assert_eq!((starved.ports_checked, starved.unverified), (3, 3));
+        assert!(starved.mismatches.is_empty());
+        let port = fabric.port(PortId(3)).expect("port 3");
+        let mut booked = PlacementCheck::default();
+        assert!(!booked.book(prove_port(PortId(3), port, &[], 0)));
+        assert!(booked.book(prove_port(
+            PortId(3),
+            port,
+            &[to_audit_rule(&desired[0])],
+            DEFAULT_VERIFY_BUDGET
+        )));
+        assert_eq!((booked.ports_checked, booked.unverified), (2, 1));
     }
 
     #[test]

@@ -17,6 +17,8 @@ use stellar_sim::fabric::Fabric;
 pub struct QosNetworkManager {
     owner_ports: HashMap<Asn, PortId>,
     rule_ports: HashMap<u64, PortId>,
+    /// Edits to `owner_ports` so far.
+    owner_map_version: u64,
 }
 
 impl QosNetworkManager {
@@ -25,12 +27,21 @@ impl QosNetworkManager {
         QosNetworkManager {
             owner_ports,
             rule_ports: HashMap::new(),
+            owner_map_version: 0,
         }
     }
 
     /// Registers a member → port mapping.
     pub fn register_owner(&mut self, owner: Asn, port: PortId) {
         self.owner_ports.insert(owner, port);
+        self.owner_map_version += 1;
+    }
+
+    /// The version of the member → port map: bumped by every
+    /// [`register_owner`](Self::register_owner), so an unchanged version
+    /// means every owner's rules still belong on the same port.
+    pub fn owner_map_version(&self) -> u64 {
+        self.owner_map_version
     }
 
     /// The port a rule was installed on.
@@ -162,6 +173,16 @@ mod tests {
         .unwrap();
         assert_eq!(mgr.installed_rules(), 0);
         assert_eq!(fabric.total_rules(), 0);
+    }
+
+    #[test]
+    fn only_the_owner_map_moves_its_version() {
+        let (mut fabric, mut mgr) = setup();
+        let registered = mgr.owner_map_version();
+        mgr.apply(&mut fabric, &rule(1, 64500), 0).unwrap();
+        assert_eq!(mgr.owner_map_version(), registered);
+        mgr.register_owner(Asn(64501), PortId(1));
+        assert!(mgr.owner_map_version() > registered);
     }
 
     #[test]

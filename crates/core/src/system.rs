@@ -20,7 +20,7 @@
 //!   desired rule set against the hardware and queues repairs, so a
 //!   restart converges back instead of diverging forever.
 
-use crate::audit::{audit_batch, AuditRejection, BatchAudit};
+use crate::audit::{audit_batch, to_audit_rule, AuditRejection, BatchAudit};
 use crate::config_queue::{ConfigChangeQueue, QueuedChange};
 use crate::controller::{AbstractChange, BlackholingController, DegradeOutcome};
 use crate::faults::{
@@ -28,7 +28,7 @@ use crate::faults::{
 };
 use crate::flowspec::{FlowSpecPlane, LowerError};
 use crate::manager::{AdmissionError, DeadLetterLog, NetworkManager};
-use crate::proof::{self, DEFAULT_VERIFY_BUDGET};
+use crate::proof::{self, PlacementCheck, DEFAULT_VERIFY_BUDGET};
 use crate::qos_manager::QosNetworkManager;
 use crate::rule::BlackholingRule;
 use crate::signal::StellarSignal;
@@ -40,6 +40,7 @@ use stellar_bgp::extcommunity::ExtendedCommunity;
 use stellar_bgp::flowspec::FlowSpec;
 use stellar_bgp::types::Asn;
 use stellar_bgp::update::UpdateMessage;
+use stellar_dataplane::port::MemberPort;
 use stellar_dataplane::qos::TickResult;
 use stellar_dataplane::switch::{OfferedAggregate, PortId};
 use stellar_net::prefix::Prefix;
@@ -124,6 +125,64 @@ impl ReconcileReport {
     }
 }
 
+/// The change stamps of the four state owners the quiet-state
+/// obligations read: the fabric's rule-state version, both signaling
+/// planes' desired-state versions and the manager's owner → port map
+/// version. Each owner bumps its own stamp inside its own mutators, so
+/// equal stamps mean equal state however the state was reached; reading
+/// all four is O(PoPs).
+type Stamps = [u64; 4];
+
+/// What a port was proven under: its policy's generation, the owner →
+/// port map version and, per owner whose intent lands on it, that
+/// owner's revision summed over both signaling planes (each only grows,
+/// so the sum moves with either).
+type PortStamp = (u64, u64, Vec<(Asn, u64)>);
+
+/// What earlier quiet passes proved, keyed by the stamps they proved it
+/// under, so a later pass re-examines only what changed. A full pass is
+/// the same code over an empty ledger. Only positive verdicts are kept —
+/// a port that mismatched or blew its budget is re-examined, and
+/// counted, on every pass — and any recorded violation, reconcile
+/// repair or injected fault empties the ledger outright.
+#[derive(Debug, Default)]
+struct ProofLedger {
+    /// The stamps at the last pass that discharged convergence,
+    /// orphan-freedom and placement with nothing in flight and nothing
+    /// unverified: while they stand, all three still hold.
+    clean_at: Option<Stamps>,
+    /// Ports last proven equal to their intent, and under which stamp.
+    proven: BTreeMap<PortId, PortStamp>,
+}
+
+/// The installed-vs-desired rule-id diff, from one walk of the occupied
+/// ports: what convergence, the orphan scan and reconciliation all ask.
+#[derive(Debug, Default)]
+struct IdDiff {
+    /// Desired rule ids absent from hardware, ascending.
+    missing: Vec<u64>,
+    /// Hardware rules `(port, id)` absent from desired state, in
+    /// ascending port and then evaluation order.
+    extra: Vec<(PortId, u64)>,
+}
+
+impl IdDiff {
+    /// Hardware holds exactly the desired rule ids.
+    fn is_empty(&self) -> bool {
+        self.missing.is_empty() && self.extra.is_empty()
+    }
+}
+
+/// What the quiet-state obligations found in one pass.
+#[derive(Debug, Default)]
+struct QuietPass {
+    found: Vec<(Invariant, String)>,
+    /// All three answered from the ledger: nothing was examined.
+    unchanged: bool,
+    /// The placement proof, when the pass reached it.
+    placement: Option<PlacementCheck>,
+}
+
 /// The assembled system.
 pub struct StellarSystem {
     /// The IXP (route server + switching fabric + members).
@@ -156,6 +215,8 @@ pub struct StellarSystem {
     /// How many times one FlowSpec change may be parked and requeued
     /// before it is terminally dead-lettered.
     deadletter_requeues: u32,
+    /// What the watchdog's quiet passes have already proven.
+    ledger: ProofLedger,
     /// The recovery event log: plain data, identical across runs with
     /// the same seed and workload.
     pub log: Vec<RecoveryEvent>,
@@ -189,6 +250,7 @@ impl StellarSystem {
             parked: Vec::new(),
             pending_validation: Vec::new(),
             deadletter_requeues: ControlTuning::default().deadletter_requeues,
+            ledger: ProofLedger::default(),
             log: Vec::new(),
             obs: Obs::new(),
         }
@@ -410,7 +472,9 @@ impl StellarSystem {
             outcome.rejections.push((flow, reason));
         }
         for acc in rs_out.accepted {
-            match self.flowspec.install(&acc) {
+            let installed = self.flowspec.install(&acc);
+            self.note_unverified_lowering(now_us);
+            match installed {
                 Err(e) => {
                     self.obs.registry.counter_inc("flowspec.rejected_lowering");
                     self.obs.event(
@@ -438,6 +502,26 @@ impl StellarSystem {
             }
         }
         outcome
+    }
+
+    /// Obligation (a) left undischarged is never invisible: a lowering
+    /// [`FlowSpecPlane::install`] admitted without proof is counted and
+    /// named in the flight recorder, like the other three `*.unverified`
+    /// counters (incremented only when hit).
+    fn note_unverified_lowering(&mut self, now_us: u64) {
+        let Some(unverified) = self.flowspec.take_unverified() else {
+            return;
+        };
+        self.obs.registry.counter_inc("verify.lowering.unverified");
+        let ids: Vec<String> = unverified.rule_ids.iter().map(u64::to_string).collect();
+        self.obs.event(
+            now_us,
+            "verify.lowering.unverified",
+            vec![
+                ("reason".to_string(), unverified.reason.to_string()),
+                ("rule_ids".to_string(), ids.join(",")),
+            ],
+        );
     }
 
     /// Resubmits oracle-deferred announcements whose backoff has expired.
@@ -706,6 +790,7 @@ impl StellarSystem {
             self.obs
                 .event(ev.at_us, &format!("fault.{}", ev.kind.label()), fields);
             self.watchdog.note_activity(ev.at_us.max(now_us));
+            self.ledger = ProofLedger::default();
             self.apply_fault(&ev, now_us);
         }
     }
@@ -757,7 +842,9 @@ impl StellarSystem {
                     .cloned()
                     .collect();
                 for acc in accepted {
-                    if let Ok(emitted) = self.flowspec.install(&acc) {
+                    let installed = self.flowspec.install(&acc);
+                    self.note_unverified_lowering(now_us);
+                    if let Ok(emitted) = installed {
                         changes += emitted.len();
                         self.enqueue_changes(emitted, now_us);
                     }
@@ -850,10 +937,7 @@ impl StellarSystem {
         {
             return;
         }
-        let rule_id = match &qc.change {
-            AbstractChange::AddRule(r) => r.id,
-            AbstractChange::RemoveRule { rule_id, .. } => *rule_id,
-        };
+        let rule_id = qc.change.rule_id();
         if qc.attempts == 0 {
             // First refusal opens the retry episode; it closes on the
             // eventual successful apply or is abandoned at dead-letter.
@@ -989,18 +1073,15 @@ impl StellarSystem {
         desired
     }
 
-    /// The `owners`' slice of [`Self::desired_table`], in the same
-    /// rule-id order, built without touching anyone else's rules.
-    /// Signal-derived and FlowSpec-derived rules share an owner's egress
-    /// port, so it spans both planes.
+    /// The `owners`' slice of [`Self::desired_table`] (`owners` sorted
+    /// ascending), in the same rule-id order, built without touching
+    /// anyone else's rules. Signal-derived and FlowSpec-derived rules
+    /// share an owner's egress port, so it spans both planes.
     fn desired_of(&self, owners: &[Asn]) -> Vec<BlackholingRule> {
-        let mut desired: Vec<BlackholingRule> = owners
-            .iter()
-            .flat_map(|&o| {
-                let lowered = self.flowspec.desired_rules_of(o).cloned();
-                self.controller.desired_rules_of(o).chain(lowered)
-            })
-            .collect();
+        let mut desired: Vec<BlackholingRule> = self.controller.desired_rules_of(owners).collect();
+        for &owner in owners {
+            desired.extend(self.flowspec.desired_rules_of(owner).cloned());
+        }
         desired.sort_by_key(|r| r.id);
         desired
     }
@@ -1052,24 +1133,7 @@ impl StellarSystem {
                 } else {
                     format!("rule_id={rule_id}")
                 };
-                let v = self
-                    .watchdog
-                    .record(now_us, Invariant::LadderMonotone, detail);
-                self.obs.registry.counter_inc("watchdog.violations");
-                self.obs
-                    .registry
-                    .counter_inc("watchdog.violations.ladder_monotone");
-                self.obs.event(
-                    now_us,
-                    "watchdog.violation",
-                    vec![
-                        (
-                            "invariant".to_string(),
-                            Invariant::LadderMonotone.label().to_string(),
-                        ),
-                        ("detail".to_string(), v.detail),
-                    ],
-                );
+                self.record_violation(now_us, Invariant::LadderMonotone, detail);
             }
             Err(_) => {
                 self.obs.registry.counter_inc("verify.ladder.unverified");
@@ -1137,86 +1201,32 @@ impl StellarSystem {
         }
 
         if quiet {
-            // Convergence: past the grace bound, desired must equal
-            // installed with nothing in flight. (Nothing below mutates
-            // state, so one evaluation serves the placement proof too.)
-            let converged = self.is_converged();
-            if !converged {
-                found.push((
-                    Invariant::Convergence,
-                    format!(
-                        "backlog={} parked={} pending_validation={}",
-                        self.queue.backlog(),
-                        self.parked.len(),
-                        self.pending_validation.len()
-                    ),
-                ));
+            // Convergence, orphan rules and obligation (c), placement
+            // soundness: answered from the proof ledger as far as the
+            // state owners' stamps say nothing changed.
+            let mut ledger = std::mem::take(&mut self.ledger);
+            let pass = self.quiet_obligations(&mut ledger);
+            // Debug builds run the same obligations again over an empty
+            // ledger: the incremental pass must find what a full one does.
+            if cfg!(debug_assertions) {
+                let full = self.quiet_obligations(&mut ProofLedger::default());
+                assert_eq!(pass.found, full.found, "incremental quiet pass diverged");
             }
-            // Orphan rules: nothing in hardware without a desired-state
-            // owner or an in-flight removal.
-            let mut wanted: HashSet<u64> = self.desired_ids().collect();
-            for change in self.queue.pending() {
-                wanted.insert(match change {
-                    AbstractChange::AddRule(r) => r.id,
-                    AbstractChange::RemoveRule { rule_id, .. } => *rule_id,
-                });
+            self.ledger = ledger;
+            let reg = &mut self.obs.registry;
+            if pass.unchanged {
+                reg.counter_inc("watchdog.checks_unchanged");
             }
-            for p in &self.parked {
-                wanted.insert(match &p.qc.change {
-                    AbstractChange::AddRule(r) => r.id,
-                    AbstractChange::RemoveRule { rule_id, .. } => *rule_id,
-                });
-            }
-            for (_, port) in self.ixp.fabric.ports() {
-                for rule in port.policy.rules() {
-                    if !wanted.contains(&rule.id) {
-                        found.push((
-                            Invariant::OrphanRule,
-                            format!("rule_id={} has no desired-state owner", rule.id),
-                        ));
-                    }
-                }
-            }
-
-            // Obligation (c), placement soundness: once converged, every
-            // occupied port's installed table must be semantically equal
-            // to its owner's desired table over that port's traffic —
-            // proven exactly, per port, with witness-backed differences.
-            // (While changes are in flight the tables legitimately
-            // diverge; convergence is the precondition of the equation.)
-            if converged {
-                let desired = self.desired_table();
-                let placement = proof::check_placement(
-                    &self.ixp.fabric,
-                    &desired,
-                    |a| self.manager.owner_port(a),
-                    DEFAULT_VERIFY_BUDGET,
-                );
-                self.obs.registry.counter_add(
+            if let Some(placement) = &pass.placement {
+                reg.counter_add(
                     "verify.placement.ports_checked",
                     placement.ports_checked as u64,
                 );
                 if placement.unverified > 0 {
-                    self.obs
-                        .registry
-                        .counter_add("verify.placement.unverified", placement.unverified as u64);
-                }
-                for m in &placement.mismatches {
-                    found.push((
-                        Invariant::PlacementSound,
-                        format!(
-                            "port={} installed={} desired={} differing_keys={}",
-                            m.port.0, m.region.outcome_a, m.region.outcome_b, m.differing_keys
-                        ),
-                    ));
-                }
-                if placement.unplaced > 0 {
-                    found.push((
-                        Invariant::PlacementSound,
-                        format!("unplaced_desired_rules={}", placement.unplaced),
-                    ));
+                    reg.counter_add("verify.placement.unverified", placement.unverified as u64);
                 }
             }
+            found.extend(pass.found);
         }
 
         // Dead-letter drainage: a parked requeue sitting past its release
@@ -1224,34 +1234,228 @@ impl StellarSystem {
         // stalled.
         for p in &self.parked {
             if now_us > p.release_at_us.saturating_add(PARKED_OVERDUE_SLACK_US) {
-                let rule_id = match &p.qc.change {
-                    AbstractChange::AddRule(r) => r.id,
-                    AbstractChange::RemoveRule { rule_id, .. } => *rule_id,
-                };
                 found.push((
                     Invariant::DeadLetterDrain,
-                    format!("rule_id={rule_id} parked past release"),
+                    format!("rule_id={} parked past release", p.qc.change.rule_id()),
                 ));
             }
         }
 
         let count = found.len();
         for (invariant, detail) in found {
-            let v = self.watchdog.record(now_us, invariant, detail);
-            self.obs.registry.counter_inc("watchdog.violations");
-            self.obs
-                .registry
-                .counter_inc(&format!("watchdog.violations.{}", invariant.label()));
-            self.obs.event(
-                now_us,
-                "watchdog.violation",
-                vec![
-                    ("invariant".to_string(), invariant.label().to_string()),
-                    ("detail".to_string(), v.detail),
-                ],
-            );
+            self.record_violation(now_us, invariant, detail);
         }
         count
+    }
+
+    /// Records one invariant violation: bounded in-memory record,
+    /// `watchdog.violations.*` counters, flight-recorder event. Whatever
+    /// broke, nothing the proof ledger holds is trusted past it.
+    fn record_violation(&mut self, now_us: u64, invariant: Invariant, detail: String) {
+        let v = self.watchdog.record(now_us, invariant, detail);
+        self.obs.registry.counter_inc("watchdog.violations");
+        self.obs
+            .registry
+            .counter_inc(&format!("watchdog.violations.{}", invariant.label()));
+        self.obs.event(
+            now_us,
+            "watchdog.violation",
+            vec![
+                ("invariant".to_string(), invariant.label().to_string()),
+                ("detail".to_string(), v.detail),
+            ],
+        );
+        self.ledger = ProofLedger::default();
+    }
+
+    /// Nothing queued, deferred, parked or awaiting validation.
+    fn nothing_in_flight(&self) -> bool {
+        self.queue.backlog() == 0 && self.parked.is_empty() && self.pending_validation.is_empty()
+    }
+
+    /// The ids of the rules whose change is already on its way (queued,
+    /// deferred, or parked in the dead-letter lot awaiting requeue).
+    fn in_flight_ids(&self) -> HashSet<u64> {
+        let parked = self.parked.iter().map(|p| &p.qc.change);
+        self.queue
+            .pending()
+            .chain(parked)
+            .map(AbstractChange::rule_id)
+            .collect()
+    }
+
+    fn stamps(&self) -> Stamps {
+        [
+            self.ixp.fabric.rule_version(),
+            self.controller.version(),
+            self.flowspec.version(),
+            self.manager.owner_map_version(),
+        ]
+    }
+
+    /// Diffs the hardware's rule ids against desired state in one walk
+    /// of the occupied ports.
+    fn id_diff(&self) -> IdDiff {
+        let fabric = &self.ixp.fabric;
+        let desired = self.controller.rule_count() + self.flowspec.rule_count();
+        // Sized for the converged case, where it holds the desired ids.
+        let mut installed: HashSet<u64> = HashSet::with_capacity(desired);
+        let occupied = fabric.occupied_ports();
+        installed.extend(occupied.flat_map(|(_, port)| port.policy.rules().iter().map(|r| r.id)));
+        let mut missing: Vec<u64> = self
+            .desired_ids()
+            .filter(|id| !installed.contains(id))
+            .collect();
+        missing.sort_unstable();
+        // Desired ids are unique: as many distinct installed ids, none
+        // of them missing, leaves no room for an extra one.
+        let extra = if missing.is_empty() && installed.len() == desired {
+            Vec::new()
+        } else {
+            let desired: HashSet<u64> = self.desired_ids().collect();
+            fabric
+                .occupied_ports()
+                .flat_map(|(id, port)| port.policy.rules().iter().map(move |r| (id, r.id)))
+                .filter(|(_, id)| !desired.contains(id))
+                .collect()
+        };
+        IdDiff { missing, extra }
+    }
+
+    /// The three quiet-state obligations — convergence, orphan rules and
+    /// obligation (c), placement soundness — over `ledger`: skipped
+    /// whole while the stamps of the last clean pass stand, otherwise
+    /// evaluated from one [`IdDiff`] with only the stale ports re-proven.
+    /// Reads live state, writes only `ledger`.
+    fn quiet_obligations(&self, ledger: &mut ProofLedger) -> QuietPass {
+        let mut pass = QuietPass::default();
+        let idle = self.nothing_in_flight();
+        let stamps = self.stamps();
+        if idle && ledger.clean_at == Some(stamps) {
+            pass.unchanged = true;
+            return pass;
+        }
+        ledger.clean_at = None;
+        // Convergence: past the grace bound, desired must equal
+        // installed with nothing in flight.
+        let diff = self.id_diff();
+        let converged = idle && diff.is_empty();
+        if !converged {
+            pass.found.push((
+                Invariant::Convergence,
+                format!(
+                    "backlog={} parked={} pending_validation={}",
+                    self.queue.backlog(),
+                    self.parked.len(),
+                    self.pending_validation.len()
+                ),
+            ));
+        }
+        // Orphan rules: nothing in hardware without a desired-state
+        // owner or an in-flight removal.
+        if !diff.extra.is_empty() {
+            let in_flight = self.in_flight_ids();
+            for (_, id) in &diff.extra {
+                if !in_flight.contains(id) {
+                    pass.found.push((
+                        Invariant::OrphanRule,
+                        format!("rule_id={id} has no desired-state owner"),
+                    ));
+                }
+            }
+        }
+        // Obligation (c), placement soundness: once converged, every
+        // occupied port's installed table must be semantically equal to
+        // its owner's desired table over that port's traffic — proven
+        // exactly, per port, with witness-backed differences. (While
+        // changes are in flight the tables legitimately diverge;
+        // convergence is the precondition of the equation.)
+        if converged {
+            let placement = self.prove_placement(ledger);
+            for m in &placement.mismatches {
+                pass.found.push((
+                    Invariant::PlacementSound,
+                    format!(
+                        "port={} installed={} desired={} differing_keys={}",
+                        m.port.0, m.region.outcome_a, m.region.outcome_b, m.differing_keys
+                    ),
+                ));
+            }
+            if placement.unplaced > 0 {
+                pass.found.push((
+                    Invariant::PlacementSound,
+                    format!("unplaced_desired_rules={}", placement.unplaced),
+                ));
+            }
+            if placement.is_sound() && placement.unverified == 0 {
+                ledger.clean_at = Some(stamps);
+            }
+            pass.placement = Some(placement);
+        }
+        pass
+    }
+
+    /// [`proof::check_placement`] over `ledger`: the same per-port proof,
+    /// run only on the ports whose `(policy generation, owner
+    /// revisions)` differ from the stamp they were last proven equal
+    /// under. Over an empty ledger that is every port holding rules or
+    /// addressed by intent — the full proof.
+    fn prove_placement(&self, ledger: &mut ProofLedger) -> PlacementCheck {
+        let mut check = PlacementCheck::default();
+        let fabric = &self.ixp.fabric;
+        // Every port holding rules or addressed by intent, with the
+        // intent's owners and their revisions.
+        let mut ports: BTreeMap<_, (_, Vec<(Asn, u64)>)> = fabric
+            .occupied_ports()
+            .map(|(id, port)| (id, (port, Vec::new())))
+            .collect();
+        let mut owners = self.controller.desired_owners();
+        owners.extend(self.flowspec.desired_owners());
+        for owner in owners {
+            let revision =
+                self.controller.owner_revision(owner) + self.flowspec.owner_revision(owner);
+            let id = self.manager.owner_port(owner);
+            match id.and_then(|id| Some((id, fabric.port(id)?))) {
+                Some((id, port)) => {
+                    let (_, owners) = ports.entry(id).or_insert((port, Vec::new()));
+                    owners.push((owner, revision));
+                }
+                // Intent that resolves to no live port is as unsound as
+                // a missing rule on a live one.
+                None => check.unplaced += self.desired_of(&[owner]).len(),
+            }
+        }
+        ledger.proven.retain(|id, _| ports.contains_key(id));
+        let map_version = self.manager.owner_map_version();
+        let stale: Vec<(PortId, &MemberPort, PortStamp)> = ports
+            .into_iter()
+            .filter_map(|(id, (port, owners))| {
+                let stamp = (port.policy.generation(), map_version, owners);
+                (ledger.proven.get(&id) != Some(&stamp)).then_some((id, port, stamp))
+            })
+            .collect();
+        // The stale ports' intent, gathered in one pass over desired
+        // state however many they are.
+        let mut owners: Vec<Asn> = stale
+            .iter()
+            .flat_map(|(_, _, stamp)| stamp.2.iter().map(|(owner, _)| *owner))
+            .collect();
+        owners.sort_unstable();
+        let mut want: BTreeMap<PortId, Vec<stellar_classify::AuditRule>> = BTreeMap::new();
+        for rule in self.desired_of(&owners) {
+            if let Some(port) = self.manager.owner_port(rule.owner) {
+                want.entry(port).or_default().push(to_audit_rule(&rule));
+            }
+        }
+        for (id, port, stamp) in stale {
+            let want = want.get(&id).map_or(&[][..], Vec::as_slice);
+            if check.book(proof::prove_port(id, port, want, DEFAULT_VERIFY_BUDGET)) {
+                ledger.proven.insert(id, stamp);
+            } else {
+                ledger.proven.remove(&id);
+            }
+        }
+        check
     }
 
     /// Reconciliation: diffs the controller's desired rule set against
@@ -1266,52 +1470,38 @@ impl StellarSystem {
             pruned: self.manager.prune_vanished(&self.ixp.fabric).len(),
             ..Default::default()
         };
-        // Ground truth: what the hardware holds, per rule id.
-        let mut installed: BTreeMap<u64, PortId> = BTreeMap::new();
-        for (port_id, port) in self.ixp.fabric.ports() {
-            for rule in port.policy.rules() {
-                installed.insert(rule.id, port_id);
+        let diff = self.id_diff();
+        if !diff.is_empty() {
+            // Work already on its way is not repaired twice.
+            let in_flight = self.in_flight_ids();
+            // Desired but missing from hardware: re-queue the install.
+            if !diff.missing.is_empty() {
+                for rule in self.desired_table() {
+                    if diff.missing.binary_search(&rule.id).is_ok() && !in_flight.contains(&rule.id)
+                    {
+                        self.queue.enqueue(AbstractChange::AddRule(rule), now_us);
+                        report.adds += 1;
+                    }
+                }
             }
-        }
-        // Work already on its way (queued, deferred, or parked in the
-        // dead-letter lot awaiting requeue).
-        let mut in_flight: HashSet<u64> = HashSet::new();
-        for change in self.queue.pending() {
-            in_flight.insert(match change {
-                AbstractChange::AddRule(r) => r.id,
-                AbstractChange::RemoveRule { rule_id, .. } => *rule_id,
-            });
-        }
-        for p in &self.parked {
-            in_flight.insert(match &p.qc.change {
-                AbstractChange::AddRule(r) => r.id,
-                AbstractChange::RemoveRule { rule_id, .. } => *rule_id,
-            });
-        }
-        let desired = self.desired_table();
-        let desired_ids: HashSet<u64> = desired.iter().map(|r| r.id).collect();
-        // Desired but missing from hardware: re-queue the install.
-        for rule in desired {
-            if !installed.contains_key(&rule.id) && !in_flight.contains(&rule.id) {
-                self.queue.enqueue(AbstractChange::AddRule(rule), now_us);
-                report.adds += 1;
+            // Installed but not desired: queue the removal, in rule-id
+            // order (owner looked up from the port the rule sits on).
+            let extra: BTreeMap<u64, PortId> =
+                diff.extra.iter().map(|&(port, id)| (id, port)).collect();
+            for (rule_id, port_id) in extra {
+                if in_flight.contains(&rule_id) {
+                    continue;
+                }
+                let owner = self
+                    .ixp
+                    .fabric
+                    .port(port_id)
+                    .map(|p| Asn(p.member_asn))
+                    .unwrap_or(Asn(0));
+                self.queue
+                    .enqueue(AbstractChange::RemoveRule { rule_id, owner }, now_us);
+                report.removes += 1;
             }
-        }
-        // Installed but not desired: queue the removal (owner looked up
-        // from the port the rule sits on).
-        for (rule_id, port_id) in installed {
-            if desired_ids.contains(&rule_id) || in_flight.contains(&rule_id) {
-                continue;
-            }
-            let owner = self
-                .ixp
-                .fabric
-                .port(port_id)
-                .map(|p| Asn(p.member_asn))
-                .unwrap_or(Asn(0));
-            self.queue
-                .enqueue(AbstractChange::RemoveRule { rule_id, owner }, now_us);
-            report.removes += 1;
         }
         self.obs.registry.counter_inc("core.reconcile.passes");
         self.obs
@@ -1325,6 +1515,7 @@ impl StellarSystem {
             .counter_add("core.reconcile.pruned", report.pruned as u64);
         if !report.is_clean() {
             self.watchdog.note_activity(now_us);
+            self.ledger = ProofLedger::default();
             self.log.push(RecoveryEvent::RepairsQueued {
                 at_us: now_us,
                 adds: report.adds,
@@ -1344,20 +1535,7 @@ impl StellarSystem {
     /// Whether desired state and hardware state agree and nothing is in
     /// flight — the convergence predicate of the fault-soak tests.
     pub fn is_converged(&self) -> bool {
-        if self.queue.backlog() != 0
-            || !self.parked.is_empty()
-            || !self.pending_validation.is_empty()
-        {
-            return false;
-        }
-        let mut installed: HashSet<u64> = HashSet::new();
-        for (_, port) in self.ixp.fabric.ports() {
-            for rule in port.policy.rules() {
-                installed.insert(rule.id);
-            }
-        }
-        self.controller.rule_count() + self.flowspec.rule_count() == installed.len()
-            && self.desired_ids().all(|id| installed.contains(&id))
+        self.nothing_in_flight() && self.id_diff().is_empty()
     }
 
     /// Pushes one tick of traffic through the fabric.
@@ -1416,6 +1594,9 @@ impl StellarSystem {
 
 #[cfg(test)]
 mod audit_tests;
+
+#[cfg(test)]
+mod ledger_tests;
 
 #[cfg(test)]
 mod tests {

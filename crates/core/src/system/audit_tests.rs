@@ -242,7 +242,7 @@ fn owner_views_follow_an_owner_across_both_planes() {
     assert!(of_a[1].signal().is_none() && of_a[2].signal().is_none());
     assert_eq!(sys.desired_of(&[b]).len(), 2);
     assert!(sys.desired_of(&[Asn(BASE_ASN + 2)]).is_empty());
-    assert_eq!(sys.desired_of(&[b, a]), sys.desired_table());
+    assert_eq!(sys.desired_of(&[a, b]), sys.desired_table());
     assert_eq!(sys.desired_table().len(), 5);
     assert_eq!(sys.desired_ids().count(), 5);
     // The ladder obligation reads the same slice.

@@ -65,12 +65,19 @@ struct TickWork {
 /// returns indexes it directly; [`install`](Self::install) and
 /// [`remove`](Self::remove) keep the two aligned. Lookups are
 /// behavior-identical to a first-match scan of `rules`.
+///
+/// `rules` is private, so those mutators are the only way the table
+/// changes and each one that changes it bumps
+/// [`generation`](Self::generation): two reads of one policy object
+/// that see the same generation saw the same rule table.
 #[derive(Debug, Default)]
 pub struct QosPolicy {
     rules: Vec<FilterRule>,
     classifier: FlowClassifier,
     shapers: HashMap<u64, TokenBucket>,
     rule_counters: HashMap<u64, RuleCounters>,
+    /// Rule-table edits so far (see the type docs).
+    generation: u64,
     /// Tick-scoped scratch, reused across ticks.
     work: TickWork,
 }
@@ -98,6 +105,7 @@ impl QosPolicy {
         self.rule_counters.entry(rule.id).or_default();
         let pos = self.classifier.insert(rule.entry());
         self.rules.insert(pos, rule);
+        self.generation += 1;
     }
 
     /// Removes a rule by id. Returns true if it existed.
@@ -106,6 +114,7 @@ impl QosPolicy {
         match self.classifier.remove(rule_id) {
             Some(pos) => {
                 self.rules.remove(pos);
+                self.generation += 1;
                 true
             }
             None => false,
@@ -118,6 +127,9 @@ impl QosPolicy {
         let ids = self.classifier.clear();
         self.rules.clear();
         self.shapers.clear();
+        if !ids.is_empty() {
+            self.generation += 1;
+        }
         ids
     }
 
@@ -133,6 +145,13 @@ impl QosPolicy {
     /// Number of installed rules.
     pub fn rule_count(&self) -> usize {
         self.rules.len()
+    }
+
+    /// How many times the rule table has been edited (`install`,
+    /// `remove`, `clear` and `reset` bump it when they change a rule).
+    /// The watchdog keys its per-port proof verdicts on it.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Number of active shaping queues (one token bucket per shape rule).
@@ -217,6 +236,7 @@ impl QosPolicy {
             shapers,
             rule_counters,
             work,
+            ..
         } = self;
         let TickWork {
             shape_tags,
@@ -546,6 +566,42 @@ mod tests {
         assert!(p.remove(7));
         assert!(!p.remove(7));
         assert_eq!(p.rule_count(), 0);
+    }
+
+    #[test]
+    fn generation_moves_with_every_table_edit_and_only_then() {
+        let mut p = QosPolicy::new();
+        assert_eq!(p.generation(), 0);
+        let mut last = 0;
+        let mut moved = |p: &QosPolicy| {
+            let moved = p.generation() > last;
+            last = p.generation();
+            moved
+        };
+        p.install(ntp_drop_rule(1));
+        assert!(moved(&p));
+        // A same-id replacement edits the table too.
+        p.install(ntp_drop_rule(1));
+        assert!(moved(&p));
+        assert!(!p.remove(2));
+        assert!(!moved(&p));
+        assert!(p.remove(1));
+        assert!(moved(&p));
+        // Nothing left to clear or reset: the table did not change.
+        assert!(p.clear().is_empty());
+        assert_eq!(p.reset(), 0);
+        assert!(!moved(&p));
+        p.install(ntp_drop_rule(3));
+        assert!(moved(&p));
+        assert_eq!(p.clear(), vec![3]);
+        assert!(moved(&p));
+        p.install(ntp_drop_rule(4));
+        assert!(moved(&p));
+        assert_eq!(p.reset(), 1);
+        assert!(moved(&p));
+        // Ticks read the table, they never edit it.
+        p.apply_tick(&[], 1, 1_000_000, 1_000_000_000);
+        assert!(!moved(&p));
     }
 
     #[test]

@@ -164,7 +164,8 @@ impl Fabric {
             .and_then(|r| r.port(id))
     }
 
-    /// Mutable access to a port.
+    /// Mutable access to a port (counts as a rule-state change: see
+    /// [`EdgeRouter::port_mut`]).
     pub fn port_mut(&mut self, id: PortId) -> Option<&mut MemberPort> {
         let &p = self.port_pop.get(&id)?;
         self.pops.get_mut(p as usize)?.port_mut(id)
@@ -181,6 +182,29 @@ impl Fabric {
             .collect();
         all.sort_unstable_by_key(|(pid, _)| *pid);
         all.into_iter()
+    }
+
+    /// The ports holding at least one rule, in ascending `PortId` order
+    /// across PoPs: exactly [`ports`](Self::ports) without the ports whose
+    /// policy is empty, read from every PoP's occupied-port index — the
+    /// cost follows the ports under mitigation, not the size of the
+    /// platform.
+    pub fn occupied_ports(&self) -> impl Iterator<Item = (PortId, &MemberPort)> {
+        let mut occupied: Vec<(PortId, &MemberPort)> = self
+            .pops
+            .iter()
+            .flat_map(EdgeRouter::occupied_ports)
+            .collect();
+        occupied.sort_unstable_by_key(|(pid, _)| *pid);
+        occupied.into_iter()
+    }
+
+    /// The fabric's rule-state version: the sum of every PoP's
+    /// [`EdgeRouter::rule_version`], so it also sees edits made through
+    /// [`Fabric::router_mut`]. It strictly increases across every call
+    /// that changed a rule table anywhere; O(PoPs) to read.
+    pub fn rule_version(&self) -> u64 {
+        self.pops.iter().map(EdgeRouter::rule_version).sum()
     }
 
     /// Installs a rule on the owning PoP, charging that PoP's TCAM and

@@ -1,7 +1,10 @@
 //! The scrape scales with *active* ports: a 16-PoP / 10^5-port fabric
 //! with 20 active ports exports a small snapshot, and `observe` +
 //! `snapshot_json` allocate exactly as often over 10^5 idle ports as
-//! over 10^3.
+//! over 10^3. So do the rule-state reads behind the watchdog —
+//! `total_rules` and `occupied_ports` — which go through the
+//! occupied-port index (the watchdog pass itself is pinned in
+//! `crates/core/tests/quiet_pass_scale.rs`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -90,4 +93,21 @@ fn scrape_cost_follows_active_ports_not_fabric_size() {
     // Same rows either way; only the digits of `total` differ.
     assert_eq!(large_json.len(), small_json.len() + 2);
     assert_eq!(large_allocs, small_allocs);
+}
+
+#[test]
+fn rule_state_reads_follow_occupied_ports_not_fabric_size() {
+    let read = |f: &Fabric| {
+        let before = ALLOCS.with(Cell::get);
+        let total = f.total_rules();
+        let summed = ALLOCS.with(Cell::get) - before;
+        let occupied = f.occupied_ports().count();
+        (total, occupied, summed, ALLOCS.with(Cell::get) - before)
+    };
+    let small = read(&fabric(1_000));
+    let large = read(&fabric(100_000));
+    assert_eq!(large, small);
+    let (total, occupied, summed, _) = large;
+    assert_eq!((total, occupied), (ACTIVE as usize, ACTIVE as usize));
+    assert_eq!(summed, 0, "total_rules allocated");
 }

@@ -10,7 +10,10 @@
 //!   single [`EdgeRouter`] it wraps;
 //! - the sparse per-port table must be lossless (rows plus implicit
 //!   zeros equal every port read directly), strictly ascending, blind
-//!   to port-insertion order, and rebuilt — never merged — per scrape.
+//!   to port-insertion order, and rebuilt — never merged — per scrape;
+//! - the occupied-port index must be the full port walk with the empty
+//!   ports filtered out, under every way a rule table can change, and
+//!   the rule-state version must move whenever one did.
 
 use proptest::prelude::*;
 use stellar_dataplane::filter::{Action, FilterRule, MatchSpec, PortMatch};
@@ -359,6 +362,114 @@ proptest! {
         // rebuilds the same table: same bytes, no duplicated rows.
         base.observe(&mut obs.registry);
         prop_assert_eq!(obs.snapshot_json(0), json);
+    }
+}
+
+/// Every non-empty rule table, rendered — what the rule-state version
+/// must follow.
+fn rule_tables(fabric: &Fabric) -> Vec<String> {
+    fabric
+        .ports()
+        .filter(|(_, port)| port.policy.rule_count() > 0)
+        .map(|(pid, port)| format!("{pid:?} {:?}", port.policy.rules()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Index ≡ walk: ports attached in shuffled order over 1–8 PoPs —
+    /// alone, or among 640 idle ports, so that both the walked (dense)
+    /// and the looked-up (sparse) read of the index are exercised —
+    /// some with rules already in their policy, then churned through
+    /// every path that can change a rule table — the fabric's own
+    /// `install_rule` / `remove_rule` / `flush_port` / `restart` and
+    /// edits made straight in `port_mut(..).policy`. After every step
+    /// `occupied_ports()` yields exactly the non-empty ports of
+    /// `ports()` (same ids, same order, the same port objects),
+    /// `total_rules()` is the sum over `ports()`, and the version has
+    /// strictly increased if any table changed (and never decreased).
+    #[test]
+    fn occupied_index_is_the_port_walk_without_the_empty_ports(
+        topo in arb_topology(),
+        pops in 1usize..9,
+        shuffle in proptest::collection::vec(any::<u32>(), 18),
+        prepopulated in proptest::collection::vec(any::<bool>(), 18),
+        idle in prop_oneof![Just(0u32), Just(640u32)],
+        churn in proptest::collection::vec((0u8..6, 0usize..18, 0usize..4), 0..48),
+    ) {
+        let (port_rules, _) = topo;
+        let n_ports = port_rules.len();
+        let mut order: Vec<usize> = (0..n_ports).collect();
+        order.sort_by_key(|&p| shuffle[p]);
+        let mut fabric = Fabric::new(HardwareInfoBase::lab_switch(), pops);
+        let mut version = fabric.rule_version();
+        let mut tables = rule_tables(&fabric);
+        let mut step = 0u64;
+        let mut check = |fabric: &Fabric| -> Result<(), TestCaseError> {
+            step += 1;
+            let walked: Vec<(PortId, &MemberPort)> = fabric
+                .ports()
+                .filter(|(_, port)| port.policy.rule_count() > 0)
+                .collect();
+            let indexed: Vec<(PortId, &MemberPort)> = fabric.occupied_ports().collect();
+            prop_assert_eq!(indexed.len(), walked.len(), "step {}", step);
+            for ((ipid, iport), (wpid, wport)) in indexed.iter().zip(&walked) {
+                prop_assert_eq!(ipid, wpid, "step {}", step);
+                prop_assert!(std::ptr::eq(*iport, *wport), "step {}", step);
+            }
+            let total: usize = fabric.ports().map(|(_, p)| p.policy.rule_count()).sum();
+            prop_assert_eq!(fabric.total_rules(), total, "step {}", step);
+            let now = rule_tables(fabric);
+            prop_assert!(fabric.rule_version() >= version, "step {}", step);
+            if now != tables {
+                prop_assert!(fabric.rule_version() > version, "step {}", step);
+            }
+            version = fabric.rule_version();
+            tables = now;
+            Ok(())
+        };
+        for i in 0..idle {
+            let (asn, pid) = (70_000 + i, PortId(100 + i));
+            let port = MemberPort::new(asn, MacAddr::for_member(asn, 1), 100_000_000);
+            fabric.add_port(PopId((i as usize % pops) as u16), pid, port);
+        }
+        for &p in &order {
+            let asn = 64500 + p as u32;
+            let mut port = MemberPort::new(asn, MacAddr::for_member(asn, 1), 100_000_000);
+            if prepopulated[p] {
+                for rule in port_rules_to_filter(p, &port_rules[p]) {
+                    port.policy.install(rule);
+                }
+            }
+            fabric.add_port(PopId((p % pops) as u16), PortId(p as u32 + 1), port);
+            check(&fabric)?;
+        }
+        for (k, &(kind, p, slot)) in churn.iter().enumerate() {
+            let p = p % n_ports;
+            let pid = PortId(p as u32 + 1);
+            let generated = (p * 8 + slot) as u64 + 1;
+            let fresh = FilterRule::new(1_000 + k as u64, MatchSpec::default(), Action::Drop, 7);
+            match kind {
+                0 => {
+                    let _ = fabric.install_rule(pid, fresh, k as u64);
+                }
+                1 => {
+                    fabric.remove_rule(pid, generated, k as u64);
+                }
+                2 => {
+                    fabric.flush_port(pid, k as u64);
+                }
+                3 => {
+                    fabric.restart(k as u64);
+                }
+                4 => fabric.port_mut(pid).expect("port exists").policy.install(fresh),
+                _ => {
+                    fabric.port_mut(pid).expect("port exists").policy.remove(generated);
+                }
+            }
+            check(&fabric)?;
+        }
     }
 }
 

@@ -53,6 +53,11 @@ cargo test -q
 echo "==> cargo test --release -q --test fault_recovery -- --include-ignored (fault soak)"
 cargo test --release -q --test fault_recovery -- --include-ignored
 
+echo "==> quiet-pass pin in release: an unchanged watchdog pass allocates nothing at 10^3 and 10^5 ports"
+# Debug builds re-run the full obligations inside every quiet pass (the
+# incremental == full assertion), so the zero only shows in release.
+cargo test --release -q -p stellar-core --test quiet_pass_scale
+
 echo "==> determinism gate: fault_soak metrics snapshot is byte-identical across runs"
 cargo run --release -q --example fault_soak >/dev/null
 mv results/metrics_fault_soak.json results/metrics_fault_soak.run1.json
@@ -114,6 +119,15 @@ mv results/chaos_soak.json results/chaos_soak.run1.json
 STELLAR_CHAOS_SMOKE=1 cargo run --release -q -p stellar-bench --bin chaos_soak >/dev/null
 diff results/chaos_soak.run1.json results/chaos_soak.json
 
+echo "==> no tracked artifact reports an undischarged proof obligation"
+# analyze.unverified, verify.lowering.unverified, verify.ladder.unverified
+# and verify.placement.unverified are incremented only when hit; a run
+# that ended with one above zero proved less than it claims.
+if grep -nE '"[^"]*unverified[^"]*": *[1-9]' results/*.json; then
+  echo "a tracked results/*.json reports a non-zero *.unverified counter" >&2
+  exit 1
+fi
+
 echo "==> benchmark smoke: control workloads + sparse fabric, direct (--trace 0) and staged (--trace 1), oracle-checked"
 # The benchmark's expected-outcome oracle (installs, hijack and
 # corrupt-wire refusals, ledger, per-tick verdicts) is the gate. The
@@ -139,6 +153,14 @@ for workload in flowspec_victims signal_storm tick_sparse_fabric; do
       kib=$(printf '%s' "$result" | sed -n 's/.*"snapshot_kib": {"value": \([0-9]*\).*/\1/p')
       if [ -z "$kib" ] || [ "$kib" -gt 1024 ]; then
         echo "benchmark smoke failed: tick_sparse_fabric snapshot_kib=${kib:-missing} exceeds 1024" >&2
+        exit 1
+      fi
+      # Ratchet against an O(ports) walk creeping back into the quiet
+      # watchdog pass: over 10^5 ports one cost ~17 ms, a pass answered
+      # from the proof ledger costs ~0.001 ms.
+      quiet=$(printf '%s' "$result" | sed -n 's/.*"quiet_pass_p50_ms": {"value": \([0-9.e-]*\).*/\1/p')
+      if [ -z "$quiet" ] || ! awk -v q="$quiet" 'BEGIN { exit !(q < 2) }'; then
+        echo "benchmark smoke failed: tick_sparse_fabric quiet_pass_p50_ms=${quiet:-missing} is not under 2 ms" >&2
         exit 1
       fi
     fi
