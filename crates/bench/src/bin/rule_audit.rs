@@ -10,8 +10,8 @@
 
 use stellar_bench::output;
 use stellar_bgp::types::Asn;
-use stellar_classify::analyze::{analyze, ActionClass, AuditRule, RuleFlag};
-use stellar_classify::{MatchSpec, RuleEntry};
+use stellar_classify::analyze::{analyze, ActionClass, AuditRule, RuleFlag, TableAnalysis};
+use stellar_classify::{tables_equivalent, Domain, MatchSpec, RuleEntry, DEFAULT_VERIFY_BUDGET};
 use stellar_core::rule::RuleAction;
 use stellar_core::signal::{MatchKind, StellarSignal};
 use stellar_core::system::StellarSystem;
@@ -124,6 +124,34 @@ fn demo_table() -> Vec<AuditRule> {
         .collect()
 }
 
+/// Holds the analyzer's verdicts against the proof side's: over every
+/// canonical key, deleting a rule from the rules ranked at or above it
+/// must change nothing iff the analyzer flagged it dead, and something
+/// iff it handed out a witness. (Ranked at or above: below it, a later
+/// rule may pick up what the deleted one dropped — rule 10 does for 8.)
+fn assert_verify_agrees(table: &[AuditRule], report: &TableAnalysis) {
+    let rank = |r: &AuditRule| (r.entry.priority, r.entry.id);
+    let dom = Domain::canonical();
+    for rule in table {
+        let id = rule.entry.id;
+        let above: Vec<AuditRule> = table
+            .iter()
+            .filter(|r| rank(r) < rank(rule))
+            .cloned()
+            .collect();
+        let with = [above.as_slice(), std::slice::from_ref(rule)].concat();
+        let same = tables_equivalent(&with, &above, &dom, DEFAULT_VERIFY_BUDGET)
+            .expect("the fixture table is far inside the verify budget");
+        let dead = report.dead_flag(id).is_some();
+        assert_eq!(same, dead, "analyze and verify disagree on rule {id}");
+        assert_eq!(
+            report.witness(id).is_some(),
+            !dead,
+            "rule {id}: flag xor witness"
+        );
+    }
+}
+
 fn flag_json(flag: &RuleFlag) -> serde_json::Value {
     match flag {
         RuleFlag::Shadowed { by } => serde_json::json!({"kind": "shadowed", "by": by}),
@@ -227,6 +255,7 @@ fn main() {
     // Layer 2 standalone: the demo table through the analyzer.
     let table = demo_table();
     let report = analyze(&table);
+    assert_verify_agrees(&table, &report);
     println!("table: {} rules", table.len());
     for f in &report.findings {
         println!("  rule {:>2}  {:?}", f.rule, f.flag);

@@ -22,10 +22,10 @@
 //!   *cross* (overlap, neither covers the other) and one drops what the
 //!   other shapes — the ambiguous split where rank, not intent, decides.
 //! - **Reachability witnesses** — for every rule not pairwise covered, a
-//!   concrete [`FlowKey`] that reaches it as first-match, found by an
-//!   exact backtracking search over violation choices (every earlier
-//!   overlapping rule must miss the key on at least one field). A rule
-//!   with no witness is union-covered by earlier rules and flagged
+//!   concrete [`FlowKey`] that reaches it as first-match: the first key
+//!   of the rule's region that [`set::first_uncovered`] finds outside
+//!   every earlier rule, re-validated with [`MatchSpec::matches`]. A rule
+//!   with no such key is union-covered by earlier rules and flagged
 //!   [`RuleFlag::Unreachable`].
 //! - **TCAM usage** — the criteria-pool footprint ([`table_usage`]) the
 //!   table would consume, for pre-admission capacity accounting against
@@ -37,14 +37,16 @@
 //! and `n²/2` pair tests for `n` rules), [`analyze_candidates`] only the
 //! named ones (`k` searches, at most `k·n` pair tests) — what a control
 //! plane admitting `k` new rules into a standing table needs.
+//!
+//! What a rule matches is a [`Region`] of the key space [`crate::set`]
+//! describes — the same sets, over the same observable keys, that
+//! [`crate::verify`] counts — built once per rule per table.
 
 use crate::classifier::{RuleEntry, RuleId};
-use crate::spec::{is_icmp, BitsMatch, MatchSpec, PortMatch, RangeMatch};
-use stellar_net::addr::{IpAddress, Ipv4Address, Ipv6Address};
+use crate::set::{self, Domain, Region};
+use crate::spec::MatchSpec;
+use std::sync::OnceLock;
 use stellar_net::flow::FlowKey;
-use stellar_net::mac::MacAddr;
-use stellar_net::prefix::Prefix;
-use stellar_net::proto::IpProtocol;
 
 /// The action a rule takes, as far as the analyzer cares: enough to
 /// distinguish "same effect" (redundancy) from "opposing effect"
@@ -219,10 +221,11 @@ impl TableAnalysis {
     }
 }
 
-/// Default witness-search budget (leaf instantiations per rule). Far
-/// above what tables of control-plane size ever need; the bound exists
-/// so a pathological table degrades to [`RuleFlag::Unverified`] instead
-/// of hanging the control plane.
+/// Default witness-search budget, in splitter nodes per rule: each node
+/// of [`set::first_uncovered`]'s walk is `O(live earlier rules)` work.
+/// Far above what tables of control-plane size ever need; the bound
+/// exists so a pathological table degrades to [`RuleFlag::Unverified`]
+/// instead of hanging the control plane.
 pub const DEFAULT_WITNESS_BUDGET: usize = 100_000;
 
 /// Analyzes a rule table with the default witness budget.
@@ -264,50 +267,58 @@ pub fn analyze_candidates_with_budget(
     analyze_where(rules, budget, |id| ids.contains(&id))
 }
 
-/// The one analysis loop: ranks the table, then judges every position
-/// whose rule id passes `visit`.
+/// The one analysis loop: ranks the table, canonicalises every rule
+/// once, then judges every position whose rule id passes `visit`.
 fn analyze_where(
     rules: &[AuditRule],
     budget: usize,
     visit: impl Fn(RuleId) -> bool,
 ) -> TableAnalysis {
-    let mut order: Vec<usize> = (0..rules.len()).collect();
-    order.sort_by_key(|&i| rules[i].rank());
+    let mut ranked: Vec<(&AuditRule, Region)> = rules
+        .iter()
+        .map(|r| (r, Region::of(&r.entry.spec)))
+        .collect();
+    ranked.sort_by_key(|(r, _)| r.rank());
     let mut out = TableAnalysis {
         usage: table_usage(rules),
         ..Default::default()
     };
-    for (pos, &ri) in order.iter().enumerate() {
-        if visit(rules[ri].entry.id) {
-            judge(rules, &order[..pos], &rules[ri], budget, &mut out);
+    let mut scratch = set::Scratch::default();
+    for (pos, (rule, _)) in ranked.iter().enumerate() {
+        if visit(rule.entry.id) {
+            judge(&ranked[..=pos], budget, &mut scratch, &mut out);
         }
     }
     out
 }
 
-/// Judges one rule against the better-ranked rules `earlier` (indices
-/// into `rules`, in rank order) and appends what it finds to `out`. The
-/// verdict depends on nothing but `rule` and `earlier` — no state is
-/// carried from one rule to the next, which is what makes the
-/// candidate-scoped entry exact.
-fn judge(
-    rules: &[AuditRule],
-    earlier: &[usize],
-    rule: &AuditRule,
+/// The key space admission is judged over: every observable key.
+fn key_space() -> &'static Domain {
+    static CANONICAL: OnceLock<Domain> = OnceLock::new();
+    CANONICAL.get_or_init(Domain::canonical)
+}
+
+/// Judges the last rule of `upto` against the better-ranked rules before
+/// it (in rank order) and appends what it finds to `out`. The verdict
+/// depends on nothing but those — no state is carried from one rule to
+/// the next, which is what makes the candidate-scoped entry exact.
+fn judge<'r>(
+    upto: &'r [(&'r AuditRule, Region<'r>)],
     budget: usize,
+    scratch: &mut set::Scratch<'r>,
     out: &mut TableAnalysis,
 ) {
+    let Some(((rule, region), earlier)) = upto.split_last() else {
+        return;
+    };
+    let id = rule.entry.id;
     // Pairwise coverage: the first (best-ranked) earlier rule whose
     // match set contains this rule's decides the flag.
-    let coverer = earlier
-        .iter()
-        .map(|&ei| &rules[ei])
-        .find(|e| spec_covers(&e.entry.spec, &rule.entry.spec));
-    let dead = if let Some(e) = coverer {
+    let dead = if let Some((e, er)) = earlier.iter().find(|(_, er)| er.covers(region)) {
         let by = e.entry.id;
         Some(if e.action != rule.action {
             RuleFlag::Shadowed { by }
-        } else if spec_covers(&rule.entry.spec, &e.entry.spec) {
+        } else if region.covers(er) {
             // Mutual cover = identical match set; identical action
             // too, so this is a literal duplicate of `e`.
             RuleFlag::Duplicate { of: by }
@@ -315,38 +326,38 @@ fn judge(
             RuleFlag::Redundant { by }
         })
     } else {
-        // No single cover: search for a first-match witness against
-        // the union of earlier rules.
-        let earlier_specs: Vec<&MatchSpec> =
-            earlier.iter().map(|&ei| &rules[ei].entry.spec).collect();
-        let mut fuel = budget;
-        match find_witness(&earlier_specs, &rule.entry.spec, &mut fuel) {
-            WitnessOutcome::Found(key) => {
-                out.witnesses.push((rule.entry.id, key));
+        // No single cover: look for a key the union of earlier rules
+        // leaves to this one, and have the reference predicate confirm
+        // it before it is handed out.
+        let earlier_regions = earlier.iter().map(|(_, er)| er);
+        match set::first_uncovered(region, earlier_regions, key_space(), budget, scratch) {
+            Ok(Some(key))
+                if rule.entry.spec.matches(&key)
+                    && earlier.iter().all(|(e, _)| !e.entry.spec.matches(&key)) =>
+            {
+                out.witnesses.push((id, key));
                 None
             }
-            WitnessOutcome::Unreachable => Some(RuleFlag::Unreachable),
-            WitnessOutcome::Budget => Some(RuleFlag::Unverified),
+            Ok(None) => Some(RuleFlag::Unreachable),
+            // Out of budget, or a key the reference rejects: no proof
+            // either way.
+            Ok(Some(_)) | Err(set::Exhausted) => Some(RuleFlag::Unverified),
         }
     };
     if let Some(flag) = dead {
-        out.findings.push(Finding {
-            rule: rule.entry.id,
-            flag,
-        });
+        out.findings.push(Finding { rule: id, flag });
     }
     // Crossing-overlap action conflicts, regardless of reachability:
     // even a reachable rule loses part of its traffic to the earlier
     // side of the cross.
-    for &ei in earlier {
-        let e = &rules[ei];
+    for (e, er) in earlier {
         if rule.action.conflicts_with(&e.action)
-            && spec_intersects(&e.entry.spec, &rule.entry.spec)
-            && !spec_covers(&e.entry.spec, &rule.entry.spec)
-            && !spec_covers(&rule.entry.spec, &e.entry.spec)
+            && er.intersects(region)
+            && !er.covers(region)
+            && !region.covers(er)
         {
             out.findings.push(Finding {
-                rule: rule.entry.id,
+                rule: id,
                 flag: RuleFlag::Conflict { with: e.entry.id },
             });
         }
@@ -363,893 +374,34 @@ pub fn table_usage(rules: &[AuditRule]) -> TcamUsage {
     })
 }
 
-// ---------------------------------------------------------------------
-// Set relations on MatchSpecs.
-//
-// A spec denotes a product of per-field sets over flow keys, with three
-// couplings (see `MatchSpec::matches`): port criteria restrict the
-// protocol to port-bearing ones, TCP-flag criteria restrict it to TCP
-// and ICMP type/code criteria to the two ICMP protocols (all three
-// folded into one derived protocol set below), and a flow-label
-// criterion restricts the destination to IPv6.
-// ---------------------------------------------------------------------
-
-pub(crate) fn port_interval(pm: &PortMatch) -> (u16, u16) {
-    match pm {
-        PortMatch::Exact(p) => (*p, *p),
-        PortMatch::Range(lo, hi) => (*lo, *hi),
-    }
-}
-
-/// A set of IP protocol numbers as a 256-bit mask. Small enough to pass
-/// by value, exact enough to decide every protocol coupling (ports, TCP
-/// flags, ICMP fields) without case analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ProtoSet {
-    lo: u128,
-    hi: u128,
-}
-
-impl ProtoSet {
-    pub(crate) const ALL: ProtoSet = ProtoSet {
-        lo: u128::MAX,
-        hi: u128::MAX,
-    };
-
-    pub(crate) fn single(p: IpProtocol) -> Self {
-        let mut s = ProtoSet { lo: 0, hi: 0 };
-        s.insert(p.0);
-        s
-    }
-
-    pub(crate) fn from_pred(f: impl Fn(IpProtocol) -> bool) -> Self {
-        let mut s = ProtoSet { lo: 0, hi: 0 };
-        for p in 0..=255u8 {
-            if f(IpProtocol(p)) {
-                s.insert(p);
-            }
-        }
-        s
-    }
-
-    fn insert(&mut self, p: u8) {
-        if p < 128 {
-            self.lo |= 1u128 << p;
-        } else {
-            self.hi |= 1u128 << (p - 128);
-        }
-    }
-
-    pub(crate) fn and(self, o: ProtoSet) -> ProtoSet {
-        ProtoSet {
-            lo: self.lo & o.lo,
-            hi: self.hi & o.hi,
-        }
-    }
-
-    pub(crate) fn is_empty(self) -> bool {
-        self.lo == 0 && self.hi == 0
-    }
-
-    pub(crate) fn is_subset(self, o: ProtoSet) -> bool {
-        self.and(o) == self
-    }
-
-    /// Membership test for one protocol number.
-    pub(crate) fn contains(self, p: u8) -> bool {
-        if p < 128 {
-            self.lo & (1u128 << p) != 0
-        } else {
-            self.hi & (1u128 << (p - 128)) != 0
-        }
-    }
-}
-
-pub(crate) fn portful_protos() -> ProtoSet {
-    ProtoSet::from_pred(|p| p.has_ports())
-}
-
-/// The protocols a key matching `s` can carry: the explicit protocol
-/// field intersected with every implicit protocol coupling (port
-/// criteria → port-bearing, TCP flags → TCP, ICMP type/code → ICMP).
-pub(crate) fn allowed_protos(s: &MatchSpec) -> ProtoSet {
-    let mut set = match s.protocol {
-        Some(p) => ProtoSet::single(p),
-        None => ProtoSet::ALL,
-    };
-    if s.src_port.is_some() || s.dst_port.is_some() {
-        set = set.and(portful_protos());
-    }
-    if s.tcp_flags.is_some() {
-        set = set.and(ProtoSet::single(IpProtocol::TCP));
-    }
-    if s.icmp_type.is_some() || s.icmp_code.is_some() {
-        set = set.and(ProtoSet::from_pred(is_icmp));
-    }
-    set
-}
-
-/// True if every value satisfying cube `inner` also satisfies `outer`
-/// (`inner ⊆ outer` as flag-byte sets): `outer` constrains no bit
-/// `inner` leaves free, and they agree on `outer`'s bits.
-fn cube_subset(inner: BitsMatch, outer: BitsMatch) -> bool {
-    outer.mask & inner.mask == outer.mask && inner.value & outer.mask == outer.value
-}
-
-/// True if some value satisfies both (satisfiable) cubes: their values
-/// agree on the shared mask bits.
-fn cubes_compatible(a: BitsMatch, b: BitsMatch) -> bool {
-    a.value & b.mask == b.value & a.mask
-}
-
-/// The criterion as an inclusive interval, `(0, full_hi)` when absent.
-fn range_iv<T: Copy + Into<u128>>(r: &Option<RangeMatch<T>>, full_hi: u128) -> (u128, u128) {
-    r.as_ref()
-        .map(|r| (r.lo.into(), r.hi.into()))
-        .unwrap_or((0, full_hi))
-}
-
-/// One interval dimension of `a` covers the same dimension of `b` over
-/// the field's domain `0..=full_hi`.
-fn range_covers<T: Copy + Into<u128>>(
-    a: &Option<RangeMatch<T>>,
-    b: &Option<RangeMatch<T>>,
-    full_hi: u128,
-) -> bool {
-    let Some(ra) = a else {
-        return true; // wildcard covers everything
-    };
-    let (blo, bhi) = range_iv(b, full_hi);
-    ra.lo.into() <= blo && bhi <= ra.hi.into()
-}
-
-/// The two interval criteria admit a common value of the field.
-fn ranges_overlap<T: Copy + Into<u128>>(
-    a: &Option<RangeMatch<T>>,
-    b: &Option<RangeMatch<T>>,
-    full_hi: u128,
-) -> bool {
-    let (alo, ahi) = range_iv(a, full_hi);
-    let (blo, bhi) = range_iv(b, full_hi);
-    alo.max(blo) <= ahi.min(bhi)
-}
-
-/// True if the spec can match nothing at all: an inverted port or
-/// numeric range, an unsatisfiable bit cube, a flow-label criterion on
-/// an IPv4 destination, or a field combination whose implied protocol
-/// sets are disjoint (a port criterion on a portless protocol, TCP
-/// flags next to ICMP fields, ...).
+/// True if the spec can match no observable key at all: an inverted or
+/// out-of-width range, an unsatisfiable bit cube, criteria on both
+/// address families, or a field combination whose implied protocol sets
+/// are disjoint (a port criterion on a portless protocol, TCP flags next
+/// to ICMP fields, ...). See [`crate::set`] for the key space.
 pub fn spec_is_empty(s: &MatchSpec) -> bool {
-    let inverted_port = [&s.src_port, &s.dst_port].iter().any(|pm| {
-        pm.as_ref().is_some_and(|pm| {
-            let (lo, hi) = port_interval(pm);
-            lo > hi
-        })
-    });
-    let inverted_range = s.packet_len.is_some_and(|r| r.is_empty())
-        || s.dscp.is_some_and(|r| r.is_empty())
-        || s.icmp_type.is_some_and(|r| r.is_empty())
-        || s.icmp_code.is_some_and(|r| r.is_empty())
-        || s.flow_label.is_some_and(|r| r.is_empty());
-    let unsat_cube = s.tcp_flags.is_some_and(|c| !c.is_satisfiable())
-        || s.fragment.is_some_and(|c| !c.is_satisfiable());
-    let v4_flow_label = s.flow_label.is_some() && s.dst_ip.as_ref().is_some_and(|p| p.is_v4());
-    inverted_port || inverted_range || unsat_cube || v4_flow_label || allowed_protos(s).is_empty()
-}
-
-/// One port dimension of `a` covers the same dimension of `b`: every
-/// `b`-matched key's port satisfies `a`'s criterion.
-fn port_covers(a: &Option<PortMatch>, b: &Option<PortMatch>, b_portful: bool) -> bool {
-    let Some(pa) = a else {
-        return true; // wildcard covers everything
-    };
-    if !b_portful {
-        // `b` admits keys on portless protocols, which `a`'s port
-        // criterion can never match.
-        return false;
-    }
-    let (alo, ahi) = port_interval(pa);
-    let (blo, bhi) = b.as_ref().map(port_interval).unwrap_or((0, u16::MAX));
-    alo <= blo && bhi <= ahi
+    Region::of(s).is_empty()
 }
 
 /// True if `a` matches every flow key `b` matches (`a ⊇ b`). Exact for
-/// this match language; `spec_covers(a, b) && b-matches(k)` implies
-/// `a-matches(k)` by per-field set inclusion.
+/// this match language.
 pub fn spec_covers(a: &MatchSpec, b: &MatchSpec) -> bool {
-    if spec_is_empty(b) {
-        return true; // the empty set is covered by anything
-    }
-    let mac_ok = |am: &Option<MacAddr>, bm: &Option<MacAddr>| am.is_none() || *am == *bm;
-    let ip_ok = |ap: &Option<Prefix>, bp: &Option<Prefix>| match (ap, bp) {
-        (None, _) => true,
-        (Some(a), Some(b)) => a.covers(b),
-        (Some(_), None) => false,
-    };
-    // Every protocol coupling goes through `b`'s derived protocol set:
-    // a protocol-wildcard `b` with a port criterion is still confined to
-    // {UDP, TCP}, one with a TCP-flags criterion to {TCP}, and so on —
-    // `a`'s constraints only have to hold over what `b` actually admits.
-    let b_protos = allowed_protos(b);
-    let proto_ok = match a.protocol {
-        None => true,
-        Some(ap) => b_protos.is_subset(ProtoSet::single(ap)),
-    };
-    let b_portful = b_protos.is_subset(portful_protos());
-    // A gated criterion on `a` (TCP flags, ICMP fields, flow label)
-    // covers `b` only when `b` is confined to the gate — otherwise `b`
-    // admits keys the gate alone makes `a` miss.
-    let tcp_flags_ok = match a.tcp_flags {
-        None => true,
-        Some(ca) => {
-            b_protos.is_subset(ProtoSet::single(IpProtocol::TCP))
-                && cube_subset(b.tcp_flags.unwrap_or(BitsMatch::new(0, 0)), ca)
-        }
-    };
-    let b_icmp_only = b_protos.is_subset(ProtoSet::from_pred(is_icmp));
-    let icmp_type_ok =
-        a.icmp_type.is_none() || (b_icmp_only && range_covers(&a.icmp_type, &b.icmp_type, 255));
-    let icmp_code_ok =
-        a.icmp_code.is_none() || (b_icmp_only && range_covers(&a.icmp_code, &b.icmp_code, 255));
-    let fragment_ok = match a.fragment {
-        None => true,
-        Some(ca) => cube_subset(b.fragment.unwrap_or(BitsMatch::new(0, 0)), ca),
-    };
-    let flow_label_ok = match a.flow_label {
-        None => true,
-        Some(_) => {
-            let b_v6_dst_only =
-                b.flow_label.is_some() || b.dst_ip.as_ref().is_some_and(|p| !p.is_v4());
-            b_v6_dst_only && range_covers(&a.flow_label, &b.flow_label, u128::from(u32::MAX))
-        }
-    };
-    mac_ok(&a.src_mac, &b.src_mac)
-        && mac_ok(&a.dst_mac, &b.dst_mac)
-        && ip_ok(&a.src_ip, &b.src_ip)
-        && ip_ok(&a.dst_ip, &b.dst_ip)
-        && proto_ok
-        && port_covers(&a.src_port, &b.src_port, b_portful)
-        && port_covers(&a.dst_port, &b.dst_port, b_portful)
-        && tcp_flags_ok
-        && icmp_type_ok
-        && icmp_code_ok
-        && range_covers(&a.packet_len, &b.packet_len, u128::from(u16::MAX))
-        && range_covers(&a.dscp, &b.dscp, 255)
-        && fragment_ok
-        && flow_label_ok
+    Region::of(a).covers(&Region::of(b))
 }
 
 /// True if some flow key matches both specs (their intersection is
 /// non-empty). Exact for this match language.
 pub fn spec_intersects(a: &MatchSpec, b: &MatchSpec) -> bool {
-    if spec_is_empty(a) || spec_is_empty(b) {
-        return false;
-    }
-    let mac_ok = |am: &Option<MacAddr>, bm: &Option<MacAddr>| match (am, bm) {
-        (Some(x), Some(y)) => x == y,
-        _ => true,
-    };
-    let ip_ok = |ap: &Option<Prefix>, bp: &Option<Prefix>| match (ap, bp) {
-        (Some(x), Some(y)) => x.covers(y) || y.covers(x),
-        _ => true,
-    };
-    let ports_overlap = |x: &Option<PortMatch>, y: &Option<PortMatch>| {
-        let (xlo, xhi) = x.as_ref().map(port_interval).unwrap_or((0, u16::MAX));
-        let (ylo, yhi) = y.as_ref().map(port_interval).unwrap_or((0, u16::MAX));
-        xlo.max(ylo) <= xhi.min(yhi)
-    };
-    // Joint protocol constraint: the derived sets (explicit protocol
-    // plus every implicit coupling on either side) must share a member.
-    if allowed_protos(a).and(allowed_protos(b)).is_empty() {
-        return false;
-    }
-    let cubes_ok = |x: &Option<BitsMatch>, y: &Option<BitsMatch>| match (x, y) {
-        (Some(cx), Some(cy)) => cubes_compatible(*cx, *cy),
-        _ => true,
-    };
-    // A flow-label criterion on either side forces an IPv6 destination
-    // in the intersection.
-    let v6_ok = if a.flow_label.is_some() || b.flow_label.is_some() {
-        !a.dst_ip.as_ref().is_some_and(|p| p.is_v4())
-            && !b.dst_ip.as_ref().is_some_and(|p| p.is_v4())
-    } else {
-        true
-    };
-    mac_ok(&a.src_mac, &b.src_mac)
-        && mac_ok(&a.dst_mac, &b.dst_mac)
-        && ip_ok(&a.src_ip, &b.src_ip)
-        && ip_ok(&a.dst_ip, &b.dst_ip)
-        && ports_overlap(&a.src_port, &b.src_port)
-        && ports_overlap(&a.dst_port, &b.dst_port)
-        && cubes_ok(&a.tcp_flags, &b.tcp_flags)
-        && cubes_ok(&a.fragment, &b.fragment)
-        && ranges_overlap(&a.packet_len, &b.packet_len, u128::from(u16::MAX))
-        && ranges_overlap(&a.dscp, &b.dscp, 255)
-        && ranges_overlap(&a.icmp_type, &b.icmp_type, 255)
-        && ranges_overlap(&a.icmp_code, &b.icmp_code, 255)
-        && ranges_overlap(&a.flow_label, &b.flow_label, u128::from(u32::MAX))
-        && v6_ok
-}
-
-// ---------------------------------------------------------------------
-// Witness search.
-//
-// A first-match witness for rule R against earlier rules E1..En is a key
-// k with k ∈ R and k ∉ Ei for every i. Each Ei must be *violated* on at
-// least one field; the search branches over which field of each
-// overlapping Ei to violate, accumulates the induced per-field
-// constraints (bans), and instantiates a concrete key at the leaf. Every
-// candidate is verified with the real `MatchSpec::matches` predicate, so
-// any returned witness is sound by construction; completeness comes from
-// the branching covering every way a product set can miss a key.
-// ---------------------------------------------------------------------
-
-enum WitnessOutcome {
-    Found(FlowKey),
-    Unreachable,
-    Budget,
-}
-
-/// Accumulated per-field constraints along one search branch.
-#[derive(Debug, Clone, Default)]
-struct Constraints {
-    src_mac_bans: Vec<MacAddr>,
-    dst_mac_bans: Vec<MacAddr>,
-    /// Banned address intervals `(is_v4, lo, hi)`.
-    src_ip_bans: Vec<(bool, u128, u128)>,
-    dst_ip_bans: Vec<(bool, u128, u128)>,
-    proto_bans: Vec<IpProtocol>,
-    src_port_bans: Vec<(u16, u16)>,
-    dst_port_bans: Vec<(u16, u16)>,
-    /// Banned TCP-flag cubes (the flag byte must satisfy none of them).
-    tcp_flags_bans: Vec<BitsMatch>,
-    /// Banned fragment-bit cubes.
-    fragment_bans: Vec<BitsMatch>,
-    packet_len_bans: Vec<(u128, u128)>,
-    dscp_bans: Vec<(u128, u128)>,
-    icmp_type_bans: Vec<(u128, u128)>,
-    icmp_code_bans: Vec<(u128, u128)>,
-    flow_label_bans: Vec<(u128, u128)>,
-    /// The witness protocol must carry ports (a numeric port violation
-    /// or a port criterion on the target).
-    must_have_ports: bool,
-    /// The witness protocol must NOT carry ports (an earlier rule's port
-    /// criterion is violated by choosing a portless protocol).
-    must_be_portless: bool,
-    /// The witness must be TCP (the target has a TCP-flags criterion).
-    must_be_tcp: bool,
-    /// The witness must NOT be TCP (an earlier rule's TCP-flags
-    /// criterion is violated by leaving the TCP protocol class).
-    must_not_tcp: bool,
-    /// The witness must be ICMP/ICMPv6 (the target has ICMP criteria).
-    must_be_icmp: bool,
-    /// The witness must NOT be ICMP/ICMPv6 (an earlier rule's ICMP
-    /// criterion is violated by leaving the ICMP protocol class).
-    must_not_icmp: bool,
-    /// The destination must be IPv4 (an earlier rule's flow-label
-    /// criterion is violated through its IPv6 gate).
-    must_dst_v4: bool,
-}
-
-/// Smallest flag byte satisfying the target's cube (if any) and none of
-/// the banned cubes.
-fn pick_bits(fixed: Option<BitsMatch>, bans: &[BitsMatch]) -> Option<u8> {
-    (0u8..=255).find(|&x| fixed.is_none_or(|c| c.matches(x)) && bans.iter().all(|c| !c.matches(x)))
-}
-
-/// Smallest value in the target's interval (the full `0..=full_hi`
-/// domain when unconstrained) avoiding every banned interval.
-fn pick_num(fixed: Option<(u128, u128)>, full_hi: u128, bans: &[(u128, u128)]) -> Option<u128> {
-    let (lo, hi) = fixed.unwrap_or((0, full_hi));
-    pick_in(lo, hi, bans)
-}
-
-/// The criterion as a concrete interval for `pick_num`.
-fn fixed_iv<T: Copy + Into<u128>>(r: &Option<RangeMatch<T>>) -> Option<(u128, u128)> {
-    r.as_ref().map(|r| (r.lo.into(), r.hi.into()))
-}
-
-pub(crate) fn ip_num(addr: IpAddress) -> (bool, u128) {
-    match addr {
-        IpAddress::V4(Ipv4Address(b)) => (true, u128::from(u32::from_be_bytes(b))),
-        IpAddress::V6(Ipv6Address(b)) => (false, u128::from_be_bytes(b)),
-    }
-}
-
-pub(crate) fn num_ip(is_v4: bool, n: u128) -> IpAddress {
-    if is_v4 {
-        IpAddress::V4(Ipv4Address((n as u32).to_be_bytes()))
-    } else {
-        IpAddress::V6(Ipv6Address(n.to_be_bytes()))
-    }
-}
-
-/// The prefix as an aligned address interval `(is_v4, lo, hi)`.
-pub(crate) fn prefix_interval(p: &Prefix) -> (bool, u128, u128) {
-    let (is_v4, lo) = ip_num(p.network());
-    let bits = if is_v4 { 32 } else { 128 };
-    let host_bits = u32::from(bits - p.len());
-    let size = if host_bits >= 128 {
-        u128::MAX
-    } else {
-        (1u128 << host_bits) - 1
-    };
-    (is_v4, lo, lo.saturating_add(size))
-}
-
-/// Smallest value in `[lo, hi]` avoiding every banned interval, if any.
-fn pick_in(lo: u128, hi: u128, bans: &[(u128, u128)]) -> Option<u128> {
-    let mut clipped: Vec<(u128, u128)> = bans
-        .iter()
-        .filter(|(blo, bhi)| *bhi >= lo && *blo <= hi)
-        .map(|(blo, bhi)| ((*blo).max(lo), (*bhi).min(hi)))
-        .collect();
-    clipped.sort_unstable();
-    let mut cur = lo;
-    for (blo, bhi) in clipped {
-        if blo > cur {
-            return Some(cur);
-        }
-        cur = cur.max(bhi.checked_add(1)?);
-        if cur > hi {
-            return None;
-        }
-    }
-    Some(cur)
-}
-
-impl Constraints {
-    /// A MAC satisfying the target's constraint and every ban, if any.
-    fn pick_mac(&self, fixed: Option<MacAddr>, bans: &[MacAddr]) -> Option<MacAddr> {
-        if let Some(m) = fixed {
-            return (!bans.contains(&m)).then_some(m);
-        }
-        let ban_nums: Vec<(u128, u128)> = bans
-            .iter()
-            .map(|m| {
-                let mut b = [0u8; 16];
-                b[10..].copy_from_slice(&m.0);
-                let n = u128::from_be_bytes(b);
-                (n, n)
-            })
-            .collect();
-        let n = pick_in(0, (1u128 << 48) - 1, &ban_nums)?;
-        let bytes = n.to_be_bytes();
-        let mut mac = [0u8; 6];
-        mac.copy_from_slice(&bytes[10..]);
-        Some(MacAddr(mac))
-    }
-
-    /// An address inside the target's prefix constraint (or any address)
-    /// avoiding every banned interval. Tries the constrained family, or
-    /// v4 then v6 when unconstrained; `family` (Some(true) = v4 only,
-    /// Some(false) = v6 only) further confines the choice for the
-    /// flow-label gate.
-    fn pick_ip(
-        &self,
-        fixed: &Option<Prefix>,
-        bans: &[(bool, u128, u128)],
-        family: Option<bool>,
-    ) -> Option<IpAddress> {
-        let mut families: Vec<(bool, u128, u128)> = match fixed {
-            Some(p) => vec![prefix_interval(p)],
-            None => vec![(true, 0, u128::from(u32::MAX)), (false, 0, u128::MAX)],
-        };
-        if let Some(want_v4) = family {
-            families.retain(|(f, _, _)| *f == want_v4);
-        }
-        for (is_v4, lo, hi) in families {
-            let fam_bans: Vec<(u128, u128)> = bans
-                .iter()
-                .filter(|(f, _, _)| *f == is_v4)
-                .map(|(_, blo, bhi)| (*blo, *bhi))
-                .collect();
-            if let Some(n) = pick_in(lo, hi, &fam_bans) {
-                return Some(num_ip(is_v4, n));
-            }
-        }
-        None
-    }
-
-    /// A protocol satisfying the target constraint, the port flags and
-    /// the bans.
-    fn pick_proto(&self, fixed: Option<IpProtocol>) -> Option<IpProtocol> {
-        if self.must_have_ports && self.must_be_portless {
-            return None;
-        }
-        let ok = |p: IpProtocol| {
-            !self.proto_bans.contains(&p)
-                && (!self.must_have_ports || p.has_ports())
-                && (!self.must_be_portless || !p.has_ports())
-                && (!self.must_be_tcp || p == IpProtocol::TCP)
-                && (!self.must_not_tcp || p != IpProtocol::TCP)
-                && (!self.must_be_icmp || is_icmp(p))
-                && (!self.must_not_icmp || !is_icmp(p))
-        };
-        if let Some(p) = fixed {
-            return ok(p).then_some(p);
-        }
-        // Portful candidates first ordering is irrelevant for soundness:
-        // flags already rule out the wrong class.
-        let candidates = [
-            IpProtocol::UDP,
-            IpProtocol::TCP,
-            IpProtocol::ICMP,
-            IpProtocol::GRE,
-            IpProtocol::ESP,
-            IpProtocol::IGMP,
-            IpProtocol::ICMPV6,
-            IpProtocol(99),
-            IpProtocol(111),
-            IpProtocol(200),
-        ];
-        candidates.into_iter().find(|p| ok(*p))
-    }
-
-    /// A port value satisfying the target's criterion and the bans.
-    fn pick_port(&self, fixed: &Option<PortMatch>, bans: &[(u16, u16)]) -> Option<u16> {
-        let (lo, hi) = fixed.as_ref().map(port_interval).unwrap_or((0, u16::MAX));
-        let ban_nums: Vec<(u128, u128)> = bans
-            .iter()
-            .map(|(blo, bhi)| (u128::from(*blo), u128::from(*bhi)))
-            .collect();
-        pick_in(u128::from(lo), u128::from(hi), &ban_nums).map(|n| n as u16)
-    }
-
-    /// Instantiates a concrete key for `target` under the accumulated
-    /// constraints, if one exists. Gated fields are only picked when the
-    /// chosen protocol / destination family activates them — on an
-    /// inactive gate the earlier rule's criterion already misses, so the
-    /// banned values are irrelevant and the field stays zero.
-    fn instantiate(&self, target: &MatchSpec) -> Option<FlowKey> {
-        let protocol = self.pick_proto(target.protocol)?;
-        let (src_port, dst_port) = if protocol.has_ports() {
-            (
-                self.pick_port(&target.src_port, &self.src_port_bans)?,
-                self.pick_port(&target.dst_port, &self.dst_port_bans)?,
-            )
-        } else {
-            (0, 0)
-        };
-        // A flow-label criterion on the target forces a v6 destination;
-        // a NotV6Dst violation forces v4 (apply_violation refuses the
-        // combination).
-        let dst_family = if self.must_dst_v4 {
-            Some(true)
-        } else if target.flow_label.is_some() {
-            Some(false)
-        } else {
-            None
-        };
-        let dst_ip = self.pick_ip(&target.dst_ip, &self.dst_ip_bans, dst_family)?;
-        let tcp_flags = if protocol == IpProtocol::TCP {
-            pick_bits(target.tcp_flags, &self.tcp_flags_bans)?
-        } else {
-            0
-        };
-        let (icmp_type, icmp_code) = if is_icmp(protocol) {
-            (
-                pick_num(fixed_iv(&target.icmp_type), 255, &self.icmp_type_bans)? as u8,
-                pick_num(fixed_iv(&target.icmp_code), 255, &self.icmp_code_bans)? as u8,
-            )
-        } else {
-            (0, 0)
-        };
-        let flow_label = if matches!(dst_ip, IpAddress::V6(_)) {
-            pick_num(
-                fixed_iv(&target.flow_label),
-                u128::from(u32::MAX),
-                &self.flow_label_bans,
-            )? as u32
-        } else {
-            0
-        };
-        Some(FlowKey {
-            src_mac: self.pick_mac(target.src_mac, &self.src_mac_bans)?,
-            dst_mac: self.pick_mac(target.dst_mac, &self.dst_mac_bans)?,
-            src_ip: self.pick_ip(&target.src_ip, &self.src_ip_bans, None)?,
-            dst_ip,
-            protocol,
-            src_port,
-            dst_port,
-            tcp_flags,
-            packet_len: pick_num(
-                fixed_iv(&target.packet_len),
-                u128::from(u16::MAX),
-                &self.packet_len_bans,
-            )? as u16,
-            dscp: pick_num(fixed_iv(&target.dscp), 255, &self.dscp_bans)? as u8,
-            fragment: pick_bits(target.fragment, &self.fragment_bans)?,
-            icmp_type,
-            icmp_code,
-            flow_label,
-        })
-    }
-}
-
-/// Which field of an earlier rule a branch violates.
-#[derive(Debug, Clone, Copy)]
-enum Violation {
-    SrcMac,
-    DstMac,
-    SrcIp,
-    DstIp,
-    Proto,
-    /// Port value outside the earlier rule's range (forces a port-bearing
-    /// protocol).
-    SrcPortValue,
-    DstPortValue,
-    /// Portless protocol (defeats any port criterion on the earlier
-    /// rule).
-    Portless,
-    /// Flag byte outside the earlier rule's TCP-flags cube.
-    TcpFlagsValue,
-    /// Non-TCP protocol (defeats a TCP-flags criterion via its gate).
-    NotTcp,
-    /// ICMP type outside the earlier rule's interval.
-    IcmpTypeValue,
-    /// ICMP code outside the earlier rule's interval.
-    IcmpCodeValue,
-    /// Non-ICMP protocol (defeats ICMP type/code criteria via the gate).
-    NotIcmp,
-    /// Packet length outside the earlier rule's interval.
-    PacketLenValue,
-    /// DSCP outside the earlier rule's interval.
-    DscpValue,
-    /// Fragment bits outside the earlier rule's cube.
-    FragmentValue,
-    /// Flow label outside the earlier rule's interval.
-    FlowLabelValue,
-    /// IPv4 destination (defeats a flow-label criterion via its gate).
-    NotV6Dst,
-}
-
-const ALL_VIOLATIONS: [Violation; 18] = [
-    Violation::SrcMac,
-    Violation::DstMac,
-    Violation::SrcIp,
-    Violation::DstIp,
-    Violation::Proto,
-    Violation::SrcPortValue,
-    Violation::DstPortValue,
-    Violation::Portless,
-    Violation::TcpFlagsValue,
-    Violation::NotTcp,
-    Violation::IcmpTypeValue,
-    Violation::IcmpCodeValue,
-    Violation::NotIcmp,
-    Violation::PacketLenValue,
-    Violation::DscpValue,
-    Violation::FragmentValue,
-    Violation::FlowLabelValue,
-    Violation::NotV6Dst,
-];
-
-fn find_witness(earlier: &[&MatchSpec], target: &MatchSpec, fuel: &mut usize) -> WitnessOutcome {
-    if spec_is_empty(target) {
-        return WitnessOutcome::Unreachable;
-    }
-    let mut cons = Constraints {
-        must_have_ports: target.src_port.is_some() || target.dst_port.is_some(),
-        must_be_tcp: target.tcp_flags.is_some(),
-        must_be_icmp: target.icmp_type.is_some() || target.icmp_code.is_some(),
-        ..Default::default()
-    };
-    // Only earlier rules whose match set overlaps the target's need an
-    // explicit violation; disjoint ones cannot capture a target-matching
-    // key (and the final verification double-checks).
-    let overlapping: Vec<&MatchSpec> = earlier
-        .iter()
-        .copied()
-        .filter(|e| spec_intersects(e, target))
-        .collect();
-    match solve(&overlapping, 0, target, earlier, &mut cons, fuel) {
-        Some(key) => WitnessOutcome::Found(key),
-        None if *fuel == 0 => WitnessOutcome::Budget,
-        None => WitnessOutcome::Unreachable,
-    }
-}
-
-/// Depth-first search over violation choices for `overlapping[idx..]`,
-/// verifying the instantiated key against the *full* earlier list.
-fn solve(
-    overlapping: &[&MatchSpec],
-    idx: usize,
-    target: &MatchSpec,
-    all_earlier: &[&MatchSpec],
-    cons: &mut Constraints,
-    fuel: &mut usize,
-) -> Option<FlowKey> {
-    if *fuel == 0 {
-        return None;
-    }
-    if idx == overlapping.len() {
-        *fuel -= 1;
-        let key = cons.instantiate(target)?;
-        if target.matches(&key) && all_earlier.iter().all(|e| !e.matches(&key)) {
-            return Some(key);
-        }
-        return None;
-    }
-    let e = overlapping[idx];
-    for v in ALL_VIOLATIONS {
-        let mut next = cons.clone();
-        if !apply_violation(&mut next, e, target, v) {
-            continue;
-        }
-        if let Some(key) = solve(overlapping, idx + 1, target, all_earlier, &mut next, fuel) {
-            return Some(key);
-        }
-        if *fuel == 0 {
-            return None;
-        }
-    }
-    None
-}
-
-/// Adds the constraint that violates field `v` of earlier rule `e` to
-/// `cons`, returning false when the choice is structurally infeasible
-/// against the target's own constraints (cheap pruning; the leaf
-/// verification is the final arbiter).
-fn apply_violation(
-    cons: &mut Constraints,
-    e: &MatchSpec,
-    target: &MatchSpec,
-    v: Violation,
-) -> bool {
-    match v {
-        Violation::SrcMac => {
-            let Some(m) = e.src_mac else { return false };
-            if target.src_mac == Some(m) {
-                return false;
-            }
-            cons.src_mac_bans.push(m);
-        }
-        Violation::DstMac => {
-            let Some(m) = e.dst_mac else { return false };
-            if target.dst_mac == Some(m) {
-                return false;
-            }
-            cons.dst_mac_bans.push(m);
-        }
-        Violation::SrcIp => {
-            let Some(p) = &e.src_ip else { return false };
-            if target.src_ip.as_ref().is_some_and(|t| p.covers(t)) {
-                return false;
-            }
-            cons.src_ip_bans.push(prefix_interval(p));
-        }
-        Violation::DstIp => {
-            let Some(p) = &e.dst_ip else { return false };
-            if target.dst_ip.as_ref().is_some_and(|t| p.covers(t)) {
-                return false;
-            }
-            cons.dst_ip_bans.push(prefix_interval(p));
-        }
-        Violation::Proto => {
-            let Some(p) = e.protocol else { return false };
-            if target.protocol == Some(p) {
-                return false;
-            }
-            cons.proto_bans.push(p);
-        }
-        Violation::SrcPortValue => {
-            let Some(pm) = &e.src_port else { return false };
-            if cons.must_be_portless {
-                return false;
-            }
-            cons.src_port_bans.push(port_interval(pm));
-            cons.must_have_ports = true;
-        }
-        Violation::DstPortValue => {
-            let Some(pm) = &e.dst_port else { return false };
-            if cons.must_be_portless {
-                return false;
-            }
-            cons.dst_port_bans.push(port_interval(pm));
-            cons.must_have_ports = true;
-        }
-        Violation::Portless => {
-            // Defeats a port criterion by making the key portless; only
-            // possible when the earlier rule has one and the target has
-            // none (and no port-bearing protocol requirement).
-            if e.src_port.is_none() && e.dst_port.is_none() {
-                return false;
-            }
-            if cons.must_have_ports
-                || target.protocol.is_some_and(|p| p.has_ports())
-                || target.src_port.is_some()
-                || target.dst_port.is_some()
-            {
-                return false;
-            }
-            cons.must_be_portless = true;
-        }
-        Violation::TcpFlagsValue => {
-            let Some(c) = e.tcp_flags else { return false };
-            // A mask-0 cube matches every flag byte; a target cube inside
-            // the banned cube leaves no value to pick (the target forces
-            // TCP, so the flags gate is always active).
-            if c.mask == 0 || target.tcp_flags.is_some_and(|t| cube_subset(t, c)) {
-                return false;
-            }
-            cons.tcp_flags_bans.push(c);
-        }
-        Violation::NotTcp => {
-            if e.tcp_flags.is_none()
-                || cons.must_be_tcp
-                || target.tcp_flags.is_some()
-                || target.protocol == Some(IpProtocol::TCP)
-            {
-                return false;
-            }
-            cons.must_not_tcp = true;
-        }
-        Violation::IcmpTypeValue => {
-            let Some(r) = e.icmp_type else { return false };
-            cons.icmp_type_bans.push((r.lo.into(), r.hi.into()));
-        }
-        Violation::IcmpCodeValue => {
-            let Some(r) = e.icmp_code else { return false };
-            cons.icmp_code_bans.push((r.lo.into(), r.hi.into()));
-        }
-        Violation::NotIcmp => {
-            if (e.icmp_type.is_none() && e.icmp_code.is_none())
-                || cons.must_be_icmp
-                || target.icmp_type.is_some()
-                || target.icmp_code.is_some()
-                || target.protocol.is_some_and(is_icmp)
-            {
-                return false;
-            }
-            cons.must_not_icmp = true;
-        }
-        Violation::PacketLenValue => {
-            let Some(r) = e.packet_len else { return false };
-            // Ungated field: a ban swallowing the target's whole interval
-            // can never be avoided.
-            let (tlo, thi) = range_iv(&target.packet_len, u128::from(u16::MAX));
-            if u128::from(r.lo) <= tlo && thi <= u128::from(r.hi) {
-                return false;
-            }
-            cons.packet_len_bans.push((r.lo.into(), r.hi.into()));
-        }
-        Violation::DscpValue => {
-            let Some(r) = e.dscp else { return false };
-            let (tlo, thi) = range_iv(&target.dscp, 255);
-            if u128::from(r.lo) <= tlo && thi <= u128::from(r.hi) {
-                return false;
-            }
-            cons.dscp_bans.push((r.lo.into(), r.hi.into()));
-        }
-        Violation::FragmentValue => {
-            let Some(c) = e.fragment else { return false };
-            if c.mask == 0 || target.fragment.is_some_and(|t| cube_subset(t, c)) {
-                return false;
-            }
-            cons.fragment_bans.push(c);
-        }
-        Violation::FlowLabelValue => {
-            let Some(r) = e.flow_label else { return false };
-            cons.flow_label_bans.push((r.lo.into(), r.hi.into()));
-        }
-        Violation::NotV6Dst => {
-            if e.flow_label.is_none()
-                || target.flow_label.is_some()
-                || target.dst_ip.as_ref().is_some_and(|p| !p.is_v4())
-            {
-                return false;
-            }
-            cons.must_dst_v4 = true;
-        }
-    }
-    true
+    Region::of(a).intersects(&Region::of(b))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{BitsMatch, PortMatch, RangeMatch};
+    use stellar_net::mac::MacAddr;
     use stellar_net::ports;
+    use stellar_net::proto::IpProtocol;
 
     fn spec(dst: &str) -> MatchSpec {
         MatchSpec::to_destination(dst.parse().unwrap())
@@ -1801,6 +953,57 @@ mod tests {
             rule(2, 10, MatchSpec::default(), ActionClass::Drop),
         ]);
         assert!(t.dead_flag(2).is_none());
+    }
+
+    /// Rules that differ only on keys no packet can produce do not
+    /// differ: the admission audit and the proof side share one key
+    /// space. Each fixture is a rule 1 whose extra criterion is all of
+    /// its field's observable width, so it shadows a rule 2 without it.
+    #[test]
+    fn criteria_wider_than_the_observable_field_do_not_keep_a_rule_alive() {
+        use crate::verify::{tables_equivalent, Domain, DEFAULT_VERIFY_BUDGET};
+        let v4_host = "100.10.10.10/32";
+        let fixtures = [
+            MatchSpec {
+                dscp: Some(RangeMatch::new(0, 63)),
+                ..spec(v4_host)
+            },
+            MatchSpec {
+                fragment: Some(BitsMatch::none_of(0x10)),
+                ..spec(v4_host)
+            },
+            MatchSpec {
+                flow_label: Some(RangeMatch::new(0, 0xF_FFFF)),
+                ..spec("2001:db8::1/128")
+            },
+        ];
+        for first in fixtures {
+            let second = MatchSpec::to_destination(first.dst_ip.unwrap());
+            let table = [
+                rule(1, 10, first, ActionClass::Drop),
+                rule(2, 10, second, ActionClass::Shape { rate_bps: 1 }),
+            ];
+            let t = analyze(&table);
+            assert_eq!(t.dead_flag(2), Some(RuleFlag::Shadowed { by: 1 }));
+            assert!(t.witness(2).is_none());
+            let dom = Domain::canonical();
+            let same = tables_equivalent(&table, &table[..1], &dom, DEFAULT_VERIFY_BUDGET);
+            assert_eq!(same, Ok(true), "verify agrees rule 2 is dead");
+        }
+        // One family per packet: a v6 source towards a v4 destination
+        // matches nothing, for analyze as for verify.
+        let mixed = MatchSpec {
+            src_ip: Some("2001:db8::/64".parse().unwrap()),
+            ..spec(v4_host)
+        };
+        assert!(spec_is_empty(&mixed));
+        let table = [rule(1, 10, mixed, ActionClass::Drop)];
+        assert_eq!(analyze(&table).dead_flag(1), Some(RuleFlag::Unreachable));
+        let dom = Domain::canonical();
+        assert_eq!(
+            tables_equivalent(&table, &[], &dom, DEFAULT_VERIFY_BUDGET),
+            Ok(true)
+        );
     }
 
     #[test]

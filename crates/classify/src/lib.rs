@@ -21,13 +21,18 @@
 //! - [`sharded`] / [`pool`] — the order-preserving fan-out of
 //!   independent shards (one per port group) over a reusable worker
 //!   pool.
+//! - [`set`] — the match language as sets of observable flow keys: the
+//!   field table, the canonical [`set::Region`] of a spec, the key
+//!   universe and its splitter.
 //! - [`analyze`] / [`verify`] — static rule-table analysis and the exact
-//!   rule-set algebra behind the control plane's audit and proofs.
+//!   rule-set algebra behind the control plane's audit and proofs, both
+//!   over [`set`].
 
 pub mod analyze;
 pub mod classifier;
 pub mod interval;
 pub mod pool;
+pub mod set;
 pub mod sharded;
 pub mod spec;
 pub mod verify;

@@ -17,20 +17,12 @@
 //! A table denotes a function `FlowKey -> Outcome` under first-match
 //! (lowest `(priority, id)` wins; no match = [`Outcome::NoMatch`]). Two
 //! tables are compared by recursively partitioning the flow-key space
-//! one field at a time, in a fixed order, into *atoms*: subdomains on
-//! which every live rule's criterion for that field is constant. Numeric
-//! fields (MACs, IPs, ports, lengths, DSCP, ICMP, flow label) atomize
-//! into elementary intervals cut at constraint endpoints; flag bytes
-//! (TCP flags, fragment bits) atomize into subsets of the constrained
-//! bit positions, with unconstrained in-domain bits contributing an
-//! exact multiplier; protocols group into equivalence classes by rule
-//! membership and gate signature. Field couplings mirror
-//! [`MatchSpec::matches`] exactly: a portless protocol never satisfies a
-//! port criterion, only TCP satisfies TCP-flag cubes, only ICMP/ICMPv6
-//! satisfy ICMP ranges, and only IPv6 destinations satisfy flow-label
-//! ranges. Gated-off fields are pinned to 0, so counts are over
-//! *canonical* keys — the representative every real packet normalizes
-//! to (see [`Domain`]).
+//! one field at a time, in the order of [`crate::set`]'s field table,
+//! into *atoms*: subdomains on which every live rule's criterion for
+//! that field is constant. How each kind of field atomises, the gates
+//! that couple fields to the protocol and family, and why counts are
+//! over *canonical* keys is `set`'s to say (`set::each_atom`,
+//! [`Domain`]); this module owns the recursion over two tables.
 //!
 //! Three prunes keep the recursion polynomial on real tables: subtrees
 //! where both tables' live rule sequences are pointwise identical are
@@ -47,17 +39,14 @@
 //! `u128::MAX` (only reachable when full IPv6 address dimensions are in
 //! the domain).
 
-use crate::analyze::{
-    allowed_protos, num_ip, port_interval, prefix_interval, spec_is_empty, ActionClass, AuditRule,
-    ProtoSet,
-};
+use crate::analyze::{ActionClass, AuditRule};
 use crate::classifier::RuleEntry;
-use crate::spec::{is_icmp, BitsMatch, MatchSpec};
+pub use crate::set::Domain;
+use crate::set::{each_atom, Cell, Ctx, Field, Region};
+use crate::spec::MatchSpec;
 use core::fmt;
 use std::collections::BTreeMap;
-use stellar_net::flow::{frag, FlowKey};
-use stellar_net::mac::MacAddr;
-use stellar_net::proto::IpProtocol;
+use stellar_net::flow::FlowKey;
 
 /// Default recursion-node budget for [`diff_tables`]. Each node is
 /// `O(live rules)` work; real control-plane tables (tens to a few
@@ -100,109 +89,6 @@ impl fmt::Display for Outcome {
             Outcome::Forward => write!(f, "forward"),
             Outcome::NoMatch => write!(f, "no-match"),
         }
-    }
-}
-
-/// The flow-key universe two tables are compared over, as a product of
-/// per-field sets. Interval lists must be sorted, disjoint and
-/// non-empty ranges (`lo <= hi`); `protocols` sorted and deduplicated —
-/// [`Domain::canonical`] satisfies all of this, and restriction helpers
-/// preserve it.
-///
-/// Keys are counted in *canonical* form: a field whose gate is off for
-/// the key's protocol/family (ports on portless protocols, TCP flags on
-/// non-TCP, ICMP type/code on non-ICMP, flow label on IPv4) is pinned
-/// to 0 rather than ranged over, and flag bytes only range over
-/// `*_mask` bits. This makes "number of distinct flow keys" mean
-/// distinct *observable* header combinations, not storage encodings.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Domain {
-    /// Source-MAC intervals over the 48-bit MAC space.
-    pub src_macs: Vec<(u128, u128)>,
-    /// Destination-MAC intervals over the 48-bit MAC space.
-    pub dst_macs: Vec<(u128, u128)>,
-    /// IPv4 source-address intervals (empty = no v4 side).
-    pub src_ip_v4: Vec<(u128, u128)>,
-    /// IPv4 destination-address intervals.
-    pub dst_ip_v4: Vec<(u128, u128)>,
-    /// IPv6 source-address intervals (empty = no v6 side).
-    pub src_ip_v6: Vec<(u128, u128)>,
-    /// IPv6 destination-address intervals.
-    pub dst_ip_v6: Vec<(u128, u128)>,
-    /// IP protocol numbers present, ascending.
-    pub protocols: Vec<u8>,
-    /// Port intervals (applies to both src and dst ports).
-    pub ports: Vec<(u128, u128)>,
-    /// Packet-length intervals.
-    pub packet_len: Vec<(u128, u128)>,
-    /// DSCP intervals over `0..=63`.
-    pub dscp: Vec<(u128, u128)>,
-    /// TCP-flag bits that may vary; bits outside are pinned to 0.
-    pub tcp_flags_mask: u8,
-    /// Fragment bits that may vary; bits outside are pinned to 0.
-    pub fragment_mask: u8,
-    /// ICMP message-type intervals.
-    pub icmp_type: Vec<(u128, u128)>,
-    /// ICMP message-code intervals.
-    pub icmp_code: Vec<(u128, u128)>,
-    /// IPv6 flow-label intervals over `0..=0xF_FFFF`.
-    pub flow_label: Vec<(u128, u128)>,
-}
-
-impl Domain {
-    /// The full canonical flow-key universe: every MAC, both address
-    /// families in full, all 256 protocols, full ports/lengths/DSCP/
-    /// ICMP/flow-label ranges, all 8 TCP-flag bits and the 4 defined
-    /// fragment bits.
-    pub fn canonical() -> Self {
-        const MACS: u128 = (1 << 48) - 1;
-        Domain {
-            src_macs: vec![(0, MACS)],
-            dst_macs: vec![(0, MACS)],
-            src_ip_v4: vec![(0, u128::from(u32::MAX))],
-            dst_ip_v4: vec![(0, u128::from(u32::MAX))],
-            src_ip_v6: vec![(0, u128::MAX)],
-            dst_ip_v6: vec![(0, u128::MAX)],
-            protocols: (0..=255).collect(),
-            ports: vec![(0, u128::from(u16::MAX))],
-            packet_len: vec![(0, u128::from(u16::MAX))],
-            dscp: vec![(0, 63)],
-            tcp_flags_mask: 0xFF,
-            fragment_mask: frag::DOMAIN,
-            icmp_type: vec![(0, 255)],
-            icmp_code: vec![(0, 255)],
-            flow_label: vec![(0, 0xF_FFFF)],
-        }
-    }
-
-    /// Restricts the domain to IPv4 traffic only.
-    pub fn v4_only(mut self) -> Self {
-        self.src_ip_v6.clear();
-        self.dst_ip_v6.clear();
-        self
-    }
-
-    /// Restricts the domain to keys addressed to exactly `mac` — the
-    /// traffic one egress member port sees (placement soundness is
-    /// checked per port over this restriction).
-    pub fn with_dst_mac(mut self, mac: MacAddr) -> Self {
-        let n = mac_num(mac);
-        self.dst_macs = vec![(n, n)];
-        self
-    }
-
-    /// Number of canonical keys in the domain (saturating).
-    pub fn size(&self) -> u128 {
-        let d = Differ {
-            dom: self,
-            a: Vec::new(),
-            b: Vec::new(),
-            budget: 0,
-            nodes: 0,
-            regions: BTreeMap::new(),
-            total: 0,
-        };
-        d.size_from(F_FAMILY, true, Gates::default())
     }
 }
 
@@ -336,27 +222,17 @@ pub fn diff_tables(
     dom: &Domain,
     budget: usize,
 ) -> Result<SemDiff, VerifyError> {
-    let mut d = Differ {
+    let d = Differ {
         dom,
         a: build(a),
         b: build(b),
         budget,
-        nodes: 0,
-        regions: BTreeMap::new(),
-        total: 0,
     };
+    let mut t = Tally::default();
     let la: Vec<u32> = (0..d.a.len() as u32).collect();
     let lb: Vec<u32> = (0..d.b.len() as u32).collect();
-    d.go(
-        F_FAMILY,
-        true,
-        Gates::default(),
-        FlowKey::default(),
-        1,
-        &la,
-        &lb,
-    )?;
-    let regions = d
+    d.go(0, Ctx::START, FlowKey::default(), 1, &la, &lb, &mut t)?;
+    let regions = t
         .regions
         .iter()
         .map(|(&(outcome_a, outcome_b), &(keys, witness))| DiffRegion {
@@ -368,8 +244,8 @@ pub fn diff_tables(
         .collect();
     Ok(SemDiff {
         regions,
-        differing_keys: d.total,
-        nodes: d.nodes,
+        differing_keys: t.total,
+        nodes: t.nodes,
     })
 }
 
@@ -469,139 +345,61 @@ fn with_sentinel(rules: &[AuditRule], mask_spec: &MatchSpec) -> Vec<AuditRule> {
 // The recursive differ.
 // ---------------------------------------------------------------------
 
-/// Field order of the partition recursion. Family and protocol come
-/// first because they gate later fields.
-const F_FAMILY: usize = 0;
-const F_PROTO: usize = 1;
-const F_SRC_MAC: usize = 2;
-const F_DST_MAC: usize = 3;
-const F_SRC_IP: usize = 4;
-const F_DST_IP: usize = 5;
-const F_SRC_PORT: usize = 6;
-const F_DST_PORT: usize = 7;
-const F_TCP_FLAGS: usize = 8;
-const F_PACKET_LEN: usize = 9;
-const F_DSCP: usize = 10;
-const F_FRAGMENT: usize = 11;
-const F_ICMP_TYPE: usize = 12;
-const F_ICMP_CODE: usize = 13;
-const F_FLOW_LABEL: usize = 14;
-const NFIELDS: usize = 15;
-
-/// Which gated fields the current protocol class enables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct Gates {
-    has_ports: bool,
-    is_tcp: bool,
-    is_icmp: bool,
-}
-
-impl Gates {
-    fn of(p: IpProtocol) -> Self {
-        Gates {
-            has_ports: p.has_ports(),
-            is_tcp: p == IpProtocol::TCP,
-            is_icmp: is_icmp(p),
-        }
-    }
-}
-
-/// One rule as the differ sees it: rank-ordered position in the table,
-/// spec, derived protocol set, and outcome.
-struct EvalRule {
-    spec: MatchSpec,
-    protos: ProtoSet,
+/// One rule as the differ sees it, at its rank-ordered position in the
+/// table: its canonical match set (and, through it, the spec the
+/// reference predicate reads) and its outcome.
+struct EvalRule<'t> {
+    region: Region<'t>,
     action: Outcome,
 }
 
 /// Rank-sorts and strips unsatisfiable rules; the resulting sequence
 /// order *is* the first-match evaluation order.
-fn build(rules: &[AuditRule]) -> Vec<EvalRule> {
+fn build(rules: &[AuditRule]) -> Vec<EvalRule<'_>> {
     let mut sorted: Vec<&AuditRule> = rules.iter().collect();
     sorted.sort_by_key(|r| (r.entry.priority, r.entry.id));
     sorted
         .into_iter()
-        .filter(|r| !spec_is_empty(&r.entry.spec))
         .map(|r| EvalRule {
-            spec: r.entry.spec.clone(),
-            protos: allowed_protos(&r.entry.spec),
+            region: Region::of(&r.entry.spec),
             action: Outcome::from(r.action),
         })
+        .filter(|r| !r.region.is_empty())
         .collect()
-}
-
-fn mac_num(m: MacAddr) -> u128 {
-    let mut b = [0u8; 16];
-    b[10..].copy_from_slice(&m.0);
-    u128::from_be_bytes(b)
-}
-
-fn num_mac(n: u128) -> MacAddr {
-    let b = n.to_be_bytes();
-    let mut m = [0u8; 6];
-    m.copy_from_slice(&b[10..]);
-    MacAddr(m)
-}
-
-fn smul(a: u128, b: u128) -> u128 {
-    a.saturating_mul(b)
-}
-
-fn iv_len(lo: u128, hi: u128) -> u128 {
-    (hi - lo).saturating_add(1)
-}
-
-fn iv_total(ivs: &[(u128, u128)]) -> u128 {
-    ivs.iter()
-        .fold(0u128, |s, &(lo, hi)| s.saturating_add(iv_len(lo, hi)))
-}
-
-/// Whether a rule constrains field `f` (used by the decided prune: a
-/// rule unconstrained on every remaining field matches the whole
-/// remaining subdomain). Gate couplings are folded into the protocol
-/// set, so plain criterion presence is exact here.
-fn constrains(r: &EvalRule, f: usize) -> bool {
-    match f {
-        F_FAMILY => {
-            r.spec.src_ip.is_some() || r.spec.dst_ip.is_some() || r.spec.flow_label.is_some()
-        }
-        F_PROTO => r.protos != ProtoSet::ALL,
-        F_SRC_MAC => r.spec.src_mac.is_some(),
-        F_DST_MAC => r.spec.dst_mac.is_some(),
-        F_SRC_IP => r.spec.src_ip.is_some(),
-        F_DST_IP => r.spec.dst_ip.is_some(),
-        F_SRC_PORT => r.spec.src_port.is_some(),
-        F_DST_PORT => r.spec.dst_port.is_some(),
-        F_TCP_FLAGS => r.spec.tcp_flags.is_some(),
-        F_PACKET_LEN => r.spec.packet_len.is_some(),
-        F_DSCP => r.spec.dscp.is_some(),
-        F_FRAGMENT => r.spec.fragment.is_some(),
-        F_ICMP_TYPE => r.spec.icmp_type.is_some(),
-        F_ICMP_CODE => r.spec.icmp_code.is_some(),
-        _ => r.spec.flow_label.is_some(),
-    }
 }
 
 /// The table's outcome on the whole remaining subdomain, if already
 /// determined: no live rules (NoMatch) or a first live rule that
-/// matches everything left.
+/// constrains no field from `idx` on and so matches everything left
+/// (gate couplings are folded into its protocol set and family).
 fn decided(rules: &[EvalRule], live: &[u32], idx: usize) -> Option<Outcome> {
     match live.first() {
         None => Some(Outcome::NoMatch),
         Some(&i) => {
             let r = &rules[i as usize];
-            (idx..NFIELDS)
-                .all(|f| !constrains(r, f))
-                .then_some(r.action)
+            r.region.free_from(idx).then_some(r.action)
         }
     }
 }
 
+/// The regions of the `live` rules, in order.
+fn regions<'t>(
+    rules: &'t [EvalRule<'t>],
+    live: &'t [u32],
+) -> impl Iterator<Item = &'t Region<'t>> + Clone {
+    live.iter().map(|&i| &rules[i as usize].region)
+}
+
 struct Differ<'d> {
     dom: &'d Domain,
-    a: Vec<EvalRule>,
-    b: Vec<EvalRule>,
+    a: Vec<EvalRule<'d>>,
+    b: Vec<EvalRule<'d>>,
     budget: usize,
+}
+
+/// What a diff has found so far.
+#[derive(Default)]
+struct Tally {
     nodes: usize,
     /// `(outcome_a, outcome_b)` -> (keys, first witness). BTreeMap for
     /// deterministic report order.
@@ -610,27 +408,30 @@ struct Differ<'d> {
 }
 
 impl Differ<'_> {
+    /// One node of the partition recursion: `key` is fixed on the fields
+    /// before walk position `idx` and stands for `count` keys; `la` and
+    /// `lb` are the rules of each table that match it so far.
     #[allow(clippy::too_many_arguments)]
     fn go(
-        &mut self,
+        &self,
         idx: usize,
-        v4: bool,
-        g: Gates,
+        ctx: Ctx,
         key: FlowKey,
         count: u128,
         la: &[u32],
         lb: &[u32],
+        t: &mut Tally,
     ) -> Result<(), VerifyError> {
-        self.nodes += 1;
-        if self.nodes > self.budget {
-            return Err(VerifyError::Budget { nodes: self.nodes });
+        t.nodes += 1;
+        if t.nodes > self.budget {
+            return Err(VerifyError::Budget { nodes: t.nodes });
         }
         // Identical live sequences (including both empty) agree on
         // every remaining key by construction.
         if la.len() == lb.len()
             && la.iter().zip(lb.iter()).all(|(&i, &j)| {
                 let (ra, rb) = (&self.a[i as usize], &self.b[j as usize]);
-                ra.action == rb.action && ra.spec == rb.spec
+                ra.action == rb.action && ra.region.spec() == rb.region.spec()
             })
         {
             return Ok(());
@@ -641,11 +442,11 @@ impl Differ<'_> {
             if oa == ob {
                 return Ok(());
             }
-            let keys = smul(count, self.size_from(idx, v4, g));
-            let wit = self.complete_key(key, idx, v4, g);
-            return self.record(oa, ob, keys, wit);
+            let keys = count.saturating_mul(self.dom.size_from(idx, ctx));
+            let wit = self.dom.complete_key(key, idx, ctx);
+            return self.record(oa, ob, keys, wit, t);
         }
-        if idx >= NFIELDS {
+        let Some(&f) = Field::ALL.get(idx) else {
             let oa = la
                 .first()
                 .map_or(Outcome::NoMatch, |&i| self.a[i as usize].action);
@@ -653,491 +454,49 @@ impl Differ<'_> {
                 .first()
                 .map_or(Outcome::NoMatch, |&j| self.b[j as usize].action);
             if oa != ob {
-                return self.record(oa, ob, count, key);
+                return self.record(oa, ob, count, key, t);
             }
             return Ok(());
-        }
-        let dom = self.dom;
-        match idx {
-            F_FAMILY => self.split_family(key, count, la, lb),
-            F_PROTO => self.split_proto(v4, key, count, la, lb),
-            F_SRC_MAC => self.split_interval(
-                idx,
-                v4,
-                g,
-                key,
-                count,
-                la,
-                lb,
-                &dom.src_macs,
-                |r| r.spec.src_mac.map(|m| (mac_num(m), mac_num(m))),
-                |k, v| k.src_mac = num_mac(v),
-            ),
-            F_DST_MAC => self.split_interval(
-                idx,
-                v4,
-                g,
-                key,
-                count,
-                la,
-                lb,
-                &dom.dst_macs,
-                |r| r.spec.dst_mac.map(|m| (mac_num(m), mac_num(m))),
-                |k, v| k.dst_mac = num_mac(v),
-            ),
-            F_SRC_IP => self.split_interval(
-                idx,
-                v4,
-                g,
-                key,
-                count,
-                la,
-                lb,
-                if v4 { &dom.src_ip_v4 } else { &dom.src_ip_v6 },
-                |r| {
-                    r.spec.src_ip.as_ref().map(|p| {
-                        let (_, lo, hi) = prefix_interval(p);
-                        (lo, hi)
-                    })
-                },
-                move |k, v| k.src_ip = num_ip(v4, v),
-            ),
-            F_DST_IP => self.split_interval(
-                idx,
-                v4,
-                g,
-                key,
-                count,
-                la,
-                lb,
-                if v4 { &dom.dst_ip_v4 } else { &dom.dst_ip_v6 },
-                |r| {
-                    r.spec.dst_ip.as_ref().map(|p| {
-                        let (_, lo, hi) = prefix_interval(p);
-                        (lo, hi)
-                    })
-                },
-                move |k, v| k.dst_ip = num_ip(v4, v),
-            ),
-            F_SRC_PORT if !g.has_ports => self.pin(idx, v4, g, key, count, la, lb, |k| {
-                k.src_port = 0;
-            }),
-            F_SRC_PORT => self.split_interval(
-                idx,
-                v4,
-                g,
-                key,
-                count,
-                la,
-                lb,
-                &dom.ports,
-                |r| {
-                    r.spec.src_port.as_ref().map(|pm| {
-                        let (lo, hi) = port_interval(pm);
-                        (u128::from(lo), u128::from(hi))
-                    })
-                },
-                |k, v| k.src_port = v as u16,
-            ),
-            F_DST_PORT if !g.has_ports => self.pin(idx, v4, g, key, count, la, lb, |k| {
-                k.dst_port = 0;
-            }),
-            F_DST_PORT => self.split_interval(
-                idx,
-                v4,
-                g,
-                key,
-                count,
-                la,
-                lb,
-                &dom.ports,
-                |r| {
-                    r.spec.dst_port.as_ref().map(|pm| {
-                        let (lo, hi) = port_interval(pm);
-                        (u128::from(lo), u128::from(hi))
-                    })
-                },
-                |k, v| k.dst_port = v as u16,
-            ),
-            F_TCP_FLAGS if !g.is_tcp => self.pin(idx, v4, g, key, count, la, lb, |k| {
-                k.tcp_flags = 0;
-            }),
-            F_TCP_FLAGS => self.split_bits(
-                idx,
-                v4,
-                g,
-                key,
-                count,
-                la,
-                lb,
-                dom.tcp_flags_mask,
-                |r| r.spec.tcp_flags,
-                |k, v| k.tcp_flags = v,
-            ),
-            F_PACKET_LEN => self.split_interval(
-                idx,
-                v4,
-                g,
-                key,
-                count,
-                la,
-                lb,
-                &dom.packet_len,
-                |r| {
-                    r.spec
-                        .packet_len
-                        .as_ref()
-                        .map(|r| (u128::from(r.lo), u128::from(r.hi)))
-                },
-                |k, v| k.packet_len = v as u16,
-            ),
-            F_DSCP => self.split_interval(
-                idx,
-                v4,
-                g,
-                key,
-                count,
-                la,
-                lb,
-                &dom.dscp,
-                |r| {
-                    r.spec
-                        .dscp
-                        .as_ref()
-                        .map(|r| (u128::from(r.lo), u128::from(r.hi)))
-                },
-                |k, v| k.dscp = v as u8,
-            ),
-            F_FRAGMENT => self.split_bits(
-                idx,
-                v4,
-                g,
-                key,
-                count,
-                la,
-                lb,
-                dom.fragment_mask,
-                |r| r.spec.fragment,
-                |k, v| k.fragment = v,
-            ),
-            F_ICMP_TYPE if !g.is_icmp => self.pin(idx, v4, g, key, count, la, lb, |k| {
-                k.icmp_type = 0;
-            }),
-            F_ICMP_TYPE => self.split_interval(
-                idx,
-                v4,
-                g,
-                key,
-                count,
-                la,
-                lb,
-                &dom.icmp_type,
-                |r| {
-                    r.spec
-                        .icmp_type
-                        .as_ref()
-                        .map(|r| (u128::from(r.lo), u128::from(r.hi)))
-                },
-                |k, v| k.icmp_type = v as u8,
-            ),
-            F_ICMP_CODE if !g.is_icmp => self.pin(idx, v4, g, key, count, la, lb, |k| {
-                k.icmp_code = 0;
-            }),
-            F_ICMP_CODE => self.split_interval(
-                idx,
-                v4,
-                g,
-                key,
-                count,
-                la,
-                lb,
-                &dom.icmp_code,
-                |r| {
-                    r.spec
-                        .icmp_code
-                        .as_ref()
-                        .map(|r| (u128::from(r.lo), u128::from(r.hi)))
-                },
-                |k, v| k.icmp_code = v as u8,
-            ),
-            F_FLOW_LABEL if v4 => self.pin(idx, v4, g, key, count, la, lb, |k| {
-                k.flow_label = 0;
-            }),
-            _ => self.split_interval(
-                idx,
-                v4,
-                g,
-                key,
-                count,
-                la,
-                lb,
-                &dom.flow_label,
-                |r| {
-                    r.spec
-                        .flow_label
-                        .as_ref()
-                        .map(|r| (u128::from(r.lo), u128::from(r.hi)))
-                },
-                |k, v| k.flow_label = v as u32,
-            ),
-        }
-    }
-
-    /// Gated-off field: pin the key's field to its canonical 0 and move
-    /// on. No live rule can constrain a gated-off field (the protocol
-    /// split already removed it), so live sets pass through unchanged.
-    #[allow(clippy::too_many_arguments)]
-    fn pin(
-        &mut self,
-        idx: usize,
-        v4: bool,
-        g: Gates,
-        mut key: FlowKey,
-        count: u128,
-        la: &[u32],
-        lb: &[u32],
-        set: impl Fn(&mut FlowKey),
-    ) -> Result<(), VerifyError> {
-        set(&mut key);
-        self.go(idx + 1, v4, g, key, count, la, lb)
-    }
-
-    fn split_family(
-        &mut self,
-        key: FlowKey,
-        count: u128,
-        la: &[u32],
-        lb: &[u32],
-    ) -> Result<(), VerifyError> {
-        for v4 in [true, false] {
-            let (src_iv, dst_iv) = if v4 {
-                (&self.dom.src_ip_v4, &self.dom.dst_ip_v4)
-            } else {
-                (&self.dom.src_ip_v6, &self.dom.dst_ip_v6)
+        };
+        // Only a field some live rule constrains can tell live rules
+        // apart; on any other every atom keeps them all. (No live rule
+        // constrains a gated-off field — the protocol or family split
+        // already removed it — so its one atom, pinned to 0, does too.)
+        let live = regions(&self.a, la).chain(regions(&self.b, lb));
+        let splits = live.clone().any(|r| r.constrains(f));
+        let cells: Vec<Cell> = if splits {
+            live.map(|r| r.cell_or_any(f)).collect()
+        } else {
+            Vec::new()
+        };
+        each_atom(f, ctx, self.dom, cells.iter().copied(), |v, keys| {
+            let keep = |live: &[u32], cells: &[Cell]| -> Vec<u32> {
+                let admitted = live.iter().zip(cells).filter(|(_, c)| c.admits(v));
+                admitted.map(|(&i, _)| i).collect()
             };
-            if src_iv.is_empty() || dst_iv.is_empty() {
-                continue;
-            }
-            let keep = |r: &EvalRule| {
-                r.spec.src_ip.as_ref().is_none_or(|p| p.is_v4() == v4)
-                    && r.spec.dst_ip.as_ref().is_none_or(|p| p.is_v4() == v4)
-                    && (!v4 || r.spec.flow_label.is_none())
-            };
-            let la2: Vec<u32> = la
-                .iter()
-                .copied()
-                .filter(|&i| keep(&self.a[i as usize]))
-                .collect();
-            let lb2: Vec<u32> = lb
-                .iter()
-                .copied()
-                .filter(|&j| keep(&self.b[j as usize]))
-                .collect();
-            let mut key2 = key;
-            key2.src_ip = num_ip(v4, 0);
-            key2.dst_ip = num_ip(v4, 0);
-            self.go(F_PROTO, v4, Gates::default(), key2, count, &la2, &lb2)?;
-        }
-        Ok(())
-    }
-
-    /// Groups domain protocols into classes with identical rule
-    /// membership and gate signature; one representative recursion per
-    /// class, class size as an exact multiplier.
-    fn split_proto(
-        &mut self,
-        v4: bool,
-        key: FlowKey,
-        count: u128,
-        la: &[u32],
-        lb: &[u32],
-    ) -> Result<(), VerifyError> {
-        // (membership over la then lb, gates, representative, count)
-        let mut classes: Vec<(Vec<bool>, Gates, u8, u32)> = Vec::new();
-        for &p in &self.dom.protocols {
-            let mem: Vec<bool> = la
-                .iter()
-                .map(|&i| self.a[i as usize].protos.contains(p))
-                .chain(lb.iter().map(|&j| self.b[j as usize].protos.contains(p)))
-                .collect();
-            let g = Gates::of(IpProtocol(p));
-            match classes.iter_mut().find(|c| c.0 == mem && c.1 == g) {
-                Some(c) => c.3 += 1,
-                None => classes.push((mem, g, p, 1)),
-            }
-        }
-        for (mem, g, rep, n) in classes {
-            let la2: Vec<u32> = la
-                .iter()
-                .enumerate()
-                .filter(|&(k, _)| mem[k])
-                .map(|(_, &i)| i)
-                .collect();
-            let lb2: Vec<u32> = lb
-                .iter()
-                .enumerate()
-                .filter(|&(k, _)| mem[la.len() + k])
-                .map(|(_, &j)| j)
-                .collect();
-            let mut key2 = key;
-            key2.protocol = IpProtocol(rep);
-            self.go(
-                F_SRC_MAC,
-                v4,
-                g,
-                key2,
-                smul(count, u128::from(n)),
-                &la2,
-                &lb2,
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Elementary-interval atomization: cut the domain intervals at
-    /// every live constraint endpoint; within an atom each rule's
-    /// membership is constant, so testing the atom's low end decides
-    /// it.
-    #[allow(clippy::too_many_arguments)]
-    fn split_interval(
-        &mut self,
-        idx: usize,
-        v4: bool,
-        g: Gates,
-        key: FlowKey,
-        count: u128,
-        la: &[u32],
-        lb: &[u32],
-        dom_iv: &[(u128, u128)],
-        get: impl Fn(&EvalRule) -> Option<(u128, u128)> + Copy,
-        set: impl Fn(&mut FlowKey, u128) + Copy,
-    ) -> Result<(), VerifyError> {
-        let mut cuts: Vec<u128> = Vec::new();
-        for &i in la {
-            if let Some((lo, hi)) = get(&self.a[i as usize]) {
-                cuts.push(lo);
-                if let Some(h) = hi.checked_add(1) {
-                    cuts.push(h);
-                }
-            }
-        }
-        for &j in lb {
-            if let Some((lo, hi)) = get(&self.b[j as usize]) {
-                cuts.push(lo);
-                if let Some(h) = hi.checked_add(1) {
-                    cuts.push(h);
-                }
-            }
-        }
-        cuts.sort_unstable();
-        cuts.dedup();
-        for &(dlo, dhi) in dom_iv {
-            let mut lo = dlo;
-            loop {
-                let hi = cuts
-                    .iter()
-                    .copied()
-                    .filter(|&c| c > lo && c <= dhi)
-                    .min()
-                    .map_or(dhi, |c| c - 1);
-                let la2: Vec<u32> = la
-                    .iter()
-                    .copied()
-                    .filter(|&i| {
-                        get(&self.a[i as usize]).is_none_or(|(clo, chi)| clo <= lo && lo <= chi)
-                    })
-                    .collect();
-                let lb2: Vec<u32> = lb
-                    .iter()
-                    .copied()
-                    .filter(|&j| {
-                        get(&self.b[j as usize]).is_none_or(|(clo, chi)| clo <= lo && lo <= chi)
-                    })
-                    .collect();
-                let mut key2 = key;
-                set(&mut key2, lo);
-                self.go(
-                    idx + 1,
-                    v4,
-                    g,
-                    key2,
-                    smul(count, iv_len(lo, hi)),
-                    &la2,
-                    &lb2,
-                )?;
-                if hi >= dhi {
-                    break;
-                }
-                lo = hi + 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Bitmask-cube atomization over a flag byte: enumerate assignments
-    /// of the bits any live cube constrains (within the domain mask);
-    /// the remaining in-domain bits are free and contribute an exact
-    /// power-of-two multiplier. A cube demanding a bit outside the
-    /// domain mask matches nothing here and dies on every atom.
-    #[allow(clippy::too_many_arguments)]
-    fn split_bits(
-        &mut self,
-        idx: usize,
-        v4: bool,
-        g: Gates,
-        key: FlowKey,
-        count: u128,
-        la: &[u32],
-        lb: &[u32],
-        dom_mask: u8,
-        get: impl Fn(&EvalRule) -> Option<BitsMatch> + Copy,
-        set: impl Fn(&mut FlowKey, u8) + Copy,
-    ) -> Result<(), VerifyError> {
-        let mut used: u8 = 0;
-        for &i in la {
-            if let Some(c) = get(&self.a[i as usize]) {
-                used |= c.mask;
-            }
-        }
-        for &j in lb {
-            if let Some(c) = get(&self.b[j as usize]) {
-                used |= c.mask;
-            }
-        }
-        let cbits = used & dom_mask;
-        let free = dom_mask & !cbits;
-        let fmul = 1u128 << free.count_ones();
-        for x in 0..=255u16 {
-            let x = x as u8;
-            if x & !cbits != 0 {
-                continue;
-            }
-            let la2: Vec<u32> = la
-                .iter()
-                .copied()
-                .filter(|&i| get(&self.a[i as usize]).is_none_or(|c| x & c.mask == c.value))
-                .collect();
-            let lb2: Vec<u32> = lb
-                .iter()
-                .copied()
-                .filter(|&j| get(&self.b[j as usize]).is_none_or(|c| x & c.mask == c.value))
-                .collect();
-            let mut key2 = key;
-            set(&mut key2, x);
-            self.go(idx + 1, v4, g, key2, smul(count, fmul), &la2, &lb2)?;
-        }
-        Ok(())
+            let kept = splits.then(|| {
+                let (ca, cb) = cells.split_at(la.len());
+                (keep(la, ca), keep(lb, cb))
+            });
+            let (la, lb) = kept.as_ref().map_or((la, lb), |(a, b)| (a, b));
+            let ctx = ctx.with(f, v);
+            let mut key = key;
+            f.write(&mut key, ctx, v);
+            let count = count.saturating_mul(keys);
+            self.go(idx + 1, ctx, key, count, la, lb, t)
+        })
     }
 
     /// Validates a region's witness against the *original* semantics
     /// and accumulates it. The algebra never certifies a difference its
     /// own inputs cannot reproduce.
     fn record(
-        &mut self,
+        &self,
         oa: Outcome,
         ob: Outcome,
         keys: u128,
         wit: FlowKey,
+        t: &mut Tally,
     ) -> Result<(), VerifyError> {
         let va = eval_prepared(&self.a, &wit);
         let vb = eval_prepared(&self.b, &wit);
@@ -1147,148 +506,11 @@ impl Differ<'_> {
                 found: (va, vb),
             });
         }
-        self.total = self.total.saturating_add(keys);
-        let e = self.regions.entry((oa, ob)).or_insert((0u128, wit));
+        t.total = t.total.saturating_add(keys);
+        let e = t.regions.entry((oa, ob)).or_insert((0u128, wit));
         e.0 = e.0.saturating_add(keys);
         Ok(())
     }
-
-    /// Number of canonical keys in the remaining subdomain from field
-    /// `idx` on (saturating product; family/protocol positions sum over
-    /// their alternatives).
-    fn size_from(&self, idx: usize, v4: bool, g: Gates) -> u128 {
-        let dom = self.dom;
-        if idx == F_FAMILY {
-            let mut s: u128 = 0;
-            for fam in [true, false] {
-                let (src_iv, dst_iv) = if fam {
-                    (&dom.src_ip_v4, &dom.dst_ip_v4)
-                } else {
-                    (&dom.src_ip_v6, &dom.dst_ip_v6)
-                };
-                if src_iv.is_empty() || dst_iv.is_empty() {
-                    continue;
-                }
-                s = s.saturating_add(self.size_from(F_PROTO, fam, g));
-            }
-            return s;
-        }
-        if idx == F_PROTO {
-            let mut s: u128 = 0;
-            for &p in &dom.protocols {
-                s = s.saturating_add(self.size_from(F_SRC_MAC, v4, Gates::of(IpProtocol(p))));
-            }
-            return s;
-        }
-        let mut total: u128 = 1;
-        for f in idx..NFIELDS {
-            let n = match f {
-                F_SRC_MAC => iv_total(&dom.src_macs),
-                F_DST_MAC => iv_total(&dom.dst_macs),
-                F_SRC_IP => iv_total(if v4 { &dom.src_ip_v4 } else { &dom.src_ip_v6 }),
-                F_DST_IP => iv_total(if v4 { &dom.dst_ip_v4 } else { &dom.dst_ip_v6 }),
-                F_SRC_PORT | F_DST_PORT if g.has_ports => iv_total(&dom.ports),
-                F_TCP_FLAGS if g.is_tcp => 1u128 << dom.tcp_flags_mask.count_ones(),
-                F_PACKET_LEN => iv_total(&dom.packet_len),
-                F_DSCP => iv_total(&dom.dscp),
-                F_FRAGMENT => 1u128 << dom.fragment_mask.count_ones(),
-                F_ICMP_TYPE if g.is_icmp => iv_total(&dom.icmp_type),
-                F_ICMP_CODE if g.is_icmp => iv_total(&dom.icmp_code),
-                F_FLOW_LABEL => {
-                    if v4 {
-                        1
-                    } else {
-                        iv_total(&dom.flow_label)
-                    }
-                }
-                _ => 1,
-            };
-            total = smul(total, n);
-        }
-        total
-    }
-
-    /// Fills every field from `idx` on with its canonical smallest
-    /// in-domain value, producing a concrete witness for a bulk-decided
-    /// region.
-    fn complete_key(&self, key: FlowKey, idx: usize, v4: bool, g: Gates) -> FlowKey {
-        let dom = self.dom;
-        let mut key = key;
-        let mut v4 = v4;
-        let mut g = g;
-        for f in idx..NFIELDS {
-            match f {
-                F_FAMILY => {
-                    v4 = !dom.src_ip_v4.is_empty() && !dom.dst_ip_v4.is_empty();
-                    key.src_ip = num_ip(v4, 0);
-                    key.dst_ip = num_ip(v4, 0);
-                }
-                F_PROTO => {
-                    let p = IpProtocol(dom.protocols.first().copied().unwrap_or(0));
-                    key.protocol = p;
-                    g = Gates::of(p);
-                }
-                F_SRC_MAC => key.src_mac = num_mac(first_lo(&dom.src_macs)),
-                F_DST_MAC => key.dst_mac = num_mac(first_lo(&dom.dst_macs)),
-                F_SRC_IP => {
-                    key.src_ip = num_ip(
-                        v4,
-                        first_lo(if v4 { &dom.src_ip_v4 } else { &dom.src_ip_v6 }),
-                    )
-                }
-                F_DST_IP => {
-                    key.dst_ip = num_ip(
-                        v4,
-                        first_lo(if v4 { &dom.dst_ip_v4 } else { &dom.dst_ip_v6 }),
-                    )
-                }
-                F_SRC_PORT => {
-                    key.src_port = if g.has_ports {
-                        first_lo(&dom.ports) as u16
-                    } else {
-                        0
-                    }
-                }
-                F_DST_PORT => {
-                    key.dst_port = if g.has_ports {
-                        first_lo(&dom.ports) as u16
-                    } else {
-                        0
-                    }
-                }
-                F_TCP_FLAGS => key.tcp_flags = 0,
-                F_PACKET_LEN => key.packet_len = first_lo(&dom.packet_len) as u16,
-                F_DSCP => key.dscp = first_lo(&dom.dscp) as u8,
-                F_FRAGMENT => key.fragment = 0,
-                F_ICMP_TYPE => {
-                    key.icmp_type = if g.is_icmp {
-                        first_lo(&dom.icmp_type) as u8
-                    } else {
-                        0
-                    }
-                }
-                F_ICMP_CODE => {
-                    key.icmp_code = if g.is_icmp {
-                        first_lo(&dom.icmp_code) as u8
-                    } else {
-                        0
-                    }
-                }
-                _ => {
-                    key.flow_label = if v4 {
-                        0
-                    } else {
-                        first_lo(&dom.flow_label) as u32
-                    }
-                }
-            }
-        }
-        key
-    }
-}
-
-fn first_lo(ivs: &[(u128, u128)]) -> u128 {
-    ivs.first().map_or(0, |&(lo, _)| lo)
 }
 
 /// First-match evaluation over an already rank-sorted, satisfiable-only
@@ -1296,16 +518,18 @@ fn first_lo(ivs: &[(u128, u128)]) -> u128 {
 fn eval_prepared(rules: &[EvalRule], key: &FlowKey) -> Outcome {
     rules
         .iter()
-        .find(|r| r.spec.matches(key))
+        .find(|r| r.region.spec().matches(key))
         .map_or(Outcome::NoMatch, |r| r.action)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::PortMatch;
+    use crate::spec::{BitsMatch, PortMatch};
     use stellar_net::addr::{IpAddress, Ipv4Address};
+    use stellar_net::mac::MacAddr;
     use stellar_net::prefix::{Ipv4Prefix, Prefix};
+    use stellar_net::proto::IpProtocol;
 
     fn v4(a: u8, b: u8, c: u8, d: u8, len: u8) -> Prefix {
         match Ipv4Prefix::new(Ipv4Address([a, b, c, d]), len) {
@@ -1629,7 +853,7 @@ mod tests {
     #[test]
     fn dst_mac_restriction_isolates_port_traffic() {
         let d = tiny();
-        let m1 = num_mac(0);
+        let m1 = MacAddr([0; 6]);
         let spec = MatchSpec {
             dst_mac: Some(MacAddr([0, 0, 0, 0, 0, 9])),
             ..Default::default()

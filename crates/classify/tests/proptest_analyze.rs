@@ -5,7 +5,10 @@
 //! - A rule flagged dead (shadowed / redundant / unreachable) is never
 //!   the first match for any sampled packet.
 //! - A rule not flagged dead comes with a witness key, and that witness
-//!   really does reach the rule as first-match through the engine.
+//!   is a key a packet can produce and really does reach the rule as
+//!   first-match through the engine.
+//! - Every dead flag is `verify`'s verdict too: deleting the rule from
+//!   the rules ranked at or above it changes no key iff it is flagged.
 //! - A conflict flag implies a genuine crossing overlap: the two rules'
 //!   intersection is non-empty and neither covers the other.
 //! - The candidate-scoped entry reports exactly what the whole-table
@@ -15,12 +18,15 @@
 //! shadowing, union coverage and crossing overlaps actually occur instead
 //! of every random table being anomaly-free.
 
+mod common;
+
 use proptest::prelude::*;
 use stellar_classify::analyze::{
     analyze, analyze_candidates_with_budget, analyze_with_budget, spec_covers, spec_intersects,
     RuleFlag,
 };
 use stellar_classify::spec::{BitsMatch, RangeMatch};
+use stellar_classify::verify::{tables_equivalent, Domain, DEFAULT_VERIFY_BUDGET};
 use stellar_classify::{ActionClass, AuditRule, FlowClassifier, MatchSpec, PortMatch, RuleEntry};
 use stellar_net::addr::{IpAddress, Ipv4Address, Ipv6Address};
 use stellar_net::flow::FlowKey;
@@ -37,12 +43,8 @@ fn v6(last: u8) -> Ipv6Address {
     Ipv6Address(o)
 }
 
-fn arb_ip() -> impl Strategy<Value = IpAddress> {
-    prop_oneof![
-        (0u8..3, 0u8..3, 0u8..3, 0u8..3)
-            .prop_map(|(a, b, c, d)| IpAddress::V4(Ipv4Address::new(a, b, c, d))),
-        (0u8..2).prop_map(|x| IpAddress::V6(v6(x))),
-    ]
+fn arb_v4() -> impl Strategy<Value = Ipv4Address> {
+    (0u8..3, 0u8..3, 0u8..3, 0u8..3).prop_map(|(a, b, c, d)| Ipv4Address::new(a, b, c, d))
 }
 
 /// Short prefixes dominate so coverage relations occur often.
@@ -155,13 +157,19 @@ fn arb_spec() -> impl Strategy<Value = MatchSpec> {
         )
 }
 
+/// Observable keys only: both addresses of one family (a packet has one
+/// IP header) and every field inside its width. The analyzer reasons
+/// over the keys `Packet::flow_key` can produce; a sampled key outside
+/// them could "reach" a rule the analyzer rightly calls dead.
 fn arb_key() -> impl Strategy<Value = FlowKey> {
     (
         (
             0u32..4,
             0u32..4,
-            arb_ip(),
-            arb_ip(),
+            prop_oneof![
+                (arb_v4(), arb_v4()).prop_map(|(s, d)| (IpAddress::V4(s), IpAddress::V4(d))),
+                (0u8..2, 0u8..2).prop_map(|(s, d)| (IpAddress::V6(v6(s)), IpAddress::V6(v6(d)))),
+            ],
             arb_proto(),
             0u16..8,
             0u16..8,
@@ -177,7 +185,7 @@ fn arb_key() -> impl Strategy<Value = FlowKey> {
         ),
     )
         .prop_map(
-            |((sm, dm, sip, dip, proto, sp, dp), (tf, pl, ds, fr, it, ic, fl))| FlowKey {
+            |((sm, dm, (sip, dip), proto, sp, dp), (tf, pl, ds, fr, it, ic, fl))| FlowKey {
                 src_mac: MacAddr::for_member(64500 + sm, 1),
                 dst_mac: MacAddr::for_member(64500 + dm, 1),
                 src_ip: sip,
@@ -385,11 +393,35 @@ proptest! {
                 let w = report.witness(id);
                 prop_assert!(w.is_some(), "live rule {} has no witness", id);
                 prop_assert!(
+                    common::is_canonical(w.unwrap()),
+                    "no packet produces the witness of rule {}",
+                    id
+                );
+                prop_assert!(
                     engine.classify(w.unwrap()) == Some(id),
                     "witness does not reach rule {}",
                     id
                 );
             }
+            // The proof side agrees: among the rules ranked at or above
+            // this one, deleting it changes some key iff it is live.
+            let rank = |r: &AuditRule| (r.entry.priority, r.entry.id);
+            let upto = |last: bool| -> Vec<AuditRule> {
+                let keep = |r: &&AuditRule| rank(r) < rank(rule) || (last && rank(r) == rank(rule));
+                table.iter().filter(keep).cloned().collect()
+            };
+            let same = tables_equivalent(
+                &upto(true),
+                &upto(false),
+                &Domain::canonical(),
+                DEFAULT_VERIFY_BUDGET,
+            );
+            prop_assert_eq!(
+                same,
+                Ok(report.dead_flag(id).is_some()),
+                "verify disagrees about rule {}",
+                id
+            );
         }
     }
 

@@ -18,93 +18,20 @@
 //! 4 ports, one varying TCP-flag bit) so the whole domain enumerates in
 //! ~3k keys and coverage relations actually occur.
 
+mod common;
+
+use common::{enumerate_keys, tiny, TCP, UDP};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use stellar_classify::spec::BitsMatch;
 use stellar_classify::verify::{
-    diff_tables, drop_not_contained, eval_table, tables_equivalent, Domain, Outcome,
-    DEFAULT_VERIFY_BUDGET,
+    diff_tables, drop_not_contained, eval_table, tables_equivalent, Outcome, DEFAULT_VERIFY_BUDGET,
 };
 use stellar_classify::{ActionClass, AuditRule, MatchSpec, PortMatch, RuleEntry};
-use stellar_net::addr::{IpAddress, Ipv4Address};
+use stellar_net::addr::Ipv4Address;
 use stellar_net::flow::FlowKey;
-use stellar_net::mac::MacAddr;
 use stellar_net::prefix::{Ipv4Prefix, Prefix};
 use stellar_net::proto::IpProtocol;
-
-const UDP: u8 = 17;
-const TCP: u8 = 6;
-
-fn mac() -> MacAddr {
-    MacAddr::for_member(64500, 1)
-}
-
-fn mac_num(m: MacAddr) -> u128 {
-    let mut b = [0u8; 16];
-    b[10..].copy_from_slice(&m.0);
-    u128::from_be_bytes(b)
-}
-
-/// The shrunken universe: one MAC pair, 4 v4 addresses per side
-/// (10.0.0.0–3 src, 10.0.1.0–3 dst), UDP + TCP, ports 0..=3, one
-/// varying TCP-flag bit (SYN), everything else pinned.
-fn tiny() -> Domain {
-    let m = mac_num(mac());
-    Domain {
-        src_macs: vec![(m, m)],
-        dst_macs: vec![(m, m)],
-        src_ip_v4: vec![(0x0A00_0000, 0x0A00_0003)],
-        dst_ip_v4: vec![(0x0A00_0100, 0x0A00_0103)],
-        src_ip_v6: vec![],
-        dst_ip_v6: vec![],
-        protocols: vec![TCP, UDP],
-        ports: vec![(0, 3)],
-        packet_len: vec![(100, 100)],
-        dscp: vec![(0, 0)],
-        tcp_flags_mask: 0x02,
-        fragment_mask: 0,
-        icmp_type: vec![(0, 0)],
-        icmp_code: vec![(0, 0)],
-        flow_label: vec![(0, 0)],
-    }
-}
-
-/// Every canonical key of [`tiny`], in deterministic order. Mirrors the
-/// algebra's canonicalization: gated-off fields pinned to 0, flag bytes
-/// ranging only over the domain mask's bits (and only for TCP).
-fn enumerate_keys() -> Vec<FlowKey> {
-    let mut keys = Vec::new();
-    for &proto in &[TCP, UDP] {
-        let flag_choices: &[u8] = if proto == TCP { &[0x00, 0x02] } else { &[0x00] };
-        for s in 0u32..4 {
-            for d in 0u32..4 {
-                for sp in 0u16..4 {
-                    for dp in 0u16..4 {
-                        for &fl in flag_choices {
-                            keys.push(FlowKey {
-                                src_mac: mac(),
-                                dst_mac: mac(),
-                                src_ip: IpAddress::V4(Ipv4Address::new(10, 0, 0, s as u8)),
-                                dst_ip: IpAddress::V4(Ipv4Address::new(10, 0, 1, d as u8)),
-                                protocol: IpProtocol(proto),
-                                src_port: sp,
-                                dst_port: dp,
-                                tcp_flags: fl,
-                                packet_len: 100,
-                                dscp: 0,
-                                fragment: 0,
-                                icmp_type: 0,
-                                icmp_code: 0,
-                                flow_label: 0,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-    keys
-}
 
 fn src_prefix(host: u8, len: u8) -> Prefix {
     Prefix::V4(Ipv4Prefix::new(Ipv4Address::new(10, 0, 0, host), len).unwrap())
@@ -195,7 +122,7 @@ proptest! {
         b in arb_table(100),
     ) {
         let dom = tiny();
-        let keys = enumerate_keys();
+        let keys = enumerate_keys(&dom);
         prop_assert_eq!(dom.size(), keys.len() as u128);
         let (classes, total) = brute_diff(&a, &b, &keys);
         let diff = diff_tables(&a, &b, &dom, DEFAULT_VERIFY_BUDGET).expect("within budget");
@@ -220,7 +147,7 @@ proptest! {
         b in arb_table(100),
     ) {
         let dom = tiny();
-        let keys = enumerate_keys();
+        let keys = enumerate_keys(&dom);
         let (_, total) = brute_diff(&a, &b, &keys);
         let eq = tables_equivalent(&a, &b, &dom, DEFAULT_VERIFY_BUDGET).expect("within budget");
         prop_assert_eq!(eq, total == 0);
@@ -232,7 +159,7 @@ proptest! {
         b in arb_table(100),
     ) {
         let dom = tiny();
-        let keys = enumerate_keys();
+        let keys = enumerate_keys(&dom);
         let brute_escape = keys.iter().find(|k| {
             eval_table(&a, k) == Outcome::Drop && eval_table(&b, k) != Outcome::Drop
         });
@@ -262,7 +189,7 @@ proptest! {
         // reported difference is witness-backed — never a silent wrong
         // answer. (This is the shadow-reorder fixture generalized.)
         let dom = tiny();
-        let keys = enumerate_keys();
+        let keys = enumerate_keys(&dom);
         let mut reversed = table.clone();
         reversed.reverse();
         // Re-id ascending so evaluation rank genuinely flips for rules

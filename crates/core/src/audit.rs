@@ -403,6 +403,22 @@ mod tests {
     }
 
     #[test]
+    fn mixed_family_candidate_is_refused_as_empty() {
+        use stellar_dataplane::filter::MatchSpec;
+        // A v6 source towards the v4 victim: a packet has one address
+        // family, so no packet matches. Same fate as the inverted range.
+        let spec = MatchSpec {
+            dst_ip: Some(victim()),
+            src_ip: Some("2001:db8::/32".parse().unwrap()),
+            ..Default::default()
+        };
+        let mixed = BlackholingRule::from_flowspec(7, Asn(64500), victim(), spec, RuleAction::Drop);
+        let audit = audit_batch(&fab(), owner, &[mixed], &[7]);
+        assert_eq!(audit.rejected, vec![(7, AuditRejection::EmptyMatch)]);
+        assert_eq!(audit.preadmit.l34_needed, 0);
+    }
+
+    #[test]
     fn candidates_of_one_batch_are_judged_against_each_other() {
         // Both rules arrive in the same batch: the port-scoped drop is
         // shadowed by the drop-all it was announced with, which itself

@@ -16,6 +16,7 @@ use std::collections::BTreeMap;
 use stellar_bgp::extcommunity::ExtendedCommunity;
 use stellar_bgp::flowspec::{numeric_match_intervals, BitmaskOp, Component, FlowSpec, NumericOp};
 use stellar_bgp::types::{Afi, Asn};
+use stellar_classify::set::{cube_and, cube_subset, interval_and};
 use stellar_classify::spec::is_icmp;
 use stellar_dataplane::filter::{BitsMatch, MatchSpec, PortMatch, RangeMatch};
 use stellar_net::flow::frag;
@@ -137,14 +138,7 @@ fn to_port_match((lo, hi): (u16, u16)) -> PortMatch {
 
 /// Intersects an optional constraint with a type-4 port interval.
 fn intersect(a: Option<(u16, u16)>, b: (u16, u16)) -> Option<(u16, u16)> {
-    match a {
-        None => Some(b),
-        Some((alo, ahi)) => {
-            let lo = alo.max(b.0);
-            let hi = ahi.min(b.1);
-            (lo <= hi).then_some((lo, hi))
-        }
-    }
+    a.map_or(Some(b), |a| interval_and(a, b))
 }
 
 /// Total number of values a sorted interval set covers, saturating at
@@ -224,15 +218,6 @@ fn op_cubes(op: &BitmaskOp, domain: u8) -> Vec<BitsMatch> {
     }
 }
 
-/// Intersects two cubes: compatible iff they agree on every shared mask
-/// bit, in which case the constraints simply union.
-fn cube_and(a: BitsMatch, b: BitsMatch) -> Option<BitsMatch> {
-    if a.value & b.mask != b.value & a.mask {
-        return None;
-    }
-    Some(BitsMatch::new(a.mask | b.mask, a.value | b.value))
-}
-
 /// Lowers a bitmask operator sequence to a non-redundant OR-of-cubes
 /// over the field's `domain` bits — the exact value set of
 /// [`stellar_bgp::flowspec::bitmask_seq_matches`] restricted to keys
@@ -285,10 +270,7 @@ fn bitmask_cubes(
     union.sort_by_key(|c| (c.mask.count_ones(), c.mask, c.value));
     let mut cubes: Vec<BitsMatch> = Vec::new();
     for c in union {
-        let covered = cubes
-            .iter()
-            .any(|a| a.mask & c.mask == a.mask && c.value & a.mask == a.value);
-        if !covered {
+        if !cubes.iter().any(|&a| cube_subset(c, a)) {
             cubes.push(c);
         }
     }
