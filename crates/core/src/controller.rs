@@ -19,6 +19,7 @@ use stellar_bgp::attr::PathAttribute;
 use stellar_bgp::types::Asn;
 use stellar_bgp::update::UpdateMessage;
 use stellar_net::prefix::Prefix;
+use stellar_routeserver::OwnerStamps;
 
 /// A hardware-independent configuration change (§4.4).
 #[derive(Debug, Clone, PartialEq)]
@@ -49,36 +50,6 @@ impl AbstractChange {
             AbstractChange::AddRule(r) => r.owner,
             AbstractChange::RemoveRule { owner, .. } => *owner,
         }
-    }
-}
-
-/// Change stamps of one desired-state plane. The plane calls
-/// [`touch`](Self::touch) from every mutator that changed an owner's
-/// desired rules — inside the plane's own type, so no caller can edit
-/// desired state around them. The watchdog's proof ledger compares
-/// stamps instead of tables: an equal `version` means the whole plane
-/// is what it was, an equal `revision(owner)` means that owner's rules
-/// are.
-#[derive(Debug, Default)]
-pub(crate) struct OwnerStamps {
-    version: u64,
-    /// Owner → plane version at that owner's last change. Point
-    /// lookups only — never iterated.
-    revisions: HashMap<Asn, u64>,
-}
-
-impl OwnerStamps {
-    pub(crate) fn touch(&mut self, owner: Asn) {
-        self.version += 1;
-        self.revisions.insert(owner, self.version);
-    }
-
-    pub(crate) fn version(&self) -> u64 {
-        self.version
-    }
-
-    pub(crate) fn revision(&self, owner: Asn) -> u64 {
-        self.revisions.get(&owner).copied().unwrap_or(0)
     }
 }
 
@@ -113,6 +84,11 @@ impl PathRules {
     /// answers to `Asn(0)`.
     fn owner(&self) -> Asn {
         self.owner.unwrap_or(Asn(0))
+    }
+
+    /// The ids of the path's rules, in no particular order.
+    fn ids(&self) -> impl Iterator<Item = u64> + '_ {
+        self.rules.values().copied()
     }
 
     /// The path's rules as the managers want them, for `prefix`.
@@ -287,20 +263,40 @@ impl BlackholingController {
         out
     }
 
+    /// The announced paths answering to an owner `owned` accepts: one
+    /// filtering pass over the paths however many owners are asked for,
+    /// no by-owner index to keep in step. Paths without an origin AS
+    /// answer to `Asn(0)`, as they do in the full snapshot.
+    fn paths_of<'a>(
+        &'a self,
+        owned: impl Fn(Asn) -> bool + 'a,
+    ) -> impl Iterator<Item = (Prefix, &'a PathRules)> + 'a {
+        self.paths
+            .iter()
+            .filter(move |(_, path)| owned(path.owner()))
+            .map(|((prefix, _), path)| (*prefix, path))
+    }
+
     /// The rules the `owners` (sorted ascending) currently want
     /// installed, in no particular order: [`Self::desired_rules`]
-    /// restricted to those owners without building anyone else's rules —
-    /// one filtering pass over the announced paths however many owners
-    /// are asked for, no by-owner index to keep in step. Paths without
-    /// an origin AS answer to `Asn(0)`, as they do in the full snapshot.
+    /// restricted to those owners without building anyone else's rules.
     pub(crate) fn desired_rules_of<'a>(
         &'a self,
         owners: &'a [Asn],
     ) -> impl Iterator<Item = BlackholingRule> + 'a {
-        self.paths
-            .iter()
-            .filter(move |(_, path)| owners.binary_search(&path.owner()).is_ok())
-            .flat_map(|((prefix, _), path)| path.desired(*prefix))
+        self.paths_of(|owner| owners.binary_search(&owner).is_ok())
+            .flat_map(|(prefix, path)| path.desired(prefix))
+    }
+
+    /// The ids of the rules wanted by the owners `owned` accepts, each
+    /// with its owner, in no particular order — for callers that compare
+    /// ids and would throw the rules of [`Self::desired_rules_of`] away.
+    pub(crate) fn desired_ids_of<'a>(
+        &'a self,
+        owned: impl Fn(Asn) -> bool + 'a,
+    ) -> impl Iterator<Item = (Asn, u64)> + 'a {
+        self.paths_of(owned)
+            .flat_map(|(_, path)| path.ids().map(|id| (path.owner(), id)))
     }
 
     /// The owners with at least one desired rule.
@@ -313,7 +309,7 @@ impl BlackholingController {
     /// particular order — for callers that compare ids and would throw
     /// the rules of [`Self::desired_rules`] away.
     pub(crate) fn desired_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.paths.values().flat_map(|p| p.rules.values().copied())
+        self.paths.values().flat_map(PathRules::ids)
     }
 
     /// Admission control permanently refused `rule_id`: drop it from

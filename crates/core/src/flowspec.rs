@@ -9,7 +9,7 @@
 //! widened — installing a filter that matches traffic the member never
 //! asked to touch would break the isolation argument of §4.5.
 
-use crate::controller::{AbstractChange, OwnerStamps};
+use crate::controller::AbstractChange;
 use crate::proof::LoweringProof;
 use crate::rule::{BlackholingRule, RuleAction, RuleMatcher};
 use std::collections::BTreeMap;
@@ -21,7 +21,7 @@ use stellar_classify::spec::is_icmp;
 use stellar_dataplane::filter::{BitsMatch, MatchSpec, PortMatch, RangeMatch};
 use stellar_net::flow::frag;
 use stellar_net::proto::IpProtocol;
-use stellar_routeserver::AcceptedFlowSpec;
+use stellar_routeserver::{AcceptedFlowSpec, OwnerStamps};
 
 /// First rule id in the FlowSpec id space. Signal-derived rule ids count
 /// up from 1; keeping the planes disjoint lets every consumer (failure
@@ -656,7 +656,12 @@ impl FlowSpecPlane {
         if !changes.is_empty() {
             self.stamps.touch(owner);
         }
-        self.entries.insert(key, rules);
+        // A key stands for at least one rule, so the key set only moves
+        // together with the owner's stamp: a new key brings a rule, a
+        // key whose last rule went is dropped with it.
+        if !rules.is_empty() {
+            self.entries.insert(key, rules);
+        }
         Ok(changes)
     }
 
@@ -721,12 +726,6 @@ impl FlowSpecPlane {
         self.entries.values().flatten().map(|r| r.id)
     }
 
-    /// The owner of every NLRI with desired rules, ascending — one item
-    /// per NLRI, so an owner with several repeats.
-    pub(crate) fn desired_owners(&self) -> impl Iterator<Item = Asn> + '_ {
-        self.entries.keys().map(|(owner, _)| *owner)
-    }
-
     /// Admission permanently refused `rule_id`: drop it from desired
     /// state. Returns whether the id was known.
     pub fn rule_refused(&mut self, rule_id: u64) -> bool {
@@ -750,11 +749,24 @@ impl FlowSpecPlane {
         self.entries.values().map(|v| v.len()).sum()
     }
 
-    /// The `(owner, canonical NLRI)` keys currently desired, in RIB
-    /// order — the watchdog checks each against the route server's
-    /// FlowSpec RIB.
-    pub fn keys(&self) -> impl Iterator<Item = &(Asn, Vec<u8>)> {
-        self.entries.keys()
+    /// The owners with at least one NLRI desired, ascending, each once:
+    /// one range read of the `(owner, NLRI)`-keyed map per owner.
+    pub fn owners(&self) -> impl Iterator<Item = Asn> + '_ {
+        let mut from = Some(Asn(0));
+        std::iter::from_fn(move || {
+            let ((owner, _), _) = self.entries.range((from?, Vec::new())..).next()?;
+            from = owner.0.checked_add(1).map(Asn);
+            Some(*owner)
+        })
+    }
+
+    /// The canonical NLRIs `owner` has desired, in RIB order — the
+    /// watchdog checks each against the route server's FlowSpec RIB.
+    pub fn keys_of(&self, owner: Asn) -> impl Iterator<Item = &[u8]> {
+        self.entries
+            .range((owner, Vec::new())..)
+            .take_while(move |((o, _), _)| *o == owner)
+            .map(|((_, wire), _)| wire.as_slice())
     }
 }
 
@@ -1487,6 +1499,61 @@ mod tests {
         assert_eq!(plane.flush().len(), 1);
         assert!(moved(&plane));
         assert_eq!(plane.take_unverified(), None);
+    }
+
+    #[test]
+    fn the_key_set_only_moves_with_its_owners_stamp() {
+        let mut plane = FlowSpecPlane::new();
+        let other = Asn(OWNER.0 + 1);
+        let ntp = drop_flow();
+        let dns = flow(vec![
+            Component::DstPrefix(victim()),
+            Component::IpProtocol(vec![NumericOp::equals(17)]),
+            Component::SrcPort(vec![NumericOp::equals(53)]),
+        ]);
+        let by = |owner: Asn, f: &FlowSpec| AcceptedFlowSpec {
+            owner,
+            ..accepted(f.clone(), 0.0)
+        };
+        // Per owner, its keys and the revision they were read under.
+        let read = |plane: &FlowSpecPlane| -> Vec<(Asn, u64, Vec<Vec<u8>>)> {
+            [OWNER, other]
+                .iter()
+                .map(|&o| {
+                    let keys: Vec<Vec<u8>> = plane.keys_of(o).map(<[u8]>::to_vec).collect();
+                    // Every key stands for at least one rule.
+                    assert_eq!(plane.desired_rules_of(o).count() > 0, !keys.is_empty());
+                    assert_eq!(plane.owners().any(|p| p == o), !keys.is_empty());
+                    (o, plane.owner_revision(o), keys)
+                })
+                .collect()
+        };
+        let mut before = read(&plane);
+        let mut step = |plane: &FlowSpecPlane| {
+            let after = read(plane);
+            for (was, is) in before.iter().zip(&after) {
+                assert!(was.2 == is.2 || was.1 < is.1, "{:?}: keys moved", is.0);
+            }
+            before = after;
+        };
+        plane.install(&by(OWNER, &ntp)).unwrap();
+        step(&plane);
+        plane.install(&by(other, &ntp)).unwrap();
+        step(&plane);
+        plane.install(&by(OWNER, &dns)).unwrap();
+        step(&plane);
+        assert_eq!(plane.owners().collect::<Vec<_>>(), [OWNER, other]);
+        assert_eq!(plane.keys_of(OWNER).count(), 2);
+        // The last rule of a key refused: the key goes with it.
+        let refused = plane.desired_rules_of(other).next().unwrap().id;
+        assert!(plane.rule_refused(refused));
+        step(&plane);
+        assert_eq!(plane.owners().collect::<Vec<_>>(), [OWNER]);
+        plane.withdraw(OWNER, &ntp);
+        step(&plane);
+        plane.flush();
+        step(&plane);
+        assert_eq!(plane.owners().count(), 0);
     }
 
     #[test]

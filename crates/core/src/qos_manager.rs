@@ -6,7 +6,7 @@
 
 use crate::controller::AbstractChange;
 use crate::manager::{AdmissionError, NetworkManager};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use stellar_bgp::types::Asn;
 use stellar_dataplane::switch::{InstallError, PortId};
 use stellar_dataplane::tcam::TcamVerdict;
@@ -16,25 +16,43 @@ use stellar_sim::fabric::Fabric;
 #[derive(Debug, Default)]
 pub struct QosNetworkManager {
     owner_ports: HashMap<Asn, PortId>,
+    /// `owner_ports` read the other way: one range per port.
+    port_owners: BTreeSet<(PortId, Asn)>,
     rule_ports: HashMap<u64, PortId>,
     /// Edits to `owner_ports` so far.
     owner_map_version: u64,
+    /// [`Fabric::rule_version`] as this manager's own last `apply` left
+    /// it, for as long as nobody else edited the fabric in between:
+    /// while the fabric still reads this, `rule_ports` is what the
+    /// hardware holds.
+    fabric_version: u64,
 }
 
 impl QosNetworkManager {
     /// Creates a manager knowing each member's egress port.
     pub fn new(owner_ports: HashMap<Asn, PortId>) -> Self {
+        let port_owners = owner_ports.iter().map(|(owner, port)| (*port, *owner));
         QosNetworkManager {
+            port_owners: port_owners.collect::<BTreeSet<_>>(),
             owner_ports,
-            rule_ports: HashMap::new(),
-            owner_map_version: 0,
+            ..Default::default()
         }
     }
 
     /// Registers a member → port mapping.
     pub fn register_owner(&mut self, owner: Asn, port: PortId) {
-        self.owner_ports.insert(owner, port);
+        if let Some(previous) = self.owner_ports.insert(owner, port) {
+            self.port_owners.remove(&(previous, owner));
+        }
+        self.port_owners.insert((port, owner));
         self.owner_map_version += 1;
+    }
+
+    /// The members whose egress port is `port`, ascending.
+    pub fn owners_of(&self, port: PortId) -> impl Iterator<Item = Asn> + '_ {
+        self.port_owners
+            .range((port, Asn(0))..=(port, Asn(u32::MAX)))
+            .map(|(_, owner)| *owner)
     }
 
     /// The version of the member → port map: bumped by every
@@ -60,8 +78,16 @@ impl QosNetworkManager {
     /// while this bookkeeping survives, and until the two are squared the
     /// manager would refuse re-adds as duplicates and mis-route removals.
     /// Returns the forgotten rule ids, sorted. The reconciler calls this
-    /// before diffing desired against installed state.
+    /// before diffing desired against installed state. Nothing can have
+    /// vanished while the fabric's rule state is as this manager left
+    /// it: only an edit by someone else (restart, `flush_port`,
+    /// `port_mut`, `router_mut`, an injected fault) costs the walk.
     pub fn prune_vanished(&mut self, fabric: &Fabric) -> Vec<u64> {
+        let version = fabric.rule_version();
+        if version == self.fabric_version {
+            return Vec::new();
+        }
+        self.fabric_version = version;
         let mut gone: Vec<u64> = self
             .rule_ports
             .iter()
@@ -74,12 +100,9 @@ impl QosNetworkManager {
         }
         gone
     }
-}
 
-impl NetworkManager for QosNetworkManager {
-    type Fabric = Fabric;
-
-    fn apply(
+    /// Compiles one change onto the owner's egress port and books it.
+    fn apply_change(
         &mut self,
         fabric: &mut Fabric,
         change: &AbstractChange,
@@ -118,6 +141,27 @@ impl NetworkManager for QosNetworkManager {
                 }
             }
         }
+    }
+}
+
+impl NetworkManager for QosNetworkManager {
+    type Fabric = Fabric;
+
+    fn apply(
+        &mut self,
+        fabric: &mut Fabric,
+        change: &AbstractChange,
+        now_us: u64,
+    ) -> Result<(), AdmissionError> {
+        // Our own edit moves the remembered version along with the
+        // fabric's; after anybody else's it stays behind until
+        // `prune_vanished` has looked.
+        let in_step = fabric.rule_version() == self.fabric_version;
+        let result = self.apply_change(fabric, change, now_us);
+        if in_step {
+            self.fabric_version = fabric.rule_version();
+        }
+        result
     }
 
     fn installed_rules(&self) -> usize {
@@ -183,6 +227,24 @@ mod tests {
         assert_eq!(mgr.owner_map_version(), registered);
         mgr.register_owner(Asn(64501), PortId(1));
         assert!(mgr.owner_map_version() > registered);
+    }
+
+    #[test]
+    fn owners_of_reads_the_owner_map_the_other_way() {
+        let (_, mut mgr) = setup();
+        mgr.register_owner(Asn(64502), PortId(1));
+        mgr.register_owner(Asn(64501), PortId(2));
+        let owners =
+            |mgr: &QosNetworkManager, port| mgr.owners_of(PortId(port)).collect::<Vec<_>>();
+        assert_eq!(owners(&mgr, 1), [Asn(64500), Asn(64502)]);
+        assert_eq!(owners(&mgr, 2), [Asn(64501)]);
+        assert_eq!(owners(&mgr, 3), []);
+        // A member moving ports leaves the old one.
+        mgr.register_owner(Asn(64502), PortId(2));
+        assert_eq!(owners(&mgr, 1), [Asn(64500)]);
+        assert_eq!(owners(&mgr, 2), [Asn(64501), Asn(64502)]);
+        let built = QosNetworkManager::new(HashMap::from([(Asn(64500), PortId(7))]));
+        assert_eq!(owners(&built, 7), [Asn(64500)]);
     }
 
     #[test]

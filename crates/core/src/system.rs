@@ -20,7 +20,7 @@
 //!   desired rule set against the hardware and queues repairs, so a
 //!   restart converges back instead of diverging forever.
 
-use crate::audit::{audit_batch, to_audit_rule, AuditRejection, BatchAudit};
+use crate::audit::{audit_batch, AuditRejection, BatchAudit};
 use crate::config_queue::{ConfigChangeQueue, QueuedChange};
 use crate::controller::{AbstractChange, BlackholingController, DegradeOutcome};
 use crate::faults::{
@@ -28,7 +28,7 @@ use crate::faults::{
 };
 use crate::flowspec::{FlowSpecPlane, LowerError};
 use crate::manager::{AdmissionError, DeadLetterLog, NetworkManager};
-use crate::proof::{self, PlacementCheck, DEFAULT_VERIFY_BUDGET};
+use crate::proof::{self, DEFAULT_VERIFY_BUDGET};
 use crate::qos_manager::QosNetworkManager;
 use crate::rule::BlackholingRule;
 use crate::signal::StellarSignal;
@@ -40,7 +40,6 @@ use stellar_bgp::extcommunity::ExtendedCommunity;
 use stellar_bgp::flowspec::FlowSpec;
 use stellar_bgp::types::Asn;
 use stellar_bgp::update::UpdateMessage;
-use stellar_dataplane::port::MemberPort;
 use stellar_dataplane::qos::TickResult;
 use stellar_dataplane::switch::{OfferedAggregate, PortId};
 use stellar_net::prefix::Prefix;
@@ -48,6 +47,9 @@ use stellar_obs::Obs;
 use stellar_routeserver::policy::RejectReason;
 use stellar_routeserver::FlowSpecRejectReason;
 use stellar_sim::topology::IxpTopology;
+
+mod ledger;
+use ledger::ProofLedger;
 
 /// Outcome of one member signal.
 #[derive(Debug, Default)]
@@ -123,64 +125,6 @@ impl ReconcileReport {
     pub fn is_clean(&self) -> bool {
         self.adds == 0 && self.removes == 0 && self.pruned == 0
     }
-}
-
-/// The change stamps of the four state owners the quiet-state
-/// obligations read: the fabric's rule-state version, both signaling
-/// planes' desired-state versions and the manager's owner → port map
-/// version. Each owner bumps its own stamp inside its own mutators, so
-/// equal stamps mean equal state however the state was reached; reading
-/// all four is O(PoPs).
-type Stamps = [u64; 4];
-
-/// What a port was proven under: its policy's generation, the owner →
-/// port map version and, per owner whose intent lands on it, that
-/// owner's revision summed over both signaling planes (each only grows,
-/// so the sum moves with either).
-type PortStamp = (u64, u64, Vec<(Asn, u64)>);
-
-/// What earlier quiet passes proved, keyed by the stamps they proved it
-/// under, so a later pass re-examines only what changed. A full pass is
-/// the same code over an empty ledger. Only positive verdicts are kept —
-/// a port that mismatched or blew its budget is re-examined, and
-/// counted, on every pass — and any recorded violation, reconcile
-/// repair or injected fault empties the ledger outright.
-#[derive(Debug, Default)]
-struct ProofLedger {
-    /// The stamps at the last pass that discharged convergence,
-    /// orphan-freedom and placement with nothing in flight and nothing
-    /// unverified: while they stand, all three still hold.
-    clean_at: Option<Stamps>,
-    /// Ports last proven equal to their intent, and under which stamp.
-    proven: BTreeMap<PortId, PortStamp>,
-}
-
-/// The installed-vs-desired rule-id diff, from one walk of the occupied
-/// ports: what convergence, the orphan scan and reconciliation all ask.
-#[derive(Debug, Default)]
-struct IdDiff {
-    /// Desired rule ids absent from hardware, ascending.
-    missing: Vec<u64>,
-    /// Hardware rules `(port, id)` absent from desired state, in
-    /// ascending port and then evaluation order.
-    extra: Vec<(PortId, u64)>,
-}
-
-impl IdDiff {
-    /// Hardware holds exactly the desired rule ids.
-    fn is_empty(&self) -> bool {
-        self.missing.is_empty() && self.extra.is_empty()
-    }
-}
-
-/// What the quiet-state obligations found in one pass.
-#[derive(Debug, Default)]
-struct QuietPass {
-    found: Vec<(Invariant, String)>,
-    /// All three answered from the ledger: nothing was examined.
-    unchanged: bool,
-    /// The placement proof, when the pass reached it.
-    placement: Option<PlacementCheck>,
 }
 
 /// The assembled system.
@@ -1188,31 +1132,25 @@ impl StellarSystem {
             }
         }
 
-        // RIB ↔ plane consistency: every lowered FlowSpec key must still
-        // be backed by a route-server RIB entry. (The reverse — RIB entry
-        // not lowered — is legitimate: lowering or audit refused it.)
-        for (owner, wire) in self.flowspec.keys() {
-            if !self.ixp.route_server.flowspec_contains(*owner, wire) {
-                found.push((
-                    Invariant::RibPlaneConsistency,
-                    format!("plane key owner={} absent from rib", owner.0),
-                ));
-            }
+        // The periodic obligations, answered from the proof ledger as far
+        // as the state owners' stamps say nothing changed. Debug builds
+        // run each again over an empty ledger: the incremental pass must
+        // find what a full one does.
+        let mut ledger = std::mem::take(&mut self.ledger);
+        let rib_plane = self.check_rib_plane(&mut ledger);
+        if cfg!(debug_assertions) {
+            let full = self.check_rib_plane(&mut ProofLedger::default());
+            assert_eq!(rib_plane.found, full.found, "incremental pass diverged");
         }
-
+        found.extend(rib_plane.found);
         if quiet {
             // Convergence, orphan rules and obligation (c), placement
-            // soundness: answered from the proof ledger as far as the
-            // state owners' stamps say nothing changed.
-            let mut ledger = std::mem::take(&mut self.ledger);
+            // soundness.
             let pass = self.quiet_obligations(&mut ledger);
-            // Debug builds run the same obligations again over an empty
-            // ledger: the incremental pass must find what a full one does.
             if cfg!(debug_assertions) {
                 let full = self.quiet_obligations(&mut ProofLedger::default());
                 assert_eq!(pass.found, full.found, "incremental quiet pass diverged");
             }
-            self.ledger = ledger;
             let reg = &mut self.obs.registry;
             if pass.unchanged {
                 reg.counter_inc("watchdog.checks_unchanged");
@@ -1228,6 +1166,7 @@ impl StellarSystem {
             }
             found.extend(pass.found);
         }
+        self.ledger = ledger;
 
         // Dead-letter drainage: a parked requeue sitting past its release
         // time (plus pump-cadence slack) means the release machinery
@@ -1284,180 +1223,6 @@ impl StellarSystem {
             .collect()
     }
 
-    fn stamps(&self) -> Stamps {
-        [
-            self.ixp.fabric.rule_version(),
-            self.controller.version(),
-            self.flowspec.version(),
-            self.manager.owner_map_version(),
-        ]
-    }
-
-    /// Diffs the hardware's rule ids against desired state in one walk
-    /// of the occupied ports.
-    fn id_diff(&self) -> IdDiff {
-        let fabric = &self.ixp.fabric;
-        let desired = self.controller.rule_count() + self.flowspec.rule_count();
-        // Sized for the converged case, where it holds the desired ids.
-        let mut installed: HashSet<u64> = HashSet::with_capacity(desired);
-        let occupied = fabric.occupied_ports();
-        installed.extend(occupied.flat_map(|(_, port)| port.policy.rules().iter().map(|r| r.id)));
-        let mut missing: Vec<u64> = self
-            .desired_ids()
-            .filter(|id| !installed.contains(id))
-            .collect();
-        missing.sort_unstable();
-        // Desired ids are unique: as many distinct installed ids, none
-        // of them missing, leaves no room for an extra one.
-        let extra = if missing.is_empty() && installed.len() == desired {
-            Vec::new()
-        } else {
-            let desired: HashSet<u64> = self.desired_ids().collect();
-            fabric
-                .occupied_ports()
-                .flat_map(|(id, port)| port.policy.rules().iter().map(move |r| (id, r.id)))
-                .filter(|(_, id)| !desired.contains(id))
-                .collect()
-        };
-        IdDiff { missing, extra }
-    }
-
-    /// The three quiet-state obligations — convergence, orphan rules and
-    /// obligation (c), placement soundness — over `ledger`: skipped
-    /// whole while the stamps of the last clean pass stand, otherwise
-    /// evaluated from one [`IdDiff`] with only the stale ports re-proven.
-    /// Reads live state, writes only `ledger`.
-    fn quiet_obligations(&self, ledger: &mut ProofLedger) -> QuietPass {
-        let mut pass = QuietPass::default();
-        let idle = self.nothing_in_flight();
-        let stamps = self.stamps();
-        if idle && ledger.clean_at == Some(stamps) {
-            pass.unchanged = true;
-            return pass;
-        }
-        ledger.clean_at = None;
-        // Convergence: past the grace bound, desired must equal
-        // installed with nothing in flight.
-        let diff = self.id_diff();
-        let converged = idle && diff.is_empty();
-        if !converged {
-            pass.found.push((
-                Invariant::Convergence,
-                format!(
-                    "backlog={} parked={} pending_validation={}",
-                    self.queue.backlog(),
-                    self.parked.len(),
-                    self.pending_validation.len()
-                ),
-            ));
-        }
-        // Orphan rules: nothing in hardware without a desired-state
-        // owner or an in-flight removal.
-        if !diff.extra.is_empty() {
-            let in_flight = self.in_flight_ids();
-            for (_, id) in &diff.extra {
-                if !in_flight.contains(id) {
-                    pass.found.push((
-                        Invariant::OrphanRule,
-                        format!("rule_id={id} has no desired-state owner"),
-                    ));
-                }
-            }
-        }
-        // Obligation (c), placement soundness: once converged, every
-        // occupied port's installed table must be semantically equal to
-        // its owner's desired table over that port's traffic — proven
-        // exactly, per port, with witness-backed differences. (While
-        // changes are in flight the tables legitimately diverge;
-        // convergence is the precondition of the equation.)
-        if converged {
-            let placement = self.prove_placement(ledger);
-            for m in &placement.mismatches {
-                pass.found.push((
-                    Invariant::PlacementSound,
-                    format!(
-                        "port={} installed={} desired={} differing_keys={}",
-                        m.port.0, m.region.outcome_a, m.region.outcome_b, m.differing_keys
-                    ),
-                ));
-            }
-            if placement.unplaced > 0 {
-                pass.found.push((
-                    Invariant::PlacementSound,
-                    format!("unplaced_desired_rules={}", placement.unplaced),
-                ));
-            }
-            if placement.is_sound() && placement.unverified == 0 {
-                ledger.clean_at = Some(stamps);
-            }
-            pass.placement = Some(placement);
-        }
-        pass
-    }
-
-    /// [`proof::check_placement`] over `ledger`: the same per-port proof,
-    /// run only on the ports whose `(policy generation, owner
-    /// revisions)` differ from the stamp they were last proven equal
-    /// under. Over an empty ledger that is every port holding rules or
-    /// addressed by intent — the full proof.
-    fn prove_placement(&self, ledger: &mut ProofLedger) -> PlacementCheck {
-        let mut check = PlacementCheck::default();
-        let fabric = &self.ixp.fabric;
-        // Every port holding rules or addressed by intent, with the
-        // intent's owners and their revisions.
-        let mut ports: BTreeMap<_, (_, Vec<(Asn, u64)>)> = fabric
-            .occupied_ports()
-            .map(|(id, port)| (id, (port, Vec::new())))
-            .collect();
-        let mut owners = self.controller.desired_owners();
-        owners.extend(self.flowspec.desired_owners());
-        for owner in owners {
-            let revision =
-                self.controller.owner_revision(owner) + self.flowspec.owner_revision(owner);
-            let id = self.manager.owner_port(owner);
-            match id.and_then(|id| Some((id, fabric.port(id)?))) {
-                Some((id, port)) => {
-                    let (_, owners) = ports.entry(id).or_insert((port, Vec::new()));
-                    owners.push((owner, revision));
-                }
-                // Intent that resolves to no live port is as unsound as
-                // a missing rule on a live one.
-                None => check.unplaced += self.desired_of(&[owner]).len(),
-            }
-        }
-        ledger.proven.retain(|id, _| ports.contains_key(id));
-        let map_version = self.manager.owner_map_version();
-        let stale: Vec<(PortId, &MemberPort, PortStamp)> = ports
-            .into_iter()
-            .filter_map(|(id, (port, owners))| {
-                let stamp = (port.policy.generation(), map_version, owners);
-                (ledger.proven.get(&id) != Some(&stamp)).then_some((id, port, stamp))
-            })
-            .collect();
-        // The stale ports' intent, gathered in one pass over desired
-        // state however many they are.
-        let mut owners: Vec<Asn> = stale
-            .iter()
-            .flat_map(|(_, _, stamp)| stamp.2.iter().map(|(owner, _)| *owner))
-            .collect();
-        owners.sort_unstable();
-        let mut want: BTreeMap<PortId, Vec<stellar_classify::AuditRule>> = BTreeMap::new();
-        for rule in self.desired_of(&owners) {
-            if let Some(port) = self.manager.owner_port(rule.owner) {
-                want.entry(port).or_default().push(to_audit_rule(&rule));
-            }
-        }
-        for (id, port, stamp) in stale {
-            let want = want.get(&id).map_or(&[][..], Vec::as_slice);
-            if check.book(proof::prove_port(id, port, want, DEFAULT_VERIFY_BUDGET)) {
-                ledger.proven.insert(id, stamp);
-            } else {
-                ledger.proven.remove(&id);
-            }
-        }
-        check
-    }
-
     /// Reconciliation: diffs the controller's desired rule set against
     /// what is actually installed in hardware and queues repairs —
     /// re-adds for desired rules that vanished (edge-router restart),
@@ -1470,7 +1235,9 @@ impl StellarSystem {
             pruned: self.manager.prune_vanished(&self.ixp.fabric).len(),
             ..Default::default()
         };
-        let diff = self.id_diff();
+        let mut ledger = std::mem::take(&mut self.ledger);
+        let diff = self.id_diff(&mut ledger);
+        self.ledger = ledger;
         if !diff.is_empty() {
             // Work already on its way is not repaired twice.
             let in_flight = self.in_flight_ids();
@@ -1535,7 +1302,7 @@ impl StellarSystem {
     /// Whether desired state and hardware state agree and nothing is in
     /// flight — the convergence predicate of the fault-soak tests.
     pub fn is_converged(&self) -> bool {
-        self.nothing_in_flight() && self.id_diff().is_empty()
+        self.nothing_in_flight() && self.ids_agree(&self.ledger)
     }
 
     /// Pushes one tick of traffic through the fabric.

@@ -5,8 +5,9 @@
 //! which it can only do if that owner bumped its stamp; and it must
 //! re-prove the ports the edit touched, not the fabric.
 //!
-//! (In these debug builds every quiet pass is also compared with the
-//! same obligations over an empty ledger — see `watchdog_check`.)
+//! (In these debug builds every pass is also compared with the same
+//! obligations over an empty ledger — see `watchdog_check` — and every
+//! id diff answered port by port with the full walk — see `id_diff`.)
 
 use super::*;
 use stellar_bgp::flowspec::{BitmaskOp, Component, NumericOp};
@@ -240,6 +241,138 @@ fn sabotage_e_flowspec_withdraw_without_queueing_the_removal() {
     );
     assert_eq!(counter(&sys, "watchdog.violations.placement_sound"), 0);
     assert_eq!(counter(&sys, "watchdog.checks_unchanged"), 1);
+}
+
+/// A FlowSpec withdrawal as the member's session would carry it.
+fn unreach(flow: FlowSpec) -> UpdateMessage {
+    UpdateMessage {
+        withdrawn: vec![],
+        attrs: vec![PathAttribute::MpUnreachFlowSpec {
+            afi: Afi::Ipv4,
+            nlri: vec![flow],
+        }],
+        nlri: vec![],
+    }
+}
+
+#[test]
+fn sabotage_f_rib_entry_withdrawn_behind_the_planes_back() {
+    let mut sys = cached();
+    let drop = ExtendedCommunity::traffic_rate(B.0 as u16, 0.0);
+    sys.member_flowspec(B, udp_src(host(1, 2), &[19]), &[drop], 1_000_000);
+    assert_eq!(settle(&mut sys, 1_000_000), 1);
+    assert_eq!(sys.watchdog_check(QUIET_US), 0);
+    // Both sides stand: nothing is looked up.
+    let mut ledger = std::mem::take(&mut sys.ledger);
+    assert_eq!(sys.check_rib_plane(&mut ledger).probed, 0);
+    // The route server drops one of C's NLRIs; the plane keeps its rule.
+    let out = sys
+        .ixp
+        .route_server
+        .handle_flowspec_update(C, &unreach(udp_src(host(2, 1), &[53])));
+    assert_eq!(out.withdrawn.len(), 1);
+    // C's two keys are looked up again, B's one is not.
+    let check = sys.check_rib_plane(&mut ledger);
+    assert_eq!(check.probed, 2);
+    assert_eq!(check.found.len(), 1);
+    // Never cached: as loud on the next pass, whatever the ledger holds.
+    assert_eq!(sys.check_rib_plane(&mut ledger).probed, 2);
+    sys.ledger = ledger;
+    assert_eq!(sys.watchdog_check(QUIET_US), 1);
+    assert_eq!(
+        details(&sys, Invariant::RibPlaneConsistency),
+        [format!("plane key owner={} absent from rib", C.0)]
+    );
+}
+
+#[test]
+fn sabotage_g_port_flushed_between_two_manager_applies() {
+    let mut sys = cached();
+    assert!(sys.reconcile(1_000_000).is_clean());
+    assert_eq!(sys.ledger.ids.len(), 3);
+    // A's two rules vanish, then the manager goes on applying B's next
+    // signal: the fabric's version moved twice, once not by the manager.
+    assert_eq!(sys.ixp.fabric.flush_port(port_of(&sys, A), 2_000_000), 2);
+    let two = [
+        StellarSignal::drop_udp_src(123),
+        StellarSignal::drop_udp_src(53),
+    ];
+    sys.member_signal(B, host(1, 1), &two, 2_000_000);
+    assert_eq!(settle(&mut sys, 2_000_000), 1);
+    assert!(!sys.is_converged());
+    let report = sys.reconcile(3_000_000);
+    assert_eq!((report.pruned, report.adds, report.removes), (2, 2, 0));
+    assert_eq!(settle(&mut sys, 3_000_000), 2);
+    assert!(sys.reconcile(4_000_000).is_clean());
+    // A restart takes everything, whoever installed it.
+    assert_eq!(sys.ixp.fabric.restart(5_000_000), 6);
+    let report = sys.reconcile(5_000_000);
+    assert_eq!((report.pruned, report.adds, report.removes), (6, 6, 0));
+}
+
+#[test]
+fn sabotage_h_rule_removed_through_router_mut() {
+    let mut sys = cached();
+    assert!(sys.reconcile(1_000_000).is_clean());
+    let port = port_of(&sys, B);
+    let rule_id = sys.ixp.fabric.port(port).expect("B's port").policy.rules()[0].id;
+    let pop = sys.ixp.fabric.pop_of_port(port).expect("B's PoP");
+    let router = sys.ixp.fabric.router_mut(pop).expect("B's router");
+    assert!(router.remove_rule(port, rule_id, 2_000_000));
+    // The manager applied nothing since, and still finds it gone.
+    assert_eq!(sys.manager.prune_vanished(&sys.ixp.fabric), [rule_id]);
+    assert!(!sys.is_converged());
+    let report = sys.reconcile(2_000_000);
+    assert_eq!((report.pruned, report.adds, report.removes), (0, 1, 0));
+}
+
+#[test]
+fn sabotage_i_same_count_other_id_through_port_mut() {
+    let mut sys = cached();
+    assert!(sys.reconcile(1_000_000).is_clean());
+    let port = port_of(&sys, B);
+    let policy = &mut sys.ixp.fabric.port_mut(port).expect("B's port").policy;
+    let live = policy.rules()[0].clone();
+    // As many rules everywhere as before, one of them under another id.
+    assert!(policy.remove(live.id));
+    policy.install(FilterRule::new(
+        9_999,
+        live.spec,
+        live.action,
+        live.priority,
+    ));
+    assert!(!sys.is_converged());
+    let report = sys.reconcile(2_000_000);
+    assert_eq!((report.adds, report.removes), (1, 1));
+}
+
+#[test]
+fn changes_applied_around_pump_leave_every_verdict_right() {
+    let mut sys = cached();
+    assert!(sys.reconcile(1_000_000).is_clean());
+    // The benchmark's staged driver: dequeue and apply by hand.
+    let staged = |sys: &mut StellarSystem, now_us: u64| {
+        for qc in sys.queue.dequeue_ready_queued(now_us) {
+            let applied = sys.manager.apply(&mut sys.ixp.fabric, &qc.change, now_us);
+            assert_eq!(applied, Ok(()));
+        }
+    };
+    let drop = ExtendedCommunity::traffic_rate(C.0 as u16, 0.0);
+    sys.member_flowspec(C, udp_src(host(2, 1), &[389]), &[drop], 2_000_000);
+    sys.member_withdraw(A, host(0, 1), 2_000_000);
+    assert!(!sys.is_converged());
+    staged(&mut sys, 2_000_000);
+    assert!(sys.is_converged());
+    assert!(sys.reconcile(3_000_000).is_clean());
+    assert_eq!(sys.manager.prune_vanished(&sys.ixp.fabric), [0u64; 0]);
+    // C's port re-proven; A's holds nothing and wants nothing.
+    assert_eq!(sys.watchdog_check(QUIET_US), 0);
+    assert_eq!(counter(&sys, "verify.placement.ports_checked"), 3 + 1);
+    sys.member_flowspec_withdraw(C, udp_src(host(2, 1), &[389]), 4_000_000);
+    staged(&mut sys, 4_000_000);
+    assert_eq!(sys.watchdog_check(QUIET_US), 0);
+    assert_eq!(counter(&sys, "verify.placement.ports_checked"), 4 + 1);
+    assert!(sys.watchdog.is_clean());
 }
 
 #[test]

@@ -26,8 +26,9 @@ use crate::rules::{Finding, Rule};
 /// grant, enforced by the CLI. A ratchet, not a target: lower it as
 /// the debt burns down, never raise it. History: 150 at introduction
 /// (58 live sites), 80 after the verify PR's ratchet (50 live sites),
-/// 40 — the budget itself — once the hash classifier engine went.
-pub const MAX_NO_UNWRAP_BUDGET: usize = 40;
+/// 40 — the budget itself — once the hash classifier engine went, 37
+/// when the route server's `handle_update` bound its peer once.
+pub const MAX_NO_UNWRAP_BUDGET: usize = 37;
 
 /// One `[[allow]]` entry.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -18,7 +18,9 @@
 //! - [`server`] — the route server itself: per-peer Adj-RIB-In, export
 //!   policy, RTBH next-hop rewriting, and the southbound ADD-PATH feed to
 //!   the blackholing controller;
-//! - [`looking_glass`] — the debugging view members use (§4.3).
+//! - [`looking_glass`] — the debugging view members use (§4.3);
+//! - [`stamps`] — the change stamps the FlowSpec RIB (and the
+//!   controller's desired-state planes) mark their edits with.
 
 pub mod bogon;
 pub mod control;
@@ -28,6 +30,7 @@ pub mod looking_glass;
 pub mod policy;
 pub mod rpki;
 pub mod server;
+pub mod stamps;
 
 pub use control::{classify_scope, should_announce, PolicyScope};
 pub use flowspec::{
@@ -37,3 +40,4 @@ pub use irr::IrrDb;
 pub use policy::{ImportPolicy, RejectReason};
 pub use rpki::{RpkiStatus, RpkiTable};
 pub use server::{RouteServer, RouteServerConfig, RouteServerOutput};
+pub use stamps::OwnerStamps;

@@ -13,6 +13,7 @@ use crate::flowspec::{
     action_communities, validate_flowspec, AcceptedFlowSpec, FlowSpecOutput, FlowSpecStats,
 };
 use crate::policy::{ImportPolicy, RejectReason};
+use crate::stamps::OwnerStamps;
 use std::collections::{BTreeMap, HashMap};
 use stellar_bgp::attr::PathAttribute;
 use stellar_bgp::community::Community;
@@ -111,10 +112,14 @@ pub struct RouteServer {
     path_ids: HashMap<(Asn, Prefix), u32>,
     next_path_id: u32,
     stats: ImportStats,
-    /// Accepted FlowSpec rules keyed by (owner, canonical NLRI bytes):
+    /// Accepted FlowSpec rules by owner, then canonical NLRI bytes:
     /// re-announcing the same NLRI replaces the stored actions, as BGP
-    /// implicit-withdraw semantics require.
-    flowspec_rib: BTreeMap<(Asn, Vec<u8>), AcceptedFlowSpec>,
+    /// implicit-withdraw semantics require. One owner's rules are one
+    /// inner map, so a probe borrows its key and a session-down flush
+    /// takes the map whole; an owner without rules has no entry.
+    flowspec_rib: BTreeMap<Asn, BTreeMap<Vec<u8>, AcceptedFlowSpec>>,
+    /// Touched by every edit of `flowspec_rib`, under the owner edited.
+    flowspec_stamps: OwnerStamps,
     flowspec_stats: FlowSpecStats,
 }
 
@@ -129,6 +134,7 @@ impl RouteServer {
             next_path_id: 1,
             stats: ImportStats::default(),
             flowspec_rib: BTreeMap::new(),
+            flowspec_stamps: OwnerStamps::default(),
             flowspec_stats: FlowSpecStats::default(),
         }
     }
@@ -199,7 +205,7 @@ impl RouteServer {
         now_us: u64,
     ) -> RouteServerOutput {
         let mut out = RouteServerOutput::default();
-        let Some(state) = self.peers.get(&peer) else {
+        let Some(state) = self.peers.get_mut(&peer) else {
             return out; // unknown peer: drop silently (session layer
                         // should have prevented this)
         };
@@ -207,6 +213,9 @@ impl RouteServer {
             asn: peer,
             bgp_id: state.bgp_id,
         };
+        // The peer's Adj-RIB-In is edited while the other peers are
+        // walked for exports: held here, put back before returning.
+        let mut rib = std::mem::take(&mut state.rib);
 
         // Withdrawals first (RFC 4271 processing order): classic IPv4
         // withdrawals plus MP_UNREACH_NLRI entries (IPv6, RFC 4760).
@@ -217,20 +226,15 @@ impl RouteServer {
             }
         }
         for w in &withdrawals {
-            let delta = self
-                .peers
-                .get_mut(&peer)
-                .expect("peer exists")
-                .rib
-                .apply_update(
-                    peer_id,
-                    &UpdateMessage {
-                        withdrawn: vec![*w],
-                        attrs: vec![],
-                        nlri: vec![],
-                    },
-                    now_us,
-                );
+            let delta = rib.apply_update(
+                peer_id,
+                &UpdateMessage {
+                    withdrawn: vec![*w],
+                    attrs: vec![],
+                    nlri: vec![],
+                },
+                now_us,
+            );
             if delta.withdrawn.is_empty() {
                 continue; // nothing was actually removed
             }
@@ -276,8 +280,7 @@ impl RouteServer {
             self.stats.announced += 1;
             // Max-prefix: counted against the peer's current Adj-RIB-In.
             if let Some(limit) = self.policy.max_prefixes_per_peer {
-                let held = self.peers.get(&peer).expect("peer exists").rib.len();
-                if held >= limit {
+                if rib.len() >= limit {
                     *self
                         .stats
                         .rejected
@@ -312,11 +315,7 @@ impl RouteServer {
                 attrs: update.attrs.clone(),
                 nlri: vec![*n],
             };
-            self.peers
-                .get_mut(&peer)
-                .expect("peer exists")
-                .rib
-                .apply_update(peer_id, &stored, now_us);
+            rib.apply_update(peer_id, &stored, now_us);
 
             // Exports to the other members.
             let is_blackhole = communities
@@ -342,6 +341,9 @@ impl RouteServer {
             });
             out.controller_updates
                 .push(controller_feed(update, *n, *mp_next_hop, pid));
+        }
+        if let Some(state) = self.peers.get_mut(&peer) {
+            state.rib = rib;
         }
         out
     }
@@ -369,7 +371,14 @@ impl RouteServer {
                 let Ok(key) = flow.to_wire() else {
                     continue;
                 };
-                if let Some(removed) = self.flowspec_rib.remove(&(peer, key)) {
+                let Some(held) = self.flowspec_rib.get_mut(&peer) else {
+                    continue;
+                };
+                if let Some(removed) = held.remove(&key) {
+                    if held.is_empty() {
+                        self.flowspec_rib.remove(&peer);
+                    }
+                    self.flowspec_stamps.touch(peer);
                     self.flowspec_stats.withdrawn += 1;
                     out.withdrawn.push((peer, removed.flow));
                 }
@@ -414,7 +423,9 @@ impl RouteServer {
                 };
                 // Re-announcement of the same NLRI is an implicit
                 // withdraw: the stored actions are replaced.
-                self.flowspec_rib.insert((peer, key), accepted.clone());
+                let held = self.flowspec_rib.entry(peer).or_default();
+                held.insert(key, accepted.clone());
+                self.flowspec_stamps.touch(peer);
                 out.accepted.push(accepted);
             }
         }
@@ -425,13 +436,31 @@ impl RouteServer {
     /// order (looking glass support, and the controller's resync source
     /// after an iBGP session flap).
     pub fn flowspec_routes(&self) -> Vec<&AcceptedFlowSpec> {
-        self.flowspec_rib.values().collect()
+        self.flowspec_rib
+            .values()
+            .flat_map(BTreeMap::values)
+            .collect()
     }
 
     /// True when `owner`'s FlowSpec rule with this canonical wire key is
     /// in the RIB (the watchdog's RIB↔plane consistency probe).
     pub fn flowspec_contains(&self, owner: Asn, wire: &[u8]) -> bool {
-        self.flowspec_rib.contains_key(&(owner, wire.to_vec()))
+        self.flowspec_rib
+            .get(&owner)
+            .is_some_and(|held| held.contains_key(wire))
+    }
+
+    /// The FlowSpec RIB's version: bumped by every announcement,
+    /// withdrawal and session-down flush that edited it. Unchanged
+    /// version, unchanged RIB.
+    pub fn flowspec_version(&self) -> u64 {
+        self.flowspec_stamps.version()
+    }
+
+    /// The [`flowspec_version`](Self::flowspec_version) at which
+    /// `owner`'s FlowSpec rules last changed (0: never).
+    pub fn flowspec_owner_revision(&self, owner: Asn) -> u64 {
+        self.flowspec_stamps.revision(owner)
     }
 
     /// Handles FlowSpec NLRI exactly as received on the wire: decodes
@@ -557,14 +586,9 @@ impl RouteServer {
             }
         }
         // A downed session takes its FlowSpec rules with it.
-        let flow_keys: Vec<(Asn, Vec<u8>)> = self
-            .flowspec_rib
-            .keys()
-            .filter(|(owner, _)| *owner == peer)
-            .cloned()
-            .collect();
-        for key in flow_keys {
-            if let Some(removed) = self.flowspec_rib.remove(&key) {
+        if let Some(held) = self.flowspec_rib.remove(&peer) {
+            self.flowspec_stamps.touch(peer);
+            for removed in held.into_values() {
                 self.flowspec_stats.withdrawn += 1;
                 out.flowspec_withdrawn.push((peer, removed.flow));
             }
@@ -1098,6 +1122,39 @@ mod flowspec_tests {
             1,
             "damage never reached validation"
         );
+    }
+
+    #[test]
+    fn every_rib_edit_stamps_the_owner_it_edited_and_nothing_else() {
+        let mut rs = server();
+        const OWNER: Asn = Asn(64500);
+        const OTHER: Asn = Asn(64501);
+        assert_eq!(rs.flowspec_version(), 0);
+        let mut version = 0;
+        // The edit moved the version and OWNER's revision with it.
+        let mut stamped = |rs: &RouteServer| {
+            let moved = rs.flowspec_version() > version;
+            version = rs.flowspec_version();
+            assert_eq!(rs.flowspec_owner_revision(OTHER), 0, "nobody touched it");
+            moved && rs.flowspec_owner_revision(OWNER) == version
+        };
+        let shape = ExtendedCommunity::traffic_rate(64500, 1_000_000.0);
+        rs.handle_flowspec_update(OWNER, &flowspec_announce(64500, victim_flow(), &[]));
+        assert!(stamped(&rs), "announcement");
+        rs.handle_flowspec_update(OWNER, &flowspec_announce(64500, victim_flow(), &[shape]));
+        assert!(stamped(&rs), "implicit withdraw");
+        rs.handle_flowspec_update(OWNER, &flowspec_withdraw(victim_flow()));
+        assert!(stamped(&rs), "withdrawal");
+        rs.handle_flowspec_update(OWNER, &flowspec_announce(64500, victim_flow(), &[]));
+        assert!(stamped(&rs), "announcement");
+        rs.peer_down(OWNER);
+        assert!(stamped(&rs), "session-down flush");
+        // What edits nothing stamps nothing: a duplicate withdrawal, a
+        // refused announcement, a flush of a peer holding no rule.
+        rs.handle_flowspec_update(OWNER, &flowspec_withdraw(victim_flow()));
+        rs.handle_flowspec_update(OTHER, &flowspec_announce(64501, victim_flow(), &[]));
+        rs.peer_down(OTHER);
+        assert!(!stamped(&rs));
     }
 
     #[test]
