@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use std::hint::black_box;
 use stellar_core::rule::BlackholingRule;
 use stellar_core::signal::StellarSignal;
-use stellar_dataplane::qos::{Offer, QosPolicy};
+use stellar_dataplane::qos::{Offer, QosPolicy, TickResult};
 use stellar_dataplane::shaper::TokenBucket;
 use stellar_net::addr::{IpAddress, Ipv4Address};
 use stellar_net::flow::FlowKey;
@@ -65,7 +65,8 @@ fn bench(c: &mut Criterion) {
                     (p, offers(n))
                 },
                 |(mut p, offers)| {
-                    let r = p.apply_tick(&offers, 1_000_000, 1_000_000, 10_000_000_000);
+                    let mut r = TickResult::default();
+                    p.apply_tick_into(&offers, 1_000_000, 1_000_000, 10_000_000_000, &mut r);
                     black_box(r.counters)
                 },
                 BatchSize::SmallInput,

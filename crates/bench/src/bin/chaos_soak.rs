@@ -13,14 +13,14 @@
 //!
 //! Emits `results/chaos_soak.json`. `--ticks N` sets the seeds swept per
 //! class; `STELLAR_CHAOS_SMOKE=1` shrinks the sweep for the CI gate. The
-//! `STELLAR_*` control-tuning knobs apply and are recorded in the host
-//! metadata.
+//! knob registry's values are recorded in the host metadata.
 
+use stellar_bench::knobs::Knobs;
 use stellar_bench::output::{self, RunOpts};
 use stellar_bgp::extcommunity::ExtendedCommunity;
 use stellar_bgp::flowspec::{Component, FlowSpec, NumericOp};
 use stellar_bgp::types::{Afi, Asn};
-use stellar_core::faults::{ControlTuning, FaultPlan, FaultPlanConfig};
+use stellar_core::faults::{FaultPlan, FaultPlanConfig};
 use stellar_core::signal::StellarSignal;
 use stellar_core::system::StellarSystem;
 use stellar_dataplane::hardware::HardwareInfoBase;
@@ -107,7 +107,7 @@ fn classes() -> Vec<FaultClass> {
     ]
 }
 
-fn system(tuning: &ControlTuning) -> StellarSystem {
+fn system() -> StellarSystem {
     let mut specs = generic_members(64501, 9);
     specs.insert(
         0,
@@ -118,9 +118,7 @@ fn system(tuning: &ControlTuning) -> StellarSystem {
         },
     );
     let ixp = IxpTopology::build(&specs, HardwareInfoBase::lab_switch());
-    let mut sys = StellarSystem::new(ixp, 100.0);
-    sys.apply_tuning(tuning);
-    sys
+    StellarSystem::new(ixp, 100.0)
 }
 
 fn attack_flow() -> FlowSpec {
@@ -140,8 +138,8 @@ fn attack_flow() -> FlowSpec {
 /// watchdog check count. Panics if the episode does not recover or any
 /// runtime invariant breaks — chaos may bend the system, never leave it
 /// wrong.
-fn episode(class: &FaultClass, seed: u64, tuning: &ControlTuning) -> (u64, u64) {
-    let mut sys = system(tuning);
+fn episode(class: &FaultClass, seed: u64) -> (u64, u64) {
+    let mut sys = system();
     let plan = FaultPlan::generate(seed, &class.cfg);
     // MTTR clock zero: the instant the last scripted fault (and any
     // window it opened) is over. Convergence observed before that point
@@ -224,7 +222,7 @@ fn episode(class: &FaultClass, seed: u64, tuning: &ControlTuning) -> (u64, u64) 
 }
 
 /// Runs the full sweep, returning the summary payload.
-fn sweep(base_seed: u64, seeds_per_class: u64, tuning: &ControlTuning) -> serde_json::Value {
+fn sweep(base_seed: u64, seeds_per_class: u64) -> serde_json::Value {
     // MTTR samples aggregate across episodes in one obs histogram per
     // class: `mttr.<class>_us`.
     let mut agg = stellar_obs::Obs::new();
@@ -240,7 +238,7 @@ fn sweep(base_seed: u64, seeds_per_class: u64, tuning: &ControlTuning) -> serde_
     for (ci, class) in classes().iter().enumerate() {
         for i in 0..seeds_per_class {
             let seed = base_seed + (ci as u64) * 1_000 + i;
-            let (mttr, checks) = episode(class, seed, tuning);
+            let (mttr, checks) = episode(class, seed);
             total_checks += checks;
             agg.registry
                 .observe(&format!("mttr.{}_us", class.name), mttr);
@@ -283,7 +281,8 @@ fn sweep(base_seed: u64, seeds_per_class: u64, tuning: &ControlTuning) -> serde_
 }
 
 fn main() {
-    let smoke = std::env::var("STELLAR_CHAOS_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
+    let knobs = Knobs::from_env();
+    let smoke = knobs.chaos_smoke;
     let exp = output::start(
         "CHAOS-SOAK",
         "chaos engine MTTR soak: every fault class, watchdog-audited",
@@ -292,7 +291,6 @@ fn main() {
             ticks: if smoke { 2 } else { 10 },
         },
     );
-    let tuning = ControlTuning::from_env();
     println!(
         "sweep: {} fault classes x {} seeds{}\n",
         classes().len(),
@@ -300,11 +298,11 @@ fn main() {
         if smoke { " [smoke]" } else { "" }
     );
 
-    let data = sweep(exp.seed(), exp.ticks(), &tuning);
+    let data = sweep(exp.seed(), exp.ticks());
 
     // Replay the whole sweep: the chaos engine draws only seeded
     // randomness, so the payload must be byte-identical.
-    let replay = sweep(exp.seed(), exp.ticks(), &tuning);
+    let replay = sweep(exp.seed(), exp.ticks());
     let identical = serde_json::to_string(&data).expect("serialize")
         == serde_json::to_string(&replay).expect("serialize");
     println!(
@@ -313,33 +311,12 @@ fn main() {
     );
     assert!(identical, "replayed sweep diverged");
 
-    // `STELLAR_*` knob values ride in the host metadata so a recorded
-    // run is reproducible from the artifact alone.
-    let knobs = serde_json::Value::Map(
-        ControlTuning::ENV_KNOBS
-            .iter()
-            .map(|k| {
-                (
-                    k.to_string(),
-                    std::env::var(k)
-                        .map(serde_json::Value::Str)
-                        .unwrap_or(serde_json::Value::Null),
-                )
-            })
-            .collect(),
-    );
+    // The knob registry rides in the host metadata so a recorded run is
+    // reproducible from the artifact alone.
     let payload = serde_json::json!({
         "host": serde_json::json!({
             "smoke": smoke,
-            "env_knobs": knobs,
-            "tuning": serde_json::json!({
-                "retry_base_backoff_us": tuning.retry.base_backoff_us,
-                "retry_max_backoff_us": tuning.retry.max_backoff_us,
-                "retry_max_attempts": tuning.retry.max_attempts,
-                "reconcile_interval_us": tuning.reconcile_interval_us,
-                "deadletter_capacity": tuning.deadletter_capacity,
-                "deadletter_requeues": tuning.deadletter_requeues,
-            }),
+            "env_knobs": knobs.host_json(),
         }),
         "soak": data,
         "deterministic": identical,

@@ -41,7 +41,8 @@ fn flow(src_port: u16, proto: IpProtocol, dst: Ipv4Address, rate_bps: f64) -> Of
 
 fn run(er: &mut Fabric, offers: &[OfferedAggregate], t: &mut u64) -> Vec<(u16, IpProtocol, f64)> {
     *t += 1_000_000;
-    let results = er.process_tick(offers, *t, 1_000_000);
+    er.process_tick_in_place(offers, *t, 1_000_000);
+    let results = er.take_tick_results();
     let mut out = Vec::new();
     for offer in offers {
         let delivered = results

@@ -6,7 +6,7 @@
 //! - `fabric_seq`: the [`Fabric`] with the PoP fan-out pinned to one
 //!   worker,
 //! - `fabric_par`: the fabric fanning PoPs over the worker pool, gated
-//!   by the adaptive `STELLAR_PARALLEL_MIN_WORK` cutoff.
+//!   by the adaptive parallelism cutoff (`STELLAR_PARALLEL_MIN_WORK`).
 //!
 //! The pass/fail gate is *equality*, not speed: every mode must finish
 //! with byte-identical cumulative per-port counters, sequential and
@@ -27,6 +27,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
+use stellar_bench::knobs::Knobs;
 use stellar_bench::output;
 use stellar_dataplane::filter::{Action, FilterRule, MatchSpec, PortMatch};
 use stellar_dataplane::hardware::HardwareInfoBase;
@@ -301,7 +302,8 @@ struct ModeRun {
 /// Runs one (config, mode) cell serially: build, warm up, measure, read
 /// the witnesses, drop. Nothing from other modes is alive concurrently,
 /// so the 10^6-port cells fit comfortably.
-fn run_mode(cfg: Config, mode: Mode, ticks: u64, seed: u64, parallel_workers: usize) -> ModeRun {
+fn run_mode(cfg: Config, mode: Mode, ticks: u64, seed: u64, parallel: (usize, u64)) -> ModeRun {
+    let (parallel_workers, parallel_min_work) = parallel;
     let offers = build_offers(cfg, seed);
     let window = |executed: u64, expected: u64| {
         assert_eq!(executed, expected, "tick driver fell short");
@@ -334,6 +336,7 @@ fn run_mode(cfg: Config, mode: Mode, ticks: u64, seed: u64, parallel_workers: us
         }
         Mode::FabricSeq | Mode::FabricPar => {
             let mut fabric = build_fabric(cfg, seed);
+            fabric.set_parallel_min_work(parallel_min_work);
             fabric.set_tick_workers(if mode == Mode::FabricPar {
                 parallel_workers
             } else {
@@ -365,7 +368,8 @@ fn run_mode(cfg: Config, mode: Mode, ticks: u64, seed: u64, parallel_workers: us
 }
 
 fn main() {
-    let smoke = std::env::var("STELLAR_SWEEP_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
+    let knobs = Knobs::from_env();
+    let smoke = knobs.sweep_smoke;
     let exp = output::start(
         "SCALE SWEEP",
         "Tick pipeline across the multi-PoP fabric: pops x ports x rules",
@@ -375,13 +379,12 @@ fn main() {
         },
     );
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let tick_workers_env = std::env::var("STELLAR_TICK_WORKERS").ok();
-    let parallel_workers = tick_workers_env
-        .as_deref()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&w| w >= 1)
+    let parallel_workers = knobs
+        .tick_workers
         .unwrap_or_else(|| stellar_classify::sharded::default_workers().max(2));
-    let parallel_min_work = stellar_classify::sharded::parallel_min_work_from_env();
+    let parallel_min_work = knobs
+        .parallel_min_work
+        .unwrap_or(stellar_classify::sharded::DEFAULT_PARALLEL_MIN_WORK);
     let configs: Vec<Config> = if smoke {
         vec![
             Config {
@@ -469,7 +472,7 @@ fn main() {
                 mode,
                 exp.ticks(),
                 exp.seed(),
-                parallel_workers,
+                (parallel_workers, parallel_min_work),
             ));
         }
         let [single, seq, par] = match runs.as_slice() {
@@ -550,10 +553,10 @@ fn main() {
         "host": serde_json::json!({
             "cores": cores,
             "parallel_workers": parallel_workers,
-            // Raw env pin (null when derived): with `cores`, makes the
-            // "no speedup threshold on a 1-core host" caveat
-            // machine-readable.
-            "tick_workers_env": tick_workers_env,
+            // The `STELLAR_TICK_WORKERS` pin (null when derived): with
+            // `cores`, makes the "no speedup threshold on a 1-core host"
+            // caveat machine-readable.
+            "tick_workers_env": knobs.tick_workers,
             "parallel_min_work": parallel_min_work,
             "parallel_evaluable_on_this_host": cores >= 2,
             "smoke": smoke,

@@ -12,6 +12,7 @@ pub mod fig10ab;
 pub mod fig3a;
 pub mod fig3b;
 pub mod fig9;
+pub mod knobs;
 pub mod output;
 
 /// The experiment RNG seed shared by all binaries; change it to check

@@ -28,15 +28,6 @@ pub fn default_workers() -> usize {
 /// 0.48× sequential — pure dispatch overhead.
 pub const DEFAULT_PARALLEL_MIN_WORK: u64 = 4096;
 
-/// The adaptive-parallelism cutoff: `STELLAR_PARALLEL_MIN_WORK` when set
-/// (0 = always parallelize), else [`DEFAULT_PARALLEL_MIN_WORK`].
-pub fn parallel_min_work_from_env() -> u64 {
-    std::env::var("STELLAR_PARALLEL_MIN_WORK")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(DEFAULT_PARALLEL_MIN_WORK)
-}
-
 /// Caps `max_workers` by the work actually on offer this tick: below
 /// `min_work` units the dispatch overhead dominates and the caller
 /// should run sequentially (returns 1). `work` is the caller's own

@@ -431,78 +431,14 @@ impl RetryPolicy {
     }
 }
 
-/// Reads a `u64` tuning knob from the environment, falling back to
-/// `default` when unset or unparsable.
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// How often drivers run [`crate::system::StellarSystem::reconcile`]:
+/// once a second, four pump cadences (read through
+/// `StellarSystem::reconcile_interval_us`).
+pub const RECONCILE_INTERVAL_US: u64 = 1_000_000;
 
-/// Tunables of the self-healing control plane. Every knob has a
-/// `STELLAR_*` environment override (recorded in bench host metadata
-/// like `STELLAR_TICK_WORKERS`), so soak drivers can reshape the retry
-/// ladder without a rebuild. Unset knobs keep the defaults, which is
-/// what the deterministic CI gates run with.
-#[derive(Debug, Clone)]
-pub struct ControlTuning {
-    /// Retry/backoff shape (`STELLAR_RETRY_BASE_US`,
-    /// `STELLAR_RETRY_MAX_US`, `STELLAR_RETRY_ATTEMPTS`).
-    pub retry: RetryPolicy,
-    /// How often drivers should run reconciliation
-    /// (`STELLAR_RECONCILE_US`).
-    pub reconcile_interval_us: u64,
-    /// Ring-buffer capacity of the dead-letter log, drop-oldest
-    /// (`STELLAR_DEADLETTER_CAP`).
-    pub deadletter_capacity: usize,
-    /// How many times a FlowSpec overload refusal is re-admitted from
-    /// the dead-letter parking lot before it is terminal
-    /// (`STELLAR_DEADLETTER_REQUEUES`).
-    pub deadletter_requeues: u32,
-}
-
-impl Default for ControlTuning {
-    fn default() -> Self {
-        ControlTuning {
-            retry: RetryPolicy::default(),
-            reconcile_interval_us: 1_000_000,
-            deadletter_capacity: 1024,
-            deadletter_requeues: 2,
-        }
-    }
-}
-
-impl ControlTuning {
-    /// The environment knobs this struct reads, for bench host metadata.
-    pub const ENV_KNOBS: [&'static str; 6] = [
-        "STELLAR_RETRY_BASE_US",
-        "STELLAR_RETRY_MAX_US",
-        "STELLAR_RETRY_ATTEMPTS",
-        "STELLAR_RECONCILE_US",
-        "STELLAR_DEADLETTER_CAP",
-        "STELLAR_DEADLETTER_REQUEUES",
-    ];
-
-    /// Defaults overridden by whatever `STELLAR_*` knobs are set.
-    pub fn from_env() -> Self {
-        let d = ControlTuning::default();
-        ControlTuning {
-            retry: RetryPolicy {
-                base_backoff_us: env_u64("STELLAR_RETRY_BASE_US", d.retry.base_backoff_us),
-                max_backoff_us: env_u64("STELLAR_RETRY_MAX_US", d.retry.max_backoff_us),
-                max_attempts: env_u64("STELLAR_RETRY_ATTEMPTS", d.retry.max_attempts as u64) as u32,
-            },
-            reconcile_interval_us: env_u64("STELLAR_RECONCILE_US", d.reconcile_interval_us),
-            deadletter_capacity: env_u64("STELLAR_DEADLETTER_CAP", d.deadletter_capacity as u64)
-                as usize,
-            deadletter_requeues: env_u64(
-                "STELLAR_DEADLETTER_REQUEUES",
-                d.deadletter_requeues as u64,
-            ) as u32,
-        }
-    }
-}
+/// How many times one FlowSpec overload refusal is re-admitted from the
+/// dead-letter parking lot before it is terminally dead-lettered.
+pub const DEADLETTER_REQUEUES: u32 = 2;
 
 /// A change that permanently failed: kept for operator review with the
 /// reason and the effort spent.
@@ -763,15 +699,13 @@ mod tests {
 
     #[test]
     fn control_tuning_defaults_match_retry_policy() {
-        let t = ControlTuning::default();
-        assert_eq!(
-            t.retry.base_backoff_us,
-            RetryPolicy::default().base_backoff_us
-        );
-        assert_eq!(t.reconcile_interval_us, 1_000_000);
-        assert!(t.deadletter_capacity >= 2);
-        assert!(t.deadletter_requeues >= 1);
-        assert_eq!(env_u64("STELLAR_SURELY_UNSET_KNOB", 7), 7);
+        let retry = RetryPolicy::default();
+        // A reconcile pass comes round after the first retry's backoff
+        // and well before the retry ladder gives up.
+        assert!(retry.backoff_us(1) < RECONCILE_INTERVAL_US);
+        assert!(retry.backoff_us(retry.max_attempts) > RECONCILE_INTERVAL_US);
+        assert_eq!(RECONCILE_INTERVAL_US, 1_000_000);
+        assert_eq!(DEADLETTER_REQUEUES, 2);
     }
 
     #[test]

@@ -55,8 +55,8 @@ pub use config_queue::{ConfigChangeQueue, QueuedChange};
 pub use controller::{AbstractChange, BlackholingController, DegradeOutcome};
 pub use detector::{Detection, DetectorConfig, SignatureDetector};
 pub use faults::{
-    ControlTuning, DeadLetter, FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultPlanConfig,
-    RecoveryEvent, RetryPolicy,
+    DeadLetter, FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultPlanConfig, RecoveryEvent,
+    RetryPolicy,
 };
 pub use flowspec::{FlowSpecPlane, LowerError, FLOWSPEC_RULE_ID_BASE};
 pub use manager::{AdmissionError, DeadLetterLog, NetworkManager};

@@ -81,8 +81,8 @@ pub struct DeadLetterLog {
 }
 
 impl DeadLetterLog {
-    /// Default ring capacity; override with [`DeadLetterLog::set_capacity`]
-    /// (wired to `STELLAR_DEADLETTER_CAP`).
+    /// Default ring capacity, the one `StellarSystem` runs with;
+    /// [`DeadLetterLog::set_capacity`] rebounds a log.
     pub const DEFAULT_CAPACITY: usize = 1024;
 
     /// A log bounded to `capacity` entries (at least one).

@@ -24,7 +24,8 @@ use crate::audit::{audit_batch, AuditRejection, BatchAudit};
 use crate::config_queue::{ConfigChangeQueue, QueuedChange};
 use crate::controller::{AbstractChange, BlackholingController, DegradeOutcome};
 use crate::faults::{
-    ControlTuning, DeadLetter, FaultEvent, FaultInjector, FaultKind, RecoveryEvent, RetryPolicy,
+    DeadLetter, FaultEvent, FaultInjector, FaultKind, RecoveryEvent, RetryPolicy,
+    DEADLETTER_REQUEUES, RECONCILE_INTERVAL_US,
 };
 use crate::flowspec::{FlowSpecPlane, LowerError};
 use crate::manager::{AdmissionError, DeadLetterLog, NetworkManager};
@@ -142,8 +143,7 @@ pub struct StellarSystem {
     /// Retry/backoff policy for refused changes.
     pub retry: RetryPolicy,
     /// How often [`StellarSystem::reconcile`] is meant to run (drivers
-    /// read this instead of hard-coding a cadence; tunable via
-    /// `STELLAR_RECONCILE_US`).
+    /// read this instead of hard-coding a cadence).
     pub reconcile_interval_us: u64,
     /// The fault injector driving scripted failures (idle by default).
     pub injector: FaultInjector,
@@ -156,9 +156,6 @@ pub struct StellarSystem {
     parked: Vec<ParkedChange>,
     /// Announcements deferred by an oracle brownout, awaiting backoff.
     pending_validation: Vec<PendingValidation>,
-    /// How many times one FlowSpec change may be parked and requeued
-    /// before it is terminally dead-lettered.
-    deadletter_requeues: u32,
     /// What the watchdog's quiet passes have already proven.
     ledger: ProofLedger,
     /// The recovery event log: plain data, identical across runs with
@@ -187,29 +184,15 @@ impl StellarSystem {
             queue: ConfigChangeQueue::production(queue_rate_per_s),
             manager,
             retry: RetryPolicy::default(),
-            reconcile_interval_us: ControlTuning::default().reconcile_interval_us,
+            reconcile_interval_us: RECONCILE_INTERVAL_US,
             injector: FaultInjector::idle(),
             dead_letters: DeadLetterLog::default(),
             watchdog: Watchdog::default(),
             parked: Vec::new(),
             pending_validation: Vec::new(),
-            deadletter_requeues: ControlTuning::default().deadletter_requeues,
             ledger: ProofLedger::default(),
             log: Vec::new(),
             obs: Obs::new(),
-        }
-    }
-
-    /// Applies a [`ControlTuning`] (typically [`ControlTuning::from_env`])
-    /// to the live control plane: retry/backoff policy, reconciliation
-    /// cadence, dead-letter ring capacity and requeue budget.
-    pub fn apply_tuning(&mut self, tuning: &ControlTuning) {
-        self.retry = tuning.retry;
-        self.reconcile_interval_us = tuning.reconcile_interval_us;
-        self.deadletter_requeues = tuning.deadletter_requeues;
-        let evicted = self.dead_letters.set_capacity(tuning.deadletter_capacity);
-        if evicted > 0 {
-            self.obs.registry.counter_add("deadletter.evicted", evicted);
         }
     }
 
@@ -908,7 +891,7 @@ impl StellarSystem {
         // and requeue with a fresh retry budget. Desired state is kept —
         // the rule is still wanted, just not installable right now.
         let flowspec_add = matches!(&qc.change, AbstractChange::AddRule(r) if r.signal().is_none());
-        if retryable && flowspec_add && qc.requeues < self.deadletter_requeues {
+        if retryable && flowspec_add && qc.requeues < DEADLETTER_REQUEUES {
             let requeue = qc.requeues + 1;
             self.log.push(RecoveryEvent::Requeued {
                 at_us: now_us,
@@ -1312,7 +1295,10 @@ impl StellarSystem {
         tick_end_us: u64,
         tick_us: u64,
     ) -> BTreeMap<PortId, TickResult> {
-        self.ixp.fabric.process_tick(offers, tick_end_us, tick_us)
+        self.ixp
+            .fabric
+            .process_tick_in_place(offers, tick_end_us, tick_us);
+        self.ixp.fabric.take_tick_results()
     }
 
     /// Telemetry for the given rules (§3.1).
@@ -1935,9 +1921,13 @@ mod tests {
     }
 
     #[test]
-    fn apply_tuning_resizes_the_dead_letter_ring() {
+    fn a_fresh_system_runs_the_control_constants() {
         let mut sys = system();
-        for i in 0..3 {
+        assert_eq!(sys.reconcile_interval_us, RECONCILE_INTERVAL_US);
+        // The dead-letter ring keeps its default capacity, then drops
+        // the oldest letter.
+        let cap = DeadLetterLog::DEFAULT_CAPACITY as u64;
+        for i in 0..=cap {
             sys.dead_letters.push(DeadLetter {
                 change: AbstractChange::RemoveRule {
                     rule_id: i,
@@ -1948,17 +1938,9 @@ mod tests {
                 at_us: i,
             });
         }
-        let tuning = ControlTuning {
-            deadletter_capacity: 1,
-            deadletter_requeues: 5,
-            reconcile_interval_us: 2_000_000,
-            ..Default::default()
-        };
-        sys.apply_tuning(&tuning);
-        assert_eq!(sys.dead_letters.len(), 1);
-        assert_eq!(sys.obs.registry.counter("deadletter.evicted"), 2);
-        assert_eq!(sys.deadletter_requeues, 5);
-        assert_eq!(sys.reconcile_interval_us, 2_000_000);
+        assert_eq!(sys.dead_letters.len() as u64, cap);
+        assert_eq!(sys.dead_letters.evicted(), 1);
+        assert_eq!(sys.dead_letters.iter().next().map(|d| d.at_us), Some(1));
     }
 
     #[test]

@@ -105,7 +105,7 @@ mod tests {
             bytes: 125_000_000, // 1 Gbps over 1 s
             packets: 100_000,
         };
-        fabric.process_tick(&[offer], 1_000_000, 1_000_000);
+        fabric.process_tick_in_place(&[offer], 1_000_000, 1_000_000);
 
         let t = rule_telemetry(&fabric, &mgr, &[1]);
         assert_eq!(t.len(), 1);

@@ -33,18 +33,9 @@ impl MemberPort {
     }
 
     /// Pushes one tick of traffic destined to this port through the
-    /// policy; returns delivered aggregates and accumulates counters.
-    pub fn process_tick(&mut self, offers: &[Offer], tick_end_us: u64, tick_us: u64) -> TickResult {
-        let result = self
-            .policy
-            .apply_tick(offers, tick_end_us, tick_us, self.capacity_bps);
-        self.counters.absorb(&result.counters);
-        result
-    }
-
-    /// Allocation-free [`process_tick`](Self::process_tick): the tick
-    /// runs in the policy's scratch buffers and lands in the recycled
-    /// `result` (cleared first).
+    /// policy and accumulates the counters. The tick runs in the policy's
+    /// scratch buffers and lands in the recycled `result` (cleared
+    /// first).
     pub fn process_tick_into(
         &mut self,
         offers: &[Offer],
@@ -55,22 +46,6 @@ impl MemberPort {
         self.policy
             .apply_tick_into(offers, tick_end_us, tick_us, self.capacity_bps, result);
         self.counters.absorb(&result.counters);
-    }
-
-    /// The tick-arithmetic reference (see
-    /// [`QosPolicy::apply_tick_legacy`]) the arena path is differentially
-    /// tested against. Not for new callers.
-    pub fn process_tick_legacy(
-        &mut self,
-        offers: &[Offer],
-        tick_end_us: u64,
-        tick_us: u64,
-    ) -> TickResult {
-        let result = self
-            .policy
-            .apply_tick_legacy(offers, tick_end_us, tick_us, self.capacity_bps);
-        self.counters.absorb(&result.counters);
-        result
     }
 
     /// Classifies a single flow key (per-packet functional path).
@@ -106,8 +81,9 @@ mod tests {
     #[test]
     fn counters_accumulate_across_ticks() {
         let mut p = MemberPort::new(64500, MacAddr::for_member(64500, 1), 1_000_000_000);
+        let mut r = TickResult::default();
         for t in 1..=3u64 {
-            p.process_tick(&[offer(1000)], t * 1_000_000, 1_000_000);
+            p.process_tick_into(&[offer(1000)], t * 1_000_000, 1_000_000, &mut r);
         }
         assert_eq!(p.counters.forwarded_bytes, 3000);
     }
@@ -124,7 +100,8 @@ mod tests {
             Action::Drop,
             10,
         ));
-        let r = p.process_tick(&[offer(500)], 1_000_000, 1_000_000);
+        let mut r = TickResult::default();
+        p.process_tick_into(&[offer(500)], 1_000_000, 1_000_000, &mut r);
         assert!(r.delivered.is_empty());
         assert_eq!(p.counters.dropped_bytes, 500);
         assert!(p.classify(&offer(1).key).is_some());

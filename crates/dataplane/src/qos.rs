@@ -186,29 +186,13 @@ impl QosPolicy {
         self.classifier.first_match(key).map(|pos| &self.rules[pos])
     }
 
-    /// Pushes one tick of offered aggregates through the policy.
-    /// `tick_end_us` clocks the shapers; `tick_us` is the tick duration;
-    /// `capacity_bps` is the member port capacity.
-    ///
-    /// Convenience wrapper over [`apply_tick_into`]
-    /// (`Self::apply_tick_into`) that allocates a fresh result.
-    pub fn apply_tick(
-        &mut self,
-        offers: &[Offer],
-        tick_end_us: u64,
-        tick_us: u64,
-        capacity_bps: u64,
-    ) -> TickResult {
-        let mut result = TickResult::default();
-        self.apply_tick_into(offers, tick_end_us, tick_us, capacity_bps, &mut result);
-        result
-    }
-
-    /// The allocation-free tick path: like [`apply_tick`]
-    /// (`Self::apply_tick`), but classification, grouping, and queue
-    /// arithmetic all run in the policy's reusable [`TickWork`] buffers
-    /// and the outcome lands in the caller-recycled `result` (cleared
-    /// first). Steady state makes zero heap allocations per tick.
+    /// Pushes one tick of offered aggregates through the policy — the
+    /// one tick path. `tick_end_us` clocks the shapers; `tick_us` is the
+    /// tick duration; `capacity_bps` is the member port capacity.
+    /// Classification, grouping, and queue arithmetic all run in the
+    /// policy's reusable [`TickWork`] buffers and the outcome lands in
+    /// the caller-recycled `result` (cleared first). Steady state makes
+    /// zero heap allocations per tick.
     ///
     /// This is the `&mut` tick entry that (re)builds the classifier's
     /// index after a mutation dropped it. Phase 1 classifies every offer
@@ -320,87 +304,6 @@ impl QosPolicy {
             result.counters.congestion_dropped_bytes += dropped;
         }
     }
-
-    /// The tick-arithmetic reference that `arena_tick_matches_legacy`
-    /// compares [`apply_tick_into`](Self::apply_tick_into) against. It
-    /// shares no lookup code with that path — verdicts come from a
-    /// first-match `MatchSpec::matches` scan of the rule list — and
-    /// allocates every intermediate per call. Not for new callers.
-    pub fn apply_tick_legacy(
-        &mut self,
-        offers: &[Offer],
-        tick_end_us: u64,
-        tick_us: u64,
-        capacity_bps: u64,
-    ) -> TickResult {
-        let mut result = TickResult::default();
-        let mut to_forward: Vec<(FlowKey, u64, u64)> = Vec::new();
-        let mut shape_groups: HashMap<u64, Vec<(FlowKey, u64, u64)>> = HashMap::new();
-        for offer in offers {
-            let rule = self.rules.iter().find(|r| r.spec.matches(&offer.key));
-            match rule.map(|r| (r.id, r.action)) {
-                Some((id, Action::Drop)) => {
-                    result.counters.dropped_bytes += offer.bytes;
-                    result.counters.dropped_packets += offer.packets;
-                    let rc = self.rule_counters.entry(id).or_default();
-                    rc.matched_bytes += offer.bytes;
-                    rc.matched_packets += offer.packets;
-                    rc.discarded_bytes += offer.bytes;
-                }
-                Some((id, Action::Shape { .. })) => {
-                    shape_groups.entry(id).or_default().push((
-                        offer.key,
-                        offer.bytes,
-                        offer.packets,
-                    ));
-                }
-                Some((id, Action::Forward)) => {
-                    let rc = self.rule_counters.entry(id).or_default();
-                    rc.matched_bytes += offer.bytes;
-                    rc.matched_packets += offer.packets;
-                    rc.passed_bytes += offer.bytes;
-                    to_forward.push((offer.key, offer.bytes, offer.packets));
-                }
-                None => to_forward.push((offer.key, offer.bytes, offer.packets)),
-            }
-        }
-        let mut shape_ids: Vec<u64> = shape_groups.keys().copied().collect();
-        shape_ids.sort_unstable();
-        for id in shape_ids {
-            let group = shape_groups.remove(&id).expect("key exists");
-            let total: u64 = group.iter().map(|(_, b, _)| b).sum();
-            let shaper = self.shapers.get_mut(&id).expect("shaper exists for rule");
-            let admitted_total = shaper.admit(total, tick_end_us);
-            let byte_offers: Vec<u64> = group.iter().map(|(_, b, _)| *b).collect();
-            let split = queue::drain_proportional(&byte_offers, admitted_total);
-            let rc = self.rule_counters.entry(id).or_default();
-            rc.matched_bytes += total;
-            rc.matched_packets += group.iter().map(|(_, _, p)| p).sum::<u64>();
-            rc.discarded_bytes += total - admitted_total;
-            rc.passed_bytes += admitted_total;
-            result.counters.shaped_bytes += admitted_total;
-            result.counters.shape_dropped_bytes += total - admitted_total;
-            for ((key, bytes, packets), (fwd, _dropped)) in group.into_iter().zip(split) {
-                if fwd > 0 {
-                    let pkts = (packets * fwd).checked_div(bytes).map_or(0, |p| p.max(1));
-                    to_forward.push((key, fwd, pkts));
-                }
-            }
-        }
-        let budget = queue::capacity_bytes(capacity_bps, tick_us);
-        let byte_offers: Vec<u64> = to_forward.iter().map(|(_, b, _)| *b).collect();
-        let drained = queue::drain_proportional(&byte_offers, budget);
-        for ((key, bytes, packets), (fwd, dropped)) in to_forward.into_iter().zip(drained) {
-            if fwd > 0 {
-                let pkts = (packets * fwd).checked_div(bytes).map_or(0, |p| p.max(1));
-                result.counters.forwarded_bytes += fwd;
-                result.counters.forwarded_packets += pkts;
-                result.delivered.push((key, fwd, pkts));
-            }
-            result.counters.congestion_dropped_bytes += dropped;
-        }
-        result
-    }
 }
 
 #[cfg(test)]
@@ -425,6 +328,19 @@ mod tests {
         }
     }
 
+    /// One tick into a fresh result.
+    fn tick(
+        p: &mut QosPolicy,
+        offers: &[Offer],
+        tick_end_us: u64,
+        tick_us: u64,
+        capacity_bps: u64,
+    ) -> TickResult {
+        let mut result = TickResult::default();
+        p.apply_tick_into(offers, tick_end_us, tick_us, capacity_bps, &mut result);
+        result
+    }
+
     fn ntp_drop_rule(id: u64) -> FilterRule {
         FilterRule::new(
             id,
@@ -446,7 +362,7 @@ mod tests {
             bytes: 1000,
             packets: 2,
         }];
-        let r = p.apply_tick(&offers, 1_000_000, 1_000_000, 1_000_000_000);
+        let r = tick(&mut p, &offers, 1_000_000, 1_000_000, 1_000_000_000);
         assert_eq!(r.delivered.len(), 1);
         assert_eq!(r.counters.forwarded_bytes, 1000);
         assert_eq!(r.counters.total_discarded_bytes(), 0);
@@ -468,7 +384,7 @@ mod tests {
                 packets: 5,
             },
         ];
-        let r = p.apply_tick(&offers, 1_000_000, 1_000_000, 1_000_000_000);
+        let r = tick(&mut p, &offers, 1_000_000, 1_000_000, 1_000_000_000);
         assert_eq!(r.counters.dropped_bytes, 10_000);
         assert_eq!(r.counters.forwarded_bytes, 5_000);
         assert_eq!(r.delivered.len(), 1);
@@ -495,13 +411,13 @@ mod tests {
         ));
         // Offer 1 Gbps of NTP for 5 seconds in 100 ms ticks.
         let mut shaped_total = 0u64;
-        for tick in 1..=50u64 {
+        for t in 1..=50u64 {
             let offers = [Offer {
                 key: key(ports::NTP),
                 bytes: 12_500_000,
                 packets: 8900,
             }];
-            let r = p.apply_tick(&offers, tick * 100_000, 100_000, 10_000_000_000);
+            let r = tick(&mut p, &offers, t * 100_000, 100_000, 10_000_000_000);
             shaped_total += r.counters.shaped_bytes;
         }
         let rate = shaped_total as f64 * 8.0 / 5.0;
@@ -520,7 +436,7 @@ mod tests {
             bytes: 1_250_000_000,
             packets: 1_000_000,
         }];
-        let r = p.apply_tick(&offers, 1_000_000, 1_000_000, 1_000_000_000);
+        let r = tick(&mut p, &offers, 1_000_000, 1_000_000, 1_000_000_000);
         assert_eq!(r.counters.forwarded_bytes, 125_000_000);
         assert_eq!(r.counters.congestion_dropped_bytes, 1_125_000_000);
     }
@@ -547,7 +463,7 @@ mod tests {
             bytes: 100,
             packets: 1,
         }];
-        let r = p.apply_tick(&offers, 1, 1_000_000, 1_000_000_000);
+        let r = tick(&mut p, &offers, 1, 1_000_000, 1_000_000_000);
         assert_eq!(r.counters.forwarded_bytes, 100);
         assert_eq!(r.counters.dropped_bytes, 0);
     }
@@ -600,7 +516,7 @@ mod tests {
         assert_eq!(p.reset(), 1);
         assert!(moved(&p));
         // Ticks read the table, they never edit it.
-        p.apply_tick(&[], 1, 1_000_000, 1_000_000_000);
+        tick(&mut p, &[], 1, 1_000_000, 1_000_000_000);
         assert!(!moved(&p));
     }
 
@@ -633,7 +549,7 @@ mod tests {
                 packets: 7_000,
             },
         ];
-        let r = p.apply_tick(&offers, 1_000_000, 1_000_000, 1_000_000_000);
+        let r = tick(&mut p, &offers, 1_000_000, 1_000_000, 1_000_000_000);
         assert!(r.counters.congestion_dropped_bytes > 0);
         let total_delivered: u64 = r.delivered.iter().map(|(_, b, _)| b).sum();
         assert!(total_delivered <= 125_000_000);

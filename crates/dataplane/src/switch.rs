@@ -116,16 +116,6 @@ impl<'a> TickView<'a> {
 /// are looked up, 800 of 800 are walked.
 const OCCUPIED_WALK_RATIO: usize = 16;
 
-/// Worker count for the parallel tick mode: `STELLAR_TICK_WORKERS` when
-/// set (1 = force sequential), else the machine's available parallelism.
-fn tick_workers_from_env() -> usize {
-    std::env::var("STELLAR_TICK_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(sharded::default_workers)
-}
-
 /// The edge router.
 #[derive(Debug)]
 pub struct EdgeRouter {
@@ -188,8 +178,8 @@ impl EdgeRouter {
             mac_dense: HashMap::new(),
             scratch: TickScratch::default(),
             dense_dirty: false,
-            tick_workers: tick_workers_from_env(),
-            parallel_min_work: sharded::parallel_min_work_from_env(),
+            tick_workers: sharded::default_workers(),
+            parallel_min_work: sharded::DEFAULT_PARALLEL_MIN_WORK,
             last_parallel: false,
             installs: 0,
             removals: 0,
@@ -238,8 +228,7 @@ impl EdgeRouter {
     }
 
     /// Caps the parallel tick fan-out; `1` forces the sequential
-    /// in-place path. Defaults to `STELLAR_TICK_WORKERS` or the
-    /// machine's available parallelism.
+    /// in-place path. Defaults to the machine's available parallelism.
     pub fn set_tick_workers(&mut self, workers: usize) {
         self.tick_workers = workers.max(1);
     }
@@ -252,8 +241,7 @@ impl EdgeRouter {
     /// Sets the adaptive-parallelism cutoff: ticks whose work estimate
     /// (Σ over touched ports of 1 + rules) falls below this run
     /// sequentially regardless of `tick_workers`. `0` disables the
-    /// cutoff. Defaults to `STELLAR_PARALLEL_MIN_WORK` or
-    /// [`sharded::DEFAULT_PARALLEL_MIN_WORK`].
+    /// cutoff. Defaults to [`sharded::DEFAULT_PARALLEL_MIN_WORK`].
     pub fn set_parallel_min_work(&mut self, min_work: u64) {
         self.parallel_min_work = min_work;
     }
@@ -340,7 +328,10 @@ impl EdgeRouter {
         rule: FilterRule,
         now_us: u64,
     ) -> Result<(), InstallError> {
-        let port = self.ports.get(&port_id).ok_or(InstallError::NoSuchPort)?;
+        let port = self
+            .ports
+            .get_mut(&port_id)
+            .ok_or(InstallError::NoSuchPort)?;
         let replacing = self.handles.contains_key(&(port_id, rule.id));
         if !replacing && port.policy.rule_count() >= self.hib.max_rules_per_port {
             return Err(InstallError::PerPortLimit);
@@ -352,11 +343,7 @@ impl EdgeRouter {
         }
         let handle = self.tcam.alloc(&rule.spec).map_err(InstallError::Tcam)?;
         self.handles.insert((port_id, rule.id), handle);
-        self.ports
-            .get_mut(&port_id)
-            .expect("port existence checked")
-            .policy
-            .install(rule);
+        port.policy.install(rule);
         // A replacement is one removal plus one install in the ledger,
         // counted only once the new allocation succeeded.
         if replacing {
@@ -438,25 +425,6 @@ impl EdgeRouter {
             self.cpu.record_update(now_us);
         }
         wiped
-    }
-
-    /// Pushes one tick of traffic through the fabric. Aggregates are
-    /// routed to their destination-MAC port and pushed through that port's
-    /// egress policy. Returns per-port results.
-    ///
-    /// Compatibility wrapper: [`process_tick_in_place`]
-    /// (`Self::process_tick_in_place`) followed by one
-    /// [`take_tick_results`](Self::take_tick_results) drain. Hot loops
-    /// that tick every iteration should use the in-place variant, which
-    /// leaves the results in the arena for recycling.
-    pub fn process_tick(
-        &mut self,
-        offers: &[OfferedAggregate],
-        tick_end_us: u64,
-        tick_us: u64,
-    ) -> BTreeMap<PortId, TickResult> {
-        self.process_tick_in_place(offers, tick_end_us, tick_us);
-        self.take_tick_results().collect()
     }
 
     /// Moves the most recent tick's per-port results out of the arena, in
@@ -577,49 +545,19 @@ impl EdgeRouter {
         });
     }
 
-    /// The tick-arithmetic reference the arena path is differentially
-    /// tested against (`arena_tick_matches_legacy`): fresh `BTreeMap`
-    /// grouping, per-call `Vec`s, verdicts from a first-match scan of
-    /// each port's rule list, and a strictly sequential port walk. Not
-    /// for new callers.
-    pub fn process_tick_legacy(
-        &mut self,
-        offers: &[OfferedAggregate],
-        tick_end_us: u64,
-        tick_us: u64,
-    ) -> BTreeMap<PortId, TickResult> {
-        let mut per_port: BTreeMap<PortId, Vec<Offer>> = BTreeMap::new();
-        for o in offers {
-            if let Some(pid) = self.mac_to_port.get(&o.key.dst_mac) {
-                per_port.entry(*pid).or_default().push(Offer {
-                    key: o.key,
-                    bytes: o.bytes,
-                    packets: o.packets,
-                });
-            }
-        }
-        let mut out = BTreeMap::new();
-        for (pid, port) in self.ports.iter_mut() {
-            if let Some(offers) = per_port.remove(pid) {
-                out.insert(
-                    *pid,
-                    port.process_tick_legacy(&offers, tick_end_us, tick_us),
-                );
-            }
-        }
-        out
-    }
-
     /// Functional per-packet path (§5.2): decodes real wire bytes,
     /// classifies them against the egress port's policy, and reports the
     /// packet's fate.
     pub fn process_packet(&self, wire: &[u8]) -> Result<PacketVerdict, stellar_net::NetError> {
         let packet = Packet::decode(wire)?;
         let key = packet.flow_key();
-        let Some(pid) = self.mac_to_port.get(&key.dst_mac) else {
+        let Some((pid, port)) = self
+            .mac_to_port
+            .get(&key.dst_mac)
+            .and_then(|pid| Some((pid, self.ports.get(pid)?)))
+        else {
             return Ok(PacketVerdict::Unroutable);
         };
-        let port = self.ports.get(pid).expect("port exists");
         match port.policy.classify(&key).map(|r| r.action) {
             Some(crate::filter::Action::Drop) => Ok(PacketVerdict::Dropped),
             Some(crate::filter::Action::Shape { .. }) => Ok(PacketVerdict::Shaped(*pid)),
@@ -696,6 +634,17 @@ mod tests {
         er
     }
 
+    /// One tick, its results moved out of the arena.
+    fn tick(
+        er: &mut EdgeRouter,
+        offers: &[OfferedAggregate],
+        tick_end_us: u64,
+        tick_us: u64,
+    ) -> BTreeMap<PortId, TickResult> {
+        er.process_tick_in_place(offers, tick_end_us, tick_us);
+        er.take_tick_results().collect()
+    }
+
     fn ntp_flow(dst_member: u32, bytes: u64) -> OfferedAggregate {
         OfferedAggregate {
             key: FlowKey {
@@ -716,7 +665,8 @@ mod tests {
     #[test]
     fn traffic_routes_to_destination_port() {
         let mut er = router_with_two_ports();
-        let res = er.process_tick(
+        let res = tick(
+            &mut er,
             &[ntp_flow(64500, 1000), ntp_flow(64501, 2000)],
             1_000_000,
             1_000_000,
@@ -724,7 +674,7 @@ mod tests {
         assert_eq!(res[&PortId(1)].counters.forwarded_bytes, 1000);
         assert_eq!(res[&PortId(2)].counters.forwarded_bytes, 2000);
         // Unroutable destination disappears.
-        let res = er.process_tick(&[ntp_flow(9999, 500)], 2_000_000, 1_000_000);
+        let res = tick(&mut er, &[ntp_flow(9999, 500)], 2_000_000, 1_000_000);
         assert!(res.is_empty());
     }
 
@@ -740,7 +690,7 @@ mod tests {
         er.install_rule(PortId(1), rule.clone(), 0).unwrap();
         assert_eq!(er.tcam().l34_used(), 3);
         assert_eq!(er.total_rules(), 1);
-        let res = er.process_tick(&[ntp_flow(64500, 1000)], 1_000_000, 1_000_000);
+        let res = tick(&mut er, &[ntp_flow(64500, 1000)], 1_000_000, 1_000_000);
         assert_eq!(res[&PortId(1)].counters.dropped_bytes, 1000);
         assert!(er.remove_rule(PortId(1), 1, 2));
         assert_eq!(er.tcam().l34_used(), 0);
@@ -874,7 +824,7 @@ mod tests {
         assert_eq!(er.tcam().allocation_count(), 0);
         // Ports and MAC table survive: traffic still forwards (now
         // unfiltered — the fallback-to-forwarding posture).
-        let res = er.process_tick(&[ntp_flow(64500, 1000)], 1_000_000, 1_000_000);
+        let res = tick(&mut er, &[ntp_flow(64500, 1000)], 1_000_000, 1_000_000);
         assert_eq!(res[&PortId(1)].counters.forwarded_bytes, 1000);
         // Rules can be reinstalled against the fresh TCAM.
         let rule = FilterRule::new(
@@ -1043,8 +993,8 @@ mod tests {
         assert_eq!(got, vec![(PortId(1), 1000), (PortId(2), 2000)]);
         assert_eq!(view.get(PortId(2)).unwrap().counters.forwarded_bytes, 2000);
         assert!(view.get(PortId(9)).is_none());
-        // Second tick reuses the arena; the compat API moves results out.
-        let res = er.process_tick(&offers, 2_000_000, 1_000_000);
+        // Second tick reuses the arena; the drain moves results out.
+        let res = tick(&mut er, &offers, 2_000_000, 1_000_000);
         assert_eq!(res[&PortId(1)].counters.forwarded_bytes, 1000);
         assert!(!res.contains_key(&PortId(9)));
     }

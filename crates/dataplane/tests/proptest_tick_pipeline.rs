@@ -1,11 +1,15 @@
-//! Property tests for the tick pipeline's three execution paths: the
-//! legacy reference (allocating, verdicts from a plain scan of each
-//! port's rule list), the single-threaded arena path, and the
-//! worker-pool parallel path must be observationally identical —
-//! per-tick verdicts (delivered aggregates), cumulative port/ledger
-//! counters, and the exported metrics snapshot bytes.
+//! Property tests for the one tick path: the worker-pool parallel mode
+//! must be observationally identical to the sequential one — per-tick
+//! verdicts (delivered aggregates), cumulative port/ledger counters, and
+//! the exported metrics snapshot bytes — and every tick must agree with
+//! a first-match oracle that reads each offer's verdict from a plain scan
+//! of the port's rule list. The oracle and the golden digests pinned in
+//! `stellar-sim`'s `tests/tick_golden.rs` replace the deleted allocating
+//! legacy path as the differential reference.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use stellar_dataplane::counters::RuleCounters;
 use stellar_dataplane::filter::{Action, FilterRule, MatchSpec, PortMatch};
 use stellar_dataplane::hardware::HardwareInfoBase;
 use stellar_dataplane::port::MemberPort;
@@ -118,12 +122,40 @@ fn obs_bytes(er: &EdgeRouter) -> String {
     serde_json::to_string(&reg.to_content()).expect("serialize registry")
 }
 
+/// Every rule's counters on every port, by rule id (ids are
+/// router-unique here).
+fn rule_counters(er: &EdgeRouter) -> BTreeMap<u64, RuleCounters> {
+    er.ports()
+        .flat_map(|(_, port)| {
+            port.policy.rules().iter().map(|r| {
+                (
+                    r.id,
+                    port.policy.rule_counters(r.id).copied().unwrap_or_default(),
+                )
+            })
+        })
+        .collect()
+}
+
+/// What the first-match oracle predicts for one port's tick.
+#[derive(Debug, Default)]
+struct Expected {
+    offered_bytes: u64,
+    dropped_bytes: u64,
+    dropped_packets: u64,
+    /// Bytes whose first match is a shaping rule: the port's
+    /// `shaped + shape_dropped`.
+    shaped_bytes: u64,
+    /// Bytes each rule matched, by rule id.
+    matched: BTreeMap<u64, u64>,
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Parallel `process_tick` is observationally identical to
-    /// sequential: same verdicts, same cumulative counters, same obs
-    /// snapshot bytes — tick by tick, on identically built routers.
+    /// Parallel ticks are observationally identical to sequential: same
+    /// verdicts, same cumulative counters, same obs snapshot bytes —
+    /// tick by tick, on identically built routers.
     #[test]
     fn parallel_tick_matches_sequential(topo in arb_topology()) {
         let (port_rules, ticks) = topo;
@@ -139,15 +171,13 @@ proptest! {
         for (t, tick) in ticks.iter().enumerate() {
             let offers = offers_for_tick(n_ports, tick);
             let end_us = (t as u64 + 1) * TICK_US;
-            let rs = seq.process_tick(&offers, end_us, TICK_US);
-            let rp = par.process_tick(&offers, end_us, TICK_US);
-            let sk: Vec<_> = rs.keys().copied().collect();
-            let pk: Vec<_> = rp.keys().copied().collect();
-            prop_assert_eq!(sk, pk);
-            for (pid, r) in &rs {
-                let p = &rp[pid];
-                prop_assert_eq!(&r.delivered, &p.delivered);
-                prop_assert_eq!(r.counters, p.counters);
+            let rs = seq.process_tick_in_place(&offers, end_us, TICK_US);
+            let rp = par.process_tick_in_place(&offers, end_us, TICK_US);
+            prop_assert_eq!(rs.len(), rp.len());
+            for ((spid, s), (ppid, p)) in rs.iter().zip(rp.iter()) {
+                prop_assert_eq!(spid, ppid);
+                prop_assert_eq!(&s.delivered, &p.delivered);
+                prop_assert_eq!(s.counters, p.counters);
             }
         }
         for ((spid, sport), (ppid, pport)) in seq.ports().zip(par.ports()) {
@@ -158,29 +188,81 @@ proptest! {
         prop_assert_eq!(obs_bytes(&seq), obs_bytes(&par));
     }
 
-    /// The arena path (`process_tick`) is a behavior-preserving rewrite
-    /// of the legacy allocating path (`process_tick_legacy`).
+    /// Every tick against a first-match oracle: each offer's rule is
+    /// `policy.rules().iter().find(|r| r.spec.matches(&key))` — the
+    /// verdict source of the deleted legacy path, sharing no lookup code
+    /// with the classifier. From it follow each port's dropped bytes and
+    /// packets, each rule's matched bytes (all passed or discarded), and
+    /// each port's `shaped + shape_dropped`; every offered byte is
+    /// forwarded, dropped, shape-dropped or congestion-dropped, and every
+    /// delivered aggregate carries at least one packet. Half the offers
+    /// carry a handful of packets, so proportional shares round below one.
     #[test]
-    fn arena_tick_matches_legacy(topo in arb_topology()) {
+    fn arena_tick_matches_first_match_oracle(topo in arb_topology()) {
         let (port_rules, ticks) = topo;
-        let mut new = build_router(&port_rules);
-        new.set_tick_workers(1);
-        let mut old = build_router(&port_rules);
+        let mut er = build_router(&port_rules);
+        er.set_tick_workers(1);
         let n_ports = port_rules.len();
         for (t, tick) in ticks.iter().enumerate() {
-            let offers = offers_for_tick(n_ports, tick);
-            let end_us = (t as u64 + 1) * TICK_US;
-            let rn = new.process_tick(&offers, end_us, TICK_US);
-            let ro = old.process_tick_legacy(&offers, end_us, TICK_US);
-            let nk: Vec<_> = rn.keys().copied().collect();
-            let ok: Vec<_> = ro.keys().copied().collect();
-            prop_assert_eq!(nk, ok);
-            for (pid, r) in &rn {
-                let o = &ro[pid];
-                prop_assert_eq!(&r.delivered, &o.delivered);
-                prop_assert_eq!(r.counters, o.counters);
+            let mut offers = offers_for_tick(n_ports, tick);
+            for o in offers.iter_mut().skip(1).step_by(2) {
+                o.packets = 1 + o.bytes % 3;
+            }
+            let mut expected: BTreeMap<PortId, Expected> = BTreeMap::new();
+            for o in &offers {
+                let Some(pid) = er.port_of_mac(o.key.dst_mac) else {
+                    continue;
+                };
+                let port = er.port(pid).expect("routed to a port");
+                let e = expected.entry(pid).or_default();
+                e.offered_bytes += o.bytes;
+                let Some(rule) = port.policy.rules().iter().find(|r| r.spec.matches(&o.key)) else {
+                    continue;
+                };
+                *e.matched.entry(rule.id).or_default() += o.bytes;
+                match rule.action {
+                    Action::Drop => {
+                        e.dropped_bytes += o.bytes;
+                        e.dropped_packets += o.packets;
+                    }
+                    Action::Shape { .. } => e.shaped_bytes += o.bytes,
+                    Action::Forward => {}
+                }
+            }
+            let before = rule_counters(&er);
+            let view = er.process_tick_in_place(&offers, (t as u64 + 1) * TICK_US, TICK_US);
+            let touched: Vec<PortId> = view.iter().map(|(pid, _)| pid).collect();
+            prop_assert_eq!(touched, expected.keys().copied().collect::<Vec<_>>());
+            for (pid, r) in view.iter() {
+                let (e, c) = (&expected[&pid], &r.counters);
+                prop_assert_eq!(c.dropped_bytes, e.dropped_bytes);
+                prop_assert_eq!(c.dropped_packets, e.dropped_packets);
+                prop_assert_eq!(c.shaped_bytes + c.shape_dropped_bytes, e.shaped_bytes);
+                prop_assert_eq!(
+                    c.forwarded_bytes + c.dropped_bytes + c.shape_dropped_bytes
+                        + c.congestion_dropped_bytes,
+                    e.offered_bytes
+                );
+                prop_assert_eq!(r.delivered.iter().map(|d| d.1).sum::<u64>(), c.forwarded_bytes);
+                prop_assert_eq!(r.delivered.iter().map(|d| d.2).sum::<u64>(), c.forwarded_packets);
+                prop_assert!(r.delivered.iter().all(|&(_, bytes, packets)| bytes > 0 && packets >= 1));
+            }
+            let after = rule_counters(&er);
+            for (id, rc) in &after {
+                let was = before.get(id).copied().unwrap_or_default();
+                let matched = expected
+                    .values()
+                    .find_map(|e| e.matched.get(id))
+                    .copied()
+                    .unwrap_or(0);
+                prop_assert_eq!(rc.matched_bytes - was.matched_bytes, matched, "rule {}", id);
+                prop_assert_eq!(
+                    rc.passed_bytes + rc.discarded_bytes - was.passed_bytes - was.discarded_bytes,
+                    matched,
+                    "rule {}",
+                    id
+                );
             }
         }
-        prop_assert_eq!(obs_bytes(&new), obs_bytes(&old));
     }
 }

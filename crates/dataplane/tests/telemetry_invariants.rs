@@ -8,7 +8,7 @@
 
 use stellar_dataplane::filter::{Action, FilterRule, MatchSpec, PortMatch};
 use stellar_dataplane::port::MemberPort;
-use stellar_dataplane::qos::Offer;
+use stellar_dataplane::qos::{Offer, TickResult};
 use stellar_net::addr::{IpAddress, Ipv4Address};
 use stellar_net::flow::FlowKey;
 use stellar_net::mac::MacAddr;
@@ -79,6 +79,7 @@ fn rule_and_port_ledgers_agree_exactly() {
     // (~320 Mbps) plus 900 Mbps web exceeds the 1 Gbps port, so the
     // forwarding queue congests every tick.
     let mut congestion = 0u64;
+    let mut r = TickResult::default();
     for tick in 1..=100u64 {
         let offers = [
             flow(123, 10_000_000),
@@ -86,7 +87,7 @@ fn rule_and_port_ledgers_agree_exactly() {
             flow(19, 3_750_000),
             flow(443, 11_250_000),
         ];
-        let r = port.process_tick(&offers, tick * 100_000, 100_000);
+        port.process_tick_into(&offers, tick * 100_000, 100_000, &mut r);
         congestion += r.counters.congestion_dropped_bytes;
     }
 

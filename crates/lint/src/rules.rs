@@ -1,7 +1,7 @@
 //! The rule catalog and per-file checker.
 
 use crate::scan::{strip, SourceLine};
-use crate::DETERMINISTIC_CRATES;
+use crate::{DETERMINISTIC_CRATES, KNOB_REGISTRY};
 
 /// A lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -14,9 +14,9 @@ pub enum Rule {
     /// `unwrap()` / `expect()` / `panic!` / `unreachable!` in non-test
     /// code.
     NoUnwrap,
-    /// Raw `std::env::var` reads outside a `*from_env` knob reader:
-    /// runtime behavior must not fork on an unregistered environment
-    /// knob.
+    /// `std::env::var` reads outside the knob registry
+    /// ([`KNOB_REGISTRY`]): runtime behavior must not fork on an
+    /// unregistered environment knob.
     EnvVar,
 }
 
@@ -109,27 +109,12 @@ pub const NEUTRALIZER_WINDOW: usize = 3;
 /// apply); `rel_path` is recorded on findings.
 pub fn check_file(rel_path: &str, krate: &str, text: &str) -> Vec<Finding> {
     let lines = strip(text);
-    let mut findings = Vec::new();
     let det = DETERMINISTIC_CRATES.contains(&krate);
     let hash_idents = collect_hash_idents(&lines);
-    let mut current_fn = String::new();
+    let mut findings = env_reads(rel_path, &lines);
     for (idx, line) in lines.iter().enumerate() {
-        if let Some(name) = declared_fn_name(&line.code) {
-            current_fn = name;
-        }
         if line.in_test {
             continue;
-        }
-        if line.code.contains("env::var") && !current_fn.ends_with("from_env") {
-            findings.push(Finding {
-                rule: Rule::EnvVar.name(),
-                path: rel_path.to_string(),
-                line: line.number,
-                message: format!(
-                    "`env::var` in `{current_fn}` — runtime knobs must be read in a \
-                     `*from_env` reader (or carry an allowlist justification)"
-                ),
-            });
         }
         if det {
             for (pat, why) in NONDET_PATTERNS {
@@ -176,21 +161,31 @@ pub fn check_file(rel_path: &str, krate: &str, text: &str) -> Vec<Finding> {
     findings
 }
 
-/// The function name a line declares (`fn name` in any position), if
-/// any — the coarse "enclosing function" tracker the `env-var` rule
-/// keys its `*from_env` exemption off. Nested declarations simply
-/// overwrite; good enough for a rule whose false positives land in the
-/// allowlist with a justification.
-fn declared_fn_name(code: &str) -> Option<String> {
-    let pos = code.find("fn ")?;
-    if is_ident_tail(code, pos) {
-        return None;
+/// The `env-var` rule alone, for the driver trees above the scanned
+/// crates ([`crate::DRIVER_TREES`]).
+pub fn check_env(rel_path: &str, text: &str) -> Vec<Finding> {
+    env_reads(rel_path, &strip(text))
+}
+
+/// Every non-test `env::var` read, unless `rel_path` is the knob
+/// registry.
+fn env_reads(rel_path: &str, lines: &[SourceLine]) -> Vec<Finding> {
+    if rel_path == KNOB_REGISTRY {
+        return Vec::new();
     }
-    let name: String = code[pos + 3..]
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect();
-    (!name.is_empty()).then_some(name)
+    lines
+        .iter()
+        .filter(|line| !line.in_test && line.code.contains("env::var"))
+        .map(|line| Finding {
+            rule: Rule::EnvVar.name(),
+            path: rel_path.to_string(),
+            line: line.number,
+            message: format!(
+                "`env::var` outside the knob registry — register the knob in \
+                 `{KNOB_REGISTRY}` and pass its value in"
+            ),
+        })
+        .collect()
 }
 
 /// Identifiers declared as `HashMap`/`HashSet` anywhere in the file
@@ -365,7 +360,7 @@ pub fn tick_budget() -> u64 {
     }
 
     #[test]
-    fn env_var_inside_from_env_reader_is_clean() {
+    fn env_var_inside_from_env_reader_fires() {
         let src = "\
 pub fn pops_from_env() -> usize {
     std::env::var(\"STELLAR_POPS\").ok().and_then(|v| v.parse().ok()).unwrap_or(1)
@@ -378,7 +373,15 @@ impl Tuning {
 }
 ";
         let f = check_file("x.rs", "core", src);
-        assert_eq!(f.iter().filter(|f| f.rule == "env-var").count(), 0);
+        assert_eq!(f.iter().filter(|f| f.rule == "env-var").count(), 2);
+    }
+
+    #[test]
+    fn env_var_in_the_knob_registry_is_clean() {
+        let src = "pub fn from_env() -> Option<String> { std::env::var(\"STELLAR_POPS\").ok() }\n";
+        assert!(check_file(KNOB_REGISTRY, "bench", src).is_empty());
+        assert_eq!(check_env(KNOB_REGISTRY, src).len(), 0);
+        assert_eq!(check_env("examples/x.rs", src).len(), 1);
     }
 
     #[test]

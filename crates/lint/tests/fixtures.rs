@@ -5,7 +5,8 @@
 
 use stellar_lint::allow::{self, Allowlist};
 use stellar_lint::report;
-use stellar_lint::rules::check_file;
+use stellar_lint::rules::{check_env, check_file};
+use stellar_lint::KNOB_REGISTRY;
 
 fn fixture(name: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -62,6 +63,23 @@ fn no_unwrap_rule_fires_on_seeded_violations() {
             "no finding for `{token}`"
         );
     }
+}
+
+#[test]
+fn env_var_rule_allows_only_the_knob_registry() {
+    let text = fixture("violation_env_var.rs");
+    let env_reads = |path: &str, krate: &str| {
+        check_file(path, krate, &text)
+            .into_iter()
+            .filter(|f| f.rule == "env-var")
+            .count()
+    };
+    // A `*from_env` reader is no exemption, in a library crate or a
+    // driver; the test module's read is.
+    assert_eq!(env_reads("crates/core/src/faults.rs", "core"), 2);
+    assert_eq!(check_env("examples/quickstart.rs", &text).len(), 2);
+    assert_eq!(env_reads(KNOB_REGISTRY, "bench"), 0);
+    assert!(check_env(KNOB_REGISTRY, &text).is_empty());
 }
 
 #[test]

@@ -85,15 +85,13 @@ impl Fabric {
     /// its own TCAM, control-plane CPU and rule budget from `hib`.
     pub fn new(hib: HardwareInfoBase, pops: usize) -> Self {
         let n = pops.max(1);
-        let routers: Vec<EdgeRouter> = (0..n).map(|_| EdgeRouter::new(hib.clone())).collect();
-        let tick_workers = routers[0].tick_workers();
         Fabric {
-            pops: routers,
+            pops: (0..n).map(|_| EdgeRouter::new(hib.clone())).collect(),
             port_pop: HashMap::new(),
             mac_pop: HashMap::new(),
             buckets: (0..n).map(|_| Vec::new()).collect(),
-            tick_workers,
-            parallel_min_work: sharded::parallel_min_work_from_env(),
+            tick_workers: sharded::default_workers(),
+            parallel_min_work: sharded::DEFAULT_PARALLEL_MIN_WORK,
             last_parallel: false,
             counters: FabricCounters::default(),
             pop_ingress_bytes: vec![0; n],
@@ -101,7 +99,7 @@ impl Fabric {
         }
     }
 
-    /// Single-PoP fabric — drop-in for the legacy single-router topology.
+    /// Single-PoP fabric — the single-router topology.
     pub fn single(hib: HardwareInfoBase) -> Self {
         Fabric::new(hib, 1)
     }
@@ -403,7 +401,7 @@ impl Fabric {
     /// then runs every PoP's arena pipeline — in parallel at router
     /// granularity when enough work is on offer. Results stay in each
     /// PoP's arena (read them through cumulative port counters or
-    /// [`Fabric::process_tick`]); parallel and sequential execution are
+    /// [`Fabric::take_tick_results`]); parallel and sequential execution are
     /// byte-identical because PoPs share no state and all merges are
     /// order-keyed.
     pub fn process_tick_in_place(
@@ -430,18 +428,12 @@ impl Fabric {
         });
     }
 
-    /// Compatibility tick: [`process_tick_in_place`]
-    /// (`Self::process_tick_in_place`), then every PoP's results drained
-    /// out of its arena into one map in ascending PoP (and therefore
-    /// ascending, fabric-unique `PortId`) order — the exact shape the
-    /// single-router `process_tick` returns.
-    pub fn process_tick(
-        &mut self,
-        offers: &[OfferedAggregate],
-        tick_end_us: u64,
-        tick_us: u64,
-    ) -> BTreeMap<PortId, TickResult> {
-        self.process_tick_in_place(offers, tick_end_us, tick_us);
+    /// Moves the most recent tick's per-port results out of every PoP's
+    /// arena into one map in ascending PoP (and therefore ascending,
+    /// fabric-unique `PortId`) order — the single-router view of the
+    /// tick. The arena slots are left empty, so their buffers are
+    /// reallocated by the next tick.
+    pub fn take_tick_results(&mut self) -> BTreeMap<PortId, TickResult> {
         self.pops
             .iter_mut()
             .flat_map(EdgeRouter::take_tick_results)
@@ -449,9 +441,9 @@ impl Fabric {
     }
 
     /// Publishes the fabric gauges. A 1-PoP fabric delegates to its
-    /// single router — byte-identical to the legacy single-router
-    /// snapshot. A multi-PoP fabric publishes the same router-global
-    /// gauges as PoP-wide sums (dashboards keep working), adds per-PoP
+    /// single router — byte-identical to the bare router's snapshot. A
+    /// multi-PoP fabric publishes the same router-global gauges as
+    /// PoP-wide sums (dashboards keep working), adds per-PoP
     /// occupancy and the inter-PoP delivery counters, and replaces the
     /// registry's per-port table with the ports of every PoP (port ids
     /// are fabric-unique; the registry sorts them).
@@ -515,6 +507,17 @@ mod tests {
         }
     }
 
+    /// One tick, its results drained from every PoP.
+    fn tick(
+        f: &mut Fabric,
+        offers: &[OfferedAggregate],
+        tick_end_us: u64,
+        tick_us: u64,
+    ) -> BTreeMap<PortId, TickResult> {
+        f.process_tick_in_place(offers, tick_end_us, tick_us);
+        f.take_tick_results()
+    }
+
     /// 4 members round-robined over `pops` PoPs.
     fn fabric(pops: usize) -> Fabric {
         let mut f = Fabric::new(HardwareInfoBase::lab_switch(), pops);
@@ -540,8 +543,8 @@ mod tests {
         ];
         let mut single = fabric(1);
         let mut multi = fabric(4);
-        let a = single.process_tick(&offers, 1_000_000, 1_000_000);
-        let b = multi.process_tick(&offers, 1_000_000, 1_000_000);
+        let a = tick(&mut single, &offers, 1_000_000, 1_000_000);
+        let b = tick(&mut multi, &offers, 1_000_000, 1_000_000);
         assert_eq!(a, b);
         assert_eq!(b[&PortId(2)].counters.forwarded_bytes, 1000);
         // Accounting: with one PoP everything member-sourced is local.
@@ -572,7 +575,7 @@ mod tests {
         assert_eq!(f.routers()[1].tcam().l34_used(), 3);
         assert_eq!(f.routers()[0].tcam().l34_used(), 0);
         assert_eq!(f.l34_used_total(), 3);
-        let res = f.process_tick(&[offer(64500, 64501, 1000)], 1_000_000, 1_000_000);
+        let res = tick(&mut f, &[offer(64500, 64501, 1000)], 1_000_000, 1_000_000);
         assert_eq!(res[&PortId(2)].counters.dropped_bytes, 1000);
         assert!(f.remove_rule(PortId(2), 1, 1));
         assert_eq!(f.l34_used_total(), 0);
@@ -642,7 +645,7 @@ mod tests {
             serde_json::to_string(&legacy.to_content()).unwrap()
         );
         let mut f4 = fabric(4);
-        f4.process_tick(&[offer(64500, 64501, 1000)], 1_000_000, 1_000_000);
+        tick(&mut f4, &[offer(64500, 64501, 1000)], 1_000_000, 1_000_000);
         let mut reg4 = stellar_obs::MetricsRegistry::new();
         f4.observe(&mut reg4);
         let json = serde_json::to_string(&reg4.to_content()).unwrap();

@@ -59,16 +59,6 @@ pub struct MemberInfo {
     pub prefixes: Vec<Prefix>,
 }
 
-/// Number of PoPs topologies build with: `STELLAR_POPS` when set (and at
-/// least 1), else 1 — the legacy single-router shape.
-pub fn pops_from_env() -> usize {
-    std::env::var("STELLAR_POPS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1)
-}
-
 /// An assembled IXP.
 pub struct IxpTopology {
     /// The switching platform: a fabric of one or more edge routers.
@@ -82,17 +72,16 @@ pub struct IxpTopology {
 }
 
 impl IxpTopology {
-    /// Builds an IXP with [`pops_from_env`] PoPs: one port per member
-    /// (round-robined over PoPs), a route server with every member's
-    /// prefixes IRR-registered, and the paper's honoring model.
+    /// Builds a single-PoP IXP: one port per member, a route server with
+    /// every member's prefixes IRR-registered, and the paper's honoring
+    /// model.
     pub fn build(specs: &[MemberSpec], hib: HardwareInfoBase) -> Self {
-        Self::build_with_pops(specs, hib, pops_from_env())
+        Self::build_with_pops(specs, hib, 1)
     }
 
     /// Builds an IXP across `pops` PoPs. Member `i` lands on PoP
     /// `i % pops`, so every PoP carries an even share of the membership;
-    /// with `pops == 1` this is exactly the legacy single-router
-    /// topology.
+    /// with `pops == 1` this is exactly the single-router topology.
     pub fn build_with_pops(specs: &[MemberSpec], hib: HardwareInfoBase, pops: usize) -> Self {
         let pops = pops.max(1);
         let mut fabric = Fabric::new(hib, pops);

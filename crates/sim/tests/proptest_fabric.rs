@@ -1,10 +1,10 @@
 //! Property tests for the multi-PoP fabric's determinism contract:
 //!
 //! - the PoP fan-out must be observationally identical for any worker
-//!   count (the `STELLAR_TICK_WORKERS` axis) — verdicts, fabric
-//!   counters, and exported obs snapshot bytes;
+//!   count (`set_tick_workers`) — verdicts, fabric counters, and
+//!   exported obs snapshot bytes;
 //! - per-port outcomes must not depend on how ports are partitioned
-//!   into PoPs (the `STELLAR_POPS` axis), because filtering is
+//!   into PoPs (`Fabric::new`'s PoP count), because filtering is
 //!   egress-side;
 //! - a 1-PoP fabric must be byte-indistinguishable from the bare
 //!   single [`EdgeRouter`] it wraps;
@@ -16,9 +16,11 @@
 //!   the rule-state version must move whenever one did.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use stellar_dataplane::filter::{Action, FilterRule, MatchSpec, PortMatch};
 use stellar_dataplane::hardware::HardwareInfoBase;
 use stellar_dataplane::port::MemberPort;
+use stellar_dataplane::qos::TickResult;
 use stellar_dataplane::switch::{EdgeRouter, OfferedAggregate, PortId};
 use stellar_net::addr::{IpAddress, Ipv4Address};
 use stellar_net::flow::FlowKey;
@@ -163,6 +165,26 @@ fn offers_for_tick(n_ports: usize, tick: &OfferGen) -> Vec<OfferedAggregate> {
         .collect()
 }
 
+/// One fabric tick, its results drained from every PoP.
+fn tick_fabric(
+    fabric: &mut Fabric,
+    offers: &[OfferedAggregate],
+    end_us: u64,
+) -> BTreeMap<PortId, TickResult> {
+    fabric.process_tick_in_place(offers, end_us, TICK_US);
+    fabric.take_tick_results()
+}
+
+/// One bare-router tick, its results drained from the arena.
+fn tick_router(
+    er: &mut EdgeRouter,
+    offers: &[OfferedAggregate],
+    end_us: u64,
+) -> BTreeMap<PortId, TickResult> {
+    er.process_tick_in_place(offers, end_us, TICK_US);
+    er.take_tick_results().collect()
+}
+
 /// The exported snapshot text of a scrape into a fresh registry.
 fn obs_bytes_fabric(fabric: &Fabric) -> String {
     let mut obs = stellar_obs::Obs::new();
@@ -201,7 +223,7 @@ proptest! {
             let mut base_results = Vec::new();
             for (t, tick) in ticks.iter().enumerate() {
                 let offers = offers_for_tick(n_ports, tick);
-                base_results.push(base.process_tick(&offers, (t as u64 + 1) * TICK_US, TICK_US));
+                base_results.push(tick_fabric(&mut base, &offers, (t as u64 + 1) * TICK_US));
             }
             let base_obs = obs_bytes_fabric(&base);
             for workers in [2usize, 4] {
@@ -213,7 +235,7 @@ proptest! {
                 fab.set_parallel_min_work(0);
                 for (t, tick) in ticks.iter().enumerate() {
                     let offers = offers_for_tick(n_ports, tick);
-                    let r = fab.process_tick(&offers, (t as u64 + 1) * TICK_US, TICK_US);
+                    let r = tick_fabric(&mut fab, &offers, (t as u64 + 1) * TICK_US);
                     prop_assert_eq!(&r, &base_results[t]);
                 }
                 prop_assert_eq!(fab.counters(), base.counters());
@@ -242,7 +264,7 @@ proptest! {
             let end_us = (t as u64 + 1) * TICK_US;
             let mut results = fabrics
                 .iter_mut()
-                .map(|f| f.process_tick(&offers, end_us, TICK_US));
+                .map(|f| tick_fabric(f, &offers, end_us));
             let first = results.next().expect("three fabrics");
             for r in results {
                 prop_assert_eq!(&r, &first);
@@ -278,8 +300,8 @@ proptest! {
         for (t, tick) in ticks.iter().enumerate() {
             let offers = offers_for_tick(n_ports, tick);
             let end_us = (t as u64 + 1) * TICK_US;
-            let rf = fab.process_tick(&offers, end_us, TICK_US);
-            let rr = er.process_tick(&offers, end_us, TICK_US);
+            let rf = tick_fabric(&mut fab, &offers, end_us);
+            let rr = tick_router(&mut er, &offers, end_us);
             prop_assert_eq!(&rf, &rr);
         }
         prop_assert_eq!(fab.rule_ledger(), er.rule_ledger());
@@ -311,7 +333,7 @@ proptest! {
             let offers = offers_for_tick(n_ports, tick);
             let end_us = (t as u64 + 1) * TICK_US;
             for f in [&mut base, &mut other] {
-                f.process_tick(&offers, end_us, TICK_US);
+                f.process_tick_in_place(&offers, end_us, TICK_US);
                 // This tick's share of the churn: remove one of the
                 // port's generated rules, or install a fresh drop rule.
                 for (k, &(p, i, install)) in churn.iter().enumerate() {

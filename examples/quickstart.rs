@@ -15,11 +15,21 @@ use stellar::net::flow::FlowKey;
 use stellar::net::mac::MacAddr;
 use stellar::net::proto::IpProtocol;
 use stellar::sim::topology::{generic_members, IxpTopology};
+use stellar_bench::knobs::Knobs;
 
 fn main() {
     // 1. An IXP with ten members on a lab-sized edge router, plus the
-    //    route server and Stellar's blackholing controller.
-    let ixp = IxpTopology::build(&generic_members(64500, 10), HardwareInfoBase::lab_switch());
+    //    route server and Stellar's blackholing controller. The knob
+    //    registry may shard the fabric (`STELLAR_POPS`) and fan its ticks
+    //    out (`STELLAR_TICK_WORKERS`, `STELLAR_PARALLEL_MIN_WORK`); the
+    //    exported snapshot must not change either way.
+    let knobs = Knobs::from_env();
+    let mut ixp = IxpTopology::build_with_pops(
+        &generic_members(64500, 10),
+        HardwareInfoBase::lab_switch(),
+        knobs.pops(),
+    );
+    knobs.apply(&mut ixp.fabric);
     let mut system = StellarSystem::new(ixp, 4.33);
     let victim_asn = Asn(64500);
     let victim_ip = Ipv4Address::new(131, 0, 0, 10);
@@ -50,6 +60,16 @@ fn main() {
     println!(
         "t=1s  attack flowing: {:.0} Mbps delivered to the victim",
         r[&port].counters.forwarded_bytes as f64 * 8.0 / 1e6
+    );
+    let fabric = &system.ixp.fabric;
+    println!(
+        "      fabric: {} PoP(s), tick {}",
+        fabric.num_pops(),
+        if fabric.last_tick_parallel() {
+            "fanned out over the PoPs"
+        } else {
+            "sequential"
+        }
     );
 
     // 3. The victim signals Advanced Blackholing: ONE BGP announcement of
