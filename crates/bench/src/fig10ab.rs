@@ -99,7 +99,7 @@ pub fn replay(arrivals: &[u64], rate_per_s: f64) -> Ecdf {
             );
             i += 1;
         }
-        queue.dequeue_ready(now);
+        queue.dequeue_ready_queued(now);
         now += 100_000; // poll every 100 ms
     }
     let waits_s: Vec<f64> = queue

@@ -74,6 +74,10 @@ pub struct SessionOutput {
     pub session_down: bool,
     /// The peer asked for re-advertisement (ROUTE-REFRESH, RFC 2918).
     pub refresh_requested: bool,
+    /// A message this speaker had to send could not be encoded: the
+    /// session was ended (nothing after it was sent) instead of
+    /// panicking.
+    pub encode_error: Option<BgpError>,
 }
 
 impl SessionOutput {
@@ -83,6 +87,7 @@ impl SessionOutput {
         self.session_up |= other.session_up;
         self.session_down |= other.session_down;
         self.refresh_requested |= other.refresh_requested;
+        self.encode_error = self.encode_error.take().or(other.encode_error);
     }
 }
 
@@ -291,30 +296,40 @@ impl Session {
         }
     }
 
-    fn run_actions(&mut self, actions: Vec<FsmAction>, _now_us: u64) -> SessionOutput {
+    fn run_actions(&mut self, actions: Vec<FsmAction>, now_us: u64) -> SessionOutput {
         let mut out = SessionOutput::default();
         for a in actions {
-            match a {
-                FsmAction::SendOpen => {
-                    let m = Message::Open(self.local_open());
-                    out.to_send
-                        .push(m.encode(DecodeCtx::default()).expect("open encodes"));
+            let msg = match a {
+                FsmAction::SendOpen => Message::Open(self.local_open()),
+                FsmAction::SendKeepalive => Message::Keepalive,
+                FsmAction::SendNotification(n) => Message::Notification(n),
+                FsmAction::SessionUp => {
+                    out.session_up = true;
+                    continue;
                 }
-                FsmAction::SendKeepalive => {
-                    out.to_send
-                        .push(Message::Keepalive.encode(self.ctx).expect("ka encodes"));
+                FsmAction::SessionDown => {
+                    out.session_down = true;
+                    continue;
                 }
-                FsmAction::SendNotification(n) => {
-                    out.to_send.push(
-                        Message::Notification(n)
-                            .encode(self.ctx)
-                            .expect("notification encodes"),
-                    );
-                }
-                FsmAction::SessionUp => out.session_up = true,
-                FsmAction::SessionDown => out.session_down = true,
-                FsmAction::ProcessUpdate => {
-                    // Handled inline in on_message.
+                // Handled inline in on_message.
+                FsmAction::ProcessUpdate => continue,
+            };
+            if out.encode_error.is_some() {
+                continue;
+            }
+            // Our OPEN goes out before anything is negotiated.
+            let ctx = match msg {
+                Message::Open(_) => DecodeCtx::default(),
+                _ => self.ctx,
+            };
+            match msg.encode(ctx) {
+                Ok(bytes) => out.to_send.push(bytes),
+                Err(e) => {
+                    // Drop the connection as a transport failure would:
+                    // no NOTIFICATION can be trusted to encode either.
+                    let acts = self.fsm.handle(BgpEvent::TcpClosed, now_us);
+                    out.session_down |= acts.contains(&FsmAction::SessionDown);
+                    out.encode_error = Some(e);
                 }
             }
         }
@@ -361,6 +376,24 @@ mod tests {
         cb.add_path = passive_ap;
         cb.passive = true;
         (Session::new(ca), Session::new(cb))
+    }
+
+    #[test]
+    fn unencodable_notification_ends_the_session_instead_of_panicking() {
+        let (mut a, mut b) = pair(None, None);
+        drive_pair(&mut a, &mut b, 0);
+        assert!(a.is_established());
+        let huge = crate::notification::NotificationMessage {
+            code: crate::error::ErrorCode::Cease,
+            subcode: 0,
+            data: vec![0; crate::message::MAX_LEN],
+        };
+        let acts = vec![FsmAction::SendNotification(huge), FsmAction::SendKeepalive];
+        let out = a.run_actions(acts, 1);
+        assert!(out.encode_error.is_some());
+        assert!(out.to_send.is_empty(), "nothing goes out after the failure");
+        assert!(out.session_down);
+        assert_eq!(a.state(), SessionState::Idle);
     }
 
     #[test]

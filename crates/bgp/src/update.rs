@@ -5,7 +5,7 @@ use crate::community::Community;
 use crate::error::{BgpError, BgpResult};
 use crate::extcommunity::ExtendedCommunity;
 use crate::nlri::{self, Nlri};
-use crate::types::Origin;
+use crate::types::{Afi, Origin, Safi};
 use bytes::{BufMut, BytesMut};
 use stellar_net::addr::Ipv4Address;
 use stellar_net::prefix::Prefix;
@@ -37,12 +37,23 @@ impl UpdateMessage {
         }
     }
 
-    /// A withdrawal of `prefix`.
+    /// A withdrawal of `prefix`: in the classic field for IPv4, in
+    /// MP_UNREACH_NLRI for IPv6 (RFC 4760).
     pub fn withdraw(prefix: Prefix) -> Self {
-        UpdateMessage {
-            withdrawn: vec![Nlri::plain(prefix)],
-            attrs: vec![],
-            nlri: vec![],
+        let nlri = vec![Nlri::plain(prefix)];
+        match prefix {
+            Prefix::V4(_) => UpdateMessage {
+                withdrawn: nlri,
+                ..Default::default()
+            },
+            Prefix::V6(_) => UpdateMessage {
+                attrs: vec![PathAttribute::MpUnreach {
+                    afi: Afi::Ipv6,
+                    safi: Safi::Unicast,
+                    nlri,
+                }],
+                ..Default::default()
+            },
         }
     }
 
@@ -206,6 +217,13 @@ mod tests {
         let d = UpdateMessage::decode(&buf, false).unwrap();
         assert_eq!(d, u);
         assert!(!d.is_end_of_rib());
+        // IPv6 withdraws through MP_UNREACH_NLRI, never the IPv4 field.
+        let v6 = UpdateMessage::withdraw("2001:db8::10/128".parse().unwrap());
+        assert!(v6.withdrawn.is_empty());
+        assert!(matches!(
+            &v6.attrs[..],
+            [PathAttribute::MpUnreach { afi: Afi::Ipv6, .. }]
+        ));
 
         let eor = UpdateMessage::default();
         let mut buf = BytesMut::new();

@@ -131,14 +131,7 @@ impl ConfigChangeQueue {
 
     /// Enqueues a change at `now_us`.
     pub fn enqueue(&mut self, change: AbstractChange, now_us: u64) {
-        self.queue.push_back(QueuedChange {
-            change,
-            enqueued_us: now_us,
-            attempts: 0,
-            not_before_us: 0,
-            group: None,
-            requeues: 0,
-        });
+        self.push(change, now_us, 0, None);
     }
 
     /// Enqueues the changes one diff emission produced. Two or more
@@ -146,23 +139,7 @@ impl ConfigChangeQueue {
     /// shape rule + Add drop rule) and are marked as an atomic group; a
     /// single change degenerates to a plain enqueue.
     pub fn enqueue_group(&mut self, changes: Vec<AbstractChange>, now_us: u64) {
-        let group = if changes.len() >= 2 {
-            let g = self.next_group;
-            self.next_group += 1;
-            Some(g)
-        } else {
-            None
-        };
-        for change in changes {
-            self.queue.push_back(QueuedChange {
-                change,
-                enqueued_us: now_us,
-                attempts: 0,
-                not_before_us: 0,
-                group,
-                requeues: 0,
-            });
-        }
+        self.enqueue_group_delayed(changes, now_us, 0);
     }
 
     /// Like [`ConfigChangeQueue::enqueue_group`], but the changes only
@@ -170,45 +147,57 @@ impl ConfigChangeQueue {
     /// injects announcement delay here, after validation but before the
     /// token bucket. Delayed emissions land in the backoff lot, so two
     /// emissions with different delays reorder against each other while
-    /// each group still dequeues atomically.
+    /// each group still dequeues atomically (ties keep insertion order,
+    /// so a group stays adjacent in the lot and promotes together).
     pub fn enqueue_group_delayed(
         &mut self,
         changes: Vec<AbstractChange>,
         now_us: u64,
         not_before_us: u64,
     ) {
-        if not_before_us <= now_us {
-            self.enqueue_group(changes, now_us);
-            return;
-        }
-        let group = if changes.len() >= 2 {
-            let g = self.next_group;
+        let group = (changes.len() >= 2).then(|| {
             self.next_group += 1;
-            Some(g)
-        } else {
-            None
+            self.next_group - 1
+        });
+        for change in changes {
+            self.push(change, now_us, not_before_us, group);
+        }
+    }
+
+    /// The one way fresh work enters: at the back of the FIFO, or — when
+    /// it may only leave after `now_us` — into the backoff lot.
+    fn push(
+        &mut self,
+        change: AbstractChange,
+        now_us: u64,
+        not_before_us: u64,
+        group: Option<u64>,
+    ) {
+        let delayed = not_before_us > now_us;
+        let qc = QueuedChange {
+            change,
+            enqueued_us: now_us,
+            attempts: 0,
+            not_before_us: if delayed { not_before_us } else { 0 },
+            group,
+            requeues: 0,
         };
-        // One insertion point for the whole emission keeps the group
-        // adjacent in the lot, so it later promotes (and dequeues)
-        // together.
+        if delayed {
+            self.defer(qc);
+        } else {
+            self.queue.push_back(qc);
+        }
+    }
+
+    /// Inserts into the backoff lot, keeping it sorted by
+    /// `not_before_us` (stable: ties keep insertion order).
+    fn defer(&mut self, qc: QueuedChange) {
         let at = self
             .deferred
             .iter()
-            .position(|d| d.not_before_us > not_before_us)
+            .position(|d| d.not_before_us > qc.not_before_us)
             .unwrap_or(self.deferred.len());
-        for (i, change) in changes.into_iter().enumerate() {
-            self.deferred.insert(
-                at + i,
-                QueuedChange {
-                    change,
-                    enqueued_us: now_us,
-                    attempts: 0,
-                    not_before_us,
-                    group,
-                    requeues: 0,
-                },
-            );
-        }
+        self.deferred.insert(at, qc);
     }
 
     /// Readmits a dead-letter-ladder survivor as fresh work: per-pass
@@ -231,12 +220,7 @@ impl ConfigChangeQueue {
         qc.attempts += 1;
         qc.not_before_us = not_before_us;
         qc.group = None;
-        let at = self
-            .deferred
-            .iter()
-            .position(|d| d.not_before_us > not_before_us)
-            .unwrap_or(self.deferred.len());
-        self.deferred.insert(at, qc);
+        self.defer(qc);
     }
 
     /// Dequeues every change the token bucket allows at `now_us`. Expired
@@ -244,15 +228,8 @@ impl ConfigChangeQueue {
     /// (a group wider than the bucket's burst size could never fit and
     /// falls back to per-item dequeue rather than wedging the queue).
     pub fn dequeue_ready_queued(&mut self, now_us: u64) -> Vec<QueuedChange> {
-        while self
-            .deferred
-            .front()
-            .is_some_and(|d| d.not_before_us <= now_us)
-        {
-            if let Some(qc) = self.deferred.pop_front() {
-                self.queue.push_back(qc);
-            }
-        }
+        let due = self.deferred.partition_point(|d| d.not_before_us <= now_us);
+        self.queue.extend(self.deferred.drain(..due));
         let mut out = Vec::new();
         while let Some(front_group) = self.queue.front().map(|qc| qc.group) {
             let take = match front_group {
@@ -279,10 +256,7 @@ impl ConfigChangeQueue {
             if !self.bucket.try_take_n(take, now_us) {
                 break;
             }
-            for _ in 0..take {
-                let Some(qc) = self.queue.pop_front() else {
-                    break;
-                };
+            for qc in self.queue.drain(..take as usize) {
                 if qc.attempts == 0 && qc.requeues == 0 {
                     // Retries and dead-letter requeues would distort the
                     // Fig. 10(b) queue-wait sample with backoff time; log
@@ -293,18 +267,6 @@ impl ConfigChangeQueue {
             }
         }
         out
-    }
-
-    /// Dequeues every change the token bucket allows at `now_us`,
-    /// returning each with the time it waited since first enqueue.
-    pub fn dequeue_ready(&mut self, now_us: u64) -> Vec<(AbstractChange, u64)> {
-        self.dequeue_ready_queued(now_us)
-            .into_iter()
-            .map(|qc| {
-                let waited = now_us - qc.enqueued_us;
-                (qc.change, waited)
-            })
-            .collect()
     }
 
     /// Changes currently waiting (ready FIFO plus deferred retries).
@@ -363,11 +325,11 @@ mod tests {
         for i in 0..5 {
             q.enqueue(change(i), 0);
         }
-        let got = q.dequeue_ready(1);
+        let got = q.dequeue_ready_queued(1);
         let ids: Vec<u64> = got
             .iter()
-            .map(|(c, _)| match c {
-                AbstractChange::RemoveRule { rule_id, .. } => *rule_id,
+            .map(|qc| match qc.change {
+                AbstractChange::RemoveRule { rule_id, .. } => rule_id,
                 _ => panic!(),
             })
             .collect();
@@ -382,12 +344,12 @@ mod tests {
         for i in 0..10 {
             q.enqueue(change(i), 0);
         }
-        assert_eq!(q.dequeue_ready(0).len(), 2);
+        assert_eq!(q.dequeue_ready_queued(0).len(), 2);
         assert_eq!(q.backlog(), 8);
         // After 1 s, four more.
-        assert_eq!(q.dequeue_ready(1_000_000).len(), 4);
+        assert_eq!(q.dequeue_ready_queued(1_000_000).len(), 4);
         // After another second the rest drain.
-        assert_eq!(q.dequeue_ready(2_000_000).len(), 4);
+        assert_eq!(q.dequeue_ready_queued(2_000_000).len(), 4);
         assert_eq!(q.backlog(), 0);
     }
 
@@ -396,11 +358,11 @@ mod tests {
         let mut q = ConfigChangeQueue::new(1.0, 1);
         q.enqueue(change(0), 0);
         q.enqueue(change(1), 0);
-        assert_eq!(q.dequeue_ready(0).len(), 1);
-        assert!(q.dequeue_ready(500_000).is_empty());
-        let got = q.dequeue_ready(1_000_000);
+        assert_eq!(q.dequeue_ready_queued(0).len(), 1);
+        assert!(q.dequeue_ready_queued(500_000).is_empty());
+        let got = q.dequeue_ready_queued(1_000_000);
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].1, 1_000_000);
+        assert_eq!(1_000_000 - got[0].enqueued_us, 1_000_000);
         assert_eq!(q.wait_log_us(), &[0, 1_000_000]);
     }
 
@@ -414,9 +376,9 @@ mod tests {
             StellarSignal::drop_udp_src(123),
         );
         q.enqueue(AbstractChange::AddRule(rule.clone()), 5);
-        let got = q.dequeue_ready(10);
+        let got = q.dequeue_ready_queued(10);
         assert_eq!(got.len(), 1);
-        match &got[0].0 {
+        match &got[0].change {
             AbstractChange::AddRule(r) => assert_eq!(*r, rule),
             _ => panic!(),
         }
@@ -428,20 +390,20 @@ mod tests {
         // per second — the exact splitting hazard from the issue.
         let mut q = ConfigChangeQueue::new(1.0, 2);
         q.enqueue(change(99), 0);
-        assert_eq!(q.dequeue_ready(0).len(), 1); // 1 token left
+        assert_eq!(q.dequeue_ready_queued(0).len(), 1); // 1 token left
         q.enqueue_group(vec![change(1), add(2)], 0);
         // One token is not enough for the pair: nothing comes out — the
         // victim keeps its old rule instead of losing protection.
-        assert!(q.dequeue_ready(0).is_empty());
-        assert!(q.dequeue_ready(500_000).is_empty());
+        assert!(q.dequeue_ready_queued(0).is_empty());
+        assert!(q.dequeue_ready_queued(500_000).is_empty());
         // Once two tokens are available the pair leaves together.
-        let got = q.dequeue_ready(1_000_000);
+        let got = q.dequeue_ready_queued(1_000_000);
         assert_eq!(got.len(), 2);
         assert!(matches!(
-            got[0].0,
+            got[0].change,
             AbstractChange::RemoveRule { rule_id: 1, .. }
         ));
-        assert!(matches!(&got[1].0, AbstractChange::AddRule(r) if r.id == 2));
+        assert!(matches!(&got[1].change, AbstractChange::AddRule(r) if r.id == 2));
     }
 
     #[test]
@@ -450,8 +412,8 @@ mod tests {
         // drain item-by-item rather than wedge the queue forever.
         let mut q = ConfigChangeQueue::new(1.0, 2);
         q.enqueue_group(vec![change(1), change(2), change(3)], 0);
-        assert_eq!(q.dequeue_ready(0).len(), 2);
-        assert_eq!(q.dequeue_ready(1_000_000).len(), 1);
+        assert_eq!(q.dequeue_ready_queued(0).len(), 2);
+        assert_eq!(q.dequeue_ready_queued(1_000_000).len(), 1);
         assert_eq!(q.backlog(), 0);
     }
 
@@ -558,7 +520,7 @@ mod tests {
         let mut q = ConfigChangeQueue::new(1e9, u32::MAX).with_wait_log_capacity(8);
         for i in 0..1000u64 {
             q.enqueue(change(i), i);
-            q.dequeue_ready(i);
+            q.dequeue_ready_queued(i);
         }
         assert!(q.wait_log_us().len() <= 8);
         assert!(!q.wait_log_us().is_empty());
@@ -566,7 +528,7 @@ mod tests {
         let mut q2 = ConfigChangeQueue::new(1e9, u32::MAX).with_wait_log_capacity(8);
         for i in 0..1000u64 {
             q2.enqueue(change(i), i);
-            q2.dequeue_ready(i);
+            q2.dequeue_ready_queued(i);
         }
         assert_eq!(q.wait_log_us(), q2.wait_log_us());
     }

@@ -81,8 +81,7 @@ pub struct DeadLetterLog {
 }
 
 impl DeadLetterLog {
-    /// Default ring capacity, the one `StellarSystem` runs with;
-    /// [`DeadLetterLog::set_capacity`] rebounds a log.
+    /// Default ring capacity, the one `StellarSystem` runs with.
     pub const DEFAULT_CAPACITY: usize = 1024;
 
     /// A log bounded to `capacity` entries (at least one).
@@ -92,19 +91,6 @@ impl DeadLetterLog {
             capacity: capacity.max(1),
             evicted: 0,
         }
-    }
-
-    /// Rebounds the ring, evicting oldest entries if it shrank below the
-    /// current length. Returns how many entries were evicted.
-    pub fn set_capacity(&mut self, capacity: usize) -> u64 {
-        self.capacity = capacity.max(1);
-        let mut dropped = 0;
-        while self.letters.len() > self.capacity {
-            self.letters.pop_front();
-            dropped += 1;
-        }
-        self.evicted += dropped;
-        dropped
     }
 
     /// Appends a dead letter, dropping the oldest entry when full.
@@ -197,18 +183,6 @@ mod tests {
         assert_eq!(log.evicted(), 2);
         let retained: Vec<u64> = log.iter().map(|d| d.at_us).collect();
         assert_eq!(retained, vec![2, 3, 4], "oldest entries dropped first");
-    }
-
-    #[test]
-    fn shrinking_capacity_evicts_excess() {
-        let mut log = DeadLetterLog::new(4);
-        for i in 0..4 {
-            log.push(letter(i));
-        }
-        assert_eq!(log.set_capacity(2), 2);
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.evicted(), 2);
-        assert_eq!(log.iter().next().map(|d| d.at_us), Some(2));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! the cases the audit exists for.
 
 use super::*;
+use crate::audit::{audit_batch, BatchAudit};
 use crate::rule::RuleAction;
 use crate::signal::MatchKind;
 use stellar_bgp::flowspec::{BitmaskOp, Component, NumericOp};
@@ -246,7 +247,7 @@ fn owner_views_follow_an_owner_across_both_planes() {
     assert_eq!(sys.desired_table().len(), 5);
     assert_eq!(sys.desired_ids().count(), 5);
     // The ladder obligation reads the same slice.
-    assert_eq!(sys.owner_audit_table(a).len(), 3);
+    assert_eq!(crate::proof::owner_table(&of_a, a).len(), 3);
 }
 
 #[test]

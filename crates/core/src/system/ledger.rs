@@ -1,24 +1,33 @@
-//! The watchdog's periodic obligations as functions over a read-only
-//! view of the system, with the [`ProofLedger`] as their only state: the
-//! RIB ↔ plane check, the installed-vs-desired rule-id diff and the three
-//! quiet-state obligations (convergence, orphan rules, placement
-//! soundness).
+//! Watch and repair. A watchdog pass is one `&self` evaluation of the
+//! invariant catalogue whose only mutable input is the [`ProofLedger`]:
+//! ledger conservation, the RIB ↔ plane check, the installed-vs-desired
+//! rule-id diff with the three quiet-state obligations it answers
+//! (convergence, orphan rules, placement soundness) and dead-letter
+//! drainage. Reconciliation queues its repairs from the same id diff.
 //!
 //! Every state owner they read stamps its own edits — the fabric's rule
 //! tables, both desired-state planes, the route server's FlowSpec RIB,
 //! the manager's owner → port map — so a pass compares stamps first and
-//! examines only what moved. A full pass is the same code over an empty
-//! ledger; debug builds run both and compare (see
+//! examines only what moved. A full pass is the same evaluation over an
+//! empty ledger; debug builds run both and compare (see
 //! [`StellarSystem::watchdog_check`]).
 
-use super::StellarSystem;
+use super::{ReconcileReport, StellarSystem};
 use crate::audit::to_audit_rule;
+use crate::controller::AbstractChange;
+use crate::faults::RecoveryEvent;
+use crate::manager::NetworkManager;
 use crate::proof::{self, PlacementCheck, DEFAULT_VERIFY_BUDGET};
 use crate::watchdog::Invariant;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use stellar_bgp::types::Asn;
 use stellar_dataplane::port::MemberPort;
 use stellar_dataplane::switch::{EdgeRouter, PortId};
+
+/// How far past its release time a parked change may sit before the
+/// watchdog calls the requeue machinery stalled. Must exceed the pump
+/// cadence of every driver (they pump at 250 ms or faster).
+const PARKED_OVERDUE_SLACK_US: u64 = 2_000_000;
 
 /// The change stamps of the four state owners the quiet-state
 /// obligations read: the fabric's rule-state version, both signaling
@@ -90,7 +99,8 @@ pub(super) struct RibPlaneCheck {
     pub(super) probed: usize,
 }
 
-/// What the quiet-state obligations found in one pass.
+/// What a watchdog pass, or the quiet-state obligations within it,
+/// found.
 #[derive(Debug, Default)]
 pub(super) struct QuietPass {
     pub(super) found: Vec<(Invariant, String)>,
@@ -135,6 +145,126 @@ impl StellarSystem {
             self.manager.owner_map_version(),
             owners.map(|owner| self.owner_revision(owner)).sum(),
         )
+    }
+
+    /// One watchdog pass: evaluates the invariant catalogue against live
+    /// state and records every violation (flight recorder event with a
+    /// deterministic label, `watchdog.violations.*` counters, bounded
+    /// in-memory record). `pump` runs this on the configured cadence;
+    /// call it directly for a final end-of-run check. Returns how many
+    /// violations this pass found.
+    pub fn watchdog_check(&mut self, now_us: u64) -> usize {
+        self.watchdog.begin_check(now_us);
+        let quiet = self.watchdog.quiet(now_us);
+        let mut ledger = std::mem::take(&mut self.ledger);
+        let pass = self.watch(&mut ledger, quiet, now_us);
+        if cfg!(debug_assertions) {
+            let full = self.watch(&mut ProofLedger::default(), quiet, now_us);
+            assert_eq!(pass.found, full.found, "incremental pass diverged");
+        }
+        self.ledger = ledger;
+        let reg = &mut self.obs.registry;
+        if pass.unchanged {
+            reg.counter_inc("watchdog.checks_unchanged");
+        }
+        if let Some(placement) = &pass.placement {
+            reg.counter_add(
+                "verify.placement.ports_checked",
+                placement.ports_checked as u64,
+            );
+            if placement.unverified > 0 {
+                reg.counter_add("verify.placement.unverified", placement.unverified as u64);
+            }
+        }
+        let count = pass.found.len();
+        for (invariant, detail) in pass.found {
+            self.record_violation(now_us, invariant, detail);
+        }
+        count
+    }
+
+    /// The invariant catalogue over live state, in report order: ledger
+    /// conservation, RIB ↔ plane consistency, the quiet-state
+    /// obligations (convergence, orphan rules, placement soundness; only
+    /// when `quiet`) and dead-letter drainage. The periodic obligations
+    /// are answered from `ledger` as far as the state owners' stamps say
+    /// nothing changed.
+    fn watch(&self, ledger: &mut ProofLedger, quiet: bool, now_us: u64) -> QuietPass {
+        let mut found: Vec<(Invariant, String)> = Vec::new();
+        // Ledger conservation: installs − removals must equal what the
+        // hardware holds, at all times (the managers and the fabric keep
+        // double-entry books).
+        let (installs, removals) = self.ixp.fabric.rule_ledger();
+        let total = self.ixp.fabric.total_rules() as u64;
+        if installs.checked_sub(removals) != Some(total) {
+            found.push((
+                Invariant::LedgerConservation,
+                format!("installs={installs} removals={removals} hardware={total}"),
+            ));
+        }
+        if quiet && self.manager.installed_rules() as u64 != total {
+            found.push((
+                Invariant::LedgerConservation,
+                format!(
+                    "manager={} hardware={total}",
+                    self.manager.installed_rules()
+                ),
+            ));
+        }
+        if quiet && total == 0 {
+            for (pop, r) in self.ixp.fabric.routers().iter().enumerate() {
+                let tcam = r.tcam();
+                if tcam.l34_used() != 0 || tcam.mac_used() != 0 {
+                    found.push((
+                        Invariant::LedgerConservation,
+                        format!(
+                            "pop={pop} empty table but tcam l34={} mac={}",
+                            tcam.l34_used(),
+                            tcam.mac_used()
+                        ),
+                    ));
+                }
+            }
+        }
+        found.extend(self.check_rib_plane(ledger).found);
+        let pass = if quiet {
+            self.quiet_obligations(ledger)
+        } else {
+            QuietPass::default()
+        };
+        found.extend(pass.found);
+        // Dead-letter drainage: a parked requeue sitting past its release
+        // time (plus pump-cadence slack) means the release machinery
+        // stalled.
+        for p in &self.parked {
+            if now_us > p.release_at_us.saturating_add(PARKED_OVERDUE_SLACK_US) {
+                found.push((
+                    Invariant::DeadLetterDrain,
+                    format!("rule_id={} parked past release", p.qc.change.rule_id()),
+                ));
+            }
+        }
+        QuietPass { found, ..pass }
+    }
+
+    /// Records one invariant violation: bounded in-memory record,
+    /// `watchdog.violations.*` counters, flight-recorder event. Whatever
+    /// broke, nothing the proof ledger holds is trusted past it.
+    pub(super) fn record_violation(&mut self, now_us: u64, invariant: Invariant, detail: String) {
+        let v = self.watchdog.record(now_us, invariant, detail);
+        self.obs.registry.counter_inc("watchdog.violations");
+        self.obs
+            .registry
+            .counter_inc(&format!("watchdog.violations.{}", invariant.label()));
+        self.obs.event(
+            now_us,
+            "watchdog.violation",
+            vec![
+                ("invariant".to_string(), invariant.label().to_string()),
+                ("detail".to_string(), v.detail),
+            ],
+        );
+        self.ledger = ProofLedger::default();
     }
 
     /// RIB ↔ plane consistency: every lowered FlowSpec key must still be
@@ -309,6 +439,77 @@ impl StellarSystem {
             extra,
             by_port: false,
         }
+    }
+
+    /// Reconciliation: diffs the controller's desired rule set against
+    /// what is actually installed in hardware and queues repairs —
+    /// re-adds for desired rules that vanished (edge-router restart),
+    /// removals for hardware rules no longer desired. Changes already in
+    /// flight in the queue are not repaired twice. Run this periodically;
+    /// it is idempotent once the system has converged.
+    pub fn reconcile(&mut self, now_us: u64) -> ReconcileReport {
+        self.poll_faults(now_us);
+        let mut report = ReconcileReport {
+            pruned: self.manager.prune_vanished(&self.ixp.fabric).len(),
+            ..Default::default()
+        };
+        let mut ledger = std::mem::take(&mut self.ledger);
+        let diff = self.id_diff(&mut ledger);
+        self.ledger = ledger;
+        if !diff.is_empty() {
+            // Work already on its way is not repaired twice.
+            let in_flight = self.in_flight_ids();
+            // Desired but missing from hardware: re-queue the install.
+            if !diff.missing.is_empty() {
+                for rule in self.desired_table() {
+                    if diff.missing.binary_search(&rule.id).is_ok() && !in_flight.contains(&rule.id)
+                    {
+                        self.queue.enqueue(AbstractChange::AddRule(rule), now_us);
+                        report.adds += 1;
+                    }
+                }
+            }
+            // Installed but not desired: queue the removal, in rule-id
+            // order (owner looked up from the port the rule sits on).
+            let extra: BTreeMap<u64, PortId> =
+                diff.extra.iter().map(|&(port, id)| (id, port)).collect();
+            for (rule_id, port_id) in extra {
+                if in_flight.contains(&rule_id) {
+                    continue;
+                }
+                let owner = self
+                    .ixp
+                    .fabric
+                    .port(port_id)
+                    .map(|p| Asn(p.member_asn))
+                    .unwrap_or(Asn(0));
+                self.queue
+                    .enqueue(AbstractChange::RemoveRule { rule_id, owner }, now_us);
+                report.removes += 1;
+            }
+        }
+        let reg = &mut self.obs.registry;
+        reg.counter_inc("core.reconcile.passes");
+        reg.counter_add("core.reconcile.adds", report.adds as u64);
+        reg.counter_add("core.reconcile.removes", report.removes as u64);
+        reg.counter_add("core.reconcile.pruned", report.pruned as u64);
+        if !report.is_clean() {
+            self.watchdog.note_activity(now_us);
+            self.ledger = ProofLedger::default();
+            self.log.push(RecoveryEvent::RepairsQueued {
+                at_us: now_us,
+                adds: report.adds,
+                removes: report.removes,
+                pruned: report.pruned,
+            });
+            // The divergence window opens at the first dirty pass (span
+            // starts are first-wins, so repeat dirty passes keep the
+            // original open time) and closes at the next clean pass.
+            self.obs.span_start("reconcile_repair", 0, now_us);
+        } else {
+            self.obs.span_end("reconcile_repair", 0, now_us);
+        }
+        report
     }
 
     /// The three quiet-state obligations — convergence, orphan rules and

@@ -10,6 +10,9 @@
 //! id diff answered port by port with the full walk — see `id_diff`.)
 
 use super::*;
+use crate::controller::DegradeOutcome;
+use crate::faults::{FaultEvent, FaultKind};
+use crate::watchdog::Invariant;
 use stellar_bgp::flowspec::{BitmaskOp, Component, NumericOp};
 use stellar_bgp::types::Afi;
 use stellar_dataplane::filter::{Action, FilterRule, MatchSpec};

@@ -157,7 +157,7 @@ proptest! {
         let mut t = *arrivals.last().unwrap();
         let mut guard = 0;
         while got.len() < arrivals.len() {
-            got.extend(q.dequeue_ready(t));
+            got.extend(q.dequeue_ready_queued(t).into_iter().map(|qc| (qc, t)));
             t += 1_000_000;
             guard += 1;
             prop_assert!(guard < 10_000, "queue did not drain");
@@ -166,18 +166,17 @@ proptest! {
         // FIFO: rule ids come out in enqueue order.
         let ids: Vec<u64> = got
             .iter()
-            .map(|(c, _)| match c {
-                AbstractChange::RemoveRule { rule_id, .. } => *rule_id,
+            .map(|(qc, _)| match qc.change {
+                AbstractChange::RemoveRule { rule_id, .. } => rule_id,
                 _ => unreachable!(),
             })
             .collect();
         let mut sorted = ids.clone();
         sorted.sort_unstable();
         prop_assert_eq!(ids, sorted);
-        // No wait is negative and waits are consistent with arrival times.
-        for (i, (_, wait)) in got.iter().enumerate() {
-            prop_assert!(*wait as i64 >= 0);
-            let _ = i;
+        // No change leaves before it arrived.
+        for (qc, dequeued_us) in &got {
+            prop_assert!(qc.enqueued_us <= *dequeued_us);
         }
     }
 }

@@ -6,19 +6,10 @@
 //! loss, shared proportionally across contending flows (a fluid
 //! approximation of FIFO loss under sustained overload).
 
-/// Splits `capacity_bytes` across `offers` proportionally. Returns, per
-/// offer, `(forwarded, dropped)` with `forwarded + dropped == offer`.
-pub fn drain_proportional(offers: &[u64], capacity_bytes: u64) -> Vec<(u64, u64)> {
-    let mut out = Vec::new();
-    let mut order = Vec::new();
-    drain_proportional_into(offers, capacity_bytes, &mut out, &mut order);
-    out
-}
-
-/// Allocation-free [`drain_proportional`]: writes the per-offer
-/// `(forwarded, dropped)` split into `out` (cleared first) using `order`
-/// as reusable sort scratch. Hot tick paths own both buffers and reuse
-/// them across ticks.
+/// Splits `capacity_bytes` across `offers` proportionally: writes, per
+/// offer, `(forwarded, dropped)` with `forwarded + dropped == offer` into
+/// `out` (cleared first), using `order` as reusable sort scratch. Hot
+/// tick paths own both buffers and reuse them across ticks.
 pub fn drain_proportional_into(
     offers: &[u64],
     capacity_bytes: u64,
@@ -71,16 +62,22 @@ pub fn capacity_bytes(capacity_bps: u64, tick_us: u64) -> u64 {
 mod tests {
     use super::*;
 
+    fn drain(offers: &[u64], capacity_bytes: u64) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        drain_proportional_into(offers, capacity_bytes, &mut out, &mut Vec::new());
+        out
+    }
+
     #[test]
     fn under_capacity_forwards_everything() {
-        let r = drain_proportional(&[100, 200, 300], 1000);
+        let r = drain(&[100, 200, 300], 1000);
         assert_eq!(r, vec![(100, 0), (200, 0), (300, 0)]);
     }
 
     #[test]
     fn over_capacity_drops_proportionally_and_exactly() {
         let offers = [600u64, 300, 100];
-        let r = drain_proportional(&offers, 500);
+        let r = drain(&offers, 500);
         let fwd: u64 = r.iter().map(|(f, _)| f).sum();
         let drop: u64 = r.iter().map(|(_, d)| d).sum();
         assert_eq!(fwd, 500);
@@ -94,13 +91,13 @@ mod tests {
 
     #[test]
     fn zero_capacity_drops_everything() {
-        let r = drain_proportional(&[10, 20], 0);
+        let r = drain(&[10, 20], 0);
         assert_eq!(r, vec![(0, 10), (0, 20)]);
     }
 
     #[test]
     fn empty_offers() {
-        assert!(drain_proportional(&[], 100).is_empty());
+        assert!(drain(&[], 100).is_empty());
     }
 
     #[test]
@@ -116,7 +113,7 @@ mod tests {
     fn rounding_remainder_is_fully_allocated() {
         // Capacity 10 against offers summing 30: floor allocation loses
         // bytes that must be recovered.
-        let r = drain_proportional(&[7, 11, 12], 10);
+        let r = drain(&[7, 11, 12], 10);
         let fwd: u64 = r.iter().map(|(f, _)| f).sum();
         assert_eq!(fwd, 10);
     }

@@ -7,7 +7,7 @@
 //! byte-diffs metrics snapshots across repeated runs — which catches a
 //! nondeterministic change only after it has corrupted an artifact. This
 //! tool moves the gate to the source: a lightweight token/line scanner
-//! (no rustc, no dependencies, fully offline) enforces four rules:
+//! (no rustc, no dependencies, fully offline) enforces five rules:
 //!
 //! - [`rules::Rule::Nondeterminism`] — wall-clock and entropy APIs
 //!   (`SystemTime`, `Instant::now`, `thread_rng`, …) are banned in the
@@ -25,6 +25,10 @@
 //!   registry ([`KNOB_REGISTRY`]): no library crate and no driver may
 //!   fork on an environment variable the registry does not validate.
 //!   This rule alone also walks the driver trees ([`DRIVER_TREES`]).
+//! - [`rules::Rule::DocRefs`] — every `crate::module::item` path and
+//!   `file.rs:N` line citation in the hand-written docs
+//!   ([`CHECKED_DOCS`]) resolves against the tree ([`docs`]), so a PR
+//!   that moves code cannot leave the docs pointing at nothing.
 //!
 //! Test code (`#[cfg(test)]` modules, `#[test]` functions, `tests/`
 //! trees) is exempt from all rules. The allowlist
@@ -34,6 +38,7 @@
 //! plus a machine-readable JSON report.
 
 pub mod allow;
+pub mod docs;
 pub mod report;
 pub mod rules;
 pub mod scan;
@@ -64,6 +69,11 @@ pub const DRIVER_TREES: &[&str] = &["crates/bench/src", "examples"];
 /// knob registry.
 pub const KNOB_REGISTRY: &str = "crates/bench/src/knobs.rs";
 
+/// The docs whose code citations the `doc-refs` rule checks. The
+/// roadmap, changelog and experiment log are forward-looking or
+/// historical and cite code that is gone or not yet written.
+pub const CHECKED_DOCS: &[&str] = &["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
+
 /// Crates whose non-test code must be deterministic: clocked off
 /// simulation time, randomness always seeded.
 pub const DETERMINISTIC_CRATES: &[&str] = &[
@@ -93,7 +103,8 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Scans the whole workspace rooted at `root` and returns raw findings
+/// Scans the whole workspace rooted at `root` — the scanned crates, the
+/// driver trees and the checked docs — and returns raw findings
 /// (allowlist not yet applied), sorted by (path, line, rule).
 pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<rules::Finding>> {
     let mut findings = Vec::new();
@@ -118,6 +129,12 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<rules::Finding>> {
                 Some(krate) => rules::check_file(&rel, krate, &text),
                 None => rules::check_env(&rel, &text),
             });
+        }
+    }
+    let tree = docs::Tree::new(root)?;
+    for doc in CHECKED_DOCS {
+        if let Ok(text) = std::fs::read_to_string(root.join(doc)) {
+            findings.extend(tree.check(doc, &text));
         }
     }
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));

@@ -18,6 +18,10 @@ pub enum Rule {
     /// ([`KNOB_REGISTRY`]): runtime behavior must not fork on an
     /// unregistered environment knob.
     EnvVar,
+    /// A code citation in a checked doc (`crate::module::item`,
+    /// `file.rs:N`) that does not resolve against the tree (see
+    /// [`crate::docs`]).
+    DocRefs,
 }
 
 impl Rule {
@@ -28,6 +32,7 @@ impl Rule {
             Rule::HashIter => "hash-iter",
             Rule::NoUnwrap => "no-unwrap",
             Rule::EnvVar => "env-var",
+            Rule::DocRefs => "doc-refs",
         }
     }
 
@@ -38,17 +43,19 @@ impl Rule {
             "hash-iter" => Rule::HashIter,
             "no-unwrap" => Rule::NoUnwrap,
             "env-var" => Rule::EnvVar,
+            "doc-refs" => Rule::DocRefs,
             _ => return None,
         })
     }
 
     /// Every rule, for iteration.
-    pub fn all() -> [Rule; 4] {
+    pub fn all() -> [Rule; 5] {
         [
             Rule::Nondeterminism,
             Rule::HashIter,
             Rule::NoUnwrap,
             Rule::EnvVar,
+            Rule::DocRefs,
         ]
     }
 }

@@ -4,6 +4,7 @@
 //! would otherwise look like a cleaner workspace.
 
 use stellar_lint::allow::{self, Allowlist};
+use stellar_lint::docs::Tree;
 use stellar_lint::report;
 use stellar_lint::rules::{check_env, check_file};
 use stellar_lint::KNOB_REGISTRY;
@@ -80,6 +81,26 @@ fn env_var_rule_allows_only_the_knob_registry() {
     assert_eq!(check_env("examples/quickstart.rs", &text).len(), 2);
     assert_eq!(env_reads(KNOB_REGISTRY, "bench"), 0);
     assert!(check_env(KNOB_REGISTRY, &text).is_empty());
+}
+
+#[test]
+fn doc_refs_rule_fires_on_dangling_module_item_and_line() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let tree = Tree::new(&root).expect("index the workspace");
+    let text = fixture("violation_doc_refs.md");
+    let findings = tree.check("fixtures/violation_doc_refs.md", &text);
+    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+    // Only the three seeded citations, not the resolving ones on lines
+    // 3-5 nor the fenced one.
+    assert_eq!(lines, vec![7, 9, 11], "{findings:?}");
+    assert!(findings.iter().all(|f| f.rule == "doc-refs"));
+    assert!(findings[0]
+        .message
+        .contains("`no_such_module` is neither a module"));
+    assert!(findings[1]
+        .message
+        .contains("`dequeue_everything` occurs nowhere"));
+    assert!(findings[2].message.contains("line 100000 is past the end"));
 }
 
 #[test]

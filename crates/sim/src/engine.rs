@@ -8,6 +8,7 @@
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 type Handler<S> = Box<dyn FnOnce(&mut S, &mut Scheduler<S>)>;
@@ -112,11 +113,14 @@ impl<S> Engine<S> {
     /// number of events executed.
     pub fn run(&mut self, state: &mut S, until: SimTime) -> usize {
         let mut executed = 0;
-        while let Some(Reverse(head)) = self.queue.peek() {
-            if head.at > until {
+        loop {
+            let Some(head) = self.queue.peek_mut() else {
+                break;
+            };
+            if head.0.at > until {
                 break;
             }
-            let Reverse(ev) = self.queue.pop().expect("peeked");
+            let Reverse(ev) = PeekMut::pop(head);
             self.now = ev.at;
             let mut sched = Scheduler {
                 now: self.now,
