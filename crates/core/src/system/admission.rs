@@ -65,21 +65,26 @@ impl StellarSystem {
         now_us: u64,
     ) -> Result<usize, LowerError> {
         let installed = self.flowspec.install(acc);
-        self.note_unverified_lowering(now_us);
+        // Obligation (a) left undischarged is never invisible: a lowering
+        // admitted without proof is counted and named in the flight
+        // recorder, like the other three `*.unverified` counters.
+        if let Some(unverified) = self.flowspec.take_unverified() {
+            self.obs.registry.counter_inc("verify.lowering.unverified");
+            let ids: Vec<String> = unverified.rule_ids.iter().map(u64::to_string).collect();
+            self.obs.event(
+                now_us,
+                "verify.lowering.unverified",
+                vec![
+                    ("reason".to_string(), unverified.reason.to_string()),
+                    ("rule_ids".to_string(), ids.join(",")),
+                ],
+            );
+        }
         let mut changes = installed?;
         self.audit_changes(&mut changes, rejections, now_us);
         let queued = changes.len();
         self.enqueue_changes(changes, now_us);
         Ok(queued)
-    }
-
-    /// One withdrawn NLRI's lowered rules queued for removal. Returns how
-    /// many changes were queued.
-    pub(super) fn withdraw_lowering(&mut self, owner: Asn, flow: &FlowSpec, now_us: u64) -> usize {
-        let removals = self.flowspec.withdraw(owner, flow);
-        let queued = removals.len();
-        self.enqueue_changes(removals, now_us);
-        queued
     }
 
     /// The shared announcement path for fresh submissions
@@ -127,13 +132,14 @@ impl StellarSystem {
     ) -> FlowSpecOutcome {
         let mut outcome = FlowSpecOutcome::default();
         for (owner, flow) in &rs_out.withdrawn {
-            let queued = self.withdraw_lowering(*owner, flow, now_us);
+            let removals = self.flowspec.withdraw(*owner, flow);
             // Counted per NLRI (like `flowspec.accepted`), not per
             // lowered rule; a withdraw of an unknown NLRI counts zero.
-            if queued > 0 {
+            if !removals.is_empty() {
                 self.obs.registry.counter_inc("flowspec.withdrawn");
             }
-            outcome.queued_changes += queued;
+            outcome.queued_changes += removals.len();
+            self.enqueue_changes(removals, now_us);
         }
         for (flow, reason) in rs_out.rejections {
             // A transient rejection (oracle brownout) fails closed, but
@@ -197,26 +203,6 @@ impl StellarSystem {
             }
         }
         outcome
-    }
-
-    /// Obligation (a) left undischarged is never invisible: a lowering
-    /// [`crate::flowspec::FlowSpecPlane::install`] admitted without proof
-    /// is counted and named in the flight recorder, like the other three
-    /// `*.unverified` counters (incremented only when hit).
-    pub(super) fn note_unverified_lowering(&mut self, now_us: u64) {
-        let Some(unverified) = self.flowspec.take_unverified() else {
-            return;
-        };
-        self.obs.registry.counter_inc("verify.lowering.unverified");
-        let ids: Vec<String> = unverified.rule_ids.iter().map(u64::to_string).collect();
-        self.obs.event(
-            now_us,
-            "verify.lowering.unverified",
-            vec![
-                ("reason".to_string(), unverified.reason.to_string()),
-                ("rule_ids".to_string(), ids.join(",")),
-            ],
-        );
     }
 
     /// Resubmits oracle-deferred announcements whose backoff has expired.

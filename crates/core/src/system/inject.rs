@@ -75,31 +75,19 @@ impl StellarSystem {
             FaultKind::SessionUp => {
                 // Resynchronize from the route server's live RIB: the
                 // routes (and their blackholing communities) survived the
-                // controller-side flap.
+                // controller-side flap, and so did the FlowSpec RIB
+                // (re-lowered under fresh ids, same specs). Both re-enter
+                // through admission, audit included: a rule the audit
+                // refused before the flap is refused again.
                 let updates = self.ixp.route_server.controller_resync();
-                let mut changes = 0;
-                for u in &updates {
-                    let emitted = self.controller.process_update(u);
-                    changes += emitted.len();
-                    self.enqueue_changes(emitted, now_us);
+                let mut resync = self.admit_updates(&updates, now_us);
+                let rib = self.ixp.route_server.flowspec_routes();
+                let accepted: Vec<_> = rib.into_iter().cloned().collect();
+                for acc in &accepted {
+                    let lowered = self.admit_lowering(acc, &mut resync.audit_rejections, now_us);
+                    resync.queued_changes += lowered.unwrap_or(0);
                 }
-                // The FlowSpec RIB also survived at the route server:
-                // re-lower every accepted rule (fresh ids, same specs).
-                let accepted: Vec<_> = self
-                    .ixp
-                    .route_server
-                    .flowspec_routes()
-                    .into_iter()
-                    .cloned()
-                    .collect();
-                for acc in accepted {
-                    let installed = self.flowspec.install(&acc);
-                    self.note_unverified_lowering(now_us);
-                    if let Ok(emitted) = installed {
-                        changes += emitted.len();
-                        self.enqueue_changes(emitted, now_us);
-                    }
-                }
+                let changes = resync.queued_changes;
                 self.log.push(RecoveryEvent::Resynced {
                     at_us: now_us,
                     changes,
@@ -118,7 +106,8 @@ impl StellarSystem {
                 let rs_out = self.ixp.route_server.peer_down(peer);
                 self.admit_updates(&rs_out.controller_updates, now_us);
                 for (owner, flow) in &rs_out.flowspec_withdrawn {
-                    self.withdraw_lowering(*owner, flow, now_us);
+                    let removals = self.flowspec.withdraw(*owner, flow);
+                    self.enqueue_changes(removals, now_us);
                 }
             }
             FaultKind::PeerUp { peer } => {

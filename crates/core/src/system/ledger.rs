@@ -227,11 +227,8 @@ impl StellarSystem {
             }
         }
         found.extend(self.check_rib_plane(ledger).found);
-        let pass = if quiet {
-            self.quiet_obligations(ledger)
-        } else {
-            QuietPass::default()
-        };
+        let pass = quiet.then(|| self.quiet_obligations(ledger));
+        let pass = pass.unwrap_or_default();
         found.extend(pass.found);
         // Dead-letter drainage: a parked requeue sitting past its release
         // time (plus pump-cadence slack) means the release machinery

@@ -506,6 +506,73 @@ fn peer_flap_also_flushes_flowspec_plane() {
     assert!(sys.watchdog.is_clean(), "{:?}", sys.watchdog.violations());
 }
 
+/// Flaps the controller's iBGP session at 1 s / 2 s and pumps to
+/// quiescence; returns the ids installed on 64500's port.
+fn flap_session(sys: &mut StellarSystem) -> Vec<u64> {
+    sys.inject_faults(scripted(vec![
+        (1_000_000, FaultKind::SessionDown),
+        (2_000_000, FaultKind::SessionUp),
+    ]));
+    let mut t = 1_000_000;
+    while t <= 6_000_000 {
+        sys.pump(t);
+        t += 250_000;
+    }
+    let port = sys.ixp.member(Asn(64500)).map(|m| m.port);
+    let port = port.and_then(|p| sys.ixp.fabric.port(p));
+    port.map_or(Vec::new(), |p| {
+        p.policy.rules().iter().map(|r| r.id).collect()
+    })
+}
+
+#[test]
+fn session_resync_refuses_what_the_audit_refused_signal_plane() {
+    let mut sys = system();
+    let shape = StellarSignal::shape_udp_src(123, 200);
+    sys.member_signal(Asn(64500), victim(), &[shape], 0);
+    sys.pump(0);
+    let drop_dst = crate::signal::StellarSignal {
+        kind: crate::signal::MatchKind::UdpDstPort,
+        port: 80,
+        action: crate::rule::RuleAction::Drop,
+    };
+    let out = sys.member_signal(Asn(64500), victim(), &[shape, drop_dst], 1);
+    assert_eq!(out.audit_rejections.len(), 1);
+    // The route server's RIB still carries both communities: the resync
+    // re-emits both rules under fresh ids, and the audit refuses the
+    // crossing drop again instead of installing it next to the shape.
+    let installed = flap_session(&mut sys);
+    assert_eq!(installed.len(), 1, "installed {installed:?}");
+    assert_eq!(sys.obs.registry.counter("analyze.rejected_conflict"), 2);
+    assert!(sys.is_converged());
+    sys.watchdog_check(60_000_000);
+    assert!(sys.watchdog.is_clean(), "{:?}", sys.watchdog.violations());
+}
+
+#[test]
+fn session_resync_refuses_what_the_audit_refused_flowspec_plane() {
+    use stellar_bgp::flowspec::{Component, NumericOp};
+    let mut sys = system();
+    let drop = ExtendedCommunity::traffic_rate(64500, 0.0);
+    sys.member_flowspec(Asn(64500), fs_flow(), &[drop], 0);
+    sys.pump(0);
+    // The same spec under another NLRI (source port as the band
+    // `>= 123 && <= 123`): validated, kept in the RIB, refused by the
+    // audit as a duplicate.
+    let mut band = fs_flow();
+    band.components[2] = Component::SrcPort(vec![NumericOp::ge(123), NumericOp::and_le(123)]);
+    let out = sys.member_flowspec(Asn(64500), band, &[drop], 1);
+    assert_eq!(out.audit_rejections.len(), 1);
+    assert_eq!(sys.ixp.route_server.flowspec_routes().len(), 2);
+    // The resync re-lowers both NLRIs; the audit admits one.
+    let installed = flap_session(&mut sys);
+    assert_eq!(installed.len(), 1, "installed {installed:?}");
+    assert_eq!(sys.obs.registry.counter("analyze.rejected_duplicate"), 2);
+    assert!(sys.is_converged());
+    sys.watchdog_check(60_000_000);
+    assert!(sys.watchdog.is_clean(), "{:?}", sys.watchdog.violations());
+}
+
 #[test]
 fn flowspec_overload_parks_and_requeues_instead_of_dead_lettering() {
     let mut sys = system();

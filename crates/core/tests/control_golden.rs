@@ -442,13 +442,17 @@ fn validation_brownout() -> StellarSystem {
 type Episode = (&'static str, fn() -> StellarSystem, u64);
 
 /// Computed before the split of `core::system` into stage modules.
+/// Only the session flap was re-pinned since, by the resync fix.
 const GOLDEN: [Episode; 10] = [
     ("escalation", escalation, 0x2256_eee4_2ca2_b7cd),
     ("flowspec", flowspec, 0xeef9_f545_aea1_4db4),
     ("ladder", ladder, 0xedf1_df6e_5026_8e91),
     ("install_brownout", install_brownout, 0x3dfb_7d80_32d6_2211),
     ("router_restart", router_restart, 0xaf4e_a2d5_d597_c3b7),
-    ("session_flap", session_flap, 0x532c_7f97_ec41_42c8),
+    // Re-pinned when the session resync went through the audit: the
+    // refused crossing drop and FlowSpec duplicate stay refused across
+    // the flap. Before, both came back installed: 0x532c_7f97_ec41_42c8.
+    ("session_flap", session_flap, 0x92f0_67ec_4ec5_ddc9),
     ("peer_flap", peer_flap, 0xfc79_7a19_010b_a07b),
     ("flowspec_corrupt", flowspec_corrupt, 0x2fbe_7899_e074_1856),
     ("delivery_chaos", delivery_chaos, 0x804f_6ce3_6ab1_b5fc),
