@@ -63,8 +63,7 @@ impl StellarSystem {
     /// Releases parked dead-letter requeues whose cool-off has expired
     /// back into the queue with a fresh retry budget.
     pub(super) fn release_parked(&mut self, now_us: u64) {
-        let due = self.parked.extract_if(.., |p| p.release_at_us <= now_us);
-        for p in due.collect::<Vec<_>>() {
+        for p in self.parked.extract_if(.., |p| p.release_at_us <= now_us) {
             self.obs.registry.counter_inc("deadletter.requeued");
             self.watchdog.note_activity(now_us);
             self.queue.readmit(p.qc, now_us);
