@@ -506,6 +506,38 @@ fn peer_flap_also_flushes_flowspec_plane() {
     assert!(sys.watchdog.is_clean(), "{:?}", sys.watchdog.violations());
 }
 
+#[test]
+fn mixed_family_signal_withdraws_to_nothing() {
+    let mut specs = generic_members(64500, 10);
+    let v6_net: Prefix = "2001:db8:100::/48".parse().unwrap();
+    specs[0].prefixes.push(v6_net);
+    let mut sys = StellarSystem::new(
+        IxpTopology::build(&specs, HardwareInfoBase::lab_switch()),
+        100.0,
+    );
+    let victim6: Prefix = "2001:db8:100::10/128".parse().unwrap();
+    // One UPDATE: the v4 /32 in the classic field, the v6 /128 in the
+    // MP_REACH of its own announcement, one signal for both.
+    let mut mixed = sys.ixp.announcement(Asn(64500), victim());
+    let v6 = sys.ixp.announcement(Asn(64500), victim6);
+    mixed
+        .attrs
+        .extend(v6.attrs.into_iter().filter(|a| a.type_code() == 14));
+    mixed.add_extended_communities(&[StellarSignal::drop_udp_src(123).encode(Asn(6695))]);
+    let rs_out = sys.ixp.route_server.handle_update(Asn(64500), &mixed, 0);
+    assert!(rs_out.rejections.is_empty(), "{:?}", rs_out.rejections);
+    sys.admit_updates(&rs_out.controller_updates, 0);
+    sys.pump(0);
+    assert_eq!(sys.controller.rule_count(), 2, "one rule per prefix");
+    assert_eq!(sys.active_rules(), 2);
+    sys.member_withdraw(Asn(64500), victim(), 1_000_000);
+    sys.member_withdraw(Asn(64500), victim6, 1_000_000);
+    sys.pump(1_000_000);
+    assert_eq!(sys.active_rules(), 0);
+    assert_eq!(sys.controller.rule_count(), 0);
+    assert!(sys.is_converged());
+}
+
 /// Flaps the controller's iBGP session at 1 s / 2 s and pumps to
 /// quiescence; returns the ids installed on 64500's port.
 fn flap_session(sys: &mut StellarSystem) -> Vec<u64> {

@@ -607,15 +607,9 @@ impl RouteServer {
         is_blackhole: bool,
     ) -> UpdateMessage {
         let ixp16 = self.config.ixp_asn.0 as u16;
-        let mut attrs: Vec<PathAttribute> = original
+        let attrs: Vec<PathAttribute> = original
             .attrs
             .iter()
-            .filter(|a| {
-                !matches!(
-                    a,
-                    PathAttribute::MpReach { .. } | PathAttribute::MpUnreach { .. }
-                )
-            })
             .cloned()
             .map(|a| match a {
                 PathAttribute::Communities(cs) => PathAttribute::Communities(
@@ -631,47 +625,56 @@ impl RouteServer {
                 other => other,
             })
             .collect();
-        match n.prefix {
-            Prefix::V4(_) => {
-                if is_blackhole {
-                    // Rewrite (or insert) the next hop.
-                    let mut rewritten = false;
-                    for a in attrs.iter_mut() {
-                        if let PathAttribute::NextHop(nh) = a {
-                            *nh = self.config.blackhole_next_hop;
-                            rewritten = true;
-                        }
-                    }
-                    if !rewritten {
-                        attrs.push(PathAttribute::NextHop(self.config.blackhole_next_hop));
-                    }
-                }
-                UpdateMessage {
-                    withdrawn: vec![],
-                    attrs,
-                    nlri: vec![Nlri::plain(n.prefix)],
+        let next_hop = if is_blackhole {
+            IpAddress::V6(self.config.blackhole_next_hop_v6)
+        } else {
+            mp_next_hop.unwrap_or(IpAddress::V6(Ipv6Address::UNSPECIFIED))
+        };
+        let mut export = placed(attrs, Nlri::plain(n.prefix), next_hop);
+        if is_blackhole && matches!(n.prefix, Prefix::V4(_)) {
+            // Rewrite (or insert) the next hop.
+            let mut rewritten = false;
+            for a in export.attrs.iter_mut() {
+                if let PathAttribute::NextHop(nh) = a {
+                    *nh = self.config.blackhole_next_hop;
+                    rewritten = true;
                 }
             }
-            Prefix::V6(_) => {
-                // IPv6 rides in MP_REACH; the classic NEXT_HOP is
-                // meaningless here and dropped.
-                attrs.retain(|a| !matches!(a, PathAttribute::NextHop(_)));
-                let next_hop = if is_blackhole {
-                    IpAddress::V6(self.config.blackhole_next_hop_v6)
-                } else {
-                    mp_next_hop.unwrap_or(IpAddress::V6(Ipv6Address::UNSPECIFIED))
-                };
-                attrs.push(PathAttribute::MpReach {
-                    afi: Afi::Ipv6,
-                    safi: Safi::Unicast,
-                    next_hop,
-                    nlri: vec![Nlri::plain(n.prefix)],
-                });
-                UpdateMessage {
-                    withdrawn: vec![],
-                    attrs,
-                    nlri: vec![],
-                }
+            if !rewritten {
+                export
+                    .attrs
+                    .push(PathAttribute::NextHop(self.config.blackhole_next_hop));
+            }
+        }
+        export
+    }
+}
+
+/// `attrs` announcing the one NLRI `n` in its family's place (RFC 4760):
+/// every MP_REACH/MP_UNREACH the attributes arrived with is dropped, an
+/// IPv4 NLRI rides in the classic field, an IPv6 one in MP_REACH_NLRI
+/// with `next_hop` — and without the classic NEXT_HOP, which is IPv4's
+/// (RFC 4760 §3).
+fn placed(mut attrs: Vec<PathAttribute>, n: Nlri, next_hop: IpAddress) -> UpdateMessage {
+    attrs.retain(|a| !matches!(a.type_code(), 14 | 15));
+    match n.prefix {
+        Prefix::V4(_) => UpdateMessage {
+            withdrawn: vec![],
+            attrs,
+            nlri: vec![n],
+        },
+        Prefix::V6(_) => {
+            attrs.retain(|a| !matches!(a, PathAttribute::NextHop(_)));
+            attrs.push(PathAttribute::MpReach {
+                afi: Afi::Ipv6,
+                safi: Safi::Unicast,
+                next_hop,
+                nlri: vec![n],
+            });
+            UpdateMessage {
+                withdrawn: vec![],
+                attrs,
+                nlri: vec![],
             }
         }
     }
@@ -704,45 +707,20 @@ fn withdraw_msg(prefix: Prefix, path_id: Option<u32>) -> UpdateMessage {
 
 /// The controller-feed message for one accepted path: original attributes
 /// (the controller needs the extended communities and true next hop),
-/// ADD-PATH tagged, family-appropriate.
+/// ADD-PATH tagged, family-appropriate — an IPv4 path never drags the
+/// MP_REACH of an IPv6 prefix announced beside it into the feed.
 fn controller_feed(
     original: &UpdateMessage,
     n: Nlri,
     mp_next_hop: Option<IpAddress>,
     pid: u32,
 ) -> UpdateMessage {
-    let entry = Nlri::with_path_id(n.prefix, pid);
-    match n.prefix {
-        Prefix::V4(_) => UpdateMessage {
-            withdrawn: vec![],
-            attrs: original.attrs.clone(),
-            nlri: vec![entry],
-        },
-        Prefix::V6(_) => {
-            let mut attrs: Vec<PathAttribute> = original
-                .attrs
-                .iter()
-                .filter(|a| {
-                    !matches!(
-                        a,
-                        PathAttribute::MpReach { .. } | PathAttribute::MpUnreach { .. }
-                    )
-                })
-                .cloned()
-                .collect();
-            attrs.push(PathAttribute::MpReach {
-                afi: Afi::Ipv6,
-                safi: Safi::Unicast,
-                next_hop: mp_next_hop.unwrap_or(IpAddress::V6(Ipv6Address::UNSPECIFIED)),
-                nlri: vec![entry],
-            });
-            UpdateMessage {
-                withdrawn: vec![],
-                attrs,
-                nlri: vec![],
-            }
-        }
-    }
+    let next_hop = mp_next_hop.unwrap_or(IpAddress::V6(Ipv6Address::UNSPECIFIED));
+    placed(
+        original.attrs.clone(),
+        Nlri::with_path_id(n.prefix, pid),
+        next_hop,
+    )
 }
 
 #[cfg(test)]
@@ -942,6 +920,40 @@ mod tests {
             .controller_updates
             .iter()
             .all(|u| u.withdrawn.len() == 1 && u.withdrawn[0].path_id.is_some()));
+    }
+
+    #[test]
+    fn mixed_family_update_feeds_one_nlri_per_message() {
+        let mut rs = server_with_peers(&[64500, 64501]);
+        let v6: Prefix = "2001:db8:100::10/128".parse().unwrap();
+        rs.policy_mut().irr.register(v6, Asn(64500));
+        // One UPDATE: the v4 /32 in the classic field, the v6 /128 in
+        // MP_REACH, one drop_udp_src(123) signal for both.
+        let mut u = announce("100.10.10.10/32", 64500, &[]);
+        u.attrs.push(PathAttribute::MpReach {
+            afi: Afi::Ipv6,
+            safi: Safi::Unicast,
+            next_hop: IpAddress::V6("2001:7f8:0:1::a".parse().unwrap()),
+            nlri: vec![Nlri::plain(v6)],
+        });
+        u.add_extended_communities(&[stellar_bgp::extcommunity::ExtendedCommunity::TwoOctetAs {
+            subtype: 0xbb,
+            asn: 6695,
+            local: 0x0200_007b,
+            transitive: true,
+        }]);
+        let out = rs.handle_update(Asn(64500), &u, 0);
+        assert!(out.rejections.is_empty(), "{:?}", out.rejections);
+        assert_eq!(out.controller_updates.len(), 2);
+        for feed in &out.controller_updates {
+            let mp = feed.attrs.iter().flat_map(|a| match a {
+                PathAttribute::MpReach { nlri, .. } => nlri.as_slice(),
+                _ => &[],
+            });
+            let announced: Vec<&Nlri> = feed.nlri.iter().chain(mp).collect();
+            assert_eq!(announced.len(), 1, "{feed:?}");
+            assert!(announced[0].path_id.is_some());
+        }
     }
 
     #[test]

@@ -1,21 +1,32 @@
-//! Route-server invariants under arbitrary member behaviour:
+//! Route-server invariants under arbitrary member behaviour, over IPv4,
+//! IPv6 (MP-BGP) and mixed-family UPDATEs:
 //! - handle_update never panics,
-//! - every controller-feed message is wire-encodable under ADD-PATH,
-//! - every export is wire-encodable on a plain session,
+//! - every controller-feed message is wire-encodable under ADD-PATH and
+//!   announces or withdraws exactly one path-id-tagged NLRI, in its
+//!   family's place (RFC 4760),
+//! - every export is wire-encodable on a plain session and carries
+//!   exactly one plain NLRI, in its family's place,
 //! - exports never leak action communities and never target the sender.
 
 use proptest::prelude::*;
 use stellar_bgp::attr::{AsPath, PathAttribute};
 use stellar_bgp::community::Community;
+use stellar_bgp::extcommunity::ExtendedCommunity;
 use stellar_bgp::message::{DecodeCtx, Message};
-use stellar_bgp::types::Asn;
+use stellar_bgp::nlri::Nlri;
+use stellar_bgp::types::{Afi, Asn, Safi};
 use stellar_bgp::update::UpdateMessage;
-use stellar_net::addr::Ipv4Address;
-use stellar_net::prefix::{Ipv4Prefix, Prefix};
+use stellar_net::addr::{IpAddress, Ipv4Address, Ipv6Address};
+use stellar_net::prefix::{Ipv4Prefix, Ipv6Prefix, Prefix};
 use stellar_routeserver::irr::IrrDb;
 use stellar_routeserver::policy::ImportPolicy;
 use stellar_routeserver::rpki::RpkiTable;
 use stellar_routeserver::server::{RouteServer, RouteServerConfig};
+
+/// Peer `a`'s IPv6 space: `2001:db8:a00::/40`.
+fn v6_net(a: u32) -> Ipv6Address {
+    Ipv6Address::from_groups([0x2001, 0xdb8, (a as u16) << 8, 0, 0, 0, 0, 0])
+}
 
 fn server() -> RouteServer {
     let mut irr = IrrDb::new();
@@ -23,6 +34,10 @@ fn server() -> RouteServer {
     for a in 0..8u32 {
         irr.register(
             Prefix::V4(Ipv4Prefix::new(Ipv4Address::new(100 + a as u8, 0, 0, 0), 8).unwrap()),
+            Asn(64500 + a),
+        );
+        irr.register(
+            Prefix::V6(Ipv6Prefix::new(v6_net(a), 40).unwrap()),
             Asn(64500 + a),
         );
     }
@@ -36,39 +51,131 @@ fn server() -> RouteServer {
     rs
 }
 
+/// Which families one generated UPDATE carries.
+#[derive(Debug, Clone, Copy)]
+enum Family {
+    V4,
+    V6,
+    Mixed,
+}
+
 fn arb_update() -> impl Strategy<Value = (u32, UpdateMessage)> {
     (
-        0u32..8,                                       // peer index
-        any::<[u8; 4]>(),                              // prefix bits
-        8u8..=32,                                      // prefix len
-        proptest::collection::vec(any::<u32>(), 0..4), // communities
-        any::<bool>(),                                 // spoof first AS?
-        any::<bool>(),                                 // blackhole tag?
-        any::<bool>(),                                 // withdraw instead?
+        (
+            0u32..8, // peer index
+            prop_oneof![Just(Family::V4), Just(Family::V6), Just(Family::Mixed)],
+            any::<[u8; 4]>(),  // v4 prefix bits
+            8u8..=32,          // v4 prefix len
+            any::<[u8; 11]>(), // v6 host bits below the peer's /40
+            40u8..=128,        // v6 prefix len
+        ),
+        (
+            proptest::collection::vec(any::<u32>(), 0..4), // communities
+            any::<bool>(),                                 // spoof first AS?
+            any::<bool>(),                                 // blackhole tag?
+            any::<bool>(),                                 // Stellar signal?
+            any::<bool>(),                                 // withdraw instead?
+            any::<bool>(),                                 // v4 outside own /8?
+        ),
     )
-        .prop_map(|(peer, octets, len, comms, spoof, blackhole, withdraw)| {
-            let asn = 64500 + peer;
-            let prefix = Prefix::V4(Ipv4Prefix::new(Ipv4Address(octets), len).unwrap());
-            let u = if withdraw {
-                UpdateMessage::withdraw(prefix)
-            } else {
-                let first = if spoof { asn + 1 } else { asn };
-                let mut u = UpdateMessage::announce(
-                    prefix,
-                    Ipv4Address::new(80, 81, 192, peer as u8 + 1),
-                    PathAttribute::AsPath(AsPath::sequence([first])),
-                );
-                let mut cs: Vec<Community> = comms.into_iter().map(Community).collect();
-                if blackhole {
-                    cs.push(Community::new(6695, 666));
+        .prop_map(
+            |(
+                (peer, family, mut octets, len, host, len6),
+                (comms, spoof, blackhole, signal, withdraw, foreign),
+            )| {
+                let asn = 64500 + peer;
+                if !foreign {
+                    octets[0] = 100 + peer as u8;
                 }
-                if !cs.is_empty() {
-                    u.add_communities(&cs);
-                }
-                u
-            };
-            (peer, u)
-        })
+                let v4 = Prefix::V4(Ipv4Prefix::new(Ipv4Address(octets), len).unwrap());
+                let mut v6_octets = v6_net(peer).octets();
+                v6_octets[5..].copy_from_slice(&host);
+                let v6 = Prefix::V6(Ipv6Prefix::new(Ipv6Address(v6_octets), len6).unwrap());
+                let u = if withdraw {
+                    let mut u = UpdateMessage::default();
+                    if !matches!(family, Family::V6) {
+                        u.withdrawn.push(Nlri::plain(v4));
+                    }
+                    if !matches!(family, Family::V4) {
+                        u.attrs.push(PathAttribute::MpUnreach {
+                            afi: Afi::Ipv6,
+                            safi: Safi::Unicast,
+                            nlri: vec![Nlri::plain(v6)],
+                        });
+                    }
+                    u
+                } else {
+                    let first = if spoof { asn + 1 } else { asn };
+                    let mut u = UpdateMessage::announce(
+                        v4,
+                        Ipv4Address::new(80, 81, 192, peer as u8 + 1),
+                        PathAttribute::AsPath(AsPath::sequence([first])),
+                    );
+                    if matches!(family, Family::V6) {
+                        u.attrs.retain(|a| !matches!(a, PathAttribute::NextHop(_)));
+                        u.nlri.clear();
+                    }
+                    if !matches!(family, Family::V4) {
+                        u.attrs.push(PathAttribute::MpReach {
+                            afi: Afi::Ipv6,
+                            safi: Safi::Unicast,
+                            next_hop: IpAddress::V6(Ipv6Address::from_groups([
+                                0x2001,
+                                0x7f8,
+                                0,
+                                1,
+                                0,
+                                0,
+                                0,
+                                peer as u16 + 1,
+                            ])),
+                            nlri: vec![Nlri::plain(v6)],
+                        });
+                    }
+                    let mut cs: Vec<Community> = comms.into_iter().map(Community).collect();
+                    if blackhole {
+                        cs.push(Community::new(6695, 666));
+                    }
+                    if !cs.is_empty() {
+                        u.add_communities(&cs);
+                    }
+                    if signal {
+                        u.add_extended_communities(&[ExtendedCommunity::TwoOctetAs {
+                            subtype: 0xbb,
+                            asn: 6695,
+                            local: 0x0200_007b,
+                            transitive: true,
+                        }]);
+                    }
+                    u
+                };
+                (peer, u)
+            },
+        )
+}
+
+/// Every NLRI `u` announces or withdraws, each with whether it sits in
+/// its family's place: IPv4 in the classic fields, IPv6 in
+/// MP_REACH/MP_UNREACH.
+fn placements(u: &UpdateMessage) -> Vec<(Nlri, bool)> {
+    let classic = u.withdrawn.iter().chain(&u.nlri).map(|n| (*n, true));
+    let mp = u.attrs.iter().flat_map(|a| match a {
+        PathAttribute::MpReach { nlri, .. } | PathAttribute::MpUnreach { nlri, .. } => {
+            nlri.as_slice()
+        }
+        _ => &[],
+    });
+    let mp = mp.map(|n| (*n, false));
+    classic
+        .chain(mp)
+        .map(|(n, classic)| (n, classic == matches!(n.prefix, Prefix::V4(_))))
+        .collect()
+}
+
+/// `u` carries exactly one NLRI, in its family's place, tagged with a
+/// path id iff `tagged`.
+fn one_placed_nlri(u: &UpdateMessage, tagged: bool) -> bool {
+    matches!(placements(u)[..], [(n, true)] if n.path_id.is_some() == tagged)
 }
 
 proptest! {
@@ -90,6 +197,7 @@ proptest! {
                 // Exports must encode on a plain eBGP session.
                 let wire = Message::Update(export.clone()).encode(plain);
                 prop_assert!(wire.is_ok(), "export not encodable: {export:?}");
+                prop_assert!(one_placed_nlri(export, false), "export: {export:?}");
                 // Action communities must be stripped.
                 for c in export.communities() {
                     prop_assert!(
@@ -99,23 +207,26 @@ proptest! {
                 }
             }
             for feed in &out.controller_updates {
-                // The controller feed must encode under ADD-PATH, and
-                // every announced/withdrawn entry must carry a path id.
+                // The controller feed must encode under ADD-PATH, one
+                // path-id-tagged entry per message.
                 let wire = Message::Update(feed.clone()).encode(add_path);
                 prop_assert!(wire.is_ok(), "feed not encodable: {feed:?}");
-                for n in feed.nlri.iter().chain(feed.withdrawn.iter()) {
-                    prop_assert!(n.path_id.is_some());
-                }
+                prop_assert!(one_placed_nlri(feed, true), "feed: {feed:?}");
             }
         }
-        // Tearing every peer down afterwards must also be clean.
+        // So must the controller resync, and tearing every peer down.
+        for feed in rs.controller_resync() {
+            prop_assert!(one_placed_nlri(&feed, true), "resync: {feed:?}");
+        }
         for a in 0..8u32 {
             let out = rs.peer_down(Asn(64500 + a));
             for (_, export) in &out.exports {
                 prop_assert!(Message::Update(export.clone()).encode(plain).is_ok());
+                prop_assert!(one_placed_nlri(export, false), "export: {export:?}");
             }
             for feed in &out.controller_updates {
                 prop_assert!(Message::Update(feed.clone()).encode(add_path).is_ok());
+                prop_assert!(one_placed_nlri(feed, true), "feed: {feed:?}");
             }
         }
     }

@@ -458,7 +458,8 @@ fn flowspec() -> u64 {
 type Episode = (&'static str, fn() -> u64, u64);
 
 /// Computed while the route server still decided NLRI placement itself,
-/// before `bgp::update` did it for every caller.
+/// before `bgp::update` did it for every caller. Only the mixed-family
+/// episode was re-pinned since.
 const GOLDEN: [Episode; 9] = [
     (
         "v4_signal_blackhole",
@@ -471,7 +472,10 @@ const GOLDEN: [Episode; 9] = [
         v6_signal_blackhole,
         0x955b_3442_5c40_7498,
     ),
-    ("mixed_family", mixed_family, 0x1e6c_35a7_9f6b_ff5c),
+    // Re-pinned by the mixed-family feed fix: the v4 path's feed message
+    // no longer carries the v6 prefix's MP_REACH, and the v6 one no
+    // longer the classic NEXT_HOP. Before: 0x1e6c_35a7_9f6b_ff5c.
+    ("mixed_family", mixed_family, 0x204d_b8a1_e6fc_4f1c),
     ("refusals", refusals, 0xb0be_b4b5_9438_721c),
     (
         "two_members_one_prefix",
