@@ -12,7 +12,7 @@
 //!   large (RFC 8092) communities, plus the well-known BLACKHOLE community
 //!   (RFC 7999) used by RTBH;
 //! - the session finite-state machine with hold/keepalive timers;
-//! - Adj-RIB-In / Loc-RIB structures with the BGP decision process.
+//! - the per-peer Adj-RIB-In, edited by key, that the route server keeps.
 //!
 //! Messages always travel through the full encoder and decoder, even between
 //! in-process peers, so malformed-message handling is exercised end-to-end.
@@ -43,7 +43,7 @@ pub use message::{DecodeCtx, Message};
 pub use nlri::Nlri;
 pub use notification::NotificationMessage;
 pub use open::OpenMessage;
-pub use rib::{AdjRibIn, LocRib, Route};
+pub use rib::{AdjRibIn, Route};
 pub use session::{Session, SessionConfig};
 pub use types::{Afi, Asn, Origin, Safi};
 pub use update::UpdateMessage;

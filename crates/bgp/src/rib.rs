@@ -1,18 +1,14 @@
-//! Routing Information Bases: per-peer Adj-RIB-In and a Loc-RIB with the
-//! BGP decision process (RFC 4271 §9.1).
-//!
-//! Stellar's blackholing controller keeps an Adj-RIB-In fed by the route
-//! server over ADD-PATH and computes *differences between RIB snapshots*
-//! (§4.4) — the diffing lives here so it is reusable and testable.
+//! The per-peer Adj-RIB-In (RFC 4271 §3.2): one route per (prefix,
+//! ADD-PATH id), edited by key. The route server keeps one per member
+//! session; re-exports and the controller resync are built from it.
 
 use crate::attr::{AsPath, PathAttribute};
 use crate::community::Community;
-use crate::extcommunity::ExtendedCommunity;
 use crate::nlri::Nlri;
-use crate::types::{Asn, Origin};
-use crate::update::UpdateMessage;
+use crate::types::Asn;
+use crate::update;
 use std::collections::BTreeMap;
-use stellar_net::addr::Ipv4Address;
+use stellar_net::addr::{IpAddress, Ipv4Address};
 use stellar_net::prefix::Prefix;
 
 /// Identifies the peer a route was learned from.
@@ -20,7 +16,7 @@ use stellar_net::prefix::Prefix;
 pub struct PeerId {
     /// Peer AS number.
     pub asn: Asn,
-    /// Peer BGP identifier (tie-breaker in the decision process).
+    /// Peer BGP identifier.
     pub bgp_id: Ipv4Address,
 }
 
@@ -38,124 +34,31 @@ pub struct Route {
 }
 
 impl Route {
-    /// LOCAL_PREF, defaulting to 100.
-    pub fn local_pref(&self) -> u32 {
-        self.attrs
-            .iter()
-            .find_map(|a| match a {
-                PathAttribute::LocalPref(v) => Some(*v),
-                _ => None,
-            })
-            .unwrap_or(100)
-    }
-
-    /// The AS_PATH (empty if absent).
-    pub fn as_path(&self) -> AsPath {
-        self.attrs
-            .iter()
-            .find_map(|a| match a {
-                PathAttribute::AsPath(p) => Some(p.clone()),
-                _ => None,
-            })
-            .unwrap_or_default()
-    }
-
-    /// ORIGIN, defaulting to Incomplete.
-    pub fn origin(&self) -> Origin {
-        self.attrs
-            .iter()
-            .find_map(|a| match a {
-                PathAttribute::Origin(o) => Some(*o),
-                _ => None,
-            })
-            .unwrap_or(Origin::Incomplete)
-    }
-
-    /// MULTI_EXIT_DISC, defaulting to 0.
-    pub fn med(&self) -> u32 {
-        self.attrs
-            .iter()
-            .find_map(|a| match a {
-                PathAttribute::Med(v) => Some(*v),
-                _ => None,
-            })
-            .unwrap_or(0)
+    /// The AS_PATH, if present.
+    pub fn as_path(&self) -> Option<&AsPath> {
+        update::as_path(&self.attrs)
     }
 
     /// NEXT_HOP if present.
     pub fn next_hop(&self) -> Option<Ipv4Address> {
-        self.attrs.iter().find_map(|a| match a {
-            PathAttribute::NextHop(h) => Some(*h),
-            _ => None,
-        })
+        update::next_hop(&self.attrs)
+    }
+
+    /// The next hop of the MP_REACH_NLRI the route arrived in, if any.
+    pub fn mp_next_hop(&self) -> Option<IpAddress> {
+        update::mp_next_hop(&self.attrs)
     }
 
     /// Standard communities.
-    pub fn communities(&self) -> Vec<Community> {
-        self.attrs
-            .iter()
-            .find_map(|a| match a {
-                PathAttribute::Communities(cs) => Some(cs.clone()),
-                _ => None,
-            })
-            .unwrap_or_default()
-    }
-
-    /// Extended communities.
-    pub fn extended_communities(&self) -> Vec<ExtendedCommunity> {
-        self.attrs
-            .iter()
-            .find_map(|a| match a {
-                PathAttribute::ExtendedCommunities(cs) => Some(cs.clone()),
-                _ => None,
-            })
-            .unwrap_or_default()
-    }
-
-    /// True if `self` is preferred over `other` by the decision process:
-    /// higher LOCAL_PREF, shorter AS_PATH, lower ORIGIN, lower MED, lower
-    /// peer BGP id (time-based and IGP steps do not apply here).
-    pub fn better_than(&self, other: &Route) -> bool {
-        if self.local_pref() != other.local_pref() {
-            return self.local_pref() > other.local_pref();
-        }
-        let (a, b) = (self.as_path().path_len(), other.as_path().path_len());
-        if a != b {
-            return a < b;
-        }
-        if self.origin() != other.origin() {
-            return self.origin() < other.origin();
-        }
-        if self.med() != other.med() {
-            return self.med() < other.med();
-        }
-        self.peer.bgp_id < other.peer.bgp_id
+    pub fn communities(&self) -> &[Community] {
+        update::communities(&self.attrs)
     }
 }
 
-/// Key identifying one path in a RIB.
-pub type PathKey = (Prefix, Option<u32>);
-
-/// Per-peer Adj-RIB-In.
+/// Per-peer Adj-RIB-In, keyed by (prefix, ADD-PATH id).
 #[derive(Debug, Default)]
 pub struct AdjRibIn {
-    routes: BTreeMap<PathKey, Route>,
-}
-
-/// The result of applying an UPDATE to a RIB.
-#[derive(Debug, Default, PartialEq)]
-pub struct RibDelta {
-    /// Newly added or replaced routes.
-    pub announced: Vec<Route>,
-    /// Withdrawn routes (the previous entries).
-    pub withdrawn: Vec<Route>,
-}
-
-impl RibDelta {
-    /// True if nothing changed.
-    pub fn is_empty(&self) -> bool {
-        self.announced.is_empty() && self.withdrawn.is_empty()
-    }
+    routes: BTreeMap<(Prefix, Option<u32>), Route>,
 }
 
 impl AdjRibIn {
@@ -164,36 +67,23 @@ impl AdjRibIn {
         Self::default()
     }
 
-    /// Applies an UPDATE from `peer`, returning what changed.
-    pub fn apply_update(&mut self, peer: PeerId, update: &UpdateMessage, now_us: u64) -> RibDelta {
-        let mut delta = RibDelta::default();
-        for w in &update.withdrawn {
-            if let Some(old) = self.routes.remove(&(w.prefix, w.path_id)) {
-                delta.withdrawn.push(old);
-            }
-        }
-        for n in &update.nlri {
-            let route = Route {
-                nlri: *n,
-                attrs: update.attrs.clone(),
-                peer,
-                received_us: now_us,
-            };
-            // An implicit withdraw (replacement) is not reported as a
-            // withdrawal; the new route shadows the old.
-            self.routes.insert((n.prefix, n.path_id), route.clone());
-            delta.announced.push(route);
-        }
-        delta
+    /// Stores `route` under its NLRI, returning the route it replaces (an
+    /// implicit withdraw).
+    pub fn insert(&mut self, route: Route) -> Option<Route> {
+        self.routes
+            .insert((route.nlri.prefix, route.nlri.path_id), route)
     }
 
-    /// Removes every route from the RIB (session down ⇒ implicit
-    /// withdrawal of all the peer's routes and, in Stellar, of all its
-    /// blackholing rules).
+    /// Removes the route stored under `nlri`, if any.
+    pub fn remove(&mut self, nlri: Nlri) -> Option<Route> {
+        self.routes.remove(&(nlri.prefix, nlri.path_id))
+    }
+
+    /// Removes every route from the RIB, in key order (session down ⇒
+    /// implicit withdrawal of all the peer's routes and, in Stellar, of
+    /// all its blackholing rules).
     pub fn flush(&mut self) -> Vec<Route> {
-        let out: Vec<Route> = self.routes.values().cloned().collect();
-        self.routes.clear();
-        out
+        std::mem::take(&mut self.routes).into_values().collect()
     }
 
     /// All routes, ordered by key.
@@ -202,11 +92,10 @@ impl AdjRibIn {
     }
 
     /// All routes for a given prefix (any path id).
-    pub fn routes_for(&self, prefix: Prefix) -> Vec<&Route> {
+    pub fn routes_for(&self, prefix: Prefix) -> impl Iterator<Item = &Route> {
         self.routes
             .range((prefix, None)..=(prefix, Some(u32::MAX)))
             .map(|(_, r)| r)
-            .collect()
     }
 
     /// Number of paths held.
@@ -218,97 +107,11 @@ impl AdjRibIn {
     pub fn is_empty(&self) -> bool {
         self.routes.is_empty()
     }
-
-    /// A snapshot of the current keys → routes, for diffing.
-    pub fn snapshot(&self) -> BTreeMap<PathKey, Route> {
-        self.routes.clone()
-    }
-}
-
-/// Computes the difference between two RIB snapshots: what §4.4 calls the
-/// "abstract configuration changes" source. Returns (added, removed,
-/// modified) routes.
-pub fn snapshot_diff(
-    before: &BTreeMap<PathKey, Route>,
-    after: &BTreeMap<PathKey, Route>,
-) -> (Vec<Route>, Vec<Route>, Vec<Route>) {
-    let mut added = Vec::new();
-    let mut removed = Vec::new();
-    let mut modified = Vec::new();
-    for (k, r) in after {
-        match before.get(k) {
-            None => added.push(r.clone()),
-            Some(old) if old.attrs != r.attrs => modified.push(r.clone()),
-            Some(_) => {}
-        }
-    }
-    for (k, r) in before {
-        if !after.contains_key(k) {
-            removed.push(r.clone());
-        }
-    }
-    (added, removed, modified)
-}
-
-/// A Loc-RIB: best path per prefix over a set of contributing routes.
-#[derive(Debug, Default)]
-pub struct LocRib {
-    best: BTreeMap<Prefix, Route>,
-}
-
-impl LocRib {
-    /// Creates an empty Loc-RIB.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Rebuilds best paths from an iterator of candidate routes.
-    pub fn rebuild<'a>(&mut self, candidates: impl Iterator<Item = &'a Route>) {
-        self.best.clear();
-        for r in candidates {
-            match self.best.get(&r.nlri.prefix) {
-                Some(cur) if !r.better_than(cur) => {}
-                _ => {
-                    self.best.insert(r.nlri.prefix, r.clone());
-                }
-            }
-        }
-    }
-
-    /// The best route for `prefix`, if any.
-    pub fn best(&self, prefix: Prefix) -> Option<&Route> {
-        self.best.get(&prefix)
-    }
-
-    /// Longest-prefix-match lookup for an IPv4 address.
-    pub fn lookup_v4(&self, addr: stellar_net::addr::Ipv4Address) -> Option<&Route> {
-        self.best
-            .iter()
-            .filter(|(p, _)| p.contains(stellar_net::addr::IpAddress::V4(addr)))
-            .max_by_key(|(p, _)| p.len())
-            .map(|(_, r)| r)
-    }
-
-    /// Number of prefixes with a best path.
-    pub fn len(&self) -> usize {
-        self.best.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.best.is_empty()
-    }
-
-    /// Iterates over (prefix, best route).
-    pub fn iter(&self) -> impl Iterator<Item = (&Prefix, &Route)> {
-        self.best.iter()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attr::AsPath;
 
     fn peer(asn: u32, id: u8) -> PeerId {
         PeerId {
@@ -317,142 +120,79 @@ mod tests {
         }
     }
 
-    fn announce(prefix: &str, asns: &[u32]) -> UpdateMessage {
-        UpdateMessage::announce(
-            prefix.parse().unwrap(),
-            Ipv4Address::new(80, 81, 192, 1),
-            PathAttribute::AsPath(AsPath::sequence(asns.iter().copied())),
-        )
+    fn route(nlri: Nlri, asns: &[u32]) -> Route {
+        Route {
+            nlri,
+            attrs: vec![PathAttribute::AsPath(AsPath::sequence(
+                asns.iter().copied(),
+            ))],
+            peer: peer(asns[0], 1),
+            received_us: 0,
+        }
+    }
+
+    fn plain(prefix: &str) -> Nlri {
+        Nlri::plain(prefix.parse().unwrap())
     }
 
     #[test]
-    fn apply_update_announce_and_withdraw() {
+    fn insert_and_remove_by_key() {
         let mut rib = AdjRibIn::new();
-        let d = rib.apply_update(peer(64500, 1), &announce("100.10.10.0/24", &[64500]), 0);
-        assert_eq!(d.announced.len(), 1);
+        let n = plain("100.10.10.0/24");
+        assert!(rib.insert(route(n, &[64500])).is_none());
         assert_eq!(rib.len(), 1);
-        let d = rib.apply_update(
-            peer(64500, 1),
-            &UpdateMessage::withdraw("100.10.10.0/24".parse().unwrap()),
-            1,
-        );
-        assert_eq!(d.withdrawn.len(), 1);
+        // Re-announcing replaces the stored path (implicit withdraw).
+        let old = rib.insert(route(n, &[64500, 64501])).unwrap();
+        assert_eq!(old.as_path().unwrap().path_len(), 1);
+        assert_eq!(rib.len(), 1);
+        assert_eq!(rib.remove(n).unwrap().as_path().unwrap().path_len(), 2);
         assert!(rib.is_empty());
         // Withdrawing a non-existent route changes nothing.
-        let d = rib.apply_update(
-            peer(64500, 1),
-            &UpdateMessage::withdraw("1.0.0.0/8".parse().unwrap()),
-            2,
-        );
-        assert!(d.is_empty());
+        assert!(rib.remove(plain("1.0.0.0/8")).is_none());
+        assert!(rib.remove(Nlri::with_path_id(n.prefix, 1)).is_none());
     }
 
     #[test]
     fn add_path_keeps_parallel_paths() {
         let mut rib = AdjRibIn::new();
-        let mut u = announce("100.10.10.10/32", &[64500]);
-        u.nlri = vec![Nlri::with_path_id("100.10.10.10/32".parse().unwrap(), 1)];
-        rib.apply_update(peer(64500, 1), &u, 0);
-        let mut u2 = announce("100.10.10.10/32", &[64501]);
-        u2.nlri = vec![Nlri::with_path_id("100.10.10.10/32".parse().unwrap(), 2)];
-        rib.apply_update(peer(64501, 2), &u2, 0);
+        let prefix = "100.10.10.10/32".parse().unwrap();
+        rib.insert(route(Nlri::with_path_id(prefix, 1), &[64500]));
+        rib.insert(route(Nlri::with_path_id(prefix, 2), &[64501]));
         assert_eq!(rib.len(), 2);
-        assert_eq!(rib.routes_for("100.10.10.10/32".parse().unwrap()).len(), 2);
+        assert_eq!(rib.routes_for(prefix).count(), 2);
+        rib.remove(Nlri::with_path_id(prefix, 1));
+        let left: Vec<_> = rib.routes_for(prefix).map(|r| r.nlri.path_id).collect();
+        assert_eq!(left, vec![Some(2)]);
     }
 
     #[test]
     fn flush_empties_and_returns_routes() {
         let mut rib = AdjRibIn::new();
-        rib.apply_update(peer(64500, 1), &announce("1.0.0.0/8", &[64500]), 0);
-        rib.apply_update(peer(64500, 1), &announce("2.0.0.0/8", &[64500]), 0);
+        rib.insert(route(plain("2.0.0.0/8"), &[64500]));
+        rib.insert(route(plain("1.0.0.0/8"), &[64500]));
         let flushed = rib.flush();
-        assert_eq!(flushed.len(), 2);
+        let order: Vec<_> = flushed.iter().map(|r| r.nlri).collect();
+        assert_eq!(order, vec![plain("1.0.0.0/8"), plain("2.0.0.0/8")]);
         assert!(rib.is_empty());
     }
 
     #[test]
-    fn decision_process_ordering() {
-        let mk = |lp: u32, path: &[u32], origin: Origin, med: u32, id: u8| Route {
-            nlri: Nlri::plain("1.0.0.0/8".parse().unwrap()),
-            attrs: vec![
-                PathAttribute::LocalPref(lp),
-                PathAttribute::AsPath(AsPath::sequence(path.iter().copied())),
-                PathAttribute::Origin(origin),
-                PathAttribute::Med(med),
-            ],
-            peer: peer(64500, id),
-            received_us: 0,
-        };
-        let base = mk(100, &[1, 2], Origin::Igp, 10, 5);
-        assert!(mk(200, &[1, 2, 3], Origin::Egp, 50, 9).better_than(&base));
-        assert!(mk(100, &[1], Origin::Incomplete, 50, 9).better_than(&base));
-        assert!(!mk(100, &[1, 2, 3], Origin::Igp, 0, 1).better_than(&base));
-        assert!(mk(100, &[9, 9], Origin::Igp, 5, 9).better_than(&base));
-        assert!(mk(100, &[9, 9], Origin::Igp, 10, 1).better_than(&base));
-        assert!(!mk(100, &[9, 9], Origin::Igp, 10, 9).better_than(&base));
-    }
-
-    #[test]
-    fn loc_rib_picks_best_and_does_lpm() {
-        let mut rib = AdjRibIn::new();
-        rib.apply_update(peer(64500, 1), &announce("100.10.0.0/16", &[64500, 7]), 0);
-        rib.apply_update(peer(64501, 2), &announce("100.10.10.0/24", &[64501]), 0);
-        let mut loc = LocRib::new();
-        loc.rebuild(rib.routes());
-        assert_eq!(loc.len(), 2);
-        let hit = loc
-            .lookup_v4(stellar_net::addr::Ipv4Address::new(100, 10, 10, 10))
-            .unwrap();
-        // LPM must prefer the /24.
-        assert_eq!(hit.peer.asn, Asn(64501));
-        let hit = loc
-            .lookup_v4(stellar_net::addr::Ipv4Address::new(100, 10, 99, 1))
-            .unwrap();
-        assert_eq!(hit.peer.asn, Asn(64500));
-        assert!(loc
-            .lookup_v4(stellar_net::addr::Ipv4Address::new(9, 9, 9, 9))
-            .is_none());
-    }
-
-    #[test]
-    fn snapshot_diff_detects_adds_removes_modifies() {
-        let mut rib = AdjRibIn::new();
-        rib.apply_update(peer(64500, 1), &announce("1.0.0.0/8", &[64500]), 0);
-        let before = rib.snapshot();
-
-        rib.apply_update(peer(64500, 1), &announce("2.0.0.0/8", &[64500]), 1);
-        // Modify 1.0.0.0/8 by changing its attributes.
-        let mut m = announce("1.0.0.0/8", &[64500, 64500]);
-        m.add_communities(&[Community::BLACKHOLE]);
-        rib.apply_update(peer(64500, 1), &m, 2);
-        let after = rib.snapshot();
-
-        let (added, removed, modified) = snapshot_diff(&before, &after);
-        assert_eq!(added.len(), 1);
-        assert_eq!(added[0].nlri.prefix, "2.0.0.0/8".parse().unwrap());
-        assert!(removed.is_empty());
-        assert_eq!(modified.len(), 1);
-        assert_eq!(modified[0].nlri.prefix, "1.0.0.0/8".parse().unwrap());
-
-        let (added, removed, _) = snapshot_diff(&after, &before);
-        assert!(added.is_empty());
-        assert_eq!(removed.len(), 1);
-    }
-
-    #[test]
     fn route_attribute_accessors_default_sanely() {
-        let r = Route {
-            nlri: Nlri::plain("1.0.0.0/8".parse().unwrap()),
+        let mut r = Route {
+            nlri: plain("1.0.0.0/8"),
             attrs: vec![],
             peer: peer(64500, 1),
             received_us: 0,
         };
-        assert_eq!(r.local_pref(), 100);
-        assert_eq!(r.med(), 0);
-        assert_eq!(r.origin(), Origin::Incomplete);
-        assert_eq!(r.as_path().path_len(), 0);
+        assert!(r.as_path().is_none());
         assert!(r.next_hop().is_none());
+        assert!(r.mp_next_hop().is_none());
         assert!(r.communities().is_empty());
-        assert!(r.extended_communities().is_empty());
+        r.attrs = vec![
+            PathAttribute::NextHop(Ipv4Address::new(80, 81, 192, 1)),
+            PathAttribute::Communities(vec![Community::BLACKHOLE]),
+        ];
+        assert_eq!(r.next_hop(), Some(Ipv4Address::new(80, 81, 192, 1)));
+        assert_eq!(r.communities(), &[Community::BLACKHOLE]);
     }
 }

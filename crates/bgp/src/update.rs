@@ -1,13 +1,27 @@
-//! UPDATE message (RFC 4271 §4.3).
+//! UPDATE message (RFC 4271 §4.3), and the one place that knows where an
+//! NLRI rides in it.
+//!
+//! RFC 4760 puts an IPv4 unicast NLRI in the classic withdrawn-routes and
+//! NLRI fields, an IPv6 one in MP_UNREACH_NLRI / MP_REACH_NLRI, and a
+//! FlowSpec rule (SAFI 133, RFC 8955) in MP_UNREACH/MP_REACH under its own
+//! AFI. Readers take every NLRI of a message through
+//! [`UpdateMessage::withdrawals`] and [`UpdateMessage::announcements`]
+//! (FlowSpec: [`UpdateMessage::flowspec_withdrawals`] and
+//! [`UpdateMessage::flowspec_announcements`]); writers build one-NLRI
+//! messages through [`UpdateMessage::announce_nlri`] and
+//! [`UpdateMessage::withdraw_nlri`] (FlowSpec:
+//! [`UpdateMessage::announce_flowspec`] and
+//! [`UpdateMessage::withdraw_flowspec`]).
 
-use crate::attr::PathAttribute;
+use crate::attr::{AsPath, PathAttribute};
 use crate::community::Community;
 use crate::error::{BgpError, BgpResult};
 use crate::extcommunity::ExtendedCommunity;
+use crate::flowspec::FlowSpec;
 use crate::nlri::{self, Nlri};
-use crate::types::{Afi, Origin, Safi};
+use crate::types::{Afi, Asn, Origin, Safi};
 use bytes::{BufMut, BytesMut};
-use stellar_net::addr::Ipv4Address;
+use stellar_net::addr::{IpAddress, Ipv4Address, Ipv6Address};
 use stellar_net::prefix::Prefix;
 
 /// An UPDATE message: withdrawals, path attributes, and announcements.
@@ -23,68 +37,213 @@ pub struct UpdateMessage {
     pub nlri: Vec<Nlri>,
 }
 
+/// The AS_PATH in `attrs`, if any. This and the four lookups below are
+/// the one attribute lookup [`UpdateMessage`] and [`crate::rib::Route`]
+/// share; each answers the first attribute of its kind.
+pub fn as_path(attrs: &[PathAttribute]) -> Option<&AsPath> {
+    attrs.iter().find_map(|a| match a {
+        PathAttribute::AsPath(p) => Some(p),
+        _ => None,
+    })
+}
+
+/// The standard communities in `attrs` (empty if none).
+pub fn communities(attrs: &[PathAttribute]) -> &[Community] {
+    let found = attrs.iter().find_map(|a| match a {
+        PathAttribute::Communities(cs) => Some(cs.as_slice()),
+        _ => None,
+    });
+    found.unwrap_or(&[])
+}
+
+/// The extended communities in `attrs` (empty if none).
+pub fn extended_communities(attrs: &[PathAttribute]) -> &[ExtendedCommunity] {
+    let found = attrs.iter().find_map(|a| match a {
+        PathAttribute::ExtendedCommunities(cs) => Some(cs.as_slice()),
+        _ => None,
+    });
+    found.unwrap_or(&[])
+}
+
+/// The NEXT_HOP in `attrs`, if any.
+pub fn next_hop(attrs: &[PathAttribute]) -> Option<Ipv4Address> {
+    attrs.iter().find_map(|a| match a {
+        PathAttribute::NextHop(h) => Some(*h),
+        _ => None,
+    })
+}
+
+/// The next hop of the MP_REACH_NLRI in `attrs`, if any.
+pub fn mp_next_hop(attrs: &[PathAttribute]) -> Option<IpAddress> {
+    attrs.iter().find_map(|a| match a {
+        PathAttribute::MpReach { next_hop, .. } => Some(*next_hop),
+        _ => None,
+    })
+}
+
 impl UpdateMessage {
-    /// An announcement of `prefix` with the minimal mandatory attributes.
+    /// An announcement of `prefix` with the minimal mandatory attributes,
+    /// placed like [`UpdateMessage::announce_nlri`] places it (an IPv6
+    /// prefix gets the unspecified MP next hop).
     pub fn announce(prefix: Prefix, next_hop: Ipv4Address, origin_as_path: PathAttribute) -> Self {
+        let attrs = [
+            PathAttribute::Origin(Origin::Igp),
+            origin_as_path,
+            PathAttribute::NextHop(next_hop),
+        ];
+        Self::announce_nlri(attrs, Nlri::plain(prefix), None)
+    }
+
+    /// Announces the one NLRI `nlri` with `attrs`, placed by family (RFC
+    /// 4760): every MP_REACH/MP_UNREACH among `attrs` is dropped; an IPv4
+    /// NLRI rides in the classic field, an IPv6 one in an MP_REACH_NLRI
+    /// with `mp_next_hop` (the unspecified address if `None`) and without
+    /// the classic NEXT_HOP, which is IPv4's (RFC 4760 §3).
+    pub fn announce_nlri(
+        attrs: impl IntoIterator<Item = PathAttribute>,
+        nlri: Nlri,
+        mp_next_hop: Option<IpAddress>,
+    ) -> Self {
+        let v6 = matches!(nlri.prefix, Prefix::V6(_));
+        let attrs = attrs.into_iter();
+        // Room for the MP_REACH, or for the one attribute a caller adds.
+        let mut placed = Vec::with_capacity(attrs.size_hint().0 + 1);
+        placed.extend(attrs.filter(|a| {
+            let ipv4_next_hop = matches!(a, PathAttribute::NextHop(_));
+            !(is_multiprotocol(a) || (v6 && ipv4_next_hop))
+        }));
+        if !v6 {
+            return UpdateMessage {
+                attrs: placed,
+                nlri: vec![nlri],
+                ..Default::default()
+            };
+        }
+        placed.push(PathAttribute::MpReach {
+            afi: Afi::Ipv6,
+            safi: Safi::Unicast,
+            next_hop: mp_next_hop.unwrap_or(IpAddress::V6(Ipv6Address::UNSPECIFIED)),
+            nlri: vec![nlri],
+        });
         UpdateMessage {
-            withdrawn: vec![],
-            attrs: vec![
-                PathAttribute::Origin(Origin::Igp),
-                origin_as_path,
-                PathAttribute::NextHop(next_hop),
-            ],
-            nlri: vec![Nlri::plain(prefix)],
+            attrs: placed,
+            ..Default::default()
         }
     }
 
-    /// A withdrawal of `prefix`: in the classic field for IPv4, in
-    /// MP_UNREACH_NLRI for IPv6 (RFC 4760).
-    pub fn withdraw(prefix: Prefix) -> Self {
-        let nlri = vec![Nlri::plain(prefix)];
-        match prefix {
+    /// Withdraws the one NLRI `nlri`, placed by family: in the classic
+    /// field for IPv4, in MP_UNREACH_NLRI for IPv6 (RFC 4760).
+    pub fn withdraw_nlri(nlri: Nlri) -> Self {
+        match nlri.prefix {
             Prefix::V4(_) => UpdateMessage {
-                withdrawn: nlri,
+                withdrawn: vec![nlri],
                 ..Default::default()
             },
             Prefix::V6(_) => UpdateMessage {
                 attrs: vec![PathAttribute::MpUnreach {
                     afi: Afi::Ipv6,
                     safi: Safi::Unicast,
-                    nlri,
+                    nlri: vec![nlri],
                 }],
                 ..Default::default()
             },
         }
     }
 
+    /// A withdrawal of `prefix` without a path id.
+    pub fn withdraw(prefix: Prefix) -> Self {
+        Self::withdraw_nlri(Nlri::plain(prefix))
+    }
+
+    /// `origin`'s announcement of one FlowSpec rule: MP_REACH_NLRI under
+    /// SAFI 133 and the rule's AFI (RFC 8955 §5), its `actions` as
+    /// extended communities.
+    pub fn announce_flowspec(origin: Asn, flow: FlowSpec, actions: &[ExtendedCommunity]) -> Self {
+        let mut attrs = Vec::with_capacity(3);
+        attrs.push(PathAttribute::AsPath(AsPath::sequence([origin.0])));
+        attrs.push(PathAttribute::MpReachFlowSpec {
+            afi: flow.afi,
+            nlri: vec![flow],
+        });
+        if !actions.is_empty() {
+            attrs.push(PathAttribute::ExtendedCommunities(actions.to_vec()));
+        }
+        UpdateMessage {
+            attrs,
+            ..Default::default()
+        }
+    }
+
+    /// The withdrawal of one FlowSpec rule: MP_UNREACH_NLRI under SAFI 133
+    /// and the rule's AFI.
+    pub fn withdraw_flowspec(flow: FlowSpec) -> Self {
+        UpdateMessage {
+            attrs: vec![PathAttribute::MpUnreachFlowSpec {
+                afi: flow.afi,
+                nlri: vec![flow],
+            }],
+            ..Default::default()
+        }
+    }
+
+    /// Every unicast NLRI this UPDATE withdraws: the classic field's,
+    /// then each MP_UNREACH_NLRI's.
+    pub fn withdrawals(&self) -> impl Iterator<Item = Nlri> + '_ {
+        let mp = self.attrs.iter().flat_map(|a| match a {
+            PathAttribute::MpUnreach { nlri, .. } => nlri.as_slice(),
+            _ => &[],
+        });
+        self.withdrawn.iter().chain(mp).copied()
+    }
+
+    /// Every unicast NLRI this UPDATE announces, each with the next hop
+    /// of the MP_REACH_NLRI that carried it: the classic field's first
+    /// (`None`: their next hop is NEXT_HOP), then each MP_REACH_NLRI's.
+    pub fn announcements(&self) -> impl Iterator<Item = (Nlri, Option<IpAddress>)> + '_ {
+        let mp = self.attrs.iter().flat_map(|a| {
+            let (next_hop, nlri) = match a {
+                PathAttribute::MpReach { next_hop, nlri, .. } => (Some(*next_hop), nlri.as_slice()),
+                _ => (None, &[][..]),
+            };
+            nlri.iter().map(move |n| (*n, next_hop))
+        });
+        self.nlri.iter().map(|n| (*n, None)).chain(mp)
+    }
+
+    /// Every FlowSpec rule this UPDATE withdraws.
+    pub fn flowspec_withdrawals(&self) -> impl Iterator<Item = &FlowSpec> {
+        self.attrs.iter().flat_map(|a| match a {
+            PathAttribute::MpUnreachFlowSpec { nlri, .. } => nlri.as_slice(),
+            _ => &[],
+        })
+    }
+
+    /// Every FlowSpec rule this UPDATE announces.
+    pub fn flowspec_announcements(&self) -> impl Iterator<Item = &FlowSpec> {
+        self.attrs.iter().flat_map(|a| match a {
+            PathAttribute::MpReachFlowSpec { nlri, .. } => nlri.as_slice(),
+            _ => &[],
+        })
+    }
+
+    /// The AS_PATH carried, if any.
+    pub fn as_path(&self) -> Option<&AsPath> {
+        as_path(&self.attrs)
+    }
+
     /// The standard communities carried, if any.
     pub fn communities(&self) -> &[Community] {
-        self.attrs
-            .iter()
-            .find_map(|a| match a {
-                PathAttribute::Communities(cs) => Some(cs.as_slice()),
-                _ => None,
-            })
-            .unwrap_or(&[])
+        communities(&self.attrs)
     }
 
     /// The extended communities carried, if any.
     pub fn extended_communities(&self) -> &[ExtendedCommunity] {
-        self.attrs
-            .iter()
-            .find_map(|a| match a {
-                PathAttribute::ExtendedCommunities(cs) => Some(cs.as_slice()),
-                _ => None,
-            })
-            .unwrap_or(&[])
+        extended_communities(&self.attrs)
     }
 
     /// The NEXT_HOP attribute, if present.
     pub fn next_hop(&self) -> Option<Ipv4Address> {
-        self.attrs.iter().find_map(|a| match a {
-            PathAttribute::NextHop(h) => Some(*h),
-            _ => None,
-        })
+        next_hop(&self.attrs)
     }
 
     /// Replaces (or inserts) the NEXT_HOP attribute — how RTBH rewrites
@@ -183,10 +342,16 @@ impl UpdateMessage {
     }
 }
 
+/// MP_REACH_NLRI or MP_UNREACH_NLRI of any SAFI: what a one-NLRI message
+/// never inherits, since its own placement decides it.
+fn is_multiprotocol(a: &PathAttribute) -> bool {
+    matches!(a.type_code(), 14 | 15)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attr::AsPath;
+    use crate::flowspec::Component;
 
     fn announce() -> UpdateMessage {
         let mut u = UpdateMessage::announce(
@@ -305,5 +470,95 @@ mod tests {
         assert!(UpdateMessage::decode(&[0, 50, 0, 0], false).is_err());
         assert!(UpdateMessage::decode(&[0, 0, 0, 50], false).is_err());
         assert!(UpdateMessage::decode(&[0], false).is_err());
+    }
+
+    /// A mixed-family UPDATE: a v4 /32 in the classic field, a v6 /128 in
+    /// MP_REACH, both tagged BLACKHOLE.
+    fn mixed() -> (UpdateMessage, Prefix, IpAddress) {
+        let v6: Prefix = "2001:db8::10/128".parse().unwrap();
+        let hop = IpAddress::V6("2001:db8::ffff".parse().unwrap());
+        let mut u = announce();
+        u.attrs.push(PathAttribute::MpReach {
+            afi: Afi::Ipv6,
+            safi: Safi::Unicast,
+            next_hop: hop,
+            nlri: vec![Nlri::plain(v6)],
+        });
+        (u, v6, hop)
+    }
+
+    #[test]
+    fn reading_side_walks_both_places_in_order() {
+        let (u, v6, hop) = mixed();
+        let v4 = u.nlri[0];
+        let read: Vec<_> = u.announcements().collect();
+        assert_eq!(read, vec![(v4, None), (Nlri::plain(v6), Some(hop))]);
+        assert_eq!(u.as_path().and_then(AsPath::origin_as), Some(Asn(64500)));
+        let mut w = UpdateMessage::withdraw(v4.prefix);
+        w.attrs = UpdateMessage::withdraw(v6).attrs;
+        let read: Vec<_> = w.withdrawals().collect();
+        assert_eq!(read, vec![v4, Nlri::plain(v6)]);
+        assert_eq!(w.announcements().count(), 0);
+    }
+
+    #[test]
+    fn one_nlri_messages_are_placed_by_family() {
+        let (u, v6, hop) = mixed();
+        let v4 = Nlri::with_path_id(u.nlri[0].prefix, 7);
+        let v6 = Nlri::with_path_id(v6, 8);
+        // IPv4: the classic field, no MP attribute, NEXT_HOP kept.
+        let placed_v4 = UpdateMessage::announce_nlri(u.attrs.clone(), v4, Some(hop));
+        assert_eq!(placed_v4.nlri, vec![v4]);
+        assert!(placed_v4.attrs.iter().all(|a| !is_multiprotocol(a)));
+        assert_eq!(placed_v4.next_hop(), u.next_hop());
+        assert_eq!(placed_v4.communities(), &[Community::BLACKHOLE]);
+        // IPv6: one MP_REACH with the given next hop, no NEXT_HOP.
+        let placed_v6 = UpdateMessage::announce_nlri(u.attrs.clone(), v6, Some(hop));
+        assert!(placed_v6.nlri.is_empty() && placed_v6.next_hop().is_none());
+        let read: Vec<_> = placed_v6.announcements().collect();
+        assert_eq!(read, vec![(v6, Some(hop))]);
+        let bare = UpdateMessage::announce_nlri(u.attrs, v6, None);
+        let unspecified = IpAddress::V6(Ipv6Address::UNSPECIFIED);
+        assert_eq!(mp_next_hop(&bare.attrs), Some(unspecified));
+        // Both survive an ADD-PATH round trip.
+        for placed in [placed_v4, placed_v6] {
+            let mut buf = BytesMut::new();
+            placed.encode(true, &mut buf).unwrap();
+            assert_eq!(UpdateMessage::decode(&buf, true).unwrap(), placed);
+        }
+        // Withdrawals: one entry each, path id kept.
+        for n in [v4, v6] {
+            let w = UpdateMessage::withdraw_nlri(n);
+            assert_eq!(w.withdrawals().collect::<Vec<_>>(), vec![n]);
+            assert_eq!(w.withdrawn.len(), usize::from(n == v4));
+        }
+    }
+
+    #[test]
+    fn flowspec_messages_ride_under_the_rules_afi() {
+        let v6 = FlowSpec::new(
+            Afi::Ipv6,
+            vec![Component::DstPrefix("2001:db8::10/128".parse().unwrap())],
+        )
+        .unwrap();
+        let drop = ExtendedCommunity::traffic_rate(64500, 0.0);
+        let u = UpdateMessage::announce_flowspec(Asn(64500), v6.clone(), &[drop]);
+        assert!(matches!(
+            &u.attrs[1],
+            PathAttribute::MpReachFlowSpec { afi: Afi::Ipv6, .. }
+        ));
+        assert_eq!(u.flowspec_announcements().collect::<Vec<_>>(), vec![&v6]);
+        assert_eq!(u.extended_communities(), &[drop]);
+        assert_eq!(u.flowspec_withdrawals().count(), 0);
+        let w = UpdateMessage::withdraw_flowspec(v6.clone());
+        assert_eq!(w.flowspec_withdrawals().collect::<Vec<_>>(), vec![&v6]);
+        for m in [u, w] {
+            let mut buf = BytesMut::new();
+            m.encode(false, &mut buf).unwrap();
+            assert_eq!(UpdateMessage::decode(&buf, false).unwrap(), m);
+        }
+        // No action, no EXTENDED_COMMUNITIES attribute.
+        let bare = UpdateMessage::announce_flowspec(Asn(64500), v6, &[]);
+        assert_eq!(bare.attrs.len(), 2);
     }
 }

@@ -26,12 +26,15 @@
 //!
 //! Multiple threads may dispatch concurrently; their jobs interleave on
 //! the shared workers and each dispatch waits only on its own latch.
+//! No code panics while holding a latch or the queue lock (jobs run
+//! outside it, under `catch_unwind`), so a poisoned lock still guards a
+//! consistent value and is taken back with `PoisonError::into_inner`.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 /// A lifetime-erased unit of work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -64,7 +67,10 @@ impl Latch {
     }
 
     fn arrive(&self) {
-        let mut left = self.remaining.lock().expect("latch lock poisoned");
+        let mut left = self
+            .remaining
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         *left -= 1;
         if *left == 0 {
             self.done.notify_all();
@@ -72,9 +78,12 @@ impl Latch {
     }
 
     fn wait(&self) {
-        let mut left = self.remaining.lock().expect("latch lock poisoned");
+        let mut left = self
+            .remaining
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         while *left > 0 {
-            left = self.done.wait(left).expect("latch lock poisoned");
+            left = self.done.wait(left).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -106,7 +115,7 @@ impl WorkerPool {
                         // while running a job.
                         let job = {
                             let guard: std::sync::MutexGuard<'_, Receiver<Job>> =
-                                rx.lock().expect("pool queue lock poisoned");
+                                rx.lock().unwrap_or_else(PoisonError::into_inner);
                             guard.recv()
                         };
                         match job {

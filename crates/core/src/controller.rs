@@ -15,7 +15,7 @@ use crate::portal::CustomerPortal;
 use crate::rule::BlackholingRule;
 use crate::signal::StellarSignal;
 use std::collections::{BTreeSet, HashMap};
-use stellar_bgp::attr::PathAttribute;
+use stellar_bgp::attr::AsPath;
 use stellar_bgp::types::Asn;
 use stellar_bgp::update::UpdateMessage;
 use stellar_net::prefix::Prefix;
@@ -156,52 +156,18 @@ impl BlackholingController {
         // Withdrawals: every rule attached to the path goes away —
         // including the implicit-withdraw-on-session-failure case, where
         // the route server withdraws on the member's behalf (§4.2.1).
-        // IPv6 withdrawals arrive in MP_UNREACH_NLRI.
-        let mut withdrawals = update.withdrawn.clone();
-        for a in &update.attrs {
-            if let PathAttribute::MpUnreach { nlri, .. } = a {
-                withdrawals.extend(nlri.iter().copied());
-            }
-        }
-        for w in &withdrawals {
-            let key = (w.prefix, w.path_id);
-            if let Some(path) = self.paths.remove(&key) {
-                let owner = path.owner.unwrap_or(Asn(0));
-                // Sorted by rule id so emission order is deterministic
-                // (rule maps are hash maps with per-instance seeds).
-                let mut ids: Vec<u64> = path.rules.into_values().collect();
-                ids.sort_unstable();
-                for rule_id in ids {
-                    changes.push(AbstractChange::RemoveRule { rule_id, owner });
-                }
-            }
+        for w in update.withdrawals() {
+            self.drop_path((w.prefix, w.path_id), &mut changes);
         }
         // Announcements: diff desired signals against installed rules.
-        let owner = update.attrs.iter().find_map(|a| match a {
-            PathAttribute::AsPath(p) => p.origin_as(),
-            _ => None,
-        });
+        let owner = update.as_path().and_then(AsPath::origin_as);
         let ecs = update.extended_communities();
-        // IPv6 announcements arrive in MP_REACH_NLRI.
-        let mut announcements = update.nlri.clone();
-        for a in &update.attrs {
-            if let PathAttribute::MpReach { nlri, .. } = a {
-                announcements.extend(nlri.iter().copied());
-            }
-        }
-        for n in &announcements {
+        for (n, _) in update.announcements() {
             let key = (n.prefix, n.path_id);
             let Some(owner) = owner else {
                 // No origin AS: cannot attribute rules; treat as plain
                 // route (and drop any stale rules for the path).
-                if let Some(path) = self.paths.remove(&key) {
-                    let o = path.owner.unwrap_or(Asn(0));
-                    let mut ids: Vec<u64> = path.rules.into_values().collect();
-                    ids.sort_unstable();
-                    for rule_id in ids {
-                        changes.push(AbstractChange::RemoveRule { rule_id, owner: o });
-                    }
-                }
+                self.drop_path(key, &mut changes);
                 continue;
             };
             let desired = StellarSignal::extract(ecs, self.ixp_asn, &self.portal, owner);
@@ -248,6 +214,21 @@ impl BlackholingController {
             self.stamps.touch(change.owner());
         }
         changes
+    }
+
+    /// Forgets the path under `key`, queuing the removal of its rules in
+    /// rule-id order (rule maps are hash maps with per-instance seeds).
+    fn drop_path(&mut self, key: (Prefix, Option<u32>), changes: &mut Vec<AbstractChange>) {
+        let Some(path) = self.paths.remove(&key) else {
+            return;
+        };
+        let owner = path.owner();
+        let mut ids: Vec<u64> = path.rules.into_values().collect();
+        ids.sort_unstable();
+        let removals = ids
+            .into_iter()
+            .map(|rule_id| AbstractChange::RemoveRule { rule_id, owner });
+        changes.extend(removals);
     }
 
     /// A snapshot of every rule the controller currently wants installed,
@@ -356,7 +337,7 @@ impl BlackholingController {
         else {
             return DegradeOutcome::Unknown;
         };
-        let owner = path.owner.unwrap_or(Asn(0));
+        let owner = path.owner();
         path.rules.remove(&signal);
         self.stamps.touch(owner);
         let outcome = match signal.degrade() {
@@ -378,7 +359,7 @@ impl BlackholingController {
     pub fn session_down(&mut self) -> Vec<AbstractChange> {
         let mut changes = Vec::new();
         for (_, path) in self.paths.drain() {
-            let owner = path.owner.unwrap_or(Asn(0));
+            let owner = path.owner();
             for (_, rule_id) in path.rules {
                 changes.push(AbstractChange::RemoveRule { rule_id, owner });
             }
@@ -397,7 +378,7 @@ impl BlackholingController {
 mod tests {
     use super::*;
     use crate::rule::{RuleAction, RuleMatcher};
-    use stellar_bgp::attr::AsPath;
+    use stellar_bgp::attr::PathAttribute;
     use stellar_bgp::nlri::Nlri;
     use stellar_net::addr::Ipv4Address;
 

@@ -38,7 +38,6 @@ use crate::signal::StellarSignal;
 use crate::telemetry::{rule_telemetry, RuleTelemetry};
 use crate::watchdog::Watchdog;
 use std::collections::{BTreeMap, HashSet};
-use stellar_bgp::attr::PathAttribute;
 use stellar_bgp::extcommunity::ExtendedCommunity;
 use stellar_bgp::flowspec::FlowSpec;
 use stellar_bgp::types::Asn;
@@ -231,14 +230,7 @@ impl StellarSystem {
         flow: FlowSpec,
         now_us: u64,
     ) -> FlowSpecOutcome {
-        let afi = flow.afi;
-        let update = UpdateMessage {
-            attrs: vec![PathAttribute::MpUnreachFlowSpec {
-                afi,
-                nlri: vec![flow],
-            }],
-            ..Default::default()
-        };
+        let update = UpdateMessage::withdraw_flowspec(flow);
         let rs_out = self
             .ixp
             .route_server

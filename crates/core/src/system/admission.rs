@@ -10,7 +10,6 @@ use super::{FlowSpecOutcome, SignalOutcome, StellarSystem};
 use crate::audit::{audit_batch, AuditRejection, BatchAudit};
 use crate::controller::AbstractChange;
 use crate::flowspec::{LowerError, FLOWSPEC_RULE_ID_BASE};
-use stellar_bgp::attr::{AsPath, PathAttribute};
 use stellar_bgp::extcommunity::ExtendedCommunity;
 use stellar_bgp::flowspec::FlowSpec;
 use stellar_bgp::types::Asn;
@@ -97,18 +96,7 @@ impl StellarSystem {
         prior_attempts: u32,
         now_us: u64,
     ) -> FlowSpecOutcome {
-        let afi = flow.afi;
-        let reach = PathAttribute::MpReachFlowSpec {
-            afi,
-            nlri: vec![flow],
-        };
-        let mut update = UpdateMessage {
-            attrs: vec![PathAttribute::AsPath(AsPath::sequence([member.0])), reach],
-            ..Default::default()
-        };
-        if !actions.is_empty() {
-            update.add_extended_communities(&actions);
-        }
+        let update = UpdateMessage::announce_flowspec(member, flow, &actions);
         let rs_out = self
             .ixp
             .route_server

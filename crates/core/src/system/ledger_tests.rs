@@ -246,18 +246,6 @@ fn sabotage_e_flowspec_withdraw_without_queueing_the_removal() {
     assert_eq!(counter(&sys, "watchdog.checks_unchanged"), 1);
 }
 
-/// A FlowSpec withdrawal as the member's session would carry it.
-fn unreach(flow: FlowSpec) -> UpdateMessage {
-    UpdateMessage {
-        withdrawn: vec![],
-        attrs: vec![PathAttribute::MpUnreachFlowSpec {
-            afi: Afi::Ipv4,
-            nlri: vec![flow],
-        }],
-        nlri: vec![],
-    }
-}
-
 #[test]
 fn sabotage_f_rib_entry_withdrawn_behind_the_planes_back() {
     let mut sys = cached();
@@ -269,10 +257,10 @@ fn sabotage_f_rib_entry_withdrawn_behind_the_planes_back() {
     let mut ledger = std::mem::take(&mut sys.ledger);
     assert_eq!(sys.check_rib_plane(&mut ledger).probed, 0);
     // The route server drops one of C's NLRIs; the plane keeps its rule.
-    let out = sys
-        .ixp
-        .route_server
-        .handle_flowspec_update(C, &unreach(udp_src(host(2, 1), &[53])));
+    let out = sys.ixp.route_server.handle_flowspec_update(
+        C,
+        &UpdateMessage::withdraw_flowspec(udp_src(host(2, 1), &[53])),
+    );
     assert_eq!(out.withdrawn.len(), 1);
     // C's two keys are looked up again, B's one is not.
     let check = sys.check_rib_plane(&mut ledger);

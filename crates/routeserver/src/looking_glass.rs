@@ -2,6 +2,7 @@
 //! rely on looking glasses for debugging").
 
 use crate::server::RouteServer;
+use stellar_bgp::attr::AsSegment;
 use stellar_bgp::community::Community;
 use stellar_bgp::types::Asn;
 use stellar_net::addr::Ipv4Address;
@@ -26,19 +27,14 @@ pub struct RouteView {
 pub fn query(rs: &RouteServer, prefix: Prefix) -> Vec<RouteView> {
     let ixp = rs.config().ixp_asn;
     rs.routes_for(prefix)
-        .into_iter()
         .map(|r| {
-            let communities = r.communities();
+            let communities = r.communities().to_vec();
             let blackholed = communities.iter().any(|c| c.is_blackhole(ixp));
-            let as_path = r
-                .as_path()
-                .segments
+            let segments = r.as_path().map_or(&[][..], |p| p.segments.as_slice());
+            let as_path = segments
                 .iter()
                 .flat_map(|s| match s {
-                    stellar_bgp::attr::AsSegment::Sequence(v)
-                    | stellar_bgp::attr::AsSegment::Set(v) => {
-                        v.iter().map(|a| a.0).collect::<Vec<_>>()
-                    }
+                    AsSegment::Sequence(v) | AsSegment::Set(v) => v.iter().map(|a| a.0),
                 })
                 .collect();
             RouteView {

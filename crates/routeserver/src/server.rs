@@ -6,7 +6,10 @@
 //! \[Stellar\] signals back to the other members" — the server forwards
 //! *everything* to the controller (tagging each peer's path with a
 //! distinct ADD-PATH id to bypass best-path selection) while exporting to
-//! members only what the action communities allow.
+//! members only what the action communities allow. Every UPDATE is read
+//! and built through `stellar_bgp::update`, which alone decides where an
+//! NLRI rides (RFC 4760): each export and each controller-feed message
+//! carries exactly one NLRI, in its family's place.
 
 use crate::control::should_announce;
 use crate::flowspec::{
@@ -15,13 +18,13 @@ use crate::flowspec::{
 use crate::policy::{ImportPolicy, RejectReason};
 use crate::stamps::OwnerStamps;
 use std::collections::{BTreeMap, HashMap};
-use stellar_bgp::attr::PathAttribute;
-use stellar_bgp::community::Community;
+use stellar_bgp::attr::{AsPath, PathAttribute};
+use stellar_bgp::extcommunity::ExtendedCommunity;
+use stellar_bgp::flowspec::FlowSpec;
 use stellar_bgp::nlri::Nlri;
-use stellar_bgp::rib::{AdjRibIn, PeerId};
-use stellar_bgp::types::Asn;
-use stellar_bgp::types::{Afi, Safi};
-use stellar_bgp::update::UpdateMessage;
+use stellar_bgp::rib::{AdjRibIn, PeerId, Route};
+use stellar_bgp::types::{Afi, Asn};
+use stellar_bgp::update::{self, UpdateMessage};
 use stellar_net::addr::{IpAddress, Ipv4Address, Ipv6Address};
 use stellar_net::prefix::Prefix;
 
@@ -46,7 +49,8 @@ impl RouteServerConfig {
             ixp_asn: Asn(6695),
             bgp_id: Ipv4Address::new(80, 81, 192, 157),
             blackhole_next_hop: Ipv4Address::new(80, 81, 193, 253),
-            blackhole_next_hop_v6: "2001:7f8:0:1::dead".parse().expect("static addr parses"),
+            // 2001:7f8:0:1::dead
+            blackhole_next_hop_v6: Ipv6Address::from_groups([0x2001, 0x7f8, 0, 1, 0, 0, 0, 0xdead]),
         }
     }
 }
@@ -64,7 +68,7 @@ pub struct RouteServerOutput {
     /// FlowSpec rules flushed by a session-down event (the only unicast
     /// code path that also touches the FlowSpec RIB; explicit FlowSpec
     /// traffic goes through [`RouteServer::handle_flowspec_update`]).
-    pub flowspec_withdrawn: Vec<(Asn, stellar_bgp::flowspec::FlowSpec)>,
+    pub flowspec_withdrawn: Vec<(Asn, FlowSpec)>,
 }
 
 /// Import statistics (exposed via the looking glass).
@@ -78,13 +82,12 @@ pub struct ImportStats {
     /// Accepted announcements.
     pub accepted: u64,
     /// Rejected announcements by reason.
-    pub rejected: HashMap<&'static str, u64>,
+    pub rejected: BTreeMap<&'static str, u64>,
 }
 
 impl ImportStats {
     /// Publishes the import counters. Rejection reasons land under
-    /// `routeserver.rejected.<reason>`; the registry keys are sorted, so
-    /// the export order is stable regardless of `HashMap` iteration.
+    /// `routeserver.rejected.<reason>`.
     pub fn observe(&self, reg: &mut stellar_obs::MetricsRegistry) {
         reg.counter_set("routeserver.announced", self.announced);
         reg.counter_set("routeserver.withdrawn", self.withdrawn);
@@ -183,17 +186,10 @@ impl RouteServer {
 
     /// All routes currently held for a prefix, across peers (looking
     /// glass support).
-    pub fn routes_for(&self, prefix: Prefix) -> Vec<stellar_bgp::rib::Route> {
+    pub fn routes_for(&self, prefix: Prefix) -> impl Iterator<Item = &Route> {
         self.peers
             .values()
-            .flat_map(|p| {
-                p.rib
-                    .routes_for(prefix)
-                    .into_iter()
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
-            .collect()
+            .flat_map(move |p| p.rib.routes_for(prefix))
     }
 
     /// Handles an UPDATE received from `peer`. Returns exports,
@@ -217,130 +213,72 @@ impl RouteServer {
         // walked for exports: held here, put back before returning.
         let mut rib = std::mem::take(&mut state.rib);
 
-        // Withdrawals first (RFC 4271 processing order): classic IPv4
-        // withdrawals plus MP_UNREACH_NLRI entries (IPv6, RFC 4760).
-        let mut withdrawals: Vec<Nlri> = update.withdrawn.clone();
-        for a in &update.attrs {
-            if let PathAttribute::MpUnreach { nlri, .. } = a {
-                withdrawals.extend(nlri.iter().copied());
-            }
-        }
-        for w in &withdrawals {
-            let delta = rib.apply_update(
-                peer_id,
-                &UpdateMessage {
-                    withdrawn: vec![*w],
-                    attrs: vec![],
-                    nlri: vec![],
-                },
-                now_us,
-            );
-            if delta.withdrawn.is_empty() {
-                continue; // nothing was actually removed
-            }
-            self.stats.withdrawn += 1;
-            for target in self.peers.keys() {
-                if *target != peer {
-                    out.exports.push((*target, withdraw_msg(w.prefix, None)));
-                }
-            }
-            if let Some(pid) = self.path_ids.remove(&(peer, w.prefix)) {
-                out.controller_updates
-                    .push(withdraw_msg(w.prefix, Some(pid)));
+        // Withdrawals first (RFC 4271 processing order). One that removes
+        // nothing propagates nothing.
+        for w in update.withdrawals() {
+            if rib.remove(w).is_some() {
+                self.propagate_withdrawal(peer, w.prefix, &mut out);
             }
         }
 
         // Announcements.
-        let update_path = update.attrs.iter().find_map(|a| match a {
-            PathAttribute::AsPath(p) => Some(p.clone()),
-            _ => None,
-        });
-        let first_as = update_path.as_ref().and_then(|p| p.first_as());
-        let origin_as = update_path.as_ref().and_then(|p| p.origin_as());
-        let communities = update.communities().to_vec();
+        let path = update.as_path();
+        let first_as = path.and_then(AsPath::first_as);
+        let origin_as = path.and_then(AsPath::origin_as);
+        let communities = update.communities();
         // Any extended community in the IXP's own namespace marks the
         // update as an IXP service signal (a Stellar blackholing rule):
         // the /32 acceptance exception applies (§4.3).
         let ixp_service_signal = update.extended_communities().iter().any(|ec| {
             matches!(
                 ec,
-                stellar_bgp::extcommunity::ExtendedCommunity::TwoOctetAs { asn, .. }
-                    if u32::from(*asn) == self.config.ixp_asn.0
+                ExtendedCommunity::TwoOctetAs { asn, .. } if u32::from(*asn) == self.config.ixp_asn.0
             )
         });
-        // Classic IPv4 NLRI plus MP_REACH_NLRI entries (IPv6, RFC 4760).
-        let mut announcements: Vec<(Nlri, Option<IpAddress>)> =
-            update.nlri.iter().map(|n| (*n, None)).collect();
-        for a in &update.attrs {
-            if let PathAttribute::MpReach { nlri, next_hop, .. } = a {
-                announcements.extend(nlri.iter().map(|n| (*n, Some(*next_hop))));
-            }
-        }
-        for (n, mp_next_hop) in &announcements {
+        for (n, mp_next_hop) in update.announcements() {
             self.stats.announced += 1;
             // Max-prefix: counted against the peer's current Adj-RIB-In.
-            if let Some(limit) = self.policy.max_prefixes_per_peer {
-                if rib.len() >= limit {
-                    *self
-                        .stats
-                        .rejected
-                        .entry(RejectReason::MaxPrefixExceeded.describe())
-                        .or_insert(0) += 1;
-                    out.rejections
-                        .push((n.prefix, RejectReason::MaxPrefixExceeded));
-                    continue;
-                }
-            }
-            match self.policy.validate(
-                peer,
-                first_as,
-                origin_as,
-                &n.prefix,
-                &communities,
-                ixp_service_signal,
-                self.config.ixp_asn,
-            ) {
-                Err(reason) => {
-                    *self.stats.rejected.entry(reason.describe()).or_insert(0) += 1;
-                    out.rejections.push((n.prefix, reason));
-                    continue;
-                }
-                Ok(()) => {
-                    self.stats.accepted += 1;
-                }
-            }
-            // Store in the peer's Adj-RIB-In.
-            let stored = UpdateMessage {
-                withdrawn: vec![],
-                attrs: update.attrs.clone(),
-                nlri: vec![*n],
+            let verdict = match self.policy.max_prefixes_per_peer {
+                Some(limit) if rib.len() >= limit => Err(RejectReason::MaxPrefixExceeded),
+                _ => self.policy.validate(
+                    peer,
+                    first_as,
+                    origin_as,
+                    &n.prefix,
+                    communities,
+                    ixp_service_signal,
+                    self.config.ixp_asn,
+                ),
             };
-            rib.apply_update(peer_id, &stored, now_us);
+            if let Err(reason) = verdict {
+                *self.stats.rejected.entry(reason.describe()).or_insert(0) += 1;
+                out.rejections.push((n.prefix, reason));
+                continue;
+            }
+            self.stats.accepted += 1;
+            rib.insert(Route {
+                nlri: n,
+                attrs: update.attrs.clone(),
+                peer: peer_id,
+                received_us: now_us,
+            });
 
             // Exports to the other members.
-            let is_blackhole = communities
-                .iter()
-                .any(|c| c.is_blackhole(self.config.ixp_asn));
-            let export_msg = self.build_export(update, *n, *mp_next_hop, is_blackhole);
+            let export = self.build_export(&update.attrs, n.prefix, mp_next_hop);
             for target in self.peers.keys() {
-                if *target == peer {
-                    continue;
-                }
-                if should_announce(&communities, *target, self.config.ixp_asn) {
-                    out.exports.push((*target, export_msg.clone()));
+                if *target != peer && should_announce(communities, *target, self.config.ixp_asn) {
+                    out.exports.push((*target, export.clone()));
                 }
             }
 
-            // Controller feed: every accepted path, ADD-PATH tagged,
-            // with the *original* attributes (the controller needs the
-            // extended communities and true next hop).
+            // Controller feed: every accepted path, ADD-PATH tagged.
             let pid = *self.path_ids.entry((peer, n.prefix)).or_insert_with(|| {
                 let id = self.next_path_id;
                 self.next_path_id += 1;
                 id
             });
             out.controller_updates
-                .push(controller_feed(update, *n, *mp_next_hop, pid));
+                .push(controller_feed(&update.attrs, n.prefix, mp_next_hop, pid));
         }
         if let Some(state) = self.peers.get_mut(&peer) {
             state.rib = rib;
@@ -363,71 +301,56 @@ impl RouteServer {
 
         // Withdrawals first (RFC 4271 processing order). Duplicate
         // withdrawals remove nothing and count nothing.
-        for a in &update.attrs {
-            let PathAttribute::MpUnreachFlowSpec { nlri, .. } = a else {
+        for flow in update.flowspec_withdrawals() {
+            let Ok(key) = flow.to_wire() else {
                 continue;
             };
-            for flow in nlri {
-                let Ok(key) = flow.to_wire() else {
-                    continue;
-                };
-                let Some(held) = self.flowspec_rib.get_mut(&peer) else {
-                    continue;
-                };
-                if let Some(removed) = held.remove(&key) {
-                    if held.is_empty() {
-                        self.flowspec_rib.remove(&peer);
-                    }
-                    self.flowspec_stamps.touch(peer);
-                    self.flowspec_stats.withdrawn += 1;
-                    out.withdrawn.push((peer, removed.flow));
+            let Some(held) = self.flowspec_rib.get_mut(&peer) else {
+                continue;
+            };
+            if let Some(removed) = held.remove(&key) {
+                if held.is_empty() {
+                    self.flowspec_rib.remove(&peer);
                 }
+                self.flowspec_stamps.touch(peer);
+                self.flowspec_stats.withdrawn += 1;
+                out.withdrawn.push((peer, removed.flow));
             }
         }
 
         // Announcements.
-        let update_path = update.attrs.iter().find_map(|a| match a {
-            PathAttribute::AsPath(p) => Some(p.clone()),
-            _ => None,
-        });
-        let first_as = update_path.as_ref().and_then(|p| p.first_as());
-        let origin_as = update_path.as_ref().and_then(|p| p.origin_as());
+        let path = update.as_path();
+        let first_as = path.and_then(AsPath::first_as);
+        let origin_as = path.and_then(AsPath::origin_as);
         let actions = action_communities(update.extended_communities());
-        for a in &update.attrs {
-            let PathAttribute::MpReachFlowSpec { nlri, .. } = a else {
+        for flow in update.flowspec_announcements() {
+            self.flowspec_stats.announced += 1;
+            if let Err(reason) = validate_flowspec(&self.policy, peer, first_as, origin_as, flow) {
+                *self
+                    .flowspec_stats
+                    .rejected
+                    .entry(reason.describe())
+                    .or_insert(0) += 1;
+                out.rejections.push((flow.clone(), reason));
+                continue;
+            }
+            // A decoded NLRI always fits the wire-length bound again;
+            // guard rather than panic for hand-built oversize flows.
+            let Ok(key) = flow.to_wire() else {
                 continue;
             };
-            for flow in nlri {
-                self.flowspec_stats.announced += 1;
-                if let Err(reason) =
-                    validate_flowspec(&self.policy, peer, first_as, origin_as, flow)
-                {
-                    *self
-                        .flowspec_stats
-                        .rejected
-                        .entry(reason.describe())
-                        .or_insert(0) += 1;
-                    out.rejections.push((flow.clone(), reason));
-                    continue;
-                }
-                // A decoded NLRI always fits the wire-length bound again;
-                // guard rather than panic for hand-built oversize flows.
-                let Ok(key) = flow.to_wire() else {
-                    continue;
-                };
-                self.flowspec_stats.accepted += 1;
-                let accepted = AcceptedFlowSpec {
-                    owner: peer,
-                    flow: flow.clone(),
-                    actions: actions.clone(),
-                };
-                // Re-announcement of the same NLRI is an implicit
-                // withdraw: the stored actions are replaced.
-                let held = self.flowspec_rib.entry(peer).or_default();
-                held.insert(key, accepted.clone());
-                self.flowspec_stamps.touch(peer);
-                out.accepted.push(accepted);
-            }
+            self.flowspec_stats.accepted += 1;
+            let accepted = AcceptedFlowSpec {
+                owner: peer,
+                flow: flow.clone(),
+                actions: actions.clone(),
+            };
+            // Re-announcement of the same NLRI is an implicit
+            // withdraw: the stored actions are replaced.
+            let held = self.flowspec_rib.entry(peer).or_default();
+            held.insert(key, accepted.clone());
+            self.flowspec_stamps.touch(peer);
+            out.accepted.push(accepted);
         }
         out
     }
@@ -465,7 +388,7 @@ impl RouteServer {
 
     /// Handles FlowSpec NLRI exactly as received on the wire: decodes
     /// `nlri_bytes` (RFC 8955 length-prefixed NLRIs) and, only if the
-    /// *whole* run decodes, builds the UPDATE and runs the normal
+    /// *whole* run decodes, runs each NLRI's UPDATE through the normal
     /// [`RouteServer::handle_flowspec_update`] path. Corrupted or
     /// truncated bytes are counted under `malformed` and refused without
     /// touching the `(peer, wire-bytes)` RIB — a damaged announcement
@@ -475,27 +398,20 @@ impl RouteServer {
         peer: Asn,
         afi: Afi,
         nlri_bytes: &[u8],
-        actions: &[stellar_bgp::extcommunity::ExtendedCommunity],
+        actions: &[ExtendedCommunity],
     ) -> FlowSpecOutput {
-        let flows = match stellar_bgp::flowspec::FlowSpec::decode_many(afi, nlri_bytes) {
-            Ok(flows) => flows,
-            Err(_) => {
-                self.flowspec_stats.malformed += 1;
-                return FlowSpecOutput::default();
-            }
+        let Ok(flows) = FlowSpec::decode_many(afi, nlri_bytes) else {
+            self.flowspec_stats.malformed += 1;
+            return FlowSpecOutput::default();
         };
-        let mut update = UpdateMessage {
-            withdrawn: vec![],
-            attrs: vec![
-                PathAttribute::AsPath(stellar_bgp::attr::AsPath::sequence([peer.0])),
-                PathAttribute::MpReachFlowSpec { afi, nlri: flows },
-            ],
-            nlri: vec![],
-        };
-        if !actions.is_empty() {
-            update.add_extended_communities(actions);
+        let mut out = FlowSpecOutput::default();
+        for flow in flows {
+            let update = UpdateMessage::announce_flowspec(peer, flow, actions);
+            let one = self.handle_flowspec_update(peer, &update);
+            out.accepted.extend(one.accepted);
+            out.rejections.extend(one.rejections);
         }
-        self.handle_flowspec_update(peer, &update)
+        out
     }
 
     /// Handles a ROUTE-REFRESH from `target` (RFC 2918): rebuilds the
@@ -505,35 +421,15 @@ impl RouteServer {
     /// (or fat-fingered its import filters, §2.4) resynchronizes without
     /// bouncing the session.
     pub fn refresh_exports(&self, target: Asn) -> Vec<UpdateMessage> {
-        let mut out = Vec::new();
         if !self.peers.contains_key(&target) {
-            return out;
+            return Vec::new();
         }
-        for (peer_asn, state) in &self.peers {
-            if *peer_asn == target {
-                continue;
-            }
-            for route in state.rib.routes() {
-                let communities = route.communities();
-                if !should_announce(&communities, target, self.config.ixp_asn) {
-                    continue;
-                }
-                let is_blackhole = communities
-                    .iter()
-                    .any(|c| c.is_blackhole(self.config.ixp_asn));
-                let original = UpdateMessage {
-                    withdrawn: vec![],
-                    attrs: route.attrs.clone(),
-                    nlri: vec![],
-                };
-                let mp_next_hop = route.attrs.iter().find_map(|a| match a {
-                    PathAttribute::MpReach { next_hop, .. } => Some(*next_hop),
-                    _ => None,
-                });
-                out.push(self.build_export(&original, route.nlri, mp_next_hop, is_blackhole));
-            }
-        }
-        out
+        let others = self.peers.iter().filter(|(asn, _)| **asn != target);
+        others
+            .flat_map(|(_, state)| state.rib.routes())
+            .filter(|route| should_announce(route.communities(), target, self.config.ixp_asn))
+            .map(|route| self.build_export(&route.attrs, route.nlri.prefix, route.mp_next_hop()))
+            .collect()
     }
 
     /// Rebuilds the blackholing controller's southbound view after the
@@ -544,25 +440,22 @@ impl RouteServer {
     /// a controller that flushed its state on session loss re-derives
     /// its full desired rule set from this replay.
     pub fn controller_resync(&self) -> Vec<UpdateMessage> {
-        let mut out = Vec::new();
-        for (peer_asn, state) in &self.peers {
-            for route in state.rib.routes() {
-                let Some(pid) = self.path_ids.get(&(*peer_asn, route.nlri.prefix)) else {
-                    continue;
-                };
-                let original = UpdateMessage {
-                    withdrawn: vec![],
-                    attrs: route.attrs.clone(),
-                    nlri: vec![],
-                };
-                let mp_next_hop = route.attrs.iter().find_map(|a| match a {
-                    PathAttribute::MpReach { next_hop, .. } => Some(*next_hop),
-                    _ => None,
-                });
-                out.push(controller_feed(&original, route.nlri, mp_next_hop, *pid));
-            }
-        }
-        out
+        let routes = self
+            .peers
+            .iter()
+            .flat_map(|(asn, state)| state.rib.routes().map(move |route| (*asn, route)));
+        routes
+            .filter_map(|(asn, route)| {
+                let prefix = route.nlri.prefix;
+                let pid = self.path_ids.get(&(asn, prefix))?;
+                Some(controller_feed(
+                    &route.attrs,
+                    prefix,
+                    route.mp_next_hop(),
+                    *pid,
+                ))
+            })
+            .collect()
     }
 
     /// Handles a member session going down: flushes its routes and emits
@@ -572,18 +465,8 @@ impl RouteServer {
         let Some(state) = self.peers.get_mut(&peer) else {
             return out;
         };
-        let flushed = state.rib.flush();
-        for route in flushed {
-            self.stats.withdrawn += 1;
-            let prefix = route.nlri.prefix;
-            for target in self.peers.keys() {
-                if *target != peer {
-                    out.exports.push((*target, withdraw_msg(prefix, None)));
-                }
-            }
-            if let Some(pid) = self.path_ids.remove(&(peer, prefix)) {
-                out.controller_updates.push(withdraw_msg(prefix, Some(pid)));
-            }
+        for route in state.rib.flush() {
+            self.propagate_withdrawal(peer, route.nlri.prefix, &mut out);
         }
         // A downed session takes its FlowSpec rules with it.
         if let Some(held) = self.flowspec_rib.remove(&peer) {
@@ -596,131 +479,71 @@ impl RouteServer {
         out
     }
 
-    /// Builds the member-facing export: action communities stripped,
-    /// next hop rewritten to the blackhole IP for blackhole-tagged routes.
-    /// IPv6 prefixes ride in MP_REACH_NLRI.
+    /// Propagates the removal of `peer`'s route for `prefix`: withdrawn
+    /// towards every other member, and towards the controller under the
+    /// path's id, which is freed.
+    fn propagate_withdrawal(&mut self, peer: Asn, prefix: Prefix, out: &mut RouteServerOutput) {
+        self.stats.withdrawn += 1;
+        for target in self.peers.keys() {
+            if *target != peer {
+                out.exports.push((*target, UpdateMessage::withdraw(prefix)));
+            }
+        }
+        if let Some(pid) = self.path_ids.remove(&(peer, prefix)) {
+            let path = Nlri::with_path_id(prefix, pid);
+            out.controller_updates
+                .push(UpdateMessage::withdraw_nlri(path));
+        }
+    }
+
+    /// Builds the member-facing export of one route: action communities
+    /// stripped, next hop rewritten to the blackhole IP (v4 or v6) for
+    /// blackhole-tagged routes.
     fn build_export(
         &self,
-        original: &UpdateMessage,
-        n: Nlri,
+        attrs: &[PathAttribute],
+        prefix: Prefix,
         mp_next_hop: Option<IpAddress>,
-        is_blackhole: bool,
     ) -> UpdateMessage {
-        let ixp16 = self.config.ixp_asn.0 as u16;
-        let attrs: Vec<PathAttribute> = original
-            .attrs
+        let ixp = self.config.ixp_asn;
+        let is_blackhole = update::communities(attrs)
             .iter()
-            .cloned()
-            .map(|a| match a {
-                PathAttribute::Communities(cs) => PathAttribute::Communities(
-                    cs.into_iter()
-                        .filter(|c| {
-                            // Strip action communities; keep blackhole and
-                            // informational ones.
-                            let action = (c.asn() == 0) || (c.asn() == ixp16 && c.value() != 666);
-                            !action || c.is_blackhole(self.config.ixp_asn)
-                        })
-                        .collect::<Vec<Community>>(),
-                ),
-                other => other,
-            })
-            .collect();
-        let next_hop = if is_blackhole {
-            IpAddress::V6(self.config.blackhole_next_hop_v6)
+            .any(|c| c.is_blackhole(ixp));
+        let mp_next_hop = if is_blackhole {
+            Some(IpAddress::V6(self.config.blackhole_next_hop_v6))
         } else {
-            mp_next_hop.unwrap_or(IpAddress::V6(Ipv6Address::UNSPECIFIED))
+            mp_next_hop
         };
-        let mut export = placed(attrs, Nlri::plain(n.prefix), next_hop);
-        if is_blackhole && matches!(n.prefix, Prefix::V4(_)) {
-            // Rewrite (or insert) the next hop.
-            let mut rewritten = false;
-            for a in export.attrs.iter_mut() {
-                if let PathAttribute::NextHop(nh) = a {
-                    *nh = self.config.blackhole_next_hop;
-                    rewritten = true;
-                }
+        let mut export =
+            UpdateMessage::announce_nlri(attrs.iter().cloned(), Nlri::plain(prefix), mp_next_hop);
+        for a in &mut export.attrs {
+            if let PathAttribute::Communities(cs) = a {
+                // Strip action communities; keep blackhole and
+                // informational ones.
+                cs.retain(|c| {
+                    let action = c.asn() == 0 || (c.asn() == ixp.0 as u16 && c.value() != 666);
+                    !action || c.is_blackhole(ixp)
+                });
             }
-            if !rewritten {
-                export
-                    .attrs
-                    .push(PathAttribute::NextHop(self.config.blackhole_next_hop));
-            }
+        }
+        if is_blackhole && matches!(prefix, Prefix::V4(_)) {
+            export.set_next_hop(self.config.blackhole_next_hop);
         }
         export
     }
 }
 
-/// `attrs` announcing the one NLRI `n` in its family's place (RFC 4760):
-/// every MP_REACH/MP_UNREACH the attributes arrived with is dropped, an
-/// IPv4 NLRI rides in the classic field, an IPv6 one in MP_REACH_NLRI
-/// with `next_hop` — and without the classic NEXT_HOP, which is IPv4's
-/// (RFC 4760 §3).
-fn placed(mut attrs: Vec<PathAttribute>, n: Nlri, next_hop: IpAddress) -> UpdateMessage {
-    attrs.retain(|a| !matches!(a.type_code(), 14 | 15));
-    match n.prefix {
-        Prefix::V4(_) => UpdateMessage {
-            withdrawn: vec![],
-            attrs,
-            nlri: vec![n],
-        },
-        Prefix::V6(_) => {
-            attrs.retain(|a| !matches!(a, PathAttribute::NextHop(_)));
-            attrs.push(PathAttribute::MpReach {
-                afi: Afi::Ipv6,
-                safi: Safi::Unicast,
-                next_hop,
-                nlri: vec![n],
-            });
-            UpdateMessage {
-                withdrawn: vec![],
-                attrs,
-                nlri: vec![],
-            }
-        }
-    }
-}
-
-/// A withdrawal message for `prefix`, family-appropriate (classic field
-/// for IPv4, MP_UNREACH for IPv6), optionally ADD-PATH tagged.
-fn withdraw_msg(prefix: Prefix, path_id: Option<u32>) -> UpdateMessage {
-    let entry = match path_id {
-        Some(pid) => Nlri::with_path_id(prefix, pid),
-        None => Nlri::plain(prefix),
-    };
-    match prefix {
-        Prefix::V4(_) => UpdateMessage {
-            withdrawn: vec![entry],
-            attrs: vec![],
-            nlri: vec![],
-        },
-        Prefix::V6(_) => UpdateMessage {
-            withdrawn: vec![],
-            attrs: vec![PathAttribute::MpUnreach {
-                afi: Afi::Ipv6,
-                safi: Safi::Unicast,
-                nlri: vec![entry],
-            }],
-            nlri: vec![],
-        },
-    }
-}
-
-/// The controller-feed message for one accepted path: original attributes
-/// (the controller needs the extended communities and true next hop),
-/// ADD-PATH tagged, family-appropriate — an IPv4 path never drags the
-/// MP_REACH of an IPv6 prefix announced beside it into the feed.
+/// The controller-feed message for one accepted path: its original
+/// attributes (the controller needs the extended communities and true
+/// next hop), the path ADD-PATH tagged in its family's place.
 fn controller_feed(
-    original: &UpdateMessage,
-    n: Nlri,
+    attrs: &[PathAttribute],
+    prefix: Prefix,
     mp_next_hop: Option<IpAddress>,
     pid: u32,
 ) -> UpdateMessage {
-    let next_hop = mp_next_hop.unwrap_or(IpAddress::V6(Ipv6Address::UNSPECIFIED));
-    placed(
-        original.attrs.clone(),
-        Nlri::with_path_id(n.prefix, pid),
-        next_hop,
-    )
+    let path = Nlri::with_path_id(prefix, pid);
+    UpdateMessage::announce_nlri(attrs.iter().cloned(), path, mp_next_hop)
 }
 
 #[cfg(test)]
@@ -728,7 +551,8 @@ mod tests {
     use super::*;
     use crate::irr::IrrDb;
     use crate::rpki::RpkiTable;
-    use stellar_bgp::attr::AsPath;
+    use stellar_bgp::community::Community;
+    use stellar_bgp::types::Safi;
 
     fn server_with_peers(peers: &[u32]) -> RouteServer {
         let mut irr = IrrDb::new();
@@ -936,7 +760,7 @@ mod tests {
             next_hop: IpAddress::V6("2001:7f8:0:1::a".parse().unwrap()),
             nlri: vec![Nlri::plain(v6)],
         });
-        u.add_extended_communities(&[stellar_bgp::extcommunity::ExtendedCommunity::TwoOctetAs {
+        u.add_extended_communities(&[ExtendedCommunity::TwoOctetAs {
             subtype: 0xbb,
             asn: 6695,
             local: 0x0200_007b,
@@ -946,13 +770,11 @@ mod tests {
         assert!(out.rejections.is_empty(), "{:?}", out.rejections);
         assert_eq!(out.controller_updates.len(), 2);
         for feed in &out.controller_updates {
-            let mp = feed.attrs.iter().flat_map(|a| match a {
-                PathAttribute::MpReach { nlri, .. } => nlri.as_slice(),
-                _ => &[],
-            });
-            let announced: Vec<&Nlri> = feed.nlri.iter().chain(mp).collect();
-            assert_eq!(announced.len(), 1, "{feed:?}");
-            assert!(announced[0].path_id.is_some());
+            let announced: Vec<_> = feed.announcements().collect();
+            assert!(
+                matches!(announced[..], [(n, _)] if n.path_id.is_some()),
+                "{feed:?}"
+            );
         }
     }
 
@@ -970,9 +792,7 @@ mod flowspec_tests {
     use crate::flowspec::FlowSpecRejectReason;
     use crate::irr::IrrDb;
     use crate::rpki::RpkiTable;
-    use stellar_bgp::attr::AsPath;
-    use stellar_bgp::extcommunity::ExtendedCommunity;
-    use stellar_bgp::flowspec::{Component, FlowSpec, NumericOp};
+    use stellar_bgp::flowspec::{Component, NumericOp};
 
     fn server() -> RouteServer {
         let mut irr = IrrDb::new();
@@ -995,42 +815,13 @@ mod flowspec_tests {
         .unwrap()
     }
 
-    fn flowspec_announce(asn: u32, flow: FlowSpec, actions: &[ExtendedCommunity]) -> UpdateMessage {
-        let mut u = UpdateMessage {
-            withdrawn: vec![],
-            attrs: vec![
-                PathAttribute::AsPath(AsPath::sequence([asn])),
-                PathAttribute::MpReachFlowSpec {
-                    afi: Afi::Ipv4,
-                    nlri: vec![flow],
-                },
-            ],
-            nlri: vec![],
-        };
-        if !actions.is_empty() {
-            u.add_extended_communities(actions);
-        }
-        u
-    }
-
-    fn flowspec_withdraw(flow: FlowSpec) -> UpdateMessage {
-        UpdateMessage {
-            withdrawn: vec![],
-            attrs: vec![PathAttribute::MpUnreachFlowSpec {
-                afi: Afi::Ipv4,
-                nlri: vec![flow],
-            }],
-            nlri: vec![],
-        }
-    }
-
     #[test]
     fn owner_flowspec_is_accepted_and_installed() {
         let mut rs = server();
         let drop_rate = ExtendedCommunity::traffic_rate(64500, 0.0);
         let out = rs.handle_flowspec_update(
             Asn(64500),
-            &flowspec_announce(64500, victim_flow(), &[drop_rate]),
+            &UpdateMessage::announce_flowspec(Asn(64500), victim_flow(), &[drop_rate]),
         );
         assert!(out.rejections.is_empty());
         assert_eq!(out.accepted.len(), 1);
@@ -1043,8 +834,10 @@ mod flowspec_tests {
     #[test]
     fn non_owner_flowspec_is_rejected() {
         let mut rs = server();
-        let out =
-            rs.handle_flowspec_update(Asn(64501), &flowspec_announce(64501, victim_flow(), &[]));
+        let out = rs.handle_flowspec_update(
+            Asn(64501),
+            &UpdateMessage::announce_flowspec(Asn(64501), victim_flow(), &[]),
+        );
         assert!(out.accepted.is_empty());
         assert_eq!(out.rejections.len(), 1);
         assert_eq!(
@@ -1064,12 +857,12 @@ mod flowspec_tests {
         let shape = ExtendedCommunity::traffic_rate(64500, 1_000_000.0);
         rs.handle_flowspec_update(
             Asn(64500),
-            &flowspec_announce(64500, victim_flow(), &[shape]),
+            &UpdateMessage::announce_flowspec(Asn(64500), victim_flow(), &[shape]),
         );
         let drop_rate = ExtendedCommunity::traffic_rate(64500, 0.0);
         rs.handle_flowspec_update(
             Asn(64500),
-            &flowspec_announce(64500, victim_flow(), &[drop_rate]),
+            &UpdateMessage::announce_flowspec(Asn(64500), victim_flow(), &[drop_rate]),
         );
         // One rule, carrying the latest actions (implicit withdraw).
         let routes = rs.flowspec_routes();
@@ -1081,12 +874,17 @@ mod flowspec_tests {
     #[test]
     fn withdrawal_removes_the_rule_once() {
         let mut rs = server();
-        rs.handle_flowspec_update(Asn(64500), &flowspec_announce(64500, victim_flow(), &[]));
-        let out = rs.handle_flowspec_update(Asn(64500), &flowspec_withdraw(victim_flow()));
+        rs.handle_flowspec_update(
+            Asn(64500),
+            &UpdateMessage::announce_flowspec(Asn(64500), victim_flow(), &[]),
+        );
+        let out =
+            rs.handle_flowspec_update(Asn(64500), &UpdateMessage::withdraw_flowspec(victim_flow()));
         assert_eq!(out.withdrawn.len(), 1);
         assert!(rs.flowspec_routes().is_empty());
         // A duplicate withdrawal removes (and counts) nothing.
-        let out = rs.handle_flowspec_update(Asn(64500), &flowspec_withdraw(victim_flow()));
+        let out =
+            rs.handle_flowspec_update(Asn(64500), &UpdateMessage::withdraw_flowspec(victim_flow()));
         assert!(out.withdrawn.is_empty());
         assert_eq!(rs.flowspec_stats().withdrawn, 1);
     }
@@ -1094,7 +892,10 @@ mod flowspec_tests {
     #[test]
     fn peer_down_flushes_flowspec_rules() {
         let mut rs = server();
-        rs.handle_flowspec_update(Asn(64500), &flowspec_announce(64500, victim_flow(), &[]));
+        rs.handle_flowspec_update(
+            Asn(64500),
+            &UpdateMessage::announce_flowspec(Asn(64500), victim_flow(), &[]),
+        );
         let out = rs.peer_down(Asn(64500));
         assert_eq!(out.flowspec_withdrawn.len(), 1);
         assert_eq!(out.flowspec_withdrawn[0].0, Asn(64500));
@@ -1105,8 +906,10 @@ mod flowspec_tests {
     #[test]
     fn unknown_peer_flowspec_is_ignored() {
         let mut rs = server();
-        let out =
-            rs.handle_flowspec_update(Asn(9999), &flowspec_announce(9999, victim_flow(), &[]));
+        let out = rs.handle_flowspec_update(
+            Asn(9999),
+            &UpdateMessage::announce_flowspec(Asn(9999), victim_flow(), &[]),
+        );
         assert!(out.accepted.is_empty() && out.rejections.is_empty());
         assert_eq!(rs.flowspec_stats().announced, 0);
     }
@@ -1151,20 +954,32 @@ mod flowspec_tests {
             moved && rs.flowspec_owner_revision(OWNER) == version
         };
         let shape = ExtendedCommunity::traffic_rate(64500, 1_000_000.0);
-        rs.handle_flowspec_update(OWNER, &flowspec_announce(64500, victim_flow(), &[]));
+        rs.handle_flowspec_update(
+            OWNER,
+            &UpdateMessage::announce_flowspec(Asn(64500), victim_flow(), &[]),
+        );
         assert!(stamped(&rs), "announcement");
-        rs.handle_flowspec_update(OWNER, &flowspec_announce(64500, victim_flow(), &[shape]));
+        rs.handle_flowspec_update(
+            OWNER,
+            &UpdateMessage::announce_flowspec(Asn(64500), victim_flow(), &[shape]),
+        );
         assert!(stamped(&rs), "implicit withdraw");
-        rs.handle_flowspec_update(OWNER, &flowspec_withdraw(victim_flow()));
+        rs.handle_flowspec_update(OWNER, &UpdateMessage::withdraw_flowspec(victim_flow()));
         assert!(stamped(&rs), "withdrawal");
-        rs.handle_flowspec_update(OWNER, &flowspec_announce(64500, victim_flow(), &[]));
+        rs.handle_flowspec_update(
+            OWNER,
+            &UpdateMessage::announce_flowspec(Asn(64500), victim_flow(), &[]),
+        );
         assert!(stamped(&rs), "announcement");
         rs.peer_down(OWNER);
         assert!(stamped(&rs), "session-down flush");
         // What edits nothing stamps nothing: a duplicate withdrawal, a
         // refused announcement, a flush of a peer holding no rule.
-        rs.handle_flowspec_update(OWNER, &flowspec_withdraw(victim_flow()));
-        rs.handle_flowspec_update(OTHER, &flowspec_announce(64501, victim_flow(), &[]));
+        rs.handle_flowspec_update(OWNER, &UpdateMessage::withdraw_flowspec(victim_flow()));
+        rs.handle_flowspec_update(
+            OTHER,
+            &UpdateMessage::announce_flowspec(Asn(64501), victim_flow(), &[]),
+        );
         rs.peer_down(OTHER);
         assert!(!stamped(&rs));
     }
@@ -1183,8 +998,14 @@ mod flowspec_tests {
     #[test]
     fn observe_publishes_flowspec_counters() {
         let mut rs = server();
-        rs.handle_flowspec_update(Asn(64500), &flowspec_announce(64500, victim_flow(), &[]));
-        rs.handle_flowspec_update(Asn(64501), &flowspec_announce(64501, victim_flow(), &[]));
+        rs.handle_flowspec_update(
+            Asn(64500),
+            &UpdateMessage::announce_flowspec(Asn(64500), victim_flow(), &[]),
+        );
+        rs.handle_flowspec_update(
+            Asn(64501),
+            &UpdateMessage::announce_flowspec(Asn(64501), victim_flow(), &[]),
+        );
         let mut reg = stellar_obs::MetricsRegistry::new();
         rs.observe(&mut reg);
         assert_eq!(reg.counter("routeserver.flowspec.announced"), 2);
@@ -1202,7 +1023,6 @@ mod max_prefix_tests {
     use crate::irr::IrrDb;
     use crate::policy::{ImportPolicy, RejectReason};
     use crate::rpki::RpkiTable;
-    use stellar_bgp::attr::{AsPath, PathAttribute};
 
     #[test]
     fn max_prefix_limit_rejects_flooding_peer() {

@@ -4,12 +4,13 @@ use crate::fabric::{Fabric, PopId};
 use crate::honoring::HonoringModel;
 use std::collections::BTreeMap;
 use stellar_bgp::attr::{AsPath, PathAttribute};
-use stellar_bgp::types::Asn;
+use stellar_bgp::nlri::Nlri;
+use stellar_bgp::types::{Asn, Origin};
 use stellar_bgp::update::UpdateMessage;
 use stellar_dataplane::hardware::HardwareInfoBase;
 use stellar_dataplane::port::MemberPort;
 use stellar_dataplane::switch::PortId;
-use stellar_net::addr::Ipv4Address;
+use stellar_net::addr::{IpAddress, Ipv4Address, Ipv6Address};
 use stellar_net::mac::MacAddr;
 use stellar_net::prefix::{Ipv4Prefix, Prefix};
 use stellar_routeserver::irr::IrrDb;
@@ -130,39 +131,20 @@ impl IxpTopology {
     }
 
     /// Builds the standard announcement a member sends the route server
-    /// for one of its prefixes. IPv6 prefixes are announced via
-    /// MP_REACH_NLRI (RFC 4760).
+    /// for one of its prefixes, placed by family (RFC 4760): an IPv6
+    /// prefix rides in MP_REACH_NLRI with a stable peering address
+    /// synthesized from the member's IPv4 one.
     pub fn announcement(&self, asn: Asn, prefix: Prefix) -> UpdateMessage {
         let info = self.members.get(&asn).expect("member exists");
-        match prefix {
-            Prefix::V4(_) => UpdateMessage::announce(
-                prefix,
-                info.peering_ip,
-                PathAttribute::AsPath(AsPath::sequence([asn.0])),
-            ),
-            Prefix::V6(_) => {
-                // Synthesize a stable v6 peering address from the v4 one.
-                let o = info.peering_ip.octets();
-                let nh: stellar_net::addr::Ipv6Address =
-                    format!("2001:7f8:0:1::{:x}:{:x}", u16::from(o[2]), u16::from(o[3]))
-                        .parse()
-                        .expect("synthesized address parses");
-                UpdateMessage {
-                    withdrawn: vec![],
-                    attrs: vec![
-                        stellar_bgp::attr::PathAttribute::Origin(stellar_bgp::types::Origin::Igp),
-                        PathAttribute::AsPath(AsPath::sequence([asn.0])),
-                        stellar_bgp::attr::PathAttribute::MpReach {
-                            afi: stellar_bgp::types::Afi::Ipv6,
-                            safi: stellar_bgp::types::Safi::Unicast,
-                            next_hop: stellar_net::addr::IpAddress::V6(nh),
-                            nlri: vec![stellar_bgp::nlri::Nlri::plain(prefix)],
-                        },
-                    ],
-                    nlri: vec![],
-                }
-            }
-        }
+        let [_, _, c, d] = info.peering_ip.octets();
+        let v6_peering = Ipv6Address::from_groups([0x2001, 0x7f8, 0, 1, 0, 0, c.into(), d.into()]);
+        let attrs = [
+            PathAttribute::Origin(Origin::Igp),
+            PathAttribute::AsPath(AsPath::sequence([asn.0])),
+            PathAttribute::NextHop(info.peering_ip),
+        ];
+        let next_hop = Some(IpAddress::V6(v6_peering));
+        UpdateMessage::announce_nlri(attrs, Nlri::plain(prefix), next_hop)
     }
 
     /// Announces every member's prefixes to the route server (topology
