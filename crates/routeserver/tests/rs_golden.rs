@@ -4,14 +4,15 @@
 //! Each episode drives a fresh [`RouteServer`] through its public entries
 //! only — unicast and FlowSpec UPDATEs, FlowSpec wire bytes, session-down
 //! flushes — and is hashed (FNV-1a) over the `Debug` rendering of every
-//! [`RouteServerOutput`](stellar_routeserver::RouteServerOutput) and
+//! [`RouteServerOutput`] as its members receive it (one `(target,
+//! message)` pair per export, see [`AsReceived`]) and every
 //! [`FlowSpecOutput`](stellar_routeserver::FlowSpecOutput) it produced,
 //! then over the route-refresh view of every peer, the controller resync
 //! replay, the looking glass for the prefixes it touched and the observed
 //! import counters. A mismatch means the route server changed behaviour —
 //! re-pin only with an argument why.
 
-use std::fmt::Debug;
+use std::fmt::{self, Debug};
 use stellar_bgp::attr::{AsPath, PathAttribute};
 use stellar_bgp::community::Community;
 use stellar_bgp::extcommunity::ExtendedCommunity;
@@ -26,6 +27,7 @@ use stellar_routeserver::looking_glass;
 use stellar_routeserver::policy::ImportPolicy;
 use stellar_routeserver::rpki::RpkiTable;
 use stellar_routeserver::server::{RouteServer, RouteServerConfig};
+use stellar_routeserver::RouteServerOutput;
 
 const IXP: u16 = 6695;
 const A: Asn = Asn(64500);
@@ -86,7 +88,13 @@ impl Run {
 
     fn update(&mut self, peer: Asn, u: &UpdateMessage, now_us: u64) {
         let out = self.rs.handle_update(peer, u, now_us);
-        self.hash(&out);
+        self.hash_output(&out);
+    }
+
+    fn hash_output(&mut self, out: &RouteServerOutput) {
+        let received = format!("{:?}", AsReceived(out));
+        assert_eq!(received, format!("{out:?}"));
+        self.h.bytes(received.as_bytes());
     }
 
     fn flowspec(&mut self, peer: Asn, u: &UpdateMessage) {
@@ -103,7 +111,7 @@ impl Run {
 
     fn peer_down(&mut self, peer: Asn) {
         let out = self.rs.peer_down(peer);
-        self.hash(&out);
+        self.hash_output(&out);
     }
 
     /// Hashes what the episode left behind and returns the digest.
@@ -123,6 +131,25 @@ impl Run {
         self.rs.observe(&mut reg);
         self.hash(&reg);
         self.h.0
+    }
+}
+
+/// A route-server output rendered as its members receive it: one
+/// `(target, message)` pair per export, in export order, next to the
+/// controller feed, the rejections and the flushed FlowSpec rules.
+struct AsReceived<'a>(&'a RouteServerOutput);
+
+impl Debug for AsReceived<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let out = self.0;
+        let exports: Vec<(Asn, &UpdateMessage)> =
+            out.exports.iter().map(|(target, m)| (*target, m)).collect();
+        f.debug_struct("RouteServerOutput")
+            .field("exports", &exports)
+            .field("controller_updates", &out.controller_updates)
+            .field("rejections", &out.rejections)
+            .field("flowspec_withdrawn", &out.flowspec_withdrawn)
+            .finish()
     }
 }
 
