@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use stellar_bgp::community::Community;
 use stellar_bgp::types::Asn;
-use stellar_routeserver::control::classify_scope;
+use stellar_routeserver::control::ExportScope;
 
 /// The scope distribution the paper reports (Fig. 3b): label → share of
 /// announcements.
@@ -77,7 +77,7 @@ pub fn run(n: usize, seed: u64) -> BTreeMap<String, f64> {
             }
         }
         let cs = communities_for(label, ixp, &mut rng);
-        let scope = classify_scope(&cs, ixp);
+        let scope = ExportScope::parse(&cs, ixp).classify();
         // Sanity: every generated set must classify back to its label.
         debug_assert_eq!(scope.label(), label, "classifier disagrees");
         *counts.entry(scope.label()).or_insert(0) += 1;
@@ -126,7 +126,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         for (label, _) in PAPER_DISTRIBUTION {
             let cs = communities_for(label, ixp, &mut rng);
-            assert_eq!(classify_scope(&cs, ixp).label(), label);
+            assert_eq!(ExportScope::parse(&cs, ixp).classify().label(), label);
             // All variants still carry the blackhole tag.
             assert!(cs.iter().any(|c| c.is_blackhole(ixp)));
         }

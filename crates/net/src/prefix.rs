@@ -305,6 +305,15 @@ impl Prefix {
         }
     }
 
+    /// Every prefix that covers (or equals) `self`, shortest first: the
+    /// `/0` of its family, then one per length down to `self` itself.
+    pub fn covering(self) -> impl Iterator<Item = Prefix> {
+        (0..=self.len()).filter_map(move |len| match self {
+            Prefix::V4(p) => Ipv4Prefix::new(p.addr(), len).ok().map(Prefix::V4),
+            Prefix::V6(p) => Ipv6Prefix::new(p.addr(), len).ok().map(Prefix::V6),
+        })
+    }
+
     /// True if this announcement is "more specific than /24" (IPv4) or
     /// "more specific than /48" (IPv6) — the announcements that default BGP
     /// filters drop, which is exactly why RTBH compliance is poor (§2.4).
@@ -426,6 +435,20 @@ mod tests {
         let p: Ipv6Prefix = "2001:db8:8000::/33".parse().unwrap();
         assert!(p.contains("2001:db8:8000::1".parse().unwrap()));
         assert!(!p.contains("2001:db8:0::1".parse().unwrap()));
+    }
+
+    #[test]
+    fn covering_lists_every_ancestor_shortest_first() {
+        let host: Prefix = "100.10.10.10/32".parse().unwrap();
+        let covering: Vec<Prefix> = host.covering().collect();
+        assert_eq!(covering.len(), 33);
+        assert_eq!(covering[0], "0.0.0.0/0".parse().unwrap());
+        assert_eq!(covering[24], "100.10.10.0/24".parse().unwrap());
+        assert_eq!(covering[32], host);
+        assert!(covering.iter().all(|c| c.covers(&host)));
+        let v6: Prefix = "2001:db8::/33".parse().unwrap();
+        assert_eq!(v6.covering().count(), 34);
+        assert!(v6.covering().all(|c| c.covers(&v6)));
     }
 
     #[test]

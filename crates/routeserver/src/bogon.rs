@@ -5,42 +5,42 @@
 //! *not* listed: the emulation uses them as synthetic public address
 //! space, exactly because no real network owns them.
 
-use stellar_net::prefix::Prefix;
+use stellar_net::addr::{Ipv4Address, Ipv6Address};
+use stellar_net::prefix::{Ipv4Prefix, Ipv6Prefix, Prefix};
 
-/// The filtered IPv4 bogon ranges.
-pub fn bogon_list_v4() -> Vec<Prefix> {
-    [
-        "0.0.0.0/8",      // "this" network
-        "10.0.0.0/8",     // RFC 1918
-        "100.64.0.0/10",  // CGN shared space
-        "127.0.0.0/8",    // loopback
-        "169.254.0.0/16", // link local
-        "172.16.0.0/12",  // RFC 1918
-        "192.168.0.0/16", // RFC 1918
-        "224.0.0.0/4",    // multicast
-        "240.0.0.0/4",    // reserved
-    ]
-    .iter()
-    .map(|s| s.parse().expect("static bogon list parses"))
-    .collect()
-}
+/// The filtered IPv4 bogon ranges: network and length.
+const BOGONS_V4: [(Ipv4Address, u8); 9] = [
+    (Ipv4Address::new(0, 0, 0, 0), 8),      // "this" network
+    (Ipv4Address::new(10, 0, 0, 0), 8),     // RFC 1918
+    (Ipv4Address::new(100, 64, 0, 0), 10),  // CGN shared space
+    (Ipv4Address::new(127, 0, 0, 0), 8),    // loopback
+    (Ipv4Address::new(169, 254, 0, 0), 16), // link local
+    (Ipv4Address::new(172, 16, 0, 0), 12),  // RFC 1918
+    (Ipv4Address::new(192, 168, 0, 0), 16), // RFC 1918
+    (Ipv4Address::new(224, 0, 0, 0), 4),    // multicast
+    (Ipv4Address::new(240, 0, 0, 0), 4),    // reserved
+];
 
-/// The filtered IPv6 bogon ranges (a pragmatic subset).
-pub fn bogon_list_v6() -> Vec<Prefix> {
-    ["::/8", "fc00::/7", "fe80::/10", "ff00::/8"]
-        .iter()
-        .map(|s| s.parse().expect("static bogon list parses"))
-        .collect()
-}
+/// The filtered IPv6 bogon ranges (a pragmatic subset): first group and
+/// length — none is longer than 16 bits.
+const BOGONS_V6: [(u16, u8); 4] = [
+    (0x0000, 8),  // ::/8
+    (0xfc00, 7),  // unique local
+    (0xfe80, 10), // link local
+    (0xff00, 8),  // multicast
+];
 
 /// True if `prefix` falls inside (or equals) a bogon range.
 pub fn is_bogon(prefix: &Prefix) -> bool {
-    let list = if prefix.is_v4() {
-        bogon_list_v4()
-    } else {
-        bogon_list_v6()
-    };
-    list.iter().any(|b| b.covers(prefix))
+    match prefix {
+        Prefix::V4(p) => BOGONS_V4
+            .iter()
+            .any(|&(net, len)| Ipv4Prefix::new(net, len).is_ok_and(|b| b.covers(p))),
+        Prefix::V6(p) => BOGONS_V6.iter().any(|&(group, len)| {
+            let net = Ipv6Address::from_groups([group, 0, 0, 0, 0, 0, 0, 0]);
+            Ipv6Prefix::new(net, len).is_ok_and(|b| b.covers(p))
+        }),
+    }
 }
 
 #[cfg(test)]

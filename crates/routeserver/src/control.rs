@@ -16,28 +16,63 @@
 use stellar_bgp::community::Community;
 use stellar_bgp::types::Asn;
 
-/// Whether an announcement tagged with `communities` should be exported to
-/// `target`. `ixp_asn` is the route server's AS (must fit 16 bits for the
-/// classic encoding).
-pub fn should_announce(communities: &[Community], target: Asn, ixp_asn: Asn) -> bool {
-    let ixp16 = ixp_asn.0 as u16;
-    let target16 = target.0 as u16;
-    let block_all = communities
-        .iter()
-        .any(|c| c.asn() == 0 && c.value() == ixp16);
-    let explicit_allow = communities
-        .iter()
-        .any(|c| c.asn() == ixp16 && c.value() == target16);
-    let explicit_block = communities
-        .iter()
-        .any(|c| c.asn() == 0 && c.value() == target16 && c.value() != ixp16);
-    if explicit_block {
-        return false;
+/// The export scope one announcement's action communities express, read
+/// in one pass over its community list: the same parse answers which
+/// members receive the export ([`ExportScope::admits`]) and Fig. 3(b)'s
+/// label ([`ExportScope::classify`]).
+///
+/// A classic community names a 16-bit ASN only, so a peer with a 4-byte
+/// ASN follows block-all or the default and nothing else; the blackhole
+/// tag `<ixp-asn>:666` is never a whitelist entry.
+#[derive(Debug, Default)]
+pub struct ExportScope {
+    /// `0:<ixp-asn>` is present: announce to the whitelist only.
+    block_all: bool,
+    /// The `<ixp-asn>:<peer-asn>` values, one per community.
+    allowed: Vec<u16>,
+    /// The `0:<peer-asn>` values, one per community.
+    blocked: Vec<u16>,
+}
+
+impl ExportScope {
+    /// Parses `communities` under `ixp_asn`, the route server's AS (it
+    /// must fit 16 bits for the classic encoding).
+    pub fn parse(communities: &[Community], ixp_asn: Asn) -> Self {
+        let ixp16 = ixp_asn.0 as u16;
+        let mut scope = ExportScope::default();
+        for c in communities {
+            match (c.asn(), c.value()) {
+                (0, value) if value == ixp16 => scope.block_all = true,
+                (0, value) => scope.blocked.push(value),
+                (asn, value) if asn == ixp16 && value != 666 => scope.allowed.push(value),
+                _ => {}
+            }
+        }
+        scope
     }
-    if block_all {
-        return explicit_allow;
+
+    /// Whether the export goes to `target`. An explicit block beats
+    /// everything; under block-all only whitelisted peers receive it.
+    pub fn admits(&self, target: Asn) -> bool {
+        let Ok(target16) = u16::try_from(target.0) else {
+            return !self.block_all;
+        };
+        if self.blocked.contains(&target16) {
+            return false;
+        }
+        !self.block_all || self.allowed.contains(&target16)
     }
-    true
+
+    /// Classifies the scope the way Fig. 3(b) does.
+    pub fn classify(&self) -> PolicyScope {
+        if self.block_all {
+            PolicyScope::Only(self.allowed.len())
+        } else if self.blocked.is_empty() {
+            PolicyScope::All
+        } else {
+            PolicyScope::AllExcept(self.blocked.len())
+        }
+    }
 }
 
 /// The export scope a community set expresses over a peer population.
@@ -62,94 +97,92 @@ impl PolicyScope {
     }
 }
 
-/// Classifies a community set the way Fig. 3(b) does.
-pub fn classify_scope(communities: &[Community], ixp_asn: Asn) -> PolicyScope {
-    let ixp16 = ixp_asn.0 as u16;
-    let block_all = communities
-        .iter()
-        .any(|c| c.asn() == 0 && c.value() == ixp16);
-    if block_all {
-        let allowed = communities
-            .iter()
-            .filter(|c| c.asn() == ixp16 && c.value() != 666)
-            .count();
-        PolicyScope::Only(allowed)
-    } else {
-        let blocked = communities
-            .iter()
-            .filter(|c| c.asn() == 0 && c.value() != ixp16)
-            .count();
-        if blocked == 0 {
-            PolicyScope::All
-        } else {
-            PolicyScope::AllExcept(blocked)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const IXP: Asn = Asn(6695);
 
+    fn scope(communities: &[Community]) -> ExportScope {
+        ExportScope::parse(communities, IXP)
+    }
+
     #[test]
     fn default_is_announce_to_all() {
-        assert!(should_announce(&[], Asn(64500), IXP));
-        assert!(should_announce(&[Community::BLACKHOLE], Asn(64500), IXP));
-        assert_eq!(classify_scope(&[], IXP), PolicyScope::All);
+        assert!(scope(&[]).admits(Asn(64500)));
+        assert!(scope(&[Community::BLACKHOLE]).admits(Asn(64500)));
+        assert_eq!(scope(&[]).classify(), PolicyScope::All);
     }
 
     #[test]
     fn block_one_peer() {
-        let cs = [Community::new(0, 64500)];
-        assert!(!should_announce(&cs, Asn(64500), IXP));
-        assert!(should_announce(&cs, Asn(64501), IXP));
-        assert_eq!(classify_scope(&cs, IXP), PolicyScope::AllExcept(1));
-        assert_eq!(classify_scope(&cs, IXP).label(), "All-1");
+        let s = scope(&[Community::new(0, 64500)]);
+        assert!(!s.admits(Asn(64500)));
+        assert!(s.admits(Asn(64501)));
+        assert_eq!(s.classify(), PolicyScope::AllExcept(1));
+        assert_eq!(s.classify().label(), "All-1");
     }
 
     #[test]
     fn announce_to_none_with_whitelist() {
-        let cs = [
+        let s = scope(&[
             Community::new(0, 6695),     // block all
             Community::new(6695, 64500), // allow 64500
             Community::new(6695, 64501), // allow 64501
-        ];
-        assert!(should_announce(&cs, Asn(64500), IXP));
-        assert!(should_announce(&cs, Asn(64501), IXP));
-        assert!(!should_announce(&cs, Asn(64502), IXP));
-        assert_eq!(classify_scope(&cs, IXP), PolicyScope::Only(2));
-        assert_eq!(classify_scope(&cs, IXP).label(), "2");
+        ]);
+        assert!(s.admits(Asn(64500)));
+        assert!(s.admits(Asn(64501)));
+        assert!(!s.admits(Asn(64502)));
+        assert_eq!(s.classify(), PolicyScope::Only(2));
+        assert_eq!(s.classify().label(), "2");
     }
 
     #[test]
     fn explicit_block_beats_everything() {
-        let cs = [
+        let s = scope(&[
             Community::new(0, 6695),
             Community::new(6695, 64500),
             Community::new(0, 64500),
-        ];
-        assert!(!should_announce(&cs, Asn(64500), IXP));
+        ]);
+        assert!(!s.admits(Asn(64500)));
     }
 
     #[test]
     fn blackhole_community_does_not_affect_scope() {
         // IXP:666 is the blackhole tag, not a whitelist entry.
-        let cs = [Community::new(6695, 666)];
-        assert_eq!(classify_scope(&cs, IXP), PolicyScope::All);
-        let cs = [
+        assert_eq!(
+            scope(&[Community::new(6695, 666)]).classify(),
+            PolicyScope::All
+        );
+        let s = scope(&[
             Community::new(0, 6695),
             Community::new(6695, 666),
             Community::new(6695, 64500),
-        ];
-        assert_eq!(classify_scope(&cs, IXP), PolicyScope::Only(1));
+        ]);
+        assert_eq!(s.classify(), PolicyScope::Only(1));
+        // Nor does it let the export through to a peer whose ASN is 666.
+        assert!(s.admits(Asn(64500)));
+        assert!(!s.admits(Asn(666)));
+    }
+
+    #[test]
+    fn four_byte_peers_follow_block_all_or_the_default() {
+        // 130036 = 65536 + 64500: its low 16 bits are 64500, but no
+        // classic community can name it.
+        let four_byte = Asn(130_036);
+        let s = scope(&[Community::new(0, 64500)]);
+        assert!(!s.admits(Asn(64500)));
+        assert!(s.admits(four_byte), "0:64500 blocks AS64500 only");
+        let s = scope(&[Community::new(0, 6695), Community::new(6695, 64500)]);
+        assert!(s.admits(Asn(64500)));
+        assert!(!s.admits(four_byte), "6695:64500 whitelists AS64500 only");
+        assert!(scope(&[]).admits(four_byte));
     }
 
     #[test]
     fn multiple_excludes_classify_as_all_minus_k() {
         let cs: Vec<Community> = (0..5).map(|i| Community::new(0, 64500 + i)).collect();
-        assert_eq!(classify_scope(&cs, IXP), PolicyScope::AllExcept(5));
-        assert_eq!(classify_scope(&cs, IXP).label(), "All-5");
+        assert_eq!(scope(&cs).classify(), PolicyScope::AllExcept(5));
+        assert_eq!(scope(&cs).classify().label(), "All-5");
     }
 }

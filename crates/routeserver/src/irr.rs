@@ -44,10 +44,13 @@ impl IrrDb {
     /// the exact prefix or for any covering aggregate ("this does not
     /// interfere with prefix delegations", §4.3) — so a /32 blackhole
     /// announcement validates against the owner's registered /24.
+    /// Looked up by covering prefix: at most 33 (v4) or 129 (v6) probes,
+    /// whatever the size of the database.
     pub fn validates(&self, prefix: &Prefix, origin: Asn) -> bool {
-        self.objects
-            .iter()
-            .any(|(registered, origins)| registered.covers(prefix) && origins.contains(&origin))
+        prefix
+            .covering()
+            .filter_map(|covering| self.objects.get(&covering))
+            .any(|origins| origins.contains(&origin))
     }
 
     /// Number of route objects (prefix, origin) pairs.

@@ -32,12 +32,12 @@ pub mod rpki;
 pub mod server;
 pub mod stamps;
 
-pub use control::{classify_scope, should_announce, PolicyScope};
+pub use control::{ExportScope, PolicyScope};
 pub use flowspec::{
     validate_flowspec, AcceptedFlowSpec, FlowSpecOutput, FlowSpecRejectReason, FlowSpecStats,
 };
 pub use irr::IrrDb;
 pub use policy::{ImportPolicy, RejectReason};
 pub use rpki::{RpkiStatus, RpkiTable};
-pub use server::{RouteServer, RouteServerConfig, RouteServerOutput};
+pub use server::{Export, RouteServer, RouteServerConfig, RouteServerOutput};
 pub use stamps::OwnerStamps;

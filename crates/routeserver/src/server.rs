@@ -10,8 +10,12 @@
 //! and built through `stellar_bgp::update`, which alone decides where an
 //! NLRI rides (RFC 4760): each export and each controller-feed message
 //! carries exactly one NLRI, in its family's place.
+//!
+//! Exports are update groups: the message for one NLRI is built once and
+//! handed to the ascending list of members that receive it, so a signal
+//! costs O(members) `Asn`s, not O(members) UPDATE copies.
 
-use crate::control::should_announce;
+use crate::control::ExportScope;
 use crate::flowspec::{
     action_communities, validate_flowspec, AcceptedFlowSpec, FlowSpecOutput, FlowSpecStats,
 };
@@ -55,11 +59,22 @@ impl RouteServerConfig {
     }
 }
 
+/// One update group: an export built once and the members it goes to.
+/// Every target receives `message` byte for byte.
+#[derive(Debug)]
+pub struct Export {
+    /// The receiving members, ascending; never the sender.
+    pub targets: Vec<Asn>,
+    /// The UPDATE each target receives.
+    pub message: UpdateMessage,
+}
+
 /// What handling one member UPDATE produced.
 #[derive(Debug, Default)]
 pub struct RouteServerOutput {
-    /// Per-target-member exports.
-    pub exports: Vec<(Asn, UpdateMessage)>,
+    /// The exports to members: one group per accepted NLRI and per
+    /// removed route, in processing order.
+    pub exports: Vec<Export>,
     /// The southbound feed: ADD-PATH-tagged updates for the blackholing
     /// controller.
     pub controller_updates: Vec<UpdateMessage>,
@@ -226,6 +241,7 @@ impl RouteServer {
         let first_as = path.and_then(AsPath::first_as);
         let origin_as = path.and_then(AsPath::origin_as);
         let communities = update.communities();
+        let scope = ExportScope::parse(communities, self.config.ixp_asn);
         // Any extended community in the IXP's own namespace marks the
         // update as an IXP service signal (a Stellar blackholing rule):
         // the /32 acceptance exception applies (§4.3).
@@ -263,13 +279,11 @@ impl RouteServer {
                 received_us: now_us,
             });
 
-            // Exports to the other members.
-            let export = self.build_export(&update.attrs, n.prefix, mp_next_hop);
-            for target in self.peers.keys() {
-                if *target != peer && should_announce(communities, *target, self.config.ixp_asn) {
-                    out.exports.push((*target, export.clone()));
-                }
-            }
+            // Exports to the other members: one update group.
+            out.exports.push(Export {
+                targets: self.targets(peer, |target| scope.admits(target)),
+                message: self.build_export(&update.attrs, n.prefix, mp_next_hop),
+            });
 
             // Controller feed: every accepted path, ADD-PATH tagged.
             let pid = *self.path_ids.entry((peer, n.prefix)).or_insert_with(|| {
@@ -427,7 +441,9 @@ impl RouteServer {
         let others = self.peers.iter().filter(|(asn, _)| **asn != target);
         others
             .flat_map(|(_, state)| state.rib.routes())
-            .filter(|route| should_announce(route.communities(), target, self.config.ixp_asn))
+            .filter(|route| {
+                ExportScope::parse(route.communities(), self.config.ixp_asn).admits(target)
+            })
             .map(|route| self.build_export(&route.attrs, route.nlri.prefix, route.mp_next_hop()))
             .collect()
     }
@@ -484,16 +500,29 @@ impl RouteServer {
     /// path's id, which is freed.
     fn propagate_withdrawal(&mut self, peer: Asn, prefix: Prefix, out: &mut RouteServerOutput) {
         self.stats.withdrawn += 1;
-        for target in self.peers.keys() {
-            if *target != peer {
-                out.exports.push((*target, UpdateMessage::withdraw(prefix)));
-            }
-        }
+        out.exports.push(Export {
+            targets: self.targets(peer, |_| true),
+            message: UpdateMessage::withdraw(prefix),
+        });
         if let Some(pid) = self.path_ids.remove(&(peer, prefix)) {
             let path = Nlri::with_path_id(prefix, pid);
             out.controller_updates
                 .push(UpdateMessage::withdraw_nlri(path));
         }
+    }
+
+    /// The members other than `sender` that `admits` accepts, ascending.
+    /// Sized for every peer up front, so a group costs one allocation
+    /// whatever the membership.
+    fn targets(&self, sender: Asn, admits: impl Fn(Asn) -> bool) -> Vec<Asn> {
+        let mut targets = Vec::with_capacity(self.peers.len());
+        targets.extend(
+            self.peers
+                .keys()
+                .copied()
+                .filter(|t| *t != sender && admits(*t)),
+        );
+        targets
     }
 
     /// Builds the member-facing export of one route: action communities
@@ -585,8 +614,9 @@ mod tests {
         let mut rs = server_with_peers(&[64500, 64501, 64502]);
         let out = rs.handle_update(Asn(64500), &announce("100.10.10.0/24", 64500, &[]), 0);
         assert!(out.rejections.is_empty());
-        let targets: Vec<Asn> = out.exports.iter().map(|(t, _)| *t).collect();
-        assert_eq!(targets, vec![Asn(64501), Asn(64502)]);
+        // One update group, built once, for both other peers.
+        assert_eq!(out.exports.len(), 1);
+        assert_eq!(out.exports[0].targets, vec![Asn(64501), Asn(64502)]);
         // And the controller sees it with a path id.
         assert_eq!(out.controller_updates.len(), 1);
         assert!(out.controller_updates[0].nlri[0].path_id.is_some());
@@ -612,9 +642,9 @@ mod tests {
             0,
         );
         assert_eq!(out.exports.len(), 1);
-        let (_, export) = &out.exports[0];
+        assert_eq!(out.exports[0].targets, vec![Asn(64501)]);
         assert_eq!(
-            export.next_hop(),
+            out.exports[0].message.next_hop(),
             Some(RouteServerConfig::l_ixp().blackhole_next_hop)
         );
         // The controller still sees the member's true next hop.
@@ -640,12 +670,11 @@ mod tests {
             &announce("100.10.10.0/24", 64500, &[Community::new(0, 64502)]),
             0,
         );
-        let targets: Vec<Asn> = out.exports.iter().map(|(t, _)| *t).collect();
-        assert_eq!(targets, vec![Asn(64501), Asn(64503)]);
+        assert_eq!(out.exports.len(), 1);
+        assert_eq!(out.exports[0].targets, vec![Asn(64501), Asn(64503)]);
         // Action communities are stripped from the export.
-        for (_, e) in &out.exports {
-            assert!(e.communities().iter().all(|c| c.asn() != 0));
-        }
+        let export = &out.exports[0].message;
+        assert!(export.communities().iter().all(|c| c.asn() != 0));
     }
 
     #[test]
@@ -660,8 +689,8 @@ mod tests {
             ),
             0,
         );
-        let targets: Vec<Asn> = out.exports.iter().map(|(t, _)| *t).collect();
-        assert_eq!(targets, vec![Asn(64502)]);
+        assert_eq!(out.exports.len(), 1);
+        assert_eq!(out.exports[0].targets, vec![Asn(64502)]);
         // The controller is fed regardless of export scope.
         assert_eq!(out.controller_updates.len(), 1);
     }
@@ -677,7 +706,8 @@ mod tests {
             1,
         );
         assert_eq!(out.exports.len(), 1);
-        assert!(out.exports[0].1.nlri.is_empty());
+        assert_eq!(out.exports[0].targets, vec![Asn(64501)]);
+        assert!(out.exports[0].message.nlri.is_empty());
         assert_eq!(out.controller_updates[0].withdrawn[0].path_id, Some(pid));
         // A second withdrawal is a no-op.
         let out = rs.handle_update(
@@ -737,8 +767,13 @@ mod tests {
             1,
         );
         let out = rs.peer_down(Asn(64500));
-        // Two prefixes withdrawn towards each of the two other peers.
-        assert_eq!(out.exports.len(), 4);
+        // Two prefixes withdrawn, each in one group towards the two other
+        // peers.
+        assert_eq!(out.exports.len(), 2);
+        for group in &out.exports {
+            assert_eq!(group.targets, vec![Asn(64501), Asn(64502)]);
+            assert_eq!(group.message.withdrawals().count(), 1);
+        }
         assert_eq!(out.controller_updates.len(), 2);
         assert!(out
             .controller_updates
@@ -776,6 +811,30 @@ mod tests {
                 "{feed:?}"
             );
         }
+    }
+
+    #[test]
+    fn four_byte_and_as666_peers_follow_the_scope() {
+        // 130036 = 65536 + 64500 shares AS64500's low 16 bits; AS666
+        // shares its number with the blackhole tag's value.
+        let mut rs = server_with_peers(&[666, 64500, 64501, 130_036]);
+        let targets = |rs: &mut RouteServer, prefix: &str, communities: &[Community]| {
+            let out = rs.handle_update(Asn(64500), &announce(prefix, 64500, communities), 0);
+            assert!(out.rejections.is_empty(), "{:?}", out.rejections);
+            out.exports[0].targets.clone()
+        };
+        // 0:64500 names AS64500 only, not the 4-byte peer.
+        let got = targets(&mut rs, "100.10.10.0/24", &[Community::new(0, 64500)]);
+        assert_eq!(got, vec![Asn(666), Asn(64501), Asn(130_036)]);
+        // A blackhole announced to AS64501 only: the blackhole tag
+        // 6695:666 whitelists nobody, a 4-byte peer follows block-all.
+        let scoped = [
+            Community::new(6695, 666),
+            Community::new(0, 6695),
+            Community::new(6695, 64501),
+        ];
+        let got = targets(&mut rs, "100.10.10.10/32", &scoped);
+        assert_eq!(got, vec![Asn(64501)]);
     }
 
     #[test]

@@ -6,9 +6,14 @@
 //!   family's place (RFC 4760),
 //! - every export is wire-encodable on a plain session and carries
 //!   exactly one plain NLRI, in its family's place,
-//! - exports never leak action communities and never target the sender.
+//! - exports never leak action communities,
+//! - exports are update groups: one per accepted NLRI and per removed
+//!   route, each going to exactly the members other than the sender that
+//!   the action communities admit (withdrawals: every other member),
+//!   ascending and unique.
 
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use stellar_bgp::attr::{AsPath, PathAttribute};
 use stellar_bgp::community::Community;
 use stellar_bgp::extcommunity::ExtendedCommunity;
@@ -22,11 +27,14 @@ use stellar_routeserver::irr::IrrDb;
 use stellar_routeserver::policy::ImportPolicy;
 use stellar_routeserver::rpki::RpkiTable;
 use stellar_routeserver::server::{RouteServer, RouteServerConfig};
+use stellar_routeserver::Export;
 
 /// Peer `a`'s IPv6 space: `2001:db8:a00::/40`.
 fn v6_net(a: u32) -> Ipv6Address {
     Ipv6Address::from_groups([0x2001, 0xdb8, (a as u16) << 8, 0, 0, 0, 0, 0])
 }
+
+const IXP: u16 = 6695;
 
 fn server() -> RouteServer {
     let mut irr = IrrDb::new();
@@ -70,12 +78,12 @@ fn arb_update() -> impl Strategy<Value = (u32, UpdateMessage)> {
             40u8..=128,        // v6 prefix len
         ),
         (
-            proptest::collection::vec(any::<u32>(), 0..4), // communities
-            any::<bool>(),                                 // spoof first AS?
-            any::<bool>(),                                 // blackhole tag?
-            any::<bool>(),                                 // Stellar signal?
-            any::<bool>(),                                 // withdraw instead?
-            any::<bool>(),                                 // v4 outside own /8?
+            proptest::collection::vec(arb_community(), 0..4), // communities
+            any::<bool>(),                                    // spoof first AS?
+            any::<bool>(),                                    // blackhole tag?
+            any::<bool>(),                                    // Stellar signal?
+            any::<bool>(),                                    // withdraw instead?
+            any::<bool>(),                                    // v4 outside own /8?
         ),
     )
         .prop_map(
@@ -154,6 +162,44 @@ fn arb_update() -> impl Strategy<Value = (u32, UpdateMessage)> {
         )
 }
 
+/// A community: arbitrary, or an action community naming a member or
+/// the IXP, or the blackhole tag.
+fn arb_community() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        any::<u32>(),
+        (0u16..8).prop_map(|k| Community::new(0, 64500 + k).0),
+        (0u16..8).prop_map(|k| Community::new(IXP, 64500 + k).0),
+        Just(Community::new(0, IXP).0),
+        Just(Community::new(IXP, 666).0),
+    ]
+}
+
+/// The documented export scope, written out independently of the route
+/// server: `0:<peer>` blocks that peer; `0:<ixp>` blocks everyone but the
+/// `<ixp>:<peer>` whitelist, on which the blackhole tag `<ixp>:666` never
+/// counts; otherwise everyone.
+fn admitted(communities: &[Community], target: Asn) -> bool {
+    let Ok(t) = u16::try_from(target.0) else {
+        return !communities.contains(&Community::new(0, IXP));
+    };
+    if t != IXP && communities.contains(&Community::new(0, t)) {
+        return false;
+    }
+    !communities.contains(&Community::new(0, IXP))
+        || (t != 666 && communities.contains(&Community::new(IXP, t)))
+}
+
+/// The one NLRI an export carries, and whether it is a withdrawal.
+fn exported_nlri(group: &Export) -> (Prefix, bool) {
+    let withdrawn = group.message.withdrawals().next();
+    let announced = group.message.announcements().next().map(|(n, _)| n);
+    match (withdrawn, announced) {
+        (Some(w), None) => (w.prefix, true),
+        (None, Some(a)) => (a.prefix, false),
+        _ => panic!("export carries not exactly one NLRI: {group:?}"),
+    }
+}
+
 /// Every NLRI `u` announces or withdraws, each with whether it sits in
 /// its family's place: IPv4 in the classic fields, IPv6 in
 /// MP_REACH/MP_UNREACH.
@@ -188,12 +234,40 @@ proptest! {
         let mut rs = server();
         let plain = DecodeCtx { add_path: false };
         let add_path = DecodeCtx { add_path: true };
+        let members: Vec<Asn> = (0..8u32).map(|a| Asn(64500 + a)).collect();
+        // The routes the server holds, by (announcing member, prefix).
+        let mut held: BTreeSet<(Asn, Prefix)> = BTreeSet::new();
         for (t, (peer, u)) in updates.into_iter().enumerate() {
             let sender = Asn(64500 + peer);
             let out = rs.handle_update(sender, &u, t as u64);
-            for (target, export) in &out.exports {
-                // Never export back to the sender.
-                prop_assert_ne!(*target, sender);
+            // The groups the model expects: withdrawals that removed a
+            // route, then accepted announcements, in UPDATE order.
+            let others = members.iter().copied().filter(|m| *m != sender);
+            let mut want = Vec::new();
+            for w in u.withdrawals() {
+                if held.remove(&(sender, w.prefix)) {
+                    want.push((w.prefix, true, others.clone().collect::<Vec<_>>()));
+                }
+            }
+            for (n, _) in u.announcements() {
+                if out.rejections.iter().all(|(p, _)| *p != n.prefix) {
+                    held.insert((sender, n.prefix));
+                    let admits = |m: &Asn| admitted(u.communities(), *m);
+                    want.push((n.prefix, false, others.clone().filter(admits).collect()));
+                }
+            }
+            let got: Vec<_> = out
+                .exports
+                .iter()
+                .map(|group| {
+                    let (prefix, withdrawal) = exported_nlri(group);
+                    (prefix, withdrawal, group.targets.clone())
+                })
+                .collect();
+            // Ascending and unique follows from the comparison: the model
+            // lists members in ascending order, the sender left out.
+            prop_assert_eq!(got, want);
+            for Export { message: export, .. } in &out.exports {
                 // Exports must encode on a plain eBGP session.
                 let wire = Message::Update(export.clone()).encode(plain);
                 prop_assert!(wire.is_ok(), "export not encodable: {export:?}");
@@ -219,8 +293,23 @@ proptest! {
             prop_assert!(one_placed_nlri(&feed, true), "resync: {feed:?}");
         }
         for a in 0..8u32 {
-            let out = rs.peer_down(Asn(64500 + a));
-            for (_, export) in &out.exports {
+            let sender = Asn(64500 + a);
+            let out = rs.peer_down(sender);
+            // One group per flushed route, to every other member.
+            let flushed: Vec<Prefix> = held
+                .iter()
+                .filter(|(owner, _)| *owner == sender)
+                .map(|(_, prefix)| *prefix)
+                .collect();
+            held.retain(|(owner, _)| *owner != sender);
+            let others: Vec<Asn> = members.iter().copied().filter(|m| *m != sender).collect();
+            prop_assert_eq!(out.exports.len(), flushed.len());
+            for group in &out.exports {
+                let (prefix, withdrawal) = exported_nlri(group);
+                prop_assert!(withdrawal && flushed.contains(&prefix));
+                prop_assert_eq!(&group.targets, &others);
+            }
+            for Export { message: export, .. } in &out.exports {
                 prop_assert!(Message::Update(export.clone()).encode(plain).is_ok());
                 prop_assert!(one_placed_nlri(export, false), "export: {export:?}");
             }

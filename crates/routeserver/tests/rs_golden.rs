@@ -4,8 +4,9 @@
 //! Each episode drives a fresh [`RouteServer`] through its public entries
 //! only — unicast and FlowSpec UPDATEs, FlowSpec wire bytes, session-down
 //! flushes — and is hashed (FNV-1a) over the `Debug` rendering of every
-//! [`RouteServerOutput`] as its members receive it (one `(target,
-//! message)` pair per export, see [`AsReceived`]) and every
+//! [`RouteServerOutput`] as its members receive it (each update group
+//! expanded to one `(target, message)` pair per member, see
+//! [`AsReceived`]) and every
 //! [`FlowSpecOutput`](stellar_routeserver::FlowSpecOutput) it produced,
 //! then over the route-refresh view of every peer, the controller resync
 //! replay, the looking glass for the prefixes it touched and the observed
@@ -92,9 +93,7 @@ impl Run {
     }
 
     fn hash_output(&mut self, out: &RouteServerOutput) {
-        let received = format!("{:?}", AsReceived(out));
-        assert_eq!(received, format!("{out:?}"));
-        self.h.bytes(received.as_bytes());
+        self.hash(&AsReceived(out));
     }
 
     fn flowspec(&mut self, peer: Asn, u: &UpdateMessage) {
@@ -135,15 +134,20 @@ impl Run {
 }
 
 /// A route-server output rendered as its members receive it: one
-/// `(target, message)` pair per export, in export order, next to the
-/// controller feed, the rejections and the flushed FlowSpec rules.
+/// `(target, message)` pair per member of each update group, in group
+/// order, next to the controller feed, the rejections and the flushed
+/// FlowSpec rules. This is the text the derived `Debug` printed while
+/// exports were one pair per member, so the digests pinned then hold.
 struct AsReceived<'a>(&'a RouteServerOutput);
 
 impl Debug for AsReceived<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let out = self.0;
-        let exports: Vec<(Asn, &UpdateMessage)> =
-            out.exports.iter().map(|(target, m)| (*target, m)).collect();
+        let exports: Vec<(Asn, &UpdateMessage)> = out
+            .exports
+            .iter()
+            .flat_map(|group| group.targets.iter().map(move |t| (*t, &group.message)))
+            .collect();
         f.debug_struct("RouteServerOutput")
             .field("exports", &exports)
             .field("controller_updates", &out.controller_updates)

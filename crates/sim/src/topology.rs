@@ -214,8 +214,9 @@ mod tests {
         let u = ixp.announcement(Asn(64500), prefix);
         let out = ixp.route_server.handle_update(Asn(64500), &u, 0);
         assert!(out.rejections.is_empty());
-        // Exports go to the other two members.
-        assert_eq!(out.exports.len(), 2);
+        // One export, to the other two members.
+        assert_eq!(out.exports.len(), 1);
+        assert_eq!(out.exports[0].targets, vec![Asn(64501), Asn(64502)]);
         // A hijack of the same prefix from another member is rejected.
         let hijack = ixp.announcement(Asn(64501), prefix);
         let out = ixp.route_server.handle_update(Asn(64501), &hijack, 0);

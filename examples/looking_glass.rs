@@ -17,7 +17,7 @@ use stellar::routeserver::irr::IrrDb;
 use stellar::routeserver::looking_glass;
 use stellar::routeserver::policy::ImportPolicy;
 use stellar::routeserver::rpki::{Roa, RpkiTable};
-use stellar::routeserver::server::{RouteServer, RouteServerConfig};
+use stellar::routeserver::server::{RouteServer, RouteServerConfig, RouteServerOutput};
 
 fn announce(prefix: &str, asn: u32, next_hop: [u8; 4]) -> UpdateMessage {
     UpdateMessage::announce(
@@ -25,6 +25,11 @@ fn announce(prefix: &str, asn: u32, next_hop: [u8; 4]) -> UpdateMessage {
         Ipv4Address(next_hop),
         PathAttribute::AsPath(AsPath::sequence([asn])),
     )
+}
+
+/// How many members an output's update groups reach.
+fn members_reached(out: &RouteServerOutput) -> usize {
+    out.exports.iter().map(|group| group.targets.len()).sum()
 }
 
 fn main() {
@@ -50,7 +55,7 @@ fn main() {
     );
     println!(
         "AS64500 announces 100.10.10.0/24: exported to {} peers, {} rejections",
-        out.exports.len(),
+        members_reached(&out),
         out.rejections.len()
     );
 
@@ -62,7 +67,7 @@ fn main() {
     );
     println!(
         "AS64501 hijack attempt: {} exports, rejected: {:?}",
-        out.exports.len(),
+        members_reached(&out),
         out.rejections.first().map(|(_, r)| r.describe())
     );
 
@@ -72,8 +77,8 @@ fn main() {
     let out = rs.handle_update(Asn(64500), &bh, 2);
     println!(
         "AS64500 blackholes 100.10.10.10/32: exported to {} peers with next hop {}",
-        out.exports.len(),
-        out.exports[0].1.next_hop().unwrap()
+        members_reached(&out),
+        out.exports[0].message.next_hop().unwrap()
     );
 
     // What the looking glass shows.

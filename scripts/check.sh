@@ -154,6 +154,17 @@ for workload in flowspec_victims signal_storm tick_sparse_fabric; do
         exit 1
       fi
     fi
+    # Ratchet against per-member export copies creeping back: with one
+    # update group per NLRI a signal op allocates ~57 times at 800
+    # members, one deep-copied UPDATE per member cost ~4 900. The count
+    # repeats exactly within a seed.
+    if [ "$workload" = signal_storm ] && [ "$trace" = 0 ]; then
+      allocs=$(printf '%s' "$result" | sed -n 's/.*"allocs_per_op": {"value": \([0-9.e+-]*\).*/\1/p')
+      if [ -z "$allocs" ] || ! awk -v a="$allocs" 'BEGIN { exit !(a < 200) }'; then
+        echo "benchmark smoke failed: signal_storm allocs_per_op=${allocs:-missing} is not under 200" >&2
+        exit 1
+      fi
+    fi
     # Ratchet against an O(NLRIs) RIB<->plane walk creeping back into
     # every watchdog pass: over 1 536 standing NLRIs one cost ~0.1 ms, a
     # pass that finds both sides' versions unmoved costs ~0.0005 ms.

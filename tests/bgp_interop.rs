@@ -121,8 +121,8 @@ fn rtbh_export_reaches_other_member_with_blackhole_next_hop() {
     bh.add_communities(&[Community::BLACKHOLE]);
     let out = rs.handle_update(MEMBER, &bh, 0);
     assert_eq!(out.exports.len(), 1);
-    let (target, export) = &out.exports[0];
-    assert_eq!(*target, Asn(64501));
+    assert_eq!(out.exports[0].targets, vec![Asn(64501)]);
+    let export = &out.exports[0].message;
 
     // Ship the export over the wire and verify the receiver sees the
     // rewritten next hop and the blackhole community.

@@ -127,8 +127,8 @@ fn ipv6_export_rewrites_blackhole_next_hop() {
     let out = sys.ixp.route_server.handle_update(VICTIM, &update, 0);
     assert!(out.rejections.is_empty());
     assert!(!out.exports.is_empty());
-    let (_, export) = &out.exports[0];
-    let mp = export
+    let mp = out.exports[0]
+        .message
         .attrs
         .iter()
         .find_map(|a| match a {
