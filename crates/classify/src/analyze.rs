@@ -45,7 +45,6 @@
 use crate::classifier::{RuleEntry, RuleId};
 use crate::set::{self, Domain, Region};
 use crate::spec::MatchSpec;
-use std::sync::OnceLock;
 use stellar_net::flow::FlowKey;
 
 /// The action a rule takes, as far as the analyzer cares: enough to
@@ -292,12 +291,6 @@ fn analyze_where(
     out
 }
 
-/// The key space admission is judged over: every observable key.
-fn key_space() -> &'static Domain {
-    static CANONICAL: OnceLock<Domain> = OnceLock::new();
-    CANONICAL.get_or_init(Domain::canonical)
-}
-
 /// Judges the last rule of `upto` against the better-ranked rules before
 /// it (in rank order) and appends what it finds to `out`. The verdict
 /// depends on nothing but those — no state is carried from one rule to
@@ -330,7 +323,13 @@ fn judge<'r>(
         // leaves to this one, and have the reference predicate confirm
         // it before it is handed out.
         let earlier_regions = earlier.iter().map(|(_, er)| er);
-        match set::first_uncovered(region, earlier_regions, key_space(), budget, scratch) {
+        match set::first_uncovered(
+            region,
+            earlier_regions,
+            Domain::key_space(),
+            budget,
+            scratch,
+        ) {
             Ok(Some(key))
                 if rule.entry.spec.matches(&key)
                     && earlier.iter().all(|(e, _)| !e.entry.spec.matches(&key)) =>

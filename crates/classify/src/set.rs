@@ -29,7 +29,8 @@
 //! ICMP type/code off ICMP, the flow label on IPv4) pinned to 0. A rule
 //! that differs from another only on unobservable keys does not differ.
 
-use crate::spec::{is_icmp, BitsMatch, MatchSpec, PortMatch, RangeMatch};
+use crate::spec::{BitsMatch, MatchSpec, PortMatch, RangeMatch};
+use std::sync::OnceLock;
 use stellar_net::addr::{IpAddress, Ipv4Address, Ipv6Address};
 use stellar_net::flow::{frag, FlowKey};
 use stellar_net::mac::MacAddr;
@@ -195,12 +196,6 @@ impl ProtoSet {
         self
     }
 
-    /// The protocols `carries` holds of, asked one number at a time.
-    fn from_pred(carries: impl Fn(IpProtocol) -> bool) -> ProtoSet {
-        let all = (0..=u8::MAX).filter(|&p| carries(IpProtocol(p)));
-        all.fold(ProtoSet::NONE, ProtoSet::with)
-    }
-
     fn and(self, o: ProtoSet) -> ProtoSet {
         ProtoSet([self.0[0] & o.0[0], self.0[1] & o.0[1]])
     }
@@ -236,23 +231,21 @@ enum Gate {
 }
 
 impl Gate {
-    /// Whether keys of protocol `p` carry the fields behind the gate.
-    fn admits(self, p: IpProtocol) -> bool {
+    /// The protocols whose keys carry the fields behind the gate: the
+    /// sets `IpProtocol::has_ports` and `is_icmp` describe, spelled out
+    /// (a test holds them to the predicates).
+    const fn protos(self) -> ProtoSet {
+        let none = ProtoSet::NONE;
         match self {
-            Gate::Ports => p.has_ports(),
-            Gate::Tcp => p == IpProtocol::TCP,
-            Gate::Icmp => is_icmp(p),
-            Gate::Open | Gate::V6 => true,
+            Gate::Ports => none.with(IpProtocol::TCP.0).with(IpProtocol::UDP.0),
+            Gate::Tcp => none.with(IpProtocol::TCP.0),
+            Gate::Icmp => none.with(IpProtocol::ICMP.0).with(IpProtocol::ICMPV6.0),
+            Gate::Open | Gate::V6 => ProtoSet::ALL,
         }
     }
 
-    /// The protocols whose keys carry the fields behind the gate.
-    fn protos(self) -> ProtoSet {
-        ProtoSet::from_pred(|p| self.admits(p))
-    }
-
     fn open(self, ctx: Ctx) -> bool {
-        self.admits(IpProtocol(ctx.proto)) && (self != Gate::V6 || !ctx.v4)
+        self.protos().contains(ctx.proto) && (self != Gate::V6 || !ctx.v4)
     }
 
     /// The fields behind the gate, as a set of [`Field::bit`]s.
@@ -269,13 +262,14 @@ impl Gate {
 }
 
 /// The protocol gates: the fields behind each, and the protocols a
-/// criterion on any of them confines a rule to. Asked of the predicates
-/// on every call on purpose: three `const` sets in its place make
-/// `flowspec_victims` 2.8× faster, a move the benchmark gate cannot
-/// judge until it reads time per op (ROADMAP items 1(a) and 4(d)).
-fn proto_gates() -> [(u16, ProtoSet); 3] {
-    [Gate::Ports, Gate::Tcp, Gate::Icmp].map(|gate| (gate.fields(), gate.protos()))
-}
+/// criterion on any of them confines a rule to. Constant, so a pair test
+/// or a protocol split reads three sets instead of asking the predicates
+/// about every protocol number.
+const PROTO_GATES: [(u16, ProtoSet); 3] = [
+    (Gate::Ports.fields(), Gate::Ports.protos()),
+    (Gate::Tcp.fields(), Gate::Tcp.protos()),
+    (Gate::Icmp.fields(), Gate::Icmp.protos()),
+];
 
 // ---------------------------------------------------------------------
 // The field table.
@@ -416,7 +410,10 @@ impl Field {
 /// protocol included, through the gates), which family, and whether
 /// anything is left. Cells are read from the spec, clipped, when asked:
 /// a table's regions are rebuilt on every admission audit, and stored
-/// cells would multiply what that path allocates.
+/// cells would multiply what that path allocates. The protocol cell is
+/// the spec's protocol intersected with the `PROTO_GATES` sets of the
+/// fields it constrains — a few word operations, never a walk over the
+/// protocol numbers.
 #[derive(Debug, Clone, Copy)]
 pub struct Region<'a> {
     spec: &'a MatchSpec,
@@ -484,7 +481,7 @@ impl<'a> Region<'a> {
     /// The explicit protocol intersected with every gate a criterion
     /// implies.
     fn protos(&self) -> ProtoSet {
-        let gates = proto_gates().into_iter();
+        let gates = PROTO_GATES.into_iter();
         let implied = gates.filter(|(fields, _)| self.constrained & fields != 0);
         let explicit = match self.spec.protocol {
             Some(p) => ProtoSet::NONE.with(p.0),
@@ -620,6 +617,13 @@ impl Domain {
             icmp_code: ranges(Field::IcmpCode, true),
             flow_label: ranges(Field::FlowLabel, true),
         }
+    }
+
+    /// [`Domain::canonical`], built once and shared: the key space
+    /// admission audits and lowering proofs are judged over.
+    pub fn key_space() -> &'static Domain {
+        static CANONICAL: OnceLock<Domain> = OnceLock::new();
+        CANONICAL.get_or_init(Domain::canonical)
     }
 
     /// Restricts the domain to IPv4 traffic only.
@@ -763,7 +767,7 @@ pub(crate) fn each_atom<E>(
         }
         Axis::Protos(protocols) => {
             let mut rest = protocols.iter().fold(ProtoSet::NONE, |s, &p| s.with(p));
-            let gates = proto_gates().map(|(_, protos)| Cell::Protos(protos));
+            let gates = PROTO_GATES.map(|(_, protos)| Cell::Protos(protos));
             while let Some(p) = rest.first() {
                 let splitters = gates.into_iter().chain(cells.clone());
                 let class = splitters.fold(rest, |class, cell| match cell {
@@ -926,6 +930,7 @@ impl<'r> Uncovered<'_, 'r> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::is_icmp;
 
     #[test]
     fn gate_sets_agree_with_the_predicates_matches_uses() {
@@ -934,6 +939,7 @@ mod tests {
             assert_eq!(Gate::Ports.protos().contains(p), proto.has_ports());
             assert_eq!(Gate::Tcp.protos().contains(p), proto == IpProtocol::TCP);
             assert_eq!(Gate::Icmp.protos().contains(p), is_icmp(proto));
+            assert!(Gate::Open.protos().contains(p) && Gate::V6.protos().contains(p));
         }
     }
 

@@ -100,11 +100,49 @@ impl PathRules {
     }
 }
 
+/// Where a path is announced: its prefix and ADD-PATH id.
+type PathKey = (Prefix, Option<u32>);
+
+/// The tracked paths of each owner, so that one owner's view costs that
+/// owner's paths. Exact: every tracked path under the owner its rules
+/// answer to, no other entry, no owner without a path.
+#[derive(Debug, Default)]
+struct ByOwner(HashMap<Asn, Vec<PathKey>>);
+
+impl ByOwner {
+    /// Moves `key` from `from`'s paths to `to`'s (`None`: not tracked on
+    /// that side) — the one place the index changes.
+    fn refile(&mut self, key: PathKey, from: Option<Asn>, to: Option<Asn>) {
+        if from == to {
+            return;
+        }
+        if let Some(from) = from {
+            if let Some(keys) = self.0.get_mut(&from) {
+                if let Some(at) = keys.iter().position(|k| *k == key) {
+                    keys.swap_remove(at);
+                }
+                if keys.is_empty() {
+                    self.0.remove(&from);
+                }
+            }
+        }
+        if let Some(to) = to {
+            self.0.entry(to).or_default().push(key);
+        }
+    }
+
+    /// The paths `owner` answers for, in no particular order.
+    fn paths(&self, owner: Asn) -> &[PathKey] {
+        self.0.get(&owner).map_or(&[], Vec::as_slice)
+    }
+}
+
 /// The blackholing controller.
 pub struct BlackholingController {
     ixp_asn: Asn,
     portal: CustomerPortal,
-    paths: HashMap<(Prefix, Option<u32>), PathRules>,
+    paths: HashMap<PathKey, PathRules>,
+    by_owner: ByOwner,
     next_rule_id: u64,
     stamps: OwnerStamps,
 }
@@ -116,6 +154,7 @@ impl BlackholingController {
             ixp_asn,
             portal: CustomerPortal::with_standard_catalog(ixp_asn),
             paths: HashMap::new(),
+            by_owner: ByOwner::default(),
             next_rule_id: 1,
             stamps: OwnerStamps::default(),
         }
@@ -172,6 +211,8 @@ impl BlackholingController {
             };
             let desired = StellarSignal::extract(ecs, self.ixp_asn, &self.portal, owner);
             let path = self.paths.entry(key).or_default();
+            // Tracked paths hold rules: one without is new here.
+            let filed = (!path.rules.is_empty()).then(|| path.owner());
             if let Some(previous) = path.owner.replace(owner) {
                 if previous != owner {
                     // The path's surviving rules change hands without a
@@ -205,10 +246,12 @@ impl BlackholingController {
                     id, owner, n.prefix, s,
                 )));
             }
-            if path.rules.is_empty() && path.owner.is_some() {
+            let kept = (!path.rules.is_empty()).then_some(owner);
+            if kept.is_none() {
                 // Plain route with no rules: no need to track it.
                 self.paths.remove(&key);
             }
+            self.by_owner.refile(key, filed, kept);
         }
         for change in &changes {
             self.stamps.touch(change.owner());
@@ -218,11 +261,12 @@ impl BlackholingController {
 
     /// Forgets the path under `key`, queuing the removal of its rules in
     /// rule-id order (rule maps are hash maps with per-instance seeds).
-    fn drop_path(&mut self, key: (Prefix, Option<u32>), changes: &mut Vec<AbstractChange>) {
+    fn drop_path(&mut self, key: PathKey, changes: &mut Vec<AbstractChange>) {
         let Some(path) = self.paths.remove(&key) else {
             return;
         };
         let owner = path.owner();
+        self.by_owner.refile(key, Some(owner), None);
         let mut ids: Vec<u64> = path.rules.into_values().collect();
         ids.sort_unstable();
         let removals = ids
@@ -244,46 +288,60 @@ impl BlackholingController {
         out
     }
 
-    /// The announced paths answering to an owner `owned` accepts: one
-    /// filtering pass over the paths however many owners are asked for,
-    /// no by-owner index to keep in step. Paths without an origin AS
-    /// answer to `Asn(0)`, as they do in the full snapshot.
-    fn paths_of<'a>(
-        &'a self,
-        owned: impl Fn(Asn) -> bool + 'a,
-    ) -> impl Iterator<Item = (Prefix, &'a PathRules)> + 'a {
-        self.paths
-            .iter()
-            .filter(move |(_, path)| owned(path.owner()))
-            .map(|((prefix, _), path)| (*prefix, path))
+    /// Whether the by-owner index files every path exactly once, under
+    /// its owner, and nothing else: each owner's view it answers is then
+    /// the filter over all paths that debug builds compare it with. Paths
+    /// without an origin AS answer to `Asn(0)`, as they do in the full
+    /// snapshot. Allocates the same for the same paths in any order.
+    fn index_is_exact(&self) -> bool {
+        let mut filtered = Vec::with_capacity(self.paths.len());
+        filtered.extend(self.paths.iter().map(|(key, path)| (path.owner(), *key)));
+        let mut indexed = Vec::with_capacity(self.paths.len());
+        for (owner, keys) in &self.by_owner.0 {
+            indexed.extend(keys.iter().map(|key| (*owner, *key)));
+        }
+        filtered.sort_unstable();
+        indexed.sort_unstable();
+        filtered == indexed && self.by_owner.0.values().all(|keys| !keys.is_empty())
     }
 
-    /// The rules the `owners` (sorted ascending) currently want
+    /// The announced paths answering to the `owners` (each named once),
+    /// read off the by-owner index: the cost of those owners' paths.
+    fn paths_of<'a>(
+        &'a self,
+        owners: impl IntoIterator<Item = &'a Asn> + 'a,
+    ) -> impl Iterator<Item = (Prefix, &'a PathRules)> + 'a {
+        debug_assert!(self.index_is_exact(), "by-owner index diverged");
+        let keys = owners.into_iter().flat_map(|o| self.by_owner.paths(*o));
+        keys.filter_map(|key| Some((key.0, self.paths.get(key)?)))
+    }
+
+    /// The rules the `owners` (each named once) currently want
     /// installed, in no particular order: [`Self::desired_rules`]
     /// restricted to those owners without building anyone else's rules.
     pub(crate) fn desired_rules_of<'a>(
         &'a self,
-        owners: &'a [Asn],
+        owners: impl IntoIterator<Item = &'a Asn> + 'a,
     ) -> impl Iterator<Item = BlackholingRule> + 'a {
-        self.paths_of(|owner| owners.binary_search(&owner).is_ok())
+        self.paths_of(owners)
             .flat_map(|(prefix, path)| path.desired(prefix))
     }
 
-    /// The ids of the rules wanted by the owners `owned` accepts, each
+    /// The ids of the rules the `owners` (each named once) want, each
     /// with its owner, in no particular order — for callers that compare
     /// ids and would throw the rules of [`Self::desired_rules_of`] away.
     pub(crate) fn desired_ids_of<'a>(
         &'a self,
-        owned: impl Fn(Asn) -> bool + 'a,
+        owners: impl IntoIterator<Item = &'a Asn> + 'a,
     ) -> impl Iterator<Item = (Asn, u64)> + 'a {
-        self.paths_of(owned)
+        self.paths_of(owners)
             .flat_map(|(_, path)| path.ids().map(|id| (path.owner(), id)))
     }
 
     /// The owners with at least one desired rule.
     pub(crate) fn desired_owners(&self) -> BTreeSet<Asn> {
-        let owners = self.paths.values().map(PathRules::owner);
-        owners.collect::<BTreeSet<Asn>>()
+        debug_assert!(self.index_is_exact(), "by-owner index diverged");
+        self.by_owner.0.keys().copied().collect()
     }
 
     /// The ids of every rule the controller wants installed, in no
@@ -298,20 +356,37 @@ impl BlackholingController {
     /// actually in hardware, and the reconciler does not keep trying to
     /// repair an uninstallable rule. Returns whether the id was known.
     pub fn rule_refused(&mut self, rule_id: u64) -> bool {
-        let mut found = false;
-        self.paths.retain(|_, path| {
-            let owner = path.owner();
-            path.rules.retain(|_, id| {
-                let hit = *id == rule_id;
-                if hit {
-                    found = true;
-                    self.stamps.touch(owner);
-                }
-                !hit
-            });
-            !path.rules.is_empty()
+        let Some((key, ..)) = self.take_rule(rule_id) else {
+            return false;
+        };
+        self.forget_if_empty(key);
+        true
+    }
+
+    /// Takes `rule_id` off the path holding it and stamps the path's
+    /// owner: the path's key, the signal the rule answered, and the path,
+    /// which the caller hands to [`Self::forget_if_empty`] when done.
+    fn take_rule(&mut self, rule_id: u64) -> Option<(PathKey, StellarSignal, &mut PathRules)> {
+        // Rule ids are unique: one path at most holds it, once.
+        let mut paths = self.paths.iter_mut();
+        let (key, path) = paths.find(|(_, path)| path.rules.values().any(|id| *id == rule_id))?;
+        let mut taken = None;
+        path.rules.retain(|signal, id| {
+            let hit = *id == rule_id;
+            taken = taken.or(hit.then_some(*signal));
+            !hit
         });
-        found
+        let signal = taken?;
+        self.stamps.touch(path.owner());
+        Some((*key, signal, path))
+    }
+
+    /// Stops tracking the path under `key` if it holds no rule any more.
+    fn forget_if_empty(&mut self, key: PathKey) {
+        if self.paths.get(&key).is_some_and(|p| p.rules.is_empty()) {
+            // No rule, so no removal to queue.
+            self.drop_path(key, &mut Vec::new());
+        }
     }
 
     /// Steps `rule_id` one rung down the degradation ladder
@@ -319,27 +394,10 @@ impl BlackholingController {
     /// telemetry references stay valid. Desired state is updated in
     /// place; the caller installs the returned coarser rule.
     pub fn degrade_rule(&mut self, rule_id: u64) -> DegradeOutcome {
-        let key = self
-            .paths
-            .iter()
-            .find_map(|(k, path)| path.rules.values().any(|id| *id == rule_id).then_some(*k));
-        let Some(key) = key else {
-            return DegradeOutcome::Unknown;
-        };
-        let Some(path) = self.paths.get_mut(&key) else {
-            return DegradeOutcome::Unknown;
-        };
-        let Some(signal) = path
-            .rules
-            .iter()
-            .find(|(_, id)| **id == rule_id)
-            .map(|(s, _)| *s)
-        else {
+        let Some((key, signal, path)) = self.take_rule(rule_id) else {
             return DegradeOutcome::Unknown;
         };
         let owner = path.owner();
-        path.rules.remove(&signal);
-        self.stamps.touch(owner);
         let outcome = match signal.degrade() {
             None => DegradeOutcome::Exhausted,
             Some(next) if path.rules.contains_key(&next) => DegradeOutcome::Merged,
@@ -348,9 +406,7 @@ impl BlackholingController {
                 DegradeOutcome::Degraded(BlackholingRule::from_signal(rule_id, owner, key.0, next))
             }
         };
-        if self.paths.get(&key).is_some_and(|p| p.rules.is_empty()) {
-            self.paths.remove(&key);
-        }
+        self.forget_if_empty(key);
         outcome
     }
 
@@ -358,8 +414,9 @@ impl BlackholingController {
     /// forwarding by removing every rule (availability first, §4.1.2).
     pub fn session_down(&mut self) -> Vec<AbstractChange> {
         let mut changes = Vec::new();
-        for (_, path) in self.paths.drain() {
+        for (key, path) in self.paths.drain() {
             let owner = path.owner();
+            self.by_owner.refile(key, Some(owner), None);
             for (_, rule_id) in path.rules {
                 changes.push(AbstractChange::RemoveRule { rule_id, owner });
             }
@@ -378,6 +435,7 @@ impl BlackholingController {
 mod tests {
     use super::*;
     use crate::rule::{RuleAction, RuleMatcher};
+    use proptest::prelude::*;
     use stellar_bgp::attr::PathAttribute;
     use stellar_bgp::nlri::Nlri;
     use stellar_net::addr::Ipv4Address;
@@ -559,7 +617,9 @@ mod tests {
                     .insert(StellarSignal::drop_udp_src(*port), c.next_rule_id);
                 c.next_rule_id += 1;
             }
-            c.paths.insert((victim(), Some(path_id)), path);
+            let key = (victim(), Some(path_id));
+            c.by_owner.refile(key, None, Some(path.owner()));
+            c.paths.insert(key, path);
         }
         let all = c.desired_rules();
         assert_eq!(all.len(), 7);
@@ -687,6 +747,174 @@ mod tests {
         assert_eq!(c.desired_rules()[0].owner, other);
         assert!(c.owner_revision(OWNER) > before);
         assert!(c.owner_revision(other) > before);
+    }
+
+    /// One step of [`owner_views_are_the_filter_over_all_paths`]. Owners
+    /// are indexes into `[None, 64500, 64501, 64502]` (`None`: no origin
+    /// AS), slots into three prefixes × two path ids, picks into the
+    /// desired rules by id (an unknown id when there is none).
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Announce the [`signals`] of `bits` (none: a plain route) on
+        /// `slot`.
+        Announce {
+            owner: usize,
+            slot: usize,
+            bits: u8,
+        },
+        /// Re-announce the path on `slot` with its signals unchanged, by
+        /// another origin AS.
+        Rehome {
+            slot: usize,
+            owner: usize,
+        },
+        Withdraw {
+            slot: usize,
+        },
+        Refuse {
+            pick: usize,
+        },
+        Degrade {
+            pick: usize,
+        },
+        SessionDown,
+    }
+
+    /// Signals on every rung of the degradation ladder, so that a
+    /// degradation can merge or exhaust one: each bit of `bits` picks one.
+    fn signals(bits: u8) -> Vec<StellarSignal> {
+        let all_udp = StellarSignal {
+            kind: crate::signal::MatchKind::AllUdp,
+            port: 0,
+            action: RuleAction::Drop,
+        };
+        let ladder = [
+            StellarSignal::drop_udp_src(53),
+            StellarSignal::drop_udp_src(123),
+            all_udp,
+            StellarSignal::drop_all(),
+        ];
+        let picked = ladder.into_iter().enumerate();
+        picked
+            .filter(|(i, _)| bits >> i & 1 == 1)
+            .map(|(_, s)| s)
+            .collect()
+    }
+
+    fn asn(owner: usize) -> Option<Asn> {
+        [None, Some(OWNER), Some(Asn(64501)), Some(Asn(64502))][owner % 4]
+    }
+
+    fn slot_key(slot: usize) -> PathKey {
+        let prefix = ["100.10.10.10/32", "100.10.10.11/32", "2001:db8::1/128"][slot % 3];
+        (prefix.parse().unwrap(), Some((slot / 3) as u32))
+    }
+
+    fn announce(owner: Option<Asn>, slot: usize, signals: &[StellarSignal]) -> UpdateMessage {
+        let (prefix, path_id) = slot_key(slot);
+        let as_path = owner.map_or_else(AsPath::empty, |o| AsPath::sequence([o.0]));
+        let mut u = UpdateMessage::announce(
+            prefix,
+            Ipv4Address::new(80, 81, 192, 10),
+            PathAttribute::AsPath(as_path),
+        );
+        u.nlri = vec![Nlri { prefix, path_id }];
+        let ecs: Vec<_> = signals.iter().map(|s| s.encode(IXP)).collect();
+        if !ecs.is_empty() {
+            u.add_extended_communities(&ecs);
+        }
+        u
+    }
+
+    fn apply(c: &mut BlackholingController, op: &Op) {
+        let pick = |c: &BlackholingController, pick: usize| {
+            let ids: Vec<u64> = c.desired_rules().iter().map(|r| r.id).collect();
+            ids.get(pick % ids.len().max(1))
+                .copied()
+                .unwrap_or(pick as u64)
+        };
+        match *op {
+            Op::Announce { owner, slot, bits } => {
+                c.process_update(&announce(asn(owner), slot, &signals(bits)));
+            }
+            Op::Rehome { slot, owner } => {
+                let path = c.paths.get(&slot_key(slot));
+                let signals: Vec<_> =
+                    path.map_or(Vec::new(), |p| p.rules.keys().copied().collect());
+                let current = path.map(PathRules::owner);
+                // Owners 1..=3 only: a re-announcement with an origin AS.
+                let mut others = (0..3).map(|o| asn(1 + (owner + o) % 3));
+                let next = others.find(|o| *o != current);
+                c.process_update(&announce(next.flatten(), slot, &signals));
+            }
+            Op::Withdraw { slot } => {
+                let (prefix, path_id) = slot_key(slot);
+                c.process_update(&UpdateMessage {
+                    withdrawn: vec![Nlri { prefix, path_id }],
+                    ..Default::default()
+                });
+            }
+            Op::Refuse { pick: p } => {
+                let id = pick(c, p);
+                c.rule_refused(id);
+            }
+            Op::Degrade { pick: p } => {
+                let id = pick(c, p);
+                c.degrade_rule(id);
+            }
+            Op::SessionDown => {
+                c.session_down();
+            }
+        }
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let announce = (0usize..4, 0usize..6, any::<u8>())
+            .prop_map(|(owner, slot, bits)| Op::Announce { owner, slot, bits })
+            .boxed();
+        prop_oneof![
+            announce.clone(),
+            announce,
+            (0usize..6, 0usize..4).prop_map(|(slot, owner)| Op::Rehome { slot, owner }),
+            (0usize..6).prop_map(|slot| Op::Withdraw { slot }),
+            any::<usize>().prop_map(|pick| Op::Refuse { pick }),
+            any::<usize>().prop_map(|pick| Op::Degrade { pick }),
+            Just(Op::SessionDown),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// After every step of a random episode, each owner's indexed
+        /// view — its rules, its ids, whether it is a desired owner —
+        /// equals the full snapshot filtered by owner.
+        #[test]
+        fn owner_views_are_the_filter_over_all_paths(
+            ops in proptest::collection::vec(arb_op(), 1..40),
+        ) {
+            let mut c = BlackholingController::new(IXP);
+            let asked: Vec<Asn> = (0..5).map(|o| asn(o).unwrap_or(Asn(0))).collect();
+            for op in &ops {
+                apply(&mut c, op);
+                let all = c.desired_rules();
+                for owner in &asked {
+                    let mut view: Vec<_> = c.desired_rules_of([owner]).collect();
+                    view.sort_by_key(|r| r.id);
+                    let filtered: Vec<_> = all.iter().filter(|r| r.owner == *owner).cloned().collect();
+                    let mut ids: Vec<_> = c.desired_ids_of([owner]).collect();
+                    ids.sort_unstable();
+                    let want: Vec<_> = filtered.iter().map(|r| (r.owner, r.id)).collect();
+                    prop_assert_eq!(view, filtered, "{:?} after {:?}", owner, op);
+                    prop_assert_eq!(ids, want, "{:?} after {:?}", owner, op);
+                }
+                let mut every: Vec<_> = c.desired_rules_of(&asked).collect();
+                every.sort_by_key(|r| r.id);
+                prop_assert_eq!(&every, &all, "all owners after {:?}", op);
+                let owners: BTreeSet<Asn> = all.iter().map(|r| r.owner).collect();
+                prop_assert_eq!(c.desired_owners(), owners, "owners after {:?}", op);
+            }
+        }
     }
 
     #[test]

@@ -113,8 +113,7 @@ pub fn check_lowering(flow: &FlowSpec, lowered: &[MatchSpec]) -> LoweringProof {
         .enumerate()
         .map(|(i, s)| drop_rule(i as u64 + 1, s))
         .collect();
-    let dom = Domain::canonical();
-    match diff_tables(&a, &b, &dom, DEFAULT_VERIFY_BUDGET) {
+    match diff_tables(&a, &b, Domain::key_space(), DEFAULT_VERIFY_BUDGET) {
         Ok(diff) if diff.is_equivalent() => LoweringProof::Exact,
         Ok(diff) => LoweringProof::Violation {
             region: diff.regions[0],

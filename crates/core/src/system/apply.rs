@@ -223,8 +223,8 @@ impl StellarSystem {
         old_spec: &stellar_classify::MatchSpec,
     ) {
         self.obs.registry.counter_inc("verify.ladder.checked");
-        let dom = stellar_classify::Domain::canonical();
-        match proof::check_ladder_step(before, after, old_spec, &dom, DEFAULT_VERIFY_BUDGET) {
+        let dom = stellar_classify::Domain::key_space();
+        match proof::check_ladder_step(before, after, old_spec, dom, DEFAULT_VERIFY_BUDGET) {
             Ok(report) if report.is_monotone() => {
                 let widened = report.widened_keys.min(u128::from(u64::MAX)) as u64;
                 self.obs

@@ -53,6 +53,10 @@ type PortStamp = (u64, u64, u64);
 /// that left the state keeps a verdict nobody asks for.
 #[derive(Debug, Default)]
 pub(super) struct ProofLedger {
+    /// The fabric's `(rule version, installs, removals)` at the last pass
+    /// whose books matched the rules the hardware holds: while they
+    /// stand, so does the count.
+    conserved_at: Option<(u64, u64, u64)>,
     /// The stamps at the last pass that discharged convergence,
     /// orphan-freedom and placement with nothing in flight and nothing
     /// unverified: while they stand, all three still hold.
@@ -193,10 +197,20 @@ impl StellarSystem {
         let mut found: Vec<(Invariant, String)> = Vec::new();
         // Ledger conservation: installs − removals must equal what the
         // hardware holds, at all times (the managers and the fabric keep
-        // double-entry books).
-        let (installs, removals) = self.ixp.fabric.rule_ledger();
-        let total = self.ixp.fabric.total_rules() as u64;
-        if installs.checked_sub(removals) != Some(total) {
+        // double-entry books). Counting what it holds walks the occupied
+        // ports; while no rule table and no book has moved since a pass
+        // where the two matched, they still do.
+        let fabric = &self.ixp.fabric;
+        let (installs, removals) = fabric.rule_ledger();
+        let books = (fabric.rule_version(), installs, removals);
+        let booked = installs.checked_sub(removals);
+        let total = match booked {
+            Some(held) if ledger.conserved_at == Some(books) => held,
+            _ => fabric.total_rules() as u64,
+        };
+        if booked == Some(total) {
+            ledger.conserved_at = Some(books);
+        } else {
             found.push((
                 Invariant::LedgerConservation,
                 format!("installs={installs} removals={removals} hardware={total}"),
@@ -338,8 +352,8 @@ impl StellarSystem {
         if held == 0 {
             return Some(stale);
         }
-        // The stale ports' desired ids, gathered in one pass over desired
-        // state however many they are; as many as those ports hold, or
+        // The stale ports' desired ids, read off both planes' by-owner
+        // views of their owners; as many as those ports hold, or
         // one of them is not clean.
         stale.sort_unstable_by_key(|(owner, ..)| *owner);
         let port_of = |owner: Asn| {
@@ -347,9 +361,8 @@ impl StellarSystem {
             at.ok().map(|at| stale[at].1)
         };
         let mut want: Vec<(PortId, u64)> = Vec::with_capacity(held);
-        let signaled = self
-            .controller
-            .desired_ids_of(|owner| port_of(owner).is_some());
+        let owners = stale.iter().map(|(owner, ..)| owner);
+        let signaled = self.controller.desired_ids_of(owners);
         let lowered = stale.iter().flat_map(|(owner, ..)| {
             let rules = self.flowspec.desired_rules_of(*owner);
             rules.map(|rule| (*owner, rule.id))
@@ -616,8 +629,7 @@ impl StellarSystem {
         // Proven, and reported, in port order.
         stale.sort_unstable_by_key(|(id, ..)| *id);
         stale.dedup_by_key(|(id, ..)| *id);
-        // The stale ports' intent, gathered in one pass over desired
-        // state however many they are.
+        // The stale ports' intent: their owners' slice of desired state.
         let owners = stale
             .iter()
             .flat_map(|(id, ..)| self.manager.owners_of(*id));

@@ -147,7 +147,7 @@ for workload in flowspec_victims signal_storm tick_sparse_fabric; do
       fi
       # Ratchet against an O(ports) walk creeping back into the quiet
       # watchdog pass: over 10^5 ports one cost ~17 ms, a pass answered
-      # from the proof ledger costs ~0.001 ms.
+      # from the proof ledger costs ~0.0001 ms.
       quiet=$(printf '%s' "$result" | sed -n 's/.*"quiet_pass_p50_ms": {"value": \([0-9.e-]*\).*/\1/p')
       if [ -z "$quiet" ] || ! awk -v q="$quiet" 'BEGIN { exit !(q < 2) }'; then
         echo "benchmark smoke failed: tick_sparse_fabric quiet_pass_p50_ms=${quiet:-missing} is not under 2 ms" >&2
@@ -167,11 +167,20 @@ for workload in flowspec_victims signal_storm tick_sparse_fabric; do
     fi
     # Ratchet against an O(NLRIs) RIB<->plane walk creeping back into
     # every watchdog pass: over 1 536 standing NLRIs one cost ~0.1 ms, a
-    # pass that finds both sides' versions unmoved costs ~0.0005 ms.
+    # pass that finds both sides' versions unmoved costs ~0.0001 ms.
     if [ "$workload" = flowspec_victims ] && [ "$trace" = 0 ]; then
       quiet=$(printf '%s' "$result" | sed -n 's/.*"quiet_pass_p50_ms": {"value": \([0-9.e-]*\).*/\1/p')
       if [ -z "$quiet" ] || ! awk -v q="$quiet" 'BEGIN { exit !(q < 0.02) }'; then
         echo "benchmark smoke failed: flowspec_victims quiet_pass_p50_ms=${quiet:-missing} is not under 0.02 ms" >&2
+        exit 1
+      fi
+      # Ratchet against the lowering proof building its own key space
+      # again: with the shared canonical domain an op allocates ~155
+      # times, one `Domain::canonical()` per proof cost ~167. The count
+      # repeats exactly within a seed.
+      allocs=$(printf '%s' "$result" | sed -n 's/.*"allocs_per_op": {"value": \([0-9.e+-]*\).*/\1/p')
+      if [ -z "$allocs" ] || ! awk -v a="$allocs" 'BEGIN { exit !(a < 156) }'; then
+        echo "benchmark smoke failed: flowspec_victims allocs_per_op=${allocs:-missing} is not under 156" >&2
         exit 1
       fi
     fi
