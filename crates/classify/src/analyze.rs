@@ -36,11 +36,14 @@
 //! implementation: [`analyze`] judges every rule (`n` witness searches
 //! and `n²/2` pair tests for `n` rules), [`analyze_candidates`] only the
 //! named ones (`k` searches, at most `k·n` pair tests) — what a control
-//! plane admitting `k` new rules into a standing table needs.
+//! plane admitting `k` new rules into a standing table needs. Both rank
+//! the table, build its regions and call [`judge_ranked`], the one
+//! judge, which a caller that keeps its rules' regions between
+//! questions calls directly over its own [`Ranked`] rules.
 //!
 //! What a rule matches is a [`Region`] of the key space [`crate::set`]
 //! describes — the same sets, over the same observable keys, that
-//! [`crate::verify`] counts — built once per rule per table.
+//! [`crate::verify`] counts.
 
 use crate::classifier::{RuleEntry, RuleId};
 use crate::set::{self, Domain, Region};
@@ -266,8 +269,9 @@ pub fn analyze_candidates_with_budget(
     analyze_where(rules, budget, |id| ids.contains(&id))
 }
 
-/// The one analysis loop: ranks the table, canonicalises every rule
-/// once, then judges every position whose rule id passes `visit`.
+/// The one analysis loop over an [`AuditRule`] table: ranks it,
+/// canonicalises every rule once and hands the ranked table to
+/// [`judge_ranked`].
 fn analyze_where(
     rules: &[AuditRule],
     budget: usize,
@@ -278,13 +282,61 @@ fn analyze_where(
         .map(|r| (r, Region::of(&r.entry.spec)))
         .collect();
     ranked.sort_by_key(|(r, _)| r.rank());
-    let mut out = TableAnalysis {
+    TableAnalysis {
         usage: table_usage(rules),
-        ..Default::default()
-    };
+        ..judge_ranked(&ranked, visit, budget)
+    }
+}
+
+/// One rule of a table in evaluation-rank order, as [`judge_ranked`]
+/// reads it: identity, action, canonical region, and the reference
+/// predicate a witness is confirmed against. Implemented for the
+/// `(rule, region)` pairs [`analyze`] builds, and by callers that keep
+/// their rules' regions between questions.
+pub trait Ranked {
+    /// The rule's id.
+    fn id(&self) -> RuleId;
+    /// What the rule does to its matches.
+    fn action(&self) -> ActionClass;
+    /// The rule's match set.
+    fn region(&self) -> &Region<'_>;
+    /// [`MatchSpec::matches`] of the rule's spec on `key`.
+    fn matches(&self, key: &FlowKey) -> bool;
+}
+
+impl Ranked for (&AuditRule, Region<'_>) {
+    fn id(&self) -> RuleId {
+        self.0.entry.id
+    }
+
+    fn action(&self) -> ActionClass {
+        self.0.action
+    }
+
+    fn region(&self) -> &Region<'_> {
+        &self.1
+    }
+
+    fn matches(&self, key: &FlowKey) -> bool {
+        self.0.entry.spec.matches(key)
+    }
+}
+
+/// Judges every rule of `ranked` — a table already in evaluation-rank
+/// order — whose id passes `visit`, each against the better-ranked rules
+/// before it, and reports the findings and witnesses [`analyze`] would
+/// (`usage` is left empty: the caller holds the specs). The verdicts of
+/// [`analyze`], [`analyze_candidates`] and the admission audit all come
+/// from here.
+pub fn judge_ranked<R: Ranked>(
+    ranked: &[R],
+    visit: impl Fn(RuleId) -> bool,
+    budget: usize,
+) -> TableAnalysis {
+    let mut out = TableAnalysis::default();
     let mut scratch = set::Scratch::default();
-    for (pos, (rule, _)) in ranked.iter().enumerate() {
-        if visit(rule.entry.id) {
+    for (pos, rule) in ranked.iter().enumerate() {
+        if visit(rule.id()) {
             judge(&ranked[..=pos], budget, &mut scratch, &mut out);
         }
     }
@@ -295,23 +347,23 @@ fn analyze_where(
 /// it (in rank order) and appends what it finds to `out`. The verdict
 /// depends on nothing but those — no state is carried from one rule to
 /// the next, which is what makes the candidate-scoped entry exact.
-fn judge<'r>(
-    upto: &'r [(&'r AuditRule, Region<'r>)],
+fn judge<'r, R: Ranked>(
+    upto: &'r [R],
     budget: usize,
     scratch: &mut set::Scratch<'r>,
     out: &mut TableAnalysis,
 ) {
-    let Some(((rule, region), earlier)) = upto.split_last() else {
+    let Some((rule, earlier)) = upto.split_last() else {
         return;
     };
-    let id = rule.entry.id;
+    let (id, region) = (rule.id(), rule.region());
     // Pairwise coverage: the first (best-ranked) earlier rule whose
     // match set contains this rule's decides the flag.
-    let dead = if let Some((e, er)) = earlier.iter().find(|(_, er)| er.covers(region)) {
-        let by = e.entry.id;
-        Some(if e.action != rule.action {
+    let dead = if let Some(e) = earlier.iter().find(|e| e.region().covers(region)) {
+        let by = e.id();
+        Some(if e.action() != rule.action() {
             RuleFlag::Shadowed { by }
-        } else if region.covers(er) {
+        } else if region.covers(e.region()) {
             // Mutual cover = identical match set; identical action
             // too, so this is a literal duplicate of `e`.
             RuleFlag::Duplicate { of: by }
@@ -322,7 +374,7 @@ fn judge<'r>(
         // No single cover: look for a key the union of earlier rules
         // leaves to this one, and have the reference predicate confirm
         // it before it is handed out.
-        let earlier_regions = earlier.iter().map(|(_, er)| er);
+        let earlier_regions = earlier.iter().map(R::region);
         match set::first_uncovered(
             region,
             earlier_regions,
@@ -330,10 +382,7 @@ fn judge<'r>(
             budget,
             scratch,
         ) {
-            Ok(Some(key))
-                if rule.entry.spec.matches(&key)
-                    && earlier.iter().all(|(e, _)| !e.entry.spec.matches(&key)) =>
-            {
+            Ok(Some(key)) if rule.matches(&key) && earlier.iter().all(|e| !e.matches(&key)) => {
                 out.witnesses.push((id, key));
                 None
             }
@@ -349,15 +398,16 @@ fn judge<'r>(
     // Crossing-overlap action conflicts, regardless of reachability:
     // even a reachable rule loses part of its traffic to the earlier
     // side of the cross.
-    for (e, er) in earlier {
-        if rule.action.conflicts_with(&e.action)
+    for e in earlier {
+        let er = e.region();
+        if rule.action().conflicts_with(&e.action())
             && er.intersects(region)
             && !er.covers(region)
             && !region.covers(er)
         {
             out.findings.push(Finding {
                 rule: id,
-                flag: RuleFlag::Conflict { with: e.entry.id },
+                flag: RuleFlag::Conflict { with: e.id() },
             });
         }
     }

@@ -10,9 +10,11 @@
 //!   each with its kind and observable width, its gate, how its criterion
 //!   is read from a [`MatchSpec`] and how a value is written into a
 //!   [`FlowKey`];
-//! - [`Region`]: one rule's match set in canonical form, built once per
-//!   rule — protocol couplings folded into one protocol set, one address
-//!   family, every criterion clipped to its field's width;
+//! - [`Region`]: one rule's match set in canonical form — protocol
+//!   couplings folded into one protocol set, one address family, every
+//!   criterion clipped to its field's width — read from a borrowed spec
+//!   for one question, or kept with its cells for as long as its rule
+//!   stands;
 //! - [`Domain`]: the key universe a question is asked over;
 //! - [`each_atom`]: the one splitter, cutting a field of the domain into
 //!   atoms on which every live region is constant;
@@ -405,33 +407,57 @@ impl Field {
 // Regions.
 // ---------------------------------------------------------------------
 
-/// One spec's match set in canonical form: the borrowed spec plus what
-/// its criteria add up to — which fields they constrain (family and
-/// protocol included, through the gates), which family, and whether
-/// anything is left. Cells are read from the spec, clipped, when asked:
-/// a table's regions are rebuilt on every admission audit, and stored
-/// cells would multiply what that path allocates. The protocol cell is
-/// the spec's protocol intersected with the `PROTO_GATES` sets of the
-/// fields it constrains — a few word operations, never a walk over the
-/// protocol numbers.
-#[derive(Debug, Clone, Copy)]
+/// One spec's match set in canonical form: what its criteria add up to —
+/// which fields they constrain (family and protocol included, through
+/// the gates), which family, whether anything is left — and the cells
+/// of the fields it constrains, clipped to their widths.
+///
+/// The cells come in two storages with one meaning. [`Region::of`]
+/// borrows the spec and reads each cell from it when asked: the form for
+/// a table built to answer one question (a diff, an ad-hoc analysis),
+/// which costs no allocation. [`Region::owned`] reads them once and
+/// keeps them — only the constrained criteria, 32 bytes each — for a
+/// region that lives as long as its rule's desired state does (the
+/// admission audit judges every candidate against such regions, so a
+/// standing rule is canonicalised once, not once per audit). The
+/// protocol cell is the spec's protocol intersected with the
+/// `PROTO_GATES` sets of the fields it constrains — a few word
+/// operations, never a walk over the protocol numbers.
+#[derive(Debug, Clone)]
 pub struct Region<'a> {
-    spec: &'a MatchSpec,
     /// Bit [`Field::bit`] set: the region constrains the field.
     constrained: u16,
     /// `Some(true)`: IPv4 keys only; `Some(false)`: IPv6 only.
     family: Option<bool>,
     empty: bool,
+    /// The spec's explicit protocol, if it names one.
+    protocol: Option<u8>,
+    cells: Cells<'a>,
 }
 
+/// Where a region's criterion cells come from.
+#[derive(Debug, Clone)]
+enum Cells<'a> {
+    /// Read from the spec, and clipped, on every ask.
+    Read(&'a MatchSpec),
+    /// One `(lo, hi)` range or `(mask, value)` cube per constrained
+    /// criterion field, clipped, in field order.
+    Stored(Box<[(u128, u128)]>),
+}
+
+/// The fields whose criterion comes from a spec (all but the family and
+/// the protocol, which the region derives).
+const CRITERIA: u16 = !(1 << Field::Family as u16 | 1 << Field::Proto as u16);
+
 impl<'a> Region<'a> {
-    /// Canonicalises one spec.
+    /// Canonicalises one spec, borrowing it for its cells.
     pub fn of(spec: &'a MatchSpec) -> Self {
         let mut r = Region {
-            spec,
             constrained: 0,
             family: None,
             empty: false,
+            protocol: spec.protocol.map(|p| p.0),
+            cells: Cells::Read(spec),
         };
         for f in Field::ALL {
             if let Some(cell) = f.read(spec) {
@@ -456,11 +482,6 @@ impl<'a> Region<'a> {
         r
     }
 
-    /// The spec the region was built from.
-    pub fn spec(&self) -> &'a MatchSpec {
-        self.spec
-    }
-
     /// True if no observable key matches.
     pub fn is_empty(&self) -> bool {
         self.empty
@@ -483,8 +504,8 @@ impl<'a> Region<'a> {
     fn protos(&self) -> ProtoSet {
         let gates = PROTO_GATES.into_iter();
         let implied = gates.filter(|(fields, _)| self.constrained & fields != 0);
-        let explicit = match self.spec.protocol {
-            Some(p) => ProtoSet::NONE.with(p.0),
+        let explicit = match self.protocol {
+            Some(p) => ProtoSet::NONE.with(p),
             None => ProtoSet::ALL,
         };
         implied.fold(explicit, |set, (_, gate)| set.and(gate))
@@ -493,12 +514,27 @@ impl<'a> Region<'a> {
     /// The region's cell on a field, clipped to the field's width.
     #[inline]
     fn cell(&self, f: Field) -> Cell {
-        let full = f.full(self.family);
         match (f, self.family) {
             (Field::Family, Some(true)) => Cell::exact(V4),
             (Field::Family, Some(false)) => Cell::exact(V6),
             (Field::Proto, _) => Cell::Protos(self.protos()),
-            _ => f.read(self.spec).map_or(full, |c| c.clip(full)),
+            _ if !self.constrains(f) => f.full(self.family),
+            _ => match &self.cells {
+                Cells::Read(spec) => {
+                    let full = f.full(self.family);
+                    f.read(spec).map_or(full, |c| c.clip(full))
+                }
+                Cells::Stored(cells) => {
+                    let before = self.constrained & CRITERIA & (f.bit() - 1);
+                    let (lo, hi) = cells[before.count_ones() as usize];
+                    match f {
+                        Field::TcpFlags | Field::Fragment => {
+                            Cell::Cube(BitsMatch::new(lo as u8, hi as u8))
+                        }
+                        _ => Cell::Range(lo, hi),
+                    }
+                }
+            },
         }
     }
 
@@ -525,6 +561,42 @@ impl<'a> Region<'a> {
             !(self.constrains(f) && other.constrains(f)) || self.cell(f).intersects(other.cell(f))
         };
         !self.empty && !other.empty && Field::ALL.iter().all(meet)
+    }
+}
+
+impl Region<'static> {
+    /// Canonicalises one spec into a region that keeps its cells and
+    /// outlives the spec: [`Region::of`], read once.
+    pub fn owned(spec: &MatchSpec) -> Self {
+        let read = Region::of(spec);
+        let criteria = Field::ALL
+            .into_iter()
+            .filter(|&f| read.constrained & CRITERIA & f.bit() != 0);
+        let cells = criteria.map(|f| match read.cell(f) {
+            Cell::Range(lo, hi) => (lo, hi),
+            Cell::Cube(c) => (c.mask.into(), c.value.into()),
+            // Criterion cells are ranges or cubes (the protocol is
+            // derived, never stored).
+            Cell::Protos(_) => (0, u128::MAX),
+        });
+        Region {
+            constrained: read.constrained,
+            family: read.family,
+            empty: read.empty,
+            protocol: read.protocol,
+            cells: Cells::Stored(cells.collect()),
+        }
+    }
+}
+
+/// Regions are equal when they describe the same canonical set the same
+/// way — constrained fields, family, emptiness and every cell — however
+/// their cells are kept.
+impl PartialEq<Region<'_>> for Region<'_> {
+    fn eq(&self, other: &Region<'_>) -> bool {
+        (self.constrained, self.family, self.empty)
+            == (other.constrained, other.family, other.empty)
+            && Field::ALL.iter().all(|&f| self.cell(f) == other.cell(f))
     }
 }
 

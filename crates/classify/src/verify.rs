@@ -346,10 +346,11 @@ fn with_sentinel(rules: &[AuditRule], mask_spec: &MatchSpec) -> Vec<AuditRule> {
 // ---------------------------------------------------------------------
 
 /// One rule as the differ sees it, at its rank-ordered position in the
-/// table: its canonical match set (and, through it, the spec the
-/// reference predicate reads) and its outcome.
+/// table: its canonical match set, the spec the reference predicate
+/// reads, and its outcome.
 struct EvalRule<'t> {
     region: Region<'t>,
+    spec: &'t MatchSpec,
     action: Outcome,
 }
 
@@ -362,6 +363,7 @@ fn build(rules: &[AuditRule]) -> Vec<EvalRule<'_>> {
         .into_iter()
         .map(|r| EvalRule {
             region: Region::of(&r.entry.spec),
+            spec: &r.entry.spec,
             action: Outcome::from(r.action),
         })
         .filter(|r| !r.region.is_empty())
@@ -431,7 +433,7 @@ impl Differ<'_> {
         if la.len() == lb.len()
             && la.iter().zip(lb.iter()).all(|(&i, &j)| {
                 let (ra, rb) = (&self.a[i as usize], &self.b[j as usize]);
-                ra.action == rb.action && ra.region.spec() == rb.region.spec()
+                ra.action == rb.action && ra.spec == rb.spec
             })
         {
             return Ok(());
@@ -518,7 +520,7 @@ impl Differ<'_> {
 fn eval_prepared(rules: &[EvalRule], key: &FlowKey) -> Outcome {
     rules
         .iter()
-        .find(|r| r.region.spec().matches(key))
+        .find(|r| r.spec.matches(key))
         .map_or(Outcome::NoMatch, |r| r.action)
 }
 

@@ -3,7 +3,8 @@
 //! has every gate on both sides (`common::gated`).
 //!
 //! - `Region::{is_empty, covers, intersects}` say exactly what the
-//!   enumerated keys say under `MatchSpec::matches`. The regions speak
+//!   enumerated keys say under `MatchSpec::matches`, whether the region
+//!   reads its cells from the spec or keeps them (`Region::owned`). The regions speak
 //!   about every observable key and the enumeration only about the
 //!   universe's, so the generator draws criteria that are a strict part
 //!   of the universe on their field, or lie wholly outside the field's
@@ -147,6 +148,15 @@ proptest! {
         prop_assert_eq!(ra.covers(&rb), !escapes, "covers({:?}, {:?})", a, b);
         let shared = keys.iter().any(|k| a.matches(k) && b.matches(k));
         prop_assert_eq!(ra.intersects(&rb), shared, "intersects({:?}, {:?})", a, b);
+        // Stored cells say what read ones say, against either storage.
+        let (oa, ob) = (Region::owned(&a), Region::owned(&b));
+        prop_assert!(oa == ra && ob == rb, "stored cells of {:?} / {:?}", a, b);
+        prop_assert_eq!(oa.is_empty(), !some_a);
+        prop_assert_eq!(oa.covers(&ob), !escapes);
+        prop_assert_eq!(oa.covers(&rb), !escapes);
+        prop_assert_eq!(ra.covers(&ob), !escapes);
+        prop_assert_eq!(oa.intersects(&ob), shared);
+        prop_assert_eq!(ra.intersects(&ob), shared);
     }
 
     #[test]
@@ -163,7 +173,14 @@ proptest! {
         let region = Region::of(&target);
         let regions: Vec<Region> = earlier.iter().map(Region::of).collect();
         let mut scratch = Scratch::default();
-        match first_uncovered(&region, regions.iter(), &dom, budget, &mut scratch) {
+        let found = first_uncovered(&region, regions.iter(), &dom, budget, &mut scratch);
+        // The same walk over regions that keep their cells.
+        let stored: Vec<Region> = earlier.iter().map(Region::owned).collect();
+        let owned = Region::owned(&target);
+        let mut scratch = Scratch::default();
+        let again = first_uncovered(&owned, stored.iter(), &dom, budget, &mut scratch);
+        prop_assert_eq!(&found, &again, "stored cells walked differently");
+        match found {
             Ok(Some(key)) => {
                 prop_assert!(keys.contains(&key), "{:?} is not a key of the universe", key);
                 prop_assert!(wins(&&key), "{:?} is not won by the target", key);

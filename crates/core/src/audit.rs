@@ -16,26 +16,37 @@
 //!
 //! The audit is candidate-scoped. A rule's verdict depends only on the
 //! rule itself and the better-ranked rules of its owner's table, and
-//! only candidates can be refused, so [`audit_batch`] builds tables for
-//! the candidates' owners alone and asks
-//! [`stellar_classify::analyze::analyze_candidates`] about the
-//! candidates alone: for `k` candidates joining an owner's `n` standing
-//! rules that is `k` coverage scans, `k` witness searches and at most
-//! `k·n` conflict tests per announcement — not the `n` searches and
-//! `n²/2` tests of a whole-table analysis whose other `n − k` verdicts
-//! nobody reads. Rules of other owners in `desired` cost one id
-//! comparison each; the caller on the announcement path
-//! (`StellarSystem::audit_changes`) does not pass them at all.
+//! only candidates can be refused, so the audit judges the candidates'
+//! owners' tables alone, and in them the candidates alone
+//! ([`stellar_classify::analyze::judge_ranked`]): for `k` candidates
+//! joining an owner's `n` standing rules that is `k` coverage scans, `k`
+//! witness searches and at most `k·n` conflict tests per announcement —
+//! not the `n` searches and `n²/2` tests of a whole-table analysis whose
+//! other `n − k` verdicts nobody reads.
+//!
+//! There is one verdict path, `Auditor`, over tables of `Standing`
+//! rules: each a reference into the plane that holds the rule, with the
+//! region built when the rule entered desired state. The announcement
+//! path (`StellarSystem::audit_changes`) reads those tables in place;
+//! [`audit_batch`] is an adapter for callers holding plain
+//! [`BlackholingRule`]s, which builds their regions and calls the same
+//! `Auditor` (rules of other owners in `desired` cost one id
+//! comparison each).
 
-use crate::rule::{BlackholingRule, RuleAction};
+use crate::rule::{BlackholingRule, RuleAction, RuleMatcher};
+use crate::signal::StellarSignal;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use stellar_bgp::types::Asn;
 use stellar_classify::analyze::{
-    analyze_candidates_with_budget, spec_is_empty, ActionClass, AuditRule, Finding, RuleFlag,
-    DEFAULT_WITNESS_BUDGET,
+    judge_ranked, ActionClass, AuditRule, Finding, Ranked, RuleFlag, DEFAULT_WITNESS_BUDGET,
 };
+use stellar_classify::set::Region;
 use stellar_classify::RuleEntry;
+use stellar_dataplane::filter::MatchSpec;
 use stellar_dataplane::switch::PortId;
+use stellar_net::flow::FlowKey;
+use stellar_net::prefix::Prefix;
 use stellar_sim::fabric::Fabric;
 
 /// Why the audit refused a newly signaled rule.
@@ -154,6 +165,77 @@ pub(crate) fn to_audit_rule(r: &BlackholingRule) -> AuditRule {
     )
 }
 
+/// Where a standing rule's spec comes from when the audit needs it — to
+/// confirm a witness with the reference predicate, or to charge a
+/// survivor's TCAM criteria.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum SpecOf<'a> {
+    /// A lowered FlowSpec rule holds its spec.
+    Held(&'a MatchSpec),
+    /// A signal rule's spec is its signal scoped to the path's prefix.
+    Signal(StellarSignal, Prefix),
+}
+
+/// One desired rule as the audit judges it, read in place from the plane
+/// that holds it: its id (its rank — every blackholing rule compiles at
+/// priority 100), its action, and its region — the one built when the
+/// rule entered desired state, or, through [`audit_batch`], one built
+/// for this audit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Standing<'a> {
+    pub(crate) id: u64,
+    pub(crate) action: RuleAction,
+    pub(crate) region: &'a Region<'a>,
+    pub(crate) spec: SpecOf<'a>,
+}
+
+impl<'a> Standing<'a> {
+    /// `rule` with a region built for it elsewhere.
+    pub(crate) fn of_rule(rule: &'a BlackholingRule, region: &'a Region<'a>) -> Self {
+        let spec = match &rule.matcher {
+            RuleMatcher::Signal(signal) => SpecOf::Signal(*signal, rule.victim),
+            RuleMatcher::FlowSpec { spec, .. } => SpecOf::Held(spec),
+        };
+        Standing {
+            id: rule.id,
+            action: rule.action(),
+            region,
+            spec,
+        }
+    }
+
+    /// The rule's match spec.
+    pub(crate) fn spec(&self) -> Cow<'a, MatchSpec> {
+        match self.spec {
+            SpecOf::Held(spec) => Cow::Borrowed(spec),
+            SpecOf::Signal(signal, victim) => Cow::Owned(signal.to_match_spec(victim)),
+        }
+    }
+
+    /// Whether the cached region is still the region of the rule's spec.
+    pub(crate) fn region_is_current(&self) -> bool {
+        *self.region == Region::of(&self.spec())
+    }
+}
+
+impl Ranked for Standing<'_> {
+    fn id(&self) -> u64 {
+        self.id
+    }
+
+    fn action(&self) -> ActionClass {
+        self.action.into()
+    }
+
+    fn region(&self) -> &Region<'_> {
+        self.region
+    }
+
+    fn matches(&self, key: &FlowKey) -> bool {
+        self.spec().matches(key)
+    }
+}
+
 /// Audits one proposed batch: `desired` is the desired state the
 /// candidates compete in (candidates already included) — every rule of
 /// the candidates' owners; rules of other owners may be present and are
@@ -169,6 +251,10 @@ pub(crate) fn to_audit_rule(r: &BlackholingRule) -> AuditRule {
 /// pools as well as the fabric-wide sums. A survivor whose owner has no
 /// registered port contributes to the fabric-wide needs only — the
 /// admission path will refuse it as `UnknownOwner` later.
+///
+/// An adapter over the verdict path the system's admission uses: it
+/// builds the candidate owners' regions here, then hands each owner's
+/// table to the same `Auditor` the system hands its standing regions.
 pub fn audit_batch(
     fabric: &Fabric,
     owner_port: impl Fn(Asn) -> Option<PortId>,
@@ -193,32 +279,74 @@ pub(crate) fn audit_batch_with_budget(
     candidate_ids: &[u64],
     witness_budget: usize,
 ) -> BatchAudit {
-    let mut audit = BatchAudit::default();
-    let mut pop_needs: BTreeMap<u16, (usize, usize)> = BTreeMap::new();
-    // Tables for the candidates' owners only; each rule's match spec is
-    // built once, here, and read from the table from then on.
-    let mut tables: BTreeMap<u32, Vec<AuditRule>> = desired
+    // The candidates' owners' rules, each with its spec built once.
+    let mut tables: BTreeMap<Asn, Vec<(&BlackholingRule, MatchSpec)>> = desired
         .iter()
         .filter(|r| candidate_ids.contains(&r.id))
-        .map(|r| (r.owner.0, Vec::new()))
+        .map(|r| (r.owner, Vec::new()))
         .collect();
     for r in desired {
-        if let Some(table) = tables.get_mut(&r.owner.0) {
-            table.push(to_audit_rule(r));
+        if let Some(table) = tables.get_mut(&r.owner) {
+            table.push((r, r.match_spec()));
         }
     }
-    for (owner, table) in &tables {
-        let report = analyze_candidates_with_budget(table, candidate_ids, witness_budget);
-        for rule in table {
-            let (id, spec) = (rule.entry.id, &rule.entry.spec);
-            if !candidate_ids.contains(&id) {
-                continue;
-            }
+    let mut auditor = Auditor::new(fabric, witness_budget);
+    for (owner, table) in &mut tables {
+        table.sort_by_key(|(r, _)| r.id);
+        let regions: Vec<Region> = table.iter().map(|(_, spec)| Region::of(spec)).collect();
+        let rules = table.iter().zip(&regions);
+        let standing: Vec<Standing> = rules
+            .map(|((r, spec), region)| Standing {
+                id: r.id,
+                action: r.action(),
+                region,
+                spec: SpecOf::Held(spec),
+            })
+            .collect();
+        auditor.judge(owner_port(*owner), &standing, candidate_ids);
+    }
+    auditor.finish()
+}
+
+/// The audit's one verdict path: judges the candidates of one owner's
+/// table after another and books what survives against the TCAM pools.
+pub(crate) struct Auditor<'f> {
+    fabric: &'f Fabric,
+    witness_budget: usize,
+    audit: BatchAudit,
+    /// Surviving `(mac, l34)` criteria per PoP.
+    pop_needs: BTreeMap<u16, (usize, usize)>,
+}
+
+impl<'f> Auditor<'f> {
+    pub(crate) fn new(fabric: &'f Fabric, witness_budget: usize) -> Self {
+        Auditor {
+            fabric,
+            witness_budget,
+            audit: BatchAudit::default(),
+            pop_needs: BTreeMap::new(),
+        }
+    }
+
+    /// Judges the candidates in `table` — every desired rule of one owner
+    /// placed on `port`, in rule-id order — against the rules ranked
+    /// before them, and books each verdict.
+    pub(crate) fn judge(
+        &mut self,
+        port: Option<PortId>,
+        table: &[Standing],
+        candidate_ids: &[u64],
+    ) {
+        let is_candidate = |id| candidate_ids.contains(&id);
+        let report = judge_ranked(table, is_candidate, self.witness_budget);
+        let pop = port.and_then(|p| self.fabric.pop_of_port(p));
+        for rule in table.iter().filter(|r| is_candidate(r.id)) {
+            let id = rule.id;
             // A self-contradictory spec is refused with its own reason:
             // "shadowed" would blame earlier rules for a candidate that
             // could never match anything on an empty port either.
-            if spec_is_empty(spec) {
-                audit.rejected.push((id, AuditRejection::EmptyMatch));
+            if rule.region.is_empty() {
+                self.audit.rejected.push((id, AuditRejection::EmptyMatch));
                 continue;
             }
             let rejection = match report.dead_flag(id) {
@@ -234,51 +362,62 @@ pub(crate) fn audit_batch_with_budget(
                     _ => None,
                 }),
             };
-            match rejection {
-                Some(rej) => audit.rejected.push((id, rej)),
-                None => {
-                    // A budget blowout proves nothing: admit, visibly.
-                    let unverified = Finding {
-                        rule: id,
-                        flag: RuleFlag::Unverified,
-                    };
-                    if report.findings.contains(&unverified) {
-                        audit.unverified.push(id);
-                    }
-                    let (mac, l34) = (spec.mac_criteria(), spec.l34_criteria());
-                    audit.preadmit.mac_needed += mac;
-                    audit.preadmit.l34_needed += l34;
-                    if let Some(pop) = owner_port(Asn(*owner)).and_then(|p| fabric.pop_of_port(p)) {
-                        let e = pop_needs.entry(pop.0).or_default();
-                        e.0 += mac;
-                        e.1 += l34;
-                    }
-                }
+            if let Some(rej) = rejection {
+                self.audit.rejected.push((id, rej));
+                continue;
+            }
+            // A budget blowout proves nothing: admit, visibly.
+            let unverified = Finding {
+                rule: id,
+                flag: RuleFlag::Unverified,
+            };
+            if report.findings.contains(&unverified) {
+                self.audit.unverified.push(id);
+            }
+            let spec = rule.spec();
+            let (mac, l34) = (spec.mac_criteria(), spec.l34_criteria());
+            self.audit.preadmit.mac_needed += mac;
+            self.audit.preadmit.l34_needed += l34;
+            if let Some(pop) = pop {
+                let e = self.pop_needs.entry(pop.0).or_default();
+                e.0 += mac;
+                e.1 += l34;
             }
         }
     }
-    audit.rejected.sort_by_key(|(id, _)| *id);
-    audit.unverified.sort_unstable();
-    audit.preadmit.mac_free = fabric.mac_free_total();
-    audit.preadmit.l34_free = fabric.l34_free_total();
-    audit.per_pop = fabric
-        .routers()
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let (mac_needed, l34_needed) = pop_needs.get(&(i as u16)).copied().unwrap_or((0, 0));
-            PopPreadmit {
-                pop: i as u16,
-                report: PreadmitReport {
-                    mac_needed,
-                    l34_needed,
-                    mac_free: r.tcam().mac_free(),
-                    l34_free: r.tcam().l34_free(),
-                },
-            }
-        })
-        .collect();
-    audit
+
+    /// The verdicts in rule-id order, with the free pools as they stand.
+    pub(crate) fn finish(self) -> BatchAudit {
+        let Auditor {
+            fabric,
+            mut audit,
+            pop_needs,
+            ..
+        } = self;
+        audit.rejected.sort_by_key(|(id, _)| *id);
+        audit.unverified.sort_unstable();
+        audit.preadmit.mac_free = fabric.mac_free_total();
+        audit.preadmit.l34_free = fabric.l34_free_total();
+        audit.per_pop = fabric
+            .routers()
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let (mac_needed, l34_needed) =
+                    pop_needs.get(&(i as u16)).copied().unwrap_or((0, 0));
+                PopPreadmit {
+                    pop: i as u16,
+                    report: PreadmitReport {
+                        mac_needed,
+                        l34_needed,
+                        mac_free: r.tcam().mac_free(),
+                        l34_free: r.tcam().l34_free(),
+                    },
+                }
+            })
+            .collect();
+        audit
+    }
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 //! same prefix from different member ASes with diverging blackholing
 //! rules".
 
+use crate::audit::{SpecOf, Standing};
 use crate::portal::CustomerPortal;
 use crate::rule::BlackholingRule;
 use crate::signal::StellarSignal;
@@ -18,6 +19,7 @@ use std::collections::{BTreeSet, HashMap};
 use stellar_bgp::attr::AsPath;
 use stellar_bgp::types::Asn;
 use stellar_bgp::update::UpdateMessage;
+use stellar_classify::set::Region;
 use stellar_net::prefix::Prefix;
 use stellar_routeserver::OwnerStamps;
 
@@ -71,12 +73,33 @@ pub enum DegradeOutcome {
     Unknown,
 }
 
+/// One signal rule of a path: the signal, its rule id, and the region
+/// of the signal scoped to the path's prefix — built when the rule
+/// enters desired state (or changes signal), and read by every audit
+/// of its owner from then on.
+#[derive(Debug)]
+struct SignalRule {
+    signal: StellarSignal,
+    id: u64,
+    region: Region<'static>,
+}
+
+impl SignalRule {
+    fn new(signal: StellarSignal, id: u64, prefix: Prefix) -> Self {
+        SignalRule {
+            signal,
+            id,
+            region: Region::owned(&signal.to_match_spec(prefix)),
+        }
+    }
+}
+
 /// One announced path's blackholing state.
 #[derive(Debug, Default)]
 struct PathRules {
     owner: Option<Asn>,
-    /// Signal → installed rule id.
-    rules: HashMap<StellarSignal, u64>,
+    /// The path's rules, one per signal, in no particular order.
+    rules: Vec<SignalRule>,
 }
 
 impl PathRules {
@@ -88,7 +111,11 @@ impl PathRules {
 
     /// The ids of the path's rules, in no particular order.
     fn ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.rules.values().copied()
+        self.rules.iter().map(|r| r.id)
+    }
+
+    fn holds(&self, signal: StellarSignal) -> bool {
+        self.rules.iter().any(|r| r.signal == signal)
     }
 
     /// The path's rules as the managers want them, for `prefix`.
@@ -96,7 +123,17 @@ impl PathRules {
         let owner = self.owner();
         self.rules
             .iter()
-            .map(move |(signal, id)| BlackholingRule::from_signal(*id, owner, prefix, *signal))
+            .map(move |r| BlackholingRule::from_signal(r.id, owner, prefix, r.signal))
+    }
+
+    /// The path's rules as the audit reads them, in place, for `prefix`.
+    fn standing(&self, prefix: Prefix) -> impl Iterator<Item = Standing<'_>> + '_ {
+        self.rules.iter().map(move |r| Standing {
+            id: r.id,
+            action: r.signal.action,
+            region: &r.region,
+            spec: SpecOf::Signal(r.signal, prefix),
+        })
     }
 }
 
@@ -143,6 +180,9 @@ pub struct BlackholingController {
     portal: CustomerPortal,
     paths: HashMap<PathKey, PathRules>,
     by_owner: ByOwner,
+    /// Rules over all paths, kept by every mutator that adds or drops
+    /// one.
+    rules: usize,
     next_rule_id: u64,
     stamps: OwnerStamps,
 }
@@ -155,6 +195,7 @@ impl BlackholingController {
             portal: CustomerPortal::with_standard_catalog(ixp_asn),
             paths: HashMap::new(),
             by_owner: ByOwner::default(),
+            rules: 0,
             next_rule_id: 1,
             stamps: OwnerStamps::default(),
         }
@@ -170,9 +211,16 @@ impl BlackholingController {
         &self.portal
     }
 
-    /// Total rules the controller believes are installed.
+    /// Total rules the controller believes are installed: a count kept
+    /// by the mutators, which debug builds check against the sum over
+    /// every path.
     pub fn rule_count(&self) -> usize {
-        self.paths.values().map(|p| p.rules.len()).sum()
+        debug_assert_eq!(
+            self.rules,
+            self.paths.values().map(|p| p.rules.len()).sum::<usize>(),
+            "rule count diverged"
+        );
+        self.rules
     }
 
     /// The desired-state version: bumped by every `process_update`,
@@ -223,25 +271,32 @@ impl BlackholingController {
             }
             // Removals: installed but no longer desired, in rule-id
             // order (deterministic across runs).
-            let mut stale: Vec<(u64, StellarSignal)> = path
-                .rules
-                .iter()
-                .filter(|(s, _)| !desired.contains(s))
-                .map(|(s, id)| (*id, *s))
-                .collect();
-            stale.sort_unstable_by_key(|(id, _)| *id);
-            for (rule_id, s) in stale {
-                path.rules.remove(&s);
+            let mut stale: Vec<u64> = Vec::new();
+            path.rules.retain(|r| {
+                let keep = desired.contains(&r.signal);
+                if !keep {
+                    stale.push(r.id);
+                }
+                keep
+            });
+            self.rules -= stale.len();
+            stale.sort_unstable();
+            for rule_id in stale {
                 changes.push(AbstractChange::RemoveRule { rule_id, owner });
             }
-            // Additions: desired but not installed.
+            // Additions: desired but not installed (a new path's rules
+            // are sized to what it is asked for).
+            if path.rules.is_empty() {
+                path.rules.reserve_exact(desired.len());
+            }
             for s in desired {
-                if path.rules.contains_key(&s) {
+                if path.holds(s) {
                     continue;
                 }
                 let id = self.next_rule_id;
                 self.next_rule_id += 1;
-                path.rules.insert(s, id);
+                path.rules.push(SignalRule::new(s, id, n.prefix));
+                self.rules += 1;
                 changes.push(AbstractChange::AddRule(BlackholingRule::from_signal(
                     id, owner, n.prefix, s,
                 )));
@@ -267,7 +322,8 @@ impl BlackholingController {
         };
         let owner = path.owner();
         self.by_owner.refile(key, Some(owner), None);
-        let mut ids: Vec<u64> = path.rules.into_values().collect();
+        self.rules -= path.rules.len();
+        let mut ids: Vec<u64> = path.ids().collect();
         ids.sort_unstable();
         let removals = ids
             .into_iter()
@@ -309,10 +365,10 @@ impl BlackholingController {
     /// read off the by-owner index: the cost of those owners' paths.
     fn paths_of<'a>(
         &'a self,
-        owners: impl IntoIterator<Item = &'a Asn> + 'a,
+        owners: impl IntoIterator<Item = Asn> + 'a,
     ) -> impl Iterator<Item = (Prefix, &'a PathRules)> + 'a {
         debug_assert!(self.index_is_exact(), "by-owner index diverged");
-        let keys = owners.into_iter().flat_map(|o| self.by_owner.paths(*o));
+        let keys = owners.into_iter().flat_map(|o| self.by_owner.paths(o));
         keys.filter_map(|key| Some((key.0, self.paths.get(key)?)))
     }
 
@@ -323,8 +379,24 @@ impl BlackholingController {
         &'a self,
         owners: impl IntoIterator<Item = &'a Asn> + 'a,
     ) -> impl Iterator<Item = BlackholingRule> + 'a {
-        self.paths_of(owners)
+        self.paths_of(owners.into_iter().copied())
             .flat_map(|(prefix, path)| path.desired(prefix))
+    }
+
+    /// `owner`'s rules as the admission audit reads them — each with the
+    /// region built when it entered desired state — in no particular
+    /// order.
+    pub(crate) fn standing_of(&self, owner: Asn) -> impl Iterator<Item = Standing<'_>> + '_ {
+        let paths = self.paths_of([owner]);
+        paths.flat_map(|(prefix, path)| path.standing(prefix))
+    }
+
+    /// Every rule with its cached region — for the checks that hold
+    /// each against the region of its spec.
+    #[cfg(test)]
+    pub(crate) fn standing(&self) -> impl Iterator<Item = Standing<'_>> + '_ {
+        let paths = self.paths.iter();
+        paths.flat_map(|((prefix, _), path)| path.standing(*prefix))
     }
 
     /// The ids of the rules the `owners` (each named once) want, each
@@ -334,7 +406,7 @@ impl BlackholingController {
         &'a self,
         owners: impl IntoIterator<Item = &'a Asn> + 'a,
     ) -> impl Iterator<Item = (Asn, u64)> + 'a {
-        self.paths_of(owners)
+        self.paths_of(owners.into_iter().copied())
             .flat_map(|(_, path)| path.ids().map(|id| (path.owner(), id)))
     }
 
@@ -369,14 +441,10 @@ impl BlackholingController {
     fn take_rule(&mut self, rule_id: u64) -> Option<(PathKey, StellarSignal, &mut PathRules)> {
         // Rule ids are unique: one path at most holds it, once.
         let mut paths = self.paths.iter_mut();
-        let (key, path) = paths.find(|(_, path)| path.rules.values().any(|id| *id == rule_id))?;
-        let mut taken = None;
-        path.rules.retain(|signal, id| {
-            let hit = *id == rule_id;
-            taken = taken.or(hit.then_some(*signal));
-            !hit
-        });
-        let signal = taken?;
+        let (key, path) = paths.find(|(_, path)| path.ids().any(|id| id == rule_id))?;
+        let at = path.rules.iter().position(|r| r.id == rule_id)?;
+        let signal = path.rules.swap_remove(at).signal;
+        self.rules -= 1;
         self.stamps.touch(path.owner());
         Some((*key, signal, path))
     }
@@ -400,9 +468,10 @@ impl BlackholingController {
         let owner = path.owner();
         let outcome = match signal.degrade() {
             None => DegradeOutcome::Exhausted,
-            Some(next) if path.rules.contains_key(&next) => DegradeOutcome::Merged,
+            Some(next) if path.holds(next) => DegradeOutcome::Merged,
             Some(next) => {
-                path.rules.insert(next, rule_id);
+                path.rules.push(SignalRule::new(next, rule_id, key.0));
+                self.rules += 1;
                 DegradeOutcome::Degraded(BlackholingRule::from_signal(rule_id, owner, key.0, next))
             }
         };
@@ -417,10 +486,11 @@ impl BlackholingController {
         for (key, path) in self.paths.drain() {
             let owner = path.owner();
             self.by_owner.refile(key, Some(owner), None);
-            for (_, rule_id) in path.rules {
+            for rule_id in path.ids() {
                 changes.push(AbstractChange::RemoveRule { rule_id, owner });
             }
         }
+        self.rules = 0;
         changes.sort_by_key(AbstractChange::rule_id);
         // Every tracked path holds a rule, so this reaches every owner —
         // in rule-id order, not the drain's.
@@ -613,9 +683,11 @@ mod tests {
                 ..Default::default()
             };
             for port in ports {
+                let signal = StellarSignal::drop_udp_src(*port);
                 path.rules
-                    .insert(StellarSignal::drop_udp_src(*port), c.next_rule_id);
+                    .push(SignalRule::new(signal, c.next_rule_id, victim()));
                 c.next_rule_id += 1;
+                c.rules += 1;
             }
             let key = (victim(), Some(path_id));
             c.by_owner.refile(key, None, Some(path.owner()));
@@ -840,7 +912,7 @@ mod tests {
             Op::Rehome { slot, owner } => {
                 let path = c.paths.get(&slot_key(slot));
                 let signals: Vec<_> =
-                    path.map_or(Vec::new(), |p| p.rules.keys().copied().collect());
+                    path.map_or(Vec::new(), |p| p.rules.iter().map(|r| r.signal).collect());
                 let current = path.map(PathRules::owner);
                 // Owners 1..=3 only: a re-announcement with an origin AS.
                 let mut others = (0..3).map(|o| asn(1 + (owner + o) % 3));
@@ -913,6 +985,24 @@ mod tests {
                 prop_assert_eq!(&every, &all, "all owners after {:?}", op);
                 let owners: BTreeSet<Asn> = all.iter().map(|r| r.owner).collect();
                 prop_assert_eq!(c.desired_owners(), owners, "owners after {:?}", op);
+            }
+        }
+
+        /// After every step of a random episode, every rule's cached
+        /// region is the region of its spec (the signal scoped to the
+        /// path's prefix), and the kept rule count is the number of
+        /// desired rules.
+        #[test]
+        fn cached_regions_are_their_rules_regions(
+            ops in proptest::collection::vec(arb_op(), 1..40),
+        ) {
+            let mut c = BlackholingController::new(IXP);
+            for op in &ops {
+                apply(&mut c, op);
+                for rule in c.standing() {
+                    prop_assert!(rule.region_is_current(), "rule {} after {:?}", rule.id, op);
+                }
+                prop_assert_eq!(c.rule_count(), c.desired_rules().len(), "after {:?}", op);
             }
         }
     }

@@ -9,6 +9,7 @@
 //! widened — installing a filter that matches traffic the member never
 //! asked to touch would break the isolation argument of §4.5.
 
+use crate::audit::Standing;
 use crate::controller::AbstractChange;
 use crate::proof::LoweringProof;
 use crate::rule::{BlackholingRule, RuleAction, RuleMatcher};
@@ -16,7 +17,7 @@ use std::collections::BTreeMap;
 use stellar_bgp::extcommunity::ExtendedCommunity;
 use stellar_bgp::flowspec::{numeric_match_intervals, BitmaskOp, Component, FlowSpec, NumericOp};
 use stellar_bgp::types::{Afi, Asn};
-use stellar_classify::set::{cube_and, cube_subset, interval_and};
+use stellar_classify::set::{cube_and, cube_subset, interval_and, Region};
 use stellar_classify::spec::is_icmp;
 use stellar_dataplane::filter::{BitsMatch, MatchSpec, PortMatch, RangeMatch};
 use stellar_net::flow::frag;
@@ -536,12 +537,35 @@ pub fn lower_flowspec(flow: &FlowSpec) -> Result<Vec<MatchSpec>, LowerError> {
 /// implicit withdraws and explicit withdraws line up one-to-one.
 #[derive(Debug, Default)]
 pub struct FlowSpecPlane {
-    entries: BTreeMap<(Asn, Vec<u8>), Vec<BlackholingRule>>,
+    entries: BTreeMap<(Asn, Vec<u8>), Vec<Lowered>>,
+    /// Rules over all entries, kept by every mutator that adds or drops
+    /// one.
+    rules: usize,
     next_rule_id: u64,
     stamps: OwnerStamps,
     /// Set by the last [`install`](Self::install) if it admitted a
     /// lowering it could not prove exact.
     unverified: Option<UnverifiedLowering>,
+}
+
+/// One lowered rule in desired state, with the region of its spec —
+/// built when the rule entered desired state, and read by every audit
+/// of its owner from then on.
+#[derive(Debug)]
+struct Lowered {
+    rule: BlackholingRule,
+    region: Region<'static>,
+}
+
+impl Lowered {
+    fn new(rule: BlackholingRule) -> Self {
+        let region = Region::owned(&rule.match_spec());
+        Lowered { rule, region }
+    }
+
+    fn standing(&self) -> Standing<'_> {
+        Standing::of_rule(&self.rule, &self.region)
+    }
 }
 
 /// A lowering that reached desired state although obligation (a) could
@@ -613,28 +637,31 @@ impl FlowSpecPlane {
         };
         let owner = acc.owner;
         let key = (owner, wire);
-        let mut rules = self.entries.remove(&key).unwrap_or_default();
+        // A new NLRI's rules are sized to its lowering.
+        let fresh = || Vec::with_capacity(specs.len());
+        let mut rules = self.entries.remove(&key).unwrap_or_else(fresh);
         let mut changes = Vec::new();
         let desired: Vec<(MatchSpec, RuleAction)> =
             specs.iter().map(|s| (s.clone(), action)).collect();
-        rules.retain(|r| {
+        rules.retain(|l| {
             let keep = matches!(
-                &r.matcher,
+                &l.rule.matcher,
                 RuleMatcher::FlowSpec { spec, action: a }
                     if desired.iter().any(|(s, da)| s == spec && da == a)
             );
             if !keep {
                 changes.push(AbstractChange::RemoveRule {
-                    rule_id: r.id,
+                    rule_id: l.rule.id,
                     owner,
                 });
             }
             keep
         });
+        self.rules -= changes.len();
         for spec in specs {
-            let exists = rules.iter().any(|r| {
+            let exists = rules.iter().any(|l| {
                 matches!(
-                    &r.matcher,
+                    &l.rule.matcher,
                     RuleMatcher::FlowSpec { spec: s, action: a } if *s == spec && *a == action
                 )
             });
@@ -644,13 +671,14 @@ impl FlowSpecPlane {
             let id = self.next_rule_id;
             self.next_rule_id += 1;
             let rule = BlackholingRule::from_flowspec(id, owner, victim, spec, action);
-            rules.push(rule.clone());
+            rules.push(Lowered::new(rule.clone()));
+            self.rules += 1;
             changes.push(AbstractChange::AddRule(rule));
         }
         if let LoweringProof::Unverified { reason } = proof {
             self.unverified = Some(UnverifiedLowering {
                 reason,
-                rule_ids: rules.iter().map(|r| r.id).collect(),
+                rule_ids: rules.iter().map(|l| l.rule.id).collect(),
             });
         }
         if !changes.is_empty() {
@@ -675,10 +703,11 @@ impl FlowSpecPlane {
             return Vec::new();
         };
         self.stamps.touch(owner);
+        self.rules -= rules.len();
         rules
             .into_iter()
-            .map(|r| AbstractChange::RemoveRule {
-                rule_id: r.id,
+            .map(|l| AbstractChange::RemoveRule {
+                rule_id: l.rule.id,
                 owner,
             })
             .collect()
@@ -691,13 +720,14 @@ impl FlowSpecPlane {
         let mut out = Vec::new();
         for ((owner, _), rules) in std::mem::take(&mut self.entries) {
             self.stamps.touch(owner);
-            for r in rules {
+            for l in rules {
                 out.push(AbstractChange::RemoveRule {
-                    rule_id: r.id,
+                    rule_id: l.rule.id,
                     owner,
                 });
             }
         }
+        self.rules = 0;
         out.sort_by_key(AbstractChange::rule_id);
         out
     }
@@ -705,7 +735,8 @@ impl FlowSpecPlane {
     /// Every rule the plane wants installed, sorted by id — the
     /// FlowSpec half of the reconciliation diff.
     pub fn desired_rules(&self) -> Vec<BlackholingRule> {
-        let mut out: Vec<BlackholingRule> = self.entries.values().flatten().cloned().collect();
+        let lowered = self.entries.values().flatten();
+        let mut out: Vec<BlackholingRule> = lowered.map(|l| l.rule.clone()).collect();
         out.sort_by_key(|r| r.id);
         out
     }
@@ -714,6 +745,23 @@ impl FlowSpecPlane {
     /// [`Self::desired_rules`] restricted to one owner, read as one
     /// contiguous range of the `(owner, NLRI)`-keyed map.
     pub(crate) fn desired_rules_of(&self, owner: Asn) -> impl Iterator<Item = &BlackholingRule> {
+        self.lowered_of(owner).map(|l| &l.rule)
+    }
+
+    /// `owner`'s rules as the admission audit reads them — each with the
+    /// region built when it entered desired state — in NLRI order.
+    pub(crate) fn standing_of(&self, owner: Asn) -> impl Iterator<Item = Standing<'_>> {
+        self.lowered_of(owner).map(Lowered::standing)
+    }
+
+    /// Every rule with its cached region — for the checks that hold
+    /// each against the region of its spec.
+    #[cfg(test)]
+    pub(crate) fn standing(&self) -> impl Iterator<Item = Standing<'_>> {
+        self.entries.values().flatten().map(Lowered::standing)
+    }
+
+    fn lowered_of(&self, owner: Asn) -> impl Iterator<Item = &Lowered> {
         self.entries
             .range((owner, Vec::new())..)
             .take_while(move |((o, _), _)| *o == owner)
@@ -723,7 +771,7 @@ impl FlowSpecPlane {
     /// The ids of every lowered rule currently desired, in no particular
     /// order.
     pub(crate) fn desired_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.values().flatten().map(|r| r.id)
+        self.entries.values().flatten().map(|l| l.rule.id)
     }
 
     /// Admission permanently refused `rule_id`: drop it from desired
@@ -731,8 +779,8 @@ impl FlowSpecPlane {
     pub fn rule_refused(&mut self, rule_id: u64) -> bool {
         let mut found = false;
         self.entries.retain(|(owner, _), rules| {
-            rules.retain(|r| {
-                let hit = r.id == rule_id;
+            rules.retain(|l| {
+                let hit = l.rule.id == rule_id;
                 if hit {
                     found = true;
                     self.stamps.touch(*owner);
@@ -741,12 +789,20 @@ impl FlowSpecPlane {
             });
             !rules.is_empty()
         });
+        self.rules -= usize::from(found);
         found
     }
 
-    /// Number of lowered rules currently desired.
+    /// Number of lowered rules currently desired: a count kept by the
+    /// mutators, which debug builds check against the sum over every
+    /// NLRI.
     pub fn rule_count(&self) -> usize {
-        self.entries.values().map(|v| v.len()).sum()
+        debug_assert_eq!(
+            self.rules,
+            self.entries.values().map(Vec::len).sum::<usize>(),
+            "rule count diverged"
+        );
+        self.rules
     }
 
     /// The owners with at least one NLRI desired, ascending, each once:
@@ -773,6 +829,7 @@ impl FlowSpecPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use stellar_bgp::flowspec::{bitmask_seq_matches, numeric_seq_matches};
     use stellar_net::addr::{IpAddress, Ipv4Address, Ipv6Address};
     use stellar_net::flow::FlowKey;
@@ -1554,6 +1611,111 @@ mod tests {
         plane.flush();
         step(&plane);
         assert_eq!(plane.owners().count(), 0);
+    }
+
+    /// One step of [`cached_regions_are_their_rules_regions`]: owners are
+    /// indexes into three ASNs, flows into [`episode_flow`]'s variants,
+    /// picks into the desired rules by id.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Announce (or re-announce, implicitly withdrawing the old
+        /// lowering) a flow at a drop or a shaping rate.
+        Install {
+            owner: usize,
+            flow: usize,
+            shape: bool,
+        },
+        Withdraw {
+            owner: usize,
+            flow: usize,
+        },
+        Refuse {
+            pick: usize,
+        },
+        Flush,
+    }
+
+    /// Flows lowering to one spec, two specs, a flag cube and a
+    /// fragment cube, towards two victims.
+    fn episode_flow(i: usize) -> FlowSpec {
+        let dst = ["100.10.10.10/32", "100.10.10.11/32"][i / 4 % 2];
+        let mut components = vec![Component::DstPrefix(dst.parse().unwrap())];
+        components.extend(match i % 4 {
+            0 => vec![
+                Component::IpProtocol(vec![NumericOp::equals(17)]),
+                Component::SrcPort(vec![NumericOp::equals(123)]),
+            ],
+            1 => vec![
+                Component::IpProtocol(vec![NumericOp::equals(17)]),
+                Component::SrcPort(vec![NumericOp::equals(53), NumericOp::equals(389)]),
+            ],
+            2 => vec![Component::TcpFlags(vec![BitmaskOp::new(
+                false, false, true, 0x02,
+            )])],
+            _ => vec![
+                Component::PacketLength(vec![NumericOp::ge(1000)]),
+                Component::Fragment(vec![BitmaskOp::new(false, false, false, 0x03)]),
+            ],
+        });
+        flow(components)
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0usize..3, 0usize..8, any::<bool>()).prop_map(|(owner, flow, shape)| Op::Install {
+                owner,
+                flow,
+                shape
+            }),
+            (0usize..3, 0usize..8, any::<bool>()).prop_map(|(owner, flow, shape)| Op::Install {
+                owner,
+                flow,
+                shape
+            }),
+            (0usize..3, 0usize..8).prop_map(|(owner, flow)| Op::Withdraw { owner, flow }),
+            any::<usize>().prop_map(|pick| Op::Refuse { pick }),
+            Just(Op::Flush),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After every step of a random episode, every lowered rule's
+        /// cached region is the region of its spec, and the kept rule
+        /// count is the number of desired rules.
+        #[test]
+        fn cached_regions_are_their_rules_regions(
+            ops in proptest::collection::vec(arb_op(), 1..30),
+        ) {
+            let mut plane = FlowSpecPlane::new();
+            let asn = |o: usize| Asn(OWNER.0 + o as u32);
+            for op in &ops {
+                match *op {
+                    Op::Install { owner, flow, shape } => {
+                        let acc = AcceptedFlowSpec {
+                            owner: asn(owner),
+                            ..accepted(episode_flow(flow), if shape { 1e6 } else { 0.0 })
+                        };
+                        plane.install(&acc).expect("every episode flow lowers");
+                    }
+                    Op::Withdraw { owner, flow } => {
+                        plane.withdraw(asn(owner), &episode_flow(flow));
+                    }
+                    Op::Refuse { pick } => {
+                        let ids: Vec<u64> = plane.desired_ids().collect();
+                        plane.rule_refused(ids.get(pick % ids.len().max(1)).copied().unwrap_or(0));
+                    }
+                    Op::Flush => {
+                        plane.flush();
+                    }
+                }
+                for rule in plane.standing() {
+                    prop_assert!(rule.region_is_current(), "rule {} after {:?}", rule.id, op);
+                }
+                prop_assert_eq!(plane.rule_count(), plane.desired_rules().len(), "after {:?}", op);
+            }
+        }
     }
 
     #[test]

@@ -43,9 +43,10 @@ use stellar_net::proto::IpProtocol;
 use stellar_sim::fabric::Fabric;
 
 /// Hard cap on oracle table size. The oracle may be far less minimal
-/// than the lowering it checks (singleton bitmask cubes, per-protocol
-/// expansion), so this is looser than `MAX_LOWERED_SPECS`; past it the
-/// check reports [`LoweringProof::Unverified`] rather than sampling.
+/// than the lowering it checks (per-protocol expansion before any
+/// coupling narrows it, disjoint bitmask cubes where the lowering may
+/// overlap them), so this is looser than `MAX_LOWERED_SPECS`; past it
+/// the check reports [`LoweringProof::Unverified`] rather than sampling.
 pub const MAX_ORACLE_RULES: usize = 4096;
 
 /// Outcome of the lowering-exactness obligation.
@@ -137,8 +138,10 @@ fn drop_rule(id: u64, spec: MatchSpec) -> AuditRule {
 /// [`numeric_seq_matches`] at elementary cut points (every `op.value`
 /// and `op.value + 1`): between consecutive cut points every relation
 /// in the sequence is constant, so one point evaluation decides the
-/// whole segment. Bitmask components enumerate their (small) byte
-/// domain directly into singleton cubes. Couplings (ports require a
+/// whole segment. Bitmask components evaluate every byte of their
+/// (small) domain and store the accepted set as an exact cover of
+/// disjoint ternary cubes ([`byte_cubes`]), the way numeric sets are
+/// stored as merged intervals. Couplings (ports require a
 /// portful protocol, TCP flags require TCP, …) are deliberately *not*
 /// encoded here: `MatchSpec::matches` applies them identically to both
 /// tables inside the algebra, which keeps the oracle independent of the
@@ -189,15 +192,11 @@ fn build_oracle(flow: &FlowSpec) -> Result<Vec<MatchSpec>, &'static str> {
             }
             Component::DstPort(ops) => {
                 let ivs = eval_intervals(ops, u64::from(u16::MAX));
-                cross(variants, &ivs, |v, (lo, hi)| {
-                    v.dst_port = Some(port_match(lo, hi));
-                })?
+                cross_port(variants, &ivs, |v| &mut v.dst_port)?
             }
             Component::SrcPort(ops) => {
                 let ivs = eval_intervals(ops, u64::from(u16::MAX));
-                cross(variants, &ivs, |v, (lo, hi)| {
-                    v.src_port = Some(port_match(lo, hi));
-                })?
+                cross_port(variants, &ivs, |v| &mut v.src_port)?
             }
             Component::IcmpType(ops) => {
                 let ivs = eval_intervals(ops, 255);
@@ -218,13 +217,8 @@ fn build_oracle(flow: &FlowSpec) -> Result<Vec<MatchSpec>, &'static str> {
                 })?
             }
             Component::TcpFlags(ops) => {
-                let xs: Vec<u8> = byte_values(|x| bitmask_seq_matches(ops, x));
-                cross(variants, &xs, |v, x| {
-                    v.tcp_flags = Some(BitsMatch {
-                        mask: 0xFF,
-                        value: x,
-                    });
-                })?
+                let cubes = byte_cubes(|x| bitmask_seq_matches(ops, x));
+                cross(variants, &cubes, |v, c| v.tcp_flags = Some(c))?
             }
             Component::PacketLength(ops) => {
                 let ivs = eval_intervals(ops, u64::from(u16::MAX));
@@ -245,17 +239,12 @@ fn build_oracle(flow: &FlowSpec) -> Result<Vec<MatchSpec>, &'static str> {
                 })?
             }
             Component::Fragment(ops) => {
-                // Canonical keys only carry bits inside `frag::DOMAIN`;
-                // enumerating that subdomain is exact over the algebra's
-                // universe.
-                let xs: Vec<u8> =
-                    byte_values(|x| (x as u8) & !frag::DOMAIN == 0 && bitmask_seq_matches(ops, x));
-                cross(variants, &xs, |v, x| {
-                    v.fragment = Some(BitsMatch {
-                        mask: 0xFF,
-                        value: x,
-                    });
-                })?
+                // Canonical keys only carry bits inside `frag::DOMAIN`:
+                // the set holds no byte with another bit set, so its cubes
+                // pin those bits to 0 — exact over the algebra's universe.
+                let cubes =
+                    byte_cubes(|x| (x as u8) & !frag::DOMAIN == 0 && bitmask_seq_matches(ops, x));
+                cross(variants, &cubes, |v, c| v.fragment = Some(c))?
             }
             Component::FlowLabel(ops) => {
                 let ivs = eval_intervals(ops, 0xF_FFFF);
@@ -282,6 +271,34 @@ fn byte_values(pred: impl Fn(u64) -> bool) -> Vec<u8> {
     (0u16..=255)
         .map(|x| x as u8)
         .filter(|&x| pred(u64::from(x)))
+        .collect()
+}
+
+/// Exact cover of the bytes accepted by `pred` by disjoint ternary
+/// cubes, using only point evaluation — the bitmask counterpart of
+/// [`eval_intervals`]. The set is read into a table of cubes keyed by
+/// their smallest value, all of them single bytes at first; then, bit by
+/// bit, every two cubes that differ in that bit alone (equal masks,
+/// values one bit apart) merge into one that leaves the bit free. Each
+/// merge keeps the cubes disjoint and their union equal to the set, so
+/// "SYN set, ACK clear" ends as the one cube it is, not 64 bytes.
+/// Ascending by smallest value; empty for the empty set, `(0, 0)` for
+/// the full one.
+fn byte_cubes(pred: impl Fn(u64) -> bool) -> Vec<BitsMatch> {
+    // mask[v]: the mask of the cube whose smallest value is `v`, if any.
+    let mut mask: [Option<u8>; 256] = std::array::from_fn(|v| pred(v as u64).then_some(0xFF));
+    for bit in (0..8).map(|i| 1usize << i) {
+        for lo in (0..256).filter(|v| v & bit == 0) {
+            if let (Some(a), Some(b)) = (mask[lo], mask[lo | bit]) {
+                if a == b {
+                    mask[lo] = Some(a & !(bit as u8));
+                    mask[lo | bit] = None;
+                }
+            }
+        }
+    }
+    (0..256)
+        .filter_map(|v| Some(BitsMatch::new(mask[v]?, v as u8)))
         .collect()
 }
 
@@ -333,6 +350,34 @@ fn cross<T: Copy>(
             let mut s = v.clone();
             set(&mut s, c);
             next.push(s);
+        }
+    }
+    capped(next)
+}
+
+/// [`cross`] on one port field, which the either-port component (type 4
+/// comes before types 5 and 6) may already constrain: such a variant
+/// keeps the common part of both intervals, and none where they are
+/// disjoint — both conditions hold of the packet.
+fn cross_port(
+    variants: Vec<MatchSpec>,
+    ivs: &[(u64, u64)],
+    field: fn(&mut MatchSpec) -> &mut Option<PortMatch>,
+) -> Result<Vec<MatchSpec>, &'static str> {
+    let mut next = Vec::with_capacity(variants.len().saturating_mul(ivs.len()));
+    for v in &variants {
+        for &(lo, hi) in ivs {
+            let mut s = v.clone();
+            let slot = field(&mut s);
+            let (lo, hi) = match *slot {
+                Some(PortMatch::Exact(p)) => (lo.max(p.into()), hi.min(p.into())),
+                Some(PortMatch::Range(a, b)) => (lo.max(a.into()), hi.min(b.into())),
+                None => (lo, hi),
+            };
+            if lo <= hi {
+                *slot = Some(port_match(lo, hi));
+                next.push(s);
+            }
         }
     }
     capped(next)
@@ -531,6 +576,26 @@ mod tests {
     }
 
     #[test]
+    fn either_port_with_explicit_ports_is_proven_exact() {
+        // Port 80 (either side) and src port 1000 or 2000-3000: the
+        // oracle intersects the either-port variant's src constraint
+        // with the explicit one instead of replacing it.
+        let f = flow(vec![
+            Component::DstPrefix(v4(198, 51, 100, 7, 32)),
+            Component::IpProtocol(vec![NumericOp::equals(17)]),
+            Component::Port(vec![NumericOp::equals(80), NumericOp::equals(2500)]),
+            Component::DstPort(vec![NumericOp::ge(1), NumericOp::and_le(1024)]),
+            Component::SrcPort(vec![
+                NumericOp::equals(1000),
+                NumericOp::ge(2000),
+                NumericOp::and_le(3000),
+            ]),
+        ]);
+        let lowered = lower_flowspec(&f).expect("lowers");
+        assert_eq!(check_lowering(&f, &lowered), LoweringProof::Exact);
+    }
+
+    #[test]
     fn dropped_spec_is_caught_as_under_match() {
         let f = flow(vec![
             Component::DstPrefix(v4(198, 51, 100, 7, 32)),
@@ -573,6 +638,97 @@ mod tests {
         ]);
         let lowered = lower_flowspec(&f).expect("lowers");
         assert_eq!(check_lowering(&f, &lowered), LoweringProof::Exact);
+    }
+
+    /// Dst /24, TCP, "SYN set and ACK clear": one lowered spec, and now
+    /// one oracle cube.
+    fn syn_not_ack() -> FlowSpec {
+        flow(vec![
+            Component::DstPrefix(v4(198, 51, 100, 0, 24)),
+            Component::IpProtocol(vec![NumericOp::equals(6)]),
+            Component::TcpFlags(vec![
+                BitmaskOp::new(false, false, true, 0x02),
+                BitmaskOp::new(true, true, false, 0x10),
+            ]),
+        ])
+    }
+
+    #[test]
+    fn tcp_flag_oracle_is_one_cube_and_proves_the_lowering() {
+        let f = syn_not_ack();
+        assert_eq!(build_oracle(&f).expect("small").len(), 1);
+        let lowered = lower_flowspec(&f).expect("lowers");
+        assert_eq!(check_lowering(&f, &lowered), LoweringProof::Exact);
+    }
+
+    #[test]
+    fn extra_tcp_flag_mask_bit_is_caught_as_under_match() {
+        let f = syn_not_ack();
+        let mut lowered = lower_flowspec(&f).expect("lowers");
+        // Sabotage: also demand FIN clear — the rule now misses SYN+FIN.
+        let flags = lowered[0].tcp_flags.as_mut().expect("a flag cube");
+        flags.mask |= 0x01;
+        flags.value &= !0x01;
+        assert_eq!(
+            check_lowering(&f, &lowered).violation_kind(),
+            Some("under-match")
+        );
+    }
+
+    #[test]
+    fn dropped_tcp_flag_mask_bit_is_caught_as_over_match() {
+        let f = syn_not_ack();
+        let mut lowered = lower_flowspec(&f).expect("lowers");
+        // Sabotage: forget the ACK bit — the rule now drops SYN+ACK too.
+        let flags = lowered[0].tcp_flags.as_mut().expect("a flag cube");
+        flags.mask &= !0x10;
+        flags.value &= !0x10;
+        assert_eq!(
+            check_lowering(&f, &lowered).violation_kind(),
+            Some("over-match")
+        );
+    }
+
+    /// Asserts `byte_cubes` of `ops` is a disjoint cover of exactly the
+    /// bytes `bitmask_seq_matches` accepts.
+    fn assert_exact_cover(ops: &[BitmaskOp]) {
+        let cubes = byte_cubes(|x| bitmask_seq_matches(ops, x));
+        for x in 0..=255u8 {
+            let hits = cubes.iter().filter(|c| c.matches(x)).count();
+            let want = bitmask_seq_matches(ops, u64::from(x));
+            assert_eq!(hits, usize::from(want), "ops {ops:?}, byte {x:#04x}");
+        }
+    }
+
+    #[test]
+    fn byte_cubes_match_pointwise_semantics() {
+        let flags = [(false, false), (false, true), (true, false), (true, true)];
+        let op = |and, (not, all), value| BitmaskOp::new(and, not, all, value);
+        // One operator: every flag pair over every mask.
+        for f in flags {
+            for value in 0..=255u64 {
+                assert_exact_cover(&[op(false, f, value)]);
+            }
+        }
+        // Two operators, ANDed or ORed: every flag pair of each over
+        // every mask of the low nibble, the second also over every mask
+        // of the high one (values above the nibble cross bit positions
+        // the first never touches).
+        let seconds: Vec<u64> = (0..16).chain((1..16).map(|m| m << 4)).collect();
+        for f1 in flags {
+            for f2 in flags {
+                for and in [false, true] {
+                    for v1 in 0..16u64 {
+                        for &v2 in &seconds {
+                            assert_exact_cover(&[op(false, f1, v1), op(and, f2, v2)]);
+                        }
+                    }
+                }
+            }
+        }
+        // The full set is the free cube, the empty set no cube.
+        assert_eq!(byte_cubes(|_| true), [BitsMatch::new(0, 0)]);
+        assert!(byte_cubes(|_| false).is_empty());
     }
 
     #[test]

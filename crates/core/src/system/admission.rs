@@ -7,13 +7,14 @@
 //! [`StellarSystem::refuse`] alone.
 
 use super::{FlowSpecOutcome, SignalOutcome, StellarSystem};
-use crate::audit::{audit_batch, AuditRejection, BatchAudit};
+use crate::audit::{AuditRejection, Auditor, BatchAudit, Standing};
 use crate::controller::AbstractChange;
 use crate::flowspec::{LowerError, FLOWSPEC_RULE_ID_BASE};
 use stellar_bgp::extcommunity::ExtendedCommunity;
 use stellar_bgp::flowspec::FlowSpec;
 use stellar_bgp::types::Asn;
 use stellar_bgp::update::UpdateMessage;
+use stellar_classify::analyze::DEFAULT_WITNESS_BUDGET;
 use stellar_routeserver::{AcceptedFlowSpec, FlowSpecOutput};
 
 /// A FlowSpec announcement whose RFC 9117 validation failed closed
@@ -208,19 +209,20 @@ impl StellarSystem {
     /// table, refuses the ones that come back shadowed or
     /// crossing-conflicted (they leave desired state and never reach the
     /// queue), and accounts the survivors' TCAM footprint against the
-    /// free pools. The cost follows the candidates and their owner's
-    /// table, not the number of standing rules at the IXP. Degrade and
-    /// reconcile repairs skip this gate: they re-install rules the audit
-    /// already admitted.
+    /// free pools. The owner's table is read in place from both planes,
+    /// each rule with the region built when it entered desired state:
+    /// nothing is cloned or canonicalised here, and the cost follows the
+    /// candidates and their owner's table, not the number of standing
+    /// rules at the IXP. Degrade and reconcile repairs skip this gate:
+    /// they re-install rules the audit already admitted.
     fn audit_changes(
         &mut self,
         changes: &mut Vec<AbstractChange>,
         rejections: &mut Vec<(u64, AuditRejection)>,
         now_us: u64,
     ) {
-        // Rules only compete within an owner's egress port, so
-        // [`audit_batch`] is handed the candidates' owners' tables and
-        // nobody else's.
+        // Rules only compete within an owner's egress port, so only the
+        // candidates' owners' tables are judged.
         let (candidate_ids, mut owners): (Vec<u64>, Vec<Asn>) = changes
             .iter()
             .filter_map(|c| match c {
@@ -233,9 +235,20 @@ impl StellarSystem {
         }
         owners.sort_unstable();
         owners.dedup();
-        let desired = self.desired_of(&owners);
-        let owner_port = |a| self.manager.owner_port(a);
-        let audit = audit_batch(&self.ixp.fabric, owner_port, &desired, &candidate_ids);
+        let mut auditor = Auditor::new(&self.ixp.fabric, DEFAULT_WITNESS_BUDGET);
+        let mut table: Vec<Standing> = Vec::new();
+        for owner in owners {
+            table.clear();
+            table.extend(self.controller.standing_of(owner));
+            table.extend(self.flowspec.standing_of(owner));
+            table.sort_unstable_by_key(|r| r.id);
+            debug_assert!(
+                table.iter().all(Standing::region_is_current),
+                "cached region diverged from its rule's spec"
+            );
+            auditor.judge(self.manager.owner_port(owner), &table, &candidate_ids);
+        }
+        let audit = auditor.finish();
         // Unit-test builds of this crate check every verdict against the
         // whole-table reference before acting on it.
         #[cfg(test)]

@@ -391,10 +391,10 @@ fn a_reconcile_repair_and_an_injected_fault_empty_the_ledger() {
 fn unverifiable_lowering_is_admitted_but_counted_and_named() {
     let mut sys = cached();
     assert_eq!(counter(&sys, "verify.lowering.unverified"), 0);
-    // SYN set (128 flag bytes) × any fragment bit (15) × three lengths:
-    // 12 lowered specs, but 5 760 oracle rules — past `MAX_ORACLE_RULES`,
-    // so obligation (a) ends without a verdict.
-    let flow = FlowSpec {
+    // SYN set (one flag cube) × any fragment bit (four) × three lengths
+    // is a 12-rule oracle now that bitmask sets are stored as cubes:
+    // proven, no longer past the cap.
+    let provable = FlowSpec {
         afi: Afi::Ipv4,
         components: vec![
             Component::DstPrefix(host(3, 1)),
@@ -408,11 +408,33 @@ fn unverifiable_lowering_is_admitted_but_counted_and_named() {
             Component::Fragment(vec![BitmaskOp::new(false, false, false, 0x0F)]),
         ],
     };
+    let lowered = crate::flowspec::lower_flowspec(&provable).expect("lowers");
+    assert_eq!(lowered.len(), 12);
+    assert!(crate::proof::check_lowering(&provable, &lowered).is_exact());
+    // Protocols 0–63, "FIN+SYN, RST+PSH or ACK+URG" and 21 lengths: the
+    // lowering narrows the protocols to TCP and keeps the three
+    // overlapping flag cubes, 63 specs; the oracle keeps all 64
+    // protocols and covers the flag set by seven disjoint cubes — 9 408
+    // rules, past `MAX_ORACLE_RULES`, so obligation (a) ends without a
+    // verdict.
+    let flow = FlowSpec {
+        afi: Afi::Ipv4,
+        components: vec![
+            Component::DstPrefix(host(3, 1)),
+            Component::IpProtocol(vec![NumericOp::new(false, true, false, true, 63)]),
+            Component::TcpFlags(vec![
+                BitmaskOp::new(false, false, true, 0x03),
+                BitmaskOp::new(false, false, true, 0x0C),
+                BitmaskOp::new(false, false, true, 0x30),
+            ]),
+            Component::PacketLength((0..21).map(|i| NumericOp::equals(100 + 2 * i)).collect()),
+        ],
+    };
     let member = Asn(BASE_ASN + 3);
     let drop = ExtendedCommunity::traffic_rate(member.0 as u16, 0.0);
     let out = sys.member_flowspec(member, flow, &[drop], 5_000_000);
     assert!(out.lowering_errors.is_empty(), "{:?}", out.lowering_errors);
-    assert_eq!(out.queued_changes, 12);
+    assert_eq!(out.queued_changes, 63);
     assert_eq!(counter(&sys, "verify.lowering.unverified"), 1);
     let event = sys
         .obs
