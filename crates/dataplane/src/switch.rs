@@ -13,7 +13,7 @@ use crate::tcam::{Tcam, TcamHandle, TcamVerdict};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use stellar_classify::sharded;
 use stellar_net::flow::FlowKey;
-use stellar_net::mac::MacAddr;
+use stellar_net::mac::{MacAddr, MacMap};
 use stellar_net::packet::Packet;
 
 /// Identifies a member port on the ER. `u32` so multi-PoP fabrics can
@@ -59,17 +59,17 @@ pub enum PacketVerdict {
 
 /// The tick pipeline's reusable arena: per-port offer buckets, the
 /// touched-port worklist, and one recycled [`TickResult`] per port, all
-/// keyed by a dense port index (position in the router's ascending
-/// `PortId` order). Buckets and results are cleared, never freed,
-/// between ticks, so a steady-state tick allocates nothing here.
+/// keyed by port slot (see [`EdgeRouter::add_port`]). Buckets and
+/// results are cleared, never freed, between ticks, so a steady-state
+/// tick allocates nothing here.
 #[derive(Debug, Default)]
 struct TickScratch {
-    /// Offers routed to each port this tick, by dense index.
+    /// Offers staged for each port this tick, by slot.
     buckets: Vec<Vec<Offer>>,
-    /// Dense indices that received traffic this tick, sorted ascending
-    /// (= ascending `PortId`, the deterministic merge order).
+    /// Slots that received traffic this tick; sorted by `PortId` once
+    /// the tick runs (the deterministic merge order).
     touched: Vec<u32>,
-    /// Recycled per-port results, by dense index.
+    /// Recycled per-port results, by slot.
     results: Vec<TickResult>,
 }
 
@@ -120,8 +120,15 @@ const OCCUPIED_WALK_RATIO: usize = 16;
 #[derive(Debug)]
 pub struct EdgeRouter {
     hib: HardwareInfoBase,
-    ports: BTreeMap<PortId, MemberPort>,
-    mac_to_port: HashMap<MacAddr, PortId>,
+    /// Member ports by slot: a port's slot is its position in attach
+    /// order, handed out by `add_port` and never shifted.
+    ports: Vec<MemberPort>,
+    /// Port id → slot, ascending by id: the order of every port walk.
+    slots: BTreeMap<PortId, u32>,
+    /// Slot → port id.
+    dense: Vec<PortId>,
+    /// Member MAC → slot: the router's routing table.
+    mac_slot: MacMap<u32>,
     tcam: Tcam,
     cpu: ControlPlaneCpu,
     handles: HashMap<(PortId, u64), TcamHandle>,
@@ -134,16 +141,8 @@ pub struct EdgeRouter {
     /// Bumped by every call that changed, or (`port_mut`) may have
     /// changed, a rule table: equal versions mean equal rule state.
     rule_version: u64,
-    /// Port ids in ascending order; position = dense index.
-    dense: Vec<PortId>,
-    /// Destination MAC → dense index (the tick path's routing table).
-    mac_dense: HashMap<MacAddr, u32>,
     /// Tick arena (see [`TickScratch`]).
     scratch: TickScratch,
-    /// Dense index / arena are out of date (ports were added since the
-    /// last rebuild). Rebuilt lazily at the next tick, so bulk topology
-    /// construction is O(ports), not O(ports²).
-    dense_dirty: bool,
     /// Max workers for the parallel tick mode; 1 = sequential.
     tick_workers: usize,
     /// Minimum per-tick work (Σ over touched ports of 1 + rules) below
@@ -167,17 +166,16 @@ impl EdgeRouter {
         let cpu = hib.cpu_model();
         EdgeRouter {
             hib,
-            ports: BTreeMap::new(),
-            mac_to_port: HashMap::new(),
+            ports: Vec::new(),
+            slots: BTreeMap::new(),
+            dense: Vec::new(),
+            mac_slot: MacMap::default(),
             tcam,
             cpu,
             handles: HashMap::new(),
             occupied: BTreeSet::new(),
             rule_version: 0,
-            dense: Vec::new(),
-            mac_dense: HashMap::new(),
             scratch: TickScratch::default(),
-            dense_dirty: false,
             tick_workers: sharded::default_workers(),
             parallel_min_work: sharded::DEFAULT_PARALLEL_MIN_WORK,
             last_parallel: false,
@@ -186,45 +184,34 @@ impl EdgeRouter {
         }
     }
 
-    /// Adds a member port. Panics if the port id is taken (topology bug).
-    /// The dense tick index is rebuilt lazily at the next tick, so adding
-    /// N ports costs O(N log N) total rather than O(N²).
-    pub fn add_port(&mut self, id: PortId, port: MemberPort) {
+    /// Adds a member port and returns its slot: the next free one, kept
+    /// for the router's lifetime, so a slot handed out earlier (to the
+    /// fabric's routing table, or staged in the arena) never moves.
+    /// Panics if the port id is taken (topology bug).
+    pub fn add_port(&mut self, id: PortId, port: MemberPort) -> u32 {
         assert!(
-            !self.ports.contains_key(&id),
+            !self.slots.contains_key(&id),
             "duplicate port id {id:?} in topology"
         );
-        self.mac_to_port.insert(port.mac, id);
+        let slot = self.ports.len() as u32;
+        self.mac_slot.insert(port.mac, slot);
         if port.policy.rule_count() > 0 {
             self.occupied.insert(id);
             self.rule_version += 1;
         }
-        self.ports.insert(id, port);
-        self.dense_dirty = true;
+        self.slots.insert(id, slot);
+        self.dense.push(id);
+        self.ports.push(port);
+        slot
     }
 
-    /// Rebuilds the dense port index and resizes the arena after topology
-    /// changes. No-op on the steady-state tick path.
-    fn ensure_dense(&mut self) {
-        if !self.dense_dirty {
-            return;
-        }
-        self.dense_dirty = false;
-        self.dense.clear();
-        self.dense.extend(self.ports.keys().copied());
-        self.mac_dense.clear();
-        for (i, p) in self.ports.values().enumerate() {
-            self.mac_dense.insert(p.mac, i as u32);
-        }
-        self.scratch.buckets.resize_with(self.dense.len(), Vec::new);
-        self.scratch
-            .results
-            .resize_with(self.dense.len(), TickResult::default);
-        // Stale touched indices would point at re-dense-indexed ports.
-        for b in &mut self.scratch.buckets {
-            b.clear();
-        }
-        self.scratch.touched.clear();
+    /// Number of member ports.
+    pub fn port_count(&self) -> usize {
+        self.ports.len()
+    }
+
+    fn slot(&self, id: PortId) -> Option<usize> {
+        self.slots.get(&id).map(|&s| s as usize)
     }
 
     /// Caps the parallel tick fan-out; `1` forces the sequential
@@ -260,27 +247,34 @@ impl EdgeRouter {
 
     /// The port a MAC address is attached to.
     pub fn port_of_mac(&self, mac: MacAddr) -> Option<PortId> {
-        self.mac_to_port.get(&mac).copied()
+        self.mac_slot.get(&mac).map(|&s| self.dense[s as usize])
+    }
+
+    /// The port in `slot`, as returned by [`add_port`](Self::add_port).
+    pub fn port_at(&self, slot: u32) -> Option<PortId> {
+        self.dense.get(slot as usize).copied()
     }
 
     /// Immutable access to a port.
     pub fn port(&self, id: PortId) -> Option<&MemberPort> {
-        self.ports.get(&id)
+        Some(&self.ports[self.slot(id)?])
     }
 
     /// Mutable access to a port. The caller may edit `port.policy`
     /// behind the router's back, so the port counts as occupied and the
     /// rule state as changed from here on.
     pub fn port_mut(&mut self, id: PortId) -> Option<&mut MemberPort> {
-        let port = self.ports.get_mut(&id)?;
+        let s = self.slot(id)?;
         self.occupied.insert(id);
         self.rule_version += 1;
-        Some(port)
+        Some(&mut self.ports[s])
     }
 
-    /// Iterates over all ports.
+    /// Iterates over all ports, ascending by id.
     pub fn ports(&self) -> impl Iterator<Item = (&PortId, &MemberPort)> {
-        self.ports.iter()
+        self.slots
+            .iter()
+            .map(|(id, &s)| (id, &self.ports[s as usize]))
     }
 
     /// The ports holding at least one rule, ascending by id — what
@@ -290,11 +284,11 @@ impl EdgeRouter {
     /// port in order is the cheaper way to the same answer.
     pub fn occupied_ports(&self) -> impl Iterator<Item = (PortId, &MemberPort)> {
         let dense = self.occupied.len() * OCCUPIED_WALK_RATIO > self.ports.len();
-        let walked = dense.then(|| self.ports.iter()).into_iter().flatten();
+        let walked = dense.then(|| self.ports()).into_iter().flatten();
         let indexed = (!dense).then(|| self.occupied.iter()).into_iter().flatten();
         walked
             .map(|(id, port)| (*id, port))
-            .chain(indexed.filter_map(|id| Some((*id, self.ports.get(id)?))))
+            .chain(indexed.filter_map(|id| Some((*id, self.port(*id)?))))
             .filter(|(_, port)| port.policy.rule_count() > 0)
     }
 
@@ -307,10 +301,6 @@ impl EdgeRouter {
 
     /// The TCAM (read access for scaling experiments).
     pub fn tcam(&self) -> &Tcam {
-        self.tcam_ref()
-    }
-
-    fn tcam_ref(&self) -> &Tcam {
         &self.tcam
     }
 
@@ -328,10 +318,8 @@ impl EdgeRouter {
         rule: FilterRule,
         now_us: u64,
     ) -> Result<(), InstallError> {
-        let port = self
-            .ports
-            .get_mut(&port_id)
-            .ok_or(InstallError::NoSuchPort)?;
+        let s = self.slot(port_id).ok_or(InstallError::NoSuchPort)?;
+        let port = &mut self.ports[s];
         let replacing = self.handles.contains_key(&(port_id, rule.id));
         if !replacing && port.policy.rule_count() >= self.hib.max_rules_per_port {
             return Err(InstallError::PerPortLimit);
@@ -358,9 +346,10 @@ impl EdgeRouter {
 
     /// Removes a rule, releasing its TCAM allocation.
     pub fn remove_rule(&mut self, port_id: PortId, rule_id: u64, now_us: u64) -> bool {
-        let Some(port) = self.ports.get_mut(&port_id) else {
+        let Some(s) = self.slot(port_id) else {
             return false;
         };
+        let port = &mut self.ports[s];
         let removed = port.policy.remove(rule_id);
         if removed {
             if let Some(h) = self.handles.remove(&(port_id, rule_id)) {
@@ -379,12 +368,12 @@ impl EdgeRouter {
     /// Removes every rule on a port (fallback-to-forwarding resilience,
     /// §4.1.2). Returns how many rules were removed.
     pub fn flush_port(&mut self, port_id: PortId, now_us: u64) -> usize {
-        let Some(port) = self.ports.get_mut(&port_id) else {
+        let Some(s) = self.slot(port_id) else {
             return 0;
         };
         // The policy reports what was installed, so nothing re-walks
         // the rule list here.
-        let ids = port.policy.clear();
+        let ids = self.ports[s].policy.clear();
         for id in &ids {
             if let Some(h) = self.handles.remove(&(port_id, *id)) {
                 self.tcam.free(h);
@@ -410,7 +399,7 @@ impl EdgeRouter {
     /// the rules back in. Returns how many installed rules were lost.
     pub fn restart(&mut self, now_us: u64) -> usize {
         let mut wiped = 0;
-        for port in self.ports.values_mut() {
+        for port in &mut self.ports {
             wiped += port.policy.reset();
         }
         self.handles.clear();
@@ -440,23 +429,25 @@ impl EdgeRouter {
             .map(move |&i| (dense[i as usize], std::mem::take(&mut results[i as usize])))
     }
 
-    /// The zero-allocation tick path: routes `offers` into the arena's
-    /// per-port buckets, runs every touched port's policy (in parallel
-    /// when [`tick_workers`](Self::tick_workers) > 1), and returns a
-    /// borrowed view of the per-port results, merged in ascending
-    /// `PortId` order.
-    ///
-    /// Ports are independent shards — each owns its policy, shapers and
-    /// counters, and is mutated only by its owning worker — so parallel
-    /// and sequential modes produce bit-identical results and obs
-    /// snapshots; only wall-clock differs.
+    /// The zero-allocation tick path: stages `offers` into the arena's
+    /// per-port buckets by destination MAC, then runs them
+    /// ([`run_staged`](Self::run_staged)) and returns a borrowed view of
+    /// the per-port results, merged in ascending `PortId` order.
+    /// Unroutable aggregates vanish (no port = no delivery), as on a real
+    /// fabric with no FDB entry and unicast flooding off.
     pub fn process_tick_in_place(
         &mut self,
         offers: &[OfferedAggregate],
         tick_end_us: u64,
         tick_us: u64,
     ) -> TickView<'_> {
-        self.run_tick(offers, tick_end_us, tick_us);
+        self.begin_tick();
+        for o in offers {
+            if let Some(&slot) = self.mac_slot.get(&o.key.dst_mac) {
+                self.stage(slot, o);
+            }
+        }
+        self.run_staged(tick_end_us, tick_us);
         TickView {
             dense: &self.dense,
             touched: &self.scratch.touched,
@@ -464,85 +455,97 @@ impl EdgeRouter {
         }
     }
 
-    fn run_tick(&mut self, offers: &[OfferedAggregate], tick_end_us: u64, tick_us: u64) {
-        self.ensure_dense();
+    /// Opens a tick's staging phase: sizes the arena to the ports
+    /// (a router that never ticks never allocates one) and empties the
+    /// buckets the last tick filled (clear-don't-free).
+    pub fn begin_tick(&mut self) {
+        let scratch = &mut self.scratch;
+        scratch.buckets.resize_with(self.ports.len(), Vec::new);
+        scratch
+            .results
+            .resize_with(self.ports.len(), TickResult::default);
+        for &s in &scratch.touched {
+            scratch.buckets[s as usize].clear();
+        }
+        scratch.touched.clear();
+    }
+
+    /// Stages one offer for the port in `slot` — a slot this router
+    /// returned from [`add_port`](Self::add_port) before the last
+    /// [`begin_tick`](Self::begin_tick), which the fabric resolves once
+    /// per offer from its own routing table.
+    #[inline]
+    pub fn stage(&mut self, slot: u32, o: &OfferedAggregate) {
+        let bucket = &mut self.scratch.buckets[slot as usize];
+        if bucket.is_empty() {
+            self.scratch.touched.push(slot);
+        }
+        bucket.push(Offer {
+            key: o.key,
+            bytes: o.bytes,
+            packets: o.packets,
+        });
+    }
+
+    /// Runs every port staged since [`begin_tick`](Self::begin_tick)
+    /// through its policy (in parallel when
+    /// [`tick_workers`](Self::tick_workers) > 1 and the tick is big
+    /// enough), leaving the results in the arena.
+    ///
+    /// Ports are independent shards — each owns its policy, shapers and
+    /// counters, and is mutated only by its owning worker — so parallel
+    /// and sequential modes produce bit-identical results and obs
+    /// snapshots; only wall-clock differs.
+    pub fn run_staged(&mut self, tick_end_us: u64, tick_us: u64) {
         let TickScratch {
             buckets,
             touched,
             results,
         } = &mut self.scratch;
-        // Clear-don't-free: only last tick's touched buckets hold data.
-        for &i in touched.iter() {
-            buckets[i as usize].clear();
-        }
-        touched.clear();
-        for o in offers {
-            if let Some(&i) = self.mac_dense.get(&o.key.dst_mac) {
-                let bucket = &mut buckets[i as usize];
-                if bucket.is_empty() {
-                    touched.push(i);
-                }
-                bucket.push(Offer {
-                    key: o.key,
-                    bytes: o.bytes,
-                    packets: o.packets,
-                });
-            }
-            // Unroutable aggregates vanish (no port = no delivery), as on
-            // a real fabric with no FDB entry and unicast flooding off.
-        }
-        // Deterministic merge order: ascending dense index == ascending
-        // PortId, independent of offer arrival order and worker count.
-        touched.sort_unstable();
+        // Deterministic merge order: ascending PortId, independent of
+        // offer arrival order and worker count.
+        touched.sort_unstable_by_key(|&s| self.dense[s as usize]);
         // Adaptive cutoff: estimate the tick's work as Σ over touched
         // ports of (1 + installed rules) — roughly ports × rules. Below
         // the threshold, pool dispatch costs more than it buys (the
         // 4-port sweep cell ran at 0.48× sequential), so fall back to
         // the in-place sequential walk, which also allocates nothing.
-        let mut work = 0u64;
-        for &i in touched.iter() {
-            if let Some(p) = self.ports.get(&self.dense[i as usize]) {
-                work += 1 + p.policy.rule_count() as u64;
-            }
-        }
+        // One worker never fans out, so it skips the estimate.
+        let work = if self.tick_workers > 1 {
+            touched
+                .iter()
+                .map(|&s| 1 + self.ports[s as usize].policy.rule_count() as u64)
+                .sum()
+        } else {
+            0
+        };
         let workers = sharded::effective_workers(self.tick_workers, work, self.parallel_min_work);
         self.last_parallel = workers > 1 && touched.len() > 1;
-        // `ports` iterates in key order and `touched` is ascending, so a
-        // single forward walk pairs each touched dense index with its
-        // port (position in the iteration == dense index).
         if !self.last_parallel {
-            let mut ports_iter = self.ports.values_mut().enumerate();
-            for &i in touched.iter() {
-                if let Some((_, port)) = ports_iter.find(|(j, _)| *j == i as usize) {
-                    port.process_tick_into(
-                        &buckets[i as usize],
-                        tick_end_us,
-                        tick_us,
-                        &mut results[i as usize],
-                    );
-                }
+            for &s in touched.iter() {
+                let s = s as usize;
+                self.ports[s].process_tick_into(&buckets[s], tick_end_us, tick_us, &mut results[s]);
             }
             return;
         }
         // One shard per touched port: the port (sole owner of its
         // policy/shaper/counter state), its bucket, and its recycled
-        // result slot.
+        // result slot, borrowed in ascending slot order by skipping
+        // ahead (`nth` is O(1) on a slice iterator) — never a walk over
+        // every port. The touched list returns to `PortId` order after.
+        touched.sort_unstable();
+        let (mut ports, mut slots, mut next) = (self.ports.iter_mut(), results.iter_mut(), 0);
         let mut shards: Vec<(&mut MemberPort, &[Offer], &mut TickResult)> =
             Vec::with_capacity(touched.len());
-        let mut ports_iter = self.ports.values_mut().enumerate();
-        let mut results_iter = results.iter_mut().enumerate();
-        for &i in touched.iter() {
-            let (Some((_, port)), Some((_, result))) = (
-                ports_iter.find(|(j, _)| *j == i as usize),
-                results_iter.find(|(j, _)| *j == i as usize),
-            ) else {
-                continue;
-            };
-            shards.push((port, &buckets[i as usize], result));
-        }
+        shards.extend(touched.iter().filter_map(|&s| {
+            let (s, skip) = (s as usize, s as usize - next);
+            next = s + 1;
+            Some((ports.nth(skip)?, &buckets[s][..], slots.nth(skip)?))
+        }));
         sharded::parallel_shards(shards, workers, |(port, offers, result)| {
             port.process_tick_into(offers, tick_end_us, tick_us, result);
         });
+        touched.sort_unstable_by_key(|&s| self.dense[s as usize]);
     }
 
     /// Functional per-packet path (§5.2): decodes real wire bytes,
@@ -551,17 +554,18 @@ impl EdgeRouter {
     pub fn process_packet(&self, wire: &[u8]) -> Result<PacketVerdict, stellar_net::NetError> {
         let packet = Packet::decode(wire)?;
         let key = packet.flow_key();
-        let Some((pid, port)) = self
-            .mac_to_port
-            .get(&key.dst_mac)
-            .and_then(|pid| Some((pid, self.ports.get(pid)?)))
-        else {
+        let Some(&s) = self.mac_slot.get(&key.dst_mac) else {
             return Ok(PacketVerdict::Unroutable);
         };
-        match port.policy.classify(&key).map(|r| r.action) {
+        let pid = self.dense[s as usize];
+        match self.ports[s as usize]
+            .policy
+            .classify(&key)
+            .map(|r| r.action)
+        {
             Some(crate::filter::Action::Drop) => Ok(PacketVerdict::Dropped),
-            Some(crate::filter::Action::Shape { .. }) => Ok(PacketVerdict::Shaped(*pid)),
-            _ => Ok(PacketVerdict::Delivered(*pid)),
+            Some(crate::filter::Action::Shape { .. }) => Ok(PacketVerdict::Shaped(pid)),
+            _ => Ok(PacketVerdict::Delivered(pid)),
         }
     }
 
@@ -598,7 +602,7 @@ impl EdgeRouter {
     /// fabric chains these across routers (port ids are fabric-unique)
     /// while aggregating the router-global gauges itself.
     pub fn port_rows(&self) -> impl Iterator<Item = stellar_obs::PortRow> + '_ {
-        self.ports.iter().map(|(pid, port)| {
+        self.ports().map(|(pid, port)| {
             let c = &port.counters;
             stellar_obs::PortRow {
                 port: pid.0,

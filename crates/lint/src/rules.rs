@@ -195,8 +195,9 @@ fn env_reads(rel_path: &str, lines: &[SourceLine]) -> Vec<Finding> {
         .collect()
 }
 
-/// Identifiers declared as `HashMap`/`HashSet` anywhere in the file
-/// (bindings, struct fields, fn params). Sorted and deduplicated.
+/// Identifiers declared as a hash collection anywhere in the file
+/// (bindings, struct fields, fn params): `HashMap`, `HashSet`, or the
+/// `MacMap` alias over a `HashMap`. Sorted and deduplicated.
 fn collect_hash_idents(lines: &[SourceLine]) -> Vec<String> {
     let mut idents = Vec::new();
     for line in lines {
@@ -204,7 +205,7 @@ fn collect_hash_idents(lines: &[SourceLine]) -> Vec<String> {
             continue;
         }
         let code = &line.code;
-        for pat in ["HashMap", "HashSet"] {
+        for pat in ["HashMap", "HashSet", "MacMap"] {
             for (pos, _) in code.match_indices(pat) {
                 if let Some(ident) = declared_ident_before(code, pos) {
                     idents.push(ident);
@@ -343,6 +344,18 @@ fn f(s: &S) -> Vec<u32> {
     }
 
     #[test]
+    fn mac_map_iteration_without_sort_fires() {
+        let src = "\
+struct Fabric { mac_slot: MacMap<(u16, u32)> }
+fn pops(f: &Fabric) -> Vec<u16> {
+    f.mac_slot.values().map(|&(p, _)| p).collect()
+}
+";
+        let f = check_file("x.rs", "sim", src);
+        assert_eq!(f.iter().filter(|f| f.rule == "hash-iter").count(), 1);
+    }
+
+    #[test]
     fn sorted_hash_iteration_is_clean() {
         let src = "\
 struct S { m: HashMap<u32, u32> }
@@ -400,8 +413,8 @@ impl Tuning {
 
     #[test]
     fn declared_ident_extraction() {
-        let lines = strip("let mut paths: HashMap<u32, u32> = HashMap::new();\nfoo: &HashMap<A, B>,\nbar = HashSet::new();\n");
+        let lines = strip("let mut paths: HashMap<u32, u32> = HashMap::new();\nfoo: &HashMap<A, B>,\nbar = HashSet::new();\nmac_slot: MacMap<u32>,\nm = MacMap::default();\n");
         let idents = collect_hash_idents(&lines);
-        assert_eq!(idents, vec!["bar", "foo", "paths"]);
+        assert_eq!(idents, vec!["bar", "foo", "m", "mac_slot", "paths"]);
     }
 }

@@ -4,11 +4,12 @@
 //! The paper's L-IXP spans 20+ PoPs; a single [`EdgeRouter`] caps every
 //! scale number at one router's tick loop. The [`Fabric`] shards the
 //! topology at router granularity: each member port is assigned to one
-//! PoP, offered aggregates are routed to their destination MAC's PoP in
-//! offer order (the per-tick cross-PoP exchange — pure data movement, no
-//! wall clock, no unordered iteration), and every PoP then runs its own
-//! arena tick pipeline. PoPs share nothing — each owns its ports, TCAM
-//! and scratch arena — so the per-PoP ticks are perfect shards for the
+//! PoP, each offered aggregate is routed once, in offer order, straight
+//! into its destination port's bucket in that port's PoP (the per-tick
+//! cross-PoP exchange — pure data movement, no wall clock, no unordered
+//! iteration), and every PoP then runs its own arena tick pipeline.
+//! PoPs share nothing — each owns its ports, TCAM and scratch arena — so
+//! the per-PoP ticks are perfect shards for the
 //! [`stellar_classify::pool`] worker pool, and parallel, sequential and
 //! single-PoP execution produce byte-identical verdicts, counters and
 //! obs snapshots. Per-PoP results merge in ascending PoP order; port ids
@@ -16,8 +17,9 @@
 //! view of the same topology.
 //!
 //! Determinism argument, in short: routing reads only the offer stream
-//! (stable order) and the MAC→PoP map (point lookups, never iterated);
-//! each aggregate lands in exactly one PoP bucket, in arrival order;
+//! (stable order) and the MAC → (PoP, port slot) map (point lookups,
+//! never iterated, updated as each port is attached, never rebuilt);
+//! each aggregate lands in exactly one port bucket, in arrival order;
 //! PoPs are data-independent, so execution interleaving cannot change
 //! any per-port outcome; and every merge (results, snapshots, port
 //! walks) is keyed on ascending PoP / PortId order.
@@ -31,7 +33,7 @@ use stellar_dataplane::qos::TickResult;
 use stellar_dataplane::switch::{
     EdgeRouter, InstallError, OfferedAggregate, PacketVerdict, PortId,
 };
-use stellar_net::mac::MacAddr;
+use stellar_net::mac::{MacAddr, MacMap};
 use stellar_net::packet::Packet;
 
 /// Identifies one PoP (one edge router) in the fabric.
@@ -55,17 +57,16 @@ pub struct FabricCounters {
 }
 
 /// A sharded IXP data plane: one [`EdgeRouter`] per PoP plus the
-/// member-port → PoP assignment and the per-tick exchange buffers.
+/// member-port → PoP assignment and the fabric's routing table.
 #[derive(Debug)]
 pub struct Fabric {
     pops: Vec<EdgeRouter>,
     /// Port → owning PoP. Point lookups only — never iterated.
     port_pop: HashMap<PortId, u16>,
-    /// Member MAC → owning PoP. Point lookups only — never iterated.
-    mac_pop: HashMap<MacAddr, u16>,
-    /// Per-PoP offer buckets, cleared (never freed) each tick so the
-    /// steady-state exchange allocates nothing.
-    buckets: Vec<Vec<OfferedAggregate>>,
+    /// Member MAC → (owning PoP, the port's slot in that PoP's router):
+    /// the fabric's one routing table, filled by `add_port`. Point
+    /// lookups only — never iterated.
+    mac_slot: MacMap<(u16, u32)>,
     /// Max pool workers for the PoP fan-out; 1 = sequential.
     tick_workers: usize,
     /// Minimum routed aggregates per tick before the PoP fan-out uses
@@ -88,8 +89,7 @@ impl Fabric {
         Fabric {
             pops: (0..n).map(|_| EdgeRouter::new(hib.clone())).collect(),
             port_pop: HashMap::new(),
-            mac_pop: HashMap::new(),
-            buckets: (0..n).map(|_| Vec::new()).collect(),
+            mac_slot: MacMap::default(),
             tick_workers: sharded::default_workers(),
             parallel_min_work: sharded::DEFAULT_PARALLEL_MIN_WORK,
             last_parallel: false,
@@ -119,8 +119,9 @@ impl Fabric {
         self.pops.get(pop.0 as usize)
     }
 
-    /// Mutable access to one PoP's router (tests and benches; topology
-    /// membership must go through [`Fabric::add_port`]).
+    /// Mutable access to one PoP's router (tests and benches). Attach
+    /// ports through [`Fabric::add_port`] only: one attached here is
+    /// never routed, and debug builds panic at the next tick.
     pub fn router_mut(&mut self, pop: PopId) -> Option<&mut EdgeRouter> {
         self.pops.get_mut(pop.0 as usize)
     }
@@ -137,8 +138,8 @@ impl Fabric {
             "duplicate port id {id:?} in fabric topology"
         );
         self.port_pop.insert(id, pop.0);
-        self.mac_pop.insert(port.mac, pop.0);
-        self.pops[p].add_port(id, port);
+        let (mac, slot) = (port.mac, self.pops[p].add_port(id, port));
+        self.mac_slot.insert(mac, (pop.0, slot));
     }
 
     /// The PoP a port is attached to.
@@ -148,10 +149,8 @@ impl Fabric {
 
     /// The port a member MAC is attached to.
     pub fn port_of_mac(&self, mac: MacAddr) -> Option<PortId> {
-        self.mac_pop
-            .get(&mac)
-            .and_then(|&p| self.pops.get(p as usize))
-            .and_then(|r| r.port_of_mac(mac))
+        let &(p, slot) = self.mac_slot.get(&mac)?;
+        self.pops.get(p as usize)?.port_at(slot)
     }
 
     /// Immutable access to a port.
@@ -254,7 +253,7 @@ impl Fabric {
     /// MAC's PoP and classifies it there.
     pub fn process_packet(&self, wire: &[u8]) -> Result<PacketVerdict, stellar_net::NetError> {
         let packet = Packet::decode(wire)?;
-        let Some(&p) = self.mac_pop.get(&packet.flow_key().dst_mac) else {
+        let Some(&(p, _)) = self.mac_slot.get(&packet.flow_key().dst_mac) else {
             return Ok(PacketVerdict::Unroutable);
         };
         match self.pops.get(p as usize) {
@@ -357,23 +356,24 @@ impl Fabric {
             .unwrap_or_default()
     }
 
-    /// The per-tick cross-PoP exchange: every offered aggregate is routed
-    /// to its destination MAC's PoP bucket in arrival order, with the
-    /// local / cross-PoP / external split accounted. Returns the number
-    /// of routed aggregates (the fabric-level work estimate).
+    /// The per-tick cross-PoP exchange: every offered aggregate is staged,
+    /// in arrival order, straight into its destination port's bucket on
+    /// that port's PoP, with the local / cross-PoP / external split
+    /// accounted — two lookups in one table per offer, one copy. Returns
+    /// the number of routed aggregates (the fabric-level work estimate).
     fn route(&mut self, offers: &[OfferedAggregate]) -> u64 {
-        for b in &mut self.buckets {
-            b.clear();
+        for r in &mut self.pops {
+            r.begin_tick();
         }
         let mut routed = 0u64;
         for o in offers {
             // Ingress accounting happens where the bytes enter the
             // fabric, whether or not they turn out to be routable.
-            let ingress = self.mac_pop.get(&o.key.src_mac).copied();
+            let ingress = self.mac_slot.get(&o.key.src_mac).map(|&(p, _)| p);
             if let Some(i) = ingress {
                 self.pop_ingress_bytes[i as usize] += o.bytes;
             }
-            let Some(&egress) = self.mac_pop.get(&o.key.dst_mac) else {
+            let Some(&(egress, slot)) = self.mac_slot.get(&o.key.dst_mac) else {
                 self.counters.unroutable_bytes += o.bytes;
                 continue;
             };
@@ -383,18 +383,10 @@ impl Fabric {
                 None => self.counters.external_bytes += o.bytes,
             }
             self.pop_egress_bytes[egress as usize] += o.bytes;
-            self.buckets[egress as usize].push(*o);
+            self.pops[egress as usize].stage(slot, o);
             routed += 1;
         }
         routed
-    }
-
-    /// Decides the fan-out width for this tick and records the effective
-    /// mode.
-    fn plan_tick(&mut self, routed: u64) -> usize {
-        let workers = sharded::effective_workers(self.tick_workers, routed, self.parallel_min_work);
-        self.last_parallel = workers > 1 && self.pops.len() > 1;
-        workers
     }
 
     /// The zero-allocation fabric tick: exchanges aggregates across PoPs,
@@ -410,21 +402,24 @@ impl Fabric {
         tick_end_us: u64,
         tick_us: u64,
     ) {
+        // A port attached through `router_mut` would vanish as unroutable.
+        debug_assert_eq!(
+            self.port_pop.len(),
+            self.pops.iter().map(EdgeRouter::port_count).sum::<usize>(),
+            "a port was attached behind the fabric's back (use Fabric::add_port)"
+        );
         let routed = self.route(offers);
-        let workers = self.plan_tick(routed);
+        let workers = sharded::effective_workers(self.tick_workers, routed, self.parallel_min_work);
+        self.last_parallel = workers > 1 && self.pops.len() > 1;
         if !self.last_parallel {
-            for (pop, bucket) in self.pops.iter_mut().zip(self.buckets.iter()) {
-                pop.process_tick_in_place(bucket, tick_end_us, tick_us);
+            for pop in &mut self.pops {
+                pop.run_staged(tick_end_us, tick_us);
             }
             return;
         }
-        let shards: Vec<(&mut EdgeRouter, &[OfferedAggregate])> = self
-            .pops
-            .iter_mut()
-            .zip(self.buckets.iter().map(|b| b.as_slice()))
-            .collect();
-        sharded::parallel_shards(shards, workers, |(pop, offers)| {
-            pop.process_tick_in_place(offers, tick_end_us, tick_us);
+        let shards: Vec<&mut EdgeRouter> = self.pops.iter_mut().collect();
+        sharded::parallel_shards(shards, workers, |pop| {
+            pop.run_staged(tick_end_us, tick_us);
         });
     }
 
@@ -557,6 +552,20 @@ mod tests {
         assert_eq!(multi.counters().unroutable_bytes, 5000);
         assert_eq!(multi.pop_ingress_bytes(PopId(0)), 1000 + 5000);
         assert_eq!(multi.pop_egress_bytes(PopId(3)), 4000);
+    }
+
+    /// A port attached through `router_mut` is not in the fabric's
+    /// routing table; rather than let its traffic vanish, debug builds
+    /// stop at the next tick.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "behind the fabric's back")]
+    fn port_attached_through_router_mut_fails_the_next_tick() {
+        let mut f = fabric(2);
+        let mac = MacAddr::for_member(64510, 1);
+        let router = f.router_mut(PopId(1)).expect("PoP 1");
+        router.add_port(PortId(9), MemberPort::new(64510, mac, 1_000_000_000));
+        f.process_tick_in_place(&[offer(64500, 64510, 1000)], 1_000_000, 1_000_000);
     }
 
     #[test]

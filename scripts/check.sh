@@ -118,14 +118,16 @@ if grep -nE '"[^"]*unverified[^"]*": *[1-9]' results/*.json; then
   exit 1
 fi
 
-echo "==> benchmark smoke: control workloads + sparse fabric, direct (--trace 0) and staged (--trace 1), oracle-checked"
+echo "==> benchmark smoke: every workload, direct (--trace 0) and staged (--trace 1), oracle-checked"
 # The benchmark's expected-outcome oracle (installs, hijack and
 # corrupt-wire refusals, ledger, per-tick verdicts) is the gate. The
 # traced run is also a differential: its staged driver audits the whole
 # desired table through the public API and must end in the same per-port
 # rule ids, ledger and FlowSpec RIB as the owner-scoped direct path of
-# the same seed, and its export mirrors `StellarSystem::observe`.
-for workload in flowspec_victims signal_storm tick_sparse_fabric; do
+# the same seed, and its export mirrors `StellarSystem::observe`. On the
+# tick workloads every tick is also checked against a linear first-match
+# scan over each port's rules.
+for workload in flowspec_victims signal_storm tick_ixp_mix tick_sparse_fabric; do
   for trace in 0 1; do
     result=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
       --workload "$workload" --seed 1 --seconds 1 --trace "$trace" 2>/dev/null | tail -n 1)
@@ -163,6 +165,17 @@ for workload in flowspec_victims signal_storm tick_sparse_fabric; do
       allocs=$(printf '%s' "$result" | sed -n 's/.*"allocs_per_op": {"value": \([0-9.e+-]*\).*/\1/p')
       if [ -z "$allocs" ] || ! awk -v a="$allocs" 'BEGIN { exit !(a < 55) }'; then
         echo "benchmark smoke failed: signal_storm allocs_per_op=${allocs:-missing} is not under 55" >&2
+        exit 1
+      fi
+    fi
+    # Ratchet against allocations creeping into the dense tick: an op
+    # allocates ~33.6 times, all of it the scrapes' export (the tick
+    # itself allocates nothing), and the count repeats exactly within a
+    # seed.
+    if [ "$workload" = tick_ixp_mix ] && [ "$trace" = 0 ]; then
+      allocs=$(printf '%s' "$result" | sed -n 's/.*"allocs_per_op": {"value": \([0-9.e+-]*\).*/\1/p')
+      if [ -z "$allocs" ] || ! awk -v a="$allocs" 'BEGIN { exit !(a < 36) }'; then
+        echo "benchmark smoke failed: tick_ixp_mix allocs_per_op=${allocs:-missing} is not under 36" >&2
         exit 1
       fi
     fi
