@@ -33,7 +33,7 @@
 //! `Auditor` (rules of other owners in `desired` cost one id
 //! comparison each).
 
-use crate::rule::{BlackholingRule, RuleAction, RuleMatcher};
+use crate::rule::{BlackholingRule, RuleAction};
 use crate::signal::StellarSignal;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -176,6 +176,16 @@ pub(crate) enum SpecOf<'a> {
     Signal(StellarSignal, Prefix),
 }
 
+impl<'a> SpecOf<'a> {
+    /// The match spec.
+    pub(crate) fn spec(self) -> Cow<'a, MatchSpec> {
+        match self {
+            SpecOf::Held(spec) => Cow::Borrowed(spec),
+            SpecOf::Signal(signal, victim) => Cow::Owned(signal.to_match_spec(victim)),
+        }
+    }
+}
+
 /// One desired rule as the audit judges it, read in place from the plane
 /// that holds it: its id (its rank — every blackholing rule compiles at
 /// priority 100), its action, and its region — the one built when the
@@ -190,26 +200,9 @@ pub(crate) struct Standing<'a> {
 }
 
 impl<'a> Standing<'a> {
-    /// `rule` with a region built for it elsewhere.
-    pub(crate) fn of_rule(rule: &'a BlackholingRule, region: &'a Region<'a>) -> Self {
-        let spec = match &rule.matcher {
-            RuleMatcher::Signal(signal) => SpecOf::Signal(*signal, rule.victim),
-            RuleMatcher::FlowSpec { spec, .. } => SpecOf::Held(spec),
-        };
-        Standing {
-            id: rule.id,
-            action: rule.action(),
-            region,
-            spec,
-        }
-    }
-
     /// The rule's match spec.
     pub(crate) fn spec(&self) -> Cow<'a, MatchSpec> {
-        match self.spec {
-            SpecOf::Held(spec) => Cow::Borrowed(spec),
-            SpecOf::Signal(signal, victim) => Cow::Owned(signal.to_match_spec(victim)),
-        }
+        self.spec.spec()
     }
 
     /// Whether the cached region is still the region of the rule's spec.

@@ -11,17 +11,16 @@
 //! same prefix from different member ASes with diverging blackholing
 //! rules".
 
-use crate::audit::{SpecOf, Standing};
+use crate::audit::SpecOf;
+use crate::desired::{Entry, Payload, Source, Table};
 use crate::portal::CustomerPortal;
-use crate::rule::BlackholingRule;
+use crate::rule::{BlackholingRule, RuleAction};
 use crate::signal::StellarSignal;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use stellar_bgp::attr::AsPath;
 use stellar_bgp::types::Asn;
 use stellar_bgp::update::UpdateMessage;
-use stellar_classify::set::Region;
 use stellar_net::prefix::Prefix;
-use stellar_routeserver::OwnerStamps;
 
 /// A hardware-independent configuration change (§4.4).
 #[derive(Debug, Clone, PartialEq)]
@@ -73,104 +72,25 @@ pub enum DegradeOutcome {
     Unknown,
 }
 
-/// One signal rule of a path: the signal, its rule id, and the region
-/// of the signal scoped to the path's prefix — built when the rule
-/// enters desired state (or changes signal), and read by every audit
-/// of its owner from then on.
-#[derive(Debug)]
-struct SignalRule {
-    signal: StellarSignal,
-    id: u64,
-    region: Region<'static>,
-}
-
-impl SignalRule {
-    fn new(signal: StellarSignal, id: u64, prefix: Prefix) -> Self {
-        SignalRule {
-            signal,
-            id,
-            region: Region::owned(&signal.to_match_spec(prefix)),
-        }
-    }
-}
-
-/// One announced path's blackholing state.
-#[derive(Debug, Default)]
-struct PathRules {
-    owner: Option<Asn>,
-    /// The path's rules, one per signal, in no particular order.
-    rules: Vec<SignalRule>,
-}
-
-impl PathRules {
-    /// Who the path's rules answer to; a path without an origin AS
-    /// answers to `Asn(0)`.
-    fn owner(&self) -> Asn {
-        self.owner.unwrap_or(Asn(0))
-    }
-
-    /// The ids of the path's rules, in no particular order.
-    fn ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.rules.iter().map(|r| r.id)
-    }
-
-    fn holds(&self, signal: StellarSignal) -> bool {
-        self.rules.iter().any(|r| r.signal == signal)
-    }
-
-    /// The path's rules as the managers want them, for `prefix`.
-    fn desired(&self, prefix: Prefix) -> impl Iterator<Item = BlackholingRule> + '_ {
-        let owner = self.owner();
-        self.rules
-            .iter()
-            .map(move |r| BlackholingRule::from_signal(r.id, owner, prefix, r.signal))
-    }
-
-    /// The path's rules as the audit reads them, in place, for `prefix`.
-    fn standing(&self, prefix: Prefix) -> impl Iterator<Item = Standing<'_>> + '_ {
-        self.rules.iter().map(move |r| Standing {
-            id: r.id,
-            action: r.signal.action,
-            region: &r.region,
-            spec: SpecOf::Signal(r.signal, prefix),
-        })
-    }
-}
-
 /// Where a path is announced: its prefix and ADD-PATH id.
 type PathKey = (Prefix, Option<u32>);
 
-/// The tracked paths of each owner, so that one owner's view costs that
-/// owner's paths. Exact: every tracked path under the owner its rules
-/// answer to, no other entry, no owner without a path.
-#[derive(Debug, Default)]
-struct ByOwner(HashMap<Asn, Vec<PathKey>>);
+impl Source for PathKey {
+    const LEAST: Self = (Prefix::MIN, None);
+}
 
-impl ByOwner {
-    /// Moves `key` from `from`'s paths to `to`'s (`None`: not tracked on
-    /// that side) — the one place the index changes.
-    fn refile(&mut self, key: PathKey, from: Option<Asn>, to: Option<Asn>) {
-        if from == to {
-            return;
-        }
-        if let Some(from) = from {
-            if let Some(keys) = self.0.get_mut(&from) {
-                if let Some(at) = keys.iter().position(|k| *k == key) {
-                    keys.swap_remove(at);
-                }
-                if keys.is_empty() {
-                    self.0.remove(&from);
-                }
-            }
-        }
-        if let Some(to) = to {
-            self.0.entry(to).or_default().push(key);
-        }
+/// A path's rule keeps its signal; the path's prefix scopes it.
+impl Payload<PathKey> for StellarSignal {
+    fn spec<'a>(&'a self, (prefix, _): &PathKey) -> SpecOf<'a> {
+        SpecOf::Signal(*self, *prefix)
     }
 
-    /// The paths `owner` answers for, in no particular order.
-    fn paths(&self, owner: Asn) -> &[PathKey] {
-        self.0.get(&owner).map_or(&[], Vec::as_slice)
+    fn action(&self) -> RuleAction {
+        self.action
+    }
+
+    fn rule(&self, id: u64, owner: Asn, (prefix, _): &PathKey) -> BlackholingRule {
+        BlackholingRule::from_signal(id, owner, *prefix, *self)
     }
 }
 
@@ -178,13 +98,14 @@ impl ByOwner {
 pub struct BlackholingController {
     ixp_asn: Asn,
     portal: CustomerPortal,
-    paths: HashMap<PathKey, PathRules>,
-    by_owner: ByOwner,
-    /// Rules over all paths, kept by every mutator that adds or drops
-    /// one.
-    rules: usize,
-    next_rule_id: u64,
-    stamps: OwnerStamps,
+    /// Each path's rules, under the origin AS of its last announcement
+    /// (a path without one holds no rule).
+    table: Table<PathKey, StellarSignal>,
+    /// The owner of every path in `table`, for withdrawals, which name
+    /// the path only. It may also name the last owner of a path whose
+    /// rules were all refused or degraded away; withdrawing that path
+    /// then removes nothing.
+    owners: HashMap<PathKey, Asn>,
 }
 
 impl BlackholingController {
@@ -193,11 +114,8 @@ impl BlackholingController {
         BlackholingController {
             ixp_asn,
             portal: CustomerPortal::with_standard_catalog(ixp_asn),
-            paths: HashMap::new(),
-            by_owner: ByOwner::default(),
-            rules: 0,
-            next_rule_id: 1,
-            stamps: OwnerStamps::default(),
+            table: Table::new(1),
+            owners: HashMap::new(),
         }
     }
 
@@ -211,29 +129,14 @@ impl BlackholingController {
         &self.portal
     }
 
-    /// Total rules the controller believes are installed: a count kept
-    /// by the mutators, which debug builds check against the sum over
-    /// every path.
+    /// Total rules the controller believes are installed.
     pub fn rule_count(&self) -> usize {
-        debug_assert_eq!(
-            self.rules,
-            self.paths.values().map(|p| p.rules.len()).sum::<usize>(),
-            "rule count diverged"
-        );
-        self.rules
+        self.table.count()
     }
 
-    /// The desired-state version: bumped by every `process_update`,
-    /// `rule_refused`, `degrade_rule` and `session_down` that changed a
-    /// desired rule. Unchanged version, unchanged desired state.
-    pub fn version(&self) -> u64 {
-        self.stamps.version()
-    }
-
-    /// The [`version`](Self::version) at which `owner`'s desired rules
-    /// last changed (0: never).
-    pub fn owner_revision(&self, owner: Asn) -> u64 {
-        self.stamps.revision(owner)
+    /// The desired signal rules, by owner and path.
+    pub(crate) fn table(&self) -> &Table<PathKey, StellarSignal> {
+        &self.table
     }
 
     /// Processes one update from the route server's southbound feed and
@@ -258,169 +161,33 @@ impl BlackholingController {
                 continue;
             };
             let desired = StellarSignal::extract(ecs, self.ixp_asn, &self.portal, owner);
-            let path = self.paths.entry(key).or_default();
-            // Tracked paths hold rules: one without is new here.
-            let filed = (!path.rules.is_empty()).then(|| path.owner());
-            if let Some(previous) = path.owner.replace(owner) {
-                if previous != owner {
-                    // The path's surviving rules change hands without a
-                    // change being emitted for them.
-                    self.stamps.touch(previous);
-                    self.stamps.touch(owner);
-                }
+            if let Some(previous) = self.owners.insert(key, owner) {
+                // The path's surviving rules change hands without a
+                // change being emitted for them.
+                self.table.rehome(key, previous, owner);
             }
-            // Removals: installed but no longer desired, in rule-id
-            // order (deterministic across runs).
-            let mut stale: Vec<u64> = Vec::new();
-            path.rules.retain(|r| {
-                let keep = desired.contains(&r.signal);
-                if !keep {
-                    stale.push(r.id);
-                }
-                keep
-            });
-            self.rules -= stale.len();
-            stale.sort_unstable();
-            for rule_id in stale {
-                changes.push(AbstractChange::RemoveRule { rule_id, owner });
-            }
-            // Additions: desired but not installed (a new path's rules
-            // are sized to what it is asked for).
-            if path.rules.is_empty() {
-                path.rules.reserve_exact(desired.len());
-            }
-            for s in desired {
-                if path.holds(s) {
-                    continue;
-                }
-                let id = self.next_rule_id;
-                self.next_rule_id += 1;
-                path.rules.push(SignalRule::new(s, id, n.prefix));
-                self.rules += 1;
-                changes.push(AbstractChange::AddRule(BlackholingRule::from_signal(
-                    id, owner, n.prefix, s,
-                )));
-            }
-            let kept = (!path.rules.is_empty()).then_some(owner);
-            if kept.is_none() {
+            let rules = self.table.replace(owner, key, desired, &mut changes);
+            if rules.is_empty() {
                 // Plain route with no rules: no need to track it.
-                self.paths.remove(&key);
+                self.owners.remove(&key);
             }
-            self.by_owner.refile(key, filed, kept);
-        }
-        for change in &changes {
-            self.stamps.touch(change.owner());
         }
         changes
     }
 
     /// Forgets the path under `key`, queuing the removal of its rules in
-    /// rule-id order (rule maps are hash maps with per-instance seeds).
+    /// rule-id order.
     fn drop_path(&mut self, key: PathKey, changes: &mut Vec<AbstractChange>) {
-        let Some(path) = self.paths.remove(&key) else {
-            return;
-        };
-        let owner = path.owner();
-        self.by_owner.refile(key, Some(owner), None);
-        self.rules -= path.rules.len();
-        let mut ids: Vec<u64> = path.ids().collect();
-        ids.sort_unstable();
-        let removals = ids
-            .into_iter()
-            .map(|rule_id| AbstractChange::RemoveRule { rule_id, owner });
-        changes.extend(removals);
+        if let Some(owner) = self.owners.remove(&key) {
+            self.table.replace(owner, key, Vec::new(), changes);
+        }
     }
 
     /// A snapshot of every rule the controller currently wants installed,
     /// sorted by rule id. This is the desired-state side of the
     /// reconciliation diff.
     pub fn desired_rules(&self) -> Vec<BlackholingRule> {
-        let mut out: Vec<BlackholingRule> = self
-            .paths
-            .iter()
-            .flat_map(|((prefix, _), path)| path.desired(*prefix))
-            .collect();
-        out.sort_by_key(|r| r.id);
-        out
-    }
-
-    /// Whether the by-owner index files every path exactly once, under
-    /// its owner, and nothing else: each owner's view it answers is then
-    /// the filter over all paths that debug builds compare it with. Paths
-    /// without an origin AS answer to `Asn(0)`, as they do in the full
-    /// snapshot. Allocates the same for the same paths in any order.
-    fn index_is_exact(&self) -> bool {
-        let mut filtered = Vec::with_capacity(self.paths.len());
-        filtered.extend(self.paths.iter().map(|(key, path)| (path.owner(), *key)));
-        let mut indexed = Vec::with_capacity(self.paths.len());
-        for (owner, keys) in &self.by_owner.0 {
-            indexed.extend(keys.iter().map(|key| (*owner, *key)));
-        }
-        filtered.sort_unstable();
-        indexed.sort_unstable();
-        filtered == indexed && self.by_owner.0.values().all(|keys| !keys.is_empty())
-    }
-
-    /// The announced paths answering to the `owners` (each named once),
-    /// read off the by-owner index: the cost of those owners' paths.
-    fn paths_of<'a>(
-        &'a self,
-        owners: impl IntoIterator<Item = Asn> + 'a,
-    ) -> impl Iterator<Item = (Prefix, &'a PathRules)> + 'a {
-        debug_assert!(self.index_is_exact(), "by-owner index diverged");
-        let keys = owners.into_iter().flat_map(|o| self.by_owner.paths(o));
-        keys.filter_map(|key| Some((key.0, self.paths.get(key)?)))
-    }
-
-    /// The rules the `owners` (each named once) currently want
-    /// installed, in no particular order: [`Self::desired_rules`]
-    /// restricted to those owners without building anyone else's rules.
-    pub(crate) fn desired_rules_of<'a>(
-        &'a self,
-        owners: impl IntoIterator<Item = &'a Asn> + 'a,
-    ) -> impl Iterator<Item = BlackholingRule> + 'a {
-        self.paths_of(owners.into_iter().copied())
-            .flat_map(|(prefix, path)| path.desired(prefix))
-    }
-
-    /// `owner`'s rules as the admission audit reads them — each with the
-    /// region built when it entered desired state — in no particular
-    /// order.
-    pub(crate) fn standing_of(&self, owner: Asn) -> impl Iterator<Item = Standing<'_>> + '_ {
-        let paths = self.paths_of([owner]);
-        paths.flat_map(|(prefix, path)| path.standing(prefix))
-    }
-
-    /// Every rule with its cached region — for the checks that hold
-    /// each against the region of its spec.
-    #[cfg(test)]
-    pub(crate) fn standing(&self) -> impl Iterator<Item = Standing<'_>> + '_ {
-        let paths = self.paths.iter();
-        paths.flat_map(|((prefix, _), path)| path.standing(*prefix))
-    }
-
-    /// The ids of the rules the `owners` (each named once) want, each
-    /// with its owner, in no particular order — for callers that compare
-    /// ids and would throw the rules of [`Self::desired_rules_of`] away.
-    pub(crate) fn desired_ids_of<'a>(
-        &'a self,
-        owners: impl IntoIterator<Item = &'a Asn> + 'a,
-    ) -> impl Iterator<Item = (Asn, u64)> + 'a {
-        self.paths_of(owners.into_iter().copied())
-            .flat_map(|(_, path)| path.ids().map(|id| (path.owner(), id)))
-    }
-
-    /// The owners with at least one desired rule.
-    pub(crate) fn desired_owners(&self) -> BTreeSet<Asn> {
-        debug_assert!(self.index_is_exact(), "by-owner index diverged");
-        self.by_owner.0.keys().copied().collect()
-    }
-
-    /// The ids of every rule the controller wants installed, in no
-    /// particular order — for callers that compare ids and would throw
-    /// the rules of [`Self::desired_rules`] away.
-    pub(crate) fn desired_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.paths.values().flat_map(PathRules::ids)
+        self.table.rules()
     }
 
     /// Admission control permanently refused `rule_id`: drop it from
@@ -428,33 +195,7 @@ impl BlackholingController {
     /// actually in hardware, and the reconciler does not keep trying to
     /// repair an uninstallable rule. Returns whether the id was known.
     pub fn rule_refused(&mut self, rule_id: u64) -> bool {
-        let Some((key, ..)) = self.take_rule(rule_id) else {
-            return false;
-        };
-        self.forget_if_empty(key);
-        true
-    }
-
-    /// Takes `rule_id` off the path holding it and stamps the path's
-    /// owner: the path's key, the signal the rule answered, and the path,
-    /// which the caller hands to [`Self::forget_if_empty`] when done.
-    fn take_rule(&mut self, rule_id: u64) -> Option<(PathKey, StellarSignal, &mut PathRules)> {
-        // Rule ids are unique: one path at most holds it, once.
-        let mut paths = self.paths.iter_mut();
-        let (key, path) = paths.find(|(_, path)| path.ids().any(|id| id == rule_id))?;
-        let at = path.rules.iter().position(|r| r.id == rule_id)?;
-        let signal = path.rules.swap_remove(at).signal;
-        self.rules -= 1;
-        self.stamps.touch(path.owner());
-        Some((*key, signal, path))
-    }
-
-    /// Stops tracking the path under `key` if it holds no rule any more.
-    fn forget_if_empty(&mut self, key: PathKey) {
-        if self.paths.get(&key).is_some_and(|p| p.rules.is_empty()) {
-            // No rule, so no removal to queue.
-            self.drop_path(key, &mut Vec::new());
-        }
+        self.table.rewrite(rule_id, |_, _| None).is_some()
     }
 
     /// Steps `rule_id` one rung down the degradation ladder
@@ -462,42 +203,25 @@ impl BlackholingController {
     /// telemetry references stay valid. Desired state is updated in
     /// place; the caller installs the returned coarser rule.
     pub fn degrade_rule(&mut self, rule_id: u64) -> DegradeOutcome {
-        let Some((key, signal, path)) = self.take_rule(rule_id) else {
-            return DegradeOutcome::Unknown;
+        // A coarser signal the path already holds takes over the traffic.
+        let step = |signal: &StellarSignal, path: &[Entry<StellarSignal>]| {
+            signal
+                .degrade()
+                .filter(|next| path.iter().all(|e| e.rule != *next))
         };
-        let owner = path.owner();
-        let outcome = match signal.degrade() {
-            None => DegradeOutcome::Exhausted,
-            Some(next) if path.holds(next) => DegradeOutcome::Merged,
-            Some(next) => {
-                path.rules.push(SignalRule::new(next, rule_id, key.0));
-                self.rules += 1;
-                DegradeOutcome::Degraded(BlackholingRule::from_signal(rule_id, owner, key.0, next))
-            }
-        };
-        self.forget_if_empty(key);
-        outcome
+        match self.table.rewrite(rule_id, step) {
+            None => DegradeOutcome::Unknown,
+            Some((_, Some(coarser))) => DegradeOutcome::Degraded(coarser),
+            Some((signal, None)) if signal.degrade().is_none() => DegradeOutcome::Exhausted,
+            Some(_) => DegradeOutcome::Merged,
+        }
     }
 
     /// The iBGP session to the route server died: fall back to plain
     /// forwarding by removing every rule (availability first, §4.1.2).
     pub fn session_down(&mut self) -> Vec<AbstractChange> {
-        let mut changes = Vec::new();
-        for (key, path) in self.paths.drain() {
-            let owner = path.owner();
-            self.by_owner.refile(key, Some(owner), None);
-            for rule_id in path.ids() {
-                changes.push(AbstractChange::RemoveRule { rule_id, owner });
-            }
-        }
-        self.rules = 0;
-        changes.sort_by_key(AbstractChange::rule_id);
-        // Every tracked path holds a rule, so this reaches every owner —
-        // in rule-id order, not the drain's.
-        for change in &changes {
-            self.stamps.touch(change.owner());
-        }
-        changes
+        self.owners.clear();
+        self.table.flush()
     }
 }
 
@@ -667,55 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn owner_view_is_the_full_snapshot_filtered() {
-        let mut c = BlackholingController::new(IXP);
-        // Adjacent ASNs, the largest ASN, two paths for one owner, and a
-        // path with no origin AS (answers to Asn(0)).
-        for (path_id, owner, ports) in [
-            (1u32, Some(OWNER), &[123u16, 53][..]),
-            (2, Some(Asn(OWNER.0 + 1)), &[123][..]),
-            (3, Some(Asn(u32::MAX)), &[19, 389][..]),
-            (4, Some(OWNER), &[11211][..]),
-            (5, None, &[161][..]),
-        ] {
-            let mut path = PathRules {
-                owner,
-                ..Default::default()
-            };
-            for port in ports {
-                let signal = StellarSignal::drop_udp_src(*port);
-                path.rules
-                    .push(SignalRule::new(signal, c.next_rule_id, victim()));
-                c.next_rule_id += 1;
-                c.rules += 1;
-            }
-            let key = (victim(), Some(path_id));
-            c.by_owner.refile(key, None, Some(path.owner()));
-            c.paths.insert(key, path);
-        }
-        let all = c.desired_rules();
-        assert_eq!(all.len(), 7);
-        for (owner, rules) in [
-            (OWNER, 3),
-            (Asn(OWNER.0 + 1), 1),
-            (Asn(u32::MAX), 2),
-            (Asn(0), 1),
-            (Asn(OWNER.0 - 1), 0),
-            (Asn(OWNER.0 + 2), 0),
-        ] {
-            let mut view: Vec<_> = c.desired_rules_of(&[owner]).collect();
-            view.sort_by_key(|r| r.id);
-            let filtered: Vec<_> = all.iter().filter(|r| r.owner == owner).cloned().collect();
-            assert_eq!(view, filtered, "{owner:?}");
-            assert_eq!(view.len(), rules, "{owner:?}");
-        }
-        let mut ids: Vec<u64> = c.desired_ids().collect();
-        ids.sort_unstable();
-        assert_eq!(ids, all.iter().map(|r| r.id).collect::<Vec<_>>());
-        assert_eq!(ids.len(), c.rule_count());
-    }
-
-    #[test]
     fn degrade_rule_walks_the_ladder_in_place() {
         let mut c = BlackholingController::new(IXP);
         c.process_update(&update_with_signals(&[StellarSignal::drop_udp_src(123)], 1));
@@ -768,47 +443,12 @@ mod tests {
     }
 
     #[test]
-    fn every_mutator_stamps_the_owners_it_changed_and_nothing_else() {
-        let mut c = BlackholingController::new(IXP);
-        let other = Asn(OWNER.0 + 1);
-        let ntp = [StellarSignal::drop_udp_src(123)];
-        assert_eq!((c.version(), c.owner_revision(OWNER)), (0, 0));
-        let mut version = 0;
-        // Did the last call move the plane, and was it OWNER's change?
-        let mut moved = |c: &BlackholingController| {
-            let moved = c.version() > version;
-            version = c.version();
-            assert_eq!(c.owner_revision(other), 0, "nobody touched {other:?}");
-            moved && c.owner_revision(OWNER) == version
-        };
-        c.process_update(&update_with_signals(&ntp, 1));
-        assert!(moved(&c));
-        // Re-announcing the same state changes nothing.
-        c.process_update(&update_with_signals(&ntp, 1));
-        assert!(!moved(&c));
-        let id = c.desired_rules()[0].id;
-        assert!(!c.rule_refused(id + 1));
-        assert_eq!(c.degrade_rule(id + 1), DegradeOutcome::Unknown);
-        assert!(!moved(&c));
-        assert!(matches!(c.degrade_rule(id), DegradeOutcome::Degraded(_)));
-        assert!(moved(&c));
-        assert!(c.rule_refused(id));
-        assert!(moved(&c));
-        assert!(c.session_down().is_empty());
-        assert!(!moved(&c));
-        c.process_update(&update_with_signals(&ntp, 1));
-        assert!(moved(&c));
-        assert_eq!(c.session_down().len(), 1);
-        assert!(moved(&c));
-    }
-
-    #[test]
     fn a_path_changing_hands_stamps_both_owners() {
         let mut c = BlackholingController::new(IXP);
         let other = Asn(OWNER.0 + 1);
         let ntp = [StellarSignal::drop_udp_src(123)];
         c.process_update(&update_with_signals(&ntp, 1));
-        let before = c.version();
+        let before = c.table().version();
         // Same path, same signals, another origin AS: no change is
         // emitted, but the rule now answers to someone else.
         let mut u = update_with_signals(&ntp, 1);
@@ -817,11 +457,11 @@ mod tests {
             .push(PathAttribute::AsPath(AsPath::sequence([other.0])));
         assert!(c.process_update(&u).is_empty());
         assert_eq!(c.desired_rules()[0].owner, other);
-        assert!(c.owner_revision(OWNER) > before);
-        assert!(c.owner_revision(other) > before);
+        assert!(c.table().revision(OWNER) > before);
+        assert!(c.table().revision(other) > before);
     }
 
-    /// One step of [`owner_views_are_the_filter_over_all_paths`]. Owners
+    /// One step of [`paths_answer_to_their_last_origin`]. Owners
     /// are indexes into `[None, 64500, 64501, 64502]` (`None`: no origin
     /// AS), slots into three prefixes × two path ids, picks into the
     /// desired rules by id (an unknown id when there is none).
@@ -878,7 +518,7 @@ mod tests {
     }
 
     fn slot_key(slot: usize) -> PathKey {
-        let prefix = ["100.10.10.10/32", "100.10.10.11/32", "2001:db8::1/128"][slot % 3];
+        let prefix = ["100.10.10.10/32", "100.10.10.11/32", "100.10.11.10/32"][slot % 3];
         (prefix.parse().unwrap(), Some((slot / 3) as u32))
     }
 
@@ -898,6 +538,21 @@ mod tests {
         u
     }
 
+    /// The owner and signals of the path on `slot`, if it holds rules.
+    fn held(c: &BlackholingController, slot: usize) -> Option<(Asn, Vec<StellarSignal>)> {
+        let key = slot_key(slot);
+        let owner = *c.owners.get(&key)?;
+        let (_, rules) = c.table.sources_of(owner).find(|(k, _)| **k == key)?;
+        Some((owner, rules.iter().map(|e| e.rule).collect()))
+    }
+
+    /// Who re-announces a path held by `current` under [`Op::Rehome`]:
+    /// another of owners 1..=3 (an origin AS).
+    fn rehomed(current: Option<Asn>, owner: usize) -> Option<Asn> {
+        let mut others = (0..3).map(|o| asn(1 + (owner + o) % 3));
+        others.find(|o| *o != current).flatten()
+    }
+
     fn apply(c: &mut BlackholingController, op: &Op) {
         let pick = |c: &BlackholingController, pick: usize| {
             let ids: Vec<u64> = c.desired_rules().iter().map(|r| r.id).collect();
@@ -910,14 +565,12 @@ mod tests {
                 c.process_update(&announce(asn(owner), slot, &signals(bits)));
             }
             Op::Rehome { slot, owner } => {
-                let path = c.paths.get(&slot_key(slot));
-                let signals: Vec<_> =
-                    path.map_or(Vec::new(), |p| p.rules.iter().map(|r| r.signal).collect());
-                let current = path.map(PathRules::owner);
-                // Owners 1..=3 only: a re-announcement with an origin AS.
-                let mut others = (0..3).map(|o| asn(1 + (owner + o) % 3));
-                let next = others.find(|o| *o != current);
-                c.process_update(&announce(next.flatten(), slot, &signals));
+                let (current, signals) = held(c, slot).unzip();
+                c.process_update(&announce(
+                    rehomed(current, owner),
+                    slot,
+                    &signals.unwrap_or_default(),
+                ));
             }
             Op::Withdraw { slot } => {
                 let (prefix, path_id) = slot_key(slot);
@@ -958,52 +611,45 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// After every step of a random episode, each owner's indexed
-        /// view — its rules, its ids, whether it is a desired owner —
-        /// equals the full snapshot filtered by owner.
+        /// After every step of a random episode, every path's rules are
+        /// filed under the origin AS of its last announcement, and the
+        /// path map names that owner; withdrawing every path then leaves
+        /// no rule behind.
         #[test]
-        fn owner_views_are_the_filter_over_all_paths(
+        fn paths_answer_to_their_last_origin(
             ops in proptest::collection::vec(arb_op(), 1..40),
         ) {
             let mut c = BlackholingController::new(IXP);
-            let asked: Vec<Asn> = (0..5).map(|o| asn(o).unwrap_or(Asn(0))).collect();
+            let mut origin: HashMap<PathKey, Asn> = HashMap::new();
             for op in &ops {
+                match *op {
+                    Op::Announce { owner, slot, .. } => match asn(owner) {
+                        Some(owner) => origin.insert(slot_key(slot), owner),
+                        None => origin.remove(&slot_key(slot)),
+                    },
+                    Op::Rehome { slot, owner } => match held(&c, slot) {
+                        Some((current, _)) => origin.insert(slot_key(slot), rehomed(Some(current), owner).unwrap_or(current)),
+                        None => origin.remove(&slot_key(slot)),
+                    },
+                    Op::Withdraw { slot } => origin.remove(&slot_key(slot)),
+                    Op::SessionDown => {
+                        origin.clear();
+                        None
+                    }
+                    Op::Refuse { .. } | Op::Degrade { .. } => None,
+                };
                 apply(&mut c, op);
-                let all = c.desired_rules();
-                for owner in &asked {
-                    let mut view: Vec<_> = c.desired_rules_of([owner]).collect();
-                    view.sort_by_key(|r| r.id);
-                    let filtered: Vec<_> = all.iter().filter(|r| r.owner == *owner).cloned().collect();
-                    let mut ids: Vec<_> = c.desired_ids_of([owner]).collect();
-                    ids.sort_unstable();
-                    let want: Vec<_> = filtered.iter().map(|r| (r.owner, r.id)).collect();
-                    prop_assert_eq!(view, filtered, "{:?} after {:?}", owner, op);
-                    prop_assert_eq!(ids, want, "{:?} after {:?}", owner, op);
+                for owner in c.table.owners() {
+                    for (key, _) in c.table.sources_of(owner) {
+                        prop_assert_eq!(origin.get(key), Some(&owner), "{:?} after {:?}", key, op);
+                        prop_assert_eq!(c.owners.get(key), Some(&owner), "{:?} after {:?}", key, op);
+                    }
                 }
-                let mut every: Vec<_> = c.desired_rules_of(&asked).collect();
-                every.sort_by_key(|r| r.id);
-                prop_assert_eq!(&every, &all, "all owners after {:?}", op);
-                let owners: BTreeSet<Asn> = all.iter().map(|r| r.owner).collect();
-                prop_assert_eq!(c.desired_owners(), owners, "owners after {:?}", op);
             }
-        }
-
-        /// After every step of a random episode, every rule's cached
-        /// region is the region of its spec (the signal scoped to the
-        /// path's prefix), and the kept rule count is the number of
-        /// desired rules.
-        #[test]
-        fn cached_regions_are_their_rules_regions(
-            ops in proptest::collection::vec(arb_op(), 1..40),
-        ) {
-            let mut c = BlackholingController::new(IXP);
-            for op in &ops {
-                apply(&mut c, op);
-                for rule in c.standing() {
-                    prop_assert!(rule.region_is_current(), "rule {} after {:?}", rule.id, op);
-                }
-                prop_assert_eq!(c.rule_count(), c.desired_rules().len(), "after {:?}", op);
+            for slot in 0..6 {
+                apply(&mut c, &Op::Withdraw { slot });
             }
+            prop_assert_eq!(c.rule_count(), 0);
         }
     }
 

@@ -12,7 +12,7 @@
 
 use crate::rule::RuleAction;
 use crate::signal::{MatchKind, StellarSignal};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use stellar_net::flow::FlowKey;
 use stellar_net::ports;
 use stellar_net::proto::IpProtocol;
@@ -54,7 +54,7 @@ impl Default for DetectorConfig {
 #[derive(Debug, Default)]
 pub struct SignatureDetector {
     /// (proto, src_port) → bytes in the current window.
-    window: HashMap<(IpProtocol, u16), u64>,
+    window: BTreeMap<(IpProtocol, u16), u64>,
     total_bytes: u64,
     window_start_us: u64,
 }
@@ -74,12 +74,13 @@ impl SignatureDetector {
     }
 
     /// Closes the window at `now_us` and returns detections, sorted by
-    /// rate (highest first). Resets the window.
+    /// rate (highest first; equal rates by protocol, then port). Resets
+    /// the window.
     pub fn analyze(&mut self, now_us: u64, config: &DetectorConfig) -> Vec<Detection> {
         let dt_s = ((now_us.saturating_sub(self.window_start_us)) as f64 / 1e6).max(1e-9);
         let total = self.total_bytes.max(1) as f64;
         let mut out = Vec::new();
-        for ((proto, src_port), bytes) in self.window.drain() {
+        for ((proto, src_port), bytes) in std::mem::take(&mut self.window) {
             let rate_bps = bytes as f64 * 8.0 / dt_s;
             let share = bytes as f64 / total;
             if rate_bps < config.min_rate_bps || share < config.min_share {
@@ -105,7 +106,8 @@ impl SignatureDetector {
         }
         self.total_bytes = 0;
         self.window_start_us = now_us;
-        out.sort_by(|a, b| b.rate_bps.partial_cmp(&a.rate_bps).expect("finite rates"));
+        // Stable: equal rates keep the window's (protocol, port) order.
+        out.sort_by(|a, b| b.rate_bps.total_cmp(&a.rate_bps));
         out
     }
 }
@@ -189,6 +191,39 @@ mod tests {
         assert_eq!(found.len(), 2);
         assert_eq!(found[0].signal.port, 11211);
         assert_eq!(found[1].signal.port, 123);
+    }
+
+    #[test]
+    fn equal_rates_come_out_by_protocol_then_port() {
+        let cfg = DetectorConfig {
+            min_share: 0.1,
+            ..Default::default()
+        };
+        // Each detector is fresh, so a hash-ordered window would reseed
+        // and shuffle the ties between runs.
+        for _ in 0..64 {
+            let mut d = SignatureDetector::new();
+            for (port, proto) in [
+                (123, IpProtocol::UDP),
+                (53, IpProtocol::UDP),
+                (53, IpProtocol::TCP),
+            ] {
+                d.observe(&key(port, proto), 50_000_000);
+            }
+            let found = d.analyze(1_000_000, &cfg);
+            let order: Vec<_> = found
+                .iter()
+                .map(|f| (f.signal.kind, f.signal.port))
+                .collect();
+            assert_eq!(
+                order,
+                [
+                    (MatchKind::TcpSrcPort, 53),
+                    (MatchKind::UdpSrcPort, 53),
+                    (MatchKind::UdpSrcPort, 123)
+                ]
+            );
+        }
     }
 
     #[test]

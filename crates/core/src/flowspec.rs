@@ -9,20 +9,21 @@
 //! widened — installing a filter that matches traffic the member never
 //! asked to touch would break the isolation argument of §4.5.
 
-use crate::audit::Standing;
+use crate::audit::SpecOf;
 use crate::controller::AbstractChange;
+use crate::desired::{Payload, Source, Table};
 use crate::proof::LoweringProof;
-use crate::rule::{BlackholingRule, RuleAction, RuleMatcher};
-use std::collections::BTreeMap;
+use crate::rule::{BlackholingRule, RuleAction};
 use stellar_bgp::extcommunity::ExtendedCommunity;
 use stellar_bgp::flowspec::{numeric_match_intervals, BitmaskOp, Component, FlowSpec, NumericOp};
 use stellar_bgp::types::{Afi, Asn};
-use stellar_classify::set::{cube_and, cube_subset, interval_and, Region};
+use stellar_classify::set::{cube_and, cube_subset, interval_and};
 use stellar_classify::spec::is_icmp;
 use stellar_dataplane::filter::{BitsMatch, MatchSpec, PortMatch, RangeMatch};
 use stellar_net::flow::frag;
+use stellar_net::prefix::Prefix;
 use stellar_net::proto::IpProtocol;
-use stellar_routeserver::{AcceptedFlowSpec, OwnerStamps};
+use stellar_routeserver::AcceptedFlowSpec;
 
 /// First rule id in the FlowSpec id space. Signal-derived rule ids count
 /// up from 1; keeping the planes disjoint lets every consumer (failure
@@ -535,36 +536,37 @@ pub fn lower_flowspec(flow: &FlowSpec) -> Result<Vec<MatchSpec>, LowerError> {
 /// lowered FlowSpec rule, keyed by `(owner, canonical NLRI bytes)` the
 /// same way the route server's FlowSpec RIB is, so announcements,
 /// implicit withdraws and explicit withdraws line up one-to-one.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FlowSpecPlane {
-    entries: BTreeMap<(Asn, Vec<u8>), Vec<Lowered>>,
-    /// Rules over all entries, kept by every mutator that adds or drops
-    /// one.
-    rules: usize,
-    next_rule_id: u64,
-    stamps: OwnerStamps,
+    table: Table<Vec<u8>, FlowRule>,
     /// Set by the last [`install`](Self::install) if it admitted a
     /// lowering it could not prove exact.
     unverified: Option<UnverifiedLowering>,
 }
 
-/// One lowered rule in desired state, with the region of its spec —
-/// built when the rule entered desired state, and read by every audit
-/// of its owner from then on.
-#[derive(Debug)]
-struct Lowered {
-    rule: BlackholingRule,
-    region: Region<'static>,
+/// One spec an NLRI lowered to, with the NLRI's action and victim.
+#[derive(Debug, PartialEq)]
+pub(crate) struct FlowRule {
+    pub(crate) spec: MatchSpec,
+    pub(crate) action: RuleAction,
+    pub(crate) victim: Prefix,
 }
 
-impl Lowered {
-    fn new(rule: BlackholingRule) -> Self {
-        let region = Region::owned(&rule.match_spec());
-        Lowered { rule, region }
+impl Source for Vec<u8> {
+    const LEAST: Self = Vec::new();
+}
+
+impl Payload<Vec<u8>> for FlowRule {
+    fn spec<'a>(&'a self, _: &Vec<u8>) -> SpecOf<'a> {
+        SpecOf::Held(&self.spec)
     }
 
-    fn standing(&self) -> Standing<'_> {
-        Standing::of_rule(&self.rule, &self.region)
+    fn action(&self) -> RuleAction {
+        self.action
+    }
+
+    fn rule(&self, id: u64, owner: Asn, _: &Vec<u8>) -> BlackholingRule {
+        BlackholingRule::from_flowspec(id, owner, self.victim, self.spec.clone(), self.action)
     }
 }
 
@@ -581,27 +583,25 @@ pub struct UnverifiedLowering {
     pub rule_ids: Vec<u64>,
 }
 
+impl Default for FlowSpecPlane {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl FlowSpecPlane {
     /// An empty plane; rule ids count up from
     /// [`FLOWSPEC_RULE_ID_BASE`].
     pub fn new() -> Self {
         FlowSpecPlane {
-            next_rule_id: FLOWSPEC_RULE_ID_BASE,
-            ..Default::default()
+            table: Table::new(FLOWSPEC_RULE_ID_BASE),
+            unverified: None,
         }
     }
 
-    /// The desired-state version: bumped by every `install`, `withdraw`,
-    /// `flush` and `rule_refused` that changed a desired rule. Unchanged
-    /// version, unchanged desired state.
-    pub fn version(&self) -> u64 {
-        self.stamps.version()
-    }
-
-    /// The [`version`](Self::version) at which `owner`'s desired rules
-    /// last changed (0: never).
-    pub fn owner_revision(&self, owner: Asn) -> u64 {
-        self.stamps.revision(owner)
+    /// The desired lowered rules, by owner and NLRI.
+    pub(crate) fn table(&self) -> &Table<Vec<u8>, FlowRule> {
+        &self.table
     }
 
     /// The unproven lowering the last [`install`](Self::install)
@@ -635,60 +635,20 @@ impl FlowSpecPlane {
             // impossible as unanchorable rather than panicking.
             return Err(LowerError::MissingDestPrefix);
         };
-        let owner = acc.owner;
-        let key = (owner, wire);
-        // A new NLRI's rules are sized to its lowering.
-        let fresh = || Vec::with_capacity(specs.len());
-        let mut rules = self.entries.remove(&key).unwrap_or_else(fresh);
-        let mut changes = Vec::new();
-        let desired: Vec<(MatchSpec, RuleAction)> =
-            specs.iter().map(|s| (s.clone(), action)).collect();
-        rules.retain(|l| {
-            let keep = matches!(
-                &l.rule.matcher,
-                RuleMatcher::FlowSpec { spec, action: a }
-                    if desired.iter().any(|(s, da)| s == spec && da == a)
-            );
-            if !keep {
-                changes.push(AbstractChange::RemoveRule {
-                    rule_id: l.rule.id,
-                    owner,
-                });
-            }
-            keep
+        let lowered = specs.into_iter().map(|spec| FlowRule {
+            spec,
+            action,
+            victim,
         });
-        self.rules -= changes.len();
-        for spec in specs {
-            let exists = rules.iter().any(|l| {
-                matches!(
-                    &l.rule.matcher,
-                    RuleMatcher::FlowSpec { spec: s, action: a } if *s == spec && *a == action
-                )
-            });
-            if exists {
-                continue;
-            }
-            let id = self.next_rule_id;
-            self.next_rule_id += 1;
-            let rule = BlackholingRule::from_flowspec(id, owner, victim, spec, action);
-            rules.push(Lowered::new(rule.clone()));
-            self.rules += 1;
-            changes.push(AbstractChange::AddRule(rule));
-        }
+        let mut changes = Vec::new();
+        let rules = self
+            .table
+            .replace(acc.owner, wire, lowered.collect(), &mut changes);
         if let LoweringProof::Unverified { reason } = proof {
             self.unverified = Some(UnverifiedLowering {
                 reason,
-                rule_ids: rules.iter().map(|l| l.rule.id).collect(),
+                rule_ids: rules.iter().map(|e| e.id).collect(),
             });
-        }
-        if !changes.is_empty() {
-            self.stamps.touch(owner);
-        }
-        // A key stands for at least one rule, so the key set only moves
-        // together with the owner's stamp: a new key brings a rule, a
-        // key whose last rule went is dropped with it.
-        if !rules.is_empty() {
-            self.entries.insert(key, rules);
         }
         Ok(changes)
     }
@@ -696,140 +656,41 @@ impl FlowSpecPlane {
     /// Withdraws one flow's rules (explicit MP_UNREACH or a session-down
     /// flush upstream). Unknown flows remove nothing.
     pub fn withdraw(&mut self, owner: Asn, flow: &FlowSpec) -> Vec<AbstractChange> {
-        let Ok(wire) = flow.to_wire() else {
-            return Vec::new();
-        };
-        let Some(rules) = self.entries.remove(&(owner, wire)) else {
-            return Vec::new();
-        };
-        self.stamps.touch(owner);
-        self.rules -= rules.len();
-        rules
-            .into_iter()
-            .map(|l| AbstractChange::RemoveRule {
-                rule_id: l.rule.id,
-                owner,
-            })
-            .collect()
+        let mut removals = Vec::new();
+        if let Ok(wire) = flow.to_wire() {
+            self.table.replace(owner, wire, Vec::new(), &mut removals);
+        }
+        removals
     }
 
     /// Flushes the whole plane (iBGP session loss: availability first,
     /// like the controller's `session_down`). Removals come out in rule
     /// id order.
     pub fn flush(&mut self) -> Vec<AbstractChange> {
-        let mut out = Vec::new();
-        for ((owner, _), rules) in std::mem::take(&mut self.entries) {
-            self.stamps.touch(owner);
-            for l in rules {
-                out.push(AbstractChange::RemoveRule {
-                    rule_id: l.rule.id,
-                    owner,
-                });
-            }
-        }
-        self.rules = 0;
-        out.sort_by_key(AbstractChange::rule_id);
-        out
+        self.table.flush()
     }
 
     /// Every rule the plane wants installed, sorted by id — the
     /// FlowSpec half of the reconciliation diff.
     pub fn desired_rules(&self) -> Vec<BlackholingRule> {
-        let lowered = self.entries.values().flatten();
-        let mut out: Vec<BlackholingRule> = lowered.map(|l| l.rule.clone()).collect();
-        out.sort_by_key(|r| r.id);
-        out
-    }
-
-    /// The rules `owner` wants installed, in NLRI order:
-    /// [`Self::desired_rules`] restricted to one owner, read as one
-    /// contiguous range of the `(owner, NLRI)`-keyed map.
-    pub(crate) fn desired_rules_of(&self, owner: Asn) -> impl Iterator<Item = &BlackholingRule> {
-        self.lowered_of(owner).map(|l| &l.rule)
-    }
-
-    /// `owner`'s rules as the admission audit reads them — each with the
-    /// region built when it entered desired state — in NLRI order.
-    pub(crate) fn standing_of(&self, owner: Asn) -> impl Iterator<Item = Standing<'_>> {
-        self.lowered_of(owner).map(Lowered::standing)
-    }
-
-    /// Every rule with its cached region — for the checks that hold
-    /// each against the region of its spec.
-    #[cfg(test)]
-    pub(crate) fn standing(&self) -> impl Iterator<Item = Standing<'_>> {
-        self.entries.values().flatten().map(Lowered::standing)
-    }
-
-    fn lowered_of(&self, owner: Asn) -> impl Iterator<Item = &Lowered> {
-        self.entries
-            .range((owner, Vec::new())..)
-            .take_while(move |((o, _), _)| *o == owner)
-            .flat_map(|(_, rules)| rules)
-    }
-
-    /// The ids of every lowered rule currently desired, in no particular
-    /// order.
-    pub(crate) fn desired_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.values().flatten().map(|l| l.rule.id)
+        self.table.rules()
     }
 
     /// Admission permanently refused `rule_id`: drop it from desired
     /// state. Returns whether the id was known.
     pub fn rule_refused(&mut self, rule_id: u64) -> bool {
-        let mut found = false;
-        self.entries.retain(|(owner, _), rules| {
-            rules.retain(|l| {
-                let hit = l.rule.id == rule_id;
-                if hit {
-                    found = true;
-                    self.stamps.touch(*owner);
-                }
-                !hit
-            });
-            !rules.is_empty()
-        });
-        self.rules -= usize::from(found);
-        found
+        self.table.rewrite(rule_id, |_, _| None).is_some()
     }
 
-    /// Number of lowered rules currently desired: a count kept by the
-    /// mutators, which debug builds check against the sum over every
-    /// NLRI.
+    /// Number of lowered rules currently desired.
     pub fn rule_count(&self) -> usize {
-        debug_assert_eq!(
-            self.rules,
-            self.entries.values().map(Vec::len).sum::<usize>(),
-            "rule count diverged"
-        );
-        self.rules
-    }
-
-    /// The owners with at least one NLRI desired, ascending, each once:
-    /// one range read of the `(owner, NLRI)`-keyed map per owner.
-    pub fn owners(&self) -> impl Iterator<Item = Asn> + '_ {
-        let mut from = Some(Asn(0));
-        std::iter::from_fn(move || {
-            let ((owner, _), _) = self.entries.range((from?, Vec::new())..).next()?;
-            from = owner.0.checked_add(1).map(Asn);
-            Some(*owner)
-        })
-    }
-
-    /// The canonical NLRIs `owner` has desired, in RIB order — the
-    /// watchdog checks each against the route server's FlowSpec RIB.
-    pub fn keys_of(&self, owner: Asn) -> impl Iterator<Item = &[u8]> {
-        self.entries
-            .range((owner, Vec::new())..)
-            .take_while(move |((o, _), _)| *o == owner)
-            .map(|((_, wire), _)| wire.as_slice())
+        self.table.count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use stellar_bgp::flowspec::{bitmask_seq_matches, numeric_seq_matches};
     use stellar_net::addr::{IpAddress, Ipv4Address, Ipv6Address};
     use stellar_net::flow::FlowKey;
@@ -1470,252 +1331,6 @@ mod tests {
         plane.install(&accepted(drop_flow(), 0.0)).unwrap();
         assert_eq!(plane.flush().len(), 1);
         assert_eq!(plane.rule_count(), 0);
-    }
-
-    #[test]
-    fn owner_view_is_the_full_snapshot_filtered() {
-        let mut plane = FlowSpecPlane::new();
-        let two_ports = flow(vec![
-            Component::DstPrefix(victim()),
-            Component::IpProtocol(vec![NumericOp::equals(17)]),
-            Component::SrcPort(vec![NumericOp::equals(53), NumericOp::equals(389)]),
-        ]);
-        // Adjacent ASNs, the largest ASN, and two NLRIs (one lowering to
-        // two rules) for the owner in the middle, installed interleaved.
-        for (owner, f) in [
-            (Asn(OWNER.0 + 1), drop_flow()),
-            (OWNER, two_ports.clone()),
-            (Asn(u32::MAX), drop_flow()),
-            (OWNER, drop_flow()),
-            (Asn(OWNER.0 - 1), two_ports),
-        ] {
-            plane
-                .install(&AcceptedFlowSpec {
-                    owner,
-                    ..accepted(f, 0.0)
-                })
-                .unwrap();
-        }
-        let all = plane.desired_rules();
-        assert_eq!(all.len(), 7);
-        for (owner, rules) in [
-            (OWNER, 3),
-            (Asn(OWNER.0 + 1), 1),
-            (Asn(OWNER.0 - 1), 2),
-            (Asn(u32::MAX), 1),
-            (Asn(0), 0),
-            (Asn(OWNER.0 + 2), 0),
-        ] {
-            let mut view: Vec<_> = plane.desired_rules_of(owner).cloned().collect();
-            view.sort_by_key(|r| r.id);
-            let filtered: Vec<_> = all.iter().filter(|r| r.owner == owner).cloned().collect();
-            assert_eq!(view, filtered, "{owner:?}");
-            assert_eq!(view.len(), rules, "{owner:?}");
-        }
-        let mut ids: Vec<u64> = plane.desired_ids().collect();
-        ids.sort_unstable();
-        assert_eq!(ids, all.iter().map(|r| r.id).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn every_mutator_stamps_the_owners_it_changed_and_nothing_else() {
-        let mut plane = FlowSpecPlane::new();
-        let other = Asn(OWNER.0 + 1);
-        assert_eq!((plane.version(), plane.owner_revision(OWNER)), (0, 0));
-        let mut version = 0;
-        // Did the last call move the plane, and was it OWNER's change?
-        let mut moved = |plane: &FlowSpecPlane| {
-            let moved = plane.version() > version;
-            version = plane.version();
-            assert_eq!(plane.owner_revision(other), 0, "nobody touched {other:?}");
-            moved && plane.owner_revision(OWNER) == version
-        };
-        let changes = plane.install(&accepted(drop_flow(), 0.0)).unwrap();
-        assert!(moved(&plane));
-        // An identical re-announcement changes nothing; a new action does.
-        assert!(plane
-            .install(&accepted(drop_flow(), 0.0))
-            .unwrap()
-            .is_empty());
-        assert!(!moved(&plane));
-        assert_eq!(plane.install(&accepted(drop_flow(), 1e6)).unwrap().len(), 2);
-        assert!(moved(&plane));
-        assert!(!plane.rule_refused(changes[0].rule_id()));
-        assert!(plane.withdraw(other, &drop_flow()).is_empty());
-        assert!(!moved(&plane));
-        assert!(plane.rule_refused(plane.desired_rules()[0].id));
-        assert!(moved(&plane));
-        assert!(plane.flush().is_empty());
-        assert!(!moved(&plane));
-        plane.install(&accepted(drop_flow(), 0.0)).unwrap();
-        assert!(moved(&plane));
-        assert_eq!(plane.withdraw(OWNER, &drop_flow()).len(), 1);
-        assert!(moved(&plane));
-        plane.install(&accepted(drop_flow(), 0.0)).unwrap();
-        assert!(moved(&plane));
-        assert_eq!(plane.flush().len(), 1);
-        assert!(moved(&plane));
-        assert_eq!(plane.take_unverified(), None);
-    }
-
-    #[test]
-    fn the_key_set_only_moves_with_its_owners_stamp() {
-        let mut plane = FlowSpecPlane::new();
-        let other = Asn(OWNER.0 + 1);
-        let ntp = drop_flow();
-        let dns = flow(vec![
-            Component::DstPrefix(victim()),
-            Component::IpProtocol(vec![NumericOp::equals(17)]),
-            Component::SrcPort(vec![NumericOp::equals(53)]),
-        ]);
-        let by = |owner: Asn, f: &FlowSpec| AcceptedFlowSpec {
-            owner,
-            ..accepted(f.clone(), 0.0)
-        };
-        // Per owner, its keys and the revision they were read under.
-        let read = |plane: &FlowSpecPlane| -> Vec<(Asn, u64, Vec<Vec<u8>>)> {
-            [OWNER, other]
-                .iter()
-                .map(|&o| {
-                    let keys: Vec<Vec<u8>> = plane.keys_of(o).map(<[u8]>::to_vec).collect();
-                    // Every key stands for at least one rule.
-                    assert_eq!(plane.desired_rules_of(o).count() > 0, !keys.is_empty());
-                    assert_eq!(plane.owners().any(|p| p == o), !keys.is_empty());
-                    (o, plane.owner_revision(o), keys)
-                })
-                .collect()
-        };
-        let mut before = read(&plane);
-        let mut step = |plane: &FlowSpecPlane| {
-            let after = read(plane);
-            for (was, is) in before.iter().zip(&after) {
-                assert!(was.2 == is.2 || was.1 < is.1, "{:?}: keys moved", is.0);
-            }
-            before = after;
-        };
-        plane.install(&by(OWNER, &ntp)).unwrap();
-        step(&plane);
-        plane.install(&by(other, &ntp)).unwrap();
-        step(&plane);
-        plane.install(&by(OWNER, &dns)).unwrap();
-        step(&plane);
-        assert_eq!(plane.owners().collect::<Vec<_>>(), [OWNER, other]);
-        assert_eq!(plane.keys_of(OWNER).count(), 2);
-        // The last rule of a key refused: the key goes with it.
-        let refused = plane.desired_rules_of(other).next().unwrap().id;
-        assert!(plane.rule_refused(refused));
-        step(&plane);
-        assert_eq!(plane.owners().collect::<Vec<_>>(), [OWNER]);
-        plane.withdraw(OWNER, &ntp);
-        step(&plane);
-        plane.flush();
-        step(&plane);
-        assert_eq!(plane.owners().count(), 0);
-    }
-
-    /// One step of [`cached_regions_are_their_rules_regions`]: owners are
-    /// indexes into three ASNs, flows into [`episode_flow`]'s variants,
-    /// picks into the desired rules by id.
-    #[derive(Debug, Clone)]
-    enum Op {
-        /// Announce (or re-announce, implicitly withdrawing the old
-        /// lowering) a flow at a drop or a shaping rate.
-        Install {
-            owner: usize,
-            flow: usize,
-            shape: bool,
-        },
-        Withdraw {
-            owner: usize,
-            flow: usize,
-        },
-        Refuse {
-            pick: usize,
-        },
-        Flush,
-    }
-
-    /// Flows lowering to one spec, two specs, a flag cube and a
-    /// fragment cube, towards two victims.
-    fn episode_flow(i: usize) -> FlowSpec {
-        let dst = ["100.10.10.10/32", "100.10.10.11/32"][i / 4 % 2];
-        let mut components = vec![Component::DstPrefix(dst.parse().unwrap())];
-        components.extend(match i % 4 {
-            0 => vec![
-                Component::IpProtocol(vec![NumericOp::equals(17)]),
-                Component::SrcPort(vec![NumericOp::equals(123)]),
-            ],
-            1 => vec![
-                Component::IpProtocol(vec![NumericOp::equals(17)]),
-                Component::SrcPort(vec![NumericOp::equals(53), NumericOp::equals(389)]),
-            ],
-            2 => vec![Component::TcpFlags(vec![BitmaskOp::new(
-                false, false, true, 0x02,
-            )])],
-            _ => vec![
-                Component::PacketLength(vec![NumericOp::ge(1000)]),
-                Component::Fragment(vec![BitmaskOp::new(false, false, false, 0x03)]),
-            ],
-        });
-        flow(components)
-    }
-
-    fn arb_op() -> impl Strategy<Value = Op> {
-        prop_oneof![
-            (0usize..3, 0usize..8, any::<bool>()).prop_map(|(owner, flow, shape)| Op::Install {
-                owner,
-                flow,
-                shape
-            }),
-            (0usize..3, 0usize..8, any::<bool>()).prop_map(|(owner, flow, shape)| Op::Install {
-                owner,
-                flow,
-                shape
-            }),
-            (0usize..3, 0usize..8).prop_map(|(owner, flow)| Op::Withdraw { owner, flow }),
-            any::<usize>().prop_map(|pick| Op::Refuse { pick }),
-            Just(Op::Flush),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// After every step of a random episode, every lowered rule's
-        /// cached region is the region of its spec, and the kept rule
-        /// count is the number of desired rules.
-        #[test]
-        fn cached_regions_are_their_rules_regions(
-            ops in proptest::collection::vec(arb_op(), 1..30),
-        ) {
-            let mut plane = FlowSpecPlane::new();
-            let asn = |o: usize| Asn(OWNER.0 + o as u32);
-            for op in &ops {
-                match *op {
-                    Op::Install { owner, flow, shape } => {
-                        let acc = AcceptedFlowSpec {
-                            owner: asn(owner),
-                            ..accepted(episode_flow(flow), if shape { 1e6 } else { 0.0 })
-                        };
-                        plane.install(&acc).expect("every episode flow lowers");
-                    }
-                    Op::Withdraw { owner, flow } => {
-                        plane.withdraw(asn(owner), &episode_flow(flow));
-                    }
-                    Op::Refuse { pick } => {
-                        let ids: Vec<u64> = plane.desired_ids().collect();
-                        plane.rule_refused(ids.get(pick % ids.len().max(1)).copied().unwrap_or(0));
-                    }
-                    Op::Flush => {
-                        plane.flush();
-                    }
-                }
-                for rule in plane.standing() {
-                    prop_assert!(rule.region_is_current(), "rule {} after {:?}", rule.id, op);
-                }
-                prop_assert_eq!(plane.rule_count(), plane.desired_rules().len(), "after {:?}", op);
-            }
-        }
     }
 
     #[test]

@@ -33,6 +33,7 @@
 pub mod audit;
 pub mod config_queue;
 pub mod controller;
+mod desired;
 pub mod detector;
 pub mod faults;
 pub mod flowspec;

@@ -52,12 +52,18 @@ impl CustomerPortal {
     }
 
     /// The catalog id of the predefined drop rule for `proto`.
+    /// One past the protocol's position in
+    /// [`stellar_net::amplification::ALL`], as
+    /// [`Self::with_standard_catalog`] numbers them.
     pub fn predefined_id(proto: AmpProtocol) -> u16 {
-        (stellar_net::amplification::ALL
-            .iter()
-            .position(|p| *p == proto)
-            .expect("protocol is in ALL")
-            + 1) as u16
+        match proto {
+            AmpProtocol::Ntp => 1,
+            AmpProtocol::Ldap => 2,
+            AmpProtocol::Memcached => 3,
+            AmpProtocol::Dns => 4,
+            AmpProtocol::Chargen => 5,
+            AmpProtocol::Ssdp => 6,
+        }
     }
 
     /// Defines a custom rule set for a member; returns its catalog id.
@@ -114,6 +120,17 @@ mod tests {
         assert_eq!(sigs, vec![StellarSignal::drop_udp_src(123)]);
         let all = portal.resolve(Asn(1), 100);
         assert_eq!(all.len(), 6);
+    }
+
+    #[test]
+    fn predefined_ids_follow_the_catalog_order() {
+        let portal = CustomerPortal::with_standard_catalog(IXP);
+        for (at, proto) in stellar_net::amplification::ALL.into_iter().enumerate() {
+            let id = CustomerPortal::predefined_id(proto);
+            assert_eq!(usize::from(id), at + 1, "{proto:?}");
+            let signals = portal.resolve(Asn(1), id);
+            assert_eq!(signals, vec![StellarSignal::drop_udp_src(proto.port())]);
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! (scripted faults) and `ledger` (watch and repair). This file keeps the
 //! state, the public entries and the desired-state views they share.
 
-use crate::audit::AuditRejection;
+use crate::audit::{AuditRejection, Standing};
 use crate::config_queue::ConfigChangeQueue;
 use crate::controller::{AbstractChange, BlackholingController};
 use crate::faults::{FaultInjector, RecoveryEvent, RetryPolicy, RECONCILE_INTERVAL_US};
@@ -37,7 +37,7 @@ use crate::rule::BlackholingRule;
 use crate::signal::StellarSignal;
 use crate::telemetry::{rule_telemetry, RuleTelemetry};
 use crate::watchdog::Watchdog;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use stellar_bgp::extcommunity::ExtendedCommunity;
 use stellar_bgp::flowspec::FlowSpec;
 use stellar_bgp::types::Asn;
@@ -330,24 +330,68 @@ impl StellarSystem {
         desired
     }
 
-    /// The `owners`' slice of [`Self::desired_table`] (`owners` sorted
-    /// ascending), in the same rule-id order, built without touching
-    /// anyone else's rules. Signal-derived and FlowSpec-derived rules
-    /// share an owner's egress port, so it spans both planes.
+    /// The `owners`' slice of [`Self::desired_table`], in the same
+    /// rule-id order, built without touching anyone else's rules.
+    /// Signal-derived and FlowSpec-derived rules share an owner's egress
+    /// port, so it spans both planes.
     fn desired_of(&self, owners: &[Asn]) -> Vec<BlackholingRule> {
-        let mut desired: Vec<BlackholingRule> = self.controller.desired_rules_of(owners).collect();
-        for &owner in owners {
-            desired.extend(self.flowspec.desired_rules_of(owner).cloned());
-        }
-        desired.sort_by_key(|r| r.id);
+        let (signaled, lowered) = (self.controller.table(), self.flowspec.table());
+        let of = |&owner| signaled.rules_of(owner).chain(lowered.rules_of(owner));
+        let mut desired: Vec<BlackholingRule> = owners.iter().flat_map(of).collect();
+        desired.sort_unstable_by_key(|r| r.id);
         desired
+    }
+
+    /// Both planes' revisions of one owner (each only grows, so the sum
+    /// moves with either).
+    fn owner_revision(&self, owner: Asn) -> u64 {
+        self.controller.table().revision(owner) + self.flowspec.table().revision(owner)
+    }
+
+    /// How many rules are desired, of `owner` alone or (`None`) in all.
+    fn desired_count(&self, owner: Option<Asn>) -> usize {
+        let (signaled, lowered) = (self.controller.table(), self.flowspec.table());
+        match owner {
+            Some(owner) => signaled.ids_of(owner).count() + lowered.ids_of(owner).count(),
+            None => signaled.count() + lowered.count(),
+        }
+    }
+
+    /// The owners with at least one desired rule, ascending, each once.
+    fn desired_owners(&self) -> BTreeSet<Asn> {
+        let mut owners: BTreeSet<Asn> = self.controller.table().owners().collect();
+        owners.extend(self.flowspec.table().owners());
+        owners
+    }
+
+    /// The ids of the `owners`' desired rules, each with its owner, in
+    /// no particular order.
+    fn desired_ids_of<'a>(
+        &'a self,
+        owners: impl Iterator<Item = Asn> + 'a,
+    ) -> impl Iterator<Item = (Asn, u64)> + 'a {
+        let (signaled, lowered) = (self.controller.table(), self.flowspec.table());
+        owners.flat_map(move |owner| {
+            let ids = signaled.ids_of(owner).chain(lowered.ids_of(owner));
+            ids.map(move |id| (owner, id))
+        })
     }
 
     /// The ids of every desired rule across both planes, unordered.
     fn desired_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.controller
-            .desired_ids()
-            .chain(self.flowspec.desired_ids())
+        let (signaled, lowered) = (self.controller.table(), self.flowspec.table());
+        let ids = signaled.owners().flat_map(|owner| signaled.ids_of(owner));
+        ids.chain(lowered.owners().flat_map(|owner| lowered.ids_of(owner)))
+    }
+
+    /// `owner`'s rules across both planes as the admission audit reads
+    /// them, each with the region built when it entered desired state,
+    /// in no particular order.
+    fn standing_of(&self, owner: Asn) -> impl Iterator<Item = Standing<'_>> {
+        let (signaled, lowered) = (self.controller.table(), self.flowspec.table());
+        signaled
+            .standing_of(owner)
+            .chain(lowered.standing_of(owner))
     }
 
     /// Nothing queued, deferred, parked or awaiting validation.

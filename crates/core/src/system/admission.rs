@@ -239,8 +239,7 @@ impl StellarSystem {
         let mut table: Vec<Standing> = Vec::new();
         for owner in owners {
             table.clear();
-            table.extend(self.controller.standing_of(owner));
-            table.extend(self.flowspec.standing_of(owner));
+            table.extend(self.standing_of(owner));
             table.sort_unstable_by_key(|r| r.id);
             debug_assert!(
                 table.iter().all(Standing::region_is_current),

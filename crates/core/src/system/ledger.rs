@@ -122,8 +122,8 @@ impl StellarSystem {
     fn stamps(&self) -> Stamps {
         [
             self.ixp.fabric.rule_version(),
-            self.controller.version(),
-            self.flowspec.version(),
+            self.controller.table().version(),
+            self.flowspec.table().version(),
             self.manager.owner_map_version(),
         ]
     }
@@ -134,12 +134,6 @@ impl StellarSystem {
     fn occupied(&self) -> impl Iterator<Item = (PortId, &MemberPort)> {
         let routers = self.ixp.fabric.routers();
         routers.iter().flat_map(EdgeRouter::occupied_ports)
-    }
-
-    /// Both planes' revisions of one owner (each only grows, so the sum
-    /// moves with either).
-    fn owner_revision(&self, owner: Asn) -> u64 {
-        self.controller.owner_revision(owner) + self.flowspec.owner_revision(owner)
     }
 
     fn port_stamp(&self, id: PortId, port: &MemberPort) -> PortStamp {
@@ -286,22 +280,19 @@ impl StellarSystem {
     /// them looked up again.
     pub(super) fn check_rib_plane(&self, ledger: &mut ProofLedger) -> RibPlaneCheck {
         let mut check = RibPlaneCheck::default();
-        let rib = &self.ixp.route_server;
-        let versions = (self.flowspec.version(), rib.flowspec_version());
+        let (rib, plane) = (&self.ixp.route_server, self.flowspec.table());
+        let versions = (plane.version(), rib.flowspec_version());
         if ledger.rib_plane_at == Some(versions) {
             return check;
         }
         ledger.rib_plane_at = None;
-        for owner in self.flowspec.owners() {
-            let revisions = (
-                self.flowspec.owner_revision(owner),
-                rib.flowspec_owner_revision(owner),
-            );
+        for owner in plane.owners() {
+            let revisions = (plane.revision(owner), rib.flowspec_owner_revision(owner));
             if ledger.rib_plane.get(&owner) == Some(&revisions) {
                 continue;
             }
             let found = check.found.len();
-            for wire in self.flowspec.keys_of(owner) {
+            for (wire, _) in plane.sources_of(owner) {
                 check.probed += 1;
                 if !rib.flowspec_contains(owner, wire) {
                     check.found.push((
@@ -334,8 +325,7 @@ impl StellarSystem {
     /// others are compared id by id (no rule is built) and returned for
     /// the caller to record, so this reads verdicts and never writes.
     fn clean_ports(&self, ledger: &ProofLedger) -> Option<Vec<StalePort<'_>>> {
-        let desired = self.controller.rule_count() + self.flowspec.rule_count();
-        if self.ixp.fabric.total_rules() != desired {
+        if self.ixp.fabric.total_rules() != self.desired_count(None) {
             return None;
         }
         let mut stale: Vec<StalePort> = Vec::new();
@@ -361,13 +351,8 @@ impl StellarSystem {
             at.ok().map(|at| stale[at].1)
         };
         let mut want: Vec<(PortId, u64)> = Vec::with_capacity(held);
-        let owners = stale.iter().map(|(owner, ..)| owner);
-        let signaled = self.controller.desired_ids_of(owners);
-        let lowered = stale.iter().flat_map(|(owner, ..)| {
-            let rules = self.flowspec.desired_rules_of(*owner);
-            rules.map(|rule| (*owner, rule.id))
-        });
-        for (owner, rule_id) in signaled.chain(lowered) {
+        let owners = stale.iter().map(|(owner, ..)| *owner);
+        for (owner, rule_id) in self.desired_ids_of(owners) {
             if want.len() == held {
                 return None;
             }
@@ -422,7 +407,7 @@ impl StellarSystem {
     /// of the occupied ports and both planes.
     fn walk_ids(&self) -> IdDiff {
         let fabric = &self.ixp.fabric;
-        let desired = self.controller.rule_count() + self.flowspec.rule_count();
+        let desired = self.desired_count(None);
         // Sized for the converged case, where it holds the desired ids.
         let mut installed: HashSet<u64> = HashSet::with_capacity(desired);
         let occupied = fabric.occupied_ports();
@@ -613,16 +598,14 @@ impl StellarSystem {
         };
         self.occupied().for_each(|(id, port)| examine(id, port));
         if !occupied_only {
-            let mut owners = self.controller.desired_owners();
-            owners.extend(self.flowspec.owners());
-            for owner in owners {
+            for owner in self.desired_owners() {
                 let id = self.manager.owner_port(owner);
                 match id.and_then(|id| Some((id, fabric.port(id)?))) {
                     Some((_, port)) if port.policy.rule_count() > 0 => {}
                     Some((id, port)) => examine(id, port),
                     // Intent that resolves to no live port is as unsound
                     // as a missing rule on a live one.
-                    None => check.unplaced += self.desired_of(&[owner]).len(),
+                    None => check.unplaced += self.desired_count(Some(owner)),
                 }
             }
         }

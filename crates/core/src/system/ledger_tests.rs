@@ -444,8 +444,9 @@ fn unverifiable_lowering_is_admitted_but_counted_and_named() {
         .expect("the flight recorder names it");
     let ids: Vec<String> = sys
         .flowspec
-        .desired_rules_of(member)
-        .map(|r| r.id.to_string())
+        .table()
+        .ids_of(member)
+        .map(|id| id.to_string())
         .collect();
     assert_eq!(
         event.fields,

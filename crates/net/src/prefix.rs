@@ -249,6 +249,13 @@ pub enum Prefix {
 }
 
 impl Prefix {
+    /// The least prefix in the derived order: the IPv4 default route
+    /// `0.0.0.0/0`.
+    pub const MIN: Prefix = Prefix::V4(Ipv4Prefix {
+        addr: Ipv4Address::UNSPECIFIED,
+        len: 0,
+    });
+
     /// A host prefix for `addr` (`/32` or `/128`).
     pub fn host(addr: IpAddress) -> Self {
         match addr {
@@ -377,6 +384,20 @@ mod tests {
         let p = Ipv4Prefix::new(Ipv4Address::new(100, 10, 10, 10), 24).unwrap();
         assert_eq!(p.to_string(), "100.10.10.0/24");
         assert_eq!(p, p4("100.10.10.0/24"));
+    }
+
+    #[test]
+    fn min_sorts_before_every_prefix() {
+        assert_eq!(Prefix::MIN, "0.0.0.0/0".parse::<Prefix>().unwrap());
+        for p in [
+            "0.0.0.0/1",
+            "0.0.0.0/32",
+            "255.255.255.255/32",
+            "::/0",
+            "2001:db8::/32",
+        ] {
+            assert!(Prefix::MIN < p.parse::<Prefix>().unwrap(), "{p}");
+        }
     }
 
     #[test]
