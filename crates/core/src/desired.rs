@@ -52,8 +52,9 @@ impl<R> Entry<R> {
 }
 
 /// One plane's desired rules by `(owner, source)`. A source is filed
-/// only while it holds a rule, and every mutator that changes an owner's
-/// rules stamps that owner — only those do.
+/// only while it holds a rule, its rules stand in id order (ids only
+/// grow, and a rewrite keeps the rule's place), and every mutator that
+/// changes an owner's rules stamps that owner — only those do.
 #[derive(Debug)]
 pub(crate) struct Table<K, R> {
     sources: BTreeMap<(Asn, K), Vec<Entry<R>>>,
@@ -115,6 +116,7 @@ impl<K: Source, R: Payload<K>> Table<K, R> {
             }
         };
         if desired.is_empty() {
+            // A withdrawal queues exactly the source's rules.
             changes.reserve_exact(rules.len());
         }
         let from = changes.len();
@@ -128,7 +130,6 @@ impl<K: Source, R: Payload<K>> Table<K, R> {
             }
             keep
         });
-        changes[from..].sort_unstable_by_key(AbstractChange::rule_id);
         self.rules -= changes.len() - from;
         for rule in desired {
             if rules.iter().all(|e| e.rule != rule) {
@@ -358,10 +359,11 @@ mod tests {
 
     /// Runs `ops` on a fresh table and, after every step, holds it to
     /// the filter over all its rules: each owner's views (rules, ids,
-    /// standing rules, count, sources) are the full snapshot filtered
-    /// by owner, the owners are those holding a rule, the kept count is
-    /// the sum, every cached region is its rule's, and an owner's stamp
-    /// and the version moved iff that owner's rules did.
+    /// standing rules, sources) are the full snapshot filtered by owner,
+    /// the owners are those holding a rule, the kept count is the sum,
+    /// every cached region is its rule's, an owner's stamp and the
+    /// version moved iff that owner's rules did, and the changes queued
+    /// are the removals in id order, then the additions.
     fn episode<K, R>(plane: &Plane<K, R>, ops: &[Op]) -> Result<(), TestCaseError>
     where
         K: Source + Clone + std::fmt::Debug,
@@ -406,6 +408,21 @@ mod tests {
                 Op::Flush => changes = t.flush(),
             }
             let all = t.rules();
+            // A rewrite queues nothing: refusals and degradations are
+            // answered by their callers.
+            if !matches!(op, Op::Rewrite { .. }) {
+                let held = before.iter().flatten().flat_map(|(_, rules)| rules);
+                let gone = held.clone().filter(|r| all.iter().all(|a| a.id != r.id));
+                let remove = |r: &BlackholingRule| AbstractChange::RemoveRule {
+                    rule_id: r.id,
+                    owner: r.owner,
+                };
+                let mut want: Vec<AbstractChange> = gone.map(remove).collect();
+                want.sort_by_key(AbstractChange::rule_id);
+                let new = all.iter().filter(|a| held.clone().all(|r| r.id != a.id));
+                want.extend(new.cloned().map(AbstractChange::AddRule));
+                prop_assert_eq!(&changes, &want, "after {:?}", op);
+            }
             prop_assert_eq!(t.count(), all.len(), "after {:?}", op);
             for rule in t.owners().flat_map(|owner| t.standing_of(owner)) {
                 prop_assert!(rule.region_is_current(), "rule {} after {:?}", rule.id, op);
