@@ -178,6 +178,7 @@ pub(crate) enum SpecOf<'a> {
 
 impl<'a> SpecOf<'a> {
     /// The match spec.
+    #[inline]
     pub(crate) fn spec(self) -> Cow<'a, MatchSpec> {
         match self {
             SpecOf::Held(spec) => Cow::Borrowed(spec),
