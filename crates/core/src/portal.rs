@@ -51,8 +51,8 @@ impl CustomerPortal {
         }
     }
 
-    /// The catalog id of the predefined drop rule for `proto`.
-    /// One past the protocol's position in
+    /// The catalog id of the predefined drop rule for `proto`: one past
+    /// the protocol's position in
     /// [`stellar_net::amplification::ALL`], as
     /// [`Self::with_standard_catalog`] numbers them.
     pub fn predefined_id(proto: AmpProtocol) -> u16 {
