@@ -27,6 +27,7 @@ pub(crate) trait Source: Ord {
 pub(crate) trait Payload<K>: PartialEq {
     /// Where the rule's match spec comes from.
     fn spec<'a>(&'a self, source: &K) -> SpecOf<'a>;
+    /// What matching traffic gets.
     fn action(&self) -> RuleAction;
     /// The rule as the managers want it.
     fn rule(&self, id: u64, owner: Asn, source: &K) -> BlackholingRule;
@@ -67,12 +68,11 @@ pub(crate) struct Table<K, R> {
 impl<K: Source, R: Payload<K>> Table<K, R> {
     /// An empty table whose rule ids count up from `first_id`.
     pub(crate) fn new(first_id: u64) -> Self {
-        let (sources, stamps) = (BTreeMap::new(), OwnerStamps::default());
         Table {
-            sources,
+            sources: BTreeMap::new(),
             rules: 0,
             next_id: first_id,
-            stamps,
+            stamps: OwnerStamps::default(),
         }
     }
 
