@@ -443,6 +443,82 @@ mod tests {
     }
 
     #[test]
+    fn owner_view_is_the_full_snapshot_filtered() {
+        let mut c = BlackholingController::new(IXP);
+        // Adjacent ASNs, the largest ASN, two paths for one owner, and a
+        // path with no origin AS (holds no rule).
+        for (slot, owner, ports) in [
+            (0, Some(OWNER), &[123u16, 53][..]),
+            (1, Some(Asn(OWNER.0 + 1)), &[123][..]),
+            (2, Some(Asn(u32::MAX)), &[19, 389][..]),
+            (3, Some(OWNER), &[11211][..]),
+            (4, None, &[161][..]),
+        ] {
+            let signals: Vec<_> = ports
+                .iter()
+                .map(|p| StellarSignal::drop_udp_src(*p))
+                .collect();
+            c.process_update(&announce(owner, slot, &signals));
+        }
+        let all = c.desired_rules();
+        assert_eq!(all.len(), 6);
+        for (owner, rules) in [
+            (OWNER, 3),
+            (Asn(OWNER.0 + 1), 1),
+            (Asn(u32::MAX), 2),
+            (Asn(0), 0),
+            (Asn(OWNER.0 - 1), 0),
+            (Asn(OWNER.0 + 2), 0),
+        ] {
+            let mut view: Vec<_> = c.table().rules_of(owner).collect();
+            view.sort_by_key(|r| r.id);
+            let filtered: Vec<_> = all.iter().filter(|r| r.owner == owner).cloned().collect();
+            assert_eq!(view, filtered, "{owner:?}");
+            assert_eq!(view.len(), rules, "{owner:?}");
+        }
+        let t = c.table();
+        let mut ids: Vec<u64> = t.owners().flat_map(|o| t.ids_of(o)).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, all.iter().map(|r| r.id).collect::<Vec<_>>());
+        assert_eq!(ids.len(), c.rule_count());
+    }
+
+    #[test]
+    fn every_mutator_stamps_the_owners_it_changed_and_nothing_else() {
+        let mut c = BlackholingController::new(IXP);
+        let other = Asn(OWNER.0 + 1);
+        let ntp = [StellarSignal::drop_udp_src(123)];
+        assert_eq!((c.table().version(), c.table().revision(OWNER)), (0, 0));
+        let mut version = 0;
+        // Did the last call move the plane, and was it OWNER's change?
+        let mut moved = |c: &BlackholingController| {
+            let moved = c.table().version() > version;
+            version = c.table().version();
+            assert_eq!(c.table().revision(other), 0, "nobody touched {other:?}");
+            moved && c.table().revision(OWNER) == version
+        };
+        c.process_update(&update_with_signals(&ntp, 1));
+        assert!(moved(&c));
+        // Re-announcing the same state changes nothing.
+        c.process_update(&update_with_signals(&ntp, 1));
+        assert!(!moved(&c));
+        let id = c.desired_rules()[0].id;
+        assert!(!c.rule_refused(id + 1));
+        assert_eq!(c.degrade_rule(id + 1), DegradeOutcome::Unknown);
+        assert!(!moved(&c));
+        assert!(matches!(c.degrade_rule(id), DegradeOutcome::Degraded(_)));
+        assert!(moved(&c));
+        assert!(c.rule_refused(id));
+        assert!(moved(&c));
+        assert!(c.session_down().is_empty());
+        assert!(!moved(&c));
+        c.process_update(&update_with_signals(&ntp, 1));
+        assert!(moved(&c));
+        assert_eq!(c.session_down().len(), 1);
+        assert!(moved(&c));
+    }
+
+    #[test]
     fn a_path_changing_hands_stamps_both_owners() {
         let mut c = BlackholingController::new(IXP);
         let other = Asn(OWNER.0 + 1);
@@ -461,7 +537,7 @@ mod tests {
         assert!(c.table().revision(other) > before);
     }
 
-    /// One step of [`paths_answer_to_their_last_origin`]. Owners
+    /// One step of the random episodes below. Owners
     /// are indexes into `[None, 64500, 64501, 64502]` (`None`: no origin
     /// AS), slots into three prefixes × two path ids, picks into the
     /// desired rules by id (an unknown id when there is none).
@@ -650,6 +726,58 @@ mod tests {
                 apply(&mut c, &Op::Withdraw { slot });
             }
             prop_assert_eq!(c.rule_count(), 0);
+        }
+
+        /// After every step of a random episode, each owner's view of
+        /// the controller's table — its rules, its ids, whether it is a
+        /// desired owner — equals the full snapshot filtered by owner.
+        #[test]
+        fn owner_views_are_the_filter_over_all_paths(
+            ops in proptest::collection::vec(arb_op(), 1..40),
+        ) {
+            let mut c = BlackholingController::new(IXP);
+            let asked: Vec<Asn> = (0..4).map(|o| asn(o).unwrap_or(Asn(0))).collect();
+            for op in &ops {
+                apply(&mut c, op);
+                let all = c.desired_rules();
+                let t = c.table();
+                for owner in &asked {
+                    let mut view: Vec<_> = t.rules_of(*owner).collect();
+                    view.sort_by_key(|r| r.id);
+                    let filtered: Vec<_> = all.iter().filter(|r| r.owner == *owner).cloned().collect();
+                    let mut ids: Vec<_> = t.ids_of(*owner).collect();
+                    ids.sort_unstable();
+                    let want: Vec<_> = filtered.iter().map(|r| r.id).collect();
+                    prop_assert_eq!(view, filtered, "{:?} after {:?}", owner, op);
+                    prop_assert_eq!(ids, want, "{:?} after {:?}", owner, op);
+                }
+                let mut every: Vec<_> = asked.iter().flat_map(|o| t.rules_of(*o)).collect();
+                every.sort_by_key(|r| r.id);
+                prop_assert_eq!(&every, &all, "all owners after {:?}", op);
+                let mut owners: Vec<Asn> = all.iter().map(|r| r.owner).collect();
+                owners.sort_unstable();
+                owners.dedup();
+                prop_assert_eq!(t.owners().collect::<Vec<_>>(), owners, "owners after {:?}", op);
+            }
+        }
+
+        /// After every step of a random episode, every rule's cached
+        /// region is the region of its spec (the signal scoped to the
+        /// path's prefix), and the kept rule count is the number of
+        /// desired rules.
+        #[test]
+        fn cached_regions_are_their_rules_regions(
+            ops in proptest::collection::vec(arb_op(), 1..40),
+        ) {
+            let mut c = BlackholingController::new(IXP);
+            for op in &ops {
+                apply(&mut c, op);
+                let t = c.table();
+                for rule in t.owners().flat_map(|o| t.standing_of(o)) {
+                    prop_assert!(rule.region_is_current(), "rule {} after {:?}", rule.id, op);
+                }
+                prop_assert_eq!(c.rule_count(), c.desired_rules().len(), "after {:?}", op);
+            }
         }
     }
 

@@ -691,6 +691,7 @@ impl FlowSpecPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use stellar_bgp::flowspec::{bitmask_seq_matches, numeric_seq_matches};
     use stellar_net::addr::{IpAddress, Ipv4Address, Ipv6Address};
     use stellar_net::flow::FlowKey;
@@ -1345,5 +1346,251 @@ mod tests {
         assert_eq!(plane.rule_count(), 0);
         assert!(!plane.rule_refused(id));
         assert!(plane.desired_rules().is_empty());
+    }
+
+    #[test]
+    fn owner_view_is_the_full_snapshot_filtered() {
+        let mut plane = FlowSpecPlane::new();
+        let two_ports = flow(vec![
+            Component::DstPrefix(victim()),
+            Component::IpProtocol(vec![NumericOp::equals(17)]),
+            Component::SrcPort(vec![NumericOp::equals(53), NumericOp::equals(389)]),
+        ]);
+        // Adjacent ASNs, the largest ASN, and two NLRIs (one lowering to
+        // two rules) for the owner in the middle, installed interleaved.
+        for (owner, f) in [
+            (Asn(OWNER.0 + 1), drop_flow()),
+            (OWNER, two_ports.clone()),
+            (Asn(u32::MAX), drop_flow()),
+            (OWNER, drop_flow()),
+            (Asn(OWNER.0 - 1), two_ports),
+        ] {
+            plane
+                .install(&AcceptedFlowSpec {
+                    owner,
+                    ..accepted(f, 0.0)
+                })
+                .unwrap();
+        }
+        let all = plane.desired_rules();
+        assert_eq!(all.len(), 7);
+        for (owner, rules) in [
+            (OWNER, 3),
+            (Asn(OWNER.0 + 1), 1),
+            (Asn(OWNER.0 - 1), 2),
+            (Asn(u32::MAX), 1),
+            (Asn(0), 0),
+            (Asn(OWNER.0 + 2), 0),
+        ] {
+            let mut view: Vec<_> = plane.table().rules_of(owner).collect();
+            view.sort_by_key(|r| r.id);
+            let filtered: Vec<_> = all.iter().filter(|r| r.owner == owner).cloned().collect();
+            assert_eq!(view, filtered, "{owner:?}");
+            assert_eq!(view.len(), rules, "{owner:?}");
+        }
+        let t = plane.table();
+        let mut ids: Vec<u64> = t.owners().flat_map(|o| t.ids_of(o)).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, all.iter().map(|r| r.id).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn every_mutator_stamps_the_owners_it_changed_and_nothing_else() {
+        let mut plane = FlowSpecPlane::new();
+        let other = Asn(OWNER.0 + 1);
+        let stamps = |plane: &FlowSpecPlane, owner| plane.table().revision(owner);
+        assert_eq!((plane.table().version(), stamps(&plane, OWNER)), (0, 0));
+        let mut version = 0;
+        // Did the last call move the plane, and was it OWNER's change?
+        let mut moved = |plane: &FlowSpecPlane| {
+            let moved = plane.table().version() > version;
+            version = plane.table().version();
+            assert_eq!(stamps(plane, other), 0, "nobody touched {other:?}");
+            moved && stamps(plane, OWNER) == version
+        };
+        let changes = plane.install(&accepted(drop_flow(), 0.0)).unwrap();
+        assert!(moved(&plane));
+        // An identical re-announcement changes nothing; a new action does.
+        assert!(plane
+            .install(&accepted(drop_flow(), 0.0))
+            .unwrap()
+            .is_empty());
+        assert!(!moved(&plane));
+        assert_eq!(plane.install(&accepted(drop_flow(), 1e6)).unwrap().len(), 2);
+        assert!(moved(&plane));
+        assert!(!plane.rule_refused(changes[0].rule_id()));
+        assert!(plane.withdraw(other, &drop_flow()).is_empty());
+        assert!(!moved(&plane));
+        assert!(plane.rule_refused(plane.desired_rules()[0].id));
+        assert!(moved(&plane));
+        assert!(plane.flush().is_empty());
+        assert!(!moved(&plane));
+        plane.install(&accepted(drop_flow(), 0.0)).unwrap();
+        assert!(moved(&plane));
+        assert_eq!(plane.withdraw(OWNER, &drop_flow()).len(), 1);
+        assert!(moved(&plane));
+        plane.install(&accepted(drop_flow(), 0.0)).unwrap();
+        assert!(moved(&plane));
+        assert_eq!(plane.flush().len(), 1);
+        assert!(moved(&plane));
+        assert_eq!(plane.take_unverified(), None);
+    }
+
+    #[test]
+    fn the_key_set_only_moves_with_its_owners_stamp() {
+        let mut plane = FlowSpecPlane::new();
+        let other = Asn(OWNER.0 + 1);
+        let ntp = drop_flow();
+        let dns = flow(vec![
+            Component::DstPrefix(victim()),
+            Component::IpProtocol(vec![NumericOp::equals(17)]),
+            Component::SrcPort(vec![NumericOp::equals(53)]),
+        ]);
+        let by = |owner: Asn, f: &FlowSpec| AcceptedFlowSpec {
+            owner,
+            ..accepted(f.clone(), 0.0)
+        };
+        let owners = |plane: &FlowSpecPlane| plane.table().owners().collect::<Vec<_>>();
+        // Per owner, its keys and the revision they were read under.
+        let read = |plane: &FlowSpecPlane| -> Vec<(Asn, u64, Vec<Vec<u8>>)> {
+            let t = plane.table();
+            [OWNER, other]
+                .iter()
+                .map(|&o| {
+                    let keys: Vec<Vec<u8>> = t.sources_of(o).map(|(k, _)| k.clone()).collect();
+                    // Every key stands for at least one rule.
+                    assert_eq!(t.rules_of(o).count() > 0, !keys.is_empty());
+                    assert_eq!(t.owners().any(|p| p == o), !keys.is_empty());
+                    (o, t.revision(o), keys)
+                })
+                .collect()
+        };
+        let mut before = read(&plane);
+        let mut step = |plane: &FlowSpecPlane| {
+            let after = read(plane);
+            for (was, is) in before.iter().zip(&after) {
+                assert!(was.2 == is.2 || was.1 < is.1, "{:?}: keys moved", is.0);
+            }
+            before = after;
+        };
+        plane.install(&by(OWNER, &ntp)).unwrap();
+        step(&plane);
+        plane.install(&by(other, &ntp)).unwrap();
+        step(&plane);
+        plane.install(&by(OWNER, &dns)).unwrap();
+        step(&plane);
+        assert_eq!(owners(&plane), [OWNER, other]);
+        assert_eq!(plane.table().sources_of(OWNER).count(), 2);
+        // The last rule of a key refused: the key goes with it.
+        let refused = plane.table().ids_of(other).next().unwrap();
+        assert!(plane.rule_refused(refused));
+        step(&plane);
+        assert_eq!(owners(&plane), [OWNER]);
+        plane.withdraw(OWNER, &ntp);
+        step(&plane);
+        plane.flush();
+        step(&plane);
+        assert!(owners(&plane).is_empty());
+    }
+
+    /// One step of [`cached_regions_are_their_rules_regions`]: owners are
+    /// indexes into three ASNs, flows into [`episode_flow`]'s variants,
+    /// picks into the desired rules by id.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Announce (or re-announce, implicitly withdrawing the old
+        /// lowering) a flow at a drop or a shaping rate.
+        Install {
+            owner: usize,
+            flow: usize,
+            shape: bool,
+        },
+        Withdraw {
+            owner: usize,
+            flow: usize,
+        },
+        Refuse {
+            pick: usize,
+        },
+        Flush,
+    }
+
+    /// Flows lowering to one spec, two specs, a flag cube and a
+    /// fragment cube, towards two victims.
+    fn episode_flow(i: usize) -> FlowSpec {
+        let dst = ["100.10.10.10/32", "100.10.10.11/32"][i / 4 % 2];
+        let mut components = vec![Component::DstPrefix(dst.parse().unwrap())];
+        components.extend(match i % 4 {
+            0 => vec![
+                Component::IpProtocol(vec![NumericOp::equals(17)]),
+                Component::SrcPort(vec![NumericOp::equals(123)]),
+            ],
+            1 => vec![
+                Component::IpProtocol(vec![NumericOp::equals(17)]),
+                Component::SrcPort(vec![NumericOp::equals(53), NumericOp::equals(389)]),
+            ],
+            2 => vec![Component::TcpFlags(vec![BitmaskOp::new(
+                false, false, true, 0x02,
+            )])],
+            _ => vec![
+                Component::PacketLength(vec![NumericOp::ge(1000)]),
+                Component::Fragment(vec![BitmaskOp::new(false, false, false, 0x03)]),
+            ],
+        });
+        flow(components)
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let install = (0usize..3, 0usize..8, any::<bool>())
+            .prop_map(|(owner, flow, shape)| Op::Install { owner, flow, shape })
+            .boxed();
+        prop_oneof![
+            install.clone(),
+            install,
+            (0usize..3, 0usize..8).prop_map(|(owner, flow)| Op::Withdraw { owner, flow }),
+            any::<usize>().prop_map(|pick| Op::Refuse { pick }),
+            Just(Op::Flush),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After every step of a random episode, every lowered rule's
+        /// cached region is the region of its spec, and the kept rule
+        /// count is the number of desired rules.
+        #[test]
+        fn cached_regions_are_their_rules_regions(
+            ops in proptest::collection::vec(arb_op(), 1..30),
+        ) {
+            let mut plane = FlowSpecPlane::new();
+            let asn = |o: usize| Asn(OWNER.0 + o as u32);
+            for op in &ops {
+                match *op {
+                    Op::Install { owner, flow, shape } => {
+                        let acc = AcceptedFlowSpec {
+                            owner: asn(owner),
+                            ..accepted(episode_flow(flow), if shape { 1e6 } else { 0.0 })
+                        };
+                        plane.install(&acc).expect("every episode flow lowers");
+                    }
+                    Op::Withdraw { owner, flow } => {
+                        plane.withdraw(asn(owner), &episode_flow(flow));
+                    }
+                    Op::Refuse { pick } => {
+                        let ids: Vec<u64> = plane.desired_rules().iter().map(|r| r.id).collect();
+                        plane.rule_refused(ids.get(pick % ids.len().max(1)).copied().unwrap_or(0));
+                    }
+                    Op::Flush => {
+                        plane.flush();
+                    }
+                }
+                let t = plane.table();
+                for rule in t.owners().flat_map(|o| t.standing_of(o)) {
+                    prop_assert!(rule.region_is_current(), "rule {} after {:?}", rule.id, op);
+                }
+                prop_assert_eq!(plane.rule_count(), plane.desired_rules().len(), "after {:?}", op);
+            }
+        }
     }
 }
