@@ -1,8 +1,7 @@
 //! A member port on the edge router.
 
 use crate::counters::PortCounters;
-use crate::qos::{Offer, QosPolicy, TickResult};
-use stellar_net::flow::FlowKey;
+use crate::qos::{Offer, QosPolicy, TickResult, TickWork};
 use stellar_net::mac::MacAddr;
 
 /// One IXP member port: the egress interface towards a member's router.
@@ -33,7 +32,7 @@ impl MemberPort {
     }
 
     /// Pushes one tick of traffic destined to this port through the
-    /// policy and accumulates the counters. The tick runs in the policy's
+    /// policy and accumulates the counters. The tick runs in the caller's
     /// scratch buffers and lands in the recycled `result` (cleared
     /// first).
     pub fn process_tick_into(
@@ -41,16 +40,13 @@ impl MemberPort {
         offers: &[Offer],
         tick_end_us: u64,
         tick_us: u64,
+        work: &mut TickWork,
         result: &mut TickResult,
     ) {
+        let cap = self.capacity_bps;
         self.policy
-            .apply_tick_into(offers, tick_end_us, tick_us, self.capacity_bps, result);
+            .apply_tick_into(offers, tick_end_us, tick_us, cap, work, result);
         self.counters.absorb(&result.counters);
-    }
-
-    /// Classifies a single flow key (per-packet functional path).
-    pub fn classify(&self, key: &FlowKey) -> Option<&crate::filter::FilterRule> {
-        self.policy.classify(key)
     }
 }
 
@@ -59,6 +55,7 @@ mod tests {
     use super::*;
     use crate::filter::{Action, FilterRule, MatchSpec};
     use stellar_net::addr::{IpAddress, Ipv4Address};
+    use stellar_net::flow::FlowKey;
     use stellar_net::proto::IpProtocol;
 
     fn offer(bytes: u64) -> Offer {
@@ -78,12 +75,21 @@ mod tests {
         }
     }
 
+    /// Every port of the fabric is a `MemberPort`, and at 10^5 ports
+    /// nearly all are idle: each byte an idle port carries is 100 kB of
+    /// resident memory. Rule state belongs behind the policy's box, tick
+    /// scratch in the router's arena.
+    #[test]
+    fn an_idle_port_is_a_small_record() {
+        assert!(std::mem::size_of::<MemberPort>() <= 128);
+    }
+
     #[test]
     fn counters_accumulate_across_ticks() {
         let mut p = MemberPort::new(64500, MacAddr::for_member(64500, 1), 1_000_000_000);
-        let mut r = TickResult::default();
+        let (mut w, mut r) = (TickWork::default(), TickResult::default());
         for t in 1..=3u64 {
-            p.process_tick_into(&[offer(1000)], t * 1_000_000, 1_000_000, &mut r);
+            p.process_tick_into(&[offer(1000)], t * 1_000_000, 1_000_000, &mut w, &mut r);
         }
         assert_eq!(p.counters.forwarded_bytes, 3000);
     }
@@ -100,10 +106,10 @@ mod tests {
             Action::Drop,
             10,
         ));
-        let mut r = TickResult::default();
-        p.process_tick_into(&[offer(500)], 1_000_000, 1_000_000, &mut r);
+        let (mut w, mut r) = (TickWork::default(), TickResult::default());
+        p.process_tick_into(&[offer(500)], 1_000_000, 1_000_000, &mut w, &mut r);
         assert!(r.delivered.is_empty());
         assert_eq!(p.counters.dropped_bytes, 500);
-        assert!(p.classify(&offer(1).key).is_some());
+        assert!(p.policy.classify(&offer(1).key).is_some());
     }
 }

@@ -39,12 +39,13 @@ impl TickResult {
     }
 }
 
-/// Reusable per-policy tick buffers: every vector the hot path needs,
-/// cleared (never freed) between ticks. One lives inside each
-/// [`QosPolicy`], so a steady-state [`apply_tick_into`]
-/// (`QosPolicy::apply_tick_into`) makes no heap allocations.
+/// Reusable tick buffers: every vector a policy's tick needs, cleared
+/// (never freed) between ticks. The caller owns them — an edge router
+/// keeps them in its tick arena, not in its ports — so a steady-state
+/// [`apply_tick_into`](QosPolicy::apply_tick_into) makes no heap
+/// allocations.
 #[derive(Debug, Default)]
-struct TickWork {
+pub struct TickWork {
     /// `(shape rule id, offer index)` tags; sorted to form the shaping
     /// groups deterministically without a per-tick hash map.
     shape_tags: Vec<(u64, u32)>,
@@ -58,28 +59,39 @@ struct TickWork {
     order: Vec<usize>,
 }
 
-/// The QoS policy of one member port.
+/// The QoS policy of one member port: a generation, the rule and shaper
+/// counts, and a boxed state, which exists only while the policy holds a
+/// rule or a rule counter — so an idle port's policy is 24 bytes, and a
+/// walk over ports that reads only the counts never follows the box.
 ///
-/// `rules` holds the installed rules (with their actions) in the
+/// The state keeps the installed rules (with their actions) in the
 /// [`FlowClassifier`]'s evaluation order, so the position a lookup
-/// returns indexes it directly; [`install`](Self::install) and
+/// returns indexes them directly; [`install`](Self::install) and
 /// [`remove`](Self::remove) keep the two aligned. Lookups are
-/// behavior-identical to a first-match scan of `rules`.
+/// behavior-identical to a first-match scan of [`rules`](Self::rules).
 ///
-/// `rules` is private, so those mutators are the only way the table
+/// The state is private, so those mutators are the only way the table
 /// changes and each one that changes it bumps
-/// [`generation`](Self::generation): two reads of one policy object
-/// that see the same generation saw the same rule table.
+/// [`generation`](Self::generation), which lives outside the box and
+/// only grows: two reads of one policy object that see the same
+/// generation saw the same rule table.
 #[derive(Debug, Default)]
 pub struct QosPolicy {
+    /// Rule-table edits so far (see the type docs).
+    generation: u64,
+    /// The state's `(rules, shapers)` lengths, refreshed by every mutator.
+    counts: (u32, u32),
+    state: Option<Box<PolicyState>>,
+}
+
+/// A policy's rules and what they own. Every installed rule has a
+/// counter, so a state without counters holds nothing and is dropped.
+#[derive(Debug, Default)]
+struct PolicyState {
     rules: Vec<FilterRule>,
     classifier: FlowClassifier,
     shapers: HashMap<u64, TokenBucket>,
     rule_counters: HashMap<u64, RuleCounters>,
-    /// Rule-table edits so far (see the type docs).
-    generation: u64,
-    /// Tick-scoped scratch, reused across ticks.
-    work: TickWork,
 }
 
 /// Default burst allowance for shaping queues: one second at the shaping
@@ -95,41 +107,59 @@ impl QosPolicy {
         Self::default()
     }
 
-    /// Installs a rule, replacing any rule with the same id.
+    /// Installs a rule, replacing any rule with the same id (whose
+    /// counters the replacement keeps).
     pub fn install(&mut self, rule: FilterRule) {
-        self.remove(rule.id);
-        if let Action::Shape { rate_bps } = rule.action {
-            self.shapers
-                .insert(rule.id, TokenBucket::new(rate_bps, shaper_burst(rate_bps)));
+        let state = self.state.get_or_insert_with(Box::default);
+        if let Some(pos) = state.classifier.remove(rule.id) {
+            state.rules.remove(pos);
         }
-        self.rule_counters.entry(rule.id).or_default();
-        let pos = self.classifier.insert(rule.entry());
-        self.rules.insert(pos, rule);
+        state.shapers.remove(&rule.id);
+        if let Action::Shape { rate_bps } = rule.action {
+            let bucket = TokenBucket::new(rate_bps, shaper_burst(rate_bps));
+            state.shapers.insert(rule.id, bucket);
+        }
+        state.rule_counters.entry(rule.id).or_default();
+        let pos = state.classifier.insert(rule.entry());
+        state.rules.insert(pos, rule);
         self.generation += 1;
+        self.sync_counts();
     }
 
-    /// Removes a rule by id. Returns true if it existed.
+    /// Removes a rule by id, and its counters with it. Returns true if
+    /// it was installed.
     pub fn remove(&mut self, rule_id: u64) -> bool {
-        self.shapers.remove(&rule_id);
-        match self.classifier.remove(rule_id) {
-            Some(pos) => {
-                self.rules.remove(pos);
-                self.generation += 1;
-                true
-            }
-            None => false,
+        let Some(state) = self.state.as_deref_mut() else {
+            return false;
+        };
+        state.shapers.remove(&rule_id);
+        state.rule_counters.remove(&rule_id);
+        let pos = state.classifier.remove(rule_id);
+        if let Some(pos) = pos {
+            state.rules.remove(pos);
+            self.generation += 1;
         }
+        if state.rule_counters.is_empty() {
+            self.state = None;
+        }
+        self.sync_counts();
+        pos.is_some()
     }
 
     /// Removes every rule, returning the removed ids in evaluation order
-    /// (fallback-to-forwarding resilience, §4.1.2).
+    /// (fallback-to-forwarding resilience, §4.1.2). The counters stay:
+    /// a flushed port whose rules are re-added keeps their telemetry.
     pub fn clear(&mut self) -> Vec<u64> {
-        let ids = self.classifier.clear();
-        self.rules.clear();
-        self.shapers.clear();
+        let Some(state) = self.state.as_deref_mut() else {
+            return Vec::new();
+        };
+        let ids = state.classifier.clear();
+        state.rules.clear();
+        state.shapers.clear();
         if !ids.is_empty() {
             self.generation += 1;
         }
+        self.counts = (0, 0);
         ids
     }
 
@@ -138,13 +168,18 @@ impl QosPolicy {
     /// cycle wipes. Returns how many rules were installed.
     pub fn reset(&mut self) -> usize {
         let n = self.clear().len();
-        self.rule_counters.clear();
+        self.state = None;
         n
+    }
+
+    fn sync_counts(&mut self) {
+        let lens = |s: &PolicyState| (s.rules.len() as u32, s.shapers.len() as u32);
+        self.counts = self.state.as_deref().map_or((0, 0), lens);
     }
 
     /// Number of installed rules.
     pub fn rule_count(&self) -> usize {
-        self.rules.len()
+        self.counts.0 as usize
     }
 
     /// How many times the rule table has been edited (`install`,
@@ -156,7 +191,7 @@ impl QosPolicy {
 
     /// Number of active shaping queues (one token bucket per shape rule).
     pub fn shaper_count(&self) -> usize {
-        self.shapers.len()
+        self.counts.1 as usize
     }
 
     /// Whether a rule with this id is installed.
@@ -167,36 +202,38 @@ impl QosPolicy {
     /// The installed rule with this id, if any (reconciliation reads
     /// this to compare actual hardware state against desired state).
     pub fn rule(&self, rule_id: u64) -> Option<&FilterRule> {
-        self.rules.iter().find(|r| r.id == rule_id)
+        self.rules().iter().find(|r| r.id == rule_id)
     }
 
     /// The installed rules in evaluation order.
     pub fn rules(&self) -> &[FilterRule] {
-        &self.rules
+        self.state.as_ref().map_or(&[], |s| &s.rules)
     }
 
     /// Telemetry counters for a rule.
     pub fn rule_counters(&self, rule_id: u64) -> Option<&RuleCounters> {
-        self.rule_counters.get(&rule_id)
+        self.state.as_ref()?.rule_counters.get(&rule_id)
     }
 
     /// First matching rule for a key, if any. Served by the classifier;
-    /// identical to `rules.iter().find(|r| r.spec.matches(key))`.
+    /// identical to `rules().iter().find(|r| r.spec.matches(key))`.
     pub fn classify(&self, key: &FlowKey) -> Option<&FilterRule> {
-        self.classifier.first_match(key).map(|pos| &self.rules[pos])
+        let s = self.state.as_ref()?;
+        s.classifier.first_match(key).map(|pos| &s.rules[pos])
     }
 
     /// Pushes one tick of offered aggregates through the policy — the
     /// one tick path. `tick_end_us` clocks the shapers; `tick_us` is the
     /// tick duration; `capacity_bps` is the member port capacity.
     /// Classification, grouping, and queue arithmetic all run in the
-    /// policy's reusable [`TickWork`] buffers and the outcome lands in
-    /// the caller-recycled `result` (cleared first). Steady state makes
+    /// caller's reusable `work` buffers and the outcome lands in the
+    /// caller-recycled `result` (cleared first). Steady state makes
     /// zero heap allocations per tick.
     ///
     /// This is the `&mut` tick entry that (re)builds the classifier's
     /// index after a mutation dropped it. Phase 1 classifies every offer
-    /// and dispatches it into drop / shape / forward. Offers matching
+    /// and dispatches it into drop / shape / forward (a policy without
+    /// state forwards all). Offers matching
     /// the same shaping rule are grouped so the shaped rate is shared
     /// proportionally across flows within the tick — a real shaping
     /// queue lets every contending flow keep a share, which is why "the
@@ -211,17 +248,51 @@ impl QosPolicy {
         tick_end_us: u64,
         tick_us: u64,
         capacity_bps: u64,
+        work: &mut TickWork,
         result: &mut TickResult,
     ) {
         result.clear();
-        let QosPolicy {
-            rules,
-            classifier,
-            shapers,
-            rule_counters,
-            work,
+        work.to_forward.clear();
+        match self.state.as_deref_mut() {
+            Some(state) => state.filter(offers, tick_end_us, work, result),
+            None => work
+                .to_forward
+                .extend(offers.iter().map(|o| (o.key, o.bytes, o.packets))),
+        }
+        // Phase 2: the forwarding queue at port capacity.
+        let TickWork {
+            to_forward,
+            byte_offers,
+            drained,
+            order,
             ..
-        } = self;
+        } = work;
+        let budget = queue::capacity_bytes(capacity_bps, tick_us);
+        byte_offers.clear();
+        byte_offers.extend(to_forward.iter().map(|(_, b, _)| *b));
+        queue::drain_proportional_into(byte_offers, budget, drained, order);
+        for (&(key, bytes, packets), &(fwd, dropped)) in to_forward.iter().zip(drained.iter()) {
+            if fwd > 0 {
+                let pkts = (packets * fwd).checked_div(bytes).map_or(0, |p| p.max(1));
+                result.counters.forwarded_bytes += fwd;
+                result.counters.forwarded_packets += pkts;
+                result.delivered.push((key, fwd, pkts));
+            }
+            result.counters.congestion_dropped_bytes += dropped;
+        }
+    }
+}
+
+impl PolicyState {
+    /// Phase 1 of [`QosPolicy::apply_tick_into`]: drops and shapes in
+    /// place, leaving what goes on in `work.to_forward`.
+    fn filter(
+        &mut self,
+        offers: &[Offer],
+        tick_end_us: u64,
+        work: &mut TickWork,
+        result: &mut TickResult,
+    ) {
         let TickWork {
             shape_tags,
             to_forward,
@@ -229,23 +300,23 @@ impl QosPolicy {
             drained,
             order,
         } = work;
-        classifier.prepare();
-        to_forward.clear();
+        self.classifier.prepare();
         shape_tags.clear();
         for (i, offer) in offers.iter().enumerate() {
-            let rule = classifier.first_match(&offer.key).map(|pos| &rules[pos]);
+            let rule = self.classifier.first_match(&offer.key);
+            let rule = rule.map(|pos| &self.rules[pos]);
             match rule.map(|r| (r.id, r.action)) {
                 Some((id, Action::Drop)) => {
                     result.counters.dropped_bytes += offer.bytes;
                     result.counters.dropped_packets += offer.packets;
-                    let rc = rule_counters.entry(id).or_default();
+                    let rc = self.rule_counters.entry(id).or_default();
                     rc.matched_bytes += offer.bytes;
                     rc.matched_packets += offer.packets;
                     rc.discarded_bytes += offer.bytes;
                 }
                 Some((id, Action::Shape { .. })) => shape_tags.push((id, i as u32)),
                 Some((id, Action::Forward)) => {
-                    let rc = rule_counters.entry(id).or_default();
+                    let rc = self.rule_counters.entry(id).or_default();
                     rc.matched_bytes += offer.bytes;
                     rc.matched_packets += offer.packets;
                     rc.passed_bytes += offer.bytes;
@@ -263,12 +334,12 @@ impl QosPolicy {
             let end = g + shape_tags[g..].iter().take_while(|t| t.0 == id).count();
             let group = &shape_tags[g..end];
             let total: u64 = group.iter().map(|&(_, i)| offers[i as usize].bytes).sum();
-            let shaper = shapers.get_mut(&id).expect("shaper exists for rule");
+            let shaper = self.shapers.get_mut(&id).expect("shaper exists for rule");
             let admitted_total = shaper.admit(total, tick_end_us);
             byte_offers.clear();
             byte_offers.extend(group.iter().map(|&(_, i)| offers[i as usize].bytes));
             queue::drain_proportional_into(byte_offers, admitted_total, drained, order);
-            let rc = rule_counters.entry(id).or_default();
+            let rc = self.rule_counters.entry(id).or_default();
             rc.matched_bytes += total;
             rc.matched_packets += group
                 .iter()
@@ -288,20 +359,6 @@ impl QosPolicy {
                 }
             }
             g = end;
-        }
-        // Phase 2: the forwarding queue at port capacity.
-        let budget = queue::capacity_bytes(capacity_bps, tick_us);
-        byte_offers.clear();
-        byte_offers.extend(to_forward.iter().map(|(_, b, _)| *b));
-        queue::drain_proportional_into(byte_offers, budget, drained, order);
-        for (&(key, bytes, packets), &(fwd, dropped)) in to_forward.iter().zip(drained.iter()) {
-            if fwd > 0 {
-                let pkts = (packets * fwd).checked_div(bytes).map_or(0, |p| p.max(1));
-                result.counters.forwarded_bytes += fwd;
-                result.counters.forwarded_packets += pkts;
-                result.delivered.push((key, fwd, pkts));
-            }
-            result.counters.congestion_dropped_bytes += dropped;
         }
     }
 }
@@ -336,8 +393,15 @@ mod tests {
         tick_us: u64,
         capacity_bps: u64,
     ) -> TickResult {
-        let mut result = TickResult::default();
-        p.apply_tick_into(offers, tick_end_us, tick_us, capacity_bps, &mut result);
+        let (mut work, mut result) = (TickWork::default(), TickResult::default());
+        p.apply_tick_into(
+            offers,
+            tick_end_us,
+            tick_us,
+            capacity_bps,
+            &mut work,
+            &mut result,
+        );
         result
     }
 
@@ -518,6 +582,87 @@ mod tests {
         // Ticks read the table, they never edit it.
         tick(&mut p, &[], 1, 1_000_000, 1_000_000_000);
         assert!(!moved(&p));
+    }
+
+    /// Counter entries held by the policy (all of them, not only the
+    /// installed rules').
+    fn counter_entries(p: &QosPolicy) -> usize {
+        p.state.as_ref().map_or(0, |s| s.rule_counters.len())
+    }
+
+    #[test]
+    fn removed_rules_leave_no_counters_behind() {
+        let mut p = QosPolicy::new();
+        p.install(ntp_drop_rule(1));
+        for id in 2..1_002 {
+            p.install(ntp_drop_rule(id));
+            assert!(p.remove(id));
+        }
+        assert_eq!(counter_entries(&p), 1);
+        assert!(p.rule_counters(1).is_some());
+        assert!(p.rule_counters(1_001).is_none());
+        // A same-id replacement and a flush keep the rule's telemetry;
+        // the flushed rule comes back to its old counters.
+        let offers = [Offer {
+            key: key(ports::NTP),
+            bytes: 700,
+            packets: 1,
+        }];
+        tick(&mut p, &offers, 1, 1_000_000, 1_000_000_000);
+        p.install(ntp_drop_rule(1));
+        assert_eq!(p.clear(), vec![1]);
+        p.install(ntp_drop_rule(1));
+        assert_eq!(p.rule_counters(1).map(|c| c.matched_bytes), Some(700));
+        // Losing the last rule and its counters drops the whole state.
+        assert!(p.remove(1));
+        assert!(p.state.is_none());
+    }
+
+    #[test]
+    fn the_kept_counts_follow_every_mutator() {
+        let mut p = QosPolicy::new();
+        let shape = |id| {
+            let spec = MatchSpec::to_destination("100.10.10.10/32".parse().unwrap());
+            FilterRule::new(id, spec, Action::Shape { rate_bps: 1_000 }, 5)
+        };
+        let check = |p: &QosPolicy| {
+            let lens = p.state.as_deref().map(|s| (s.rules.len(), s.shapers.len()));
+            assert_eq!((p.rule_count(), p.shaper_count()), lens.unwrap_or((0, 0)));
+        };
+        p.install(ntp_drop_rule(1));
+        check(&p);
+        p.install(shape(2));
+        p.install(shape(3));
+        check(&p);
+        // A shape rule replaced by a drop rule loses its shaper.
+        p.install(ntp_drop_rule(3));
+        assert_eq!((p.rule_count(), p.shaper_count()), (3, 1));
+        check(&p);
+        assert!(p.remove(2));
+        check(&p);
+        assert_eq!(p.clear().len(), 2);
+        check(&p);
+        p.install(shape(4));
+        check(&p);
+        assert_eq!(p.reset(), 1);
+        check(&p);
+    }
+
+    #[test]
+    fn a_policy_without_state_is_empty() {
+        let mut p = QosPolicy::new();
+        p.install(ntp_drop_rule(1));
+        assert!(p.remove(1));
+        assert!(p.state.is_none());
+        assert_eq!(p.rules(), &[]);
+        assert_eq!((p.rule_count(), p.shaper_count()), (0, 0));
+        assert!(p.classify(&key(ports::NTP)).is_none());
+        assert!(p.rule_counters(1).is_none());
+        assert!(!p.remove(1));
+        assert!(p.clear().is_empty());
+        assert_eq!(p.reset(), 0);
+        // The generation lives outside the state: it never goes back.
+        assert_eq!(p.generation(), 2);
     }
 
     #[test]

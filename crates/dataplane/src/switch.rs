@@ -8,9 +8,9 @@ use crate::cpu::ControlPlaneCpu;
 use crate::filter::FilterRule;
 use crate::hardware::HardwareInfoBase;
 use crate::port::MemberPort;
-use crate::qos::{Offer, TickResult};
+use crate::qos::{Offer, TickResult, TickWork};
 use crate::tcam::{Tcam, TcamHandle, TcamVerdict};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use stellar_classify::sharded;
 use stellar_net::flow::FlowKey;
 use stellar_net::mac::{MacAddr, MacMap};
@@ -57,20 +57,32 @@ pub enum PacketVerdict {
     Unroutable,
 }
 
-/// The tick pipeline's reusable arena: per-port offer buckets, the
-/// touched-port worklist, and one recycled [`TickResult`] per port, all
-/// keyed by port slot (see [`EdgeRouter::add_port`]). Buckets and
-/// results are cleared, never freed, between ticks, so a steady-state
+/// Marks a slot no offer reached this tick in [`TickScratch::index`].
+const UNTOUCHED: u32 = u32::MAX;
+
+/// The tick pipeline's reusable arena, sized to the ports a tick
+/// touches: one word per port slot (see [`EdgeRouter::add_port`]) finds
+/// a touched port's *touched index* — the order in which the tick's
+/// offers first reached it — and by that index sit its offer bucket and
+/// recycled [`TickResult`]. Idle ports own no tick state at all, not
+/// even policy scratch: the [`TickWork`] sits here, one per tick lane.
+/// Everything is cleared, never freed, between ticks, so a steady-state
 /// tick allocates nothing here.
 #[derive(Debug, Default)]
 struct TickScratch {
-    /// Offers staged for each port this tick, by slot.
+    /// Slot → touched index this tick, or [`UNTOUCHED`].
+    index: Vec<u32>,
+    /// `(slot, touched index)` of every port that received traffic this
+    /// tick; sorted by `PortId` once the tick runs (the deterministic
+    /// merge order).
+    touched: Vec<(u32, u32)>,
+    /// Offers staged this tick, by touched index.
     buckets: Vec<Vec<Offer>>,
-    /// Slots that received traffic this tick; sorted by `PortId` once
-    /// the tick runs (the deterministic merge order).
-    touched: Vec<u32>,
-    /// Recycled per-port results, by slot.
+    /// Recycled per-port results, by touched index.
     results: Vec<TickResult>,
+    /// Policy scratch: the sequential walk uses the first, a fanned-out
+    /// tick one per lane.
+    lanes: Vec<TickWork>,
 }
 
 /// Borrowed view of one tick's outcome, indexed over the arena: the
@@ -78,7 +90,7 @@ struct TickScratch {
 #[derive(Debug, Clone, Copy)]
 pub struct TickView<'a> {
     dense: &'a [PortId],
-    touched: &'a [u32],
+    touched: &'a [(u32, u32)],
     results: &'a [TickResult],
 }
 
@@ -87,15 +99,12 @@ impl<'a> TickView<'a> {
     pub fn iter(&self) -> impl Iterator<Item = (PortId, &'a TickResult)> + '_ {
         self.touched
             .iter()
-            .map(|&i| (self.dense[i as usize], &self.results[i as usize]))
+            .map(|&(s, i)| (self.dense[s as usize], &self.results[i as usize]))
     }
 
     /// The result for one port, if it saw traffic this tick.
     pub fn get(&self, pid: PortId) -> Option<&'a TickResult> {
-        self.touched
-            .iter()
-            .find(|&&i| self.dense[i as usize] == pid)
-            .map(|&i| &self.results[i as usize])
+        self.iter().find(|&(p, _)| p == pid).map(|(_, r)| r)
     }
 
     /// Number of ports that saw traffic this tick.
@@ -108,13 +117,6 @@ impl<'a> TickView<'a> {
         self.touched.is_empty()
     }
 }
-
-/// A point lookup in the port map costs about this many steps of an
-/// in-order walk over it (17–70 ns against 2–6 ns, measured warm at 800
-/// to 10^5 ports), so [`EdgeRouter::occupied_ports`] walks once the
-/// occupied share passes one in this many: 20 of 6 250 ports per PoP
-/// are looked up, 800 of 800 are walked.
-const OCCUPIED_WALK_RATIO: usize = 16;
 
 /// The edge router.
 #[derive(Debug)]
@@ -137,7 +139,8 @@ pub struct EdgeRouter {
     /// with a pre-populated policy, and `port_mut`, whose caller can
     /// install straight into `port.policy`. Reads filter out the ports
     /// that turn out empty, so rule-state walks cost O(occupied ports).
-    occupied: BTreeSet<PortId>,
+    /// Keyed like `slots`, so walking it reads no other map.
+    occupied: BTreeMap<PortId, u32>,
     /// Bumped by every call that changed, or (`port_mut`) may have
     /// changed, a rule table: equal versions mean equal rule state.
     rule_version: u64,
@@ -173,7 +176,7 @@ impl EdgeRouter {
             tcam,
             cpu,
             handles: HashMap::new(),
-            occupied: BTreeSet::new(),
+            occupied: BTreeMap::new(),
             rule_version: 0,
             scratch: TickScratch::default(),
             tick_workers: sharded::default_workers(),
@@ -196,7 +199,7 @@ impl EdgeRouter {
         let slot = self.ports.len() as u32;
         self.mac_slot.insert(port.mac, slot);
         if port.policy.rule_count() > 0 {
-            self.occupied.insert(id);
+            self.occupied.insert(id, slot);
             self.rule_version += 1;
         }
         self.slots.insert(id, slot);
@@ -265,7 +268,7 @@ impl EdgeRouter {
     /// rule state as changed from here on.
     pub fn port_mut(&mut self, id: PortId) -> Option<&mut MemberPort> {
         let s = self.slot(id)?;
-        self.occupied.insert(id);
+        self.occupied.insert(id, s as u32);
         self.rule_version += 1;
         Some(&mut self.ports[s])
     }
@@ -278,18 +281,14 @@ impl EdgeRouter {
     }
 
     /// The ports holding at least one rule, ascending by id — what
-    /// [`ports`](Self::ports) yields with the empty ones filtered out.
-    /// While few ports are occupied each is looked up from the index;
-    /// once more than one in [`OCCUPIED_WALK_RATIO`] is, walking every
-    /// port in order is the cheaper way to the same answer.
+    /// [`ports`](Self::ports) yields with the empty ones filtered out,
+    /// read from the index: never more steps than the full walk.
     pub fn occupied_ports(&self) -> impl Iterator<Item = (PortId, &MemberPort)> {
-        let dense = self.occupied.len() * OCCUPIED_WALK_RATIO > self.ports.len();
-        let walked = dense.then(|| self.ports()).into_iter().flatten();
-        let indexed = (!dense).then(|| self.occupied.iter()).into_iter().flatten();
-        walked
-            .map(|(id, port)| (*id, port))
-            .chain(indexed.filter_map(|id| Some((*id, self.port(*id)?))))
-            .filter(|(_, port)| port.policy.rule_count() > 0)
+        let ports = self
+            .occupied
+            .iter()
+            .map(|(id, &s)| (*id, &self.ports[s as usize]));
+        ports.filter(|(_, port)| port.policy.rule_count() > 0)
     }
 
     /// The rule-state version: it strictly increases across every call
@@ -338,7 +337,7 @@ impl EdgeRouter {
             self.removals += 1;
         }
         self.installs += 1;
-        self.occupied.insert(port_id);
+        self.occupied.insert(port_id, s as u32);
         self.rule_version += 1;
         self.cpu.record_update(now_us);
         Ok(())
@@ -426,7 +425,7 @@ impl EdgeRouter {
         let dense = &self.dense;
         touched
             .iter()
-            .map(move |&i| (dense[i as usize], std::mem::take(&mut results[i as usize])))
+            .map(move |&(s, i)| (dense[s as usize], std::mem::take(&mut results[i as usize])))
     }
 
     /// The zero-allocation tick path: stages `offers` into the arena's
@@ -455,17 +454,15 @@ impl EdgeRouter {
         }
     }
 
-    /// Opens a tick's staging phase: sizes the arena to the ports
+    /// Opens a tick's staging phase: sizes the slot index to the ports
     /// (a router that never ticks never allocates one) and empties the
-    /// buckets the last tick filled (clear-don't-free).
+    /// entries the last tick filled (clear-don't-free).
     pub fn begin_tick(&mut self) {
         let scratch = &mut self.scratch;
-        scratch.buckets.resize_with(self.ports.len(), Vec::new);
-        scratch
-            .results
-            .resize_with(self.ports.len(), TickResult::default);
-        for &s in &scratch.touched {
-            scratch.buckets[s as usize].clear();
+        scratch.index.resize(self.ports.len(), UNTOUCHED);
+        for &(s, i) in &scratch.touched {
+            scratch.index[s as usize] = UNTOUCHED;
+            scratch.buckets[i as usize].clear();
         }
         scratch.touched.clear();
     }
@@ -476,11 +473,17 @@ impl EdgeRouter {
     /// per offer from its own routing table.
     #[inline]
     pub fn stage(&mut self, slot: u32, o: &OfferedAggregate) {
-        let bucket = &mut self.scratch.buckets[slot as usize];
-        if bucket.is_empty() {
-            self.scratch.touched.push(slot);
+        let scratch = &mut self.scratch;
+        let i = &mut scratch.index[slot as usize];
+        if *i == UNTOUCHED {
+            *i = scratch.touched.len() as u32;
+            scratch.touched.push((slot, *i));
+            if scratch.buckets.len() == *i as usize {
+                scratch.buckets.push(Vec::new());
+                scratch.results.push(TickResult::default());
+            }
         }
-        bucket.push(Offer {
+        scratch.buckets[*i as usize].push(Offer {
             key: o.key,
             bytes: o.bytes,
             packets: o.packets,
@@ -498,13 +501,15 @@ impl EdgeRouter {
     /// snapshots; only wall-clock differs.
     pub fn run_staged(&mut self, tick_end_us: u64, tick_us: u64) {
         let TickScratch {
-            buckets,
             touched,
+            buckets,
             results,
+            lanes,
+            ..
         } = &mut self.scratch;
         // Deterministic merge order: ascending PortId, independent of
         // offer arrival order and worker count.
-        touched.sort_unstable_by_key(|&s| self.dense[s as usize]);
+        touched.sort_unstable_by_key(|&(s, _)| self.dense[s as usize]);
         // Adaptive cutoff: estimate the tick's work as Σ over touched
         // ports of (1 + installed rules) — roughly ports × rules. Below
         // the threshold, pool dispatch costs more than it buys (the
@@ -514,38 +519,52 @@ impl EdgeRouter {
         let work = if self.tick_workers > 1 {
             touched
                 .iter()
-                .map(|&s| 1 + self.ports[s as usize].policy.rule_count() as u64)
+                .map(|&(s, _)| 1 + self.ports[s as usize].policy.rule_count() as u64)
                 .sum()
         } else {
             0
         };
         let workers = sharded::effective_workers(self.tick_workers, work, self.parallel_min_work);
         self.last_parallel = workers > 1 && touched.len() > 1;
+        let lane_count = workers.min(touched.len()).max(1);
+        if lanes.len() < lane_count {
+            lanes.resize_with(lane_count, TickWork::default);
+        }
         if !self.last_parallel {
-            for &s in touched.iter() {
-                let s = s as usize;
-                self.ports[s].process_tick_into(&buckets[s], tick_end_us, tick_us, &mut results[s]);
+            for &(s, i) in touched.iter() {
+                let (port, work) = (&mut self.ports[s as usize], &mut lanes[0]);
+                let (offers, result) = (&buckets[i as usize], &mut results[i as usize]);
+                port.process_tick_into(offers, tick_end_us, tick_us, work, result);
             }
             return;
         }
-        // One shard per touched port: the port (sole owner of its
-        // policy/shaper/counter state), its bucket, and its recycled
-        // result slot, borrowed in ascending slot order by skipping
-        // ahead (`nth` is O(1) on a slice iterator) — never a walk over
-        // every port. The touched list returns to `PortId` order after.
+        // One lane per worker, each with its own scratch and a run of
+        // touched indices: their ports (each the sole owner of its
+        // policy/shaper/counter state), buckets and recycled results.
+        // Ports are borrowed in ascending slot order by skipping ahead
+        // (`nth` is O(1) on a slice iterator) — never a walk over every
+        // port — then put back in touched-index order. The touched list
+        // returns to `PortId` order after.
         touched.sort_unstable();
-        let (mut ports, mut slots, mut next) = (self.ports.iter_mut(), results.iter_mut(), 0);
-        let mut shards: Vec<(&mut MemberPort, &[Offer], &mut TickResult)> =
-            Vec::with_capacity(touched.len());
-        shards.extend(touched.iter().filter_map(|&s| {
+        let (mut ports, mut next) = (self.ports.iter_mut(), 0);
+        let mut by_index: Vec<(u32, &mut MemberPort)> = Vec::with_capacity(touched.len());
+        by_index.extend(touched.iter().filter_map(|&(s, i)| {
             let (s, skip) = (s as usize, s as usize - next);
             next = s + 1;
-            Some((ports.nth(skip)?, &buckets[s][..], slots.nth(skip)?))
+            Some((i, ports.nth(skip)?))
         }));
-        sharded::parallel_shards(shards, workers, |(port, offers, result)| {
-            port.process_tick_into(offers, tick_end_us, tick_us, result);
+        by_index.sort_unstable_by_key(|&(i, _)| i);
+        let n = by_index.len().div_ceil(lane_count);
+        let runs = by_index
+            .chunks_mut(n)
+            .zip(buckets.chunks(n).zip(results.chunks_mut(n)));
+        let lanes: Vec<_> = lanes.iter_mut().zip(runs).collect();
+        sharded::parallel_shards(lanes, lane_count, |(work, (ports, (buckets, results)))| {
+            for (((_, port), offers), result) in ports.iter_mut().zip(buckets).zip(results) {
+                port.process_tick_into(offers, tick_end_us, tick_us, work, result);
+            }
         });
-        touched.sort_unstable_by_key(|&s| self.dense[s as usize]);
+        touched.sort_unstable_by_key(|&(s, _)| self.dense[s as usize]);
     }
 
     /// Functional per-packet path (§5.2): decodes real wire bytes,

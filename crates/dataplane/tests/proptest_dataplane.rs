@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use stellar_dataplane::filter::{Action, FilterRule, MatchSpec, PortMatch};
-use stellar_dataplane::qos::{Offer, QosPolicy, TickResult};
+use stellar_dataplane::qos::{Offer, QosPolicy, TickResult, TickWork};
 use stellar_dataplane::shaper::TokenBucket;
 use stellar_dataplane::tcam::Tcam;
 use stellar_net::addr::{IpAddress, Ipv4Address};
@@ -97,8 +97,8 @@ proptest! {
             .map(|(key, bytes)| Offer { key, bytes, packets: bytes / 1000 + 1 })
             .collect();
         let offered: u64 = offers.iter().map(|o| o.bytes).sum();
-        let mut r = TickResult::default();
-        policy.apply_tick_into(&offers, 1_000_000, 1_000_000, capacity, &mut r);
+        let (mut w, mut r) = (TickWork::default(), TickResult::default());
+        policy.apply_tick_into(&offers, 1_000_000, 1_000_000, capacity, &mut w, &mut r);
         let delivered: u64 = r.delivered.iter().map(|(_, b, _)| b).sum();
         prop_assert_eq!(delivered, r.counters.forwarded_bytes);
         // Conservation: forwarded + every discard class == offered.

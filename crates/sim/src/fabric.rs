@@ -153,19 +153,22 @@ impl Fabric {
         self.pops.get(p as usize)?.port_at(slot)
     }
 
+    /// The router of the PoP a port is attached to.
+    fn owner(&mut self, id: PortId) -> Option<&mut EdgeRouter> {
+        let &p = self.port_pop.get(&id)?;
+        self.pops.get_mut(p as usize)
+    }
+
     /// Immutable access to a port.
     pub fn port(&self, id: PortId) -> Option<&MemberPort> {
-        self.port_pop
-            .get(&id)
-            .and_then(|&p| self.pops.get(p as usize))
-            .and_then(|r| r.port(id))
+        let &p = self.port_pop.get(&id)?;
+        self.pops.get(p as usize)?.port(id)
     }
 
     /// Mutable access to a port (counts as a rule-state change: see
     /// [`EdgeRouter::port_mut`]).
     pub fn port_mut(&mut self, id: PortId) -> Option<&mut MemberPort> {
-        let &p = self.port_pop.get(&id)?;
-        self.pops.get_mut(p as usize)?.port_mut(id)
+        self.owner(id)?.port_mut(id)
     }
 
     /// Every port in the fabric in ascending `PortId` order, regardless
@@ -212,33 +215,19 @@ impl Fabric {
         rule: FilterRule,
         now_us: u64,
     ) -> Result<(), InstallError> {
-        let &p = self
-            .port_pop
-            .get(&port_id)
-            .ok_or(InstallError::NoSuchPort)?;
-        match self.pops.get_mut(p as usize) {
-            Some(r) => r.install_rule(port_id, rule, now_us),
-            None => Err(InstallError::NoSuchPort),
-        }
+        let router = self.owner(port_id).ok_or(InstallError::NoSuchPort)?;
+        router.install_rule(port_id, rule, now_us)
     }
 
     /// Removes a rule from the owning PoP.
     pub fn remove_rule(&mut self, port_id: PortId, rule_id: u64, now_us: u64) -> bool {
-        let Some(&p) = self.port_pop.get(&port_id) else {
-            return false;
-        };
-        self.pops
-            .get_mut(p as usize)
+        self.owner(port_id)
             .is_some_and(|r| r.remove_rule(port_id, rule_id, now_us))
     }
 
     /// Removes every rule on a port. Returns how many were removed.
     pub fn flush_port(&mut self, port_id: PortId, now_us: u64) -> usize {
-        let Some(&p) = self.port_pop.get(&port_id) else {
-            return 0;
-        };
-        self.pops
-            .get_mut(p as usize)
+        self.owner(port_id)
             .map_or(0, |r| r.flush_port(port_id, now_us))
     }
 

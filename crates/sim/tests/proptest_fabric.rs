@@ -17,7 +17,9 @@
 //! - a topology that grows between ticks, with ids below the existing
 //!   ones, must route every offer to the port it names: the per-port
 //!   slots are stable and the fabric's routing table follows each
-//!   attach.
+//!   attach;
+//! - a port that gains and sheds all its rules between ticks must tick
+//!   like one that never held a rule.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -582,6 +584,91 @@ proptest! {
         if pops == 1 {
             prop_assert_eq!(obs_bytes_fabric(&grown), obs_bytes_router(&bare));
         }
+    }
+}
+
+/// The per-port rows of a scrape into a fresh registry.
+fn port_rows(fabric: &Fabric) -> Vec<stellar_obs::PortRow> {
+    let mut reg = stellar_obs::MetricsRegistry::new();
+    fabric.observe(&mut reg);
+    reg.port_rows().to_vec()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A port that gains rules and loses them all again between ticks —
+    /// through the fabric's `install_rule` or straight into its policy,
+    /// by removal, a flush or a policy `clear` — ticks like its twin in
+    /// an identical fabric that never held a rule: the same results
+    /// every tick, the same cumulative counters and the same per-port
+    /// rows. Its policy's generation never goes back, while the state
+    /// behind it comes and goes.
+    #[test]
+    fn a_port_that_sheds_its_rules_ticks_like_one_that_never_had_any(
+        topo in arb_topology(),
+        pops in 1usize..5,
+        target in 0usize..18,
+        visits in proptest::collection::vec(
+            (
+                proptest::collection::vec((arb_spec(), arb_action(), any::<u16>()), 1..4),
+                any::<bool>(),
+                0u8..4,
+            ),
+            1..4,
+        ),
+    ) {
+        let (mut port_rules, ticks) = topo;
+        let n_ports = port_rules.len();
+        let target = target % n_ports;
+        port_rules[target].clear();
+        let pid = PortId(target as u32 + 1);
+        let mut shed = build_fabric(&port_rules, pops);
+        let mut twin = build_fabric(&port_rules, pops);
+        let mut generation = 0;
+        for (t, tick) in ticks.iter().enumerate() {
+            let end_us = (t as u64 + 1) * TICK_US;
+            let (rules, direct, shedding) = &visits[t % visits.len()];
+            let ids = 10_000..10_000 + rules.len() as u64;
+            for (id, (spec, action, prio)) in ids.clone().zip(rules) {
+                let rule = FilterRule::new(id, spec.clone(), *action, *prio);
+                if *direct {
+                    shed.port_mut(pid).expect("target").policy.install(rule);
+                } else {
+                    // A full TCAM refuses some: the port gains fewer.
+                    let _ = shed.install_rule(pid, rule, end_us);
+                }
+                let now = shed.port(pid).expect("target").policy.generation();
+                prop_assert!(now >= generation, "tick {}", t);
+                generation = now;
+            }
+            match shedding {
+                0 => ids.for_each(|id| {
+                    shed.remove_rule(pid, id, end_us);
+                }),
+                1 => {
+                    shed.flush_port(pid, end_us);
+                }
+                2 => ids.for_each(|id| {
+                    shed.port_mut(pid).expect("target").policy.remove(id);
+                }),
+                _ => {
+                    shed.port_mut(pid).expect("target").policy.clear();
+                }
+            }
+            let policy = &shed.port(pid).expect("target").policy;
+            prop_assert_eq!(policy.rule_count(), 0, "tick {}", t);
+            prop_assert!(policy.generation() >= generation, "tick {}", t);
+            generation = policy.generation();
+            // The tick's offers, plus one that surely reaches the port.
+            let mut tick = tick.clone();
+            tick.push((0, target, 123, 10_000, true));
+            let offers = offers_for_tick(n_ports, &tick);
+            let r = tick_fabric(&mut shed, &offers, end_us);
+            prop_assert_eq!(&r, &tick_fabric(&mut twin, &offers, end_us), "tick {}", t);
+        }
+        prop_assert_eq!(fingerprint(&shed), fingerprint(&twin));
+        prop_assert_eq!(port_rows(&shed), port_rows(&twin));
     }
 }
 

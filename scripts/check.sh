@@ -147,6 +147,16 @@ for workload in flowspec_victims signal_storm tick_ixp_mix tick_sparse_fabric; d
         echo "benchmark smoke failed: tick_sparse_fabric snapshot_kib=${kib:-missing} exceeds 1024" >&2
         exit 1
       fi
+      # Ratchet against per-port state creeping back into idle ports:
+      # 10^5 ports, 20 with rules, peak at ~72 MiB with a 104-byte port
+      # and a tick arena sized to the touched ports; a full policy and
+      # a tick slot per port cost ~149 MiB. Resident size repeats to
+      # within a few hundredths of a MiB.
+      rss=$(printf '%s' "$result" | sed -n 's/.*"peak_rss_mib": {"value": \([0-9.e+-]*\).*/\1/p')
+      if [ -z "$rss" ] || ! awk -v r="$rss" 'BEGIN { exit !(r < 79) }'; then
+        echo "benchmark smoke failed: tick_sparse_fabric peak_rss_mib=${rss:-missing} is not under 79" >&2
+        exit 1
+      fi
       # Ratchet against an O(ports) walk creeping back into the quiet
       # watchdog pass: over 10^5 ports one cost ~17 ms, a pass answered
       # from the proof ledger costs ~0.0001 ms.
