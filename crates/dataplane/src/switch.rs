@@ -146,6 +146,8 @@ pub struct EdgeRouter {
     rule_version: u64,
     /// Tick arena (see [`TickScratch`]).
     scratch: TickScratch,
+    /// The slots a scrape reads (see [`ScrapeList`]).
+    scrape: ScrapeList,
     /// Max workers for the parallel tick mode; 1 = sequential.
     tick_workers: usize,
     /// Minimum per-tick work (Σ over touched ports of 1 + rules) below
@@ -179,6 +181,7 @@ impl EdgeRouter {
             occupied: BTreeMap::new(),
             rule_version: 0,
             scratch: TickScratch::default(),
+            scrape: ScrapeList::default(),
             tick_workers: sharded::default_workers(),
             parallel_min_work: sharded::DEFAULT_PARALLEL_MIN_WORK,
             last_parallel: false,
@@ -205,6 +208,10 @@ impl EdgeRouter {
         self.slots.insert(id, slot);
         self.dense.push(id);
         self.ports.push(port);
+        self.scrape.listed.push(false);
+        if self.row(slot).is_active() {
+            self.scrape.add(slot);
+        }
         slot
     }
 
@@ -263,12 +270,13 @@ impl EdgeRouter {
         Some(&self.ports[self.slot(id)?])
     }
 
-    /// Mutable access to a port. The caller may edit `port.policy`
-    /// behind the router's back, so the port counts as occupied and the
-    /// rule state as changed from here on.
+    /// Mutable access to a port. The caller may edit `port.policy` and
+    /// `port.counters` behind the router's back, so the port counts as
+    /// occupied and scraped, and the rule state as changed, from here on.
     pub fn port_mut(&mut self, id: PortId) -> Option<&mut MemberPort> {
         let s = self.slot(id)?;
         self.occupied.insert(id, s as u32);
+        self.scrape.add(s as u32);
         self.rule_version += 1;
         Some(&mut self.ports[s])
     }
@@ -338,6 +346,7 @@ impl EdgeRouter {
         }
         self.installs += 1;
         self.occupied.insert(port_id, s as u32);
+        self.scrape.add(s as u32);
         self.rule_version += 1;
         self.cpu.record_update(now_us);
         Ok(())
@@ -507,6 +516,9 @@ impl EdgeRouter {
             lanes,
             ..
         } = &mut self.scratch;
+        for &(s, _) in touched.iter() {
+            self.scrape.add(s);
+        }
         // Deterministic merge order: ascending PortId, independent of
         // offer arrival order and worker count.
         touched.sort_unstable_by_key(|&(s, _)| self.dense[s as usize]);
@@ -612,28 +624,53 @@ impl EdgeRouter {
         // so `rule_installs - rule_removals == total_rules` always.
         reg.counter_set("dataplane.rule_installs", self.installs);
         reg.counter_set("dataplane.rule_removals", self.removals);
-        reg.replace_ports(self.port_rows());
+        reg.replace_ports(self.port_rows(), self.ports.len() as u64);
     }
 
-    /// One scrape row per member port, ascending by port id: rule/shaper
-    /// population and the cumulative queue counters (forwarded, drop-rule
-    /// drops, shaper passes/drops, congestion drops). The multi-PoP
-    /// fabric chains these across routers (port ids are fabric-unique)
-    /// while aggregating the router-global gauges itself.
+    /// One scrape row — rule/shaper population and the cumulative queue
+    /// counters — per slot of the [`ScrapeList`], in list order: every
+    /// active port, maybe a few idle ones, never a walk over all ports.
+    /// The registry filters and sorts them; the multi-PoP fabric chains
+    /// them across routers (port ids are fabric-unique).
     pub fn port_rows(&self) -> impl Iterator<Item = stellar_obs::PortRow> + '_ {
-        self.ports().map(|(pid, port)| {
-            let c = &port.counters;
-            stellar_obs::PortRow {
-                port: pid.0,
-                rules: port.policy.rule_count() as u64,
-                shape_queues: port.policy.shaper_count() as u64,
-                forwarded_bytes: c.forwarded_bytes,
-                dropped_bytes: c.dropped_bytes,
-                shaped_bytes: c.shaped_bytes,
-                shape_dropped_bytes: c.shape_dropped_bytes,
-                congestion_dropped_bytes: c.congestion_dropped_bytes,
-            }
-        })
+        self.scrape.slots.iter().map(|&s| self.row(s))
+    }
+
+    fn row(&self, slot: u32) -> stellar_obs::PortRow {
+        let port = &self.ports[slot as usize];
+        let c = &port.counters;
+        stellar_obs::PortRow {
+            port: self.dense[slot as usize].0,
+            rules: port.policy.rule_count() as u64,
+            shape_queues: port.policy.shaper_count() as u64,
+            forwarded_bytes: c.forwarded_bytes,
+            dropped_bytes: c.dropped_bytes,
+            shaped_bytes: c.shaped_bytes,
+            shape_dropped_bytes: c.shape_dropped_bytes,
+            congestion_dropped_bytes: c.congestion_dropped_bytes,
+        }
+    }
+}
+
+/// The slots a scrape reads: a superset of the active ports (any
+/// non-zero [`stellar_obs::PortRow`] column), as `occupied` is of the
+/// ruled ones. A slot joins once, on every path that can make its port
+/// active — a tick that touches it (`run_staged`, once per touched port,
+/// never per offer), `install_rule`, `port_mut`, `add_port` of an active
+/// port — and stays.
+#[derive(Debug, Default)]
+struct ScrapeList {
+    slots: Vec<u32>,
+    /// Slot → whether it is in `slots`.
+    listed: Vec<bool>,
+}
+
+impl ScrapeList {
+    #[inline]
+    fn add(&mut self, slot: u32) {
+        if !std::mem::replace(&mut self.listed[slot as usize], true) {
+            self.slots.push(slot);
+        }
     }
 }
 

@@ -245,12 +245,32 @@ mod tests {
             ..PortRow::default()
         };
         o.registry
-            .replace_ports([row(8, big), row(3, 1), row(5, 0)]);
+            .replace_ports([row(8, big), row(3, 1), row(5, 0)], 3);
         let json = o.snapshot_json(7);
         assert_eq!(squeeze(&json), compact(&o));
         assert!(json.contains("\"total\": 3,\n      \"reported\": 2,"));
         assert!(json.contains(&format!(
             "\n        [3, 0, 0, 0, 1, 0, 0, 0],\n        [8, 0, 0, 0, {big}, 0, 0, 0]\n      ]\n    }}\n  }},"
+        )));
+
+        // The cells are written digit by digit: every digit count and
+        // both ends of the range come out as serde writes them.
+        let edges = PortRow {
+            port: 9,
+            rules: 10,
+            shape_queues: 0,
+            forwarded_bytes: u64::MAX,
+            dropped_bytes: 9_876_543_210,
+            shaped_bytes: 1,
+            shape_dropped_bytes: 100_000_000_000_000_000,
+            congestion_dropped_bytes: 99,
+        };
+        o.registry.replace_ports([edges, row(3, 1)], 12);
+        let json = o.snapshot_json(7);
+        assert_eq!(squeeze(&json), compact(&o));
+        assert!(json.contains(&format!(
+            "\n        [9, 10, 0, {}, 9876543210, 1, 100000000000000000, 99]\n      ]",
+            u64::MAX
         )));
     }
 }

@@ -10,7 +10,7 @@
 //! Per-port telemetry is not a family of named series: a platform has
 //! 10^5–10^6 ports and a handful under attack, so the registry keeps one
 //! [`PortRow`] per *active* port (any non-zero column) and the number of
-//! ports it was offered. An absent port is all-zero, which together with
+//! ports the scrape covered. An absent port is all-zero, which together with
 //! the total keeps the export lossless while its cost scales with what
 //! is active, not with what exists.
 
@@ -82,7 +82,7 @@ pub struct MetricsRegistry {
     histograms: BTreeMap<String, LogLinearHistogram>,
     /// Active ports of the latest scrape, strictly ascending by id.
     ports: Vec<PortRow>,
-    /// Ports the latest scrape offered, active or not.
+    /// Ports the latest scrape covered, active or not.
     ports_total: u64,
 }
 
@@ -94,6 +94,26 @@ fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, update: impl Fn
         Some(v) => update(v),
         None => update(map.entry(name.to_string()).or_default()),
     }
+}
+
+/// Appends `cells` as `{:?}` writes them, `[1, 0, 9]`, without the
+/// formatter: digits go right to left into one stack buffer (spaces
+/// preset, so `", "` costs one store), then one push.
+fn push_cells(out: &mut String, cells: [u64; 8]) {
+    let (mut buf, mut at) = ([b' '; 8 * 22 + 1], 8 * 22);
+    buf[at] = b']';
+    for mut v in cells.into_iter().rev() {
+        let end = at;
+        while at == end || v > 0 {
+            at -= 1;
+            buf[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+        }
+        at -= 2;
+        buf[at] = b',';
+    }
+    buf[at + 1] = b'[';
+    out.push_str(std::str::from_utf8(&buf[at + 1..]).unwrap_or_default());
 }
 
 impl MetricsRegistry {
@@ -147,25 +167,22 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// Replaces the per-port table with one scrape: counts every offered
-    /// row, keeps the active ones and sorts them by port id, whatever
-    /// order (PoP by PoP, say) they arrive in. Replacing — never merging —
-    /// is what keeps a port whose last rule was withdrawn, counters still
-    /// zero, from lingering as a stale row. Port ids must be unique.
-    pub fn replace_ports(&mut self, rows: impl IntoIterator<Item = PortRow>) {
+    /// Replaces the per-port table with a scrape of `total` ports, whose
+    /// `rows` may skip all-zero ones: keeps the active rows, sorted by
+    /// port id whatever order (PoP by PoP, say) they arrive in. Replacing
+    /// — never merging — keeps a port whose last rule was withdrawn,
+    /// counters still zero, from lingering as a stale row. Ids are unique.
+    pub fn replace_ports(&mut self, rows: impl IntoIterator<Item = PortRow>, total: u64) {
         self.ports.clear();
-        self.ports_total = 0;
-        for row in rows {
-            self.ports_total += 1;
-            if row.is_active() {
-                self.ports.push(row);
-            }
-        }
+        self.ports_total = total;
+        let active = rows.into_iter().filter(PortRow::is_active);
+        self.ports.extend(active);
         self.ports.sort_unstable_by_key(|r| r.port);
+        debug_assert!(self.ports.windows(2).all(|w| w[0].port < w[1].port));
     }
 
-    /// The latest scrape of port `id`. A port the scrape offered but did
-    /// not keep was all-zero, so absent reads as the zero row.
+    /// The latest scrape of port `id`. A port the scrape did not keep
+    /// was all-zero, so absent reads as the zero row.
     pub fn port(&self, id: u32) -> PortRow {
         match self.ports.binary_search_by_key(&id, |r| r.port) {
             Ok(i) => self.ports[i],
@@ -181,7 +198,7 @@ impl MetricsRegistry {
         &self.ports
     }
 
-    /// Ports the latest scrape offered, active or not.
+    /// Ports the latest scrape covered, active or not.
     pub fn ports_total(&self) -> u64 {
         self.ports_total
     }
@@ -214,10 +231,11 @@ impl MetricsRegistry {
             self.ports.len(),
             PortRow::COLUMNS,
         );
-        let mut sep = "";
+        let mut sep = "\n        ";
         for row in &self.ports {
-            let _ = write!(out, "{sep}\n        {:?}", row.cells());
-            sep = ",";
+            out.push_str(sep);
+            push_cells(out, row.cells());
+            sep = ",\n        ";
         }
         if !self.ports.is_empty() {
             out.push_str("\n      ");
@@ -309,7 +327,10 @@ mod tests {
     #[test]
     fn port_table_keeps_active_rows_sorted_and_absent_reads_zero() {
         let mut r = MetricsRegistry::new();
-        r.replace_ports([row(9, 1, 0), row(4, 0, 0), row(2, 0, 700), row(7, 0, 0)]);
+        r.replace_ports(
+            [row(9, 1, 0), row(4, 0, 0), row(2, 0, 700), row(7, 0, 0)],
+            4,
+        );
         assert_eq!(r.ports_total(), 4);
         assert_eq!(r.port_rows(), [row(2, 0, 700), row(9, 1, 0)]);
         assert_eq!(r.port(2).forwarded_bytes, 700);
@@ -322,12 +343,26 @@ mod tests {
     }
 
     #[test]
+    fn cells_come_out_as_debug_writes_them() {
+        let widest = [u64::MAX; 8];
+        for cells in [
+            [0; 8],
+            widest,
+            [9, 10, 99, 100, 1, 0, 12_345_678_901, u64::MAX - 1],
+        ] {
+            let mut out = String::new();
+            push_cells(&mut out, cells);
+            assert_eq!(out, format!("{cells:?}"));
+        }
+    }
+
+    #[test]
     fn a_scrape_replaces_the_port_table() {
         let mut r = MetricsRegistry::new();
-        r.replace_ports([row(1, 2, 0), row(2, 0, 5)]);
+        r.replace_ports([row(1, 2, 0), row(2, 0, 5)], 2);
         // Port 1's last rule is withdrawn, its counters still zero; port
         // 3 is new. The stale row must not survive the next scrape.
-        r.replace_ports([row(1, 0, 0), row(2, 0, 5), row(3, 0, 0)]);
+        r.replace_ports([row(1, 0, 0), row(2, 0, 5), row(3, 0, 0)], 3);
         assert_eq!(r.ports_total(), 3);
         assert_eq!(r.port_rows(), [row(2, 0, 5)]);
         assert_eq!(r.port(1), row(1, 0, 0));

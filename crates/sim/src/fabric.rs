@@ -79,6 +79,21 @@ pub struct Fabric {
     pop_ingress_bytes: Vec<u64>,
     /// Cumulative bytes delivered toward ports of each PoP.
     pop_egress_bytes: Vec<u64>,
+    /// Each PoP's series names (see [`pop_series`]).
+    pop_series: Vec<[String; 5]>,
+}
+
+/// PoP `i`'s `fabric.pop.<i>.*` series names, formatted once with the
+/// PoPs, so a scrape formats nothing.
+fn pop_series(i: usize) -> [String; 5] {
+    [
+        "rules",
+        "tcam_l34_used",
+        "tcam_mac_used",
+        "ingress_bytes",
+        "egress_bytes",
+    ]
+    .map(|s| format!("fabric.pop.{i}.{s}"))
 }
 
 impl Fabric {
@@ -96,6 +111,7 @@ impl Fabric {
             counters: FabricCounters::default(),
             pop_ingress_bytes: vec![0; n],
             pop_egress_bytes: vec![0; n],
+            pop_series: (0..n).map(pop_series).collect(),
         }
     }
 
@@ -429,7 +445,7 @@ impl Fabric {
     /// multi-PoP fabric publishes the same router-global gauges as
     /// PoP-wide sums (dashboards keep working), adds per-PoP
     /// occupancy and the inter-PoP delivery counters, and replaces the
-    /// registry's per-port table with the ports of every PoP (port ids
+    /// registry's per-port table with every PoP's scrape rows (port ids
     /// are fabric-unique; the registry sorts them).
     pub fn observe(&self, reg: &mut stellar_obs::MetricsRegistry) {
         if self.pops.len() == 1 {
@@ -444,7 +460,6 @@ impl Fabric {
             "dataplane.tcam.allocations",
             self.allocation_count_total() as i64,
         );
-        reg.gauge_set("dataplane.total_rules", self.total_rules() as i64);
         let (installs, removals) = self.rule_ledger();
         reg.counter_set("dataplane.rule_installs", installs);
         reg.counter_set("dataplane.rule_removals", removals);
@@ -454,15 +469,21 @@ impl Fabric {
         reg.counter_set("fabric.cross_pop_bytes", c.cross_pop_bytes);
         reg.counter_set("fabric.external_bytes", c.external_bytes);
         reg.counter_set("fabric.unroutable_bytes", c.unroutable_bytes);
-        for (i, r) in self.pops.iter().enumerate() {
-            let p = format!("fabric.pop.{i}");
-            reg.gauge_set(&format!("{p}.rules"), r.total_rules() as i64);
-            reg.gauge_set(&format!("{p}.tcam_l34_used"), r.tcam().l34_used() as i64);
-            reg.gauge_set(&format!("{p}.tcam_mac_used"), r.tcam().mac_used() as i64);
-            reg.counter_set(&format!("{p}.ingress_bytes"), self.pop_ingress_bytes[i]);
-            reg.counter_set(&format!("{p}.egress_bytes"), self.pop_egress_bytes[i]);
+        // One rules walk per PoP feeds both its gauge and the total.
+        let (mut total_rules, mut ports) = (0, 0);
+        for (i, (r, names)) in self.pops.iter().zip(&self.pop_series).enumerate() {
+            let [rules, l34, mac, ingress, egress] = names;
+            let pop_rules = r.total_rules();
+            (total_rules, ports) = (total_rules + pop_rules, ports + r.port_count());
+            reg.gauge_set(rules, pop_rules as i64);
+            reg.gauge_set(l34, r.tcam().l34_used() as i64);
+            reg.gauge_set(mac, r.tcam().mac_used() as i64);
+            reg.counter_set(ingress, self.pop_ingress_bytes[i]);
+            reg.counter_set(egress, self.pop_egress_bytes[i]);
         }
-        reg.replace_ports(self.pops.iter().flat_map(EdgeRouter::port_rows));
+        reg.gauge_set("dataplane.total_rules", total_rules as i64);
+        let rows = self.pops.iter().flat_map(EdgeRouter::port_rows);
+        reg.replace_ports(rows, ports as u64);
     }
 }
 

@@ -19,7 +19,9 @@
 //!   slots are stable and the fabric's routing table follows each
 //!   attach;
 //! - a port that gains and sheds all its rules between ticks must tick
-//!   like one that never held a rule.
+//!   like one that never held a rule;
+//! - a scrape, which reads only the routers' scrape lists, must report
+//!   exactly the active ports of a full walk, whatever made them active.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -32,6 +34,7 @@ use stellar_net::addr::{IpAddress, Ipv4Address};
 use stellar_net::flow::FlowKey;
 use stellar_net::mac::MacAddr;
 use stellar_net::proto::IpProtocol;
+use stellar_obs::PortRow;
 use stellar_sim::fabric::{Fabric, PopId};
 
 const TICK_US: u64 = 1_000_000;
@@ -213,6 +216,21 @@ fn obs_bytes_router(er: &EdgeRouter) -> String {
     obs.snapshot_json(0)
 }
 
+/// A port's scrape row read straight off the port.
+fn direct_row(pid: PortId, port: &MemberPort) -> PortRow {
+    let c = &port.counters;
+    PortRow {
+        port: pid.0,
+        rules: port.policy.rule_count() as u64,
+        shape_queues: port.policy.shaper_count() as u64,
+        forwarded_bytes: c.forwarded_bytes,
+        dropped_bytes: c.dropped_bytes,
+        shaped_bytes: c.shaped_bytes,
+        shape_dropped_bytes: c.shape_dropped_bytes,
+        congestion_dropped_bytes: c.congestion_dropped_bytes,
+    }
+}
+
 /// Per-port cumulative counters, sorted by port id — the
 /// partition-independence witness.
 fn fingerprint(fabric: &Fabric) -> Vec<(u32, stellar_dataplane::counters::PortCounters)> {
@@ -373,20 +391,9 @@ proptest! {
         prop_assert_eq!(reg.ports_total(), n_ports as u64);
         let rows = reg.port_rows();
         prop_assert!(rows.windows(2).all(|w| w[0].port < w[1].port));
-        prop_assert!(rows.iter().all(stellar_obs::PortRow::is_active));
+        prop_assert!(rows.iter().all(PortRow::is_active));
         for (pid, port) in base.ports() {
-            let c = &port.counters;
-            let direct = stellar_obs::PortRow {
-                port: pid.0,
-                rules: port.policy.rule_count() as u64,
-                shape_queues: port.policy.shaper_count() as u64,
-                forwarded_bytes: c.forwarded_bytes,
-                dropped_bytes: c.dropped_bytes,
-                shaped_bytes: c.shaped_bytes,
-                shape_dropped_bytes: c.shape_dropped_bytes,
-                congestion_dropped_bytes: c.congestion_dropped_bytes,
-            };
-            prop_assert_eq!(reg.port(pid.0), direct);
+            prop_assert_eq!(reg.port(pid.0), direct_row(pid, port));
         }
         prop_assert!(rows.iter().all(|r| base.port(PortId(r.port)).is_some()));
 
@@ -588,7 +595,7 @@ proptest! {
 }
 
 /// The per-port rows of a scrape into a fresh registry.
-fn port_rows(fabric: &Fabric) -> Vec<stellar_obs::PortRow> {
+fn port_rows(fabric: &Fabric) -> Vec<PortRow> {
     let mut reg = stellar_obs::MetricsRegistry::new();
     fabric.observe(&mut reg);
     reg.port_rows().to_vec()
@@ -697,4 +704,163 @@ fn withdrawn_idle_port_does_not_linger_as_a_stale_row() {
         }
     );
     assert!(obs.snapshot_json(0).contains("\"reported\": 0,"));
+}
+
+/// One step of the scrape-list property, on port index `p` (id `p + 1`)
+/// of a 16-port universe; an index not attached yet is skipped, and its
+/// offers are unroutable.
+#[derive(Debug, Clone)]
+enum Step {
+    /// A fabric tick.
+    Tick(OfferGen),
+    /// `Fabric::install_rule`.
+    Install(usize, Action),
+    /// `Fabric::remove_rule` of the port's first rule.
+    Remove(usize),
+    /// `Fabric::flush_port`.
+    Flush(usize),
+    /// `Fabric::restart`.
+    Restart,
+    /// A counter (`field` of `set_counter`) rewritten through `port_mut`.
+    Counter(usize, usize, u64),
+    /// A rule installed straight into the policy through `port_mut`.
+    PolicyInstall(usize, Action),
+    /// The next port attached, maybe with a rule in its policy and a
+    /// non-zero counter already.
+    Attach(Option<Action>, Option<(usize, u64)>),
+}
+
+const UNIVERSE: usize = 16;
+
+/// A counter to write: `(field of set_counter, value)`, often zero.
+fn arb_counter() -> impl Strategy<Value = (usize, u64)> {
+    (0usize..6, prop_oneof![Just(0u64), 1u64..1_000_000])
+}
+
+fn arb_attach() -> impl Strategy<Value = Step> {
+    (
+        proptest::option::of(arb_action()),
+        proptest::option::of(arb_counter()),
+    )
+        .prop_map(|(a, c)| Step::Attach(a, c))
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    let p = || 0usize..UNIVERSE;
+    // Ticks and attaches listed twice: drawn twice as often.
+    prop_oneof![
+        arb_tick().prop_map(Step::Tick),
+        arb_tick().prop_map(Step::Tick),
+        (p(), arb_action()).prop_map(|(p, a)| Step::Install(p, a)),
+        p().prop_map(Step::Remove),
+        p().prop_map(Step::Flush),
+        Just(Step::Restart),
+        (p(), arb_counter()).prop_map(|(p, (f, v))| Step::Counter(p, f, v)),
+        (p(), arb_action()).prop_map(|(p, a)| Step::PolicyInstall(p, a)),
+        arb_attach(),
+        arb_attach(),
+    ]
+}
+
+/// Sets one of the port's counters: the five byte columns a scrape
+/// reports, or (`field` 5) a packet count it does not.
+fn set_counter(port: &mut MemberPort, field: usize, v: u64) {
+    let c = &mut port.counters;
+    *match field {
+        0 => &mut c.forwarded_bytes,
+        1 => &mut c.dropped_bytes,
+        2 => &mut c.shaped_bytes,
+        3 => &mut c.shape_dropped_bytes,
+        4 => &mut c.congestion_dropped_bytes,
+        _ => &mut c.forwarded_packets,
+    } = v;
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Scrape ≡ walk: a scrape reads each router's scrape list, not its
+    /// ports, so after every step — ticks, installs and removals through
+    /// the fabric, flushes, restarts, counters and policies rewritten
+    /// through `port_mut`, and ports attached between ticks, some with
+    /// a rule or a non-zero counter already — its rows are exactly the
+    /// full port walk's rows filtered by `PortRow::is_active`, and its
+    /// total is the number of ports. On one PoP (the bare router's
+    /// scrape) and on several.
+    ///
+    /// Caught sabotage, each of the four paths that put a slot on the
+    /// list left out in turn: a tick touching a port (`run_staged`),
+    /// `install_rule`, `port_mut`, and `add_port` of an active port.
+    #[test]
+    fn a_scrape_reports_every_active_port_of_the_full_walk(
+        pops in prop_oneof![Just(1usize), 2usize..6],
+        initial in 1usize..6,
+        steps in proptest::collection::vec(arb_step(), 1..40),
+    ) {
+        let mut fabric = Fabric::new(HardwareInfoBase::lab_switch(), pops);
+        let mut attached = 0;
+        let mut attach = |fabric: &mut Fabric, rule: Option<Action>, counter: Option<(usize, u64)>| {
+            if attached == UNIVERSE {
+                return;
+            }
+            let asn = 64500 + attached as u32;
+            let mut port = MemberPort::new(asn, MacAddr::for_member(asn, 1), 100_000_000);
+            if let Some(action) = rule {
+                port.policy.install(FilterRule::new(1, MatchSpec::default(), action, 5));
+            }
+            if let Some((field, v)) = counter {
+                set_counter(&mut port, field, v);
+            }
+            fabric.add_port(PopId((attached % pops) as u16), PortId(attached as u32 + 1), port);
+            attached += 1;
+        };
+        for _ in 0..initial {
+            attach(&mut fabric, None, None);
+        }
+        for (k, step) in steps.into_iter().enumerate() {
+            let now = (k as u64 + 1) * TICK_US;
+            let rule = |action| FilterRule::new(100 + k as u64, MatchSpec::default(), action, 7);
+            let pid = |p: usize| PortId(p as u32 + 1);
+            match step {
+                Step::Tick(tick) => {
+                    fabric.process_tick_in_place(&offers_for_tick(UNIVERSE, &tick), now, TICK_US);
+                }
+                Step::Install(p, action) => {
+                    let _ = fabric.install_rule(pid(p), rule(action), now);
+                }
+                Step::Remove(p) => {
+                    let first = fabric.port(pid(p)).and_then(|port| port.policy.rules().first());
+                    if let Some(id) = first.map(|r| r.id) {
+                        fabric.remove_rule(pid(p), id, now);
+                    }
+                }
+                Step::Flush(p) => {
+                    fabric.flush_port(pid(p), now);
+                }
+                Step::Restart => {
+                    fabric.restart(now);
+                }
+                Step::Counter(p, field, v) => {
+                    if let Some(port) = fabric.port_mut(pid(p)) {
+                        set_counter(port, field, v);
+                    }
+                }
+                Step::PolicyInstall(p, action) => {
+                    if let Some(port) = fabric.port_mut(pid(p)) {
+                        port.policy.install(rule(action));
+                    }
+                }
+                Step::Attach(rule, counter) => attach(&mut fabric, rule, counter),
+            }
+            let walked: Vec<PortRow> = fabric
+                .ports()
+                .map(|(pid, port)| direct_row(pid, port))
+                .filter(PortRow::is_active)
+                .collect();
+            let mut reg = stellar_obs::MetricsRegistry::new();
+            fabric.observe(&mut reg);
+            prop_assert_eq!(reg.port_rows(), walked.as_slice(), "step {}", k);
+            prop_assert_eq!(reg.ports_total(), fabric.ports().count() as u64, "step {}", k);
+        }
+    }
 }
