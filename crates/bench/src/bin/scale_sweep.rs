@@ -5,8 +5,8 @@
 //!   pre-fabric baseline),
 //! - `fabric_seq`: the [`Fabric`] with the PoP fan-out pinned to one
 //!   worker,
-//! - `fabric_par`: the fabric fanning PoPs over the worker pool, gated
-//!   by the adaptive parallelism cutoff (`STELLAR_PARALLEL_MIN_WORK`).
+//! - `fabric_par`: the fabric fanning PoPs out over scoped threads on
+//!   every tick.
 //!
 //! The pass/fail gate is *equality*, not speed: every mode must finish
 //! with byte-identical cumulative per-port counters, sequential and
@@ -293,7 +293,8 @@ struct ModeRun {
     wall: Duration,
     /// Heap allocations inside the measured window.
     allocs: u64,
-    /// Whether the final tick actually fanned out to the pool.
+    /// Whether the final tick fanned out: over the PoPs, or inside a
+    /// PoP over its touched ports.
     effective_parallel: bool,
     fp: Vec<(u32, [u64; 6])>,
     obs: (u64, usize),
@@ -302,8 +303,7 @@ struct ModeRun {
 /// Runs one (config, mode) cell serially: build, warm up, measure, read
 /// the witnesses, drop. Nothing from other modes is alive concurrently,
 /// so the 10^6-port cells fit comfortably.
-fn run_mode(cfg: Config, mode: Mode, ticks: u64, seed: u64, parallel: (usize, u64)) -> ModeRun {
-    let (parallel_workers, parallel_min_work) = parallel;
+fn run_mode(cfg: Config, mode: Mode, ticks: u64, seed: u64, parallel_workers: usize) -> ModeRun {
     let offers = build_offers(cfg, seed);
     let window = |executed: u64, expected: u64| {
         assert_eq!(executed, expected, "tick driver fell short");
@@ -336,7 +336,6 @@ fn run_mode(cfg: Config, mode: Mode, ticks: u64, seed: u64, parallel: (usize, u6
         }
         Mode::FabricSeq | Mode::FabricPar => {
             let mut fabric = build_fabric(cfg, seed);
-            fabric.set_parallel_min_work(parallel_min_work);
             fabric.set_tick_workers(if mode == Mode::FabricPar {
                 parallel_workers
             } else {
@@ -359,7 +358,8 @@ fn run_mode(cfg: Config, mode: Mode, ticks: u64, seed: u64, parallel: (usize, u6
             ModeRun {
                 wall,
                 allocs,
-                effective_parallel: fabric.last_tick_parallel(),
+                effective_parallel: fabric.last_tick_parallel()
+                    || fabric.routers().iter().any(EdgeRouter::last_tick_parallel),
                 fp: fingerprint(fabric.ports()),
                 obs: obs_digest_fabric(&fabric),
             }
@@ -379,12 +379,7 @@ fn main() {
         },
     );
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let parallel_workers = knobs
-        .tick_workers
-        .unwrap_or_else(|| stellar_classify::sharded::default_workers().max(2));
-    let parallel_min_work = knobs
-        .parallel_min_work
-        .unwrap_or(stellar_classify::sharded::DEFAULT_PARALLEL_MIN_WORK);
+    let parallel_workers = knobs.tick_workers.unwrap_or(cores.max(2));
     let configs: Vec<Config> = if smoke {
         vec![
             Config {
@@ -444,8 +439,8 @@ fn main() {
         ]
     };
     println!(
-        "host: {cores} core(s); parallel mode uses {parallel_workers} worker(s), \
-         cutoff {parallel_min_work} work units; {} tick(s)/cell after {WARMUP_TICKS} warm-up\n",
+        "host: {cores} core(s); parallel mode uses {parallel_workers} worker(s); \
+         {} tick(s)/cell after {WARMUP_TICKS} warm-up\n",
         exp.ticks()
     );
 
@@ -472,7 +467,7 @@ fn main() {
                 mode,
                 exp.ticks(),
                 exp.seed(),
-                (parallel_workers, parallel_min_work),
+                parallel_workers,
             ));
         }
         let [single, seq, par] = match runs.as_slice() {
@@ -499,8 +494,8 @@ fn main() {
             );
         }
         // Zero-allocation gate on the sequential measure windows. The
-        // parallel window's count is reported, not gated: pool dispatch
-        // allocates per-chunk carriers by design.
+        // parallel window's count is reported, not gated: the fan-out
+        // allocates its chunks and spawns its threads by design.
         let seq_allocs = single.allocs + seq.allocs;
         if seq_allocs != 0 {
             zero_alloc_pass = false;
@@ -557,7 +552,6 @@ fn main() {
             // `cores`, makes the "no speedup threshold on a 1-core host"
             // caveat machine-readable.
             "tick_workers_env": knobs.tick_workers,
-            "parallel_min_work": parallel_min_work,
             "parallel_evaluable_on_this_host": cores >= 2,
             "smoke": smoke,
         }),

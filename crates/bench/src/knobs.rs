@@ -1,7 +1,8 @@
 //! The knob registry: the one place the running system's drivers read
 //! the process environment. No library crate consults it — `EdgeRouter`
-//! and `Fabric` start from constant defaults and `IxpTopology::build`
-//! builds one PoP — so a `STELLAR_*` variable changes a run only where a
+//! and `Fabric` start from constant defaults (one tick worker, whatever
+//! the host) and `IxpTopology::build` builds one PoP — so a `STELLAR_*`
+//! variable changes a run only where a
 //! driver reads [`Knobs::from_env`] and applies the result through the
 //! library's own setters and `IxpTopology::build_with_pops`.
 //!
@@ -14,10 +15,9 @@ use std::fmt;
 use stellar_sim::fabric::Fabric;
 
 /// Every registered knob, in the order artifacts echo them.
-pub const KNOBS: [&str; 5] = [
+pub const KNOBS: [&str; 4] = [
     "STELLAR_TICK_WORKERS",
     "STELLAR_POPS",
-    "STELLAR_PARALLEL_MIN_WORK",
     "STELLAR_CHAOS_SMOKE",
     "STELLAR_SWEEP_SMOKE",
 ];
@@ -30,15 +30,12 @@ pub struct Knobs {
     pub tick_workers: Option<usize>,
     /// `STELLAR_POPS` (≥ 1): PoPs the topology is built across.
     pub pops: Option<usize>,
-    /// `STELLAR_PARALLEL_MIN_WORK`: the adaptive-parallelism cutoff; 0
-    /// fans out every tick.
-    pub parallel_min_work: Option<u64>,
     /// `STELLAR_CHAOS_SMOKE` (0 or 1): `chaos_soak`'s CI-sized sweep.
     pub chaos_smoke: bool,
     /// `STELLAR_SWEEP_SMOKE` (0 or 1): `scale_sweep`'s CI-sized grid.
     pub sweep_smoke: bool,
     /// The values as set, by [`KNOBS`] position, for artifact host blocks.
-    raw: [Option<String>; 5],
+    raw: [Option<String>; 4],
 }
 
 /// A knob set to a value it cannot take.
@@ -92,15 +89,8 @@ impl Knobs {
         Ok(Knobs {
             tick_workers: at_least_one(0)?,
             pops: at_least_one(1)?,
-            parallel_min_work: raw[2]
-                .as_deref()
-                .map(|v| {
-                    v.parse()
-                        .map_err(|_| invalid(2, v, "a non-negative integer"))
-                })
-                .transpose()?,
-            chaos_smoke: flag(3)?,
-            sweep_smoke: flag(4)?,
+            chaos_smoke: flag(2)?,
+            sweep_smoke: flag(3)?,
             raw,
         })
     }
@@ -110,14 +100,12 @@ impl Knobs {
         self.pops.unwrap_or(1)
     }
 
-    /// Applies the tick knobs that are set to a fabric (and through it to
-    /// every PoP's router); unset knobs keep the library defaults.
+    /// Applies the tick knob, if set, to a fabric (and through it to
+    /// every PoP's router); unset, the library default of one worker
+    /// applies.
     pub fn apply(&self, fabric: &mut Fabric) {
         if let Some(workers) = self.tick_workers {
             fabric.set_tick_workers(workers);
-        }
-        if let Some(min_work) = self.parallel_min_work {
-            fabric.set_parallel_min_work(min_work);
         }
     }
 
@@ -173,14 +161,12 @@ mod tests {
         let k = parse(&[
             ("STELLAR_TICK_WORKERS", "8"),
             ("STELLAR_POPS", "4"),
-            ("STELLAR_PARALLEL_MIN_WORK", "0"),
             ("STELLAR_CHAOS_SMOKE", "1"),
             ("STELLAR_SWEEP_SMOKE", ""),
         ])
         .unwrap();
         assert_eq!(k.tick_workers, Some(8));
         assert_eq!(k.pops(), 4);
-        assert_eq!(k.parallel_min_work, Some(0));
         assert!(k.chaos_smoke && !k.sweep_smoke);
         let json = serde_json::to_string(&k.host_json()).unwrap();
         assert!(json.contains("\"STELLAR_TICK_WORKERS\":\"8\""));
@@ -191,7 +177,6 @@ mod tests {
         );
         k.apply(&mut fabric);
         assert_eq!(fabric.tick_workers(), 8);
-        assert_eq!(fabric.parallel_min_work(), 0);
         assert!(fabric.routers().iter().all(|r| r.tick_workers() == 8));
     }
 
@@ -201,7 +186,6 @@ mod tests {
             ("STELLAR_TICK_WORKERS", "eight"),
             ("STELLAR_TICK_WORKERS", "0"),
             ("STELLAR_POPS", "-1"),
-            ("STELLAR_PARALLEL_MIN_WORK", "4k"),
             ("STELLAR_CHAOS_SMOKE", "yes"),
             ("STELLAR_SWEEP_SMOKE", "2"),
         ] {

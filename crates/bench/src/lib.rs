@@ -8,6 +8,8 @@
 //! dump machine-readable JSON next to the text (under `results/` in the
 //! working directory) so EXPERIMENTS.md can be regenerated diffably.
 
+#![forbid(unsafe_code)]
+
 pub mod fig10ab;
 pub mod fig3a;
 pub mod fig3b;

@@ -17,6 +17,8 @@
 //! Messages always travel through the full encoder and decoder, even between
 //! in-process peers, so malformed-message handling is exercised end-to-end.
 
+#![forbid(unsafe_code)]
+
 pub mod attr;
 pub mod capability;
 pub mod community;

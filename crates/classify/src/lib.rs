@@ -18,9 +18,8 @@
 //!   tables are classified through: a prefix-trie → protocol →
 //!   elementary-interval decision tree over positions in that `Vec`,
 //!   derived state that mutations drop and the tick entry rebuilds.
-//! - [`sharded`] / [`pool`] — the order-preserving fan-out of
-//!   independent shards (one per port group) over a reusable worker
-//!   pool.
+//! - [`sharded`] — the order-preserving fan-out of independent shards
+//!   (one per port group) over scoped threads.
 //! - [`set`] — the match language as sets of observable flow keys: the
 //!   field table, the canonical [`set::Region`] of a spec, the key
 //!   universe and its splitter.
@@ -28,10 +27,11 @@
 //!   rule-set algebra behind the control plane's audit and proofs, both
 //!   over [`set`].
 
+#![forbid(unsafe_code)]
+
 pub mod analyze;
 pub mod classifier;
 pub mod interval;
-pub mod pool;
 pub mod set;
 pub mod sharded;
 pub mod spec;

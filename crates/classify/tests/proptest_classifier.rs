@@ -8,7 +8,7 @@
 //! Covered: whole-set compile on small tables, table sizes straddling
 //! the scan/index crossover and at the production per-port cap, rank
 //! ties, arbitrary interleavings of mutation / lookup / rebuild, and
-//! lookups fanned out over the worker pool.
+//! lookups fanned out over scoped threads.
 
 use proptest::prelude::*;
 use stellar_classify::interval::IntervalIndex;
@@ -285,7 +285,7 @@ proptest! {
         check_against_linear(&c, &model, &keys)?;
     }
 
-    /// Shards fanned out over the worker pool borrow classifiers (scan
+    /// Shards fanned out over scoped threads borrow classifiers (scan
     /// and index alike) and return what direct lookups return, in order.
     #[test]
     fn lookups_through_the_worker_pool_agree(

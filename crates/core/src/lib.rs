@@ -30,6 +30,8 @@
 //! [`watchdog`] the runtime invariant monitor that checks the
 //! self-healing machinery's work while those faults are flying.
 
+#![forbid(unsafe_code)]
+
 pub mod audit;
 pub mod config_queue;
 pub mod controller;

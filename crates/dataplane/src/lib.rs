@@ -22,6 +22,8 @@
 //! agreement: a per-packet path (real encoded bytes, used by functional
 //! tests, §5.2) and an aggregate flow path (used for Gbps-scale emulation).
 
+#![forbid(unsafe_code)]
+
 pub mod counters;
 pub mod cpu;
 pub mod filter;

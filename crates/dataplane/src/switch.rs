@@ -150,10 +150,7 @@ pub struct EdgeRouter {
     scrape: ScrapeList,
     /// Max workers for the parallel tick mode; 1 = sequential.
     tick_workers: usize,
-    /// Minimum per-tick work (Σ over touched ports of 1 + rules) below
-    /// which the tick runs sequentially even when `tick_workers` > 1.
-    parallel_min_work: u64,
-    /// Whether the most recent tick actually fanned out to the pool.
+    /// Whether the most recent tick took the fanned-out path.
     last_parallel: bool,
     /// Cumulative rule installs (including replacements' re-installs).
     installs: u64,
@@ -182,8 +179,7 @@ impl EdgeRouter {
             rule_version: 0,
             scratch: TickScratch::default(),
             scrape: ScrapeList::default(),
-            tick_workers: sharded::default_workers(),
-            parallel_min_work: sharded::DEFAULT_PARALLEL_MIN_WORK,
+            tick_workers: 1,
             last_parallel: false,
             installs: 0,
             removals: 0,
@@ -224,8 +220,8 @@ impl EdgeRouter {
         self.slots.get(&id).map(|&s| s as usize)
     }
 
-    /// Caps the parallel tick fan-out; `1` forces the sequential
-    /// in-place path. Defaults to the machine's available parallelism.
+    /// Caps the parallel tick fan-out; `1` (the default) is the
+    /// sequential in-place path.
     pub fn set_tick_workers(&mut self, workers: usize) {
         self.tick_workers = workers.max(1);
     }
@@ -235,22 +231,10 @@ impl EdgeRouter {
         self.tick_workers
     }
 
-    /// Sets the adaptive-parallelism cutoff: ticks whose work estimate
-    /// (Σ over touched ports of 1 + rules) falls below this run
-    /// sequentially regardless of `tick_workers`. `0` disables the
-    /// cutoff. Defaults to [`sharded::DEFAULT_PARALLEL_MIN_WORK`].
-    pub fn set_parallel_min_work(&mut self, min_work: u64) {
-        self.parallel_min_work = min_work;
-    }
-
-    /// The adaptive-parallelism cutoff currently in force.
-    pub fn parallel_min_work(&self) -> u64 {
-        self.parallel_min_work
-    }
-
-    /// Whether the most recent tick actually fanned out to the worker
-    /// pool (false: sequential, by configuration or by the adaptive
-    /// cutoff). Benchmarks record this as the effective execution mode.
+    /// Whether the most recent tick fanned its touched ports out over
+    /// [`tick_workers`](Self::tick_workers) lanes (false: one worker, or
+    /// at most one touched port). Benchmarks record this as the
+    /// effective execution mode.
     pub fn last_tick_parallel(&self) -> bool {
         self.last_parallel
     }
@@ -501,8 +485,8 @@ impl EdgeRouter {
 
     /// Runs every port staged since [`begin_tick`](Self::begin_tick)
     /// through its policy (in parallel when
-    /// [`tick_workers`](Self::tick_workers) > 1 and the tick is big
-    /// enough), leaving the results in the arena.
+    /// [`tick_workers`](Self::tick_workers) > 1 and more than one port
+    /// was touched), leaving the results in the arena.
     ///
     /// Ports are independent shards — each owns its policy, shapers and
     /// counters, and is mutated only by its owning worker — so parallel
@@ -522,23 +506,8 @@ impl EdgeRouter {
         // Deterministic merge order: ascending PortId, independent of
         // offer arrival order and worker count.
         touched.sort_unstable_by_key(|&(s, _)| self.dense[s as usize]);
-        // Adaptive cutoff: estimate the tick's work as Σ over touched
-        // ports of (1 + installed rules) — roughly ports × rules. Below
-        // the threshold, pool dispatch costs more than it buys (the
-        // 4-port sweep cell ran at 0.48× sequential), so fall back to
-        // the in-place sequential walk, which also allocates nothing.
-        // One worker never fans out, so it skips the estimate.
-        let work = if self.tick_workers > 1 {
-            touched
-                .iter()
-                .map(|&(s, _)| 1 + self.ports[s as usize].policy.rule_count() as u64)
-                .sum()
-        } else {
-            0
-        };
-        let workers = sharded::effective_workers(self.tick_workers, work, self.parallel_min_work);
-        self.last_parallel = workers > 1 && touched.len() > 1;
-        let lane_count = workers.min(touched.len()).max(1);
+        self.last_parallel = self.tick_workers > 1 && touched.len() > 1;
+        let lane_count = self.tick_workers.min(touched.len()).max(1);
         if lanes.len() < lane_count {
             lanes.resize_with(lane_count, TickWork::default);
         }

@@ -155,7 +155,8 @@ proptest! {
 
     /// Parallel ticks are observationally identical to sequential: same
     /// verdicts, same cumulative counters, same obs snapshot bytes —
-    /// tick by tick, on identically built routers.
+    /// tick by tick, on identically built routers. Every tick that
+    /// touches more than one port must take the fanned-out path.
     #[test]
     fn parallel_tick_matches_sequential(topo in arb_topology()) {
         let (port_rules, ticks) = topo;
@@ -163,10 +164,6 @@ proptest! {
         seq.set_tick_workers(1);
         let mut par = build_router(&port_rules);
         par.set_tick_workers(4);
-        // Defeat the adaptive cutoff: these topologies are far below the
-        // default threshold, and the property under test is the parallel
-        // path itself.
-        par.set_parallel_min_work(0);
         let n_ports = port_rules.len();
         for (t, tick) in ticks.iter().enumerate() {
             let offers = offers_for_tick(n_ports, tick);
@@ -174,11 +171,14 @@ proptest! {
             let rs = seq.process_tick_in_place(&offers, end_us, TICK_US);
             let rp = par.process_tick_in_place(&offers, end_us, TICK_US);
             prop_assert_eq!(rs.len(), rp.len());
+            let fans_out = rp.len() > 1;
             for ((spid, s), (ppid, p)) in rs.iter().zip(rp.iter()) {
                 prop_assert_eq!(spid, ppid);
                 prop_assert_eq!(&s.delivered, &p.delivered);
                 prop_assert_eq!(s.counters, p.counters);
             }
+            prop_assert!(!seq.last_tick_parallel());
+            prop_assert_eq!(par.last_tick_parallel(), fans_out);
         }
         for ((spid, sport), (ppid, pport)) in seq.ports().zip(par.ports()) {
             prop_assert_eq!(spid, ppid);

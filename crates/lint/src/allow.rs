@@ -35,8 +35,9 @@ use crate::rules::{Finding, Rule};
 /// the worker pool took poisoned guards back, 21 when the bogon table
 /// became a constant instead of parsed strings, 19 when the signature
 /// detector sorted rates with `total_cmp` and the portal matched over
-/// the amplification protocols.
-pub const MAX_NO_UNWRAP_BUDGET: usize = 19;
+/// the amplification protocols, 15 when the worker pool gave way to
+/// scoped threads.
+pub const MAX_NO_UNWRAP_BUDGET: usize = 15;
 
 /// One `[[allow]]` entry.
 #[derive(Debug, Clone, PartialEq, Eq)]

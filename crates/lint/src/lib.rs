@@ -37,6 +37,8 @@
 //! ratchet down. [`report`] renders human diagnostics with `file:line`
 //! plus a machine-readable JSON report.
 
+#![forbid(unsafe_code)]
+
 pub mod allow;
 pub mod docs;
 pub mod report;

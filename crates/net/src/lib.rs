@@ -11,6 +11,8 @@
 //! in-memory transports inside the discrete-event emulation, which keeps
 //! every experiment reproducible from a seed.
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod amplification;
 pub mod checksum;

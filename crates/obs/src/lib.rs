@@ -24,6 +24,8 @@
 //! CI diffs the JSON of two identically-seeded runs and fails on any
 //! divergence.
 
+#![forbid(unsafe_code)]
+
 pub mod hist;
 pub mod recorder;
 pub mod registry;

@@ -22,6 +22,8 @@
 //! - [`stamps`] — the change stamps the FlowSpec RIB (and the
 //!   controller's desired-state planes) mark their edits with.
 
+#![forbid(unsafe_code)]
+
 pub mod bogon;
 pub mod control;
 pub mod flowspec;

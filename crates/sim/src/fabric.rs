@@ -9,10 +9,10 @@
 //! cross-PoP exchange — pure data movement, no wall clock, no unordered
 //! iteration), and every PoP then runs its own arena tick pipeline.
 //! PoPs share nothing — each owns its ports, TCAM and scratch arena — so
-//! the per-PoP ticks are perfect shards for the
-//! [`stellar_classify::pool`] worker pool, and parallel, sequential and
-//! single-PoP execution produce byte-identical verdicts, counters and
-//! obs snapshots. Per-PoP results merge in ascending PoP order; port ids
+//! the per-PoP ticks are perfect shards for
+//! [`stellar_classify::sharded::parallel_shards`], and parallel,
+//! sequential and single-PoP execution produce byte-identical verdicts,
+//! counters and obs snapshots. Per-PoP results merge in ascending PoP order; port ids
 //! are fabric-unique, so the merged view is exactly the single-router
 //! view of the same topology.
 //!
@@ -67,12 +67,9 @@ pub struct Fabric {
     /// the fabric's one routing table, filled by `add_port`. Point
     /// lookups only — never iterated.
     mac_slot: MacMap<(u16, u32)>,
-    /// Max pool workers for the PoP fan-out; 1 = sequential.
+    /// Max workers for the PoP fan-out; 1 = sequential.
     tick_workers: usize,
-    /// Minimum routed aggregates per tick before the PoP fan-out uses
-    /// the pool (each PoP applies its own finer-grained cutoff too).
-    parallel_min_work: u64,
-    /// Whether the most recent tick fanned PoPs out to the pool.
+    /// Whether the most recent tick fanned PoPs out.
     last_parallel: bool,
     counters: FabricCounters,
     /// Cumulative bytes sourced by members of each PoP.
@@ -105,8 +102,7 @@ impl Fabric {
             pops: (0..n).map(|_| EdgeRouter::new(hib.clone())).collect(),
             port_pop: HashMap::new(),
             mac_slot: MacMap::default(),
-            tick_workers: sharded::default_workers(),
-            parallel_min_work: sharded::DEFAULT_PARALLEL_MIN_WORK,
+            tick_workers: 1,
             last_parallel: false,
             counters: FabricCounters::default(),
             pop_ingress_bytes: vec![0; n],
@@ -307,7 +303,8 @@ impl Fabric {
         self.pops.iter().map(|r| r.tcam().allocation_count()).sum()
     }
 
-    /// Caps the PoP fan-out and every PoP's internal port fan-out.
+    /// Caps the PoP fan-out and every PoP's internal port fan-out; `1`
+    /// (the default) runs the PoPs one after another.
     pub fn set_tick_workers(&mut self, workers: usize) {
         self.tick_workers = workers.max(1);
         for r in &mut self.pops {
@@ -320,22 +317,8 @@ impl Fabric {
         self.tick_workers
     }
 
-    /// Sets the adaptive-parallelism cutoff, fabric-wide (the fabric
-    /// compares it against routed aggregates per tick; each PoP against
-    /// its own touched-ports × rules estimate).
-    pub fn set_parallel_min_work(&mut self, min_work: u64) {
-        self.parallel_min_work = min_work;
-        for r in &mut self.pops {
-            r.set_parallel_min_work(min_work);
-        }
-    }
-
-    /// The fabric-level adaptive-parallelism cutoff.
-    pub fn parallel_min_work(&self) -> u64 {
-        self.parallel_min_work
-    }
-
-    /// Whether the most recent tick fanned PoPs out to the worker pool.
+    /// Whether the most recent tick fanned PoPs out (more than one
+    /// worker over more than one PoP).
     pub fn last_tick_parallel(&self) -> bool {
         self.last_parallel
     }
@@ -364,13 +347,11 @@ impl Fabric {
     /// The per-tick cross-PoP exchange: every offered aggregate is staged,
     /// in arrival order, straight into its destination port's bucket on
     /// that port's PoP, with the local / cross-PoP / external split
-    /// accounted — two lookups in one table per offer, one copy. Returns
-    /// the number of routed aggregates (the fabric-level work estimate).
-    fn route(&mut self, offers: &[OfferedAggregate]) -> u64 {
+    /// accounted — two lookups in one table per offer, one copy.
+    fn route(&mut self, offers: &[OfferedAggregate]) {
         for r in &mut self.pops {
             r.begin_tick();
         }
-        let mut routed = 0u64;
         for o in offers {
             // Ingress accounting happens where the bytes enter the
             // fabric, whether or not they turn out to be routable.
@@ -389,14 +370,12 @@ impl Fabric {
             }
             self.pop_egress_bytes[egress as usize] += o.bytes;
             self.pops[egress as usize].stage(slot, o);
-            routed += 1;
         }
-        routed
     }
 
     /// The zero-allocation fabric tick: exchanges aggregates across PoPs,
     /// then runs every PoP's arena pipeline — in parallel at router
-    /// granularity when enough work is on offer. Results stay in each
+    /// granularity when more than one worker is allowed. Results stay in each
     /// PoP's arena (read them through cumulative port counters or
     /// [`Fabric::take_tick_results`]); parallel and sequential execution are
     /// byte-identical because PoPs share no state and all merges are
@@ -413,9 +392,8 @@ impl Fabric {
             self.pops.iter().map(EdgeRouter::port_count).sum::<usize>(),
             "a port was attached behind the fabric's back (use Fabric::add_port)"
         );
-        let routed = self.route(offers);
-        let workers = sharded::effective_workers(self.tick_workers, routed, self.parallel_min_work);
-        self.last_parallel = workers > 1 && self.pops.len() > 1;
+        self.route(offers);
+        self.last_parallel = self.tick_workers > 1 && self.pops.len() > 1;
         if !self.last_parallel {
             for pop in &mut self.pops {
                 pop.run_staged(tick_end_us, tick_us);
@@ -423,7 +401,7 @@ impl Fabric {
             return;
         }
         let shards: Vec<&mut EdgeRouter> = self.pops.iter_mut().collect();
-        sharded::parallel_shards(shards, workers, |pop| {
+        sharded::parallel_shards(shards, self.tick_workers, |pop| {
             pop.run_staged(tick_end_us, tick_us);
         });
     }

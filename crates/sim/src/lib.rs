@@ -22,6 +22,8 @@
 //! Everything is seeded: the same seed yields bit-identical experiment
 //! outputs.
 
+#![forbid(unsafe_code)]
+
 pub mod collector;
 pub mod engine;
 pub mod fabric;

@@ -24,7 +24,7 @@
 //!   exactly the active ports of a full walk, whatever made them active.
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use stellar_dataplane::filter::{Action, FilterRule, MatchSpec, PortMatch};
 use stellar_dataplane::hardware::HardwareInfoBase;
 use stellar_dataplane::port::MemberPort;
@@ -193,6 +193,32 @@ fn tick_fabric(
     fabric.take_tick_results()
 }
 
+/// Asserts that the tick `offers` just ran on `fabric` (with `workers`
+/// tick workers) fanned out wherever it should: the PoPs when there are
+/// more than one, and each PoP's ports when more than one of them was
+/// offered traffic. A worker axis that quietly ran the sequential path
+/// would pass every equality check, so the paths taken are checked too.
+fn assert_fanned_out(fabric: &Fabric, offers: &[OfferedAggregate], workers: usize) {
+    let mut touched = vec![BTreeSet::new(); fabric.num_pops()];
+    for pid in offers
+        .iter()
+        .filter_map(|o| fabric.port_of_mac(o.key.dst_mac))
+    {
+        let pop = fabric.pop_of_port(pid).expect("a fabric port");
+        touched[pop.0 as usize].insert(pid);
+    }
+    let pops = fabric.num_pops();
+    assert_eq!(
+        fabric.last_tick_parallel(),
+        workers > 1 && pops > 1,
+        "{pops} PoPs"
+    );
+    for (pop, (router, ports)) in fabric.routers().iter().zip(&touched).enumerate() {
+        let fans_out = workers > 1 && ports.len() > 1;
+        assert_eq!(router.last_tick_parallel(), fans_out, "PoP {pop} of {pops}");
+    }
+}
+
 /// One bare-router tick, its results drained from the arena.
 fn tick_router(
     er: &mut EdgeRouter,
@@ -262,13 +288,10 @@ proptest! {
             for workers in [2usize, 4] {
                 let mut fab = build_fabric(&port_rules, pops);
                 fab.set_tick_workers(workers);
-                // Defeat the adaptive cutoff: these topologies sit far
-                // below the default threshold and the property under
-                // test is the parallel fan-out itself.
-                fab.set_parallel_min_work(0);
                 for (t, tick) in ticks.iter().enumerate() {
                     let offers = offers_for_tick(n_ports, tick);
                     let r = tick_fabric(&mut fab, &offers, (t as u64 + 1) * TICK_US);
+                    assert_fanned_out(&fab, &offers, workers);
                     prop_assert_eq!(&r, &base_results[t]);
                 }
                 prop_assert_eq!(fab.counters(), base.counters());
@@ -361,7 +384,6 @@ proptest! {
         base.set_tick_workers(1);
         let mut other = build_fabric_in_order(&port_rules, pops, &shuffled);
         other.set_tick_workers(4);
-        other.set_parallel_min_work(0);
         for (t, tick) in ticks.iter().enumerate() {
             let offers = offers_for_tick(n_ports, tick);
             let end_us = (t as u64 + 1) * TICK_US;
@@ -383,6 +405,7 @@ proptest! {
                     }
                 }
             }
+            assert_fanned_out(&other, &offers, 4);
         }
 
         let mut obs = stellar_obs::Obs::new();

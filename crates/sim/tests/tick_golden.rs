@@ -303,11 +303,12 @@ impl Binds {
 }
 
 /// The episode on a bare router with `workers` tick workers: the
-/// digest, reading each tick's results in place from the arena.
+/// digest, reading each tick's results in place from the arena. Every
+/// tick with more than one worker and more than one touched port must
+/// have taken the fanned-out path.
 fn router_digest(ep: &Episode, workers: usize, binds: &mut Binds) -> u64 {
     let mut er = build_router(ep);
     er.set_tick_workers(workers);
-    er.set_parallel_min_work(0);
     let mut h = Fnv::new();
     for (t, offers) in ep.ticks.iter().enumerate() {
         if t as u64 == TICKS / 2 {
@@ -315,21 +316,28 @@ fn router_digest(ep: &Episode, workers: usize, binds: &mut Binds) -> u64 {
         }
         h.word(t as u64);
         let view = er.process_tick_in_place(offers, (t as u64 + 1) * TICK_US, TICK_US);
+        let fans_out = workers > 1 && view.len() > 1;
         for (pid, r) in view.iter() {
             h.result(pid, r);
             binds.add(r);
         }
+        assert_eq!(
+            er.last_tick_parallel(),
+            fans_out,
+            "tick {t}, {workers} workers"
+        );
     }
     let obs = router_obs(&er);
     h.finish(er.ports().map(|(pid, port)| (*pid, port)), &obs)
 }
 
 /// The episode on a 4-PoP fabric with `workers` tick workers: the
-/// digest, draining each tick's results as `traffic_tick` does.
+/// digest, draining each tick's results as `traffic_tick` does. With
+/// more than one worker every tick must fan the PoPs out, and every PoP
+/// with more than one touched port its ports.
 fn fabric_digest(ep: &Episode, workers: usize) -> u64 {
     let mut fabric = build_fabric(ep);
     fabric.set_tick_workers(workers);
-    fabric.set_parallel_min_work(0);
     let mut h = Fnv::new();
     for (t, offers) in ep.ticks.iter().enumerate() {
         if t as u64 == TICKS / 2 {
@@ -337,8 +345,15 @@ fn fabric_digest(ep: &Episode, workers: usize) -> u64 {
         }
         h.word(t as u64);
         fabric.process_tick_in_place(offers, (t as u64 + 1) * TICK_US, TICK_US);
+        let mut touched = vec![0usize; fabric.routers().len()];
         for (pid, r) in fabric.take_tick_results() {
             h.result(pid, &r);
+            touched[fabric.pop_of_port(pid).expect("a fabric port").0 as usize] += 1;
+        }
+        assert_eq!(fabric.last_tick_parallel(), workers > 1, "tick {t}");
+        for (pop, (router, &n)) in fabric.routers().iter().zip(&touched).enumerate() {
+            let fans_out = workers > 1 && n > 1;
+            assert_eq!(router.last_tick_parallel(), fans_out, "tick {t}, PoP {pop}");
         }
     }
     let obs = fabric_obs(&fabric);

@@ -17,6 +17,8 @@
 //! incomplete beta, Student-t distribution) so the crate has no external
 //! dependencies and results are bit-reproducible.
 
+#![forbid(unsafe_code)]
+
 pub mod cdf;
 pub mod ci;
 pub mod describe;

@@ -21,8 +21,8 @@ fn main() {
     // 1. An IXP with ten members on a lab-sized edge router, plus the
     //    route server and Stellar's blackholing controller. The knob
     //    registry may shard the fabric (`STELLAR_POPS`) and fan its ticks
-    //    out (`STELLAR_TICK_WORKERS`, `STELLAR_PARALLEL_MIN_WORK`); the
-    //    exported snapshot must not change either way.
+    //    out (`STELLAR_TICK_WORKERS`); the exported snapshot must not
+    //    change either way.
     let knobs = Knobs::from_env();
     let mut ixp = IxpTopology::build_with_pops(
         &generic_members(64500, 10),

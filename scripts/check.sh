@@ -66,8 +66,7 @@ STELLAR_POPS=4 STELLAR_TICK_WORKERS=1 cargo run --release -q --example quickstar
 mv results/metrics_quickstart.json results/metrics_quickstart.pop4.json
 STELLAR_POPS=4 STELLAR_TICK_WORKERS=1 cargo run --release -q --example quickstart >/dev/null
 diff results/metrics_quickstart.pop4.json results/metrics_quickstart.json
-fanout=$(STELLAR_POPS=4 STELLAR_TICK_WORKERS=8 STELLAR_PARALLEL_MIN_WORK=0 \
-  cargo run --release -q --example quickstart)
+fanout=$(STELLAR_POPS=4 STELLAR_TICK_WORKERS=8 cargo run --release -q --example quickstart)
 diff results/metrics_quickstart.pop4.json results/metrics_quickstart.json
 if ! printf '%s\n' "$fanout" | grep -q "fabric: 4 PoP(s), tick fanned out over the PoPs"; then
   echo "the 8-worker 4-PoP quickstart run did not fan its tick out" >&2

@@ -47,6 +47,8 @@
 //! assert_eq!(system.active_rules(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use stellar_bgp as bgp;
 pub use stellar_core as core;
 pub use stellar_dataplane as dataplane;
