@@ -147,6 +147,10 @@ mod tests {
             let out = parallel_shards((0..37u64).collect(), workers, |x| x * 2);
             assert_eq!(out, (0..37u64).map(|x| x * 2).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn fan_out_preserves_chunk_order() {
         for chunks in [1, 2, 3, 16] {
             let out = fan_out((0..37u64).collect(), chunks, &|x| x * 2);
             assert_eq!(out, (0..37u64).map(|x| x * 2).collect::<Vec<_>>());
